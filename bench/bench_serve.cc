@@ -16,8 +16,10 @@
 //   ARECEL_SERVE_BENCH_EST      estimator registry name (default sampling)
 //   ARECEL_SERVE_BENCH_OUT      output JSON path
 //                               (default <repo>/BENCH_serve.json)
-//   ARECEL_SERVE_CACHE_MB / ARECEL_SERVE_THREADS / ARECEL_QUERY_DEADLINE
-//                               serving-layer knobs (src/serve/server.h)
+//   ARECEL_SERVE_CACHE_MB / ARECEL_QUERY_DEADLINE
+//                               serving-layer knobs (src/serve/server.h);
+//                               batches fan out over the shared worker
+//                               pool, one slice per core
 //
 //   --smoke                     tiny configuration for the CTest smoke run
 

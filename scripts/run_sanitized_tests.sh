@@ -3,10 +3,10 @@
 #
 # ARECEL_SAN selects the sanitizer:
 #   asan (default) — AddressSanitizer + UBSan over the whole suite.
-#   tsan           — ThreadSanitizer, focused by default on the robustness
-#                    suite (watchdog/guard threads) and the shared-scan
-#                    engine (parallel block labeling); set ARECEL_SAN_ALL=1
-#                    for all tests.
+#   tsan           — ThreadSanitizer, focused by default on the worker
+#                    pool, the robustness suite (watchdog/guard) and the
+#                    shared-scan engine (parallel block labeling); set
+#                    ARECEL_SAN_ALL=1 for all tests.
 #
 # By default the `slow` label (full-registry training sweeps and the
 # watchdog timeout tests) is excluded — sanitized NN training is painfully
@@ -29,16 +29,19 @@ cmake --build --preset "$preset" -j "${ARECEL_BUILD_JOBS:-$(nproc)}"
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0:abort_on_error=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
-# The guard deliberately abandons hung worker threads (leak-on-hang
-# contract, src/robustness/guard.h); don't report those as errors.
+# The worker pool is never torn down and the guard deliberately abandons
+# hung workers (leak-on-hang contract, src/robustness/guard.h); don't
+# report those threads as leaks.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 report_thread_leaks=0}"
 
 filter=()
 if [ "${ARECEL_SAN_ALL:-0}" != "1" ]; then
   if [ "$san" = "tsan" ]; then
-    # The concurrent code paths are the robustness machinery (watchdog /
-    # guard threads), the shared-scan engine (ParallelForChunked block
-    # labeling with thread-local accumulators), the serving layer
+    # The concurrent code paths are the worker pool itself (Parallel:
+    # nested and concurrent ParallelFor callers, slice exceptions), the
+    # robustness machinery (guarded work on pool workers), the shared-scan
+    # engine (ParallelForChunked block labeling with thread-local
+    # accumulators), the serving layer
     # (single-flight loads, sharded cache, batched dispatch, background
     # refresh), and the ML kernels (parallel-over-rows matmul dispatch,
     # concurrent inference over shared weights); sweeping sanitized NN
@@ -51,7 +54,7 @@ if [ "${ARECEL_SAN_ALL:-0}" != "1" ]; then
     # Synopsis|Dict: the rich synopsis layer (dictionary code arrays,
     # per-block bitmaps) read concurrently by CountBatch workers, with
     # relaxed-atomic ScanStats merges.
-    filter=(-R 'Robust|Guard|Fault|Journal|Cancel|Scan|Serve|Ml|Feedback|Store|Maint|Packed|Quant|Join|Synopsis|Dict')
+    filter=(-R 'Parallel|Robust|Guard|Fault|Journal|Cancel|Scan|Serve|Ml|Feedback|Store|Maint|Packed|Quant|Join|Synopsis|Dict')
   else
     filter=(-LE slow)
   fi

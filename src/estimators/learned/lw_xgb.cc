@@ -40,7 +40,8 @@ bool LwXgbEstimator::SerializeModel(ByteWriter* writer) const {
 
 bool LwXgbEstimator::DeserializeModel(ByteReader* reader) {
   uint64_t rows = 0;
-  if (!featurizer_.Deserialize(reader) || !model_.Deserialize(reader) ||
+  if (!featurizer_.Deserialize(reader) ||
+      !model_.Deserialize(reader, featurizer_.FeatureDim()) ||
       !reader->U64(&rows)) {
     return false;
   }

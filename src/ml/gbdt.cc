@@ -136,16 +136,32 @@ void RegressionTree::Serialize(ByteWriter* writer) const {
   }
 }
 
-bool RegressionTree::Deserialize(ByteReader* reader) {
+bool RegressionTree::Deserialize(ByteReader* reader, size_t feature_dim) {
   uint64_t count = 0;
-  if (!reader->U64(&count) || count > (1u << 26)) return false;
-  nodes_.resize(count);
-  for (Node& node : nodes_) {
+  if (!reader->U64(&count) || count == 0 || count > (1u << 26)) return false;
+  // Nodes are appended as they are read, so a forged count fails at the end
+  // of the buffer instead of allocating for nodes that are not there.
+  nodes_.clear();
+  for (uint64_t i = 0; i < count; ++i) {
+    Node node;
     if (!reader->I32(&node.feature) || !reader->F32(&node.threshold) ||
         !reader->I32(&node.left) || !reader->I32(&node.right) ||
         !reader->F64(&node.value)) {
       return false;
     }
+    // Predict follows these fields unchecked. Build numbers nodes in
+    // pre-order, so a split's children come strictly after it; requiring
+    // that keeps every walk in bounds and makes it terminate.
+    if (node.feature < -1 ||
+        (node.feature >= 0 &&
+         (static_cast<size_t>(node.feature) >= feature_dim ||
+          node.left <= static_cast<int64_t>(i) ||
+          node.right <= static_cast<int64_t>(i) ||
+          static_cast<uint64_t>(node.left) >= count ||
+          static_cast<uint64_t>(node.right) >= count))) {
+      return false;
+    }
+    nodes_.push_back(node);
   }
   return true;
 }
@@ -188,15 +204,17 @@ void Gbdt::Serialize(ByteWriter* writer) const {
   for (const RegressionTree& tree : trees_) tree.Serialize(writer);
 }
 
-bool Gbdt::Deserialize(ByteReader* reader) {
+bool Gbdt::Deserialize(ByteReader* reader, size_t feature_dim) {
   uint64_t count = 0;
   if (!reader->F64(&base_prediction_) || !reader->F64(&learning_rate_) ||
       !reader->U64(&count) || count > (1u << 20)) {
     return false;
   }
-  trees_.assign(count, RegressionTree());
-  for (RegressionTree& tree : trees_) {
-    if (!tree.Deserialize(reader)) return false;
+  trees_.clear();
+  for (uint64_t t = 0; t < count; ++t) {
+    RegressionTree tree;
+    if (!tree.Deserialize(reader, feature_dim)) return false;
+    trees_.push_back(std::move(tree));
   }
   return true;
 }

@@ -31,7 +31,11 @@ class RegressionTree {
   double Predict(const std::vector<float>& x) const;
 
   void Serialize(ByteWriter* writer) const;
-  bool Deserialize(ByteReader* reader);
+  // Rejects a tree Predict could not walk safely on feature vectors of
+  // `feature_dim` entries: no nodes, a feature index outside
+  // [-1, feature_dim), or a split whose children are not after it or fall
+  // outside the tree.
+  bool Deserialize(ByteReader* reader, size_t feature_dim);
 
   size_t num_nodes() const { return nodes_.size(); }
   size_t SizeBytes() const { return nodes_.size() * sizeof(Node); }
@@ -61,7 +65,8 @@ class Gbdt {
   double Predict(const std::vector<float>& x) const;
 
   void Serialize(ByteWriter* writer) const;
-  bool Deserialize(ByteReader* reader);
+  // Every tree is checked as RegressionTree::Deserialize describes.
+  bool Deserialize(ByteReader* reader, size_t feature_dim);
 
   size_t num_trees() const { return trees_.size(); }
   size_t SizeBytes() const;

@@ -4,8 +4,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
-#include <thread>
 
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace arecel::robust {
@@ -63,7 +63,7 @@ GuardResult RunGuarded(std::function<void()> work, double deadline_seconds,
   state->work = std::move(work);
   state->keep_alive = std::move(keep_alive);
 
-  std::thread([state] {
+  StartOnWorker([state] {
     bool threw = false;
     bool cancelled = false;
     std::string error;
@@ -91,7 +91,7 @@ GuardResult RunGuarded(std::function<void()> work, double deadline_seconds,
     if (was_abandoned)
       g_abandoned_workers.fetch_sub(1, std::memory_order_relaxed);
     state->cv.notify_all();
-  }).detach();
+  });
 
   Timer timer;
   GuardResult result;
@@ -99,7 +99,7 @@ GuardResult RunGuarded(std::function<void()> work, double deadline_seconds,
   const auto deadline = std::chrono::duration<double>(deadline_seconds);
   if (!state->cv.wait_for(lock, deadline, [&] { return state->done; })) {
     // Deadline passed: ask cooperative work to stop and give it a grace
-    // window before abandoning the thread for good.
+    // window before abandoning the worker for good.
     if (cancel != nullptr) {
       cancel->Cancel();
       state->cv.wait_for(lock,
@@ -107,8 +107,8 @@ GuardResult RunGuarded(std::function<void()> work, double deadline_seconds,
                          [&] { return state->done; });
     }
     if (!state->done) {
-      // Abandoned: the detached worker still holds a shared_ptr to `state`,
-      // so everything the closure references stays alive until it returns.
+      // Abandoned: the pool worker still holds a shared_ptr to `state`, so
+      // everything the closure references stays alive until it returns.
       // Register it so shutdown paths know teardown is unsafe.
       state->abandoned = true;
       g_abandoned_workers.fetch_add(1, std::memory_order_relaxed);

@@ -28,16 +28,18 @@ struct GuardKinds {
   FailureKind on_cancel = FailureKind::kTrainCancelled;
 };
 
-// Runs `work` on a watchdog worker thread and waits at most
+// Runs `work` on a pool worker (StartOnWorker, util/thread_pool.h: it
+// starts at once, never queued behind other work) and waits at most
 // `deadline_seconds` (<= 0 disables the deadline and runs inline, so the
-// zero-risk configuration costs no thread). Exceptions never escape: a
+// zero-risk configuration costs no hand-off). Exceptions never escape: a
 // CancelledError maps to kinds.on_cancel, anything else to kinds.on_throw.
 //
 // On deadline expiry the guard signals `cancel` (when provided) so
 // cooperative work can exit, waits a short grace period for it, and then
-// ABANDONS the worker: the detached thread keeps running against the state
-// captured in `work` and `keep_alive` until it eventually returns, at which
-// point that state is released. Callers must therefore:
+// ABANDONS the worker: it keeps running against the state captured in
+// `work` and `keep_alive` until it eventually returns, at which point that
+// state is released and the worker rejoins the pool. Callers must
+// therefore:
 //  (a) give the closure shared ownership of everything it touches — capture
 //      by value or by shared_ptr (or bundle it into `keep_alive`). The only
 //      permissible by-reference captures are objects guaranteed to stay
@@ -49,14 +51,15 @@ struct GuardKinds {
 //  (b) never reuse an object whose stage timed out — the robust runner
 //      discards the estimator and builds a fresh one instead.
 // This is the standard leak-on-hang contract of watchdog harnesses: a hung
-// cell costs one thread and its model, not the whole figure binary.
+// cell costs one worker and its model, not the whole figure binary. The
+// pool is never destroyed, so nothing ever joins a hung worker.
 GuardResult RunGuarded(std::function<void()> work, double deadline_seconds,
                        const GuardKinds& kinds,
                        CancellationToken* cancel = nullptr,
                        std::shared_ptr<void> keep_alive = nullptr,
                        double cancel_grace_seconds = 0.25);
 
-// Number of abandoned worker threads that are still running in this
+// Number of abandoned workers that are still running guarded work in this
 // process (incremented when a deadline abandons a worker, decremented when
 // that worker eventually finishes). While this is nonzero, process teardown
 // (destructors of globals or of main's locals) would run under live

@@ -14,7 +14,7 @@ struct RobustOptions {
   // Per-stage wall-clock deadlines; <= 0 disables that watchdog.
   double train_deadline_seconds = 600.0;
   // Deadline for the whole estimate sweep over the test workload (one
-  // worker thread per stage, not per query). Ignored when a per-query
+  // guarded pool task per stage, not per query). Ignored when a per-query
   // budget is set below.
   double estimate_deadline_seconds = 300.0;
 

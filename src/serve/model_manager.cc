@@ -8,6 +8,7 @@
 #include "core/registry.h"
 #include "data/datasets.h"
 #include "store/model_store.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 #include "workload/generator.h"
 
@@ -269,8 +270,8 @@ bool ModelManager::RefreshModelNow(const std::string& dataset,
       if (ok) it->second.model = std::move(fresh);
     }
     --active_refreshes_;
+    refresh_cv_.notify_all();
   }
-  refresh_cv_.notify_all();
   return ok;
 }
 
@@ -292,6 +293,7 @@ std::vector<LoadedModelInfo> ModelManager::LoadedModels() const {
     info.estimator = key.substr(sep + 1);
     info.data_version = entry.model->data_version;
     info.refreshing = entry.refreshing;
+    info.model = entry.model;
     infos.push_back(std::move(info));
   }
   return infos;
@@ -374,22 +376,19 @@ size_t ModelManager::RefreshModelsAsync(const std::string& dataset) {
     ++active_refreshes_;
     ++started;
     const std::string estimator = key.substr(prefix.size());
-    refresh_threads_.emplace_back([this, dataset, estimator, key, table,
-                                   version] {
+    StartOnWorker([this, dataset, estimator, key, table, version] {
       std::string error;
       std::shared_ptr<const ServedModel> fresh = BuildModel(
           dataset, estimator, table, version, /*is_refresh=*/true, &error);
-      {
-        std::lock_guard<std::mutex> swap_lock(models_mutex_);
-        auto it = models_.find(key);
-        if (it != models_.end()) {
-          it->second.refreshing = false;
-          // On failure the stale model keeps serving (already counted as a
-          // refresh_failure by BuildModel).
-          if (fresh != nullptr) it->second.model = std::move(fresh);
-        }
-        --active_refreshes_;
+      std::lock_guard<std::mutex> swap_lock(models_mutex_);
+      auto it = models_.find(key);
+      if (it != models_.end()) {
+        it->second.refreshing = false;
+        // On failure the stale model keeps serving (already counted as a
+        // refresh_failure by BuildModel).
+        if (fresh != nullptr) it->second.model = std::move(fresh);
       }
+      --active_refreshes_;
       refresh_cv_.notify_all();
     });
   }
@@ -397,16 +396,8 @@ size_t ModelManager::RefreshModelsAsync(const std::string& dataset) {
 }
 
 void ModelManager::WaitForRefreshes() {
-  std::vector<std::thread> done;
-  {
-    std::unique_lock<std::mutex> lock(models_mutex_);
-    refresh_cv_.wait(lock, [this] { return active_refreshes_ == 0; });
-    done.swap(refresh_threads_);
-  }
-  // Every swapped-out thread has published its result (active_refreshes_
-  // hit zero under the lock); joining just reaps the exiting threads.
-  for (std::thread& t : done)
-    if (t.joinable()) t.join();
+  std::unique_lock<std::mutex> lock(models_mutex_);
+  refresh_cv_.wait(lock, [this] { return active_refreshes_ == 0; });
 }
 
 void ModelManager::Evict(const std::string& dataset,

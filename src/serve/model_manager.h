@@ -9,11 +9,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/estimator.h"
 #include "data/table.h"
+#include "util/latency_histogram.h"
 
 namespace arecel::store {
 class ModelStore;
@@ -62,7 +62,8 @@ uint64_t TrainSeedForVersion(uint64_t base_seed, uint64_t data_version);
 // One servable trained model. Immutable after publication except for the
 // inference mutex, which serializes EstimateSelectivity calls for
 // estimators whose inference is not a pure read (ThreadSafeEstimates()
-// false: naru / bayes / dqm-d / guarded).
+// false: naru / bayes / dqm-d / guarded), and the latency of the requests
+// served from it, which the server records without a lock.
 struct ServedModel {
   std::shared_ptr<CardinalityEstimator> estimator;
   uint64_t data_version = 0;
@@ -71,6 +72,7 @@ struct ServedModel {
   std::string source;  // "trained" | "loaded" | "refreshed".
   double train_seconds = 0.0;
   mutable std::mutex inference_mutex;
+  mutable LatencyHistogram latency;
 };
 
 struct ManagerCounters {
@@ -96,12 +98,14 @@ struct PendingSave {
   std::shared_ptr<const ServedModel> model;
 };
 
-// Loaded-model inventory row for the maintenance worker's staleness scan.
+// Loaded-model inventory row, for the maintenance worker's staleness scan
+// and the server's latency report.
 struct LoadedModelInfo {
   std::string dataset;
   std::string estimator;
   uint64_t data_version = 0;
   bool refreshing = false;
+  std::shared_ptr<const ServedModel> model;
 };
 
 // Owns the dataset snapshots and the trained estimators behind the serving
@@ -149,8 +153,9 @@ class ModelManager {
                        uint64_t seed);
 
   // Kicks one background full retrain per loaded model of `dataset` that
-  // is older than the current data version. Returns how many were started.
-  // A failed retrain keeps the stale model serving and counts a
+  // is older than the current data version, each on a pool worker that
+  // starts it at once (StartOnWorker). Returns how many were started. A
+  // failed retrain keeps the stale model serving and counts a
   // refresh_failure.
   size_t RefreshModelsAsync(const std::string& dataset);
 
@@ -225,9 +230,11 @@ class ModelManager {
   std::condition_variable models_cv_;
   std::map<std::string, ModelEntry> models_;
 
+  // Notified under models_mutex_, so a waiter that sees no refresh left
+  // (the destructor among them) cannot return while a refresh still
+  // touches this object.
   std::condition_variable refresh_cv_;
-  int active_refreshes_ = 0;            // guarded by models_mutex_.
-  std::vector<std::thread> refresh_threads_;  // guarded by models_mutex_.
+  int active_refreshes_ = 0;  // guarded by models_mutex_.
 
   mutable std::mutex counters_mutex_;
   ManagerCounters counters_;

@@ -4,14 +4,13 @@
 #include <cmath>
 #include <cstdlib>
 #include <exception>
-#include <thread>
+#include <mutex>
 #include <utility>
 
 #include "ml/kernels.h"
 #include "robustness/guard.h"
 #include "store/maintenance_worker.h"
 #include "store/model_store.h"
-#include "util/stats.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -19,10 +18,9 @@ namespace arecel::serve {
 
 namespace {
 
-constexpr size_t kLatencyWindowSize = 4096;
-
-// Below this batch size the dispatch threads cost more than they save.
-constexpr size_t kMinQueriesPerThread = 8;
+// Below this many queries per slice, handing slices to pool workers costs
+// more than it saves.
+constexpr size_t kMinQueriesPerSlice = 8;
 
 double EnvDouble(const char* name, double fallback) {
   const char* value = std::getenv(name);
@@ -40,8 +38,6 @@ ServeOptions ServeOptionsFromEnv() {
   options.cache_bytes =
       cache_mb <= 0 ? 0 : static_cast<size_t>(cache_mb * (1 << 20));
   options.cache_enabled = options.cache_bytes > 0;
-  options.dispatch_threads =
-      static_cast<int>(EnvDouble("ARECEL_SERVE_THREADS", 0));
   options.robust = robust::RobustOptionsFromEnv();
   options.feedback_enabled = EnvDouble("ARECEL_FEEDBACK", 0.0) > 0;
   const double queue = EnvDouble("ARECEL_FEEDBACK_QUEUE", 1024.0);
@@ -173,7 +169,7 @@ EstimateResponse EstimatorServer::EstimateWithModel(
       response.cardinality =
           response.selectivity * static_cast<double>(model->trained_rows);
       response.latency_ms = timer.ElapsedMillis();
-      RecordLatency(dataset, estimator, response.latency_ms);
+      model->latency.Record(response.latency_ms);
       return response;
     }
   }
@@ -203,7 +199,7 @@ EstimateResponse EstimatorServer::EstimateWithModel(
     }
   }
   response.latency_ms = timer.ElapsedMillis();
-  RecordLatency(dataset, estimator, response.latency_ms);
+  model->latency.Record(response.latency_ms);
   return response;
 }
 
@@ -245,32 +241,22 @@ std::vector<EstimateResponse> EstimatorServer::EstimateBatch(
   }
 
   // Serialized-inference models gain nothing from fan-out: every request
-  // would queue on the inference mutex while paying thread startup. Small
-  // batches likewise run inline.
-  const size_t want_threads = std::min<size_t>(
+  // would queue on the inference mutex. Small batches likewise run inline.
+  const size_t slices = std::min<size_t>(
       static_cast<size_t>(options_.dispatch_threads),
-      queries.size() / kMinQueriesPerThread);
-  if (!model->thread_safe || want_threads <= 1) {
+      queries.size() / kMinQueriesPerSlice);
+  if (!model->thread_safe || slices <= 1) {
     for (size_t i = 0; i < queries.size(); ++i)
       responses[i] = EstimateWithModel(dataset, estimator, model, queries[i]);
     return responses;
   }
 
-  std::vector<std::thread> workers;
-  workers.reserve(want_threads);
-  const size_t chunk = (queries.size() + want_threads - 1) / want_threads;
-  for (size_t t = 0; t < want_threads; ++t) {
-    const size_t begin = t * chunk;
-    const size_t end = std::min(queries.size(), begin + chunk);
-    if (begin >= end) break;
-    workers.emplace_back([this, &dataset, &estimator, &model, &queries,
-                          &responses, begin, end] {
-      for (size_t i = begin; i < end; ++i)
-        responses[i] =
-            EstimateWithModel(dataset, estimator, model, queries[i]);
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
+  const size_t slice = (queries.size() + slices - 1) / slices;
+  ParallelFor(0, slices, [&](size_t s) {
+    const size_t end = std::min(queries.size(), (s + 1) * slice);
+    for (size_t i = s * slice; i < end; ++i)
+      responses[i] = EstimateWithModel(dataset, estimator, model, queries[i]);
+  });
   return responses;
 }
 
@@ -338,21 +324,6 @@ void EstimatorServer::EnqueueFeedback(
   feedback_->EnqueueTruth(std::move(job));
 }
 
-void EstimatorServer::RecordLatency(const std::string& dataset,
-                                    const std::string& estimator, double ms) {
-  const std::string key = dataset + "/" + estimator;
-  std::lock_guard<std::mutex> lock(latency_mutex_);
-  LatencyWindow& window = latencies_[key];
-  ++window.requests;
-  if (window.values.size() < kLatencyWindowSize) {
-    window.values.push_back(ms);
-  } else {
-    window.values[window.next] = ms;
-    window.next = (window.next + 1) % kLatencyWindowSize;
-    window.full = true;
-  }
-}
-
 ServerStats EstimatorServer::Stats() const {
   ServerStats stats;
   stats.requests = requests_.load();
@@ -370,19 +341,17 @@ ServerStats EstimatorServer::Stats() const {
   stats.ml_backend = MlKernelBackendName(ActiveMlKernelBackend());
   stats.ml_simd = MlKernelSimdName();
   stats.ml_cpu_flags = MlCpuFeatureFlags();
-  std::lock_guard<std::mutex> lock(latency_mutex_);
-  stats.latencies.reserve(latencies_.size());
-  for (const auto& [key, window] : latencies_) {
+  for (const LoadedModelInfo& info : manager_.LoadedModels()) {
+    const LatencyHistogram& latency = info.model->latency;
+    const uint64_t requests = latency.count();
+    if (requests == 0) continue;
     ModelLatencyStats entry;
-    entry.model = key;
-    entry.requests = window.requests;
-    if (!window.values.empty()) {
-      entry.p50_ms = Percentile(window.values, 50.0);
-      entry.p90_ms = Percentile(window.values, 90.0);
-      entry.p99_ms = Percentile(window.values, 99.0);
-      entry.max_ms =
-          *std::max_element(window.values.begin(), window.values.end());
-    }
+    entry.model = info.dataset + "/" + info.estimator;
+    entry.requests = requests;
+    entry.p50_ms = latency.PercentileMs(50.0);
+    entry.p90_ms = latency.PercentileMs(90.0);
+    entry.p99_ms = latency.PercentileMs(99.0);
+    entry.max_ms = latency.PercentileMs(100.0);
     stats.latencies.push_back(std::move(entry));
   }
   return stats;

@@ -3,9 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,8 +24,6 @@ namespace arecel::serve {
 // Serving-layer configuration. Environment knobs (ServeOptionsFromEnv):
 //   ARECEL_SERVE_CACHE_MB  estimate-cache capacity in MB (default 64;
 //                          0 disables the cache entirely)
-//   ARECEL_SERVE_THREADS   batch dispatch width (default: the scan
-//                          engine's worker count)
 //   ARECEL_FEEDBACK        non-zero enables the online query-feedback loop
 //                          (default off: serving behavior is bit-identical
 //                          to the pre-feedback server unless opted in)
@@ -46,11 +42,14 @@ struct ServeOptions {
   size_t cache_bytes = 64ull << 20;
   size_t cache_shards = 16;
   bool cache_enabled = true;
-  int dispatch_threads = 0;  // <= 0: ParallelWorkerCount().
+  // Most slices one EstimateBatch is cut into for the shared worker pool
+  // (util/thread_pool.h); <= 0: ParallelWorkerCount().
+  int dispatch_threads = 0;
 
   // Per-request deadline reuses RobustOptions.query_deadline_seconds; <= 0
-  // runs inference inline with no watchdog thread. The failure taxonomy is
-  // shared with the bench harness (kEstimateTimeout / kEstimateThrew / ...).
+  // runs inference inline with no hand-off to a pool worker. The failure
+  // taxonomy is shared with the bench harness (kEstimateTimeout /
+  // kEstimateThrew / ...).
   robust::RobustOptions robust;
 
   // The paper's §5.1 dynamic-update append fraction (20%).
@@ -84,8 +83,10 @@ struct EstimateResponse {
   double latency_ms = 0.0;
 };
 
-// Latency summary for one (dataset, estimator) serving key, computed from
-// a bounded window of recent requests (util/stats.h percentiles).
+// Latency summary of the requests served by one (dataset, estimator)
+// key's current model, since that model was published (a refresh or an
+// eviction starts afresh). Percentiles and max are at the resolution of
+// util/latency_histogram.h: at most 12.5% above the recorded latency.
 struct ModelLatencyStats {
   std::string model;  // "dataset/estimator".
   uint64_t requests = 0;
@@ -124,10 +125,11 @@ struct ServerStats {
 // behind single and batched Estimate calls.
 //
 // Threading: every public method is safe to call concurrently. Batches fan
-// out across dispatch_threads when the serving model's inference is a pure
-// read (CardinalityEstimator::ThreadSafeEstimates); stochastic-inference
-// models are dispatched sequentially under the model's inference mutex, so
-// their per-instance counters never race.
+// out in up to dispatch_threads slices on the shared worker pool when the
+// serving model's inference is a pure read
+// (CardinalityEstimator::ThreadSafeEstimates); stochastic-inference models
+// are dispatched sequentially under the model's inference mutex, so their
+// per-instance counters never race.
 //
 // Staleness: Update() appends 20% correlated rows (the paper's §5.1
 // procedure), bumps the dataset's data version, drops the dataset's cache
@@ -153,8 +155,8 @@ class EstimatorServer {
                             const std::string& estimator, const Query& query);
 
   // Batched dispatch: resolves the model once, then fans the queries out
-  // across the dispatch threads. Responses are positionally aligned with
-  // `queries`.
+  // over the worker pool, the calling thread included. Responses are
+  // positionally aligned with `queries`.
   std::vector<EstimateResponse> EstimateBatch(
       const std::string& dataset, const std::string& estimator,
       const std::vector<Query>& queries);
@@ -189,13 +191,6 @@ class EstimatorServer {
   store::MaintenanceWorker* maintenance() { return maintenance_.get(); }
 
  private:
-  struct LatencyWindow {
-    std::vector<double> values;  // ring buffer once full.
-    size_t next = 0;
-    bool full = false;
-    uint64_t requests = 0;
-  };
-
   // Core of Estimate/EstimateBatch once the model is resolved.
   EstimateResponse EstimateWithModel(
       const std::string& dataset, const std::string& estimator,
@@ -207,9 +202,6 @@ class EstimatorServer {
                     const std::shared_ptr<const ServedModel>& model,
                     const Query& query, double* selectivity,
                     EstimateResponse* response);
-
-  void RecordLatency(const std::string& dataset, const std::string& estimator,
-                     double ms);
 
   // Queues the served query for asynchronous exact labeling (no-op when the
   // loop is disabled). `base_selectivity` is the pre-correction estimate.
@@ -234,9 +226,6 @@ class EstimatorServer {
   std::atomic<uint64_t> estimate_errors_{0};
   std::atomic<uint64_t> model_failures_{0};
   std::atomic<uint64_t> updates_{0};
-
-  mutable std::mutex latency_mutex_;
-  std::map<std::string, LatencyWindow> latencies_;
 };
 
 }  // namespace arecel::serve

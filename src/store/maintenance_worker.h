@@ -23,7 +23,7 @@ namespace arecel::store {
 //    than its dataset's current data version runs a synchronous retrain
 //    (ModelManager::RefreshModelNow) inside the robustness watchdog
 //    (RunGuarded + CancellationToken), so a hung retrain costs one
-//    abandoned thread, not the worker.
+//    abandoned pool worker, not this worker.
 //
 // Closures handed to RunGuarded share ownership of the manager and store
 // (shared_ptr captures + keep_alive), satisfying the guard's leak-on-hang
@@ -43,7 +43,8 @@ struct MaintenanceOptions {
   int backoff_max_ms = 1000;
 
   // Watchdog deadline per refresh; <= 0 runs unguarded (inline, no
-  // watchdog thread) which is what unit tests use for determinism.
+  // hand-off to a pool worker) which is what unit tests use for
+  // determinism.
   double refresh_deadline_seconds = 0.0;
 
   uint64_t jitter_seed = 0x5eed;

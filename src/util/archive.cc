@@ -52,7 +52,8 @@ bool ByteReader::Fail() {
 
 bool ByteReader::Raw(void* data, size_t bytes) {
   if (failed_ || position_ + bytes > buffer_.size()) return Fail();
-  std::memcpy(data, buffer_.data() + position_, bytes);
+  // An empty container's data() may be null, which memcpy must not see.
+  if (bytes > 0) std::memcpy(data, buffer_.data() + position_, bytes);
   position_ += bytes;
   return true;
 }

@@ -1,10 +1,17 @@
 #include "ml/gbdt.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "core/model_io.h"
+#include "data/datasets.h"
+#include "estimators/learned/lw_xgb.h"
 #include "util/random.h"
+#include "workload/generator.h"
 
 namespace arecel {
 namespace {
@@ -68,6 +75,71 @@ TEST(RegressionTreeTest, SplitsOnInformativeFeature) {
   tree.Fit(x, y, options);
   EXPECT_NEAR(tree.Predict({0.9f, 0.9f}), 10.0, 1.5);
   EXPECT_NEAR(tree.Predict({0.9f, 0.1f}), 0.0, 1.5);
+}
+
+template <typename T>
+std::string Patched(std::string bytes, size_t offset, T value) {
+  std::memcpy(&bytes[offset], &value, sizeof(value));
+  return bytes;
+}
+
+bool Loads(const std::string& bytes, size_t feature_dim) {
+  ByteReader reader(bytes);
+  RegressionTree tree;
+  return tree.Deserialize(&reader, feature_dim);
+}
+
+// Serialized tree layout: u64 node count, then per node i32 feature,
+// f32 threshold, i32 left, i32 right, f64 value (24 bytes).
+TEST(RegressionTreeTest, DeserializeRejectsHostileBytes) {
+  std::vector<std::vector<float>> x;
+  std::vector<double> y;
+  for (int i = 0; i < 100; ++i) {
+    x.push_back({static_cast<float>(i % 7), static_cast<float>(i)});
+    y.push_back(i < 50 ? -1.0 : 1.0);  // the root splits on feature 1.
+  }
+  RegressionTree tree;
+  GbdtOptions options;
+  options.min_leaf_size = 5;
+  tree.Fit(x, y, options);
+  ASSERT_GT(tree.num_nodes(), 1u);
+  ByteWriter writer;
+  tree.Serialize(&writer);
+  const std::string bytes = writer.buffer();
+  ASSERT_TRUE(Loads(bytes, 2));
+
+  // Node 0's left child pointing at node 0 would make Predict loop
+  // forever; past the end it would read out of bounds.
+  EXPECT_FALSE(Loads(Patched<int32_t>(bytes, 16, 0), 2));
+  EXPECT_FALSE(Loads(Patched<int32_t>(bytes, 16, 1 << 20), 2));
+  // A forged node count fails at the end of the buffer.
+  EXPECT_FALSE(Loads(Patched<uint64_t>(bytes, 0, uint64_t{1} << 26), 2));
+  EXPECT_FALSE(Loads(Patched<uint64_t>(bytes, 0, 0), 2));  // empty tree.
+  // Feature indices below -1 or outside the feature vector.
+  EXPECT_FALSE(Loads(Patched<int32_t>(bytes, 8, -2), 2));
+  EXPECT_FALSE(Loads(bytes, 1));
+}
+
+TEST(RegressionTreeTest, PatchedLwXgbModelIsCorrupt) {
+  const Table table = GenerateSynthetic2D(2000, 1.0, 0.5, 30, 7);
+  const Workload training = GenerateWorkload(table, 200, 8);
+  LwXgbEstimator estimator;
+  TrainContext context;
+  context.training_workload = &training;
+  estimator.Train(table, context);
+  std::string bytes;
+  ASSERT_TRUE(SerializeEstimatorBytes(estimator, &bytes));
+  LwXgbEstimator intact;
+  ASSERT_TRUE(LoadEstimatorBytes(&intact, bytes).ok());
+
+  // The payload ends with the last tree's last node, then the u64 row
+  // count. Turn that leaf into a split whose left child points back at it.
+  const size_t last_node = bytes.size() - 8 - 24;
+  std::string patched = Patched<int32_t>(bytes, last_node, 0);
+  patched = Patched<int32_t>(patched, last_node + 8, 0);
+  LwXgbEstimator hostile;
+  EXPECT_EQ(LoadEstimatorBytes(&hostile, patched).kind,
+            FailureKind::kCorruptModel);
 }
 
 TEST(GbdtTest, FitsNonlinearFunction) {

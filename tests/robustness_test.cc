@@ -5,8 +5,10 @@
 // paths (which must actually wait out deadlines) live in
 // robustness_timeout_test.cc, labelled slow.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "robustness/guard.h"
 #include "robustness/journal.h"
 #include "robustness/runner.h"
+#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace arecel {
@@ -150,13 +153,37 @@ TEST(FaultInjectorTest, TrainThrowAndCancelAreDistinct) {
 
 TEST(GuardTest, SuccessInlineAndOnWorker) {
   int ran = 0;
-  // deadline <= 0: inline, no worker thread.
+  // deadline <= 0: inline, no hand-off.
   auto inline_result = RunGuarded([&] { ++ran; }, 0.0, {});
   EXPECT_TRUE(inline_result.ok());
-  // positive deadline: worker thread path.
+  // positive deadline: pool worker path.
   auto worker_result = RunGuarded([&] { ++ran; }, 30.0, {});
   EXPECT_TRUE(worker_result.ok());
   EXPECT_EQ(ran, 2);
+}
+
+// The guard hands each call to an idle pool worker, so a long run of
+// guarded calls reuses the pool instead of starting (and detaching) one
+// thread per call.
+TEST(GuardTest, BackToBackGuardedCallsReuseWorkers) {
+  auto thread_count = [] {
+    size_t count = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+      (void)entry;
+      ++count;
+    }
+    return count;
+  };
+  size_t peak = 0;
+  for (int call = 0; call < 20000; ++call) {
+    ASSERT_TRUE(RunGuarded([] {}, 1.0, {}).ok());
+    if (call % 500 == 0) peak = std::max(peak, thread_count());
+  }
+  peak = std::max(peak, thread_count());
+  // The caller, the persistent workers, and at most a few started while
+  // a finished worker was still on its way back to idle.
+  EXPECT_LE(peak, static_cast<size_t>(ParallelWorkerCount()) + 4);
 }
 
 TEST(GuardTest, MapsExceptionsToConfiguredKinds) {

@@ -7,6 +7,7 @@
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include "robustness/fault_injector.h"
 #include "robustness/guard.h"
 #include "robustness/runner.h"
+#include "util/thread_pool.h"
 #include "workload/generator.h"
 
 namespace arecel {
@@ -78,6 +80,12 @@ TEST(GuardTimeoutTest, UncooperativeWorkIsAbandonedAsTimeout) {
   // The abandoned worker is tracked until it actually finishes: callers use
   // this count to decide whether process teardown is safe.
   EXPECT_GE(robust::AbandonedWorkerCount(), 1);
+  // The hung task keeps its pool worker; a full-width ParallelFor still
+  // finishes on the caller and the remaining workers.
+  std::vector<std::atomic<int>> hits(
+      static_cast<size_t>(ParallelWorkerCount()));
+  ParallelFor(0, hits.size(), [&hits](size_t i) { ++hits[i]; });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   gate->store(true);  // release the abandoned worker before test exit.
   for (int i = 0; i < 100 && robust::AbandonedWorkerCount() > 0; ++i)
     std::this_thread::sleep_for(std::chrono::milliseconds(10));

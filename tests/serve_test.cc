@@ -312,6 +312,48 @@ TEST(ServeDeadlineTest, ThrowMapsToEstimateThrew) {
   EXPECT_NE(response.detail.find("inference exploded"), std::string::npos);
 }
 
+// Each batch slice blocks on guarded calls while three clients' slices
+// occupy the pool; the guarded calls must still start at once rather than
+// queue behind the slices that wait for them.
+TEST(ServeDeadlineTest, ArmedBatchesFromConcurrentClientsNeverTimeOut) {
+  ServeOptions options;
+  options.cache_enabled = false;
+  options.dispatch_threads = 4;
+  options.robust.query_deadline_seconds = 5.0;
+  options.manager.factory =
+      StubFactory(/*train_ms=*/0, /*estimate_ms=*/1, /*thread_safe=*/true);
+  EstimatorServer server(options);
+  server.RegisterDataset("t", SmallTable());
+
+  constexpr int kClients = 3;
+  constexpr int kBatches = 8;
+  const std::vector<Query> queries(64, MakeQuery({{0, 1.0, 5.0}}));
+  std::atomic<int> failed{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&server, &queries, &failed] {
+      for (int b = 0; b < kBatches; ++b)
+        for (const auto& response :
+             server.EstimateBatch("t", "stub", queries))
+          if (!response.ok) ++failed;
+    });
+  }
+  for (std::thread& client : clients) client.join();
+
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(stats.deadline_exceeded, 0u);
+  // Every answer was recorded in the model's latency histogram; the stub
+  // sleeps 1 ms per estimate.
+  ASSERT_EQ(stats.latencies.size(), 1u);
+  EXPECT_EQ(stats.latencies[0].model, "t/stub");
+  EXPECT_EQ(stats.latencies[0].requests,
+            static_cast<uint64_t>(kClients * kBatches) * queries.size());
+  EXPECT_GE(stats.latencies[0].p50_ms, 1.0);
+  EXPECT_LE(stats.latencies[0].p50_ms, stats.latencies[0].p99_ms);
+  EXPECT_LE(stats.latencies[0].p99_ms, stats.latencies[0].max_ms);
+}
+
 // ---------------------------------------------------------------------------
 // Serving behavior: cache hits, persistence, update + refresh.
 

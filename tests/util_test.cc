@@ -1,13 +1,31 @@
+#include <atomic>
+#include <cmath>
+#include <filesystem>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/ascii_table.h"
+#include "util/latency_histogram.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace arecel {
 namespace {
+
+// Threads of this process, from /proc/self/task.
+size_t ThreadCount() {
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
 
 TEST(AsciiTableTest, AlignsColumns) {
   AsciiTable table({"name", "value"});
@@ -59,9 +77,86 @@ TEST(ParallelForChunkedTest, ChunksPartitionRange) {
   for (int h : hits) EXPECT_EQ(h, 1);
 }
 
+TEST(ParallelForTest, NestedCallInsideABodyFinishes) {
+  constexpr size_t kOuter = 16;
+  constexpr size_t kInner = 64;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  ParallelFor(0, kOuter, [&](size_t i) {
+    ParallelFor(0, kInner, [&](size_t j) { ++hits[i * kInner + j]; });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelForTest, ConcurrentCallersAllFinish) {
+  constexpr int kCallers = 8;
+  constexpr size_t kRange = 1000;
+  std::vector<std::vector<int>> hits(kCallers, std::vector<int>(kRange, 0));
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&hits, c] {
+      for (int round = 0; round < 50; ++round)
+        ParallelFor(0, kRange, [&](size_t i) { ++hits[c][i]; });
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (const auto& row : hits)
+    for (int h : row) EXPECT_EQ(h, 50);
+}
+
+TEST(ParallelForTest, ThrowingSliceIsRethrownAfterTheOthersRan) {
+  const size_t slices = static_cast<size_t>(ParallelWorkerCount());
+  std::vector<std::atomic<int>> ran(slices);
+  auto body = [&](size_t lo, size_t) {
+    if (lo == 0) throw std::runtime_error("slice 0 failed");
+    ++ran[lo];
+  };
+  if (slices == 1) {
+    EXPECT_THROW(ParallelForChunked(0, 1, body), std::runtime_error);
+    return;
+  }
+  EXPECT_THROW(ParallelForChunked(0, slices, body), std::runtime_error);
+  for (size_t s = 1; s < slices; ++s) EXPECT_EQ(ran[s].load(), 1) << s;
+  // The pool is unharmed: the next call covers its range.
+  std::vector<int> hits(333, 0);
+  ParallelFor(0, hits.size(), [&](size_t i) { ++hits[i]; });
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ParallelForTest, BackToBackCallsStartNoThreads) {
+  ParallelForChunked(0, 64, [](size_t, size_t) {});  // starts the pool.
+  const size_t before = ThreadCount();
+  for (int call = 0; call < 10000; ++call)
+    ParallelForChunked(0, 64, [](size_t, size_t) {});
+  EXPECT_EQ(ThreadCount(), before);
+}
+
 TEST(ParallelWorkerCountTest, AtLeastOne) {
   EXPECT_GE(ParallelWorkerCount(), 1);
   EXPECT_LE(ParallelWorkerCount(), 16);
+}
+
+TEST(LatencyHistogramTest, PercentilesAtBucketResolution) {
+  LatencyHistogram histogram;
+  EXPECT_EQ(histogram.count(), 0u);
+  EXPECT_EQ(histogram.PercentileMs(50), 0.0);
+  for (int us = 1; us <= 1000; ++us) histogram.Record(us / 1000.0);
+  EXPECT_EQ(histogram.count(), 1000u);
+  // Each reported value lies within one bucket (12.5%) above the truth.
+  const double truths[] = {0.5, 0.9, 0.99, 1.0};
+  const double ps[] = {50, 90, 99, 100};
+  for (int k = 0; k < 4; ++k) {
+    const double got = histogram.PercentileMs(ps[k]);
+    EXPECT_GE(got, truths[k]) << ps[k];
+    EXPECT_LE(got, truths[k] * 1.125) << ps[k];
+  }
+  // Below 16 ns buckets are exact; negative and NaN land in bucket 0.
+  LatencyHistogram small;
+  small.Record(7.5e-6);  // 7.5 ns counts as 7 ns.
+  EXPECT_DOUBLE_EQ(small.PercentileMs(100), 7e-6);
+  small.Record(-1.0);
+  small.Record(std::nan(""));
+  EXPECT_EQ(small.count(), 3u);
+  EXPECT_EQ(small.PercentileMs(50), 0.0);
 }
 
 TEST(TimerTest, MeasuresElapsed) {

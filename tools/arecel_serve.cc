@@ -15,8 +15,8 @@
 //   stats                        server/cache/manager counters + latencies
 //   help, quit
 //
-// Environment: ARECEL_SERVE_CACHE_MB, ARECEL_SERVE_THREADS,
-// ARECEL_QUERY_DEADLINE (see src/serve/server.h).
+// Environment: ARECEL_SERVE_CACHE_MB, ARECEL_QUERY_DEADLINE (see
+// src/serve/server.h).
 
 #include <cstdio>
 #include <cstdlib>
