@@ -33,14 +33,10 @@
 // smoke run can never clobber the checked-in baseline.
 //
 // The quant tier (ARECEL_ML_KERNEL=quant, ml/packed.h) is measured in two
-// extra layers: a packed/quant dense-forward grid, and a quantized Naru
+// extra layers: a fast-vs-quant dense-forward grid, and a quantized Naru
 // estimate batch gated on end-to-end q-error divergence vs the fp32 fast
 // path (quantization is lossy by design, so the gate is a q-error budget,
-// not a float tolerance). The packed fp32 path runs the same FMA chains as
-// the unpacked fast kernel — bit-identical on full 16-column tiles — but
-// the unpacked kernel's final sub-8-column scalar tail rounds mul+add
-// where the packed lane fuses, so packed-vs-fast is gated with the same
-// float tolerance class as reference-vs-fast.
+// not a float tolerance).
 
 #include <algorithm>
 #include <cmath>
@@ -175,36 +171,26 @@ MicroCell MeasureMicroCell(const char* op, size_t m, size_t k, size_t n) {
   return cell;
 }
 
-// ---- packed / quant dense-forward grid ------------------------------------
+// ---- quant dense-forward grid ----------------------------------------------
 
-// One DenseForward shape measured across the three serving tiers: the fast
-// fp32 kernel over row-major weights, the packed-B fp32 kernel, and the int8
-// quant kernel (ml/packed.h). The packed fp32 tier runs the same per-column
-// FMA chains in k order as the unpacked fast tier — bit-identical wherever
-// the unpacked kernel vectorizes — but the unpacked kernel's sub-8-column
-// scalar tail rounds mul+add where the packed lane fuses, so the gate is
-// kMicroTolerance (the reference-vs-fast rounding class), not equality. The
-// quant tier is lossy by construction; the grid reports its max abs output
-// error for visibility, and the end-to-end acceptance gate lives in the naru
-// q-error section below.
-struct PackedCell {
+// One DenseForward shape measured on the two serving tiers: the fast fp32
+// kernel over row-major weights and the int8 quant kernel over the packed
+// weights (ml/packed.h). The quant tier is lossy by construction; the grid
+// reports its max abs output error for visibility, and the end-to-end
+// acceptance gate lives in the naru q-error section below.
+struct QuantCell {
   size_t m = 0, k = 0, n = 0;
-  double fast_seconds = 0.0;    // unpacked fast DenseForward.
-  double packed_seconds = 0.0;  // packed-B fp32 PackedDenseForward.
-  double quant_seconds = 0.0;   // int8 PackedDenseForward (quant backend).
-  double packed_max_abs = 0.0;
+  double fast_seconds = 0.0;   // fp32 DenseForward.
+  double quant_seconds = 0.0;  // int8 PackedDenseForward.
   double quant_max_abs = 0.0;
 
-  double packed_speedup() const {
-    return packed_seconds > 0.0 ? fast_seconds / packed_seconds : 0.0;
-  }
   double quant_speedup() const {
     return quant_seconds > 0.0 ? fast_seconds / quant_seconds : 0.0;
   }
 };
 
-PackedCell MeasurePackedCell(size_t m, size_t k, size_t n) {
-  PackedCell cell;
+QuantCell MeasureQuantCell(size_t m, size_t k, size_t n) {
+  QuantCell cell;
   cell.m = m;
   cell.k = k;
   cell.n = n;
@@ -219,20 +205,13 @@ PackedCell MeasurePackedCell(size_t m, size_t k, size_t n) {
   PackedDenseWeights packed;
   packed.Build(weights);
 
-  Matrix out_fast, out_packed, out_quant;
+  Matrix out_fast, out_quant;
   ScopedMlKernelBackend fast_scope(MlKernelBackend::kFast);
   cell.fast_seconds = TimePerCall(
       [&] { DenseForward(input, weights, bias.data(), true, &out_fast); });
-  cell.packed_seconds = TimePerCall([&] {
-    PackedDenseForward(input, packed, bias.data(), true, &out_packed);
+  cell.quant_seconds = TimePerCall([&] {
+    PackedDenseForward(input, packed, bias.data(), true, &out_quant);
   });
-  {
-    ScopedMlKernelBackend quant_scope(MlKernelBackend::kQuant);
-    cell.quant_seconds = TimePerCall([&] {
-      PackedDenseForward(input, packed, bias.data(), true, &out_quant);
-    });
-  }
-  cell.packed_max_abs = MaxAbsDiff(out_fast, out_packed);
   cell.quant_max_abs = MaxAbsDiff(out_fast, out_quant);
   return cell;
 }
@@ -320,38 +299,27 @@ Section BenchResMadeTrain(size_t steps, size_t batch) {
 
 // Serving-tier comparison over the same trained Naru model: the model is
 // packed (PackForServing), then the identical estimate batch is re-timed
-// through the packed-B fp32 path and the int8 quant path. Packed fp32
-// estimates may drift from unpacked-fast estimates only by the usual
-// rounding-order effect (the sub-8-column scalar tail; a flipped sample
-// path moves a query's 128-path mean by O(1/128)), so they share the naru
-// section's divergence tolerance. The quant tier is gated on end-to-end
-// estimate drift measured as per-query q-error factors
-// max(e_q/e_f, e_f/e_q) — selectivities floored at half a row so a
+// through the int8 quant path against the fp32 fast timing. The quant
+// tier is gated on end-to-end estimate drift measured as per-query q-error
+// factors max(e_q/e_f, e_f/e_q) — selectivities floored at half a row so a
 // near-empty query cannot blow up the ratio — against documented median and
 // p99 budgets (DESIGN.md §10).
 constexpr double kQuantQerrMedianBudget = 1.10;
 constexpr double kQuantQerrP99Budget = 1.50;
 
 struct NaruQuantSection {
-  double fast_seconds = 0.0;    // unpacked fp32 fast (the baseline column).
-  double packed_seconds = 0.0;  // packed-B fp32 serving path.
-  double quant_seconds = 0.0;   // int8 quant serving path.
-  double packed_divergence = 0.0;  // max abs estimate diff packed vs fast.
-  double packed_tolerance = 0.0;   // the naru section's tolerance.
+  double fast_seconds = 0.0;   // fp32 fast (the baseline column).
+  double quant_seconds = 0.0;  // int8 quant serving path.
   double qerr_median = 0.0;
   double qerr_p99 = 0.0;
   double qerr_median_budget = kQuantQerrMedianBudget;
   double qerr_p99_budget = kQuantQerrP99Budget;
 
-  double packed_speedup() const {
-    return packed_seconds > 0.0 ? fast_seconds / packed_seconds : 0.0;
-  }
   double quant_speedup() const {
     return quant_seconds > 0.0 ? fast_seconds / quant_seconds : 0.0;
   }
   bool ok() const {
-    return packed_divergence <= packed_tolerance &&
-           qerr_median <= qerr_median_budget && qerr_p99 <= qerr_p99_budget;
+    return qerr_median <= qerr_median_budget && qerr_p99 <= qerr_p99_budget;
   }
 };
 
@@ -403,17 +371,10 @@ Section BenchNaruInference(const Table& table, size_t num_queries, int epochs,
   section.tolerance = 2e-2;
 
   // Serving tiers: pack the trained model, then re-run the identical batch
-  // through the packed fp32 and int8 quant paths.
+  // through the int8 quant path.
   naru.PackForServing();
   quant->fast_seconds = section.fast_seconds;
-  std::vector<double> est_packed(queries.size()), est_quant(queries.size());
-  {
-    ScopedMlKernelBackend scoped(MlKernelBackend::kFast);
-    Timer timer;
-    for (size_t i = 0; i < queries.size(); ++i)
-      est_packed[i] = naru.EstimateSelectivity(queries[i]);
-    quant->packed_seconds = timer.ElapsedSeconds();
-  }
+  std::vector<double> est_quant(queries.size());
   {
     ScopedMlKernelBackend scoped(MlKernelBackend::kQuant);
     Timer timer;
@@ -421,10 +382,6 @@ Section BenchNaruInference(const Table& table, size_t num_queries, int epochs,
       est_quant[i] = naru.EstimateSelectivity(queries[i]);
     quant->quant_seconds = timer.ElapsedSeconds();
   }
-  quant->packed_tolerance = section.tolerance;
-  for (size_t i = 0; i < queries.size(); ++i)
-    quant->packed_divergence = std::max(
-        quant->packed_divergence, std::abs(est_packed[i] - est_fast[i]));
   const double floor =
       0.5 / static_cast<double>(std::max<size_t>(1, table.num_rows()));
   std::vector<double> qerrs(queries.size());
@@ -563,29 +520,25 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // ---- packed / quant dense-forward grid ----------------------------------
-  std::vector<PackedCell> packed_grid;
+  // ---- quant dense-forward grid ------------------------------------------
+  std::vector<QuantCell> quant_grid;
   if (run_micro) {
-    std::printf("%-12s %5s %5s %5s %10s %10s %10s %8s %8s %10s %10s\n",
-                "packed", "m", "k", "n", "fast_s", "packed_s", "quant_s",
-                "pspeed", "qspeed", "packed_err", "quant_err");
+    std::printf("%-12s %5s %5s %5s %10s %10s %8s %10s\n", "quant", "m", "k",
+                "n", "fast_s", "quant_s", "qspeed", "quant_err");
     const size_t shapes[][3] = {
         {256, 256, 256},  // square, cache-resident
         {512, 64, 64},    // tall-skinny hidden layer
-        {128, 64, 1024},  // wide logits head: the packed-B headline shape
+        {128, 64, 1024},  // wide logits head
         {1, 64, 1024},    // single-sample serving logits
         {511, 67, 33},    // deliberately tile- and lane-unaligned
     };
     for (const auto& s : shapes) {
-      PackedCell cell = MeasurePackedCell(s[0], s[1], s[2]);
-      all_within = all_within && cell.packed_max_abs <= kMicroTolerance;
-      std::printf(
-          "%-12s %5zu %5zu %5zu %10.6f %10.6f %10.6f %7.1fx %7.1fx %10.2e "
-          "%10.2e\n",
-          "DenseForward", cell.m, cell.k, cell.n, cell.fast_seconds,
-          cell.packed_seconds, cell.quant_seconds, cell.packed_speedup(),
-          cell.quant_speedup(), cell.packed_max_abs, cell.quant_max_abs);
-      packed_grid.push_back(cell);
+      QuantCell cell = MeasureQuantCell(s[0], s[1], s[2]);
+      std::printf("%-12s %5zu %5zu %5zu %10.6f %10.6f %7.1fx %10.2e\n",
+                  "DenseForward", cell.m, cell.k, cell.n, cell.fast_seconds,
+                  cell.quant_seconds, cell.quant_speedup(),
+                  cell.quant_max_abs);
+      quant_grid.push_back(cell);
     }
     std::printf("\n");
   }
@@ -613,11 +566,9 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // ---- quant serving tier (end-to-end gate) -------------------------------
-  std::printf("naru serving tiers: fast=%.4fs packed=%.4fs (%.2fx, "
-              "div=%.2e) quant=%.4fs (%.2fx)\n",
-              naru_quant.fast_seconds, naru_quant.packed_seconds,
-              naru_quant.packed_speedup(), naru_quant.packed_divergence,
-              naru_quant.quant_seconds, naru_quant.quant_speedup());
+  std::printf("naru serving tiers: fast=%.4fs quant=%.4fs (%.2fx)\n",
+              naru_quant.fast_seconds, naru_quant.quant_seconds,
+              naru_quant.quant_speedup());
   std::printf("quant q-error vs fp32 fast: median=%.4f (budget %.2f) "
               "p99=%.4f (budget %.2f) %s\n\n",
               naru_quant.qerr_median, naru_quant.qerr_median_budget,
@@ -699,17 +650,13 @@ int main(int argc, char** argv) {
   print_section(sections[1]);
   std::fprintf(out,
                ",\n    \"naru_inference_quant\": {\"fast_seconds\": %.6f, "
-               "\"packed_seconds\": %.6f, \"quant_seconds\": %.6f, "
-               "\"packed_speedup\": %.3f, \"quant_speedup\": %.3f, "
-               "\"packed_divergence\": %.3e, \"packed_tolerance\": %.1e, "
+               "\"quant_seconds\": %.6f, \"quant_speedup\": %.3f, "
                "\"qerr_median\": %.4f, "
                "\"qerr_p99\": %.4f, \"qerr_median_budget\": %.2f, "
                "\"qerr_p99_budget\": %.2f, \"ok\": %s}",
-               naru_quant.fast_seconds, naru_quant.packed_seconds,
-               naru_quant.quant_seconds, naru_quant.packed_speedup(),
-               naru_quant.quant_speedup(), naru_quant.packed_divergence,
-               naru_quant.packed_tolerance,
-               naru_quant.qerr_median, naru_quant.qerr_p99,
+               naru_quant.fast_seconds, naru_quant.quant_seconds,
+               naru_quant.quant_speedup(), naru_quant.qerr_median,
+               naru_quant.qerr_p99,
                naru_quant.qerr_median_budget, naru_quant.qerr_p99_budget,
                naru_quant.ok() ? "true" : "false");
   std::fprintf(out, "\n  },\n");
@@ -731,18 +678,15 @@ int main(int argc, char** argv) {
                  c.fast_seconds, c.speedup(), c.gflops_fast(), c.divergence);
   }
   std::fprintf(out, "\n  ],\n");
-  std::fprintf(out, "  \"packed_grid\": [");
-  for (size_t i = 0; i < packed_grid.size(); ++i) {
-    const PackedCell& c = packed_grid[i];
+  std::fprintf(out, "  \"quant_grid\": [");
+  for (size_t i = 0; i < quant_grid.size(); ++i) {
+    const QuantCell& c = quant_grid[i];
     std::fprintf(out,
                  "%s\n    {\"m\": %zu, \"k\": %zu, \"n\": %zu, "
-                 "\"fast_seconds\": %.6f, \"packed_seconds\": %.6f, "
-                 "\"quant_seconds\": %.6f, \"packed_speedup\": %.3f, "
-                 "\"quant_speedup\": %.3f, \"packed_max_abs\": %.3e, "
-                 "\"quant_max_abs\": %.3e}",
+                 "\"fast_seconds\": %.6f, \"quant_seconds\": %.6f, "
+                 "\"quant_speedup\": %.3f, \"quant_max_abs\": %.3e}",
                  i == 0 ? "" : ",", c.m, c.k, c.n, c.fast_seconds,
-                 c.packed_seconds, c.quant_seconds, c.packed_speedup(),
-                 c.quant_speedup(), c.packed_max_abs, c.quant_max_abs);
+                 c.quant_seconds, c.quant_speedup(), c.quant_max_abs);
   }
   std::fprintf(out, "\n  ],\n");
   std::fprintf(out, "  \"other\": [");
@@ -756,7 +700,7 @@ int main(int argc, char** argv) {
   if (!all_within) {
     std::fprintf(stderr,
                  "FAILED: a divergence gate tripped (fast-vs-reference "
-                 "tolerance, packed bit-identity, or quant q-error budget)\n");
+                 "tolerance or quant q-error budget)\n");
     return 1;
   }
   return 0;

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Runs the ML-substrate test suites (matrix, dense layers/MLP, ResMADE,
-# Transformer, the kernel differential suite, and the packed/quant
-# inference-form suite) under ALL THREE kernel backends:
+# Transformer, the kernel differential suite, and the int8 pack suites
+# PackedDense*/QuantizedDense*) under ALL THREE kernel backends:
 # ARECEL_ML_KERNEL=reference (the historical scalar loops), fast (SIMD,
-# cache-blocked, fused — the default), and quant (int8 packed-B serving
-# tier; identical to fast wherever no layer holds a pack). Any PR touching
+# cache-blocked, fused — the default), and quant (int8 serving tier;
+# identical to fast wherever no layer holds a pack). Any PR touching
 # src/ml/ should pass this before relying on the full tier-1 gate; a test
 # that passes under one backend and fails under another almost always means
 # a hidden dependency on summation order (see the accumulation-order caveat

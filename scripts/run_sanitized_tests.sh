@@ -47,8 +47,9 @@ if [ "${ARECEL_SAN_ALL:-0}" != "1" ]; then
     # concurrent inference over shared weights); sweeping sanitized NN
     # training under TSan buys nothing. Include the slow watchdog timeout
     # tests — they are the reason this preset exists.
-    # Packed|Quant: the quant serving path's thread_local activation
-    # scratch and parallel-over-rows int8 dispatch (ml/kernels.cc).
+    # Packed|Quant: the PackedDense*/QuantizedDense* suites — the quant
+    # serving path's thread_local activation scratch and
+    # parallel-over-rows int8 dispatch (ml/kernels.cc).
     # Join: the join executor's ParallelFor batch labeling (CountBatch /
     # Label share read-only synopses across worker threads).
     # Synopsis|Dict: the rich synopsis layer (dictionary code arrays,

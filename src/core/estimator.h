@@ -103,8 +103,9 @@ class CardinalityEstimator {
   // fanning it out.
   virtual bool ThreadSafeEstimates() const { return true; }
 
-  // Builds inference-optimized weight forms (packed/quantized, ml/packed.h)
-  // for estimators with a neural backbone; a no-op for everything else.
+  // Builds the int8 inference-weight form (ml/packed.h) the quant backend
+  // serves from, for estimators with a neural backbone; a no-op for
+  // everything else.
   // Called by the serving layer (ModelManager) after a cold load or refresh,
   // before the model is published — never during training, so training
   // numerics and goldens are unaffected. Must not run concurrently with

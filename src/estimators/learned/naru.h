@@ -62,8 +62,9 @@ class NaruEstimator : public CardinalityEstimator {
   size_t SizeBytes() const override;
   // Progressive sampling advances estimate_counter_ per call.
   bool ThreadSafeEstimates() const override { return false; }
-  // Packs the backbone's dense layers — the MADE logits layer slices are
-  // the headline packed-kernel consumer (ml/packed.h).
+  // Packs the backbone's dense layers into the int8 form the quant backend
+  // serves from — the MADE logits layer slices are its headline consumer
+  // (ml/packed.h).
   void PackForServing() override {
     if (model_ != nullptr) model_->PackForInference();
   }

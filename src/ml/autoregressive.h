@@ -36,7 +36,7 @@ class AutoregressiveModel {
 
   virtual size_t ParamCount() const = 0;
 
-  // Builds the packed/quantized inference-weight forms (ml/packed.h) of the
+  // Builds the int8 inference-weight forms (ml/packed.h) of the
   // backbone's dense layers, if the instantiation supports them. Call only
   // on a model that has finished training and is not concurrently serving
   // ColumnLogits; further TrainStep calls drop the packs. Default: no-op.

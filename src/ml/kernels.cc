@@ -256,43 +256,6 @@ void AccumOuterPortable(const float* a, size_t lda, const float* b,
   }
 }
 
-void PackedDenseRowsPortable(const float* a, size_t lda, const float* bp,
-                             size_t k, size_t n, const float* bias, bool relu,
-                             float* out, size_t ldo, size_t i_lo, size_t i_hi,
-                             size_t col_begin, size_t cols) {
-  const size_t col_end = col_begin + cols;
-  const size_t t0 = col_begin / kPackTileCols;
-  for (size_t i = i_lo; i < i_hi; ++i) {
-    const float* a_row = a + i * lda;
-    float* out_row = out + i * ldo;
-    for (size_t t = t0; t * kPackTileCols < col_end; ++t) {
-      const float* tp = bp + t * kPackTileCols * k;
-      const size_t jbase = t * kPackTileCols;
-      // Full 16-wide accumulator even on edge tiles; only the covered
-      // columns are copied out below. One FMA chain per column in k order —
-      // the cross-tier bit-identity contract (ml/kernels_simd.h).
-      float acc[kPackTileCols];
-      for (size_t c = 0; c < kPackTileCols; ++c) {
-        const size_t j = jbase + c;
-        acc[c] = (bias != nullptr && j < n) ? bias[j] : 0.0f;
-      }
-      for (size_t kk = 0; kk < k; ++kk) {
-        const float av = a_row[kk];
-        const float* b_row = tp + kk * kPackTileCols;
-        for (size_t c = 0; c < kPackTileCols; ++c) acc[c] += av * b_row[c];
-      }
-      const size_t c_lo = jbase < col_begin ? col_begin - jbase : 0;
-      const size_t c_hi =
-          col_end - jbase < kPackTileCols ? col_end - jbase : kPackTileCols;
-      for (size_t c = c_lo; c < c_hi; ++c) {
-        float v = acc[c];
-        if (relu && v < 0.0f) v = 0.0f;
-        out_row[jbase + c - col_begin] = v;
-      }
-    }
-  }
-}
-
 void QuantDenseRowsPortable(const uint8_t* aq, size_t lda_q,
                             const float* a_scales, const int32_t* a_zps,
                             const int8_t* bq, size_t k_pad, size_t n_pad,
@@ -338,7 +301,6 @@ constexpr KernelOps kPortableOps = {
     DenseRowsPortable,
     DotRowsPortable,
     AccumOuterPortable,
-    PackedDenseRowsPortable,
     QuantDenseRowsPortable,
     // Defined in ml/packed.cc, whose compile flags let the range reduction
     // auto-vectorize at the baseline ISA.
@@ -574,42 +536,37 @@ void DenseForwardSlice(const Matrix& input, const Matrix& weights,
 
 namespace {
 
-// Shared core of the packed forwards (ml/packed.h). Quant runs the int8
-// kernels over freshly quantized activations; every other backend runs the
-// packed fp32 kernels — including kReference, whose layer-level callers gate
-// on the backend before reaching here, so a direct call (tests) still has
-// defined behavior.
+// Shared core of the int8 forwards (ml/packed.h): quantizes the
+// activations per row, then runs the int8 kernels over the packed weights.
+// Independent of the active backend; the layer-level callers take this path
+// only under kQuant.
 void PackedForwardImpl(const Matrix& input, const PackedDenseWeights& packed,
                        const float* bias, bool relu, size_t col_begin,
                        size_t cols, Matrix* out) {
   ARECEL_CHECK(packed.has);
+  const QuantizedDense& q = packed.q8;
   const size_t m = input.rows(), k = input.cols();
-  ARECEL_CHECK(k == packed.fp32.rows());
-  ARECEL_CHECK(col_begin + cols <= packed.fp32.cols());
+  ARECEL_CHECK(k == q.rows());
+  ARECEL_CHECK(col_begin + cols <= q.cols());
   out->Resize(m, cols);
+  // Serving calls this per layer per batch; thread_local scratch keeps the
+  // activation-quantization buffers warm instead of reallocating each call.
+  // Workers inside RunRows only read these. A lambda does not capture a
+  // thread_local (a worker naming `aq` would get its own, empty one), so
+  // the caller's buffers travel as plain pointers.
+  thread_local std::vector<uint8_t> aq;
+  thread_local std::vector<float> a_scales;
+  thread_local std::vector<int32_t> a_zps;
+  QuantizeActivations(input, q.padded_rows(), &aq, &a_scales, &a_zps);
+  const uint8_t* codes = aq.data();
+  const float* scales = a_scales.data();
+  const int32_t* zero_points = a_zps.data();
   const mlk::KernelOps& ops = mlk::ActiveKernelOps();
-  if (ActiveMlKernelBackend() == MlKernelBackend::kQuant) {
-    const QuantizedDense& q = packed.q8;
-    // Serving calls this per layer per batch; thread_local scratch keeps the
-    // activation-quantization buffers warm instead of reallocating each call.
-    // Workers inside RunRows only read these, so sharing the caller's
-    // buffers across the chunked dispatch is safe.
-    thread_local std::vector<uint8_t> aq;
-    thread_local std::vector<float> a_scales;
-    thread_local std::vector<int32_t> a_zps;
-    QuantizeActivations(input, q.padded_rows(), &aq, &a_scales, &a_zps);
-    RunRows(m, k, cols, [&](size_t lo, size_t hi) {
-      ops.quant_dense_rows(aq.data(), q.padded_rows(), a_scales.data(),
-                           a_zps.data(), q.data(), q.padded_rows(),
-                           q.padded_cols(), q.scales(), q.col_sums(), bias,
-                           relu, out->data(), cols, lo, hi, col_begin, cols);
-    });
-    return;
-  }
   RunRows(m, k, cols, [&](size_t lo, size_t hi) {
-    ops.packed_dense_rows(input.data(), k, packed.fp32.data(), k,
-                          packed.fp32.cols(), bias, relu, out->data(), cols,
-                          lo, hi, col_begin, cols);
+    ops.quant_dense_rows(codes, q.padded_rows(), scales, zero_points,
+                         q.data(), q.padded_rows(), q.padded_cols(),
+                         q.scales(), q.col_sums(), bias, relu, out->data(),
+                         cols, lo, hi, col_begin, cols);
   });
 }
 
@@ -618,7 +575,7 @@ void PackedForwardImpl(const Matrix& input, const PackedDenseWeights& packed,
 void PackedDenseForward(const Matrix& input, const PackedDenseWeights& packed,
                         const float* bias, bool relu, Matrix* out) {
   PackedForwardImpl(input, packed, bias, relu, /*col_begin=*/0,
-                    packed.fp32.cols(), out);
+                    packed.q8.cols(), out);
 }
 
 void PackedDenseForwardSlice(const Matrix& input,

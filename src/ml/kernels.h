@@ -22,10 +22,11 @@ namespace arecel {
 //    dense+bias+activation epilogues.
 //  * kQuant — inference-only int8 serving tier. Identical to kFast for
 //    every training/backward/matmul op; dense FORWARD calls through layers
-//    that hold a packed weight cache (ml/packed.h, built by
+//    that hold an int8 weight pack (ml/packed.h, built by
 //    PackForInference) run symmetric per-column int8 compute with a fused
 //    dequant epilogue instead of fp32. Layers without a pack — every
-//    training path — stay fp32, so the tier is opt-in per estimator.
+//    training path — stay fp32, so the tier is opt-in per estimator. The
+//    other backends ignore packs: kFast always runs the unpacked kernels.
 //
 // Selection: `ARECEL_ML_KERNEL=reference|fast|quant` (default fast), read
 // once on first use; SetMlKernelBackend / ScopedMlKernelBackend override it
@@ -90,7 +91,7 @@ class ScopedMlKernelBackend {
 };
 
 // RAII ISA-tier override for tests and benches sweeping the dispatch
-// (e.g. the packed/quant differential suite). If the named tier is
+// (e.g. the quant differential suite). If the named tier is
 // unavailable, ok() is false and dispatch is left untouched.
 class ScopedMlKernelIsa {
  public:

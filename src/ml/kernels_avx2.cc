@@ -251,114 +251,6 @@ void AccumOuterAvx2(const float* a, size_t lda, const float* b, size_t ldb,
   }
 }
 
-// Builds the two bias vectors for packed tile `jbase` without reading past
-// the unpadded bias length n.
-inline void PackedBiasVecs(const float* bias, size_t jbase, size_t n,
-                           __m256* bias0, __m256* bias1) {
-  if (bias == nullptr) {
-    *bias0 = *bias1 = _mm256_setzero_ps();
-  } else if (jbase + kPackTileCols <= n) {
-    *bias0 = _mm256_loadu_ps(bias + jbase);
-    *bias1 = _mm256_loadu_ps(bias + jbase + 8);
-  } else {
-    alignas(32) float tmp[kPackTileCols] = {0};
-    for (size_t c = 0; jbase + c < n; ++c) tmp[c] = bias[jbase + c];
-    *bias0 = _mm256_load_ps(tmp);
-    *bias1 = _mm256_load_ps(tmp + 8);
-  }
-}
-
-// One packed tile for R output rows starting at row i. The full 16-wide
-// accumulators are computed even when the column window only covers part of
-// the tile (edge tiles); the store path copies just the covered columns.
-template <size_t R>
-inline void PackedTileAvx2(const float* a, size_t lda, const float* tp,
-                           size_t k, __m256 bias0, __m256 bias1, bool relu,
-                           float* out, size_t ldo, size_t i, size_t jbase,
-                           size_t col_begin, size_t col_end) {
-  __m256 acc0[R], acc1[R];
-  const float* a_rows[R];
-  for (size_t r = 0; r < R; ++r) {
-    acc0[r] = bias0;
-    acc1[r] = bias1;
-    a_rows[r] = a + (i + r) * lda;
-  }
-  for (size_t kk = 0; kk < k; ++kk) {
-    const float* b_row = tp + kk * kPackTileCols;
-    const __m256 b0 = _mm256_loadu_ps(b_row);
-    const __m256 b1 = _mm256_loadu_ps(b_row + 8);
-    for (size_t r = 0; r < R; ++r) {
-      const __m256 av = _mm256_set1_ps(a_rows[r][kk]);
-      acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
-      acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
-    }
-  }
-  if (relu) {
-    const __m256 zero = _mm256_setzero_ps();
-    for (size_t r = 0; r < R; ++r) {
-      acc0[r] = _mm256_max_ps(acc0[r], zero);
-      acc1[r] = _mm256_max_ps(acc1[r], zero);
-    }
-  }
-  if (jbase >= col_begin && jbase + kPackTileCols <= col_end) {
-    for (size_t r = 0; r < R; ++r) {
-      float* o = out + (i + r) * ldo + (jbase - col_begin);
-      _mm256_storeu_ps(o, acc0[r]);
-      _mm256_storeu_ps(o + 8, acc1[r]);
-    }
-  } else {
-    // Edge tile: spill to a temp and copy the covered columns only. Writing
-    // through a masked/offset vector store could touch bytes before out.
-    const size_t c_lo = jbase < col_begin ? col_begin - jbase : 0;
-    const size_t c_hi =
-        col_end - jbase < kPackTileCols ? col_end - jbase : kPackTileCols;
-    alignas(32) float tmp[kPackTileCols];
-    for (size_t r = 0; r < R; ++r) {
-      _mm256_store_ps(tmp, acc0[r]);
-      _mm256_store_ps(tmp + 8, acc1[r]);
-      float* o = out + (i + r) * ldo;
-      for (size_t c = c_lo; c < c_hi; ++c) o[jbase + c - col_begin] = tmp[c];
-    }
-  }
-}
-
-void PackedDenseRowsAvx2(const float* a, size_t lda, const float* bp,
-                         size_t k, size_t n, const float* bias, bool relu,
-                         float* out, size_t ldo, size_t i_lo, size_t i_hi,
-                         size_t col_begin, size_t cols) {
-  const size_t col_end = col_begin + cols;
-  const size_t t0 = col_begin / kPackTileCols;
-  size_t i = i_lo;
-  while (i < i_hi) {
-    const size_t rows = i + 4 <= i_hi ? 4 : i_hi - i;
-    for (size_t t = t0; t * kPackTileCols < col_end; ++t) {
-      const size_t jbase = t * kPackTileCols;
-      const float* tp = bp + jbase * k;
-      __m256 bias0, bias1;
-      PackedBiasVecs(bias, jbase, n, &bias0, &bias1);
-      switch (rows) {
-        case 4:
-          PackedTileAvx2<4>(a, lda, tp, k, bias0, bias1, relu, out, ldo, i,
-                            jbase, col_begin, col_end);
-          break;
-        case 3:
-          PackedTileAvx2<3>(a, lda, tp, k, bias0, bias1, relu, out, ldo, i,
-                            jbase, col_begin, col_end);
-          break;
-        case 2:
-          PackedTileAvx2<2>(a, lda, tp, k, bias0, bias1, relu, out, ldo, i,
-                            jbase, col_begin, col_end);
-          break;
-        default:
-          PackedTileAvx2<1>(a, lda, tp, k, bias0, bias1, relu, out, ldo, i,
-                            jbase, col_begin, col_end);
-          break;
-      }
-    }
-    i += rows;
-  }
-}
-
 // R rows x one 16-column tile of the int8 kernel. A 64-byte packed group is
 // 16 columns x 4 k bytes; each 32-byte half maddubs/madd-reduces to eight
 // per-column int32 partials (acc_lo covers jbase..jbase+7, acc_hi the
@@ -584,7 +476,6 @@ constexpr KernelOps kAvx2Ops = {
     DenseRowsAvx2,
     DotRowsAvx2,
     AccumOuterAvx2,
-    PackedDenseRowsAvx2,
     QuantDenseRowsAvx2,
     QuantizeRowsAvx2,
     "avx2-fma",

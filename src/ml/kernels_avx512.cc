@@ -8,8 +8,8 @@
 // backend's numerics (goldens and the serve-path "bit-identical to direct
 // inference" guarantees are frozen against it). The kernels here achieve
 // that two ways:
-//  * dense_rows / packed_dense_rows keep one FMA chain per output column in
-//    k order — lane-independent arithmetic, so widening the vectors from
+//  * dense_rows keeps one FMA chain per output column in k order —
+//    lane-independent arithmetic, so widening the vectors from
 //    8 to 16 lanes only regroups lanes. The sub-16-column remainder of
 //    dense_rows is delegated to the AVX2 table (same machine code, same
 //    result) rather than reimplemented.
@@ -117,90 +117,6 @@ void AccumOuterAvx512(const float* a, size_t lda, const float* b, size_t ldb,
                       float* out, size_t ldo, size_t k_lo, size_t k_hi,
                       size_t m, size_t n) {
   TailOps().accum_outer(a, lda, b, ldb, out, ldo, k_lo, k_hi, m, n);
-}
-
-// Packed tile (16 cols = exactly one zmm) for R rows at row i.
-template <size_t R>
-inline void PackedTileAvx512(const float* a, size_t lda, const float* tp,
-                             size_t k, __m512 biasv, bool relu, float* out,
-                             size_t ldo, size_t i, size_t jbase,
-                             size_t col_begin, size_t col_end) {
-  __m512 acc[R];
-  const float* a_rows[R];
-  for (size_t r = 0; r < R; ++r) {
-    acc[r] = biasv;
-    a_rows[r] = a + (i + r) * lda;
-  }
-  for (size_t kk = 0; kk < k; ++kk) {
-    const __m512 bv = _mm512_load_ps(tp + kk * kPackTileCols);
-    for (size_t r = 0; r < R; ++r)
-      acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(a_rows[r][kk]), bv, acc[r]);
-  }
-  if (relu) {
-    const __m512 zero = _mm512_setzero_ps();
-    for (size_t r = 0; r < R; ++r) acc[r] = _mm512_max_ps(acc[r], zero);
-  }
-  if (jbase >= col_begin && jbase + kPackTileCols <= col_end) {
-    for (size_t r = 0; r < R; ++r)
-      _mm512_storeu_ps(out + (i + r) * ldo + (jbase - col_begin), acc[r]);
-  } else {
-    // Edge tile: spill and copy the covered columns (an offset masked store
-    // could form an out-of-range base pointer when jbase < col_begin).
-    const size_t c_lo = jbase < col_begin ? col_begin - jbase : 0;
-    const size_t c_hi =
-        col_end - jbase < kPackTileCols ? col_end - jbase : kPackTileCols;
-    alignas(64) float tmp[kPackTileCols];
-    for (size_t r = 0; r < R; ++r) {
-      _mm512_store_ps(tmp, acc[r]);
-      float* o = out + (i + r) * ldo;
-      for (size_t c = c_lo; c < c_hi; ++c) o[jbase + c - col_begin] = tmp[c];
-    }
-  }
-}
-
-void PackedDenseRowsAvx512(const float* a, size_t lda, const float* bp,
-                           size_t k, size_t n, const float* bias, bool relu,
-                           float* out, size_t ldo, size_t i_lo, size_t i_hi,
-                           size_t col_begin, size_t cols) {
-  const size_t col_end = col_begin + cols;
-  const size_t t0 = col_begin / kPackTileCols;
-  size_t i = i_lo;
-  while (i < i_hi) {
-    const size_t rows = i + 4 <= i_hi ? 4 : i_hi - i;
-    for (size_t t = t0; t * kPackTileCols < col_end; ++t) {
-      const size_t jbase = t * kPackTileCols;
-      const float* tp = bp + jbase * k;
-      __m512 biasv;
-      if (bias == nullptr) {
-        biasv = _mm512_setzero_ps();
-      } else if (jbase + kPackTileCols <= n) {
-        biasv = _mm512_loadu_ps(bias + jbase);
-      } else {
-        const __mmask16 mask =
-            static_cast<__mmask16>((1u << (n - jbase)) - 1u);
-        biasv = _mm512_maskz_loadu_ps(mask, bias + jbase);
-      }
-      switch (rows) {
-        case 4:
-          PackedTileAvx512<4>(a, lda, tp, k, biasv, relu, out, ldo, i, jbase,
-                              col_begin, col_end);
-          break;
-        case 3:
-          PackedTileAvx512<3>(a, lda, tp, k, biasv, relu, out, ldo, i, jbase,
-                              col_begin, col_end);
-          break;
-        case 2:
-          PackedTileAvx512<2>(a, lda, tp, k, biasv, relu, out, ldo, i, jbase,
-                              col_begin, col_end);
-          break;
-        default:
-          PackedTileAvx512<1>(a, lda, tp, k, biasv, relu, out, ldo, i, jbase,
-                              col_begin, col_end);
-          break;
-      }
-    }
-    i += rows;
-  }
 }
 
 // Dequant + store epilogue shared by the maddubs and VNNI accumulation
@@ -505,7 +421,6 @@ constexpr KernelOps kAvx512Ops = {
     DenseRowsAvx512,
     DotRowsAvx512,
     AccumOuterAvx512,
-    PackedDenseRowsAvx512,
     QuantDenseRowsAvx512,
     QuantizeRowsAvx512,
     "avx512",

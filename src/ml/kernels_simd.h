@@ -21,10 +21,10 @@ namespace mlk {
 // ml/kernels.cc parallelize over disjoint chunks without the kernels
 // knowing about the thread pool.
 //
-// Numeric contract across tiers: dense_rows, accum_outer,
-// packed_dense_rows keep one FMA chain per output element in k order —
-// lane-independent arithmetic, so the AVX2 and AVX-512 tiers produce
-// bit-identical results (vector width only changes how lanes are grouped).
+// Numeric contract across tiers: dense_rows and accum_outer keep one FMA
+// chain per output element in k order — lane-independent arithmetic, so
+// the AVX2 and AVX-512 tiers produce bit-identical results (vector width
+// only changes how lanes are grouped).
 // dot_rows reduces across lanes (hadd tree), so the AVX-512 tier reuses
 // the AVX2 algorithm verbatim to keep the fast backend's numerics stable
 // under dispatch. quant_dense_rows accumulates in exact int32, and every
@@ -53,23 +53,14 @@ struct KernelOps {
                       float* out, size_t ldo, size_t k_lo, size_t k_hi,
                       size_t m, size_t n);
 
-  // Packed-B dense forward (ml/packed.h layout): `bp` is the tile-packed
-  // buffer of the FULL (k x n) weight matrix, n padded to a multiple of 16.
-  // Computes out rows [i_lo, i_hi) for ABSOLUTE weight columns
-  // [col_begin, col_begin + cols), written at out column 0. `bias` points
-  // at the full unpadded bias vector (length n, may be null); `n` is the
-  // unpadded column count (bias loads near n must not read past it).
-  void (*packed_dense_rows)(const float* a, size_t lda, const float* bp,
-                            size_t k, size_t n, const float* bias, bool relu,
-                            float* out, size_t ldo, size_t i_lo, size_t i_hi,
-                            size_t col_begin, size_t cols);
-
   // Int8 dense forward over pre-quantized operands (ml/packed.h layout).
   // `aq` holds per-row u8 activations ([0,127], lda_q = k_pad bytes per
   // row, pad bytes zero) with per-row scales / zero points; `bq` is the
   // k-grouped tile-packed int8 weight buffer with per-column scales and
-  // column sums (padded to n_pad columns). Same column-window semantics as
-  // packed_dense_rows; the dequant + bias + relu epilogue runs per column.
+  // column sums (padded to n_pad columns). Computes out rows [i_lo, i_hi)
+  // for ABSOLUTE weight columns [col_begin, col_begin + cols), written at
+  // out column 0; `bias` points at the full bias vector (may be null). The
+  // dequant + bias + relu epilogue runs per column.
   void (*quant_dense_rows)(const uint8_t* aq, size_t lda_q,
                            const float* a_scales, const int32_t* a_zps,
                            const int8_t* bq, size_t k_pad, size_t n_pad,

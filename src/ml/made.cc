@@ -153,8 +153,9 @@ void ResMade::ForwardColumnLogits(const Matrix& input, size_t col,
     layers_[l].Forward(current, &block_out);
     AddInPlace(&current, block_out);
   }
-  // Sliced output matmul over this column's logit segment only; uses the
-  // packed form of the logits layer when one was built (PackForInference).
+  // Sliced output matmul over this column's logit segment only; under the
+  // quant backend it runs the int8 pack of the logits layer when one was
+  // built (PackForInference).
   layers_[last].ForwardSlice(current, out_offsets_[col],
                              static_cast<size_t>(vocab_sizes_[col]), logits);
 }

@@ -59,10 +59,9 @@ class ResMade {
   void ForwardColumnLogits(const Matrix& input, size_t col,
                            Matrix* logits) const;
 
-  // Builds the packed/quantized inference forms of every layer (ml/packed.h)
-  // — the wide logits layer is the headline winner, its slices being the
-  // strided-B walk the tile-packed form eliminates. Training or raw weight
-  // mutation drops the packs layer-by-layer.
+  // Builds the int8 inference form of every layer (ml/packed.h), which the
+  // quant backend runs. Training or raw weight mutation drops the packs
+  // layer-by-layer.
   void PackForInference();
 
   // One SGD/Adam step on a batch. `targets` holds batch*num_columns codes

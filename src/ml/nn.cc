@@ -43,8 +43,7 @@ void DenseLayer::SetMask(Matrix mask) {
 }
 
 void DenseLayer::Forward(const Matrix& input, Matrix* output) const {
-  if (packed_.has &&
-      ActiveMlKernelBackend() != MlKernelBackend::kReference) {
+  if (packed_.has && ActiveMlKernelBackend() == MlKernelBackend::kQuant) {
     PackedDenseForward(input, packed_, bias_.data(),
                        activation_ == Activation::kRelu, output);
     return;
@@ -55,8 +54,7 @@ void DenseLayer::Forward(const Matrix& input, Matrix* output) const {
 
 void DenseLayer::ForwardSlice(const Matrix& input, size_t col_begin,
                               size_t cols, Matrix* out) const {
-  if (packed_.has &&
-      ActiveMlKernelBackend() != MlKernelBackend::kReference) {
+  if (packed_.has && ActiveMlKernelBackend() == MlKernelBackend::kQuant) {
     PackedDenseForwardSlice(input, packed_, bias_.data(), col_begin, cols,
                             out);
     return;

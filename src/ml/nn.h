@@ -46,11 +46,11 @@ class DenseLayer {
   void ForwardSlice(const Matrix& input, size_t col_begin, size_t cols,
                     Matrix* out) const;
 
-  // Builds the packed fp32 + int8 inference forms of the current weights
-  // (ml/packed.h); Forward/ForwardSlice then use them under every
-  // non-reference backend. Call only on a layer that has finished training
-  // and is not concurrently Forward()ing (the serving layer packs before
-  // publishing a model). Any weight mutation — AdamStep, SetMask,
+  // Builds the int8 inference form of the current weights (ml/packed.h);
+  // Forward/ForwardSlice then use it under the quant backend and keep the
+  // fp32 kernels under the others. Call only on a layer that has finished
+  // training and is not concurrently Forward()ing (the serving layer packs
+  // before publishing a model). Any weight mutation — AdamStep, SetMask,
   // mutable_weights() — drops the pack, so training numerics never change.
   void PackForInference();
   void ClearPacked();

@@ -8,24 +8,6 @@
 
 namespace arecel {
 
-void PackedMatrix::Pack(const Matrix& b) {
-  rows_ = b.rows();
-  cols_ = b.cols();
-  padded_cols_ =
-      (cols_ + kPackTileCols - 1) / kPackTileCols * kPackTileCols;
-  data_.assign(padded_cols_ * rows_, 0.0f);
-  for (size_t t = 0; t * kPackTileCols < cols_; ++t) {
-    const size_t jbase = t * kPackTileCols;
-    const size_t width = std::min(kPackTileCols, cols_ - jbase);
-    float* tp = data_.data() + t * kPackTileCols * rows_;
-    for (size_t kk = 0; kk < rows_; ++kk) {
-      const float* src = b.Row(kk) + jbase;
-      float* dst = tp + kk * kPackTileCols;
-      for (size_t c = 0; c < width; ++c) dst[c] = src[c];
-    }
-  }
-}
-
 void QuantizedDense::Quantize(const Matrix& b) {
   rows_ = b.rows();
   cols_ = b.cols();

@@ -9,60 +9,33 @@
 
 namespace arecel {
 
-// Inference-only weight formats for the dense forward path (DESIGN.md §10).
+// Inference-only int8 weight form for the dense forward path (DESIGN.md
+// §10), run by the quant backend.
 //
-// The fast kernels read B (the weight matrix, k x n row-major) in 16-column
-// strips: for each k they load b[k*ldb + j .. j+16). With a row-major B that
-// walk is strided — consecutive k touch addresses 4*ldb bytes apart, so the
-// wide logits layer of MADE (ldb = sum of vocabs, often 1024+ floats) pays
-// one cache line per k per tile. PackedMatrix re-lays B at pack time into
-// tile order: for each 16-column tile, all k rows of that tile are
-// contiguous (k x 16 floats). The kernel's inner loop then streams the
-// packed buffer sequentially, and a column slice (progressive sampling
-// reads one column's logit segment) touches only the tiles covering it.
-//
-// QuantizedDense is the int8 serving form layered on the same tile order:
-// symmetric per-column weight scales (w_q = round(w / scale_j), scale_j =
-// max_j|w| / 127), k interleaved in groups of 4 bytes per column so a
-// 64-byte row of the packed buffer is 16 columns x 4 consecutive k —
-// exactly the operand shape of maddubs/dpbusd-style u8*s8 dot products.
-// Activations are quantized per row at call time to unsigned 7-bit
-// ([0, 127], asymmetric with a zero point) so the u8*s8 pair sums can
-// never saturate the int16 intermediate: 127*127*2 = 32258 < 32767.
+// QuantizedDense holds int8 weight codes with symmetric per-column scales
+// (w_q = round(w / scale_j), scale_j = max_j|w| / 127), laid out in
+// column-tile order: for each 16-column tile, all k rows of that tile are
+// contiguous. The kernel then streams the packed buffer sequentially, and a
+// column slice (progressive sampling reads one column's logit segment)
+// touches only the tiles covering it. Inside a tile, k is interleaved in
+// groups of 4 bytes per column, so a 64-byte row of the packed buffer is 16
+// columns x 4 consecutive k — exactly the operand shape of
+// maddubs/dpbusd-style u8*s8 dot products. Activations are quantized per
+// row at call time to unsigned 7-bit ([0, 127], asymmetric with a zero
+// point) so the u8*s8 pair sums can never saturate the int16 intermediate:
+// 127*127*2 = 32258 < 32767.
 // The int32 accumulation is exact, which makes quantized outputs
 // bit-identical across the portable / AVX2 / AVX-512 tiers.
 //
-// Both forms are derived caches: the fp32 Matrix stays the source of truth
-// (training, serialization, the reference backend), and any weight
-// mutation must drop the pack (DenseLayer::ClearPacked).
+// The pack is a derived cache: the fp32 Matrix stays the source of truth
+// (training, serialization, the fp32 backends), and any weight mutation
+// must drop the pack (DenseLayer::ClearPacked).
 
-// Column-tile width shared by the packed fp32 and int8 layouts. Matches the
-// 4x16 register tile of the AVX2/AVX-512 dense kernels.
+// Column-tile width of the int8 layout. Matches the 16-column register
+// tile of the AVX2/AVX-512 kernels.
 inline constexpr size_t kPackTileCols = 16;
 // k-interleave group of the int8 layout (bytes per column per 64-byte row).
 inline constexpr size_t kQuantKGroup = 4;
-
-// Tile-packed fp32 form of a (k x n) weight matrix. Columns are padded with
-// zeros to a multiple of kPackTileCols; tile t occupies floats
-// [t*16*k, (t+1)*16*k), row-major over k inside the tile.
-class PackedMatrix {
- public:
-  PackedMatrix() = default;
-
-  // Re-lays `b` (k x n row-major) into tile order.
-  void Pack(const Matrix& b);
-
-  size_t rows() const { return rows_; }  // k.
-  size_t cols() const { return cols_; }  // n (unpadded).
-  size_t padded_cols() const { return padded_cols_; }
-  const float* data() const { return data_.data(); }
-  const float* tile(size_t t) const { return data_.data() + t * kPackTileCols * rows_; }
-  size_t SizeBytes() const { return data_.size() * sizeof(float); }
-
- private:
-  size_t rows_ = 0, cols_ = 0, padded_cols_ = 0;
-  std::vector<float, AlignedAllocator<float, kMatrixAlignment>> data_;
-};
 
 // Int8 symmetric per-column quantized form of a (k x n) weight matrix in
 // the k-grouped tile layout described above. Scales/column sums carry the
@@ -93,34 +66,31 @@ class QuantizedDense {
   std::vector<int32_t> col_sums_;  // per padded column (pad sum = 0).
 };
 
-// The pair of inference forms a dense consumer caches next to its fp32
-// weights. Build() derives both from the current weights; a default
-// constructed instance means "not packed" and consumers fall back to the
-// unpacked kernels.
+// The inference form a dense consumer caches next to its fp32 weights.
+// Build() quantizes the current weights; a default constructed instance
+// means "not packed" and consumers fall back to the fp32 kernels.
 struct PackedDenseWeights {
-  PackedMatrix fp32;
   QuantizedDense q8;
   bool has = false;
 
   void Build(const Matrix& weights) {
-    fp32.Pack(weights);
     q8.Quantize(weights);
     has = true;
   }
   void Clear() { *this = PackedDenseWeights(); }
-  size_t SizeBytes() const { return fp32.SizeBytes() + q8.SizeBytes(); }
+  size_t SizeBytes() const { return q8.SizeBytes(); }
 };
 
-// out = act(input * W + bias) over the packed forms, dispatching on the
-// active backend (ml/kernels.h): kQuant runs the int8 path, every other
-// non-reference backend runs the packed fp32 path. `packed` must have been
-// built from a (input.cols() x n) matrix; `bias` has length n or is null.
+// out = act(input * W + bias) in int8 over the packed weights, whatever the
+// active backend; layers call it only under kQuant (ml/kernels.h).
+// `packed` must have been built from a (input.cols() x n) matrix; `bias`
+// has length n or is null.
 void PackedDenseForward(const Matrix& input, const PackedDenseWeights& packed,
                         const float* bias, bool relu, Matrix* out);
 
-// Sliced head over the packed forms: absolute weight columns
-// [col_begin, col_begin + cols), written to out columns [0, cols). `bias`
-// points at the FULL bias vector, as in DenseForwardSlice.
+// Sliced int8 head: absolute weight columns [col_begin, col_begin + cols),
+// written to out columns [0, cols). `bias` points at the FULL bias vector,
+// as in DenseForwardSlice.
 void PackedDenseForwardSlice(const Matrix& input,
                              const PackedDenseWeights& packed,
                              const float* bias, size_t col_begin, size_t cols,

@@ -188,7 +188,7 @@ void AutoregressiveTransformer::ForwardBlocks(
     // it caches `pre` first and applies ReLU in place afterwards.
     Matrix pre;
     if (cache == nullptr && l < packed_w1_.size() && packed_w1_[l].has &&
-        ActiveMlKernelBackend() != MlKernelBackend::kReference) {
+        ActiveMlKernelBackend() == MlKernelBackend::kQuant) {
       PackedDenseForward(after_attention, packed_w1_[l],
                          block.b1.value.Row(0), /*relu=*/true, &pre);
     } else {
@@ -415,7 +415,7 @@ void AutoregressiveTransformer::ColumnLogits(const std::vector<int32_t>& codes,
     std::copy(h.Row(b * n + col), h.Row(b * n + col) + d_model_,
               h_col.Row(b));
   if (col < packed_out_.size() && packed_out_[col].has &&
-      ActiveMlKernelBackend() != MlKernelBackend::kReference) {
+      ActiveMlKernelBackend() == MlKernelBackend::kQuant) {
     PackedDenseForward(h_col, packed_out_[col], out_biases_[col].value.Row(0),
                        /*relu=*/false, logits);
     return;

@@ -39,8 +39,9 @@ class AutoregressiveTransformer : public AutoregressiveModel {
   size_t ParamCount() const override;
 
   // Packs the per-column output heads (d x vocab — the widest matmuls on
-  // the ColumnLogits path) and each block's FFN expansion W1 for inference
-  // (ml/packed.h). TrainStep and DeserializeParams drop the packs.
+  // the ColumnLogits path) and each block's FFN expansion W1 into the int8
+  // form the quant backend runs (ml/packed.h). TrainStep and
+  // DeserializeParams drop the packs.
   void PackForInference() override;
 
   void Serialize(ByteWriter* writer) const override;

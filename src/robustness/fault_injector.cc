@@ -1,10 +1,10 @@
 #include "robustness/fault_injector.h"
 
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
+#include <stdexcept>
 #include <thread>
+#include <utility>
 
 #include "robustness/failure.h"
 #include "util/timer.h"
@@ -24,119 +24,11 @@ void SlicedSleep(double seconds, const CancellationToken* cancel) {
   }
 }
 
-bool ParseStage(const std::string& token, FaultStage* stage) {
-  if (token == "train") *stage = FaultStage::kTrain;
-  else if (token == "estimate") *stage = FaultStage::kEstimate;
-  else if (token == "serialize") *stage = FaultStage::kSerialize;
-  else return false;
-  return true;
-}
-
-bool ParseAction(const std::string& token, FaultAction* action) {
-  if (token == "throw") *action = FaultAction::kThrow;
-  else if (token == "cancel") *action = FaultAction::kCancel;
-  else if (token == "hang") *action = FaultAction::kHang;
-  else if (token == "delay") *action = FaultAction::kDelay;
-  else if (token == "nan") *action = FaultAction::kNan;
-  else if (token == "inf") *action = FaultAction::kInf;
-  else if (token == "negative") *action = FaultAction::kNegative;
-  else if (token == "refuse") *action = FaultAction::kRefuse;
-  else return false;
-  return true;
-}
-
-std::vector<std::string> Split(const std::string& text, char a, char b) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (char c : text) {
-    if (c == a || c == b) {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  parts.push_back(current);
-  return parts;
-}
-
 }  // namespace
-
-bool ParseFaultPlan(const std::string& text, std::vector<FaultSpec>* plan,
-                    std::string* error) {
-  plan->clear();
-  for (const std::string& item : Split(text, ';', ',')) {
-    if (item.empty()) continue;
-    const std::vector<std::string> fields = Split(item, ':', ':');
-    if (fields.size() < 3) {
-      *error = "fault spec needs estimator:stage:action, got '" + item + "'";
-      return false;
-    }
-    FaultSpec spec;
-    spec.estimator = fields[0];
-    if (!ParseStage(fields[1], &spec.stage)) {
-      *error = "unknown fault stage '" + fields[1] + "'";
-      return false;
-    }
-    if (!ParseAction(fields[2], &spec.action)) {
-      *error = "unknown fault action '" + fields[2] + "'";
-      return false;
-    }
-    for (size_t f = 3; f < fields.size(); ++f) {
-      const std::string& field = fields[f];
-      const size_t eq = field.find('=');
-      if (eq == std::string::npos) {
-        *error = "expected key=value, got '" + field + "'";
-        return false;
-      }
-      const std::string key = field.substr(0, eq);
-      const double value = std::atof(field.c_str() + eq + 1);
-      if (key == "after") spec.after_calls = static_cast<int>(value);
-      else if (key == "times") spec.times = static_cast<int>(value);
-      else if (key == "delay") spec.delay_seconds = value;
-      else if (key == "cap") spec.hang_cap_seconds = value;
-      else {
-        *error = "unknown fault field '" + key + "'";
-        return false;
-      }
-    }
-    plan->push_back(spec);
-  }
-  return true;
-}
-
-std::vector<FaultSpec> FaultPlanFromEnv() {
-  const char* env = std::getenv("ARECEL_FAULT_INJECT");
-  if (env == nullptr || env[0] == '\0') return {};
-  std::vector<FaultSpec> plan;
-  std::string error;
-  if (!ParseFaultPlan(env, &plan, &error)) {
-    std::fprintf(stderr, "ARECEL_FAULT_INJECT: %s\n", error.c_str());
-    std::abort();
-  }
-  return plan;
-}
 
 FaultInjector::FaultInjector(std::unique_ptr<CardinalityEstimator> base,
                              std::vector<FaultSpec> plan)
-    : base_(std::move(base)),
-      plan_(std::move(plan)),
-      fired_(plan_.size()) {
-  for (auto& f : fired_) f.store(0);
-}
-
-const FaultSpec* FaultInjector::Fire(FaultStage stage, int call_index) const {
-  for (size_t i = 0; i < plan_.size(); ++i) {
-    const FaultSpec& spec = plan_[i];
-    if (spec.stage != stage || call_index < spec.after_calls) continue;
-    if (spec.times >= 0 &&
-        fired_[i].fetch_add(1) >= spec.times) {
-      continue;  // budget spent; this spec is disarmed.
-    }
-    return &spec;
-  }
-  return nullptr;
-}
+    : base_(std::move(base)), schedule_(std::move(plan)) {}
 
 void FaultInjector::ApplyTrainFault(const FaultSpec& fault,
                                     const CancellationToken* cancel) const {
@@ -159,84 +51,66 @@ void FaultInjector::ApplyTrainFault(const FaultSpec& fault,
   }
 }
 
+bool FaultInjector::ApplyEstimateFault(double* selectivity) const {
+  const FaultSpec* fault = schedule_.Fire(FaultStage::kEstimate);
+  if (fault == nullptr) return false;
+  switch (fault->action) {
+    case FaultAction::kThrow:
+      throw std::runtime_error("injected estimate fault");
+    case FaultAction::kHang:
+      SlicedSleep(fault->hang_cap_seconds, nullptr);
+      throw std::runtime_error("injected estimate hang hit its cap");
+    case FaultAction::kDelay:
+      SlicedSleep(fault->delay_seconds, nullptr);
+      return false;  // then answer normally.
+    case FaultAction::kNan:
+      *selectivity = std::numeric_limits<double>::quiet_NaN();
+      return true;
+    case FaultAction::kInf:
+      *selectivity = std::numeric_limits<double>::infinity();
+      return true;
+    case FaultAction::kNegative:
+      *selectivity = -0.5;
+      return true;
+    default:
+      throw std::runtime_error("fault action not applicable to estimate stage");
+  }
+}
+
 void FaultInjector::Train(const Table& table, const TrainContext& context) {
-  const int call = train_calls_.fetch_add(1);
-  if (const FaultSpec* fault = Fire(FaultStage::kTrain, call))
+  if (const FaultSpec* fault = schedule_.Fire(FaultStage::kTrain))
     ApplyTrainFault(*fault, context.cancellation);
   base_->Train(table, context);
 }
 
 void FaultInjector::Update(const Table& table, const UpdateContext& context) {
   // Updates count as training calls: a scheduled train fault fires here too.
-  const int call = train_calls_.fetch_add(1);
-  if (const FaultSpec* fault = Fire(FaultStage::kTrain, call))
+  if (const FaultSpec* fault = schedule_.Fire(FaultStage::kTrain))
     ApplyTrainFault(*fault, nullptr);
   base_->Update(table, context);
 }
 
 double FaultInjector::EstimateSelectivity(const Query& query) const {
-  const int call = estimate_calls_.fetch_add(1);
-  if (const FaultSpec* fault = Fire(FaultStage::kEstimate, call)) {
-    switch (fault->action) {
-      case FaultAction::kThrow:
-        throw std::runtime_error("injected estimate fault");
-      case FaultAction::kHang:
-        SlicedSleep(fault->hang_cap_seconds, nullptr);
-        throw std::runtime_error("injected estimate hang hit its cap");
-      case FaultAction::kDelay:
-        SlicedSleep(fault->delay_seconds, nullptr);
-        break;  // then answer normally.
-      case FaultAction::kNan:
-        return std::numeric_limits<double>::quiet_NaN();
-      case FaultAction::kInf:
-        return std::numeric_limits<double>::infinity();
-      case FaultAction::kNegative:
-        return -0.5;
-      default:
-        throw std::runtime_error(
-            "fault action not applicable to estimate stage");
-    }
-  }
+  double injected = 0.0;
+  if (ApplyEstimateFault(&injected)) return injected;
   return base_->EstimateSelectivity(query);
 }
 
 void FaultInjector::TrainJoin(const Schema& schema,
                               const JoinTrainContext& context) {
-  const int call = train_calls_.fetch_add(1);
-  if (const FaultSpec* fault = Fire(FaultStage::kTrain, call))
+  if (const FaultSpec* fault = schedule_.Fire(FaultStage::kTrain))
     ApplyTrainFault(*fault, context.cancellation);
   base_->TrainJoin(schema, context);
 }
 
 double FaultInjector::EstimateJoinSelectivity(const JoinQuery& query) const {
-  const int call = estimate_calls_.fetch_add(1);
-  if (const FaultSpec* fault = Fire(FaultStage::kEstimate, call)) {
-    switch (fault->action) {
-      case FaultAction::kThrow:
-        throw std::runtime_error("injected estimate fault");
-      case FaultAction::kHang:
-        SlicedSleep(fault->hang_cap_seconds, nullptr);
-        throw std::runtime_error("injected estimate hang hit its cap");
-      case FaultAction::kDelay:
-        SlicedSleep(fault->delay_seconds, nullptr);
-        break;  // then answer normally.
-      case FaultAction::kNan:
-        return std::numeric_limits<double>::quiet_NaN();
-      case FaultAction::kInf:
-        return std::numeric_limits<double>::infinity();
-      case FaultAction::kNegative:
-        return -0.5;
-      default:
-        throw std::runtime_error(
-            "fault action not applicable to estimate stage");
-    }
-  }
+  double injected = 0.0;
+  if (ApplyEstimateFault(&injected)) return injected;
   return base_->EstimateJoinSelectivity(query);
 }
 
 bool FaultInjector::SerializeModel(ByteWriter* writer) const {
-  const int call = serialize_calls_.fetch_add(1);
-  if (const FaultSpec* fault = Fire(FaultStage::kSerialize, call)) {
+  if (const FaultSpec* fault = schedule_.Fire(FaultStage::kSerialize)) {
     if (fault->action == FaultAction::kRefuse) return false;
     throw std::runtime_error("injected serialize fault");
   }
@@ -252,6 +126,7 @@ std::unique_ptr<CardinalityEstimator> WrapWithFaults(
     const std::vector<FaultSpec>& plan) {
   std::vector<FaultSpec> matching;
   for (const FaultSpec& spec : plan) {
+    if (IsStoreStage(spec.stage)) continue;
     if (spec.estimator.empty() || spec.estimator == base->Name())
       matching.push_back(spec);
   }

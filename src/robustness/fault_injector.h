@@ -1,55 +1,14 @@
 #ifndef ARECEL_ROBUSTNESS_FAULT_INJECTOR_H_
 #define ARECEL_ROBUSTNESS_FAULT_INJECTOR_H_
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/estimator.h"
+#include "robustness/fault_plan.h"
 
 namespace arecel::robust {
-
-// Where a fault fires.
-enum class FaultStage { kTrain, kEstimate, kSerialize };
-
-// What the fault does when it fires.
-enum class FaultAction {
-  kThrow,     // raise std::runtime_error.
-  kCancel,    // raise CancelledError (mid-train cancellation).
-  kHang,      // spin-sleep until cancelled (or a safety cap expires).
-  kDelay,     // sleep delay_seconds, then proceed normally.
-  kNan,       // estimate returns NaN.
-  kInf,       // estimate returns +infinity.
-  kNegative,  // estimate returns -0.5.
-  kRefuse,    // SerializeModel reports failure.
-};
-
-// One scheduled fault. Matching is by stage + call index: the fault fires
-// on calls with index >= after_calls, at most `times` times (-1 = forever).
-// Deterministic by construction — the schedule is the seed.
-struct FaultSpec {
-  std::string estimator;  // registry name this fault applies to ("" = all).
-  FaultStage stage = FaultStage::kTrain;
-  FaultAction action = FaultAction::kThrow;
-  int after_calls = 0;
-  int times = -1;
-  double delay_seconds = 0.05;  // kDelay duration.
-  double hang_cap_seconds = 60.0;  // kHang safety cap when never cancelled.
-};
-
-// Parses a fault plan like
-//   "naru:train:hang;mscn:estimate:nan;lw-nn:train:throw:times=2"
-// (`;` or `,` separates specs; optional trailing `key=value` fields:
-// after=N, times=N, delay=SECONDS, cap=SECONDS). Returns false and sets
-// `error` on a malformed spec. An empty string parses to an empty plan.
-bool ParseFaultPlan(const std::string& text, std::vector<FaultSpec>* plan,
-                    std::string* error);
-
-// The plan from the ARECEL_FAULT_INJECT environment variable (empty when
-// unset). Aborts with a parse error message on a malformed value — a typo'd
-// injection silently running clean would defeat the test.
-std::vector<FaultSpec> FaultPlanFromEnv();
 
 // Seeded fault-injecting wrapper: the test substrate proving the watchdog,
 // retry, and fallback machinery actually work. Transparent when no spec
@@ -83,26 +42,28 @@ class FaultInjector : public CardinalityEstimator {
                  const JoinTrainContext& context) override;
   double EstimateJoinSelectivity(const JoinQuery& query) const override;
 
-  int train_calls() const { return train_calls_.load(); }
-  int estimate_calls() const { return estimate_calls_.load(); }
+  int train_calls() const { return schedule_.calls(FaultStage::kTrain); }
+  int estimate_calls() const {
+    return schedule_.calls(FaultStage::kEstimate);
+  }
 
  private:
-  // First armed spec matching (stage, call index), bumping its fire count.
-  const FaultSpec* Fire(FaultStage stage, int call_index) const;
   void ApplyTrainFault(const FaultSpec& fault,
                        const CancellationToken* cancel) const;
+  // Fires the estimate stage once: true with the injected answer in
+  // *selectivity, false (after any injected delay) to let the base answer.
+  bool ApplyEstimateFault(double* selectivity) const;
 
   std::unique_ptr<CardinalityEstimator> base_;
-  std::vector<FaultSpec> plan_;
-  mutable std::vector<std::atomic<int>> fired_;
-  mutable std::atomic<int> train_calls_{0};
-  mutable std::atomic<int> estimate_calls_{0};
-  mutable std::atomic<int> serialize_calls_{0};
+  // Train, Update and TrainJoin count as train calls; both estimate entry
+  // points count as estimate calls.
+  mutable FaultSchedule schedule_;
 };
 
-// Wraps `base` with any matching faults from `plan` (specs whose estimator
-// field is empty or equals base->Name()). Returns `base` unchanged when
-// nothing matches, so the zero-fault path costs nothing.
+// Wraps `base` with any matching faults from `plan` (estimator-stage specs
+// whose estimator field is empty or equals base->Name(); store specs never
+// match). Returns `base` unchanged when nothing matches, so the zero-fault
+// path costs nothing.
 std::unique_ptr<CardinalityEstimator> WrapWithFaults(
     std::unique_ptr<CardinalityEstimator> base,
     const std::vector<FaultSpec>& plan);

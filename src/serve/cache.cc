@@ -197,6 +197,17 @@ void EstimateCache::Insert(const std::string& key, double selectivity) {
   }
 }
 
+void EstimateCache::Erase(const std::string& key) {
+  Shard& shard = ShardFor(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  auto it = shard.index.find(key);
+  if (it == shard.index.end()) return;
+  shard.bytes -= EntryBytes(key);
+  shard.lru.erase(it->second);
+  shard.index.erase(it);
+  ++shard.invalidations;
+}
+
 size_t EstimateCache::InvalidatePrefix(const std::string& prefix) {
   size_t erased = 0;
   for (auto& shard_ptr : shards_) {

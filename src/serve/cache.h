@@ -61,7 +61,7 @@ struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  uint64_t invalidations = 0;  // entries erased by InvalidatePrefix.
+  uint64_t invalidations = 0;  // entries erased by Erase/InvalidatePrefix.
   size_t entries = 0;
   size_t bytes = 0;
 
@@ -86,8 +86,13 @@ class EstimateCache {
   bool Lookup(const std::string& key, double* selectivity);
   void Insert(const std::string& key, double selectivity);
 
+  // Erases the entry for exactly `key`, if cached, locking only its shard
+  // (counted as an invalidation).
+  void Erase(const std::string& key);
+
   // Erases every entry whose key starts with `prefix` (counted as
-  // invalidations, not evictions). Returns the number erased.
+  // invalidations, not evictions). Walks every shard. Returns the number
+  // erased.
   size_t InvalidatePrefix(const std::string& prefix);
 
   void Clear();

@@ -1,7 +1,6 @@
 #include "serve/model_manager.h"
 
 #include <exception>
-#include <fstream>
 #include <utility>
 
 #include "core/model_io.h"
@@ -13,15 +12,6 @@
 #include "workload/generator.h"
 
 namespace arecel::serve {
-
-namespace {
-
-bool FileExists(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return in.good();
-}
-
-}  // namespace
 
 uint64_t TrainSeedForVersion(uint64_t base_seed, uint64_t data_version) {
   // Same spirit as the robust runner's retry_seed_stride: a distinct,
@@ -44,11 +34,6 @@ ModelManager::~ModelManager() { WaitForRefreshes(); }
 std::string ModelManager::ModelKey(const std::string& dataset,
                                    const std::string& estimator) {
   return dataset + '\x1f' + estimator;
-}
-
-std::string ModelManager::ModelPath(const std::string& dataset,
-                                    const std::string& estimator) const {
-  return options_.model_dir + "/" + dataset + "." + estimator + ".model";
 }
 
 void ModelManager::RegisterDataset(const std::string& name, Table table) {
@@ -116,53 +101,40 @@ std::shared_ptr<const ServedModel> ModelManager::BuildModel(
     return nullptr;
   }
 
-  // Version-0 cold path: prefer a persisted model over training. The store
-  // (when configured) supersedes the flat model_dir: its Get runs the
-  // checksum-verified recovery chain, so the bytes handed back are the last
-  // committed generation, never a torn or bit-rotted record.
+  // Version-0 cold path: prefer a persisted model over training. The
+  // store's Get runs the checksum-verified recovery chain, so the bytes
+  // handed back are the last committed generation, never a torn or
+  // bit-rotted record.
   bool loaded = false;
-  const std::string path = options_.model_dir.empty()
-                               ? std::string()
-                               : ModelPath(dataset, estimator);
-  if (!is_refresh && version == 0) {
-    if (options_.store != nullptr) {
-      std::string bytes;
-      if (options_.store->Get(dataset, estimator, &bytes)) {
-        const ModelLoadResult result =
-            LoadEstimatorBytes(instance.get(), bytes);
-        if (result.ok()) {
-          loaded = true;
-        } else {
-          // The instance may hold partially deserialized state — poisoned.
-          // Discard it and fall through to a clean cold train.
-          {
-            std::lock_guard<std::mutex> lock(counters_mutex_);
-            if (result.kind == FailureKind::kCorruptModel)
-              ++counters_.corrupt_loads;
-          }
-          try {
-            instance = options_.factory(estimator);
-          } catch (const std::exception& e) {
-            if (error != nullptr)
-              *error = std::string("estimator construction failed: ") +
-                       e.what();
-            return nullptr;
-          }
-        }
-      }
-    } else if (!path.empty() && FileExists(path) &&
-               LoadEstimator(instance.get(), path)) {
+  std::string bytes;
+  if (!is_refresh && version == 0 && options_.store != nullptr &&
+      options_.store->Get(dataset, estimator, &bytes)) {
+    const ModelLoadResult result = LoadEstimatorBytes(instance.get(), bytes);
+    if (result.ok()) {
       loaded = true;
+    } else {
+      // The instance may hold partially deserialized state — poisoned.
+      // Discard it and fall through to a clean cold train.
+      {
+        std::lock_guard<std::mutex> lock(counters_mutex_);
+        if (result.kind == FailureKind::kCorruptModel)
+          ++counters_.corrupt_loads;
+      }
+      try {
+        instance = options_.factory(estimator);
+      } catch (const std::exception& e) {
+        if (error != nullptr)
+          *error = std::string("estimator construction failed: ") + e.what();
+        return nullptr;
+      }
     }
   }
 
   if (loaded) {
     model->estimator = std::move(instance);
     model->source = "loaded";
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      ++counters_.persisted_loads;
-    }
+    std::lock_guard<std::mutex> lock(counters_mutex_);
+    ++counters_.persisted_loads;
   } else {
     try {
       TrainContext context;
@@ -187,32 +159,18 @@ std::shared_ptr<const ServedModel> ModelManager::BuildModel(
     }
     model->estimator = std::move(instance);
     model->source = is_refresh ? "refreshed" : "trained";
-    {
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      if (is_refresh)
-        ++counters_.refreshes;
-      else
-        ++counters_.cold_trains;
-    }
-    if (options_.store == nullptr) {
-      // Legacy flat-file path: save the freshly trained base model inline
-      // so the next process can skip training. The counting probe keeps
-      // the capability check cheap for estimators that refuse persistence.
-      if (!is_refresh && version == 0 && !path.empty() &&
-          SupportsPersistence(*model->estimator) &&
-          SaveEstimator(*model->estimator, path)) {
-        std::lock_guard<std::mutex> lock(counters_mutex_);
-        ++counters_.model_saves;
-      }
-    }
+    std::lock_guard<std::mutex> lock(counters_mutex_);
+    if (is_refresh)
+      ++counters_.refreshes;
+    else
+      ++counters_.cold_trains;
   }
 
-  // Build the packed/quantized inference-weight forms before publication:
-  // the model is still private to this thread here, so packing cannot race
-  // with inference, and every request served from this ServedModel runs on
-  // the packed fast path (fp32 packed agrees with the unpacked fast kernels
-  // to summation-order rounding, the same class as reference-vs-fast;
-  // ml/kernels_simd.h).
+  // Build the int8 inference-weight form before publication: the model is
+  // still private to this thread here, so packing cannot race with
+  // inference. Under the quant backend every request served from this
+  // ServedModel runs the int8 kernels; the fp32 backends ignore the pack
+  // and answer exactly as the unpacked model would (ml/kernels.h).
   model->estimator->PackForServing();
   {
     std::lock_guard<std::mutex> lock(counters_mutex_);
@@ -222,10 +180,10 @@ std::shared_ptr<const ServedModel> ModelManager::BuildModel(
   model->thread_safe = model->estimator->ThreadSafeEstimates();
   model->train_seconds = timer.ElapsedSeconds();
 
-  // Store-backed deployments move write-back off the serving thread: queue
-  // the trained model; the MaintenanceWorker serializes and commits it with
-  // bounded retries. Refreshes enqueue too, so the store tracks the newest
-  // trained state across data versions.
+  // Write-back stays off the serving thread: queue the trained model; the
+  // MaintenanceWorker serializes and commits it with bounded retries.
+  // Refreshes enqueue too, so the store tracks the newest trained state
+  // across data versions.
   if (!loaded && options_.store != nullptr &&
       SupportsPersistence(*model->estimator)) {
     {

@@ -25,18 +25,12 @@ using ServeEstimatorFactory =
     std::function<std::unique_ptr<CardinalityEstimator>(const std::string&)>;
 
 struct ModelManagerOptions {
-  // Directory for persisted models ("" disables). A cold load first tries
-  // `<model_dir>/<dataset>.<estimator>.model` via LoadEstimator; after a
-  // successful version-0 train, estimators that support persistence (cheap
-  // counting probe, core/model_io.h) are saved back so the next process
-  // skips training entirely.
-  std::string model_dir;
-
-  // Crash-safe versioned model store (src/store/). When set it supersedes
-  // model_dir: cold loads read the last committed generation through the
-  // store's checksum-verified recovery path (restart = warm start), and
-  // save-backs are queued for the MaintenanceWorker instead of running
-  // inline on the serving thread. A payload the store serves but the
+  // Crash-safe versioned model store (src/store/; null disables
+  // persistence). Cold loads read the last committed generation through
+  // the store's checksum-verified recovery path (restart = warm start), and
+  // trained models that support persistence (cheap counting probe,
+  // core/model_io.h) are queued for the MaintenanceWorker to save, never
+  // written on the serving thread. A payload the store serves but the
   // deserializer rejects as corrupt poisons only that instance: the manager
   // discards it, counts a corrupt_load, and cold-trains.
   std::shared_ptr<arecel::store::ModelStore> store;
@@ -78,7 +72,6 @@ struct ServedModel {
 struct ManagerCounters {
   uint64_t cold_trains = 0;
   uint64_t persisted_loads = 0;
-  uint64_t model_saves = 0;
   uint64_t refreshes = 0;            // background retrains completed.
   uint64_t refresh_failures = 0;     // background retrains that threw.
   uint64_t single_flight_waits = 0;  // requests that waited on a cold load.
@@ -205,8 +198,6 @@ class ModelManager {
 
   static std::string ModelKey(const std::string& dataset,
                               const std::string& estimator);
-  std::string ModelPath(const std::string& dataset,
-                        const std::string& estimator) const;
 
   // Reads (snapshot, version) as one consistent pair.
   bool Snapshot(const std::string& dataset,

@@ -318,7 +318,7 @@ void EstimatorServer::EnqueueFeedback(
       } else {
         sink->ObserveTruth(done.query, truth);
       }
-      if (!cache_key.empty()) cache_.InvalidatePrefix(cache_key);
+      if (!cache_key.empty()) cache_.Erase(cache_key);
     };
   }
   feedback_->EnqueueTruth(std::move(job));

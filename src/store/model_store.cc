@@ -179,14 +179,13 @@ StoreOptions StoreOptions::FromEnv() {
   const char* dir = std::getenv("ARECEL_STORE_DIR");
   options.root_dir = dir != nullptr ? dir : "";
   options.max_generations = EnvSize("ARECEL_STORE_MAX_GENERATIONS", 4);
-  options.fault_plan = StoreFaultPlanFromEnv();
+  options.fault_plan = robust::FaultPlanFromEnv();
   return options;
 }
 
-ModelStore::ModelStore(StoreOptions options) : options_(std::move(options)) {
+ModelStore::ModelStore(StoreOptions options)
+    : options_(std::move(options)), faults_(options_.fault_plan) {
   if (options_.max_generations < 1) options_.max_generations = 1;
-  if (!options_.fault_plan.empty())
-    injector_ = std::make_unique<StoreFaultInjector>(options_.fault_plan);
   std::error_code ec;
   fs::create_directories(options_.root_dir, ec);
 }
@@ -201,12 +200,12 @@ std::string ModelStore::EntryDir(const std::string& dataset,
 
 bool ModelStore::WriteFileOp(const std::string& path,
                              const std::string& data) {
-  // Advance both write-fault counters on every write op so `after=N`
-  // indexes ops identically regardless of which kind is scheduled.
+  const robust::FaultSpec* fault =
+      faults_.Fire(robust::FaultStage::kStoreWrite);
   const bool torn =
-      injector_ != nullptr && injector_->Fire(StoreFaultKind::kTornWrite);
+      fault != nullptr && fault->action == robust::FaultAction::kTornWrite;
   const bool enospc =
-      injector_ != nullptr && injector_->Fire(StoreFaultKind::kEnospc);
+      fault != nullptr && fault->action == robust::FaultAction::kEnospc;
 
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
@@ -232,16 +231,14 @@ bool ModelStore::WriteFileOp(const std::string& path,
 }
 
 bool ModelStore::RenameOp(const std::string& from, const std::string& to) {
-  if (injector_ != nullptr && injector_->Fire(StoreFaultKind::kRenameFail))
-    return false;
+  if (faults_.Fire(robust::FaultStage::kStoreRename) != nullptr) return false;
   if (::rename(from.c_str(), to.c_str()) != 0) return false;
   SyncDir(fs::path(to).parent_path().string());
   return true;
 }
 
 void ModelStore::MaybeBitflip(const std::string& path) {
-  if (injector_ == nullptr || !injector_->Fire(StoreFaultKind::kBitflip))
-    return;
+  if (faults_.Fire(robust::FaultStage::kStoreCommit) == nullptr) return;
   std::string bytes;
   if (!ReadFileBytes(path, &bytes) ||
       bytes.size() <= kHeaderBytes + kFooterBytes) {

@@ -2,12 +2,11 @@
 #define ARECEL_STORE_MODEL_STORE_H_
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "store/store_faults.h"
+#include "robustness/fault_plan.h"
 
 namespace arecel::store {
 
@@ -57,12 +56,13 @@ struct StoreOptions {
   // after each successful Put. Minimum 1.
   size_t max_generations = 4;
 
-  // Fault schedule for crash-safety tests (see store_faults.h). Empty in
+  // Fault plan for crash-safety tests (robustness/fault_plan.h): the store
+  // fires its store-* specs and ignores estimator specs. Empty in
   // production.
-  std::vector<StoreFaultSpec> fault_plan;
+  std::vector<robust::FaultSpec> fault_plan;
 
-  // Reads ARECEL_STORE_DIR, ARECEL_STORE_MAX_GENERATIONS, and the store-*
-  // tokens of ARECEL_FAULT_INJECT.
+  // Reads ARECEL_STORE_DIR, ARECEL_STORE_MAX_GENERATIONS, and
+  // ARECEL_FAULT_INJECT.
   static StoreOptions FromEnv();
 };
 
@@ -149,10 +149,12 @@ class ModelStore {
   std::string EntryDir(const std::string& dataset,
                        const std::string& estimator) const;
 
-  // Filesystem primitives with fault-injection hooks. WriteFileOp consults
-  // torn-write (partial data lands, call still reports success — the
-  // lying-disk shape) and enospc (partial data lands, call fails);
-  // RenameOp consults rename-fail.
+  // Filesystem primitives with fault-injection hooks. Each WriteFileOp is
+  // one kStoreWrite call (store-torn-write: partial data lands, call still
+  // reports success — the lying-disk shape; store-enospc: partial data
+  // lands, call fails); each RenameOp one kStoreRename call
+  // (store-rename-fail); each MaybeBitflip one kStoreCommit call
+  // (store-bitflip).
   bool WriteFileOp(const std::string& path, const std::string& data);
   bool RenameOp(const std::string& from, const std::string& to);
   void MaybeBitflip(const std::string& path);
@@ -164,7 +166,7 @@ class ModelStore {
   bool CommitManifest(const std::string& entry_dir, uint64_t generation);
 
   StoreOptions options_;
-  std::unique_ptr<StoreFaultInjector> injector_;  // null when plan empty.
+  robust::FaultSchedule faults_;  // armed from options_.fault_plan.
 
   mutable std::mutex mu_;
   StoreStats stats_;  // guarded by mu_.

@@ -4,12 +4,6 @@
 
 namespace arecel {
 
-namespace {
-// One container may not claim more than this many elements; bounds the
-// allocation a corrupt length prefix can trigger.
-constexpr uint64_t kMaxElements = 1ull << 30;
-}  // namespace
-
 ByteWriter ByteWriter::Counting() {
   ByteWriter writer;
   writer.counting_only_ = true;
@@ -58,34 +52,39 @@ bool ByteReader::Raw(void* data, size_t bytes) {
   return true;
 }
 
+bool ByteReader::Count(size_t element_bytes, uint64_t* count) {
+  if (!U64(count)) return false;
+  // Every element still has to be read from the buffer, so a count the
+  // remaining bytes cannot hold is corrupt. Checking before the caller's
+  // resize keeps a bad length prefix from driving a huge allocation.
+  if (*count > (buffer_.size() - position_) / element_bytes) return Fail();
+  return true;
+}
+
 bool ByteReader::Str(std::string* s) {
   uint64_t size = 0;
-  if (!U64(&size)) return false;
-  if (size > kMaxElements) return Fail();
+  if (!Count(1, &size)) return false;
   s->resize(size);
   return Raw(s->data(), size);
 }
 
 bool ByteReader::Floats(std::vector<float>* v) {
   uint64_t size = 0;
-  if (!U64(&size)) return false;
-  if (size > kMaxElements) return Fail();
+  if (!Count(sizeof(float), &size)) return false;
   v->resize(size);
   return Raw(v->data(), size * sizeof(float));
 }
 
 bool ByteReader::Doubles(std::vector<double>* v) {
   uint64_t size = 0;
-  if (!U64(&size)) return false;
-  if (size > kMaxElements) return Fail();
+  if (!Count(sizeof(double), &size)) return false;
   v->resize(size);
   return Raw(v->data(), size * sizeof(double));
 }
 
 bool ByteReader::Ints(std::vector<int>* v) {
   uint64_t size = 0;
-  if (!U64(&size)) return false;
-  if (size > kMaxElements) return Fail();
+  if (!Count(sizeof(int), &size)) return false;
   v->resize(size);
   return Raw(v->data(), size * sizeof(int));
 }

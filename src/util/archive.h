@@ -63,9 +63,10 @@ class ByteReader {
   bool AtEnd() const { return position_ == buffer_.size(); }
 
   // Sticky truncation flag: once any read ran past the end of the buffer
-  // (or a length prefix claimed an implausible element count), every later
-  // read also fails and failed() stays true. Model deserializers bail on
-  // the first false return, but the flag lets LoadEstimator distinguish a
+  // (or a length prefix claimed more elements than the bytes left can
+  // hold), every later read also fails and failed() stays true. Model
+  // deserializers bail on the first false return, but the flag lets
+  // LoadEstimator distinguish a
   // *truncated/corrupt* stream (typed as FailureKind::kCorruptModel) from
   // a well-formed stream a deserializer rejected on semantic grounds.
   bool failed() const { return failed_; }
@@ -75,6 +76,9 @@ class ByteReader {
 
  private:
   bool Raw(void* data, size_t bytes);
+  // Reads a container's u64 element count, failing (before any allocation)
+  // when the bytes left cannot hold that many `element_bytes` elements.
+  bool Count(size_t element_bytes, uint64_t* count);
   bool Fail();
   const std::string& buffer_;
   size_t position_ = 0;

@@ -34,11 +34,14 @@ Table SmallTable(uint64_t seed = 7) {
                              /*correlation=*/0.4, /*domain_size=*/30, seed);
 }
 
+// `faults` is a fault plan (robustness/fault_plan.h), e.g. "store-enospc".
 std::shared_ptr<ModelStore> MakeStore(const std::string& dir,
-                                      std::vector<StoreFaultSpec> plan = {}) {
+                                      const std::string& faults = "") {
   StoreOptions options;
   options.root_dir = dir;
-  options.fault_plan = std::move(plan);
+  std::string error;
+  EXPECT_TRUE(robust::ParseFaultPlan(faults, &options.fault_plan, &error))
+      << error;
   return std::make_shared<ModelStore>(std::move(options));
 }
 
@@ -89,9 +92,7 @@ TEST(MaintenanceWorkerTest, WriteBackThenWarmRestart) {
 TEST(MaintenanceWorkerTest, WriteBackRetriesWithBackoff) {
   const std::string dir = UniqueDir("retry");
   // First two write ops fail like ENOSPC; the third Put attempt lands.
-  auto store = MakeStore(
-      dir, {StoreFaultSpec{StoreFaultKind::kEnospc, /*after_ops=*/0,
-                           /*times=*/2}});
+  auto store = MakeStore(dir, "store-enospc:times=2");
   auto manager = MakeManager(store);
   ASSERT_NE(manager->GetModel("synth", "postgres"), nullptr);
 
@@ -110,9 +111,7 @@ TEST(MaintenanceWorkerTest, WriteBackRetriesWithBackoff) {
 
 TEST(MaintenanceWorkerTest, WriteBackGivesUpAfterAttemptBudget) {
   const std::string dir = UniqueDir("giveup");
-  auto store = MakeStore(
-      dir, {StoreFaultSpec{StoreFaultKind::kEnospc, /*after_ops=*/0,
-                           /*times=*/-1}});  // the disk never recovers.
+  auto store = MakeStore(dir, "store-enospc:times=-1");  // never recovers.
   auto manager = MakeManager(store);
   ASSERT_NE(manager->GetModel("synth", "postgres"), nullptr);
 

@@ -1,8 +1,8 @@
-// Tests of the packed-B inference forms (ml/packed.h): the tile-packed
-// fp32 layout, the int8 quantized layout, activation quantization, and the
-// packed/quant forward kernels — differentially against the unpacked
-// kernels and against a scalar emulation of the int8 contract, swept over
-// every ISA tier the binary and CPU support.
+// Tests of the int8 inference form (ml/packed.h): the quantized weight
+// layout, activation quantization, and the quant forward kernels —
+// differentially against the fp32 kernels and against a scalar emulation
+// of the int8 contract, swept over every ISA tier the binary and CPU
+// support — plus the layer-level pack lifecycle.
 //
 // Bit-identity assertions here are load-bearing: the quant backend's
 // numbers (BENCH_ml.json q-error gates, serving estimates) are only
@@ -27,11 +27,6 @@
 namespace arecel {
 namespace {
 
-// Same bound as tests/ml_kernels_test.cc: packed fp32 kernels sum in a
-// different order than the unpacked ones only on sub-tile scalar tails, so
-// the divergence is float rounding, far below this.
-constexpr float kTolerance = 1e-3f;
-
 Matrix RandomMatrix(size_t rows, size_t cols, Rng& rng) {
   Matrix m(rows, cols);
   for (size_t i = 0; i < m.size(); ++i)
@@ -45,7 +40,7 @@ std::vector<float> RandomBias(size_t n, Rng& rng) {
   return bias;
 }
 
-void ExpectNear(const Matrix& a, const Matrix& b, float tol = kTolerance) {
+void ExpectNear(const Matrix& a, const Matrix& b, float tol) {
   ASSERT_EQ(a.rows(), b.rows());
   ASSERT_EQ(a.cols(), b.cols());
   for (size_t i = 0; i < a.size(); ++i)
@@ -61,8 +56,9 @@ void ExpectIdentical(const Matrix& a, const Matrix& b) {
 
 // Adversarial (m, k, n) shapes, mirroring tests/ml_kernels_test.cc: tile
 // tails (n % 16 != 0), k-group tails (k % 4 != 0), the k == 0 degenerate
-// contraction, single-row / single-column extremes, and shapes spanning
-// multiple 16-column tiles.
+// contraction, single-row / single-column extremes, shapes spanning
+// multiple 16-column tiles, and one past the 4M-madd threshold above which
+// the forward fans rows out over the worker pool (ml/kernels.cc).
 struct Shape {
   size_t m, k, n;
 };
@@ -70,31 +66,8 @@ const Shape kShapes[] = {
     {1, 1, 1},    {1, 1, 7},    {7, 3, 1},    {1, 5, 8},    {2, 8, 9},
     {3, 16, 17},  {4, 7, 33},   {5, 64, 1},   {8, 1, 64},   {4, 0, 9},
     {1, 0, 1},    {33, 17, 65}, {5, 300, 23}, {64, 64, 64}, {13, 31, 130},
+    {67, 250, 257},
 };
-
-TEST(PackedMatrixTest, TileLayoutRoundTrip) {
-  Rng rng(21);
-  for (const Shape& s : kShapes) {
-    const Matrix b = RandomMatrix(s.k, s.n, rng);
-    PackedMatrix p;
-    p.Pack(b);
-    SCOPED_TRACE(testing::Message() << "k=" << s.k << " n=" << s.n);
-    ASSERT_EQ(p.rows(), s.k);
-    ASSERT_EQ(p.cols(), s.n);
-    ASSERT_EQ(p.padded_cols() % kPackTileCols, 0u);
-    ASSERT_GE(p.padded_cols(), s.n);
-    ASSERT_LT(p.padded_cols(), s.n + kPackTileCols);
-    // Every original element is at tile-order position; pad columns zero.
-    for (size_t kk = 0; kk < s.k; ++kk) {
-      for (size_t j = 0; j < p.padded_cols(); ++j) {
-        const float got =
-            p.tile(j / kPackTileCols)[kk * kPackTileCols + j % kPackTileCols];
-        const float want = j < s.n ? b.At(kk, j) : 0.0f;
-        ASSERT_EQ(got, want) << "k=" << kk << " j=" << j;
-      }
-    }
-  }
-}
 
 TEST(QuantizedDenseTest, WeightCodesScalesAndColumnSums) {
   Rng rng(22);
@@ -139,31 +112,6 @@ TEST(QuantizedDenseTest, WeightCodesScalesAndColumnSums) {
   }
 }
 
-TEST(PackedDenseTest, ForwardMatchesUnpackedFastAcrossShapesAndIsas) {
-  for (const char* isa : AvailableMlKernelIsas()) {
-    ScopedMlKernelIsa scoped_isa(isa);
-    ASSERT_TRUE(scoped_isa.ok()) << isa;
-    ScopedMlKernelBackend scoped(MlKernelBackend::kFast);
-    Rng rng(23);  // identical data per ISA.
-    for (const Shape& s : kShapes) {
-      const Matrix input = RandomMatrix(s.m, s.k, rng);
-      const Matrix weights = RandomMatrix(s.k, s.n, rng);
-      const std::vector<float> bias = RandomBias(s.n, rng);
-      PackedDenseWeights packed;
-      packed.Build(weights);
-      for (bool relu : {false, true}) {
-        Matrix unpacked, via_pack;
-        DenseForward(input, weights, bias.data(), relu, &unpacked);
-        PackedDenseForward(input, packed, bias.data(), relu, &via_pack);
-        SCOPED_TRACE(testing::Message() << "isa=" << isa << " m=" << s.m
-                                        << " k=" << s.k << " n=" << s.n
-                                        << " relu=" << relu);
-        ExpectNear(unpacked, via_pack);
-      }
-    }
-  }
-}
-
 TEST(PackedDenseTest, ForwardSliceAdversarialWindowsMatchReference) {
   Rng rng(24);
   const size_t m = 6, k = 33, n = 50;
@@ -188,21 +136,12 @@ TEST(PackedDenseTest, ForwardSliceAdversarialWindowsMatchReference) {
       ScopedMlKernelIsa scoped_isa(isa);
       ASSERT_TRUE(scoped_isa.ok()) << isa;
       SCOPED_TRACE(testing::Message() << "isa=" << isa);
-      {
-        ScopedMlKernelBackend scoped(MlKernelBackend::kFast);
-        Matrix got;
-        PackedDenseForwardSlice(input, packed, bias.data(), begin, cols, &got);
-        ExpectNear(ref, got);
-      }
-      {
-        ScopedMlKernelBackend scoped(MlKernelBackend::kQuant);
-        Matrix got;
-        PackedDenseForwardSlice(input, packed, bias.data(), begin, cols, &got);
-        // Int8 path: lossy by construction. Error bound: per-term
-        // |a|,|w| <= 1 with activation step <= 2/127 and weight step
-        // <= 1/127 gives <= ~0.012 per k term worst-case.
-        ExpectNear(ref, got, 0.02f + 0.013f * static_cast<float>(k));
-      }
+      Matrix got;
+      PackedDenseForwardSlice(input, packed, bias.data(), begin, cols, &got);
+      // Int8 path: lossy by construction. Error bound: per-term
+      // |a|,|w| <= 1 with activation step <= 2/127 and weight step
+      // <= 1/127 gives <= ~0.012 per k term worst-case.
+      ExpectNear(ref, got, 0.02f + 0.013f * static_cast<float>(k));
     }
   }
 }
@@ -357,10 +296,10 @@ TEST(PackedDenseTest, LayerPackLifecycle) {
   EXPECT_FALSE(layer.packed());
   layer.PackForInference();
   EXPECT_TRUE(layer.packed());
+  // The fp32 backends ignore the pack: exactly the unpacked kernels.
   layer.Forward(input, &after);
-  ExpectNear(before, after);
+  ExpectIdentical(before, after);
   {
-    // Reference backend ignores the pack entirely (exact same scalar path).
     ScopedMlKernelBackend ref(MlKernelBackend::kReference);
     Matrix ref_packed;
     layer.Forward(input, &ref_packed);
@@ -387,13 +326,23 @@ TEST(PackedDenseTest, LayerPackLifecycle) {
   layer.SetMask(std::move(mask));
   EXPECT_FALSE(layer.packed()) << "SetMask must invalidate the pack";
 
-  // ForwardSlice also routes through the pack.
+  // Under quant, Forward and ForwardSlice route through the pack.
   layer.PackForInference();
-  Matrix sl_packed, sl_plain;
-  layer.ForwardSlice(input, 3, 9, &sl_packed);
+  Matrix packed_out, sl_packed, sl_plain;
+  {
+    ScopedMlKernelBackend quant(MlKernelBackend::kQuant);
+    layer.Forward(input, &packed_out);
+    layer.ForwardSlice(input, 3, 9, &sl_packed);
+  }
+  PackedDenseWeights pack;
+  pack.Build(layer.weights());
+  Matrix via_kernel;
+  PackedDenseForward(input, pack, layer.bias().data(), /*relu=*/true,
+                     &via_kernel);
+  ExpectIdentical(via_kernel, packed_out);
   layer.ClearPacked();
   layer.ForwardSlice(input, 3, 9, &sl_plain);
-  ExpectNear(sl_plain, sl_packed);
+  ExpectNear(sl_plain, sl_packed, 0.02f + 0.013f * 12.0f);
 }
 
 TEST(PackedDenseTest, MlpPackedForwardMatchesUnpacked) {
@@ -415,7 +364,7 @@ TEST(PackedDenseTest, MlpPackedForwardMatchesUnpacked) {
     ScopedMlKernelBackend scoped(MlKernelBackend::kQuant);
     mlp.Forward(input, &packed_quant);
   }
-  ExpectNear(unpacked, packed_fast);
+  ExpectIdentical(unpacked, packed_fast);  // fast ignores the packs.
   // Two quantized layers compound the int8 error; still bounded well below
   // the linear worst case.
   ExpectNear(unpacked, packed_quant, 1.5f);

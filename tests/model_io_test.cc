@@ -75,6 +75,17 @@ TEST(ByteArchiveTest, TruncatedReadFails) {
   ByteReader r(w.buffer());
   std::string s;
   EXPECT_FALSE(r.Str(&s));
+
+  // A length prefix is checked against the bytes left before anything is
+  // allocated: 1000 doubles cannot fit in the 8 bytes that follow.
+  ByteWriter doubles;
+  doubles.U64(1000);
+  doubles.F64(1.5);
+  ByteReader dr(doubles.buffer());
+  std::vector<double> v;
+  EXPECT_FALSE(dr.Doubles(&v));
+  EXPECT_TRUE(v.empty());
+  EXPECT_TRUE(dr.failed());
 }
 
 // Save -> load into a fresh instance -> identical estimates. Swept over

@@ -78,6 +78,28 @@ TEST(FaultPlanTest, ParsesMultiSpecPlans) {
   EXPECT_EQ(plan[1].action, FaultAction::kNan);
   EXPECT_EQ(plan[2].times, 2);
   EXPECT_EQ(plan[2].after_calls, 1);
+  EXPECT_EQ(plan[0].times, -1);  // estimator specs fire forever by default.
+
+  // One plan may mix estimator specs and model-store tokens: the estimator
+  // injector takes only its own specs (the store's are its business, see
+  // tests/store_test.cc), so a name-less store spec never wraps postgres.
+  ASSERT_TRUE(ParseFaultPlan(
+      "naru:train:throw;store-torn-write:after=1:times=2,store-bitflip",
+      &plan, &error))
+      << error;
+  ASSERT_EQ(plan.size(), 3u);
+  EXPECT_EQ(plan[0].stage, FaultStage::kTrain);
+  EXPECT_EQ(plan[1].stage, FaultStage::kStoreWrite);
+  EXPECT_EQ(plan[2].stage, FaultStage::kStoreCommit);
+  auto postgres = WrapWithFaults(FastBase(), plan);
+  EXPECT_EQ(dynamic_cast<FaultInjector*>(postgres.get()), nullptr);
+  auto naru = WrapWithFaults(MakeEstimator("naru"), plan);
+  auto* injector = dynamic_cast<FaultInjector*>(naru.get());
+  ASSERT_NE(injector, nullptr);
+  TrainContext context;
+  for (int call = 0; call < 3; ++call)  // fires before training starts.
+    EXPECT_THROW(naru->Train(Shared().table, context), std::runtime_error);
+  EXPECT_EQ(injector->train_calls(), 3);
 }
 
 TEST(FaultPlanTest, EmptyPlanAndMalformedSpecs) {
@@ -89,6 +111,10 @@ TEST(FaultPlanTest, EmptyPlanAndMalformedSpecs) {
   EXPECT_FALSE(error.empty());
   EXPECT_FALSE(ParseFaultPlan("naru:nowhere:throw", &plan, &error));
   EXPECT_FALSE(ParseFaultPlan("naru:train:explode", &plan, &error));
+  EXPECT_FALSE(ParseFaultPlan("store-enospc:bogus", &plan, &error));
+  EXPECT_FALSE(ParseFaultPlan("store-enospc:depth=3", &plan, &error));
+  EXPECT_FALSE(ParseFaultPlan("store-nonsense", &plan, &error));
+  EXPECT_NE(error.find("store-nonsense"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------

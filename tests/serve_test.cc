@@ -9,9 +9,11 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
+#include <climits>
+#include <condition_variable>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -397,33 +399,79 @@ TEST(ServeServerTest, BatchMatchesSingleRequests) {
   EXPECT_EQ(server.Stats().batches, 1u);
 }
 
-TEST(ServeServerTest, PersistedModelIsLoadedBySecondManager) {
-  const std::string dir = ::testing::TempDir() + "serve_models";
-  std::remove((dir + "/t.sampling.model").c_str());
-  ASSERT_EQ(std::system(("mkdir -p '" + dir + "'").c_str()), 0);
+// Holds each truth delivery of a FeedbackSink until the test releases it,
+// so a test can look at the server between two deliveries of the single
+// truth-worker thread.
+class TruthGate {
+ public:
+  void Enter() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++entered_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_ >= entered_; });
+  }
+  bool WaitEntered(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [&] { return entered_ >= n; });
+  }
+  void Release(int n) {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = n;
+    cv_.notify_all();
+  }
 
-  ModelManagerOptions options;
-  options.model_dir = dir;
-  const Query probe = MakeQuery({{0, 2.0, 9.0}});
-  double trained_sel = 0.0;
-  {
-    ModelManager manager(options);
-    manager.RegisterDataset("t", SmallTable());
-    auto model = manager.GetModel("t", "sampling");
-    ASSERT_NE(model, nullptr);
-    EXPECT_EQ(model->source, "trained");
-    EXPECT_EQ(manager.counters().model_saves, 1u);
-    trained_sel = model->estimator->EstimateSelectivity(probe);
-  }
-  {
-    ModelManager manager(options);
-    manager.RegisterDataset("t", SmallTable());
-    auto model = manager.GetModel("t", "sampling");
-    ASSERT_NE(model, nullptr);
-    EXPECT_EQ(model->source, "loaded");
-    EXPECT_EQ(manager.counters().cold_trains, 0u);
-    EXPECT_EQ(model->estimator->EstimateSelectivity(probe), trained_sel);
-  }
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int entered_ = 0;
+  int released_ = 0;
+};
+
+class GatedSink : public CardinalityEstimator, public FeedbackSink {
+ public:
+  explicit GatedSink(std::shared_ptr<TruthGate> gate)
+      : gate_(std::move(gate)) {}
+  std::string Name() const override { return "gated-sink"; }
+  void Train(const Table&, const TrainContext&) override {}
+  double EstimateSelectivity(const Query&) const override { return 0.25; }
+  size_t SizeBytes() const override { return 8; }
+  void ObserveTruth(const Query&, double) override { gate_->Enter(); }
+
+ private:
+  std::shared_ptr<TruthGate> gate_;
+};
+
+TEST(ServeServerTest, SinkTruthErasesOnlyItsOwnCacheEntry) {
+  auto gate = std::make_shared<TruthGate>();
+  ServeOptions options;
+  options.feedback_enabled = true;
+  options.manager.factory = [gate](const std::string&) {
+    return std::make_unique<GatedSink>(gate);
+  };
+  EstimatorServer server(options);
+  // Declared after the server, so it is destroyed first: whatever an
+  // assertion skipped, the truth worker is never left parked in Enter().
+  struct ReleaseAll {
+    std::shared_ptr<TruthGate> gate;
+    ~ReleaseAll() { gate->Release(INT_MAX); }
+  } release_all{gate};
+  server.RegisterDataset("t", SmallTable());
+
+  // key({A}) is a byte prefix of key({A, B}): B's column sorts after A's.
+  const Query a = MakeQuery({{0, 1.0, 9.0}});
+  const Query ab = MakeQuery({{0, 1.0, 9.0}, {1, 1.0, 4.0}});
+  ASSERT_TRUE(server.Estimate("t", "gated-sink", a).ok);
+  ASSERT_TRUE(server.Estimate("t", "gated-sink", ab).ok);
+  ASSERT_TRUE(gate->WaitEntered(1));  // {A}'s truth is being delivered.
+  gate->Release(1);
+  ASSERT_TRUE(gate->WaitEntered(2));  // {A}'s is done; {A, B}'s is held.
+
+  EXPECT_TRUE(server.Estimate("t", "gated-sink", ab).cache_hit);
+  EXPECT_FALSE(server.Estimate("t", "gated-sink", a).cache_hit);
+  EXPECT_EQ(server.Stats().cache.invalidations, 1u);
+  gate->Release(INT_MAX);
+  server.DrainFeedback();
 }
 
 TEST(ServeUpdateTest, UpdateInvalidatesAndRefreshMatchesManualRetrain) {

@@ -14,8 +14,8 @@
 
 #include "gtest/gtest.h"
 
+#include "robustness/fault_plan.h"
 #include "store/model_store.h"
-#include "store/store_faults.h"
 #include "util/crc32c.h"
 
 namespace arecel::store {
@@ -29,8 +29,16 @@ std::string UniqueDir(const std::string& tag) {
   return dir;
 }
 
+// Parses a fault plan, failing the test on a malformed one.
+std::vector<robust::FaultSpec> Plan(const std::string& text) {
+  std::vector<robust::FaultSpec> plan;
+  std::string error;
+  EXPECT_TRUE(robust::ParseFaultPlan(text, &plan, &error)) << error;
+  return plan;
+}
+
 StoreOptions Opts(const std::string& dir,
-                  std::vector<StoreFaultSpec> plan = {},
+                  std::vector<robust::FaultSpec> plan = {},
                   size_t max_generations = 4) {
   StoreOptions options;
   options.root_dir = dir;
@@ -163,29 +171,50 @@ TEST(StoreTest, VerifyAllReportsLiveCorruption) {
 }
 
 TEST(StoreFaultTest, PlanParsingIgnoresEstimatorSpecs) {
-  std::vector<StoreFaultSpec> plan;
-  std::string error;
-  ASSERT_TRUE(ParseStoreFaultPlan(
-      "naru:train:throw;store-torn-write:after=1:times=2,store-bitflip",
-      &plan, &error));
-  ASSERT_EQ(plan.size(), 2u);
-  EXPECT_EQ(plan[0].kind, StoreFaultKind::kTornWrite);
-  EXPECT_EQ(plan[0].after_ops, 1);
-  EXPECT_EQ(plan[0].times, 2);
-  EXPECT_EQ(plan[1].kind, StoreFaultKind::kBitflip);
+  // One mixed plan: the estimator spec is parsed too, but it never fires at
+  // a store stage, so the store sees only its own two schedules.
+  const std::vector<robust::FaultSpec> plan =
+      Plan("naru:train:throw;store-torn-write:after=1:times=2,store-bitflip");
+  ASSERT_EQ(plan.size(), 3u);
+  EXPECT_EQ(plan[1].stage, robust::FaultStage::kStoreWrite);
+  EXPECT_EQ(plan[1].action, robust::FaultAction::kTornWrite);
+  EXPECT_EQ(plan[1].after_calls, 1);
+  EXPECT_EQ(plan[1].times, 2);
+  EXPECT_EQ(plan[2].stage, robust::FaultStage::kStoreCommit);
+  EXPECT_EQ(plan[2].action, robust::FaultAction::kBitflip);
+  EXPECT_EQ(plan[2].after_calls, 0);
+  EXPECT_EQ(plan[2].times, 1);  // store tokens fire once by default.
 
-  EXPECT_FALSE(ParseStoreFaultPlan("store-enospc:bogus", &plan, &error));
-  EXPECT_FALSE(ParseStoreFaultPlan("store-enospc:depth=3", &plan, &error));
+  robust::FaultSchedule schedule(plan);
+  const auto fires = [&](robust::FaultStage stage) {
+    return schedule.Fire(stage) != nullptr;
+  };
+  EXPECT_FALSE(fires(robust::FaultStage::kStoreWrite));  // write 0 < after.
+  EXPECT_TRUE(fires(robust::FaultStage::kStoreWrite));   // write 1.
+  EXPECT_TRUE(fires(robust::FaultStage::kStoreWrite));   // write 2.
+  EXPECT_FALSE(fires(robust::FaultStage::kStoreWrite));  // times spent.
+  EXPECT_TRUE(fires(robust::FaultStage::kStoreCommit));  // commit 0.
+  EXPECT_FALSE(fires(robust::FaultStage::kStoreCommit));  // once only.
+  EXPECT_FALSE(fires(robust::FaultStage::kStoreRename));
+
+  std::string error;
+  std::vector<robust::FaultSpec> rejected;
+  for (const char* bad : {"store-enospc:bogus", "store-enospc:depth=3",
+                          "store-enospc:delay=1", "store-nonsense"}) {
+    EXPECT_FALSE(robust::ParseFaultPlan(bad, &rejected, &error)) << bad;
+  }
 }
 
 TEST(StoreFaultTest, InjectorRespectsAfterAndTimes) {
-  StoreFaultInjector injector(
-      {StoreFaultSpec{StoreFaultKind::kEnospc, /*after_ops=*/1, /*times=*/2}});
-  EXPECT_FALSE(injector.Fire(StoreFaultKind::kEnospc));  // op 0 < after.
-  EXPECT_TRUE(injector.Fire(StoreFaultKind::kEnospc));   // op 1.
-  EXPECT_TRUE(injector.Fire(StoreFaultKind::kEnospc));   // op 2.
-  EXPECT_FALSE(injector.Fire(StoreFaultKind::kEnospc));  // times exhausted.
-  EXPECT_FALSE(injector.Fire(StoreFaultKind::kTornWrite));  // other kind.
+  robust::FaultSchedule schedule(Plan("store-enospc:after=1:times=2"));
+  const auto fires = [&](robust::FaultStage stage) {
+    return schedule.Fire(stage) != nullptr;
+  };
+  EXPECT_FALSE(fires(robust::FaultStage::kStoreWrite));  // op 0 < after.
+  EXPECT_TRUE(fires(robust::FaultStage::kStoreWrite));   // op 1.
+  EXPECT_TRUE(fires(robust::FaultStage::kStoreWrite));   // op 2.
+  EXPECT_FALSE(fires(robust::FaultStage::kStoreWrite));  // times exhausted.
+  EXPECT_FALSE(fires(robust::FaultStage::kStoreRename));  // other stage.
 }
 
 // --- The kill-point matrix -------------------------------------------------
@@ -199,8 +228,7 @@ TEST(StoreFaultTest, InjectorRespectsAfterAndTimes) {
 
 struct KillPoint {
   const char* name;
-  StoreFaultKind kind;
-  int after_ops;
+  const char* fault;     // store-* plan; the spec fires once.
   bool put_reports_ok;   // torn writes and bitflips lie about success.
   char expected_fill;    // which payload the reopen must serve.
   uint64_t expected_gen;
@@ -220,8 +248,7 @@ TEST_P(StoreKillPointTest, ReopenServesLastCommittedGeneration) {
     ASSERT_EQ(gen, 1u);
   }
   {
-    ModelStore faulty(Opts(
-        dir, {StoreFaultSpec{kp.kind, kp.after_ops, /*times=*/1}}));
+    ModelStore faulty(Opts(dir, Plan(kp.fault)));
     EXPECT_EQ(faulty.Put("census", "naru", Payload('b')), kp.put_reports_ok);
     if (!kp.put_reports_ok) {
       EXPECT_EQ(faulty.stats().commit_failures, 1u);
@@ -254,29 +281,29 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Torn gen-record write: the commit "succeeds" (lying disk) but the
         // record is truncated; reopen quarantines it and falls back to A.
-        KillPoint{"torn_gen_write", StoreFaultKind::kTornWrite, 0,
+        KillPoint{"torn_gen_write", "store-torn-write",
                   /*put_reports_ok=*/true, 'a', 1, /*expect_recovery=*/true},
         // Torn manifest write: the gen record itself is intact, only the
         // committed pointer is wrecked; reopen adopts the newest intact
         // generation (B) by scan.
-        KillPoint{"torn_manifest_write", StoreFaultKind::kTornWrite, 1,
+        KillPoint{"torn_manifest_write", "store-torn-write:after=1",
                   /*put_reports_ok=*/true, 'b', 2, /*expect_recovery=*/true},
         // ENOSPC on the gen record: Put fails cleanly, nothing committed.
-        KillPoint{"enospc_gen_write", StoreFaultKind::kEnospc, 0,
+        KillPoint{"enospc_gen_write", "store-enospc",
                   /*put_reports_ok=*/false, 'a', 1, /*expect_recovery=*/false},
         // ENOSPC on the manifest: the intact-but-uncommitted gen 2 is an
         // orphan; reopen quarantines it and serves the committed gen 1.
-        KillPoint{"enospc_manifest_write", StoreFaultKind::kEnospc, 1,
+        KillPoint{"enospc_manifest_write", "store-enospc:after=1",
                   /*put_reports_ok=*/false, 'a', 1, /*expect_recovery=*/false},
         // Failed gen rename: only the temp file existed; Put fails.
-        KillPoint{"rename_fail_gen", StoreFaultKind::kRenameFail, 0,
+        KillPoint{"rename_fail_gen", "store-rename-fail",
                   /*put_reports_ok=*/false, 'a', 1, /*expect_recovery=*/false},
         // Failed manifest rename: same orphan shape as the manifest ENOSPC.
-        KillPoint{"rename_fail_manifest", StoreFaultKind::kRenameFail, 1,
+        KillPoint{"rename_fail_manifest", "store-rename-fail:after=1",
                   /*put_reports_ok=*/false, 'a', 1, /*expect_recovery=*/false},
         // Post-commit bit-rot: the commit was real, the bytes are not; the
         // CRC catches it on reopen and recovery falls back to A.
-        KillPoint{"bitflip_after_commit", StoreFaultKind::kBitflip, 0,
+        KillPoint{"bitflip_after_commit", "store-bitflip",
                   /*put_reports_ok=*/true, 'a', 1, /*expect_recovery=*/true}),
     [](const ::testing::TestParamInfo<KillPoint>& info) {
       return std::string(info.param.name);
@@ -292,9 +319,7 @@ TEST(StoreTest, IntactOrphanIsQuarantinedNotServed) {
     ASSERT_TRUE(clean.Put("census", "naru", Payload('a')));
   }
   {
-    ModelStore faulty(Opts(
-        dir, {StoreFaultSpec{StoreFaultKind::kRenameFail, /*after_ops=*/1,
-                             /*times=*/1}}));
+    ModelStore faulty(Opts(dir, Plan("store-rename-fail:after=1")));
     EXPECT_FALSE(faulty.Put("census", "naru", Payload('b')));
   }
   ModelStore reopened(Opts(dir));

@@ -116,12 +116,11 @@ void PrintStats(const arecel::serve::ServerStats& stats) {
               stats.cache.entries, stats.cache.bytes,
               (unsigned long long)stats.cache.evictions,
               (unsigned long long)stats.cache.invalidations);
-  std::printf("manager: cold_trains=%llu loads=%llu saves=%llu "
+  std::printf("manager: cold_trains=%llu loads=%llu "
               "refreshes=%llu refresh_failures=%llu waits=%llu "
               "evictions=%llu\n",
               (unsigned long long)stats.manager.cold_trains,
               (unsigned long long)stats.manager.persisted_loads,
-              (unsigned long long)stats.manager.model_saves,
               (unsigned long long)stats.manager.refreshes,
               (unsigned long long)stats.manager.refresh_failures,
               (unsigned long long)stats.manager.single_flight_waits,
