@@ -7,7 +7,7 @@
 //      including tile-unaligned ones) with per-cell divergence checks;
 //   2. end-to-end sections at the granularity the estimators actually pay:
 //      a ResMADE training run, a Naru progressive-sampling estimate batch,
-//      and an LW-NN training run, each timed under both backends;
+//      and LW-NN and MSCN training runs, each timed under both backends;
 //   3. quick single-backend timings of the non-matrix ML substrate (GBDT,
 //      k-means, RDC) for continuity with earlier perf tracking.
 //
@@ -22,10 +22,10 @@
 //   ARECEL_ML_BENCH_OTHER        0 skips gbdt/kmeans/rdc      (default 1)
 //   ARECEL_ML_BENCH_STEPS        ResMADE train steps          (default 30)
 //   ARECEL_ML_BENCH_BATCH        ResMADE batch size           (default 512)
-//   ARECEL_ML_BENCH_ROWS         table rows for naru/lw-nn    (default 20000)
+//   ARECEL_ML_BENCH_ROWS         table rows: naru/lw-nn/mscn  (default 20000)
 //   ARECEL_ML_BENCH_QUERIES      naru estimate batch          (default 64)
 //   ARECEL_ML_BENCH_NARU_EPOCHS  naru training epochs         (default 4)
-//   ARECEL_ML_BENCH_LWNN_EPOCHS  lw-nn training epochs        (default 10)
+//   ARECEL_ML_BENCH_LWNN_EPOCHS  lw-nn and mscn train epochs  (default 10)
 //   ARECEL_ML_BENCH_OUT          output path (default <repo>/BENCH_ml.json)
 //
 // Flags: --out <path> (or --out=<path>) overrides the output path and wins
@@ -48,6 +48,7 @@
 
 #include "data/datasets.h"
 #include "estimators/learned/lw_nn.h"
+#include "estimators/learned/mscn.h"
 #include "estimators/learned/naru.h"
 #include "ml/gbdt.h"
 #include "ml/kernels.h"
@@ -446,6 +447,55 @@ Section BenchLwNnTrain(const Table& table, const Workload& workload,
   return section;
 }
 
+// An MSCN training run over the same workload: both backends train from
+// identical init (each Adam step is one mini-batch pass per module);
+// divergence compares the fast-trained model's estimates under both
+// backends over the workload's first queries.
+Section BenchMscnTrain(const Table& table, const Workload& workload,
+                       int epochs) {
+  Section section;
+  section.name = "mscn_train";
+  section.detail = "queries=" + std::to_string(workload.queries.size()) +
+                   " epochs=" + std::to_string(epochs);
+  MscnEstimator::Options options;
+  options.epochs = epochs;
+  TrainContext context;
+  context.training_workload = &workload;
+  context.seed = 42;
+
+  double loss_ref = 0.0, loss_fast = 0.0;
+  {
+    ScopedMlKernelBackend scoped(MlKernelBackend::kReference);
+    MscnEstimator mscn(options);
+    Timer timer;
+    mscn.Train(table, context);
+    section.reference_seconds = timer.ElapsedSeconds();
+    loss_ref = mscn.final_loss();
+  }
+  ScopedMlKernelBackend fast_scope(MlKernelBackend::kFast);
+  MscnEstimator mscn(options);
+  {
+    Timer timer;
+    mscn.Train(table, context);
+    section.fast_seconds = timer.ElapsedSeconds();
+    loss_fast = mscn.final_loss();
+  }
+  const size_t eval = std::min<size_t>(32, workload.queries.size());
+  for (size_t i = 0; i < eval; ++i) {
+    const double fast = mscn.EstimateSelectivity(workload.queries[i]);
+    double ref = 0.0;
+    {
+      ScopedMlKernelBackend scoped(MlKernelBackend::kReference);
+      ref = mscn.EstimateSelectivity(workload.queries[i]);
+    }
+    section.divergence = std::max(section.divergence, std::abs(ref - fast));
+  }
+  section.tolerance = 1e-3;
+  section.detail += " final_loss_ref=" + std::to_string(loss_ref) +
+                    " final_loss_fast=" + std::to_string(loss_fast);
+  return section;
+}
+
 void PrintSection(const Section& s) {
   std::printf("%-16s %12.4f %12.4f %8.2fx %10.2e %8.0e %-4s %s\n",
               s.name.c_str(), s.reference_seconds, s.fast_seconds,
@@ -561,6 +611,8 @@ int main(int argc, char** argv) {
   PrintSection(sections.back());
   const Workload workload = GenerateWorkload(table, 400, /*seed=*/21);
   sections.push_back(BenchLwNnTrain(table, workload, lwnn_epochs));
+  PrintSection(sections.back());
+  sections.push_back(BenchMscnTrain(table, workload, lwnn_epochs));
   PrintSection(sections.back());
   for (const Section& s : sections) all_within = all_within && s.within_tolerance();
   std::printf("\n");

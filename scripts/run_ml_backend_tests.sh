@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the ML-substrate test suites (matrix, dense layers/MLP, ResMADE,
-# Transformer, the kernel differential suite, and the int8 pack suites
-# PackedDense*/QuantizedDense*) under ALL THREE kernel backends:
+# Transformer, the kernel differential suite, the int8 pack suites
+# PackedDense*/QuantizedDense*, and the MSCN suites, including the pinned
+# training hashes of mscn_test.cc) under ALL THREE kernel backends:
 # ARECEL_ML_KERNEL=reference (the historical scalar loops), fast (SIMD,
 # cache-blocked, fused — the default), and quant (int8 serving tier;
 # identical to fast wherever no layer holds a pack). Any PR touching
@@ -28,7 +29,7 @@ if [ ! -d "$build_dir" ]; then
 fi
 cmake --build "$build_dir" -j "${ARECEL_BUILD_JOBS:-$(nproc)}"
 
-suites='Matrix|DenseLayer|Mlp|SoftmaxRows|ResMade|Transformer|MlKernels|Packed|Quant'
+suites='Matrix|DenseLayer|Mlp|SoftmaxRows|ResMade|Transformer|MlKernels|Packed|Quant|Mscn'
 for backend in reference fast quant; do
   echo "== ARECEL_ML_KERNEL=$backend =="
   ARECEL_ML_KERNEL=$backend ctest --test-dir "$build_dir" \

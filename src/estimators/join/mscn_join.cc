@@ -6,6 +6,7 @@
 #include "estimators/join/join_support.h"
 #include "join/join_executor.h"
 #include "ml/loss.h"
+#include "ml/set_pool.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -92,8 +93,11 @@ Matrix MscnJoinEstimator::JoinFeatures(const JoinQuery& query) const {
 Matrix MscnJoinEstimator::PredicateFeatures(const JoinQuery& query) const {
   // Row layout per atom:
   // [(table, column) one-hot | is_eq, is_ge, is_le | normalized literal].
-  const size_t dim = total_cols_ + 4;
-  std::vector<std::vector<float>> atoms;
+  struct Atom {
+    size_t slot, op;
+    float value;
+  };
+  std::vector<Atom> atoms;
   for (const TableSlice& slice : query.tables) {
     const TableInfo* info = FindInfo(slice.table);
     ARECEL_CHECK_MSG(info != nullptr, slice.table.c_str());
@@ -108,82 +112,78 @@ Matrix MscnJoinEstimator::PredicateFeatures(const JoinQuery& query) const {
             std::clamp((v - info->col_min[c]) / span, 0.0, 1.0));
       };
       if (p.is_equality()) {
-        std::vector<float> atom(dim, 0.0f);
-        atom[slot] = 1.0f;
-        atom[total_cols_] = 1.0f;
-        atom[total_cols_ + 3] = normalize(p.lo);
-        atoms.push_back(std::move(atom));
+        atoms.push_back({slot, 0, normalize(p.lo)});
         continue;
       }
       // Bounds at or beyond the column's trained domain are vacuous —
       // dropping their atoms makes a full-domain conjunct featurize
       // identically to its absence, so the full-domain-noop invariant
       // holds by construction (the sample bitmap is likewise unmoved).
-      if (!std::isinf(p.lo) && p.lo > info->col_min[c]) {
-        std::vector<float> atom(dim, 0.0f);
-        atom[slot] = 1.0f;
-        atom[total_cols_ + 1] = 1.0f;  // >= lo.
-        atom[total_cols_ + 3] = normalize(p.lo);
-        atoms.push_back(std::move(atom));
-      }
-      if (!std::isinf(p.hi) && p.hi < info->col_max[c]) {
-        std::vector<float> atom(dim, 0.0f);
-        atom[slot] = 1.0f;
-        atom[total_cols_ + 2] = 1.0f;  // <= hi.
-        atom[total_cols_ + 3] = normalize(p.hi);
-        atoms.push_back(std::move(atom));
-      }
+      if (!std::isinf(p.lo) && p.lo > info->col_min[c])
+        atoms.push_back({slot, 1, normalize(p.lo)});  // >= lo.
+      if (!std::isinf(p.hi) && p.hi < info->col_max[c])
+        atoms.push_back({slot, 2, normalize(p.hi)});  // <= hi.
     }
   }
-  if (atoms.empty()) atoms.emplace_back(dim, 0.0f);
-  Matrix features(atoms.size(), dim);
-  for (size_t i = 0; i < atoms.size(); ++i)
-    std::copy(atoms[i].begin(), atoms[i].end(), features.Row(i));
+  // No atom: a single zero row keeps the pooling well-defined.
+  Matrix features(std::max<size_t>(atoms.size(), 1), total_cols_ + 4);
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    float* row = features.Row(i);
+    row[atoms[i].slot] = 1.0f;
+    row[total_cols_ + atoms[i].op] = 1.0f;
+    row[total_cols_ + 3] = atoms[i].value;
+  }
   return features;
 }
 
 float MscnJoinEstimator::Forward(const Matrix& table_rows,
                                  const Matrix& join_rows,
-                                 const Matrix& pred_rows, bool train) {
+                                 const Matrix& pred_rows) const {
   const size_t h = options_.hidden_units;
-  auto pool = [h](Mlp* mlp, const Matrix& in, bool train_mode,
-                  std::vector<float>* out) {
-    Matrix embed;
-    if (train_mode) {
-      mlp->ForwardTrain(in, &embed);
-    } else {
-      mlp->Forward(in, &embed);
-    }
-    out->assign(h, 0.0f);
-    for (size_t r = 0; r < embed.rows(); ++r) {
-      const float* row = embed.Row(r);
-      for (size_t j = 0; j < h; ++j) (*out)[j] += row[j];
-    }
-    const float inv = 1.0f / static_cast<float>(embed.rows());
-    for (float& v : *out) v *= inv;
-  };
-
-  std::vector<float> table_pool, join_pool, pred_pool;
-  pool(table_mlp_.get(), table_rows, train, &table_pool);
-  pool(join_mlp_.get(), join_rows, train, &join_pool);
-  pool(pred_mlp_.get(), pred_rows, train, &pred_pool);
-  if (train) {
-    cached_table_rows_ = table_rows.rows();
-    cached_join_rows_ = join_rows.rows();
-    cached_pred_rows_ = pred_rows.rows();
+  const Mlp* modules[] = {table_mlp_.get(), join_mlp_.get(), pred_mlp_.get()};
+  const Matrix* inputs[] = {&table_rows, &join_rows, &pred_rows};
+  Matrix concat(1, 3 * h), embed, out;
+  for (size_t m = 0; m < 3; ++m) {
+    modules[m]->Forward(*inputs[m], &embed);
+    const size_t offsets[] = {0, embed.rows()};
+    MeanPoolSets(embed, offsets, m * h, &concat);
   }
-
-  Matrix concat(1, 3 * h);
-  std::copy(table_pool.begin(), table_pool.end(), concat.Row(0));
-  std::copy(join_pool.begin(), join_pool.end(), concat.Row(0) + h);
-  std::copy(pred_pool.begin(), pred_pool.end(), concat.Row(0) + 2 * h);
-  Matrix out;
-  if (train) {
-    out_mlp_->ForwardTrain(concat, &out);
-  } else {
-    out_mlp_->Forward(concat, &out);
-  }
+  out_mlp_->Forward(concat, &out);
   return out.At(0, 0);
+}
+
+void MscnJoinEstimator::TrainStep(const std::vector<Matrix> (&sets)[3],
+                                  const std::vector<double>& labels,
+                                  const size_t* batch, size_t count, float lr,
+                                  double* loss_sum) {
+  const size_t h = options_.hidden_units;
+  Mlp* modules[] = {table_mlp_.get(), join_mlp_.get(), pred_mlp_.get()};
+  SetBatch stacked[3];
+  Matrix concat(count, 3 * h), embed, out;
+  for (size_t m = 0; m < 3; ++m) {
+    StackSets(sets[m], batch, count, &stacked[m]);
+    modules[m]->ForwardTrain(stacked[m].rows, &embed);
+    MeanPoolSets(embed, stacked[m].offsets, m * h, &concat);
+  }
+  out_mlp_->ForwardTrain(concat, &out);
+
+  Matrix out_grad(count, 1);
+  for (size_t b = 0; b < count; ++b) {
+    const LossValueGrad loss =
+        QErrorLoss(out.At(b, 0), labels[batch[b]], kMaxLogDiff);
+    *loss_sum += loss.loss;
+    out_grad.At(b, 0) =
+        static_cast<float>(loss.dloss_dz / static_cast<double>(count));
+  }
+  // Fan the three concat segments back through their average pools.
+  Matrix concat_grad, rows_grad;
+  out_mlp_->Backward(out_grad, &concat_grad);
+  for (size_t m = 0; m < 3; ++m) {
+    MeanUnpoolSets(concat_grad, m * h, h, stacked[m].offsets, &rows_grad);
+    modules[m]->Backward(rows_grad);
+  }
+  for (Mlp* module : modules) module->AdamStep(lr);
+  out_mlp_->AdamStep(lr);
 }
 
 void MscnJoinEstimator::TrainJoin(const Schema& schema,
@@ -258,13 +258,14 @@ void MscnJoinEstimator::FitWorkload(const JoinWorkload& workload, int epochs,
       any_positive = true;
     }
   }
-  std::vector<Matrix> table_rows(n), join_rows(n), pred_rows(n);
+  std::vector<Matrix> sets[3];  // table, join and predicate sets.
+  for (std::vector<Matrix>& module_sets : sets) module_sets.resize(n);
   std::vector<double> labels(n);
   for (size_t i = 0; i < n; ++i) {
     const JoinQuery& q = workload.queries[i];
-    table_rows[i] = TableFeatures(q);
-    join_rows[i] = JoinFeatures(q);
-    pred_rows[i] = PredicateFeatures(q);
+    sets[0][i] = TableFeatures(q);
+    sets[1][i] = JoinFeatures(q);
+    sets[2][i] = PredicateFeatures(q);
     double denom = 1.0;
     for (const TableSlice& slice : q.tables) {
       const TableInfo* info = FindInfo(slice.table);
@@ -290,36 +291,8 @@ void MscnJoinEstimator::FitWorkload(const JoinWorkload& workload, int epochs,
     rng.Shuffle(order);
     double epoch_loss = 0.0;
     for (size_t start = 0; start < n; start += options_.batch_size) {
-      const size_t end = std::min(n, start + options_.batch_size);
-      for (size_t i = start; i < end; ++i) {
-        const size_t q = order[i];
-        const float z =
-            Forward(table_rows[q], join_rows[q], pred_rows[q], /*train=*/true);
-        const LossValueGrad loss = QErrorLoss(z, labels[q], kMaxLogDiff);
-        epoch_loss += loss.loss;
-        const float dz = static_cast<float>(
-            loss.dloss_dz / static_cast<double>(end - start));
-        Matrix out_grad(1, 1);
-        out_grad.At(0, 0) = dz;
-        Matrix concat_grad;
-        out_mlp_->Backward(out_grad, &concat_grad);
-        // Fan the three concat segments back through their average pools.
-        auto fan = [&](Mlp* mlp, size_t offset, size_t rows) {
-          Matrix grad(rows, h);
-          const float inv = 1.0f / static_cast<float>(rows);
-          for (size_t r = 0; r < rows; ++r)
-            for (size_t j = 0; j < h; ++j)
-              grad.At(r, j) = concat_grad.At(0, offset + j) * inv;
-          mlp->Backward(grad);
-        };
-        fan(table_mlp_.get(), 0, cached_table_rows_);
-        fan(join_mlp_.get(), h, cached_join_rows_);
-        fan(pred_mlp_.get(), 2 * h, cached_pred_rows_);
-      }
-      table_mlp_->AdamStep(lr);
-      join_mlp_->AdamStep(lr);
-      pred_mlp_->AdamStep(lr);
-      out_mlp_->AdamStep(lr);
+      const size_t count = std::min(n - start, options_.batch_size);
+      TrainStep(sets, labels, &order[start], count, lr, &epoch_loss);
     }
     final_loss_ = epoch_loss / static_cast<double>(n);
   }
@@ -344,9 +317,8 @@ void MscnJoinEstimator::Train(const Table& table, const TrainContext& context) {
 double MscnJoinEstimator::EstimateJoinSelectivity(
     const JoinQuery& query) const {
   ARECEL_CHECK_MSG(out_mlp_ != nullptr, "TrainJoin() must run first");
-  auto* self = const_cast<MscnJoinEstimator*>(this);
-  const float z = self->Forward(TableFeatures(query), JoinFeatures(query),
-                                PredicateFeatures(query), /*train=*/false);
+  const float z = Forward(TableFeatures(query), JoinFeatures(query),
+                          PredicateFeatures(query));
   return std::clamp(std::exp(static_cast<double>(z)), 0.0, 1.0);
 }
 
@@ -360,6 +332,13 @@ void MscnJoinEstimator::PackForServing() {
        {table_mlp_.get(), join_mlp_.get(), pred_mlp_.get(), out_mlp_.get()}) {
     if (mlp != nullptr) mlp->PackForInference();
   }
+}
+
+void MscnJoinEstimator::SerializeWeights(ByteWriter* writer) const {
+  ARECEL_CHECK_MSG(out_mlp_ != nullptr, "TrainJoin() must run first");
+  for (const Mlp* mlp :
+       {table_mlp_.get(), join_mlp_.get(), pred_mlp_.get(), out_mlp_.get()})
+    SerializeMlp(*mlp, writer);
 }
 
 size_t MscnJoinEstimator::SizeBytes() const {

@@ -55,6 +55,11 @@ class MscnJoinEstimator : public CardinalityEstimator {
 
   double final_loss() const { return final_loss_; }
 
+  // The four module MLPs in SerializeMlp form (table, join, predicate,
+  // output). mscn-join has no model file; these bytes pin its training
+  // numerics in tests.
+  void SerializeWeights(ByteWriter* writer) const;
+
  private:
   // Frozen per-table metadata captured at TrainJoin time.
   struct TableInfo {
@@ -72,8 +77,16 @@ class MscnJoinEstimator : public CardinalityEstimator {
   Matrix TableFeatures(const JoinQuery& query) const;
   Matrix JoinFeatures(const JoinQuery& query) const;
   Matrix PredicateFeatures(const JoinQuery& query) const;
+  // Inference over one query's three feature sets: the log-selectivity.
   float Forward(const Matrix& table_rows, const Matrix& join_rows,
-                const Matrix& pred_rows, bool train);
+                const Matrix& pred_rows) const;
+  // One Adam step at rate `lr` over the queries batch[0..count) of the
+  // featurized workload (sets[0..2] = table, join and predicate sets per
+  // query): each module runs once over its stacked sets. Adds each query's
+  // loss to *loss_sum in batch order.
+  void TrainStep(const std::vector<Matrix> (&sets)[3],
+                 const std::vector<double>& labels, const size_t* batch,
+                 size_t count, float lr, double* loss_sum);
   void FitWorkload(const JoinWorkload& workload, int epochs, uint64_t seed,
                    bool reuse_model);
 
@@ -84,11 +97,6 @@ class MscnJoinEstimator : public CardinalityEstimator {
   std::string single_table_;
   std::unique_ptr<Mlp> table_mlp_, join_mlp_, pred_mlp_, out_mlp_;
   double final_loss_ = 0.0;
-
-  // Row counts of the last train-mode Forward, for pooled-gradient fan-out.
-  size_t cached_table_rows_ = 0;
-  size_t cached_join_rows_ = 0;
-  size_t cached_pred_rows_ = 0;
 };
 
 std::unique_ptr<CardinalityEstimator> MakeMscnJoinEstimator();

@@ -125,6 +125,13 @@ bool LwFeaturizer::Deserialize(ByteReader* reader) {
   }
   if (col_min_.size() != stats_.size() || col_max_.size() != stats_.size())
     return false;
+  // A non-finite range would make every range feature on its column NaN.
+  for (size_t c = 0; c < stats_.size(); ++c) {
+    if (!std::isfinite(col_min_[c]) || !std::isfinite(col_max_[c]) ||
+        col_min_[c] > col_max_[c]) {
+      return false;
+    }
+  }
   include_ce_features_ = include != 0;
   return true;
 }

@@ -109,58 +109,28 @@ bool LwNnEstimator::SerializeModel(ByteWriter* writer) const {
   if (model_ == nullptr) return false;
   featurizer_.Serialize(writer);
   writer->U64(trained_rows_);
-  const std::vector<DenseLayer>& layers = model_->layers();
-  writer->U64(layers.size());
-  for (const DenseLayer& layer : layers) {
-    writer->U64(layer.in_features());
-    writer->U64(layer.out_features());
-    const Matrix& weights = layer.weights();
-    writer->Floats(std::vector<float>(weights.data(),
-                                      weights.data() + weights.size()));
-    writer->Floats(layer.bias());
-  }
+  SerializeMlp(*model_, writer);
   return true;
 }
 
 bool LwNnEstimator::DeserializeModel(ByteReader* reader) {
-  uint64_t rows = 0, layer_count = 0;
+  uint64_t rows = 0;
+  std::unique_ptr<Mlp> model;
   if (!featurizer_.Deserialize(reader) || !reader->U64(&rows) ||
-      !reader->U64(&layer_count) || layer_count == 0 || layer_count > 64) {
+      !DeserializeMlp(reader, &model)) {
     return false;
   }
-  std::vector<size_t> sizes;
-  std::vector<std::vector<float>> weights(layer_count);
-  std::vector<std::vector<float>> biases(layer_count);
-  for (uint64_t i = 0; i < layer_count; ++i) {
-    uint64_t in = 0, out = 0;
-    if (!reader->U64(&in) || !reader->U64(&out) ||
-        !reader->Floats(&weights[i]) || !reader->Floats(&biases[i])) {
-      return false;
-    }
-    if (weights[i].size() != in * out || biases[i].size() != out)
-      return false;
-    if (i == 0) {
-      if (in != featurizer_.FeatureDim()) return false;
-      sizes.push_back(in);
-    } else if (in != sizes.back()) {
-      return false;
-    }
-    sizes.push_back(out);
+  const std::vector<DenseLayer>& layers = model->layers();
+  if (layers.front().in_features() != featurizer_.FeatureDim() ||
+      layers.back().out_features() != 1) {
+    return false;
   }
-  if (sizes.back() != 1) return false;
-
-  // Rebuild the MLP at the serialized topology (the initializer Rng is
-  // irrelevant — every parameter is overwritten) and keep options_.hidden
-  // consistent so SizeBytes/Update see the loaded shape.
-  Rng init_rng(0);
-  model_ = std::make_unique<Mlp>(sizes, init_rng);
-  std::vector<DenseLayer>& layers = model_->layers();
-  for (uint64_t i = 0; i < layer_count; ++i) {
-    std::copy(weights[i].begin(), weights[i].end(),
-              layers[i].mutable_weights().data());
-    layers[i].mutable_bias() = biases[i];
-  }
-  options_.hidden.assign(sizes.begin() + 1, sizes.end() - 1);
+  // Keep options_.hidden consistent so SizeBytes/Update see the loaded
+  // shape.
+  options_.hidden.clear();
+  for (size_t i = 0; i + 1 < layers.size(); ++i)
+    options_.hidden.push_back(layers[i].out_features());
+  model_ = std::move(model);
   trained_rows_ = rows;
   return true;
 }

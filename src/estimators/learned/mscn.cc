@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "ml/loss.h"
+#include "ml/set_pool.h"
 #include "util/check.h"
 #include "util/random.h"
 
@@ -17,51 +18,38 @@ constexpr double kMaxLogDiff = 8.0;
 
 Matrix MscnEstimator::PredicateFeatures(const Query& query) const {
   // Feature layout per atom: [column one-hot | is_eq, is_ge, is_le | value].
-  const size_t pred_dim = num_cols_ + 4;
-  std::vector<std::vector<float>> atoms;
+  size_t atoms = 0;
+  for (const Predicate& p : query.predicates) {
+    atoms += p.is_equality() ? 1
+                             : static_cast<size_t>(!std::isinf(p.lo)) +
+                                   static_cast<size_t>(!std::isinf(p.hi));
+  }
+  // No finite atom (e.g. a fully unbounded probe): a single zero row keeps
+  // the pooling well-defined.
+  Matrix features(std::max<size_t>(atoms, 1), num_cols_ + 4);
+  size_t row = 0;
+  auto add_atom = [&](size_t c, size_t op, double v) {
+    const double span = std::max(col_max_[c] - col_min_[c], 1e-12);
+    float* atom = features.Row(row++);
+    atom[c] = 1.0f;
+    atom[num_cols_ + op] = 1.0f;
+    atom[num_cols_ + 3] =
+        static_cast<float>(std::clamp((v - col_min_[c]) / span, 0.0, 1.0));
+  };
   for (const Predicate& p : query.predicates) {
     const size_t c = static_cast<size_t>(p.column);
-    const double span = std::max(col_max_[c] - col_min_[c], 1e-12);
-    auto normalize = [&](double v) {
-      return static_cast<float>(std::clamp((v - col_min_[c]) / span, 0.0,
-                                           1.0));
-    };
     if (p.is_equality()) {
-      std::vector<float> atom(pred_dim, 0.0f);
-      atom[c] = 1.0f;
-      atom[num_cols_] = 1.0f;
-      atom[num_cols_ + 3] = normalize(p.lo);
-      atoms.push_back(std::move(atom));
+      add_atom(c, 0, p.lo);
       continue;
     }
-    if (!std::isinf(p.lo)) {
-      std::vector<float> atom(pred_dim, 0.0f);
-      atom[c] = 1.0f;
-      atom[num_cols_ + 1] = 1.0f;  // >= lo.
-      atom[num_cols_ + 3] = normalize(p.lo);
-      atoms.push_back(std::move(atom));
-    }
-    if (!std::isinf(p.hi)) {
-      std::vector<float> atom(pred_dim, 0.0f);
-      atom[c] = 1.0f;
-      atom[num_cols_ + 2] = 1.0f;  // <= hi.
-      atom[num_cols_ + 3] = normalize(p.hi);
-      atoms.push_back(std::move(atom));
-    }
+    if (!std::isinf(p.lo)) add_atom(c, 1, p.lo);  // >= lo.
+    if (!std::isinf(p.hi)) add_atom(c, 2, p.hi);  // <= hi.
   }
-  if (atoms.empty()) {
-    // No finite atom (e.g. a fully unbounded probe): a single zero row keeps
-    // the pooling well-defined.
-    atoms.emplace_back(pred_dim, 0.0f);
-  }
-  Matrix features(atoms.size(), pred_dim);
-  for (size_t i = 0; i < atoms.size(); ++i)
-    std::copy(atoms[i].begin(), atoms[i].end(), features.Row(i));
   return features;
 }
 
-std::vector<float> MscnEstimator::SampleBitmap(const Query& query) const {
-  std::vector<float> bitmap(options_.sample_size, 0.0f);
+Matrix MscnEstimator::SampleBitmap(const Query& query) const {
+  Matrix bitmap(1, options_.sample_size);
   if (!options_.use_sample_bitmap) return bitmap;
   const size_t rows = sample_.num_rows();
   for (size_t r = 0; r < rows && r < options_.sample_size; ++r) {
@@ -73,53 +61,70 @@ std::vector<float> MscnEstimator::SampleBitmap(const Query& query) const {
         break;
       }
     }
-    bitmap[r] = match ? 1.0f : 0.0f;
+    bitmap.At(0, r) = match ? 1.0f : 0.0f;
   }
   return bitmap;
 }
 
 float MscnEstimator::Forward(const Matrix& pred_features,
-                             const std::vector<float>& bitmap, bool train) {
+                             const Matrix& bitmap) const {
   const size_t h = options_.hidden_units;
-  // Predicate module with average pooling.
-  Matrix pred_embed;
-  if (train) {
-    pred_mlp_->ForwardTrain(pred_features, &pred_embed);
-    cached_pred_embed_ = pred_embed;
-    cached_pred_count_ = pred_features.rows();
-  } else {
-    pred_mlp_->Forward(pred_features, &pred_embed);
-  }
-  std::vector<float> pooled(h, 0.0f);
-  for (size_t r = 0; r < pred_embed.rows(); ++r) {
-    const float* row = pred_embed.Row(r);
-    for (size_t j = 0; j < h; ++j) pooled[j] += row[j];
-  }
-  const float inv = 1.0f / static_cast<float>(pred_embed.rows());
-  for (float& v : pooled) v *= inv;
-
-  // Sample module.
-  Matrix bitmap_in(1, bitmap.size());
-  std::copy(bitmap.begin(), bitmap.end(), bitmap_in.Row(0));
-  Matrix sample_embed;
-  if (train) {
-    sample_mlp_->ForwardTrain(bitmap_in, &sample_embed);
-  } else {
-    sample_mlp_->Forward(bitmap_in, &sample_embed);
-  }
-
-  // Output module over the concatenation.
+  Matrix pred_embed, sample_embed, out;
+  pred_mlp_->Forward(pred_features, &pred_embed);
+  sample_mlp_->Forward(bitmap, &sample_embed);
+  // Output module over [pooled predicate embedding | sample embedding].
   Matrix concat(1, 2 * h);
-  std::copy(pooled.begin(), pooled.end(), concat.Row(0));
-  std::copy(sample_embed.Row(0), sample_embed.Row(0) + h,
-            concat.Row(0) + h);
-  Matrix out;
-  if (train) {
-    out_mlp_->ForwardTrain(concat, &out);
-  } else {
-    out_mlp_->Forward(concat, &out);
-  }
+  const size_t offsets[] = {0, pred_embed.rows()};
+  MeanPoolSets(pred_embed, offsets, 0, &concat);
+  std::copy(sample_embed.Row(0), sample_embed.Row(0) + h, concat.Row(0) + h);
+  out_mlp_->Forward(concat, &out);
   return out.At(0, 0);
+}
+
+void MscnEstimator::TrainStep(const std::vector<Matrix>& pred_sets,
+                              const std::vector<Matrix>& bitmaps,
+                              const std::vector<double>& labels,
+                              const size_t* batch, size_t count,
+                              double* loss_sum) {
+  const size_t h = options_.hidden_units;
+  SetBatch preds, samples;
+  StackSets(pred_sets, batch, count, &preds);
+  StackSets(bitmaps, batch, count, &samples);
+  Matrix pred_embed, sample_embed, out;
+  pred_mlp_->ForwardTrain(preds.rows, &pred_embed);
+  sample_mlp_->ForwardTrain(samples.rows, &sample_embed);
+  Matrix concat(count, 2 * h);
+  MeanPoolSets(pred_embed, preds.offsets, 0, &concat);
+  for (size_t b = 0; b < count; ++b)
+    std::copy(sample_embed.Row(b), sample_embed.Row(b) + h,
+              concat.Row(b) + h);
+  out_mlp_->ForwardTrain(concat, &out);
+
+  // Mean q-error loss (ml/loss.h): L = exp(|z - t|), clipped, averaged
+  // over the batch.
+  Matrix out_grad(count, 1);
+  for (size_t b = 0; b < count; ++b) {
+    const LossValueGrad loss =
+        QErrorLoss(out.At(b, 0), labels[batch[b]], kMaxLogDiff);
+    *loss_sum += loss.loss;
+    out_grad.At(b, 0) =
+        static_cast<float>(loss.dloss_dz / static_cast<double>(count));
+  }
+
+  // Backward: the first h concat columns go back through the pooling to
+  // the predicate module, the last h to the sample module.
+  Matrix concat_grad, sample_grad(count, h), pred_grad;
+  out_mlp_->Backward(out_grad, &concat_grad);
+  for (size_t b = 0; b < count; ++b)
+    std::copy(concat_grad.Row(b) + h, concat_grad.Row(b) + 2 * h,
+              sample_grad.Row(b));
+  sample_mlp_->Backward(sample_grad);
+  MeanUnpoolSets(concat_grad, 0, h, preds.offsets, &pred_grad);
+  pred_mlp_->Backward(pred_grad);
+
+  pred_mlp_->AdamStep(options_.learning_rate);
+  sample_mlp_->AdamStep(options_.learning_rate);
+  out_mlp_->AdamStep(options_.learning_rate);
 }
 
 void MscnEstimator::FitWorkload(const Table& table, const Workload& workload,
@@ -147,11 +152,10 @@ void MscnEstimator::FitWorkload(const Table& table, const Workload& workload,
   }
 
   const size_t n = workload.size();
-  std::vector<Matrix> pred_features(n);
-  std::vector<std::vector<float>> bitmaps(n);
+  std::vector<Matrix> pred_sets(n), bitmaps(n);
   std::vector<double> labels(n);
   for (size_t i = 0; i < n; ++i) {
-    pred_features[i] = PredicateFeatures(workload.queries[i]);
+    pred_sets[i] = PredicateFeatures(workload.queries[i]);
     bitmaps[i] = SampleBitmap(workload.queries[i]);
     const double floor_sel = 0.5 / static_cast<double>(trained_rows_);
     labels[i] = std::log(std::max(workload.selectivities[i], floor_sel));
@@ -164,42 +168,12 @@ void MscnEstimator::FitWorkload(const Table& table, const Workload& workload,
   for (int epoch = 0; epoch < epochs; ++epoch) {
     rng.Shuffle(order);
     double epoch_loss = 0.0;
-    size_t steps = 0;
     for (size_t start = 0; start < n; start += options_.batch_size) {
-      const size_t end = std::min(n, start + options_.batch_size);
-      for (size_t i = start; i < end; ++i) {
-        const size_t q = order[i];
-        const float z = Forward(pred_features[q], bitmaps[q], /*train=*/true);
-        // Mean q-error loss (ml/loss.h): L = exp(|z - t|), clipped.
-        const LossValueGrad loss = QErrorLoss(z, labels[q], kMaxLogDiff);
-        epoch_loss += loss.loss;
-        const float dz = static_cast<float>(
-            loss.dloss_dz / static_cast<double>(end - start));
-        // Backward through the three modules.
-        Matrix out_grad(1, 1);
-        out_grad.At(0, 0) = dz;
-        Matrix concat_grad;
-        out_mlp_->Backward(out_grad, &concat_grad);
-        const size_t hh = options_.hidden_units;
-        // Split: first h to predicate pooling, last h to sample module.
-        Matrix sample_grad(1, hh);
-        std::copy(concat_grad.Row(0) + hh, concat_grad.Row(0) + 2 * hh,
-                  sample_grad.Row(0));
-        sample_mlp_->Backward(sample_grad);
-        Matrix pred_grad(cached_pred_count_, hh);
-        const float inv = 1.0f / static_cast<float>(cached_pred_count_);
-        for (size_t r = 0; r < cached_pred_count_; ++r)
-          for (size_t j = 0; j < hh; ++j)
-            pred_grad.At(r, j) = concat_grad.At(0, j) * inv;
-        pred_mlp_->Backward(pred_grad);
-      }
-      pred_mlp_->AdamStep(options_.learning_rate);
-      sample_mlp_->AdamStep(options_.learning_rate);
-      out_mlp_->AdamStep(options_.learning_rate);
-      ++steps;
+      const size_t count = std::min(n - start, options_.batch_size);
+      TrainStep(pred_sets, bitmaps, labels, &order[start], count,
+                &epoch_loss);
     }
     final_loss_ = epoch_loss / static_cast<double>(n);
-    (void)steps;
   }
 }
 
@@ -227,9 +201,7 @@ void MscnEstimator::PackForServing() {
 
 double MscnEstimator::EstimateSelectivity(const Query& query) const {
   ARECEL_CHECK_MSG(out_mlp_ != nullptr, "Train() must run first");
-  auto* self = const_cast<MscnEstimator*>(this);
-  const float z = self->Forward(PredicateFeatures(query), SampleBitmap(query),
-                                /*train=*/false);
+  const float z = Forward(PredicateFeatures(query), SampleBitmap(query));
   return std::clamp(std::exp(static_cast<double>(z)), 0.0, 1.0);
 }
 
@@ -268,6 +240,14 @@ bool MscnEstimator::DeserializeModel(ByteReader* reader) {
       sample_size > (1u << 24) || !reader->U32(&use_bitmap) ||
       !reader->U64(&rows)) {
     return false;
+  }
+  // Non-finite or inverted ranges would turn the normalized literals into
+  // NaN (or clamp them all to one end).
+  for (uint64_t c = 0; c < cols; ++c) {
+    if (!std::isfinite(col_min[c]) || !std::isfinite(col_max[c]) ||
+        col_min[c] > col_max[c]) {
+      return false;
+    }
   }
 
   std::string sample_name;

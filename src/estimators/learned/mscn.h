@@ -63,12 +63,17 @@ class MscnEstimator : public CardinalityEstimator {
   // Per-predicate feature rows: (num predicates after decomposition) x
   // pred_dim. Interval predicates decompose into >= lo and <= hi atoms.
   Matrix PredicateFeatures(const Query& query) const;
-  // 0/1 bitmap of sample rows satisfying the whole conjunction.
-  std::vector<float> SampleBitmap(const Query& query) const;
-  // Full forward; writes the pooled/pred caches needed for backward when
-  // `train` is true.
-  float Forward(const Matrix& pred_features, const std::vector<float>& bitmap,
-                bool train);
+  // 1 x sample_size 0/1 bitmap of sample rows satisfying the conjunction.
+  Matrix SampleBitmap(const Query& query) const;
+  // Inference over one query's features: the log-selectivity.
+  float Forward(const Matrix& pred_features, const Matrix& bitmap) const;
+  // One Adam step over the queries batch[0..count) of the featurized
+  // workload: each module runs once over the stacked batch. Adds each
+  // query's loss to *loss_sum in batch order.
+  void TrainStep(const std::vector<Matrix>& pred_sets,
+                 const std::vector<Matrix>& bitmaps,
+                 const std::vector<double>& labels, const size_t* batch,
+                 size_t count, double* loss_sum);
   void FitWorkload(const Table& table, const Workload& workload, int epochs,
                    uint64_t seed, bool reuse_model);
 
@@ -79,10 +84,6 @@ class MscnEstimator : public CardinalityEstimator {
   std::unique_ptr<Mlp> pred_mlp_, sample_mlp_, out_mlp_;
   size_t trained_rows_ = 0;
   double final_loss_ = 0.0;
-
-  // Caches from the last train-mode Forward (single query).
-  Matrix cached_pred_embed_;   // (p x h) pre-pooling embeddings.
-  size_t cached_pred_count_ = 0;
 };
 
 }  // namespace arecel

@@ -14,8 +14,9 @@
 //    in registers for the whole k loop, so out is written exactly once.
 //  * dot_rows processes four b rows per a-row pass with independent
 //    accumulators, then reduces them with a hadd tree.
-//  * accum_outer streams fused multiply-adds over 16-column strips of the
-//    accumulation target.
+//  * accum_outer uses the same 4x16 register tile over the accumulation
+//    target: the tile is loaded once, takes one FMA per shared row in k
+//    order, and is stored once.
 // Tails (columns % 8, rows % 4) fall back to narrower vectors and then
 // scalars; every path is branch-free over values (no zero-skip — that
 // branch is the reference backend's documented pessimization).
@@ -221,33 +222,102 @@ void DotRowsAvx2(const float* a, size_t lda, const float* b, size_t ldb,
   }
 }
 
+// accum_outer register tile: R rows (1..4) of out, columns [j, j + 16).
+// The block stays in 2R accumulators for the whole k range, so out is read
+// and written once per tile instead of once per shared row. Each element
+// still takes one FMA per kk in k order, the same chain as accumulating
+// one shared row per call (kernels_simd.h).
+template <size_t R>
+inline void AccumTileRx16(const float* a, size_t lda, const float* b,
+                          size_t ldb, float* out, size_t ldo, size_t i,
+                          size_t j, size_t k_lo, size_t k_hi) {
+  __m256 acc0[R], acc1[R];
+  for (size_t r = 0; r < R; ++r) {
+    acc0[r] = _mm256_loadu_ps(out + (i + r) * ldo + j);
+    acc1[r] = _mm256_loadu_ps(out + (i + r) * ldo + j + 8);
+  }
+  for (size_t kk = k_lo; kk < k_hi; ++kk) {
+    const float* a_row = a + kk * lda + i;
+    const __m256 b0 = _mm256_loadu_ps(b + kk * ldb + j);
+    const __m256 b1 = _mm256_loadu_ps(b + kk * ldb + j + 8);
+    for (size_t r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(a_row[r]);
+      acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
+      acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    _mm256_storeu_ps(out + (i + r) * ldo + j, acc0[r]);
+    _mm256_storeu_ps(out + (i + r) * ldo + j + 8, acc1[r]);
+  }
+}
+
+// R rows x columns [j, j + 8).
+template <size_t R>
+inline void AccumTileRx8(const float* a, size_t lda, const float* b,
+                         size_t ldb, float* out, size_t ldo, size_t i,
+                         size_t j, size_t k_lo, size_t k_hi) {
+  __m256 acc[R];
+  for (size_t r = 0; r < R; ++r)
+    acc[r] = _mm256_loadu_ps(out + (i + r) * ldo + j);
+  for (size_t kk = k_lo; kk < k_hi; ++kk) {
+    const float* a_row = a + kk * lda + i;
+    const __m256 bv = _mm256_loadu_ps(b + kk * ldb + j);
+    for (size_t r = 0; r < R; ++r)
+      acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(a_row[r]), bv, acc[r]);
+  }
+  for (size_t r = 0; r < R; ++r)
+    _mm256_storeu_ps(out + (i + r) * ldo + j, acc[r]);
+}
+
+// R rows x one column j: the scalar tail, one std::fma per row like the
+// vector tiles, so its rounding does not depend on the compiler's
+// contraction setting.
+template <size_t R>
+inline void AccumColumnRx1(const float* a, size_t lda, const float* b,
+                           size_t ldb, float* out, size_t ldo, size_t i,
+                           size_t j, size_t k_lo, size_t k_hi) {
+  float acc[R];
+  for (size_t r = 0; r < R; ++r) acc[r] = out[(i + r) * ldo + j];
+  for (size_t kk = k_lo; kk < k_hi; ++kk) {
+    const float bv = b[kk * ldb + j];
+    for (size_t r = 0; r < R; ++r)
+      acc[r] = std::fma(a[kk * lda + i + r], bv, acc[r]);
+  }
+  for (size_t r = 0; r < R; ++r) out[(i + r) * ldo + j] = acc[r];
+}
+
+template <size_t R>
+inline void AccumRowsAvx2(const float* a, size_t lda, const float* b,
+                          size_t ldb, float* out, size_t ldo, size_t i,
+                          size_t k_lo, size_t k_hi, size_t n) {
+  size_t j = 0;
+  for (; j + 16 <= n; j += 16)
+    AccumTileRx16<R>(a, lda, b, ldb, out, ldo, i, j, k_lo, k_hi);
+  for (; j + 8 <= n; j += 8)
+    AccumTileRx8<R>(a, lda, b, ldb, out, ldo, i, j, k_lo, k_hi);
+  for (; j < n; ++j)
+    AccumColumnRx1<R>(a, lda, b, ldb, out, ldo, i, j, k_lo, k_hi);
+}
+
 void AccumOuterAvx2(const float* a, size_t lda, const float* b, size_t ldb,
                     float* out, size_t ldo, size_t k_lo, size_t k_hi,
                     size_t m, size_t n) {
-  for (size_t kk = k_lo; kk < k_hi; ++kk) {
-    const float* a_row = a + kk * lda;
-    const float* b_row = b + kk * ldb;
-    for (size_t i = 0; i < m; ++i) {
-      const __m256 av = _mm256_set1_ps(a_row[i]);
-      float* out_row = out + i * ldo;
-      size_t j = 0;
-      for (; j + 16 <= n; j += 16) {
-        const __m256 o0 = _mm256_loadu_ps(out_row + j);
-        const __m256 o1 = _mm256_loadu_ps(out_row + j + 8);
-        _mm256_storeu_ps(out_row + j,
-                         _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row + j), o0));
-        _mm256_storeu_ps(
-            out_row + j + 8,
-            _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row + j + 8), o1));
-      }
-      for (; j + 8 <= n; j += 8) {
-        const __m256 o = _mm256_loadu_ps(out_row + j);
-        _mm256_storeu_ps(out_row + j,
-                         _mm256_fmadd_ps(av, _mm256_loadu_ps(b_row + j), o));
-      }
-      const float av_scalar = a_row[i];
-      for (; j < n; ++j) out_row[j] += av_scalar * b_row[j];
-    }
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4)
+    AccumRowsAvx2<4>(a, lda, b, ldb, out, ldo, i, k_lo, k_hi, n);
+  switch (m - i) {
+    case 3:
+      AccumRowsAvx2<3>(a, lda, b, ldb, out, ldo, i, k_lo, k_hi, n);
+      break;
+    case 2:
+      AccumRowsAvx2<2>(a, lda, b, ldb, out, ldo, i, k_lo, k_hi, n);
+      break;
+    case 1:
+      AccumRowsAvx2<1>(a, lda, b, ldb, out, ldo, i, k_lo, k_hi, n);
+      break;
+    default:
+      break;
   }
 }
 

@@ -48,7 +48,11 @@ struct KernelOps {
   // out[i][j] += sum over kk in [k_lo, k_hi) of a[kk][i] * b[kk][j] —
   // i.e. out += a^T * b restricted to a shared-dimension range.
   // Accumulates (does NOT zero out), so the caller can target gradient
-  // buffers or per-worker partials directly.
+  // buffers or per-worker partials directly. The SIMD tiers keep tiles of
+  // out in registers across the range, but each element still takes one
+  // multiply-add per shared row in k order, so one call over [k_lo, k_hi)
+  // equals consecutive calls over its sub-ranges bit for bit: a stacked
+  // mini-batch accumulates dW exactly as one row per call would.
   void (*accum_outer)(const float* a, size_t lda, const float* b, size_t ldb,
                       float* out, size_t ldo, size_t k_lo, size_t k_hi,
                       size_t m, size_t n);

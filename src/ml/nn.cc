@@ -202,6 +202,36 @@ void SerializeDenseLayerParams(const DenseLayer& layer, ByteWriter* writer) {
   writer->Floats(layer.bias());
 }
 
+namespace {
+
+// He-uniform init draws |w| <= sqrt(6 / in) <= 2.45. The largest trained
+// |parameter| measured among the models loaded through this file (naru's
+// ResMADE, mscn and lw-nn on census and power, at default options and at
+// bench_table5_tuning's 3e-2 learning rate) was 5.9, four orders of
+// magnitude below the bound. A larger one is corrupt, and refusing it
+// keeps a forward pass over [0, 1]-scaled features far from float
+// overflow, where inf - inf would serve NaN even though each parameter is
+// finite.
+constexpr float kMaxAbsParam = 65536.0f;
+
+// A serialized layer's claimed (in, out) shape must match its parameter
+// counts (checked without forming in * out, which a hostile shape could
+// overflow), and every parameter must be finite and within kMaxAbsParam.
+bool ValidLayerParams(uint64_t in, uint64_t out,
+                      const std::vector<float>& weights,
+                      const std::vector<float>& bias) {
+  if (in == 0 || out == 0 || bias.size() != out ||
+      weights.size() % out != 0 || weights.size() / out != in) {
+    return false;
+  }
+  // NaN fails the comparison too.
+  const auto plausible = [](float v) { return std::abs(v) <= kMaxAbsParam; };
+  return std::all_of(weights.begin(), weights.end(), plausible) &&
+         std::all_of(bias.begin(), bias.end(), plausible);
+}
+
+}  // namespace
+
 bool DeserializeDenseLayerParams(ByteReader* reader, DenseLayer* layer) {
   uint64_t in = 0, out = 0;
   std::vector<float> weights, bias;
@@ -210,7 +240,7 @@ bool DeserializeDenseLayerParams(ByteReader* reader, DenseLayer* layer) {
     return false;
   }
   if (in != layer->in_features() || out != layer->out_features() ||
-      weights.size() != in * out || bias.size() != out) {
+      !ValidLayerParams(in, out, weights, bias)) {
     return false;
   }
   std::copy(weights.begin(), weights.end(), layer->mutable_weights().data());
@@ -240,8 +270,7 @@ bool DeserializeMlp(ByteReader* reader, std::unique_ptr<Mlp>* mlp) {
         !reader->Floats(&weights[i]) || !reader->Floats(&biases[i])) {
       return false;
     }
-    if (weights[i].size() != in * out || biases[i].size() != out)
-      return false;
+    if (!ValidLayerParams(in, out, weights[i], biases[i])) return false;
     if (i == 0) {
       sizes.push_back(in);
     } else if (in != sizes.back()) {

@@ -153,14 +153,16 @@ void SerializeMlp(const Mlp& mlp, ByteWriter* writer);
 
 // One layer's weight matrix + bias vector (shape-prefixed). Deserialize
 // requires `layer` to already have the matching shape (the caller rebuilds
-// the network structure first); returns false on truncation or mismatch.
+// the network structure first); returns false on truncation, mismatch or a
+// non-finite or implausibly large parameter.
 void SerializeDenseLayerParams(const DenseLayer& layer, ByteWriter* writer);
 bool DeserializeDenseLayerParams(ByteReader* reader, DenseLayer* layer);
 
 // Rebuilds `*mlp` at the serialized topology with every parameter
 // overwritten. Validates layer chaining (out of layer i == in of layer
-// i+1) and per-layer weight/bias sizes; returns false (leaving *mlp in an
-// unspecified state) on a truncated or inconsistent stream.
+// i+1), per-layer weight/bias sizes and that every parameter is finite and
+// of plausible magnitude; returns false (leaving *mlp in an unspecified
+// state) on a truncated or inconsistent stream.
 bool DeserializeMlp(ByteReader* reader, std::unique_ptr<Mlp>* mlp);
 
 }  // namespace arecel

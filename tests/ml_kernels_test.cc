@@ -13,11 +13,13 @@
 #include "ml/kernels.h"
 
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ml/kernels_simd.h"
 #include "ml/matrix.h"
 #include "ml/nn.h"
 #include "util/random.h"
@@ -310,6 +312,56 @@ TEST(MlKernelsTest, DenseLayerTrainRoundTripMatchesReference) {
     SCOPED_TRACE(testing::Message() << "relu=" << relu);
     ExpectNear(w_ref, w_fast);
     ExpectNear(out_ref, out_fast);
+  }
+}
+
+// The FMA tiers' accum_outer holds each out tile in registers across the
+// shared dimension, but on every tier each element must still take one
+// multiply-add per shared row in k order: one fma per row on the FMA tiers,
+// a rounded multiply then a rounded add at the portable baseline
+// (contracted there too when the whole build targets an FMA ISA). That is
+// what keeps batched training bit-identical to accumulating one row per
+// call. The shapes cover m % 4, n % 16 and n % 8 tails, k in {0, 1} and a
+// range that starts past row 0.
+TEST(MlKernelsTest, TiledAccumOuterEqualsMultiplyAddChainInKOrder) {
+  struct AccumShape {
+    size_t k_lo, k_hi, m, n;
+  };
+  const AccumShape shapes[] = {
+      {0, 0, 5, 17},  {0, 1, 4, 16},  {0, 1, 7, 33},  {0, 2, 3, 9},
+      {0, 5, 13, 48}, {0, 64, 6, 25}, {0, 3, 1, 1},   {0, 7, 8, 8},
+      {0, 17, 9, 24}, {2, 9, 11, 40}, {0, 40, 2, 7},  {0, 33, 4, 31}};
+  for (const char* isa : AvailableMlKernelIsas()) {
+    ScopedMlKernelIsa scoped(isa);
+    ASSERT_TRUE(scoped.ok());
+    const bool fma_tier = std::string(isa) != "portable";
+    Rng rng(31);
+    for (const AccumShape& s : shapes) {
+      const Matrix a = RandomMatrix(s.k_hi, s.m, rng);
+      const Matrix b = RandomMatrix(s.k_hi, s.n, rng);
+      Matrix out = RandomMatrix(s.m, s.n, rng);
+      Matrix expected = out;
+      for (size_t i = 0; i < s.m; ++i) {
+        for (size_t j = 0; j < s.n; ++j) {
+          float acc = expected.At(i, j);
+          for (size_t kk = s.k_lo; kk < s.k_hi; ++kk) {
+            if (fma_tier) {
+              acc = std::fma(a.At(kk, i), b.At(kk, j), acc);
+            } else {
+              acc += a.At(kk, i) * b.At(kk, j);
+            }
+          }
+          expected.At(i, j) = acc;
+        }
+      }
+      mlk::ActiveKernelOps().accum_outer(a.data(), s.m, b.data(), s.n,
+                                         out.data(), s.n, s.k_lo, s.k_hi,
+                                         s.m, s.n);
+      SCOPED_TRACE(testing::Message() << isa << " k=[" << s.k_lo << ", "
+                                      << s.k_hi << ") m=" << s.m
+                                      << " n=" << s.n);
+      ExpectNear(expected, out, 0.0f);
+    }
   }
 }
 

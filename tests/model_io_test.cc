@@ -1,6 +1,8 @@
 #include "core/model_io.h"
 
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -10,6 +12,7 @@
 #include "core/registry.h"
 #include "data/datasets.h"
 #include "util/archive.h"
+#include "util/random.h"
 #include "workload/generator.h"
 
 namespace arecel {
@@ -218,6 +221,108 @@ TEST(ModelIoTest, CorruptFileRejected) {
   auto postgres = MakeEstimator("postgres");
   EXPECT_FALSE(LoadEstimator(postgres.get(), path));
   std::remove(path.c_str());
+}
+
+// Hostile bytes: each case flips one bit of, overwrites, or sets to 0xff
+// 1-4 random bytes of a serialized model's payload (the part
+// DeserializeModel reads; the frame header has its own checks). Every
+// mutated model must be refused as kCorruptModel, or load and answer every
+// probe with a finite selectivity in [0, 1].
+TEST(ModelIoTest, MutatedMscnAndLwNnModelsAreRejectedOrServeFiniteAnswers) {
+  constexpr int kCases = 200;
+  for (const std::string name : {"mscn", "lw-nn"}) {
+    auto trained = MakeEstimator(name);
+    TrainContext context;
+    context.training_workload = &Shared().train;
+    trained->Train(Shared().table, context);
+    std::string bytes;
+    ASSERT_TRUE(SerializeEstimatorBytes(*trained, &bytes));
+    ByteWriter payload;
+    ASSERT_TRUE(trained->SerializeModel(&payload));
+    const size_t header = bytes.size() - payload.buffer().size();
+
+    Rng rng(name == "mscn" ? 71 : 72);
+    int rejected = 0;
+    for (int c = 0; c < kCases; ++c) {
+      std::string mutated = bytes;
+      const uint64_t edits = 1 + rng.UniformInt(uint64_t{4});
+      for (uint64_t e = 0; e < edits; ++e) {
+        char& byte = mutated[header + rng.UniformInt(mutated.size() - header)];
+        switch (rng.UniformInt(uint64_t{3})) {
+          case 0:
+            byte = static_cast<char>(byte ^ (1 << rng.UniformInt(uint64_t{8})));
+            break;
+          case 1:
+            byte = static_cast<char>(rng.UniformInt(uint64_t{256}));
+            break;
+          default:
+            byte = '\xff';  // erased storage; in a float's top byte, NaN.
+            break;
+        }
+      }
+      auto loaded = MakeEstimator(name);
+      const ModelLoadResult result = LoadEstimatorBytes(loaded.get(), mutated);
+      if (!result.ok()) {
+        EXPECT_EQ(result.kind, FailureKind::kCorruptModel)
+            << name << " case " << c << ": " << result.detail;
+        ++rejected;
+        continue;
+      }
+      for (const Query& probe : Shared().probes.queries) {
+        const double sel = loaded->EstimateSelectivity(probe);
+        ASSERT_TRUE(std::isfinite(sel) && sel >= 0.0 && sel <= 1.0)
+            << name << " case " << c << " served " << sel;
+      }
+    }
+    // Most edits land in weights and sample values, which load and serve.
+    EXPECT_LT(rejected, kCases) << name;
+  }
+}
+
+template <typename T>
+std::string Patched(std::string bytes, size_t offset, T value) {
+  std::memcpy(&bytes[offset], &value, sizeof(value));
+  return bytes;
+}
+
+// The checks the random mutations above rarely reach, one at a time: a
+// non-finite last bias (both payloads end with the output layer's bias)
+// and, for mscn, a non-finite or inverted column range. The mscn payload
+// starts with the column count, then col_min and col_max as
+// length-prefixed doubles.
+TEST(ModelIoTest, NonFiniteMscnAndLwNnParametersAreCorrupt) {
+  const auto corrupt = [](const std::string& name, const std::string& bytes) {
+    auto fresh = MakeEstimator(name);
+    return LoadEstimatorBytes(fresh.get(), bytes).kind ==
+           FailureKind::kCorruptModel;
+  };
+  for (const std::string name : {"mscn", "lw-nn"}) {
+    auto trained = MakeEstimator(name);
+    TrainContext context;
+    context.training_workload = &Shared().train;
+    trained->Train(Shared().table, context);
+    std::string bytes;
+    ASSERT_TRUE(SerializeEstimatorBytes(*trained, &bytes));
+    ASSERT_FALSE(corrupt(name, bytes)) << name;
+    const size_t last_bias = bytes.size() - sizeof(float);
+    for (const float bad : {std::nanf(""), INFINITY, -INFINITY})
+      EXPECT_TRUE(corrupt(name, Patched(bytes, last_bias, bad))) << name;
+  }
+
+  auto mscn = MakeEstimator("mscn");
+  TrainContext context;
+  context.training_workload = &Shared().train;
+  mscn->Train(Shared().table, context);
+  std::string bytes;
+  ASSERT_TRUE(SerializeEstimatorBytes(*mscn, &bytes));
+  ByteWriter payload;
+  ASSERT_TRUE(mscn->SerializeModel(&payload));
+  const size_t cols = Shared().table.num_cols();
+  const size_t col_min = bytes.size() - payload.buffer().size() + 16;
+  const size_t col_max = col_min + 8 * cols + 8;
+  EXPECT_TRUE(corrupt("mscn", Patched(bytes, col_min, std::nan(""))));
+  EXPECT_TRUE(corrupt("mscn", Patched(bytes, col_max, HUGE_VAL)));
+  EXPECT_TRUE(corrupt("mscn", Patched(bytes, col_min, 1e300)));  // inverted.
 }
 
 }  // namespace

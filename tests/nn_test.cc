@@ -1,9 +1,13 @@
 #include "ml/nn.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ml/kernels.h"
 #include "util/random.h"
 
 namespace arecel {
@@ -143,6 +147,62 @@ TEST(MlpTest, LearnsLinearFunction) {
     mlp.AdamStep(0.005f);
   }
   EXPECT_LT(final_loss, 0.01f);
+}
+
+// The MSCN trainers stack a mini-batch into one matrix per module. Below
+// the parallel threshold that must change nothing: one B-row
+// ForwardTrain/Backward/AdamStep equals B single-row passes (gradients
+// accumulating row by row) bit for bit, in the outputs, the input
+// gradients and the updated parameters. The reference backend sums each
+// call's dW into a temporary first, so its result depends on the grouping;
+// it is skipped.
+TEST(MlpTest, StackedBatchStepEqualsSingleRowPasses) {
+  if (ActiveMlKernelBackend() == MlKernelBackend::kReference)
+    GTEST_SKIP() << "reference backend sums dW per call";
+  const std::vector<size_t> sizes = {19, 40, 17, 3};
+  constexpr size_t kRows = 13;
+  Rng data_rng(8);
+  Matrix input(kRows, sizes.front()), grad(kRows, sizes.back());
+  for (size_t i = 0; i < input.size(); ++i)
+    input.data()[i] = static_cast<float>(data_rng.Uniform(-1, 1));
+  for (size_t i = 0; i < grad.size(); ++i)
+    grad.data()[i] = static_cast<float>(data_rng.Uniform(-1, 1));
+  const auto same_bits = [](const float* x, const float* y, size_t n) {
+    return std::memcmp(x, y, n * sizeof(float)) == 0;
+  };
+  for (const char* isa : AvailableMlKernelIsas()) {
+    ScopedMlKernelIsa scoped(isa);
+    ASSERT_TRUE(scoped.ok());
+    Rng init_stacked(9), init_rows(9);
+    Mlp stacked(sizes, init_stacked), rows(sizes, init_rows);
+    Matrix out, input_grad;
+    stacked.ForwardTrain(input, &out);
+    stacked.Backward(grad, &input_grad);
+    stacked.AdamStep(1e-3f);
+    for (size_t r = 0; r < kRows; ++r) {
+      Matrix row_in(1, sizes.front()), row_grad(1, sizes.back());
+      std::copy(input.Row(r), input.Row(r) + input.cols(), row_in.Row(0));
+      std::copy(grad.Row(r), grad.Row(r) + grad.cols(), row_grad.Row(0));
+      Matrix row_out, row_input_grad;
+      rows.ForwardTrain(row_in, &row_out);
+      rows.Backward(row_grad, &row_input_grad);
+      EXPECT_TRUE(same_bits(row_out.data(), out.Row(r), out.cols()))
+          << isa << " row " << r;
+      EXPECT_TRUE(same_bits(row_input_grad.data(), input_grad.Row(r),
+                            input_grad.cols()))
+          << isa << " row " << r;
+    }
+    rows.AdamStep(1e-3f);
+    for (size_t l = 0; l < stacked.layers().size(); ++l) {
+      const DenseLayer& x = stacked.layers()[l];
+      const DenseLayer& y = rows.layers()[l];
+      EXPECT_TRUE(same_bits(x.weights().data(), y.weights().data(),
+                            x.weights().size()))
+          << isa << " layer " << l;
+      EXPECT_TRUE(same_bits(x.bias().data(), y.bias().data(), x.bias().size()))
+          << isa << " layer " << l;
+    }
+  }
 }
 
 TEST(MlpTest, ParamCount) {
