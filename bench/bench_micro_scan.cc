@@ -126,7 +126,6 @@ Table MakeCategoricalZipf(size_t rows, size_t cols, size_t cardinality,
       v = static_cast<double>(rng.Zipf(cardinality, 1.1));
     t.AddColumn("cat" + std::to_string(c), std::move(vals), true);
   }
-  t.Finalize();
   return t;
 }
 
@@ -191,8 +190,8 @@ CatCell MeasureCatCell(size_t rows, size_t cardinality, size_t num_queries,
   const std::vector<size_t> naive = NaiveCounts(table, queries);
   cell.naive_seconds = timer.ElapsedSeconds();
 
-  scan::ScanOptions zone_options;
-  zone_options.rich_synopsis = false;
+  scan::SynopsisOptions zone_options;
+  zone_options.rich = false;
   const scan::BlockScanner zone(table, zone_options);
   cell.zone_bytes = zone.synopsis().SizeBytes();
   timer.Reset();

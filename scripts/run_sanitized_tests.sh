@@ -10,8 +10,9 @@
 #
 # By default the `slow` label (full-registry training sweeps and the
 # watchdog timeout tests) is excluded — sanitized NN training is painfully
-# slow; set ARECEL_SAN_ALL=1 to include everything. Extra args are forwarded
-# to ctest, e.g.:
+# slow; set ARECEL_SAN_ALL=1 to include everything. The ASan run then adds
+# the hostile-bytes cases of the slow model_io_test binary by name. Extra
+# args are forwarded to ctest (and replace that second pass), e.g.:
 #   scripts/run_sanitized_tests.sh -R conformance
 #   ARECEL_SAN=tsan scripts/run_sanitized_tests.sh
 set -euo pipefail
@@ -61,3 +62,11 @@ if [ "${ARECEL_SAN_ALL:-0}" != "1" ]; then
   fi
 fi
 ctest --test-dir "$build_dir" --output-on-failure "${filter[@]}" "$@"
+
+# Truncated, mutated, ragged and non-finite model payloads are what the
+# sanitizers are for, but they live beside full-registry training in the
+# slow model_io_test binary.
+if [ "$san" = "asan" ] && [ "${ARECEL_SAN_ALL:-0}" != "1" ] && [ $# -eq 0 ]; then
+  ctest --test-dir "$build_dir" --output-on-failure \
+    -R 'ModelIoTest\.(Truncated|Mutated|Ragged|NonFinite)'
+fi

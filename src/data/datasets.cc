@@ -107,7 +107,6 @@ Table GenerateDataset(const DatasetSpec& spec, uint64_t seed) {
     table.AddColumn(prefix + std::to_string(j), std::move(values),
                     categorical);
   }
-  table.Finalize();
   return table;
 }
 
@@ -144,20 +143,19 @@ Table GenerateSynthetic2D(size_t rows, double skew, double correlation,
   Table table("synthetic2d");
   table.AddColumn("col0", std::move(col_a), /*categorical=*/false);
   table.AddColumn("col1", std::move(col_b), /*categorical=*/false);
-  table.Finalize();
   return table;
 }
 
 Table AppendCorrelatedUpdate(const Table& base, double fraction,
                              uint64_t seed) {
   ARECEL_CHECK(fraction > 0.0 && fraction <= 1.0);
-  const Table sorted = base.SortedColumnsCopy();
   const size_t append_rows = static_cast<size_t>(
       static_cast<double>(base.num_rows()) * fraction);
-  const Table appended = sorted.SampleRows(append_rows, seed);
-  Table updated = base.Head(base.num_rows());  // deep copy with same schema.
-  updated.AppendRows(appended);
-  updated.Finalize();
+  Rng rng(seed);
+  const std::vector<int> ranks = rng.SampleWithoutReplacement(
+      static_cast<int>(base.num_rows()), static_cast<int>(append_rows));
+  Table updated = base;
+  updated.AppendSortedRows(ranks);
   return updated;
 }
 

@@ -49,10 +49,10 @@ std::vector<Table> BenchmarkDatasets(double scale, uint64_t seed);
 Table GenerateSynthetic2D(size_t rows, double skew, double correlation,
                           int domain_size, uint64_t seed);
 
-// The paper's §5.1 dynamic-environment update: builds a sorted-columns copy
-// of `base` (maximal pairwise Spearman correlation), samples
-// `fraction` * rows tuples from it, and returns `base` with those tuples
-// appended (finalized). The appended part deliberately has different
+// The paper's §5.1 dynamic-environment update: samples `fraction` * rows
+// tuples from the sorted-columns copy of `base` (maximal pairwise Spearman
+// correlation; Table::AppendSortedRows) and returns `base` with those
+// tuples appended. The appended part deliberately has different
 // correlation characteristics from the original so a stale model degrades.
 Table AppendCorrelatedUpdate(const Table& base, double fraction,
                              uint64_t seed);

@@ -1,8 +1,10 @@
 #include "data/io.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <vector>
 
 namespace arecel {
@@ -12,150 +14,127 @@ namespace {
 constexpr uint32_t kTableMagic = 0x41434531;     // "ACE1".
 constexpr uint32_t kWorkloadMagic = 0x41434532;  // "ACE2".
 constexpr uint32_t kVersion = 1;
+constexpr uint64_t kMaxColumns = 4096;
 
-class Writer {
- public:
-  explicit Writer(const std::string& path)
-      : out_(path, std::ios::binary | std::ios::trunc) {}
+bool WriteFile(const std::string& path, const ByteWriter& writer) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out.good()) return false;
+  out.write(writer.buffer().data(),
+            static_cast<std::streamsize>(writer.buffer().size()));
+  return out.good();
+}
 
-  bool ok() const { return out_.good(); }
+bool ReadFile(const std::string& path, std::string* bytes) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) return false;
+  bytes->assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  return !in.bad();
+}
 
-  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
-  void Str(const std::string& s) {
-    U64(s.size());
-    Raw(s.data(), s.size());
-  }
-  void Doubles(const std::vector<double>& v) {
-    U64(v.size());
-    Raw(v.data(), v.size() * sizeof(double));
-  }
-
- private:
-  void Raw(const void* data, size_t bytes) {
-    out_.write(static_cast<const char*>(data),
-               static_cast<std::streamsize>(bytes));
-  }
-  std::ofstream out_;
-};
-
-class Reader {
- public:
-  explicit Reader(const std::string& path)
-      : in_(path, std::ios::binary) {}
-
-  bool ok() const { return in_.good(); }
-
-  bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
-  bool F64(double* v) { return Raw(v, sizeof(*v)); }
-  bool Str(std::string* s) {
-    uint64_t size = 0;
-    if (!U64(&size) || size > (1ull << 20)) return false;
-    s->resize(size);
-    return Raw(s->data(), size);
-  }
-  bool Doubles(std::vector<double>* v) {
-    uint64_t size = 0;
-    if (!U64(&size) || size > (1ull << 32)) return false;
-    v->resize(size);
-    return Raw(v->data(), size * sizeof(double));
-  }
-
- private:
-  bool Raw(void* data, size_t bytes) {
-    in_.read(static_cast<char*>(data), static_cast<std::streamsize>(bytes));
-    return in_.good() || (bytes == 0);
-  }
-  std::ifstream in_;
-};
+bool ReadHeader(ByteReader* reader, uint32_t expected_magic) {
+  uint32_t magic = 0, version = 0;
+  return reader->U32(&magic) && magic == expected_magic &&
+         reader->U32(&version) && version == kVersion;
+}
 
 }  // namespace
 
-bool SaveTable(const Table& table, const std::string& path) {
-  Writer w(path);
-  if (!w.ok()) return false;
-  w.U32(kTableMagic);
-  w.U32(kVersion);
-  w.Str(table.name());
-  w.U64(table.num_cols());
-  for (size_t c = 0; c < table.num_cols(); ++c) {
-    const Column& col = table.column(c);
-    w.Str(col.name);
-    w.U32(col.categorical ? 1 : 0);
-    w.Doubles(col.values);
+void WriteTable(const Table& table, ByteWriter* writer) {
+  writer->Str(table.name());
+  writer->U64(table.num_cols());
+  for (const Column& col : table.columns()) {
+    writer->Str(col.name);
+    writer->U32(col.categorical ? 1 : 0);
+    writer->Doubles(col.values);
   }
-  return w.ok();
 }
 
-bool LoadTable(const std::string& path, Table* table) {
-  Reader r(path);
-  if (!r.ok()) return false;
-  uint32_t magic = 0, version = 0;
-  if (!r.U32(&magic) || magic != kTableMagic) return false;
-  if (!r.U32(&version) || version != kVersion) return false;
+bool ReadTable(ByteReader* reader, Table* table) {
   std::string name;
   uint64_t cols = 0;
-  if (!r.Str(&name) || !r.U64(&cols) || cols > 4096) return false;
+  if (!reader->Str(&name) || !reader->U64(&cols) || cols > kMaxColumns) {
+    return false;
+  }
   Table loaded(name);
   for (uint64_t c = 0; c < cols; ++c) {
     std::string col_name;
     uint32_t categorical = 0;
     std::vector<double> values;
-    if (!r.Str(&col_name) || !r.U32(&categorical) || !r.Doubles(&values))
+    if (!reader->Str(&col_name) || !reader->U32(&categorical) ||
+        !reader->Doubles(&values)) {
       return false;
+    }
+    // Table::AddColumn aborts on both; a stored table holds neither.
+    if (c > 0 && values.size() != loaded.num_rows()) return false;
+    if (!values.empty() &&
+        std::all_of(values.begin(), values.end(),
+                    [](double v) { return std::isnan(v); })) {
+      return false;
+    }
     loaded.AddColumn(std::move(col_name), std::move(values),
                      categorical != 0);
   }
-  loaded.Finalize();
   *table = std::move(loaded);
   return true;
 }
 
+bool SaveTable(const Table& table, const std::string& path) {
+  ByteWriter writer;
+  writer.U32(kTableMagic);
+  writer.U32(kVersion);
+  WriteTable(table, &writer);
+  return WriteFile(path, writer);
+}
+
+bool LoadTable(const std::string& path, Table* table) {
+  std::string bytes;
+  if (!ReadFile(path, &bytes)) return false;
+  ByteReader reader(bytes);
+  return ReadHeader(&reader, kTableMagic) && ReadTable(&reader, table);
+}
+
 bool SaveWorkload(const Workload& workload, const std::string& path) {
-  Writer w(path);
-  if (!w.ok()) return false;
-  w.U32(kWorkloadMagic);
-  w.U32(kVersion);
-  w.U64(workload.size());
+  ByteWriter writer;
+  writer.U32(kWorkloadMagic);
+  writer.U32(kVersion);
+  writer.U64(workload.size());
   for (size_t i = 0; i < workload.size(); ++i) {
     const Query& q = workload.queries[i];
-    w.U64(q.predicates.size());
+    writer.U64(q.predicates.size());
     for (const Predicate& p : q.predicates) {
-      w.U32(static_cast<uint32_t>(p.column));
-      w.F64(p.lo);
-      w.F64(p.hi);
+      writer.U32(static_cast<uint32_t>(p.column));
+      writer.F64(p.lo);
+      writer.F64(p.hi);
     }
-    w.F64(workload.selectivities[i]);
+    writer.F64(workload.selectivities[i]);
   }
-  return w.ok();
+  return WriteFile(path, writer);
 }
 
 bool LoadWorkload(const std::string& path, Workload* workload) {
-  Reader r(path);
-  if (!r.ok()) return false;
-  uint32_t magic = 0, version = 0;
-  if (!r.U32(&magic) || magic != kWorkloadMagic) return false;
-  if (!r.U32(&version) || version != kVersion) return false;
+  std::string bytes;
+  if (!ReadFile(path, &bytes)) return false;
+  ByteReader reader(bytes);
+  if (!ReadHeader(&reader, kWorkloadMagic)) return false;
   uint64_t count = 0;
-  if (!r.U64(&count) || count > (1ull << 24)) return false;
+  if (!reader.U64(&count) || count > (1ull << 24)) return false;
   Workload loaded;
   loaded.queries.resize(count);
   loaded.selectivities.resize(count);
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t predicates = 0;
-    if (!r.U64(&predicates) || predicates > 4096) return false;
+    if (!reader.U64(&predicates) || predicates > 4096) return false;
     Query& q = loaded.queries[i];
     q.predicates.resize(predicates);
     for (uint64_t p = 0; p < predicates; ++p) {
       uint32_t column = 0;
-      if (!r.U32(&column) || !r.F64(&q.predicates[p].lo) ||
-          !r.F64(&q.predicates[p].hi))
+      if (!reader.U32(&column) || !reader.F64(&q.predicates[p].lo) ||
+          !reader.F64(&q.predicates[p].hi))
         return false;
       q.predicates[p].column = static_cast<int>(column);
     }
-    if (!r.F64(&loaded.selectivities[i])) return false;
+    if (!reader.F64(&loaded.selectivities[i])) return false;
   }
   *workload = std::move(loaded);
   return true;

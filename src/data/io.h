@@ -4,6 +4,7 @@
 #include <string>
 
 #include "data/table.h"
+#include "util/archive.h"
 #include "workload/generator.h"
 
 namespace arecel {
@@ -17,8 +18,16 @@ namespace arecel {
 // return false on any structural mismatch rather than aborting.
 
 bool SaveTable(const Table& table, const std::string& path);
-// On success the returned table is finalized (domains/codes rebuilt).
 bool LoadTable(const std::string& path, Table* table);
+
+// The column layout inside a table file, shared with the estimators that
+// persist a row sample (sampling, mscn): the table name, the column count,
+// then per column its name, a u32 categorical flag and its values. Only the
+// values are stored; ReadTable rebuilds each dictionary. ReadTable returns
+// false on a truncated stream, on columns of unequal length and on a
+// non-empty column with no non-NaN value.
+void WriteTable(const Table& table, ByteWriter* writer);
+bool ReadTable(ByteReader* reader, Table* table);
 
 bool SaveWorkload(const Workload& workload, const std::string& path);
 bool LoadWorkload(const std::string& path, Workload* workload);

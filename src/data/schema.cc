@@ -144,7 +144,6 @@ Schema GenerateStarSchema(const StarSchemaOptions& options, uint64_t seed) {
       dim.AddColumn("a" + std::to_string(c), std::move(attr),
                     /*categorical=*/false);
     }
-    dim.Finalize();
     schema.AddTable(std::move(dim));
   }
 
@@ -187,7 +186,6 @@ Schema GenerateStarSchema(const StarSchemaOptions& options, uint64_t seed) {
                    std::move(payload[static_cast<size_t>(c)]),
                    /*categorical=*/false);
   }
-  fact.Finalize();
   schema.AddTable(std::move(fact));
 
   for (int d = 0; d < opt.num_dimensions; ++d) {

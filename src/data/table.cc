@@ -2,11 +2,188 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <type_traits>
 
 #include "util/check.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace arecel {
+
+namespace {
+
+constexpr uint32_t kNoId = std::numeric_limits<uint32_t>::max();
+
+// Calls fn with the code vector that a column of `domain_size` distinct
+// values stores its codes in: the narrowest that holds the NaN sentinel
+// `domain_size`.
+template <typename Fn>
+void WithCodes(Column& col, size_t domain_size, Fn&& fn) {
+  if (domain_size < (size_t{1} << 8)) {
+    fn(col.codes8);
+  } else if (domain_size < (size_t{1} << 16)) {
+    fn(col.codes16);
+  } else {
+    fn(col.codes32);
+  }
+}
+
+template <typename Vector>
+using CodeOf = typename std::decay_t<Vector>::value_type;
+
+// Open-addressing map from a value's canonical bits to a dense id in
+// first-seen order. Empty slots hold kNoId, so the all-zero key (+0.0)
+// needs no special casing.
+class ValueIds {
+ public:
+  ValueIds() { Rehash(16); }
+
+  // Returns the id of `bits`, assigning the next id when it is new.
+  uint32_t Intern(uint64_t bits) {
+    size_t slot = SplitMix64(bits) & mask_;
+    while (ids_[slot] != kNoId) {
+      if (keys_[slot] == bits) return ids_[slot];
+      slot = (slot + 1) & mask_;
+    }
+    const uint32_t id = static_cast<uint32_t>(size_++);
+    keys_[slot] = bits;
+    ids_[slot] = id;
+    if (2 * size_ > ids_.size()) Rehash(2 * ids_.size());
+    return id;
+  }
+
+ private:
+  void Rehash(size_t capacity) {
+    std::vector<uint64_t> keys(capacity, 0);
+    std::vector<uint32_t> ids(capacity, kNoId);
+    mask_ = capacity - 1;
+    for (size_t i = 0; i < ids_.size(); ++i) {
+      if (ids_[i] == kNoId) continue;
+      size_t slot = SplitMix64(keys_[i]) & mask_;
+      while (ids[slot] != kNoId) slot = (slot + 1) & mask_;
+      keys[slot] = keys_[i];
+      ids[slot] = ids_[i];
+    }
+    keys_.swap(keys);
+    ids_.swap(ids);
+  }
+
+  std::vector<uint64_t> keys_;
+  std::vector<uint32_t> ids_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
+};
+
+// Builds col's dictionary from its values: one hash probe per row finds the
+// distinct values, only those are sorted, and a per-id rank turns each
+// row's id into its code.
+void BuildDictionary(Column& col) {
+  const std::vector<double>& values = col.values;
+  ValueIds ids;
+  std::vector<double> distinct;  // indexed by id.
+  std::vector<uint32_t> row_ids(values.size());
+  for (size_t r = 0; r < values.size(); ++r) {
+    const double v = values[r];
+    if (std::isnan(v)) {
+      row_ids[r] = kNoId;
+      continue;
+    }
+    row_ids[r] = ids.Intern(CanonicalBits(v));
+    if (row_ids[r] == distinct.size()) distinct.push_back(v == 0.0 ? 0.0 : v);
+  }
+  ARECEL_CHECK_MSG(values.empty() || !distinct.empty(),
+                   "column must have at least one non-NaN value");
+
+  std::vector<uint32_t> order(distinct.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return distinct[a] < distinct[b];
+  });
+  std::vector<uint32_t> code_of_id(distinct.size());
+  col.domain.resize(distinct.size());
+  for (size_t code = 0; code < order.size(); ++code) {
+    col.domain[code] = distinct[order[code]];
+    code_of_id[order[code]] = static_cast<uint32_t>(code);
+  }
+
+  const uint32_t nan_code = col.nan_code();
+  col.counts.assign(col.domain.size(), 0);
+  WithCodes(col, col.domain.size(), [&](auto& codes) {
+    codes.resize(values.size());
+    for (size_t r = 0; r < values.size(); ++r) {
+      const uint32_t code =
+          row_ids[r] == kNoId ? nan_code : code_of_id[row_ids[r]];
+      codes[r] = static_cast<CodeOf<decltype(codes)>>(code);
+      if (code != nan_code) ++col.counts[code];
+    }
+  });
+}
+
+// Appends src's rows to dst and merges src's domain into dst's. Both
+// domains are sorted, so one merge walk yields the grown domain and where
+// each old and each incoming code lands in it.
+void AppendColumn(Column& dst, const Column& src) {
+  const size_t old_rows = dst.values.size();
+  const size_t rows = old_rows + src.values.size();
+  const size_t old_size = dst.domain.size();
+  const size_t src_size = src.domain.size();
+  std::vector<double> merged;
+  merged.reserve(old_size + src_size);
+  std::vector<uint32_t> old_to_new(old_size + 1);
+  std::vector<uint32_t> src_to_new(src_size + 1);
+  for (size_t i = 0, j = 0; i < old_size || j < src_size;) {
+    const uint32_t code = static_cast<uint32_t>(merged.size());
+    if (j == src_size || (i < old_size && dst.domain[i] < src.domain[j])) {
+      old_to_new[i] = code;
+      merged.push_back(dst.domain[i++]);
+    } else {
+      if (i < old_size && !(src.domain[j] < dst.domain[i])) {
+        old_to_new[i++] = code;  // a value both domains hold.
+      }
+      src_to_new[j] = code;
+      merged.push_back(src.domain[j++]);
+    }
+  }
+  // The NaN sentinel moves to the merged size.
+  old_to_new[old_size] = src_to_new[src_size] =
+      static_cast<uint32_t>(merged.size());
+
+  std::vector<uint32_t> counts(merged.size(), 0);
+  for (size_t i = 0; i < old_size; ++i) counts[old_to_new[i]] += dst.counts[i];
+  for (size_t j = 0; j < src_size; ++j) counts[src_to_new[j]] += src.counts[j];
+
+  // When the domain grew, every old code shifts by the number of new values
+  // sorted below it: remap the stored codes, into the next wider vector when
+  // the grown domain no longer fits their width. Then encode the incoming
+  // rows through src's own codes.
+  const bool grew = merged.size() != old_size;
+  WithCodes(dst, old_size, [&](auto& from) {
+    WithCodes(dst, merged.size(), [&](auto& to) {
+      using Code = CodeOf<decltype(to)>;
+      to.reserve(rows);
+      to.resize(rows);
+      if (grew) {
+        for (size_t r = 0; r < old_rows; ++r) {
+          to[r] = static_cast<Code>(old_to_new[from[r]]);
+        }
+      }
+      for (size_t r = old_rows; r < rows; ++r) {
+        to[r] = static_cast<Code>(src_to_new[src.code(r - old_rows)]);
+      }
+      if (static_cast<const void*>(&from) != static_cast<const void*>(&to)) {
+        std::decay_t<decltype(from)>().swap(from);
+      }
+    });
+  });
+  dst.domain = std::move(merged);
+  dst.counts = std::move(counts);
+  dst.values.reserve(rows);
+  dst.values.insert(dst.values.end(), src.values.begin(), src.values.end());
+}
+
+}  // namespace
 
 int32_t Column::LowerBoundCode(double v) const {
   const auto it = std::lower_bound(domain.begin(), domain.end(), v);
@@ -30,46 +207,49 @@ void Table::AddColumn(std::string col_name, std::vector<double> values,
   col.name = std::move(col_name);
   col.categorical = categorical;
   col.values = std::move(values);
+  BuildDictionary(col);
   columns_.push_back(std::move(col));
 }
 
-void Table::Finalize() {
-  for (Column& col : columns_) {
-    // NaN would break std::sort's strict weak ordering, so it is excluded
-    // from the domain; NaN rows get code -1. (Generated datasets never
-    // contain NaN — this tolerance exists for the scan engine's NaN
-    // differential tests, where no predicate matches a NaN row.)
-    col.domain.clear();
-    col.domain.reserve(col.values.size());
-    for (double v : col.values) {
-      if (!std::isnan(v)) col.domain.push_back(v);
-    }
-    std::sort(col.domain.begin(), col.domain.end());
-    col.domain.erase(std::unique(col.domain.begin(), col.domain.end()),
-                     col.domain.end());
-    ARECEL_CHECK_MSG(!col.domain.empty(),
-                     "column must have at least one non-NaN value");
-    col.codes.resize(col.values.size());
-    for (size_t r = 0; r < col.values.size(); ++r) {
-      if (std::isnan(col.values[r])) {
-        col.codes[r] = -1;
-        continue;
-      }
-      const auto it = std::lower_bound(col.domain.begin(), col.domain.end(),
-                                       col.values[r]);
-      col.codes[r] = static_cast<int32_t>(it - col.domain.begin());
-    }
-  }
-}
-
 void Table::AppendRows(const Table& other) {
-  ARECEL_CHECK(other.num_cols() == num_cols());
+  ARECEL_CHECK(other.num_cols() == num_cols() && &other != this);
   for (size_t c = 0; c < columns_.size(); ++c) {
-    const auto& src = other.columns_[c].values;
-    auto& dst = columns_[c].values;
-    dst.insert(dst.end(), src.begin(), src.end());
+    AppendColumn(columns_[c], other.columns_[c]);
   }
   num_rows_ += other.num_rows_;
+}
+
+void Table::AppendSortedRows(const std::vector<int>& ranks) {
+  for (Column& col : columns_) {
+    // Rank k of the sorted column holds code c for ends[c - 1] <= k <
+    // ends[c]; ranks from ends.back() on hold its NaN rows.
+    std::vector<uint64_t> ends(col.counts.size());
+    uint64_t end = 0;
+    for (size_t c = 0; c < ends.size(); ++c) {
+      end += col.counts[c];
+      ends[c] = end;
+    }
+    const size_t rows = col.values.size() + ranks.size();
+    col.values.reserve(rows);
+    WithCodes(col, col.domain.size(), [&](auto& codes) {
+      codes.reserve(rows);
+      for (const int rank : ranks) {
+        ARECEL_CHECK(rank >= 0 && static_cast<size_t>(rank) < num_rows_);
+        const uint32_t code = static_cast<uint32_t>(
+            std::upper_bound(ends.begin(), ends.end(),
+                             static_cast<uint64_t>(rank)) -
+            ends.begin());
+        codes.push_back(static_cast<CodeOf<decltype(codes)>>(code));
+        if (code == col.nan_code()) {
+          col.values.push_back(std::numeric_limits<double>::quiet_NaN());
+        } else {
+          col.values.push_back(col.domain[code]);
+          ++col.counts[code];
+        }
+      }
+    });
+  }
+  num_rows_ += ranks.size();
 }
 
 Table Table::Head(size_t count) const {
@@ -82,7 +262,6 @@ Table Table::Head(size_t count) const {
                                           static_cast<long>(count)),
                   col.categorical);
   }
-  out.Finalize();
   return out;
 }
 
@@ -98,18 +277,6 @@ Table Table::SampleRows(size_t count, uint64_t seed) const {
       vals[i] = col.values[static_cast<size_t>(rows[i])];
     out.AddColumn(col.name, std::move(vals), col.categorical);
   }
-  out.Finalize();
-  return out;
-}
-
-Table Table::SortedColumnsCopy() const {
-  Table out(name_ + "_sorted");
-  for (const Column& col : columns_) {
-    std::vector<double> vals = col.values;
-    std::sort(vals.begin(), vals.end());
-    out.AddColumn(col.name, std::move(vals), col.categorical);
-  }
-  out.Finalize();
   return out;
 }
 

@@ -7,23 +7,39 @@
 
 namespace arecel {
 
-// One attribute of a relation, stored column-major.
+// One attribute of a relation, stored column-major, with its dictionary.
 //
-// Every value is a double drawn from a finite sorted `domain` (categorical
-// attributes hold integer codes). Alongside the raw values the column keeps
-// the dictionary code of each row (`codes[r]` = index of values[r] within
-// `domain`), which the discrete estimators (Naru, Bayes, MHIST bucketing)
-// consume directly.
+// Every value is a double (categorical attributes hold integer codes). The
+// dictionary is the sorted distinct non-NaN values (`domain`, -0.0 stored
+// as +0.0), each row's code (the index of its value in `domain`) and the
+// number of rows per code. NaN rows carry the sentinel code nan_code() ==
+// domain.size(), which no code range includes. Codes use the narrowest
+// width that holds the sentinel, so exactly one of codes8 / codes16 /
+// codes32 is filled; code(r) reads whichever it is. The scan engine, the
+// discrete estimators (Naru, DQM, Bayes) and the §5.1 update read these.
+//
+// A Table builds the dictionary in AddColumn and keeps it current on every
+// append, so a column reached through a Table is always consistent.
 struct Column {
   std::string name;
   bool categorical = false;
-  std::vector<double> values;   // length = table rows.
-  std::vector<double> domain;   // sorted distinct values; filled by Finalize.
-  std::vector<int32_t> codes;   // per-row index into domain; by Finalize.
+  std::vector<double> values;     // length = table rows.
+  std::vector<double> domain;     // sorted distinct non-NaN values.
+  std::vector<uint32_t> counts;   // rows per code; NaN rows count nowhere.
+  std::vector<uint8_t> codes8;    // per-row codes while domain.size() < 2^8,
+  std::vector<uint16_t> codes16;  // then while domain.size() < 2^16,
+  std::vector<uint32_t> codes32;  // else here.
 
   double min() const { return domain.front(); }
   double max() const { return domain.back(); }
   size_t domain_size() const { return domain.size(); }
+  uint32_t nan_code() const { return static_cast<uint32_t>(domain.size()); }
+
+  uint32_t code(size_t row) const {
+    if (!codes8.empty()) return codes8[row];
+    if (!codes16.empty()) return codes16[row];
+    return codes32[row];
+  }
 
   // Index of the first domain value >= v (domain_size() if none).
   int32_t LowerBoundCode(double v) const;
@@ -42,31 +58,32 @@ class Table {
   size_t num_cols() const { return columns_.size(); }
 
   const Column& column(size_t i) const { return columns_[i]; }
-  Column& mutable_column(size_t i) { return columns_[i]; }
   const std::vector<Column>& columns() const { return columns_; }
 
-  // Adds a column of raw values; all columns must have equal length.
+  // Adds a column of raw values and builds its dictionary. All columns
+  // must have equal length, and a non-empty column needs at least one
+  // non-NaN value.
   void AddColumn(std::string col_name, std::vector<double> values,
                  bool categorical);
 
-  // Rebuilds every column's domain and code vectors. Must be called after
-  // construction and after any AppendRows.
-  void Finalize();
-
-  // Appends the rows of `other` (same schema order) to this table. Call
-  // Finalize() afterwards.
+  // Appends the rows of `other` (same schema order). Values new to a
+  // column grow its domain: the stored codes are remapped, and widened when
+  // the grown domain no longer fits their width.
   void AppendRows(const Table& other);
+
+  // Appends, for each of `ranks`, the row at that rank of this table's
+  // sorted-columns copy: every column sorted ascending independently, NaN
+  // last — the paper's §5.1 construction that maximizes Spearman
+  // correlation between every pair of columns. The copy is never built;
+  // each rank is looked up in the column's code counts, so appended values
+  // are domain values and the domain does not change.
+  void AppendSortedRows(const std::vector<int>& ranks);
 
   // Returns a new table containing rows [0, count) of this table.
   Table Head(size_t count) const;
 
   // Returns a uniform random sample (without replacement) of `count` rows.
   Table SampleRows(size_t count, uint64_t seed) const;
-
-  // Returns a copy in which every column is sorted ascending independently —
-  // the paper's §5.1 construction that maximizes Spearman correlation
-  // between every pair of columns.
-  Table SortedColumnsCopy() const;
 
   // Total number of distinct-value combinations, as log10 (the paper's
   // "Domain" column in Table 3).

@@ -18,7 +18,6 @@ Schema WrapSingleTable(const Table& table) {
   for (const Column& col : table.columns()) {
     named.AddColumn(col.name, col.values, col.categorical);
   }
-  named.Finalize();
   schema.AddTable(std::move(named));
   return schema;
 }

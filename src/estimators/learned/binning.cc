@@ -35,8 +35,7 @@ std::vector<ColumnBinning> BuildColumnBinnings(const Table& table,
     }
     // Pack sorted distinct values greedily so each bin holds roughly
     // rows / max_vocab rows.
-    std::vector<size_t> value_counts(static_cast<size_t>(domain), 0);
-    for (int32_t code : col.codes) ++value_counts[static_cast<size_t>(code)];
+    const std::vector<uint32_t>& value_counts = col.counts;
     const double target = static_cast<double>(col.values.size()) /
                           static_cast<double>(max_vocab);
     size_t bin_rows = 0;
@@ -68,11 +67,14 @@ void EncodeRowsWithBinnings(const Table& table,
   for (size_t c = 0; c < n; ++c) {
     const Column& col = table.column(c);
     const ColumnBinning& binning = binnings[c];
-    std::vector<int32_t> code_to_bin(col.domain.size());
+    // One entry past the domain for the NaN code: NaN rows go to the last
+    // bin, as BinForValue(NaN) does (no bin_min compares above NaN).
+    std::vector<int32_t> code_to_bin(col.domain.size() + 1);
     for (size_t d = 0; d < col.domain.size(); ++d)
       code_to_bin[d] = binning.BinForValue(col.domain[d]);
+    code_to_bin.back() = binning.num_bins() - 1;
     for (size_t r = 0; r < rows; ++r)
-      (*codes)[r * n + c] = code_to_bin[static_cast<size_t>(col.codes[r])];
+      (*codes)[r * n + c] = code_to_bin[col.code(r)];
   }
 }
 

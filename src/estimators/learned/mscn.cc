@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "data/io.h"
 #include "ml/loss.h"
 #include "ml/set_pool.h"
 #include "util/check.h"
@@ -214,14 +215,7 @@ bool MscnEstimator::SerializeModel(ByteWriter* writer) const {
   writer->U64(options_.sample_size);
   writer->U32(options_.use_sample_bitmap ? 1u : 0u);
   writer->U64(trained_rows_);
-  writer->Str(sample_.name());
-  writer->U64(sample_.num_cols());
-  for (size_t c = 0; c < sample_.num_cols(); ++c) {
-    const Column& column = sample_.column(c);
-    writer->Str(column.name);
-    writer->U32(column.categorical ? 1u : 0u);
-    writer->Doubles(column.values);
-  }
+  WriteTable(sample_, writer);
   SerializeMlp(*pred_mlp_, writer);
   SerializeMlp(*sample_mlp_, writer);
   SerializeMlp(*out_mlp_, writer);
@@ -250,31 +244,8 @@ bool MscnEstimator::DeserializeModel(ByteReader* reader) {
     }
   }
 
-  std::string sample_name;
-  uint64_t sample_cols = 0;
-  if (!reader->Str(&sample_name) || !reader->U64(&sample_cols) ||
-      sample_cols != cols) {
-    return false;
-  }
-  Table sample(sample_name);
-  size_t sample_rows = 0;
-  for (uint64_t c = 0; c < sample_cols; ++c) {
-    std::string col_name;
-    uint32_t categorical = 0;
-    std::vector<double> values;
-    if (!reader->Str(&col_name) || !reader->U32(&categorical) ||
-        !reader->Doubles(&values)) {
-      return false;
-    }
-    if (c == 0) {
-      sample_rows = values.size();
-    } else if (values.size() != sample_rows) {
-      return false;  // ragged sample columns: corrupt stream.
-    }
-    sample.AddColumn(std::move(col_name), std::move(values),
-                     categorical != 0);
-  }
-  sample.Finalize();
+  Table sample;
+  if (!ReadTable(reader, &sample) || sample.num_cols() != cols) return false;
 
   std::unique_ptr<Mlp> pred_mlp, sample_mlp, out_mlp;
   if (!DeserializeMlp(reader, &pred_mlp) ||

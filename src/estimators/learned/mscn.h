@@ -52,8 +52,8 @@ class MscnEstimator : public CardinalityEstimator {
 
   double final_loss() const { return final_loss_; }
 
-  // Model persistence: column ranges, the materialized sample (raw column
-  // values; domains/codes are rebuilt by Table::Finalize), and the three
+  // Model persistence: column ranges, the materialized sample (WriteTable's
+  // raw column values; ReadTable rebuilds the dictionaries), and the three
   // module MLPs. Adam moments are not saved; an Update() after a load
   // restarts them from zero.
   bool SerializeModel(ByteWriter* writer) const override;

@@ -59,7 +59,8 @@ void BayesEstimator::Train(const Table& table, const TrainContext& context) {
     const Column& col = table.column(c);
     const int domain = static_cast<int>(col.domain.size());
     ColumnBins& cb = bins_[c];
-    std::vector<int> code_to_bin(static_cast<size_t>(domain));
+    // One entry past the domain for the NaN code, whose rows share bin 0.
+    std::vector<int> code_to_bin(static_cast<size_t>(domain) + 1);
     if (domain <= options_.max_bins) {
       cb.bin_min = col.domain;
       cb.bin_max = col.domain;
@@ -67,8 +68,8 @@ void BayesEstimator::Train(const Table& table, const TrainContext& context) {
       for (int v = 0; v < domain; ++v) code_to_bin[static_cast<size_t>(v)] = v;
     } else {
       // Greedy equal-mass packing of sorted distinct values.
-      std::vector<size_t> counts(static_cast<size_t>(domain), 0);
-      for (uint32_t r : rows) ++counts[static_cast<size_t>(col.codes[r])];
+      std::vector<size_t> counts(static_cast<size_t>(domain) + 1, 0);
+      for (uint32_t r : rows) ++counts[col.code(r)];
       const double target =
           static_cast<double>(m) / static_cast<double>(options_.max_bins);
       size_t bin_rows = 0;
@@ -95,7 +96,7 @@ void BayesEstimator::Train(const Table& table, const TrainContext& context) {
       }
     }
     for (size_t i = 0; i < m; ++i)
-      row_bins[c][i] = code_to_bin[static_cast<size_t>(col.codes[rows[i]])];
+      row_bins[c][i] = code_to_bin[col.code(rows[i])];
   }
 
   // --- Pairwise mutual information; Chow-Liu = max spanning tree. ---

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "data/io.h"
 #include "scan/block_scan.h"
 
 namespace arecel {
@@ -33,35 +34,14 @@ double SamplingEstimator::EstimateSelectivity(const Query& query) const {
 }
 
 bool SamplingEstimator::SerializeModel(ByteWriter* writer) const {
-  writer->Str(sample_.name());
-  writer->U64(sample_.num_cols());
-  for (size_t c = 0; c < sample_.num_cols(); ++c) {
-    const Column& col = sample_.column(c);
-    writer->Str(col.name);
-    writer->U32(col.categorical ? 1 : 0);
-    writer->Doubles(col.values);
-  }
+  WriteTable(sample_, writer);
   return true;
 }
 
 bool SamplingEstimator::DeserializeModel(ByteReader* reader) {
-  std::string name;
-  uint64_t cols = 0;
-  if (!reader->Str(&name) || !reader->U64(&cols) || cols > 4096) return false;
-  Table loaded(name);
-  for (uint64_t c = 0; c < cols; ++c) {
-    std::string col_name;
-    uint32_t categorical = 0;
-    std::vector<double> values;
-    if (!reader->Str(&col_name) || !reader->U32(&categorical) ||
-        !reader->Doubles(&values)) {
-      return false;
-    }
-    loaded.AddColumn(std::move(col_name), std::move(values),
-                     categorical != 0);
-  }
-  loaded.Finalize();
-  sample_ = std::move(loaded);
+  // The payload is the sample alone; bytes left over mean a corrupt column
+  // count, which would let a query name a column the sample lacks.
+  if (!ReadTable(reader, &sample_) || !reader->AtEnd()) return false;
   RebuildScanner();
   return true;
 }

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <unordered_set>
 
 #include "scan/block_scan.h"
 #include "util/check.h"
+#include "util/hash.h"
 #include "util/thread_pool.h"
 
 namespace arecel::join {
@@ -117,20 +117,6 @@ StarPlan BuildStarPlan(const Schema& schema, const JoinQuery& query) {
 // ---------------------------------------------------------------------------
 // Open-addressing key -> multiplicity table over double join keys.
 
-uint64_t KeyBits(double v) {
-  if (v == 0.0) v = 0.0;  // collapse -0.0 onto +0.0, matching operator==.
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-uint64_t MixBits(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 class KeyCountTable {
  public:
   explicit KeyCountTable(size_t expected) {
@@ -143,8 +129,8 @@ class KeyCountTable {
 
   void Add(double v) {
     if (std::isnan(v)) return;  // NaN joins with nothing.
-    const uint64_t bits = KeyBits(v);
-    size_t slot = MixBits(bits) & mask_;
+    const uint64_t bits = CanonicalBits(v);
+    size_t slot = SplitMix64(bits) & mask_;
     while (counts_[slot] != 0 && keys_[slot] != bits) {
       slot = (slot + 1) & mask_;
     }
@@ -155,8 +141,8 @@ class KeyCountTable {
 
   size_t Lookup(double v) const {
     if (std::isnan(v)) return 0;
-    const uint64_t bits = KeyBits(v);
-    size_t slot = MixBits(bits) & mask_;
+    const uint64_t bits = CanonicalBits(v);
+    size_t slot = SplitMix64(bits) & mask_;
     while (counts_[slot] != 0) {
       if (keys_[slot] == bits) return counts_[slot];
       slot = (slot + 1) & mask_;
@@ -267,7 +253,7 @@ JoinExecutor::JoinExecutor(const Schema& schema, JoinExecOptions options)
   ARECEL_CHECK(options_.block_size > 0);
   synopses_.reserve(schema.num_tables());
   for (const Table& t : schema.tables()) {
-    synopses_.emplace_back(t, options_.block_size);
+    synopses_.emplace_back(t, scan::SynopsisOptions{options_.block_size});
   }
 }
 

@@ -11,16 +11,6 @@ namespace arecel::scan {
 
 namespace {
 
-// Fraction of the column's distinct values covered by [lo, hi]: the
-// ordering fallback when no synopsis is available (the one-shot path).
-double DomainFraction(const Column& col, const Predicate& p) {
-  const int32_t lo_code = col.LowerBoundCode(p.lo);
-  const int32_t hi_code = col.UpperBoundCode(p.hi);
-  const int32_t covered = std::max<int32_t>(0, hi_code - lo_code + 1);
-  return static_cast<double>(covered) /
-         static_cast<double>(col.domain_size());
-}
-
 uint32_t CheckedRowCount(const Table& table) {
   ARECEL_CHECK_MSG(
       table.num_rows() <= std::numeric_limits<uint32_t>::max(),
@@ -185,7 +175,13 @@ size_t CountCodes(const uint16_t* codes, uint32_t begin, uint32_t end,
 ScanPlan::ScanPlan(const Table& table, const TableSynopsis* synopsis,
                    const std::vector<Predicate>& predicates)
     : synopsis_(synopsis) {
-  std::vector<std::pair<double, size_t>> order;
+  struct Lowered {
+    double fraction;
+    size_t index;
+    int32_t code_lo;
+    int32_t code_hi;
+  };
+  std::vector<Lowered> order;
   order.reserve(predicates.size());
   for (size_t i = 0; i < predicates.size(); ++i) {
     const Predicate& p = predicates[i];
@@ -194,37 +190,44 @@ ScanPlan::ScanPlan(const Table& table, const TableSynopsis* synopsis,
       return;
     }
     const size_t col = static_cast<size_t>(p.column);
+    const Column& column = table.column(col);
+    const int32_t code_lo = column.LowerBoundCode(p.lo);
+    const int32_t code_hi = column.UpperBoundCode(p.hi);
+    if (code_lo > code_hi) {
+      // The interval contains no domain value: nothing anywhere in the
+      // table can match this predicate.
+      satisfiable_ = false;
+      return;
+    }
     const double fraction =
-        synopsis != nullptr && synopsis->rich()
-            ? synopsis->EstimateFraction(col, p.lo, p.hi)
-            : DomainFraction(table.column(col), p);
-    order.emplace_back(fraction, i);
+        synopsis != nullptr && synopsis->HasDictionary(col)
+            ? synopsis->DictFraction(col, static_cast<uint32_t>(code_lo),
+                                     static_cast<uint32_t>(code_hi))
+            : static_cast<double>(code_hi - code_lo + 1) /
+                  static_cast<double>(column.domain_size());
+    order.push_back({fraction, i, code_lo, code_hi});
   }
-  std::stable_sort(
-      order.begin(), order.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::stable_sort(order.begin(), order.end(),
+                   [](const Lowered& a, const Lowered& b) {
+                     return a.fraction < b.fraction;
+                   });
 
   preds_.reserve(predicates.size());
-  for (const auto& [fraction, i] : order) {
-    const Predicate& p = predicates[i];
+  for (const Lowered& lowered : order) {
+    const Predicate& p = predicates[lowered.index];
     const size_t col = static_cast<size_t>(p.column);
+    const Column& column = table.column(col);
     Pred pred;
-    pred.values = table.column(col).values.data();
+    pred.values = column.values.data();
     pred.lo = p.lo;
     pred.hi = p.hi;
     pred.column = p.column;
     if (synopsis != nullptr && synopsis->HasDictionary(col)) {
-      const CodeRange range = synopsis->ToCodeRange(col, p.lo, p.hi);
-      if (range.empty) {
-        // The interval contains no dictionary value: nothing anywhere in
-        // the table can match this predicate.
-        satisfiable_ = false;
-        return;
-      }
-      pred.codes8 = synopsis->Codes8(col);
-      pred.codes16 = synopsis->Codes16(col);
-      pred.code_lo = range.lo;
-      pred.code_hi = range.hi;
+      // Within the code budget the codes are u8 or u16.
+      if (!column.codes8.empty()) pred.codes8 = column.codes8.data();
+      if (!column.codes16.empty()) pred.codes16 = column.codes16.data();
+      pred.code_lo = static_cast<uint32_t>(lowered.code_lo);
+      pred.code_hi = static_cast<uint32_t>(lowered.code_hi);
     }
     preds_.push_back(pred);
   }
@@ -240,11 +243,7 @@ BlockDecision ScanPlan::Classify(size_t block, ScanStats* stats) const {
       return BlockDecision::kSkip;
     }
     if (p.codes8 != nullptr || p.codes16 != nullptr) {
-      CodeRange range;
-      range.lo = p.code_lo;
-      range.hi = p.code_hi;
-      range.empty = false;
-      if (!synopsis_->BitmapCanMatch(block, col, range)) {
+      if (!synopsis_->BitmapCanMatch(block, col, p.code_lo, p.code_hi)) {
         if (stats != nullptr) ++stats->bitmap_skips;
         return BlockDecision::kSkip;
       }
@@ -358,14 +357,9 @@ size_t ScanPlan::FilterBlock(size_t block, uint32_t begin, uint32_t end,
   return Evaluate(block, begin, end, sel, stats, /*count_only=*/false);
 }
 
-BlockScanner::BlockScanner(const Table& table, ScanOptions options)
-    : table_(&table), options_(options), synopsis_(table, [&options] {
-        SynopsisOptions so;
-        so.block_size = options.block_size;
-        so.rich = options.rich_synopsis;
-        so.max_dict_codes = options.max_dict_codes;
-        return so;
-      }()) {
+BlockScanner::BlockScanner(const Table& table,
+                           const SynopsisOptions& options)
+    : table_(&table), synopsis_(table, options) {
   CheckedRowCount(table);
 }
 
@@ -376,13 +370,14 @@ size_t BlockScanner::Count(const Query& query) const {
   const ScanPlan plan(*table_, &synopsis_, query.predicates);
   if (!plan.satisfiable()) return 0;
   if (plan.unconstrained()) return rows;
-  std::vector<uint32_t> sel(options_.block_size);
+  const size_t block_size = synopsis_.block_size();
+  std::vector<uint32_t> sel(block_size);
   ScanStats local;
   size_t total = 0;
   for (size_t b = 0; b < synopsis_.num_blocks(); ++b) {
-    const uint32_t lo = static_cast<uint32_t>(b * options_.block_size);
+    const uint32_t lo = static_cast<uint32_t>(b * block_size);
     const uint32_t hi = static_cast<uint32_t>(
-        std::min<size_t>(rows, (b + 1) * options_.block_size));
+        std::min<size_t>(rows, (b + 1) * block_size));
     switch (plan.Classify(b, &local)) {
       case BlockDecision::kSkip:
         break;
@@ -422,16 +417,17 @@ std::vector<size_t> BlockScanner::CountBatch(
   // chunk instead of once per query. Each worker accumulates into private
   // counters and merges once; integer sums over disjoint block ranges make
   // the merged result independent of the partitioning.
+  const size_t block_size = synopsis_.block_size();
   std::mutex merge_mutex;
   ParallelForChunked(0, synopsis_.num_blocks(), [&](size_t chunk_begin,
                                                     size_t chunk_end) {
     std::vector<size_t> local(plans.size(), 0);
-    std::vector<uint32_t> sel(options_.block_size);
+    std::vector<uint32_t> sel(block_size);
     ScanStats local_stats;
     for (size_t b = chunk_begin; b < chunk_end; ++b) {
-      const uint32_t lo = static_cast<uint32_t>(b * options_.block_size);
+      const uint32_t lo = static_cast<uint32_t>(b * block_size);
       const uint32_t hi = static_cast<uint32_t>(
-          std::min<size_t>(rows, (b + 1) * options_.block_size));
+          std::min<size_t>(rows, (b + 1) * block_size));
       for (size_t qi = 0; qi < plans.size(); ++qi) {
         const ScanPlan& plan = plans[qi];
         if (!plan.satisfiable()) continue;

@@ -18,35 +18,27 @@ namespace arecel::scan {
 //  1. zone maps (TableSynopsis): a predicate skips every block whose
 //     [min, max] envelope misses its interval, and counts wholesale every
 //     NaN-free block whose envelope it contains;
-//  2. dictionary bitmaps: on a dictionary-coded column the predicate maps
-//     to an inclusive code range once per query; a block is skipped unless
-//     its presence bitmap has a set bit in that range — equality
-//     predicates on categorical columns prune here even when every
-//     envelope overlaps. Non-dictionary columns get the same treatment
-//     from per-block mini-histograms (skip when every overlapping bucket
-//     is empty);
+//  2. dictionary bitmaps: the predicate maps to an inclusive range of the
+//     table's dictionary codes once per query; on a column within the
+//     synopsis' code budget a block is skipped unless its presence bitmap
+//     has a set bit in that range — equality predicates on categorical
+//     columns prune here even when every envelope overlaps. Columns past
+//     the budget get the same treatment from per-block mini-histograms
+//     (skip when every overlapping bucket is empty);
 //  3. selection vectors: surviving blocks are evaluated one *column* at a
 //     time, most-selective predicate first (ordered by synopsis-estimated
 //     selectivity), compacting a dense row-id vector instead of re-testing
 //     every predicate per row;
 //  4. branch-free kernels: data-independent interval passes over the
-//     contiguous column block — over the u8/u16 code array when the column
-//     is dictionary-coded (a fraction of the double array's bandwidth),
-//     over the doubles otherwise.
+//     contiguous column block — over the table's u8/u16 code array when
+//     the column is within the code budget (a fraction of the double
+//     array's bandwidth), over the doubles otherwise.
 //
 // All counts are exact integers: results are bit-identical to the naive
 // reference executor (ExecuteCountNaive) by construction, which
 // tests/scan_engine_test.cc and tests/scan_synopsis_test.cc enforce
 // differentially. Interval semantics are Predicate::Matches (inclusive
 // bounds, NaN never matches, -0.0 == +0.0).
-
-struct ScanOptions {
-  size_t block_size = kDefaultBlockSize;
-  // When false the synopsis keeps min/max zone maps only — the
-  // pre-dictionary engine, used as the bench baseline arm.
-  bool rich_synopsis = true;
-  size_t max_dict_codes = kDefaultMaxDictCodes;
-};
 
 // Pruning / kernel counters, accumulated per scan. Plain integers: workers
 // keep a local copy and merge once into a ScanStatsCollector.
@@ -117,7 +109,9 @@ enum class BlockDecision { kSkip, kEvaluate, kFullMatch };
 
 // One query's predicates compiled against one table: column pointers
 // resolved, dictionary predicates lowered to code ranges, and the whole
-// list ordered most-selective-first. Shared by BlockScanner and the join
+// list ordered most-selective-first: exactly, from the synopsis' code-count
+// prefix, on columns within the code budget, else by the fraction of the
+// domain the interval covers. Shared by BlockScanner and the join
 // executor's probe/build cascades. `synopsis` may be null (the one-shot
 // CountMatches path): classification is then unavailable and evaluation
 // uses the double kernels only.
@@ -131,7 +125,7 @@ class ScanPlan {
            const std::vector<Predicate>& predicates);
 
   // False when no row anywhere can match (an inverted interval, or an
-  // interval containing no dictionary value of its column).
+  // interval containing no domain value of its column).
   bool satisfiable() const { return satisfiable_; }
   // True when the predicate list is empty: every row matches.
   bool unconstrained() const { return preds_.empty(); }
@@ -154,7 +148,7 @@ class ScanPlan {
     double lo = 0.0;
     double hi = 0.0;
     int column = 0;
-    // Dictionary lowering (null when the column has no dictionary).
+    // The table's codes, when the synopsis keeps bitmaps for the column.
     const uint8_t* codes8 = nullptr;
     const uint16_t* codes16 = nullptr;
     uint32_t code_lo = 0;
@@ -170,14 +164,15 @@ class ScanPlan {
 };
 
 // Scan engine bound to one table. Builds the synopsis once; queries then
-// share it. After the table grows (AppendRows + Finalize), call Refresh()
-// to extend the synopsis incrementally — Count/CountBatch abort if the
-// table grew without a Refresh (the dictionary code arrays would be
-// stale). The table must outlive the scanner and must not shrink or change
-// schema between Refresh() calls.
+// share it. After the table grows (AppendRows), call Refresh() to extend
+// the synopsis incrementally — Count/CountBatch abort if the table grew
+// without a Refresh (the zone maps and bitmaps would be stale). The table
+// must outlive the scanner and must not shrink or change schema between
+// Refresh() calls.
 class BlockScanner {
  public:
-  explicit BlockScanner(const Table& table, ScanOptions options = {});
+  explicit BlockScanner(const Table& table,
+                        const SynopsisOptions& options = {});
 
   // Re-syncs the synopsis after rows were appended to the table.
   void Refresh() { synopsis_.ExtendTo(*table_); }
@@ -201,7 +196,6 @@ class BlockScanner {
 
  private:
   const Table* table_;
-  ScanOptions options_;
   TableSynopsis synopsis_;
   mutable ScanStatsCollector stats_;
 };

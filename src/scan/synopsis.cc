@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "util/check.h"
@@ -12,104 +11,31 @@ namespace arecel::scan {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-constexpr size_t kDistinctCap = 256;  // per-block distinct-count saturation.
-
-// Canonical bit pattern for dictionary identity: -0.0 collapses onto +0.0
-// (operator== treats them as equal, so Predicate::Matches cannot tell them
-// apart and neither may the dictionary). NaN is handled before this.
-uint64_t CanonicalBits(double v) {
-  if (v == 0.0) v = 0.0;
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-// Transient open-addressing map from canonical value bits to a dictionary
-// code. Empty slots are marked by code -1 (every real code is >= 0), so the
-// all-zero key (+0.0) needs no special casing.
-class CodeMap {
- public:
-  explicit CodeMap(size_t expected_entries) {
-    size_t cap = 16;
-    while (cap < 2 * expected_entries + 2) cap <<= 1;
-    keys_.assign(cap, 0);
-    codes_.assign(cap, -1);
-    mask_ = cap - 1;
-  }
-
-  // Inserts bits -> code unless present; returns true when newly inserted.
-  bool Insert(uint64_t bits, int32_t code) {
-    size_t slot = Mix(bits) & mask_;
-    while (codes_[slot] >= 0) {
-      if (keys_[slot] == bits) return false;
-      slot = (slot + 1) & mask_;
-    }
-    keys_[slot] = bits;
-    codes_[slot] = code;
-    ++size_;
-    return true;
-  }
-
-  int32_t Find(uint64_t bits) const {
-    size_t slot = Mix(bits) & mask_;
-    while (codes_[slot] >= 0) {
-      if (keys_[slot] == bits) return codes_[slot];
-      slot = (slot + 1) & mask_;
-    }
-    return -1;
-  }
-
-  size_t size() const { return size_; }
-
- private:
-  static uint64_t Mix(uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
-
-  std::vector<uint64_t> keys_;
-  std::vector<int32_t> codes_;
-  size_t mask_ = 0;
-  size_t size_ = 0;
-};
 
 template <typename T>
 size_t VectorBytes(const std::vector<T>& v) {
   return v.size() * sizeof(T);
 }
 
-size_t Popcount64(uint64_t x) {
-#if defined(__GNUC__) || defined(__clang__)
-  return static_cast<size_t>(__builtin_popcountll(x));
-#else
-  size_t n = 0;
-  while (x != 0) {
-    x &= x - 1;
-    ++n;
+// Sets the bit of every non-NaN code among codes[lo, hi).
+template <typename Code>
+void SetPresenceBits(const Code* codes, size_t lo, size_t hi,
+                     uint32_t nan_code, uint64_t* words) {
+  for (size_t r = lo; r < hi; ++r) {
+    const uint32_t code = codes[r];
+    if (code == nan_code) continue;  // NaN row: present in no code.
+    words[code >> 6] |= 1ull << (code & 63);
   }
-  return n;
-#endif
 }
 
 }  // namespace
-
-TableSynopsis::TableSynopsis(const Table& table, size_t block_size)
-    : TableSynopsis(table, [block_size] {
-        SynopsisOptions o;
-        o.block_size = block_size;
-        return o;
-      }()) {}
 
 TableSynopsis::TableSynopsis(const Table& table,
                              const SynopsisOptions& options)
     : options_(options) {
   ARECEL_CHECK_MSG(options_.block_size > 0, "block size must be positive");
-  ARECEL_CHECK_MSG(options_.histogram_buckets > 0,
-                   "histogram bucket count must be positive");
   ARECEL_CHECK_MSG(options_.max_dict_codes <= 65535,
-                   "dictionary codes must fit 16-bit storage");
+                   "bitmap columns must have u8/u16 codes");
   Build(table);
 }
 
@@ -120,16 +46,9 @@ void TableSynopsis::Build(const Table& table) {
   mins_.assign(cols, {});
   maxs_.assign(cols, {});
   has_nan_.assign(cols, {});
-  col_min_.assign(cols, kInf);
-  col_max_.assign(cols, -kInf);
   dicts_.assign(cols, {});
   minis_.assign(cols, {});
   BuildBlocks(table, 0);
-  if (!options_.rich) return;
-  for (size_t c = 0; c < cols; ++c) {
-    BuildDictionary(table, c);
-    if (!dicts_[c].active) BuildMiniBlocks(table, c, 0);
-  }
 }
 
 void TableSynopsis::ExtendTo(const Table& table) {
@@ -142,19 +61,10 @@ void TableSynopsis::ExtendTo(const Table& table) {
   // The append only dirtied the last previously-covered block (it may have
   // been partial) and created blocks after it; everything before is
   // immutable under the AppendRows contract.
-  const size_t old_rows = rows_;
-  const size_t first_block = old_rows / options_.block_size;
+  const size_t first_block = rows_ / options_.block_size;
   rows_ = table.num_rows();
   num_blocks_ = (rows_ + options_.block_size - 1) / options_.block_size;
   BuildBlocks(table, first_block);
-  if (!options_.rich) return;
-  for (size_t c = 0; c < table.num_cols(); ++c) {
-    if (dicts_[c].active) {
-      ExtendDictionary(table, c, old_rows, first_block);
-    } else {
-      BuildMiniBlocks(table, c, first_block);
-    }
-  }
 }
 
 void TableSynopsis::BuildBlocks(const Table& table, size_t first_block) {
@@ -184,260 +94,90 @@ void TableSynopsis::BuildBlocks(const Table& table, size_t first_block) {
       mins_[c][b] = block_min;
       maxs_[c][b] = block_max;
       has_nan_[c][b] = block_nan ? 1 : 0;
-      col_min_[c] = std::min(col_min_[c], block_min);
-      col_max_[c] = std::max(col_max_[c], block_max);
     }
+    if (options_.rich) BuildColumn(table.column(c), c, first_block);
   }
 }
 
-void TableSynopsis::BuildMiniBlocks(const Table& table, size_t col,
-                                    size_t first_block) {
-  MiniColumn& m = minis_[col];
-  const size_t buckets = options_.histogram_buckets;
-  const double* values = table.column(col).values.data();
-  m.histogram.resize(num_blocks_ * buckets);
-  m.distinct.resize(num_blocks_);
-  for (size_t b = first_block; b < num_blocks_; ++b) {
-    const size_t lo = b * options_.block_size;
-    const size_t hi = std::min(rows_, lo + options_.block_size);
-    uint32_t* hist = m.histogram.data() + b * buckets;
-    std::fill(hist, hist + buckets, 0u);
-    const double bmin = mins_[col][b];
-    const double bmax = maxs_[col][b];
-    const double width =
-        bmax > bmin ? (bmax - bmin) / static_cast<double>(buckets) : 0.0;
-    CodeMap probe(kDistinctCap);
-    size_t distinct = 0;
-    for (size_t r = lo; r < hi; ++r) {
-      const double v = values[r];
-      if (std::isnan(v)) continue;  // counted in no bucket: never matches.
-      size_t idx = 0;
-      if (width > 0.0) {
-        idx = std::min(buckets - 1,
-                       static_cast<size_t>((v - bmin) / width));
-      }
-      ++hist[idx];
-      if (distinct < kDistinctCap && probe.Insert(CanonicalBits(v), 0)) {
-        ++distinct;
-      }
-    }
-    m.distinct[b] = static_cast<uint16_t>(distinct);
-  }
-}
-
-void TableSynopsis::BuildDictionary(const Table& table, size_t col) {
+void TableSynopsis::BuildColumn(const Column& column, size_t col,
+                                size_t first_block) {
   DictColumn& d = dicts_[col];
-  d = DictColumn{};
-  const double* values = table.column(col).values.data();
-
-  // Pass 1: distinct detection with an early bail past the code budget.
-  CodeMap probe(options_.max_dict_codes);
-  std::vector<double> distinct;
-  distinct.reserve(std::min(rows_, options_.max_dict_codes + 1));
-  for (size_t r = 0; r < rows_; ++r) {
-    const double v = values[r];
-    if (std::isnan(v)) continue;
-    const double canon = v == 0.0 ? 0.0 : v;
-    if (probe.Insert(CanonicalBits(canon), 0)) {
-      distinct.push_back(canon);
-      if (distinct.size() > options_.max_dict_codes) return;  // too wide.
+  if (column.domain_size() > options_.max_dict_codes) {
+    if (d.active) {
+      // The append pushed the column past the code budget: demote it to
+      // the mini-histogram layer. Appends only ever grow a domain, so it
+      // stays there.
+      d = DictColumn{};
+      first_block = 0;
     }
+    BuildMiniBlocks(column, col, first_block);
+    return;
   }
-  if (distinct.empty()) return;  // all-NaN column: nothing to code.
-
-  std::sort(distinct.begin(), distinct.end());
-  d.dict = std::move(distinct);
-  d.wide = d.dict.size() > 255;  // the NaN sentinel must fit the width too.
-  d.words_per_block = (d.dict.size() + 63) / 64;
-  d.code_counts.assign(d.dict.size(), 0);
-
-  // Pass 2: O(1) per-row encoding through a bits -> code map.
-  CodeMap encode(d.dict.size());
-  for (size_t i = 0; i < d.dict.size(); ++i) {
-    encode.Insert(CanonicalBits(d.dict[i]), static_cast<int32_t>(i));
-  }
-  const uint32_t sentinel = static_cast<uint32_t>(d.dict.size());
-  if (d.wide) {
-    d.codes16.resize(rows_);
-  } else {
-    d.codes8.resize(rows_);
-  }
-  for (size_t r = 0; r < rows_; ++r) {
-    const double v = values[r];
-    uint32_t code = sentinel;
-    if (!std::isnan(v)) {
-      code = static_cast<uint32_t>(encode.Find(CanonicalBits(v)));
-      ++d.code_counts[code];
-    }
-    if (d.wide) {
-      d.codes16[r] = static_cast<uint16_t>(code);
-    } else {
-      d.codes8[r] = static_cast<uint8_t>(code);
-    }
-  }
+  // A grown domain moved the codes: every bitmap is stale.
+  if (column.domain_size() != d.domain_size) first_block = 0;
   d.active = true;
-  RebuildPrefix(d);
-  RebuildBitmaps(d, 0);
+  d.domain_size = column.domain_size();
+  d.words_per_block = (d.domain_size + 63) / 64;
+  d.code_prefix.assign(d.domain_size + 1, 0);
+  for (size_t i = 0; i < d.domain_size; ++i) {
+    d.code_prefix[i + 1] = d.code_prefix[i] + column.counts[i];
+  }
+  BuildBitmaps(column, d, first_block);
 }
 
-void TableSynopsis::RebuildPrefix(DictColumn& d) {
-  d.code_prefix.assign(d.dict.size() + 1, 0);
-  for (size_t i = 0; i < d.dict.size(); ++i) {
-    d.code_prefix[i + 1] = d.code_prefix[i] + d.code_counts[i];
-  }
-}
-
-void TableSynopsis::EncodeRows(DictColumn& d, const double* values,
-                               size_t begin, size_t end) {
-  const uint32_t sentinel = static_cast<uint32_t>(d.dict.size());
-  if (d.wide) {
-    d.codes16.resize(end);
-  } else {
-    d.codes8.resize(end);
-  }
-  for (size_t r = begin; r < end; ++r) {
-    const double v = values[r];
-    uint32_t code = sentinel;
-    if (!std::isnan(v)) {
-      const auto it = std::lower_bound(d.dict.begin(), d.dict.end(), v);
-      ARECEL_CHECK_MSG(it != d.dict.end() && *it == v,
-                       "appended value missing from dictionary");
-      code = static_cast<uint32_t>(it - d.dict.begin());
-      ++d.code_counts[code];
-    }
-    if (d.wide) {
-      d.codes16[r] = static_cast<uint16_t>(code);
-    } else {
-      d.codes8[r] = static_cast<uint8_t>(code);
-    }
-  }
-}
-
-void TableSynopsis::ExtendDictionary(const Table& table, size_t col,
-                                     size_t old_rows, size_t first_block) {
-  DictColumn& d = dicts_[col];
-  const double* values = table.column(col).values.data();
-
-  // Which appended values are new to the dictionary?
-  std::vector<double> fresh;
-  for (size_t r = old_rows; r < rows_; ++r) {
-    const double v = values[r];
-    if (std::isnan(v)) continue;
-    if (!std::binary_search(d.dict.begin(), d.dict.end(), v)) {
-      fresh.push_back(v == 0.0 ? 0.0 : v);
-    }
-  }
-
-  if (fresh.empty()) {
-    EncodeRows(d, values, old_rows, rows_);
-    RebuildPrefix(d);
-    RebuildBitmaps(d, first_block);
-    return;
-  }
-
-  std::sort(fresh.begin(), fresh.end());
-  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-  std::vector<double> merged(d.dict.size() + fresh.size());
-  std::merge(d.dict.begin(), d.dict.end(), fresh.begin(), fresh.end(),
-             merged.begin());
-
-  if (merged.size() > options_.max_dict_codes) {
-    // The column outgrew the code budget mid-append: demote it to the
-    // mini-histogram layer. Sticky until the next full rebuild — appends
-    // only ever add distinct values.
-    d = DictColumn{};
-    d.demoted = true;
-    BuildMiniBlocks(table, col, 0);
-    return;
-  }
-
-  // Grow: every old code shifts by the number of fresh values sorted below
-  // it, and the NaN sentinel moves from old_size to merged size. Remap the
-  // existing code array in place (widening u8 -> u16 when the grown
-  // dictionary no longer fits), then encode the appended rows.
-  const size_t old_size = d.dict.size();
-  const uint32_t old_sentinel = static_cast<uint32_t>(old_size);
-  const uint32_t new_sentinel = static_cast<uint32_t>(merged.size());
-  std::vector<uint32_t> remap(old_size + 1);
-  for (size_t i = 0; i < old_size; ++i) {
-    remap[i] = static_cast<uint32_t>(
-        std::lower_bound(merged.begin(), merged.end(), d.dict[i]) -
-        merged.begin());
-  }
-  remap[old_sentinel] = new_sentinel;
-
-  std::vector<uint32_t> counts(merged.size(), 0);
-  for (size_t i = 0; i < old_size; ++i) counts[remap[i]] = d.code_counts[i];
-  d.code_counts = std::move(counts);
-
-  const bool widen = !d.wide && merged.size() > 255;
-  if (widen) {
-    d.codes16.resize(old_rows);
-    for (size_t r = 0; r < old_rows; ++r) {
-      d.codes16[r] = static_cast<uint16_t>(remap[d.codes8[r]]);
-    }
-    d.codes8.clear();
-    d.codes8.shrink_to_fit();
-    d.wide = true;
-  } else if (d.wide) {
-    for (size_t r = 0; r < old_rows; ++r) {
-      d.codes16[r] = static_cast<uint16_t>(remap[d.codes16[r]]);
-    }
-  } else {
-    for (size_t r = 0; r < old_rows; ++r) {
-      d.codes8[r] = static_cast<uint8_t>(remap[d.codes8[r]]);
-    }
-  }
-  d.dict = std::move(merged);
-  d.words_per_block = (d.dict.size() + 63) / 64;
-  EncodeRows(d, values, old_rows, rows_);
-  RebuildPrefix(d);
-  RebuildBitmaps(d, 0);  // every code moved: all bitmaps are stale.
-}
-
-void TableSynopsis::RebuildBitmaps(DictColumn& d, size_t first_block) {
+void TableSynopsis::BuildBitmaps(const Column& column, DictColumn& d,
+                                 size_t first_block) {
   const size_t words = d.words_per_block;
   d.bitmap.resize(num_blocks_ * words);
-  d.block_set_bits.resize(num_blocks_);
-  const uint32_t sentinel = static_cast<uint32_t>(d.dict.size());
   for (size_t b = first_block; b < num_blocks_; ++b) {
     const size_t lo = b * options_.block_size;
     const size_t hi = std::min(rows_, lo + options_.block_size);
     uint64_t* w = d.bitmap.data() + b * words;
     std::fill(w, w + words, 0ull);
-    for (size_t r = lo; r < hi; ++r) {
-      const uint32_t code =
-          d.wide ? d.codes16[r] : static_cast<uint32_t>(d.codes8[r]);
-      if (code == sentinel) continue;  // NaN row: present in no code.
-      w[code >> 6] |= 1ull << (code & 63);
+    if (!column.codes8.empty()) {
+      SetPresenceBits(column.codes8.data(), lo, hi, column.nan_code(), w);
+    } else {
+      SetPresenceBits(column.codes16.data(), lo, hi, column.nan_code(), w);
     }
-    size_t set = 0;
-    for (size_t k = 0; k < words; ++k) set += Popcount64(w[k]);
-    d.block_set_bits[b] = static_cast<uint32_t>(set);
   }
 }
 
-CodeRange TableSynopsis::ToCodeRange(size_t col, double lo, double hi) const {
-  const DictColumn& d = dicts_[col];
-  CodeRange range;
-  const auto begin = d.dict.begin();
-  const auto first = std::lower_bound(begin, d.dict.end(), lo);
-  const auto last = std::upper_bound(first, d.dict.end(), hi);
-  if (first == last) return range;  // empty: no dictionary value in [lo,hi].
-  range.lo = static_cast<uint32_t>(first - begin);
-  range.hi = static_cast<uint32_t>(last - begin) - 1;
-  range.empty = false;
-  return range;
+void TableSynopsis::BuildMiniBlocks(const Column& column, size_t col,
+                                    size_t first_block) {
+  std::vector<uint32_t>& histogram = minis_[col];
+  const double* values = column.values.data();
+  histogram.resize(num_blocks_ * kHistogramBuckets);
+  for (size_t b = first_block; b < num_blocks_; ++b) {
+    const size_t lo = b * options_.block_size;
+    const size_t hi = std::min(rows_, lo + options_.block_size);
+    uint32_t* hist = histogram.data() + b * kHistogramBuckets;
+    std::fill(hist, hist + kHistogramBuckets, 0u);
+    const double bmin = mins_[col][b];
+    const double bmax = maxs_[col][b];
+    const double width =
+        bmax > bmin ? (bmax - bmin) / static_cast<double>(kHistogramBuckets)
+                    : 0.0;
+    for (size_t r = lo; r < hi; ++r) {
+      const double v = values[r];
+      if (std::isnan(v)) continue;  // counted in no bucket: never matches.
+      size_t idx = 0;
+      if (width > 0.0) {
+        idx = std::min(kHistogramBuckets - 1,
+                       static_cast<size_t>((v - bmin) / width));
+      }
+      ++hist[idx];
+    }
+  }
 }
 
-bool TableSynopsis::BitmapCanMatch(size_t block, size_t col,
-                                   const CodeRange& range) const {
+bool TableSynopsis::BitmapCanMatch(size_t block, size_t col, uint32_t lo,
+                                   uint32_t hi) const {
   const DictColumn& d = dicts_[col];
   const uint64_t* w = d.bitmap.data() + block * d.words_per_block;
-  const size_t word_lo = range.lo >> 6;
-  const size_t word_hi = range.hi >> 6;
-  const uint64_t mask_lo = ~0ull << (range.lo & 63);
-  const uint64_t mask_hi = ~0ull >> (63 - (range.hi & 63));
+  const size_t word_lo = lo >> 6;
+  const size_t word_hi = hi >> 6;
+  const uint64_t mask_lo = ~0ull << (lo & 63);
+  const uint64_t mask_hi = ~0ull >> (63 - (hi & 63));
   if (word_lo == word_hi) return (w[word_lo] & mask_lo & mask_hi) != 0;
   if ((w[word_lo] & mask_lo) != 0) return true;
   for (size_t k = word_lo + 1; k < word_hi; ++k) {
@@ -446,18 +186,16 @@ bool TableSynopsis::BitmapCanMatch(size_t block, size_t col,
   return (w[word_hi] & mask_hi) != 0;
 }
 
-double TableSynopsis::DictFraction(size_t col, const CodeRange& range) const {
-  if (range.empty || rows_ == 0) return 0.0;
+double TableSynopsis::DictFraction(size_t col, uint32_t lo,
+                                   uint32_t hi) const {
+  if (lo > hi || rows_ == 0) return 0.0;
   const DictColumn& d = dicts_[col];
-  const uint64_t matching =
-      d.code_prefix[range.hi + 1] - d.code_prefix[range.lo];
+  const uint64_t matching = d.code_prefix[hi + 1] - d.code_prefix[lo];
   return static_cast<double>(matching) / static_cast<double>(rows_);
 }
 
 bool TableSynopsis::HistogramCanMatch(size_t block, size_t col, double lo,
                                       double hi) const {
-  const MiniColumn& m = minis_[col];
-  const size_t buckets = options_.histogram_buckets;
   const double bmin = mins_[col][block];
   const double bmax = maxs_[col][block];
   if (bmin > bmax) return false;  // all-NaN block: empty envelope.
@@ -465,40 +203,23 @@ bool TableSynopsis::HistogramCanMatch(size_t block, size_t col, double lo,
   const double clamped_hi = std::min(hi, bmax);
   if (clamped_lo > clamped_hi) return false;
   const double width =
-      bmax > bmin ? (bmax - bmin) / static_cast<double>(buckets) : 0.0;
+      bmax > bmin ? (bmax - bmin) / static_cast<double>(kHistogramBuckets)
+                  : 0.0;
   size_t b_lo = 0;
   size_t b_hi = 0;
   if (width > 0.0) {
     // Same index formula as the build pass; IEEE subtraction/division are
     // monotone, so every matching value's bucket lies in [b_lo, b_hi].
-    b_lo = std::min(buckets - 1,
+    b_lo = std::min(kHistogramBuckets - 1,
                     static_cast<size_t>((clamped_lo - bmin) / width));
-    b_hi = std::min(buckets - 1,
+    b_hi = std::min(kHistogramBuckets - 1,
                     static_cast<size_t>((clamped_hi - bmin) / width));
   }
-  const uint32_t* hist = m.histogram.data() + block * buckets;
+  const uint32_t* hist = minis_[col].data() + block * kHistogramBuckets;
   for (size_t k = b_lo; k <= b_hi; ++k) {
     if (hist[k] != 0) return true;
   }
   return false;
-}
-
-double TableSynopsis::EstimateFraction(size_t col, double lo,
-                                       double hi) const {
-  if (rows_ == 0) return 0.0;
-  if (HasDictionary(col)) return DictFraction(col, ToCodeRange(col, lo, hi));
-  // Value-span overlap against the table-level envelope. Coarse, but O(1):
-  // this runs once per predicate per compiled query, so walking the
-  // per-block histograms here would cost more than the ordering saves.
-  const double cmin = col_min_[col];
-  const double cmax = col_max_[col];
-  if (cmin > cmax) return 0.0;  // all-NaN column.
-  const double span = cmax - cmin;
-  if (!(span > 0.0)) return (lo <= cmin && cmin <= hi) ? 1.0 : 0.0;
-  const double clamped_lo = std::max(lo, cmin);
-  const double clamped_hi = std::min(hi, cmax);
-  if (clamped_lo > clamped_hi) return 0.0;
-  return (clamped_hi - clamped_lo) / span;
 }
 
 size_t TableSynopsis::SizeBytes() const {
@@ -506,16 +227,10 @@ size_t TableSynopsis::SizeBytes() const {
   for (const auto& v : mins_) bytes += VectorBytes(v);
   for (const auto& v : maxs_) bytes += VectorBytes(v);
   for (const auto& v : has_nan_) bytes += VectorBytes(v);
-  bytes += VectorBytes(col_min_) + VectorBytes(col_max_);
   for (const DictColumn& d : dicts_) {
-    bytes += VectorBytes(d.dict) + VectorBytes(d.codes8) +
-             VectorBytes(d.codes16) + VectorBytes(d.bitmap) +
-             VectorBytes(d.block_set_bits) + VectorBytes(d.code_counts) +
-             VectorBytes(d.code_prefix);
+    bytes += VectorBytes(d.bitmap) + VectorBytes(d.code_prefix);
   }
-  for (const MiniColumn& m : minis_) {
-    bytes += VectorBytes(m.histogram) + VectorBytes(m.distinct);
-  }
+  for (const auto& m : minis_) bytes += VectorBytes(m);
   return bytes;
 }
 

@@ -15,70 +15,52 @@ namespace arecel::scan {
 // stays negligible even for million-row tables.
 inline constexpr size_t kDefaultBlockSize = 4096;
 
-// Distinct-value budget for dictionary encoding: a column with at most this
-// many distinct non-NaN values gets a sorted global dictionary, a narrow
-// (u8/u16) per-row code array, and per-block presence bitmaps. 4096 codes
+// Code budget for presence bitmaps: a column whose domain holds at most
+// this many values gets per-block presence bitmaps over its dictionary
+// codes, and its predicates run on the table's u8/u16 codes. 4096 codes
 // keep one block's bitmap at 512 bytes and cover every categorical column
 // of the paper's Census/DMV-shaped tables.
 inline constexpr size_t kDefaultMaxDictCodes = 4096;
 
-// Buckets in the per-block equi-width mini-histograms kept for
-// non-dictionary columns.
-inline constexpr size_t kDefaultHistogramBuckets = 16;
+// Buckets in the per-block equi-width mini-histograms kept for columns
+// past the code budget.
+inline constexpr size_t kHistogramBuckets = 16;
 
 struct SynopsisOptions {
   size_t block_size = kDefaultBlockSize;
-  // When false, only min/max zone maps are built (the pre-dictionary
-  // engine). The bench's baseline arm; also an escape hatch for throwaway
-  // single-scan tables.
+  // When false, only min/max zone maps are built and predicates run on the
+  // doubles (the pre-dictionary engine). The bench's baseline arm.
   bool rich = true;
   size_t max_dict_codes = kDefaultMaxDictCodes;
-  size_t histogram_buckets = kDefaultHistogramBuckets;
-};
-
-// An inclusive dictionary-code interval equivalent to a value interval
-// [lo, hi] on a dictionary-coded column: a non-NaN value matches the
-// predicate iff its code lies in [lo, hi]. `empty` means no dictionary
-// value falls inside the predicate interval — zero rows can match anywhere
-// in the table.
-struct CodeRange {
-  uint32_t lo = 0;
-  uint32_t hi = 0;
-  bool empty = true;
 };
 
 // Per-column synopses over fixed-size row blocks of one table
-// (DESIGN.md §8). Four cooperating layers:
+// (DESIGN.md §8). The dictionary itself (domain, narrow per-row codes,
+// per-code counts) belongs to the Table; the synopsis keeps only per-block
+// state and what it derives from the dictionary:
 //
 //  1. min/max zone maps for every column (NaN-aware: NaN values never
 //     widen an envelope, and a block containing NaN is never counted
 //     wholesale, matching Predicate::Matches which NaN never satisfies);
-//  2. for low-distinct columns (<= max_dict_codes non-NaN distinct
-//     values): a sorted global dictionary + per-row u8/u16 code array +
-//     per-block presence bitmaps over codes. Equality predicates skip
-//     every block whose bit is clear and count wholesale when the block is
-//     constant-valued; range predicates prune via code-range bit tests.
-//  3. for the remaining columns: per-block equi-width mini-histograms and
-//     saturating distinct-count estimates — a predicate whose interval
-//     covers only empty buckets skips the block even when it overlaps the
-//     [min, max] envelope;
-//  4. exact global code counts (dictionary columns) / aggregated histogram
-//     mass (others) back EstimateFraction, the selectivity key the scan
-//     planner orders predicates by.
+//  2. for columns within the code budget (domain size <= max_dict_codes):
+//     per-block presence bitmaps over the codes, so equality predicates
+//     skip every block whose bit is clear and range predicates prune via
+//     code-range bit tests; plus prefix sums of the column's code counts,
+//     which make DictFraction exact in O(1);
+//  3. for the remaining columns: per-block equi-width mini-histograms — a
+//     predicate whose interval covers only empty buckets skips the block
+//     even when it overlaps the [min, max] envelope.
 //
-// Built in one pass plus an O(n) distinct-detection pass; after an append
-// (Table::AppendRows + Finalize) ExtendTo() recomputes only from the first
-// block the append touched. An append may introduce brand-new dictionary
-// values: the dictionary then grows (codes remapped, bitmaps rebuilt) or,
-// past the budget, the column is demoted to the mini-histogram layer —
-// either way counts stay bit-identical to the naive executor. Demotion is
-// sticky until the next full rebuild.
+// After rows are appended to the table, ExtendTo() recomputes only from
+// the first block the append touched — unless the column's domain grew,
+// which moves its codes and so rebuilds its bitmaps, or pushed it past the
+// budget, which demotes it to the mini-histogram layer. Counts stay
+// bit-identical to the naive executor either way.
 class TableSynopsis {
  public:
   TableSynopsis() = default;
   explicit TableSynopsis(const Table& table,
-                         size_t block_size = kDefaultBlockSize);
-  TableSynopsis(const Table& table, const SynopsisOptions& options);
+                         const SynopsisOptions& options = {});
 
   // Re-syncs with `table` after rows were appended: recomputes the last
   // (possibly partial) previously-covered block and everything after it.
@@ -90,8 +72,8 @@ class TableSynopsis {
   size_t covered_rows() const { return rows_; }
   bool rich() const { return options_.rich; }
 
-  // Total heap footprint of every synopsis structure (zone maps,
-  // dictionaries, code arrays, bitmaps, histograms), in bytes.
+  // Total heap footprint of every synopsis structure (zone maps, bitmaps,
+  // count prefixes, histograms), in bytes. The codes are the table's.
   size_t SizeBytes() const;
 
   // ---- layer 1: zone maps -------------------------------------------------
@@ -125,93 +107,46 @@ class TableSynopsis {
     return FullyMatches(block, static_cast<size_t>(p.column), p.lo, p.hi);
   }
 
-  // ---- layer 2: dictionary columns ---------------------------------------
+  // ---- layer 2: columns within the code budget ---------------------------
 
   bool HasDictionary(size_t col) const {
     return col < dicts_.size() && dicts_[col].active;
   }
-  // Number of distinct non-NaN values (valid codes are [0, size)).
-  size_t DictionarySize(size_t col) const { return dicts_[col].dict.size(); }
-  // Exactly one of these is non-null for a dictionary column: the per-row
-  // code array at the narrow width the cardinality fits. Rows holding NaN
-  // carry the sentinel code DictionarySize(col), which no CodeRange ever
-  // includes.
-  const uint8_t* Codes8(size_t col) const {
-    return dicts_[col].wide ? nullptr : dicts_[col].codes8.data();
-  }
-  const uint16_t* Codes16(size_t col) const {
-    return dicts_[col].wide ? dicts_[col].codes16.data() : nullptr;
-  }
 
-  // Maps a value interval to the equivalent inclusive code interval.
-  CodeRange ToCodeRange(size_t col, double lo, double hi) const;
-
-  // Any row of `block` carries a code in `range` (presence bitmap test).
-  // Wholesale counting needs no bitmap variant: because the dictionary is
+  // Any row of `block` carries a code in [lo, hi] (presence bitmap test).
+  // Wholesale counting needs no bitmap variant: because the domain is
   // sorted, "every present code lies in the code range" is exactly the
   // zone-map FullyMatches condition.
-  bool BitmapCanMatch(size_t block, size_t col, const CodeRange& range) const;
+  bool BitmapCanMatch(size_t block, size_t col, uint32_t lo,
+                      uint32_t hi) const;
 
-  // Exact fraction of covered rows whose code lies in `range`.
-  double DictFraction(size_t col, const CodeRange& range) const;
+  // Exact fraction of covered rows whose code lies in [lo, hi].
+  double DictFraction(size_t col, uint32_t lo, uint32_t hi) const;
 
-  // ---- layer 3: mini-synopses for non-dictionary columns ------------------
+  // ---- layer 3: mini-histograms for the other columns ---------------------
 
   bool HasHistogram(size_t col) const {
-    return col < minis_.size() && !minis_[col].histogram.empty();
+    return col < minis_.size() && !minis_[col].empty();
   }
   // False when every histogram bucket overlapping [lo, hi] is empty — the
   // block cannot contain a matching row even though its envelope overlaps.
   bool HistogramCanMatch(size_t block, size_t col, double lo, double hi) const;
-  // Saturating exact distinct count of the block (caps at 256).
-  uint32_t BlockDistinctEstimate(size_t col, size_t block) const {
-    return minis_[col].distinct[block];
-  }
-
-  // ---- layer 4: selectivity estimation for predicate ordering -------------
-
-  // Estimated fraction of rows matching [lo, hi] on `col`: exact for
-  // dictionary columns (prefix-summed global code counts, O(log d)), a
-  // value-span overlap heuristic otherwise. Ordering key for the
-  // cheapest-first predicate pass; must stay O(1)-ish — it runs once per
-  // predicate per compiled query.
-  double EstimateFraction(size_t col, double lo, double hi) const;
 
  private:
   struct DictColumn {
     bool active = false;
-    bool demoted = false;  // crossed the budget on append; sticky.
-    bool wide = false;     // true => codes16, else codes8.
-    std::vector<double> dict;      // sorted distinct non-NaN values.
-    std::vector<uint8_t> codes8;   // per-row code (sentinel = dict.size()).
-    std::vector<uint16_t> codes16;
-    std::vector<uint64_t> bitmap;  // [block * words_per_block + word].
-    std::vector<uint32_t> block_set_bits;  // distinct codes present per block.
-    std::vector<uint32_t> code_counts;     // global rows per code.
-    std::vector<uint64_t> code_prefix;     // size + 1; prefix of code_counts.
+    size_t domain_size = 0;        // the domain the bitmaps index.
     size_t words_per_block = 0;
-  };
-  struct MiniColumn {
-    // [block * histogram_buckets + bucket], equi-width over the block's
-    // [min, max] envelope; NaN rows are counted nowhere.
-    std::vector<uint32_t> histogram;
-    std::vector<uint16_t> distinct;  // saturating per-block distinct count.
+    std::vector<uint64_t> bitmap;  // [block * words_per_block + word].
+    std::vector<uint64_t> code_prefix;  // size + 1; prefix of counts.
   };
 
   void Build(const Table& table);
-  // Recomputes zone maps + mini-histograms for blocks [first_block, end).
+  // Recomputes the synopses of blocks [first_block, num_blocks_).
   void BuildBlocks(const Table& table, size_t first_block);
-  void BuildMiniBlocks(const Table& table, size_t col, size_t first_block);
-  // Fresh dictionary detection + encoding for one column (full pass).
-  void BuildDictionary(const Table& table, size_t col);
-  // Appends codes for rows [old_rows, rows_), growing or demoting the
-  // dictionary when the append introduced new values.
-  void ExtendDictionary(const Table& table, size_t col, size_t old_rows,
-                        size_t first_block);
-  void RebuildBitmaps(DictColumn& d, size_t first_block);
-  static void RebuildPrefix(DictColumn& d);
-  void EncodeRows(DictColumn& d, const double* values, size_t begin,
-                  size_t end);
+  void BuildColumn(const Column& column, size_t col, size_t first_block);
+  void BuildMiniBlocks(const Column& column, size_t col, size_t first_block);
+  void BuildBitmaps(const Column& column, DictColumn& d, size_t first_block);
 
   SynopsisOptions options_;
   size_t rows_ = 0;
@@ -219,10 +154,11 @@ class TableSynopsis {
   std::vector<std::vector<double>> mins_;  // [col][block].
   std::vector<std::vector<double>> maxs_;
   std::vector<std::vector<uint8_t>> has_nan_;
-  std::vector<double> col_min_;  // table-level envelope per column
-  std::vector<double> col_max_;  // (NaN excluded), for EstimateFraction.
-  std::vector<DictColumn> dicts_;  // [col]; inactive for wide columns.
-  std::vector<MiniColumn> minis_;  // [col]; empty for dictionary columns.
+  std::vector<DictColumn> dicts_;  // [col]; inactive past the budget.
+  // [col][block * kHistogramBuckets + bucket], equi-width over the block's
+  // [min, max] envelope; NaN rows are counted nowhere. Empty for columns
+  // within the budget.
+  std::vector<std::vector<uint32_t>> minis_;
 };
 
 }  // namespace arecel::scan

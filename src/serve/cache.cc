@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/hash.h"
+
 namespace arecel::serve {
 
 namespace {
@@ -22,8 +24,8 @@ void AppendRaw(std::string* out, const void* data, size_t bytes) {
 }
 
 void AppendBound(std::string* out, double v) {
-  if (v == 0.0) v = 0.0;  // collapse -0.0 and +0.0 to one bit pattern.
-  AppendRaw(out, &v, sizeof(v));
+  const uint64_t bits = CanonicalBits(v);  // -0.0 and +0.0 key alike.
+  AppendRaw(out, &bits, sizeof(bits));
 }
 
 // Approximate resident cost of one entry: key bytes plus list/map node

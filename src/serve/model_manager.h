@@ -122,8 +122,7 @@ class ModelManager {
   ModelManager(const ModelManager&) = delete;
   ModelManager& operator=(const ModelManager&) = delete;
 
-  // Installs (or replaces) a dataset snapshot at data version 0. The table
-  // must be finalized.
+  // Installs (or replaces) a dataset snapshot at data version 0.
   void RegisterDataset(const std::string& name, Table table);
 
   bool HasDataset(const std::string& name) const;

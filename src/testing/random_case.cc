@@ -72,7 +72,6 @@ RandomCase GenerateRandomCase(uint64_t seed,
     out.table.AddColumn("c" + std::to_string(c), std::move(values),
                         categorical);
   }
-  out.table.Finalize();
 
   out.queries = GenerateQueries(out.table, options.num_queries,
                                 rng.Next() | 1);

@@ -3,26 +3,19 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/hash.h"
 
 namespace arecel {
 
 namespace {
-
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
-  uint64_t x = seed;
-  for (int i = 0; i < 4; ++i) s_[i] = SplitMix64(x);
+  for (uint64_t i = 0; i < 4; ++i)
+    s_[i] = SplitMix64(seed + i * 0x9e3779b97f4a7c15ULL);
 }
 
 uint64_t Rng::Next() {

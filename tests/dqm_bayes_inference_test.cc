@@ -19,7 +19,6 @@ namespace {
 TEST(ColumnBinningTest, SmallDomainOneBinPerValue) {
   Table t("t");
   t.AddColumn("a", {1, 2, 2, 5}, false);
-  t.Finalize();
   const auto binnings = BuildColumnBinnings(t, 16);
   ASSERT_EQ(binnings.size(), 1u);
   EXPECT_EQ(binnings[0].num_bins(), 3);
@@ -33,7 +32,6 @@ TEST(ColumnBinningTest, LargeDomainPacksEqualMass) {
   for (int i = 0; i < 10000; ++i) vals.push_back(i % 1000);
   Table t("t");
   t.AddColumn("a", std::move(vals), false);
-  t.Finalize();
   const auto binnings = BuildColumnBinnings(t, 50);
   EXPECT_LE(binnings[0].num_bins(), 50);
   EXPECT_GE(binnings[0].num_bins(), 40);

@@ -23,7 +23,6 @@ Table OneColumnTable() {
     values.push_back(static_cast<double>(rng.Zipf(50, 0.8)));
   Table t("one_col");
   t.AddColumn("a", std::move(values), false);
-  t.Finalize();
   return t;
 }
 
@@ -35,7 +34,6 @@ Table ConstantColumnTable() {
   Table t("const_col");
   t.AddColumn("a", std::move(varying), false);
   t.AddColumn("b", std::move(constant), true);
-  t.Finalize();
   return t;
 }
 

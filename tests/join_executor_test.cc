@@ -32,7 +32,6 @@ Table MakeTable(const std::string& name,
   Table table(name);
   for (auto& [col_name, values] : cols)
     table.AddColumn(col_name, std::move(values), /*categorical=*/false);
-  table.Finalize();
   return table;
 }
 
@@ -106,9 +105,8 @@ TEST(JoinExecutorTest, AllRowsMatchFanOut) {
 TEST(JoinExecutorTest, EmptyDimensionYieldsZero) {
   Schema schema;
   schema.AddTable(MakeTable("fact", {{"fk", {1, 2, 3}}}));
-  // Finalize() rejects empty columns, so the zero-row dimension is built
-  // raw: empty values/domain/codes is already its consistent state, and the
-  // executor must bail out before ever touching the (absent) domain.
+  // A zero-row column has an empty domain; the executor must bail out
+  // before ever touching it.
   Table empty_dim("dim0");
   empty_dim.AddColumn("pk", {}, /*categorical=*/false);
   schema.AddTable(std::move(empty_dim));

@@ -252,9 +252,7 @@ TEST(DeepDbTest, InsertUpdateShiftsEstimates) {
   }
   extra.AddColumn("col0", std::move(a), false);
   extra.AddColumn("col1", std::move(b), false);
-  extra.Finalize();
   updated.AppendRows(extra);
-  updated.Finalize();
 
   UpdateContext ctx;
   ctx.old_row_count = base.num_rows();

@@ -11,6 +11,7 @@
 
 #include "core/registry.h"
 #include "data/datasets.h"
+#include "data/io.h"
 #include "util/archive.h"
 #include "util/random.h"
 #include "workload/generator.h"
@@ -230,7 +231,7 @@ TEST(ModelIoTest, CorruptFileRejected) {
 // probe with a finite selectivity in [0, 1].
 TEST(ModelIoTest, MutatedMscnAndLwNnModelsAreRejectedOrServeFiniteAnswers) {
   constexpr int kCases = 200;
-  for (const std::string name : {"mscn", "lw-nn"}) {
+  for (const std::string name : {"mscn", "lw-nn", "sampling"}) {
     auto trained = MakeEstimator(name);
     TrainContext context;
     context.training_workload = &Shared().train;
@@ -241,7 +242,7 @@ TEST(ModelIoTest, MutatedMscnAndLwNnModelsAreRejectedOrServeFiniteAnswers) {
     ASSERT_TRUE(trained->SerializeModel(&payload));
     const size_t header = bytes.size() - payload.buffer().size();
 
-    Rng rng(name == "mscn" ? 71 : 72);
+    Rng rng(name == "mscn" ? 71 : name == "lw-nn" ? 72 : 73);
     int rejected = 0;
     for (int c = 0; c < kCases; ++c) {
       std::string mutated = bytes;
@@ -283,6 +284,40 @@ template <typename T>
 std::string Patched(std::string bytes, size_t offset, T value) {
   std::memcpy(&bytes[offset], &value, sizeof(value));
   return bytes;
+}
+
+// A sampling payload is the sample table alone, and its last column's
+// values end it. Dropping that column's last value (and fixing its length
+// prefix and the frame's payload length) leaves a well-framed stream whose
+// columns are ragged: corrupt, not an abort.
+TEST(ModelIoTest, RaggedSamplingColumnsAreCorrupt) {
+  auto trained = MakeEstimator("sampling");
+  trained->Train(Shared().table, {});
+  std::string bytes;
+  ASSERT_TRUE(SerializeEstimatorBytes(*trained, &bytes));
+  ByteWriter writer;
+  ASSERT_TRUE(trained->SerializeModel(&writer));
+  const std::string& payload = writer.buffer();
+  const size_t header = bytes.size() - payload.size();
+  ASSERT_EQ(bytes.substr(header), payload);
+  uint64_t framed_size = 0;  // the frame's payload length prefix.
+  std::memcpy(&framed_size, &bytes[header - 8], sizeof(framed_size));
+  ASSERT_EQ(framed_size, payload.size());
+
+  Table sample;
+  ByteReader reader(payload);
+  ASSERT_TRUE(ReadTable(&reader, &sample));
+  const uint64_t rows = sample.num_rows();
+  ASSERT_GT(rows, 0u);
+  const std::string ragged =
+      Patched(payload.substr(0, payload.size() - 8),
+              payload.size() - 8 * rows - 8, rows - 1);
+  const std::string framed =
+      Patched(bytes.substr(0, header), header - 8, uint64_t{ragged.size()}) +
+      ragged;
+  auto fresh = MakeEstimator("sampling");
+  const ModelLoadResult result = LoadEstimatorBytes(fresh.get(), framed);
+  EXPECT_EQ(result.kind, FailureKind::kCorruptModel) << result.detail;
 }
 
 // The checks the random mutations above rarely reach, one at a time: a

@@ -8,7 +8,6 @@ namespace {
 Table OneColumnTable() {
   Table t("tbl");
   t.AddColumn("a", {1, 2, 3}, false);
-  t.Finalize();
   return t;
 }
 

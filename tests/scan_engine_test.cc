@@ -27,7 +27,6 @@ Table SmallTable() {
   Table t("scan_tbl");
   t.AddColumn("a", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, false);
   t.AddColumn("b", {5, 5, 5, 1, 1, 2, 2, 9, 9, 9}, true);
-  t.Finalize();
   return t;
 }
 
@@ -140,10 +139,10 @@ TEST(ScanEngineTest, AppendedRowsAfterUpdateStepViaRefresh) {
 
 TEST(ScanEngineTest, IncrementalSynopsisEqualsFreshBuild) {
   Table table = GenerateSynthetic2D(1000, 0.6, 0.4, 25, 31);
-  scan::TableSynopsis incremental(table, 96);  // 1000 % 96 != 0.
+  scan::TableSynopsis incremental(table, {96});  // 1000 % 96 != 0.
   const Table updated = AppendCorrelatedUpdate(table, 0.35, 32);
   incremental.ExtendTo(updated);
-  const scan::TableSynopsis fresh(updated, 96);
+  const scan::TableSynopsis fresh(updated, {96});
   ASSERT_EQ(incremental.num_blocks(), fresh.num_blocks());
   ASSERT_EQ(incremental.covered_rows(), fresh.covered_rows());
   for (size_t c = 0; c < updated.num_cols(); ++c) {
@@ -157,8 +156,7 @@ TEST(ScanEngineTest, IncrementalSynopsisEqualsFreshBuild) {
 TEST(ScanEngineTest, ZoneMapClassification) {
   Table table("zones");
   table.AddColumn("a", {1, 2, 3, 10, 11, 12}, false);
-  table.Finalize();
-  const scan::TableSynopsis synopsis(table, 3);  // blocks {1..3}, {10..12}.
+  const scan::TableSynopsis synopsis(table, {3});  // blocks {1..3}, {10..12}.
   ASSERT_EQ(synopsis.num_blocks(), 2u);
   const Predicate narrow{0, 4, 9};   // gap between the blocks.
   const Predicate left{0, 0, 5};     // contains block 0's envelope.

@@ -4,8 +4,8 @@
 // including the awkward corners — NaN rows (which no predicate matches),
 // -0.0/+0.0 code collapse, block sizes that do not divide the row count,
 // appends that introduce brand-new dictionary values (with a u8 -> u16 code
-// width upgrade), and appends that push a column past the distinct budget
-// (demotion to the mini-histogram layer).
+// width upgrade in the table), and appends that push a column past the
+// synopsis' code budget (demotion to the mini-histogram layer).
 
 #include <cmath>
 #include <limits>
@@ -43,7 +43,6 @@ Table CategoricalZipfTable(size_t rows, size_t cats, size_t cardinality,
   std::vector<double> cont(rows);
   for (double& v : cont) v = rng.Gaussian() * 100.0;
   t.AddColumn("cont", std::move(cont), false);
-  t.Finalize();
   return t;
 }
 
@@ -73,7 +72,7 @@ std::vector<Query> MixedQueries(const Table& table, size_t count,
 }
 
 void ExpectBitIdentical(const Table& table, const std::vector<Query>& queries,
-                        scan::ScanOptions options) {
+                        scan::SynopsisOptions options) {
   scan::BlockScanner scanner(table, options);
   const std::vector<size_t> batch = scanner.CountBatch(queries);
   ASSERT_EQ(batch.size(), queries.size());
@@ -95,7 +94,7 @@ TEST(ScanSynopsisTest, CategoricalEqualityGridDifferential) {
     for (size_t block_size : {7u, 97u, 8192u}) {
       SCOPED_TRACE(testing::Message()
                    << "seed=" << seed << " block_size=" << block_size);
-      scan::ScanOptions options;
+      scan::SynopsisOptions options;
       options.block_size = block_size;
       ExpectBitIdentical(table, queries, options);
     }
@@ -105,10 +104,10 @@ TEST(ScanSynopsisTest, CategoricalEqualityGridDifferential) {
 TEST(ScanSynopsisTest, RichAndZoneOnlyAgree) {
   const Table table = CategoricalZipfTable(2000, 2, 12, 5);
   const std::vector<Query> queries = MixedQueries(table, 80, 6);
-  scan::ScanOptions rich;
+  scan::SynopsisOptions rich;
   rich.block_size = 128;
-  scan::ScanOptions zone_only = rich;
-  zone_only.rich_synopsis = false;
+  scan::SynopsisOptions zone_only = rich;
+  zone_only.rich = false;
   scan::BlockScanner a(table, rich);
   scan::BlockScanner b(table, zone_only);
   EXPECT_TRUE(a.synopsis().rich());
@@ -125,7 +124,6 @@ TEST(ScanSynopsisTest, NaNRowsNeverMatchAnyPredicate) {
   Table table("nan_tbl");
   table.AddColumn("a", {kNaN, 1, 2, kNaN, 3, 4, 5, 6, kNaN, kNaN}, false);
   table.AddColumn("b", {5, 5, kNaN, 1, 1, 2, 2, 9, 9, 9}, true);
-  table.Finalize();
   std::vector<Query> queries(5);
   queries[0].predicates.push_back({0, -kInf, kInf});  // all non-NaN rows.
   queries[1].predicates.push_back({0, 1, 3});
@@ -136,7 +134,7 @@ TEST(ScanSynopsisTest, NaNRowsNeverMatchAnyPredicate) {
   EXPECT_EQ(ExecuteCountNaive(table, queries[0]), 6u);
   for (size_t block_size : {3u, 4u, 16u}) {
     SCOPED_TRACE(testing::Message() << "block_size=" << block_size);
-    scan::ScanOptions options;
+    scan::SynopsisOptions options;
     options.block_size = block_size;
     ExpectBitIdentical(table, queries, options);
   }
@@ -145,11 +143,10 @@ TEST(ScanSynopsisTest, NaNRowsNeverMatchAnyPredicate) {
 TEST(ScanSynopsisTest, NegativeZeroCollapsesWithPositiveZero) {
   Table table("zeros");
   table.AddColumn("a", {-0.0, 0.0, -0.0, 1.0, -1.0, 0.0}, false);
-  table.Finalize();
   scan::BlockScanner scanner(table, {2});
   // -0.0 == +0.0, so the dictionary holds one zero entry.
   ASSERT_TRUE(scanner.synopsis().HasDictionary(0));
-  EXPECT_EQ(scanner.synopsis().DictionarySize(0), 3u);
+  EXPECT_EQ(table.column(0).domain_size(), 3u);
   std::vector<Query> queries(3);
   queries[0].predicates.push_back({0, 0.0, 0.0});
   queries[1].predicates.push_back({0, -0.0, 0.0});
@@ -169,11 +166,10 @@ TEST(ScanSynopsisTest, AppendIntroducingNewDictionaryValues) {
   std::vector<double> vals(900);
   for (double& v : vals) v = static_cast<double>(rng.UniformInt(uint64_t{10}));
   table.AddColumn("c", std::move(vals), true);
-  table.Finalize();
 
   scan::BlockScanner scanner(table, {64});  // 900 % 64 != 0.
   ASSERT_TRUE(scanner.synopsis().HasDictionary(0));
-  ASSERT_EQ(scanner.synopsis().DictionarySize(0), 10u);
+  ASSERT_EQ(table.column(0).domain_size(), 10u);
 
   Table extra("grow");
   std::vector<double> more(300);
@@ -181,12 +177,11 @@ TEST(ScanSynopsisTest, AppendIntroducingNewDictionaryValues) {
     v = static_cast<double>(5 + rng.UniformInt(uint64_t{10}));
   extra.AddColumn("c", std::move(more), true);
   table.AppendRows(extra);
-  table.Finalize();
   scanner.Refresh();
 
   EXPECT_EQ(scanner.synopsis().covered_rows(), table.num_rows());
   ASSERT_TRUE(scanner.synopsis().HasDictionary(0));
-  EXPECT_EQ(scanner.synopsis().DictionarySize(0), 15u);
+  EXPECT_EQ(table.column(0).domain_size(), 15u);
   for (int v = 0; v < 15; ++v) {
     Query q;
     q.predicates.push_back({0, static_cast<double>(v), static_cast<double>(v)});
@@ -202,11 +197,10 @@ TEST(ScanSynopsisTest, AppendUpgradesCodeWidthFromU8ToU16) {
     vals[i] = static_cast<double>(i % 200);
   Table table("widen");
   table.AddColumn("c", std::move(vals), true);
-  table.Finalize();
   scan::BlockScanner scanner(table, {32});
   ASSERT_TRUE(scanner.synopsis().HasDictionary(0));
-  EXPECT_NE(scanner.synopsis().Codes8(0), nullptr);
-  EXPECT_EQ(scanner.synopsis().Codes16(0), nullptr);
+  EXPECT_FALSE(table.column(0).codes8.empty());
+  EXPECT_TRUE(table.column(0).codes16.empty());
 
   std::vector<double> more(400);
   for (size_t i = 0; i < more.size(); ++i)
@@ -214,13 +208,12 @@ TEST(ScanSynopsisTest, AppendUpgradesCodeWidthFromU8ToU16) {
   Table extra("widen");
   extra.AddColumn("c", std::move(more), true);
   table.AppendRows(extra);
-  table.Finalize();
   scanner.Refresh();
 
   ASSERT_TRUE(scanner.synopsis().HasDictionary(0));
-  EXPECT_EQ(scanner.synopsis().DictionarySize(0), 400u);
-  EXPECT_EQ(scanner.synopsis().Codes8(0), nullptr);
-  EXPECT_NE(scanner.synopsis().Codes16(0), nullptr);
+  EXPECT_EQ(table.column(0).domain_size(), 400u);
+  EXPECT_TRUE(table.column(0).codes8.empty());
+  EXPECT_FALSE(table.column(0).codes16.empty());
   Rng rng(43);
   for (int t = 0; t < 50; ++t) {
     Query q;
@@ -239,8 +232,7 @@ TEST(ScanSynopsisTest, DictDemotionWhenAppendCrossesBudget) {
     vals[i] = static_cast<double>(i % 12);
   Table table("demote");
   table.AddColumn("c", std::move(vals), true);
-  table.Finalize();
-  scan::ScanOptions options;
+  scan::SynopsisOptions options;
   options.block_size = 48;
   options.max_dict_codes = 16;
   scan::BlockScanner scanner(table, options);
@@ -252,7 +244,6 @@ TEST(ScanSynopsisTest, DictDemotionWhenAppendCrossesBudget) {
   Table extra("demote");
   extra.AddColumn("c", std::move(more), true);
   table.AppendRows(extra);
-  table.Finalize();
   scanner.Refresh();
 
   EXPECT_FALSE(scanner.synopsis().HasDictionary(0));
@@ -275,7 +266,6 @@ TEST(ScanDictPruningTest, BitmapSkipsBlocksZoneMapsCannot) {
   vals[vals.size() - 1] = 50.0;
   Table table("bitmap");
   table.AddColumn("c", std::move(vals), true);
-  table.Finalize();
   scan::BlockScanner scanner(table, {32});
   Query q;
   q.predicates.push_back({0, 50, 50});
@@ -290,6 +280,8 @@ TEST(ScanDictPruningTest, HistogramSkipsOnNonDictionaryColumns) {
   // max_dict_codes=4 keeps the column out of the dictionary layer; each
   // block's values cluster at the envelope's edges, leaving the middle
   // buckets empty, so a mid-range predicate is skipped by the histogram.
+  // A last block holds the only values inside block 0's gap, so the
+  // predicate is satisfiable and block 0 must be pruned block by block.
   std::vector<double> vals;
   for (size_t b = 0; b < 8; ++b) {
     for (size_t i = 0; i < 64; ++i) {
@@ -298,10 +290,10 @@ TEST(ScanDictPruningTest, HistogramSkipsOnNonDictionaryColumns) {
                                 : base + 900.0 + static_cast<double>(i));
     }
   }
+  for (size_t i = 0; i < 64; ++i) vals.push_back(450.0);
   Table table("hist");
   table.AddColumn("c", std::move(vals), false);
-  table.Finalize();
-  scan::ScanOptions options;
+  scan::SynopsisOptions options;
   options.block_size = 64;
   options.max_dict_codes = 4;
   scan::BlockScanner scanner(table, options);
@@ -310,34 +302,39 @@ TEST(ScanDictPruningTest, HistogramSkipsOnNonDictionaryColumns) {
   Query q;
   q.predicates.push_back({0, 400, 500});  // inside block 0's envelope gap.
   EXPECT_EQ(scanner.Count(q), ExecuteCountNaive(table, q));
-  EXPECT_EQ(scanner.Count(q), 0u);
+  EXPECT_EQ(scanner.Count(q), 64u);
   EXPECT_GT(scanner.stats().histogram_skips, 0u);
 }
 
 TEST(ScanDictPruningTest, EstimateFractionExactOnDictionaryColumns) {
   const Table table = CategoricalZipfTable(1500, 1, 8, 9);
-  const scan::TableSynopsis synopsis(table, scan::SynopsisOptions{});
+  const scan::TableSynopsis synopsis(table);
   ASSERT_TRUE(synopsis.HasDictionary(0));
-  for (double v : table.column(0).domain) {
+  const Column& column = table.column(0);
+  for (uint32_t code = 0; code < column.domain_size(); ++code) {
+    const double v = column.domain[code];
     Query q;
     q.predicates.push_back({0, v, v});
     const double exact =
         static_cast<double>(ExecuteCountNaive(table, q)) /
         static_cast<double>(table.num_rows());
-    EXPECT_DOUBLE_EQ(synopsis.EstimateFraction(0, v, v), exact);
+    EXPECT_DOUBLE_EQ(synopsis.DictFraction(0, code, code), exact);
   }
+  EXPECT_DOUBLE_EQ(
+      synopsis.DictFraction(0, 0, static_cast<uint32_t>(column.domain_size() - 1)),
+      1.0);
 }
 
 TEST(ScanSynopsisTest, SizeBytesObservable) {
   const Table table = CategoricalZipfTable(4000, 2, 30, 13);
-  scan::ScanOptions rich;
-  scan::ScanOptions zone_only;
-  zone_only.rich_synopsis = false;
+  scan::SynopsisOptions rich;
+  scan::SynopsisOptions zone_only;
+  zone_only.rich = false;
   scan::BlockScanner a(table, rich);
   scan::BlockScanner b(table, zone_only);
   EXPECT_GT(a.synopsis().SizeBytes(), 0u);
-  // Dictionaries + code arrays + bitmaps cost real memory over bare
-  // zone maps — that is the point of surfacing SizeBytes.
+  // Bitmaps and count prefixes cost real memory over bare zone maps —
+  // that is the point of surfacing SizeBytes.
   EXPECT_GT(a.synopsis().SizeBytes(), b.synopsis().SizeBytes());
 }
 
@@ -347,7 +344,6 @@ TEST(ScanSynopsisTest, ConstantBlocksCountWholesale) {
   std::vector<double> vals(256, 7.0);
   Table table("const");
   table.AddColumn("c", std::move(vals), true);
-  table.Finalize();
   scan::BlockScanner scanner(table, {32});
   Query q;
   q.predicates.push_back({0, 7, 7});

@@ -5,9 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include "data/datasets.h"
-#include "util/stats.h"
-
 namespace arecel {
 namespace {
 
@@ -15,7 +12,6 @@ Table MakeSmallTable() {
   Table t("t");
   t.AddColumn("a", {3, 1, 2, 3, 1}, false);
   t.AddColumn("b", {0, 1, 0, 1, 0}, true);
-  t.Finalize();
   return t;
 }
 
@@ -41,7 +37,7 @@ TEST(TableTest, CodesMatchDomainIndices) {
   const Table t = MakeSmallTable();
   const Column& a = t.column(0);
   for (size_t r = 0; r < t.num_rows(); ++r)
-    EXPECT_DOUBLE_EQ(a.domain[static_cast<size_t>(a.codes[r])], a.values[r]);
+    EXPECT_DOUBLE_EQ(a.domain[a.code(r)], a.values[r]);
 }
 
 TEST(TableTest, BoundCodes) {
@@ -71,28 +67,44 @@ TEST(TableTest, SampleRowsWithoutReplacement) {
   EXPECT_EQ(vals, (std::vector<double>{1, 1, 2, 3, 3}));
 }
 
-TEST(TableTest, AppendRowsAndRefinalize) {
+TEST(TableTest, AppendRowsKeepsDictionaryCurrent) {
   Table t = MakeSmallTable();
   const Table other = MakeSmallTable();
   t.AppendRows(other);
-  t.Finalize();
   EXPECT_EQ(t.num_rows(), 10u);
-  EXPECT_EQ(t.column(0).codes.size(), 10u);
+  EXPECT_EQ(t.column(0).codes8.size(), 10u);
+  EXPECT_EQ(t.column(0).counts, (std::vector<uint32_t>{4, 2, 4}));
 }
 
-TEST(TableTest, SortedColumnsCopyMaximizesSpearman) {
-  DatasetSpec spec = CensusSpec();
-  spec.rows = 2000;
-  const Table t = GenerateDataset(spec, 3);
-  const Table sorted = t.SortedColumnsCopy();
-  // Sorted columns are comonotone; rank correlation is near-maximal (ties
-  // on skewed categorical columns keep it slightly below 1).
-  const double rho = SpearmanCorrelation(sorted.column(8).values,
-                                         sorted.column(9).values);
-  EXPECT_GT(rho, 0.9);
-  EXPECT_GT(SpearmanCorrelation(sorted.column(0).values,
-                                sorted.column(5).values),
-            0.7);
+TEST(TableTest, AppendSortedRowsReadsRanksOffCodeCounts) {
+  Table t = MakeSmallTable();
+  // Column a sorted is {1, 1, 2, 3, 3}; column b sorted is {0, 0, 0, 1, 1}.
+  t.AppendSortedRows({4, 0, 2});
+  EXPECT_EQ(t.num_rows(), 8u);
+  EXPECT_EQ(t.column(0).values,
+            (std::vector<double>{3, 1, 2, 3, 1, 3, 1, 2}));
+  EXPECT_EQ(t.column(1).values,
+            (std::vector<double>{0, 1, 0, 1, 0, 1, 0, 0}));
+  EXPECT_EQ(t.column(0).counts, (std::vector<uint32_t>{3, 2, 3}));
+  EXPECT_EQ(t.column(0).code(5), 2u);
+}
+
+TEST(TableTest, NaNRowsCarryTheSentinelCode) {
+  const double nan = std::nan("");
+  Table t("nan");
+  t.AddColumn("a", {nan, 2.0, -0.0, nan}, false);
+  const Column& a = t.column(0);
+  ASSERT_EQ(a.domain, (std::vector<double>{0.0, 2.0}));
+  EXPECT_FALSE(std::signbit(a.domain[0]));
+  EXPECT_EQ(a.nan_code(), 2u);
+  EXPECT_EQ(a.code(0), a.nan_code());
+  EXPECT_EQ(a.code(2), 0u);
+  EXPECT_EQ(a.counts, (std::vector<uint32_t>{1, 1}));
+  // NaN sorts last in the sorted-columns copy.
+  t.AppendSortedRows({3, 0});
+  EXPECT_TRUE(std::isnan(t.column(0).values[4]));
+  EXPECT_EQ(t.column(0).code(4), t.column(0).nan_code());
+  EXPECT_EQ(t.column(0).values[5], 0.0);
 }
 
 TEST(TableTest, Log10JointDomain) {

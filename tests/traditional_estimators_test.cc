@@ -91,7 +91,6 @@ TEST(SamplingEstimatorTest, MissesRareValues) {
   std::vector<double> vals(50000, 1.0);
   for (int i = 0; i < 5; ++i) vals[static_cast<size_t>(i) * 1000 + 7] = 99.0;
   t.AddColumn("a", std::move(vals), true);
-  t.Finalize();
   SamplingEstimator sampling;
   sampling.Train(t, {});
   Query q;

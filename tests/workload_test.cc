@@ -128,7 +128,6 @@ TEST(ExecuteCountTest, ManualTable) {
   Table t("t");
   t.AddColumn("a", {1, 2, 3, 4, 5}, false);
   t.AddColumn("b", {1, 1, 0, 0, 1}, true);
-  t.Finalize();
   Query q;
   q.predicates.push_back({0, 2, 4});  // a in [2, 4].
   EXPECT_EQ(ExecuteCount(t, q), 3u);
@@ -140,7 +139,6 @@ TEST(ExecuteCountTest, ManualTable) {
 TEST(ExecuteCountTest, UnsatisfiableIsZero) {
   Table t("t");
   t.AddColumn("a", {1, 2, 3}, false);
-  t.Finalize();
   Query q;
   q.predicates.push_back({0, 5, 2});  // lo > hi.
   EXPECT_FALSE(q.IsSatisfiable());
@@ -150,7 +148,6 @@ TEST(ExecuteCountTest, UnsatisfiableIsZero) {
 TEST(ExecuteCountTest, OpenRanges) {
   Table t("t");
   t.AddColumn("a", {1, 2, 3, 4, 5}, false);
-  t.Finalize();
   Query q;
   q.predicates.push_back(
       {0, 3, std::numeric_limits<double>::infinity()});  // a >= 3.
@@ -162,7 +159,6 @@ TEST(LabelQueriesTest, MatchesSequentialExecution) {
   std::vector<double> vals;
   for (int i = 0; i < 5000; ++i) vals.push_back(i % 97);
   t.AddColumn("a", std::move(vals), false);
-  t.Finalize();
   const auto queries = GenerateQueries(t, 64, 8);
   const auto parallel = LabelQueries(t, queries);
   for (size_t i = 0; i < queries.size(); ++i)
