@@ -7,16 +7,11 @@
 #include "core/registry.h"
 #include "data/datasets.h"
 #include "robustness/guard.h"
+#include "util/env.h"
 
 namespace arecel::bench {
 
 namespace {
-
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  return std::atof(v);
-}
 
 // Called on the way out of a driver: if any watchdog worker was abandoned
 // and is still running, returning through main would destroy the driver's
@@ -67,7 +62,7 @@ std::vector<std::pair<std::string, double>> ReportMetrics(
 double BenchScale() { return EnvDouble("ARECEL_BENCH_SCALE", 0.5); }
 
 size_t BenchQueryCount() {
-  return static_cast<size_t>(EnvDouble("ARECEL_BENCH_QUERIES", 500));
+  return EnvSize("ARECEL_BENCH_QUERIES", 500);
 }
 
 size_t BenchTrainQueryCount() { return BenchQueryCount() * 4; }

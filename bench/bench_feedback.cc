@@ -40,6 +40,7 @@
 #include "core/evaluator.h"
 #include "data/datasets.h"
 #include "serve/server.h"
+#include "util/env.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "workload/generator.h"
@@ -47,17 +48,6 @@
 namespace {
 
 using namespace arecel;
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback
-                      : static_cast<size_t>(std::strtoull(v, nullptr, 10));
-}
-
-std::string EnvString(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback : std::string(v);
-}
 
 std::vector<std::string> SplitCommas(const std::string& text) {
   std::vector<std::string> parts;

@@ -40,6 +40,7 @@
 #include "core/registry.h"
 #include "data/schema.h"
 #include "join/join_executor.h"
+#include "util/env.h"
 #include "util/stats.h"
 #include "util/timer.h"
 #include "workload/join_generator.h"
@@ -47,17 +48,6 @@
 namespace {
 
 using namespace arecel;
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback
-                      : static_cast<size_t>(std::strtoull(v, nullptr, 10));
-}
-
-std::string EnvString(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback : std::string(v);
-}
 
 std::vector<std::string> SplitCommas(const std::string& text) {
   std::vector<std::string> parts;
@@ -76,8 +66,8 @@ std::vector<std::string> SplitCommas(const std::string& text) {
 // shared ownership, so an abandoned worker never dangles into main).
 struct JoinInputs {
   Schema schema;
-  JoinWorkload train;
-  std::vector<JoinQuery> test;
+  Workload train;
+  std::vector<Query> test;
   std::vector<double> truth_selectivities;  // hash-join ground truth.
 };
 
@@ -139,8 +129,8 @@ int main(int argc, char** argv) {
 
   auto inputs = std::make_shared<JoinInputs>();
   inputs->schema = GenerateStarSchema(star, /*seed=*/71);
-  inputs->train = GenerateJoinWorkload(inputs->schema, train_queries,
-                                       /*seed=*/72);
+  inputs->train = GenerateWorkload(inputs->schema, train_queries,
+                                   /*seed=*/72);
   inputs->test = GenerateJoinQueries(inputs->schema, test_queries,
                                      /*seed=*/73);
   const join::JoinExecutor executor(inputs->schema);
@@ -185,7 +175,7 @@ int main(int argc, char** argv) {
       if (!estimator->SupportsJoins())
         throw std::runtime_error(name + " does not support joins");
 
-      JoinTrainContext context;
+      TrainContext context;
       context.training_workload = &inputs->train;
       context.seed = 42;
       Timer train_timer;
@@ -196,14 +186,14 @@ int main(int argc, char** argv) {
       qerrors.reserve(inputs->test.size());
       Timer inference_timer;
       for (size_t i = 0; i < inputs->test.size(); ++i) {
-        const JoinQuery& query = inputs->test[i];
+        const Query& query = inputs->test[i];
         const double rows_product =
             join::JoinExecutor::RowsProduct(inputs->schema, query);
         const double truth =
             inputs->truth_selectivities[i] * rows_product;
         bool invalid = false;
         const double qerr = ScoreEstimate(
-            estimator->EstimateJoinSelectivity(query),
+            estimator->EstimateSelectivity(query),
             static_cast<size_t>(rows_product), truth, &invalid);
         if (invalid)
           throw std::runtime_error("invalid estimate from " + name);

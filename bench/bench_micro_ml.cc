@@ -57,6 +57,7 @@
 #include "ml/matrix.h"
 #include "ml/packed.h"
 #include "ml/rdc.h"
+#include "util/env.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -65,12 +66,6 @@
 namespace {
 
 using namespace arecel;
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback
-                      : static_cast<size_t>(std::strtoull(v, nullptr, 10));
-}
 
 // Seconds per call: warm up once, then double the repetition count until the
 // timed loop is long enough to trust the clock.

@@ -30,6 +30,7 @@
 
 #include "data/datasets.h"
 #include "scan/block_scan.h"
+#include "util/env.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -39,12 +40,6 @@
 namespace {
 
 using namespace arecel;
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback
-                      : static_cast<size_t>(std::strtoull(v, nullptr, 10));
-}
 
 Table MakeCensusLike(size_t rows, uint64_t seed) {
   DatasetSpec spec = CensusSpec();

@@ -37,6 +37,7 @@
 #include "bench_common.h"
 #include "data/datasets.h"
 #include "serve/server.h"
+#include "util/env.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -46,17 +47,6 @@
 namespace {
 
 using namespace arecel;
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback
-                      : static_cast<size_t>(std::strtoull(v, nullptr, 10));
-}
-
-std::string EnvString(const char* name, const std::string& fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback : std::string(v);
-}
 
 struct CellConfig {
   int clients = 1;

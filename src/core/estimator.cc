@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "join/join_executor.h"
 #include "util/check.h"
 
 namespace arecel {
@@ -17,32 +16,15 @@ void CardinalityEstimator::Update(const Table& table,
 }
 
 double CardinalityEstimator::EstimateCardinality(const Query& query,
-                                                 size_t rows) const {
-  const double sel = EstimateSelectivity(query);
-  const double card = sel * static_cast<double>(rows);
-  return std::clamp(card, 0.0, static_cast<double>(rows));
+                                                 double rows) const {
+  return std::clamp(EstimateSelectivity(query) * rows, 0.0, rows);
 }
 
 void CardinalityEstimator::TrainJoin(const Schema& schema,
-                                     const JoinTrainContext& context) {
+                                     const TrainContext& context) {
   (void)schema;
   (void)context;
   ARECEL_CHECK_MSG(false, "estimator does not support joins (TrainJoin)");
-}
-
-double CardinalityEstimator::EstimateJoinSelectivity(
-    const JoinQuery& query) const {
-  (void)query;
-  ARECEL_CHECK_MSG(false,
-                   "estimator does not support joins (EstimateJoinSelectivity)");
-  return 0.0;
-}
-
-double CardinalityEstimator::EstimateJoinCardinality(
-    const Schema& schema, const JoinQuery& query) const {
-  const double denom = join::JoinExecutor::RowsProduct(schema, query);
-  const double card = EstimateJoinSelectivity(query) * denom;
-  return std::clamp(card, 0.0, denom);
 }
 
 double QError(double estimated_cardinality, double actual_cardinality) {

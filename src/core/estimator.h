@@ -11,19 +11,19 @@
 #include "util/archive.h"
 #include "util/cancellation.h"
 #include "workload/generator.h"
-#include "workload/join_generator.h"
-#include "workload/join_query.h"
 #include "workload/query.h"
 
 namespace arecel {
 
 // What an estimator may consume at training time. Data-driven methods (Naru,
-// DeepDB, histograms, sampling, Bayes) read only `table`; query-driven
-// methods (MSCN, LW-NN/XGB, QuickSel, KDE-FB) additionally read the labelled
-// `training_workload`, exactly as in the paper's setup (§3).
+// DeepDB, histograms, sampling, Bayes) read only `table` (or the schema, for
+// TrainJoin); query-driven methods (MSCN, LW-NN/XGB, QuickSel, KDE-FB)
+// additionally read the labelled `training_workload`, exactly as in the
+// paper's setup (§3).
 struct TrainContext {
   // Labelled queries for query-driven methods; may be empty for data-driven
-  // ones. Selectivities are ground truth over the training table.
+  // ones. Selectivities are ground truth over the training table, or the
+  // Cartesian-product ground truth over the schema for TrainJoin.
   const Workload* training_workload = nullptr;
 
   // Size budget as a fraction of the raw data size (the paper uses 1.5%).
@@ -58,19 +58,6 @@ struct UpdateContext {
   uint64_t seed = 43;
 };
 
-// What a join-capable estimator may consume at training time: the full
-// schema (data-driven methods read the tables and FK edges) plus a labelled
-// join workload for query-driven methods. Mirrors TrainContext one level up.
-struct JoinTrainContext {
-  // Labelled join queries; selectivities are Cartesian-product ground truth
-  // over the schema. May be null for data-driven methods.
-  const JoinWorkload* training_workload = nullptr;
-
-  double size_budget_fraction = 0.015;
-  uint64_t seed = 42;
-  const CancellationToken* cancellation = nullptr;
-};
-
 // Common interface of all thirteen estimators in the study.
 //
 // Estimates are *selectivities* in [0, 1]; callers convert to cardinalities.
@@ -84,6 +71,9 @@ class CardinalityEstimator {
 
   virtual void Train(const Table& table, const TrainContext& context) = 0;
 
+  // Selectivity of `query` in [0, 1]. Every estimator answers queries that
+  // name no tables; join queries reach only estimators whose
+  // SupportsJoins() is true.
   virtual double EstimateSelectivity(const Query& query) const = 0;
 
   // Default update: full retrain with the update workload as training data.
@@ -124,29 +114,26 @@ class CardinalityEstimator {
     return false;
   }
 
-  // ---- Join capability surface (DESIGN.md §13) -------------------------
+  // ---- Join capability (DESIGN.md §13) ---------------------------------
   //
   // Join-capable estimators (postgres-join, sampling-join, mscn-join)
-  // override all three members below; everything else keeps the defaults
-  // and is skipped by join sweeps via the SupportsJoins() probe, mirroring
-  // how SupportsPersistence gates the model-store sweeps.
+  // override both members below and answer join queries through
+  // EstimateSelectivity; everything else keeps the defaults and is skipped
+  // by join sweeps via the SupportsJoins() probe, mirroring how
+  // SupportsPersistence gates the model-store sweeps.
 
-  // True when TrainJoin / EstimateJoinSelectivity are implemented.
+  // True when TrainJoin is implemented and EstimateSelectivity answers
+  // join queries.
   virtual bool SupportsJoins() const { return false; }
 
-  // Trains over a multi-table schema. Only valid when SupportsJoins().
-  virtual void TrainJoin(const Schema& schema, const JoinTrainContext& context);
+  // Trains over a multi-table schema; the training workload holds join
+  // queries. Only valid when SupportsJoins().
+  virtual void TrainJoin(const Schema& schema, const TrainContext& context);
 
-  // Selectivity of a join query against the Cartesian product of its
-  // tables, in [0, 1]. Only valid when SupportsJoins() after TrainJoin.
-  virtual double EstimateJoinSelectivity(const JoinQuery& query) const;
-
-  // Estimated cardinality on a table with `rows` rows, clamped to [0, rows].
-  double EstimateCardinality(const Query& query, size_t rows) const;
-
-  // Estimated join result cardinality, clamped to [0, rows product].
-  double EstimateJoinCardinality(const Schema& schema,
-                                 const JoinQuery& query) const;
+  // Estimated cardinality against `rows` rows — the table's row count, or
+  // the Cartesian-product denominator (join::JoinExecutor::RowsProduct) of
+  // a join query — clamped to [0, rows].
+  double EstimateCardinality(const Query& query, double rows) const;
 };
 
 // Optional capability: estimators that learn from executed-query feedback

@@ -95,6 +95,8 @@ bool LoadTable(const std::string& path, Table* table) {
 }
 
 bool SaveWorkload(const Workload& workload, const std::string& path) {
+  for (const Query& q : workload.queries)
+    if (!q.IsSingleTable()) return false;
   ByteWriter writer;
   writer.U32(kWorkloadMagic);
   writer.U32(kVersion);

@@ -29,6 +29,8 @@ bool LoadTable(const std::string& path, Table* table);
 void WriteTable(const Table& table, ByteWriter* writer);
 bool ReadTable(ByteReader* reader, Table* table);
 
+// The workload file holds single-table queries; SaveWorkload returns false
+// for a workload with a join query.
 bool SaveWorkload(const Workload& workload, const std::string& path);
 bool LoadWorkload(const std::string& path, Workload* workload);
 

@@ -75,6 +75,28 @@ bool Schema::IsKeyColumn(const std::string& table, int column) const {
   return false;
 }
 
+std::string StarCenterTable(const Schema& schema) {
+  ARECEL_CHECK(schema.num_tables() > 0);
+  const auto& fks = schema.foreign_keys();
+  if (fks.empty()) {
+    ARECEL_CHECK_MSG(schema.num_tables() == 1,
+                     "multi-table schema without FK edges has no star center");
+    return schema.tables()[0].name();
+  }
+  for (const std::string& candidate : {fks[0].table, fks[0].ref_table}) {
+    bool on_all = true;
+    for (const ForeignKey& fk : fks) {
+      if (fk.table != candidate && fk.ref_table != candidate) {
+        on_all = false;
+        break;
+      }
+    }
+    if (on_all) return candidate;
+  }
+  ARECEL_CHECK_MSG(false, "schema join graph is not a star");
+  return {};
+}
+
 bool Schema::CheckIntegrity(std::string* detail) const {
   auto fail = [detail](const std::string& message) {
     if (detail != nullptr) *detail = message;

@@ -72,6 +72,11 @@ class Schema {
   std::vector<ForeignKey> fks_;
 };
 
+// The star center of `schema`: the table sharing an FK edge with every
+// other table (the only table of a one-table schema). Aborts on non-star
+// graphs.
+std::string StarCenterTable(const Schema& schema);
+
 // Seeded star-schema generator: one fact table ("fact") with a Zipf-skewed
 // FK column per dimension plus numeric payload attributes, and
 // `num_dimensions` dimension tables ("dim0", "dim1", ...) each holding a

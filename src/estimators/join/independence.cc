@@ -12,7 +12,7 @@ JoinIndependenceEstimator::JoinIndependenceEstimator(
     : options_(options) {}
 
 void JoinIndependenceEstimator::TrainJoin(const Schema& schema,
-                                          const JoinTrainContext& context) {
+                                          const TrainContext& context) {
   (void)context;  // data-driven: statistics only.
   stats_.clear();
   stats_.reserve(schema.num_tables());
@@ -30,9 +30,7 @@ void JoinIndependenceEstimator::TrainJoin(const Schema& schema,
 
 void JoinIndependenceEstimator::Train(const Table& table,
                                       const TrainContext& context) {
-  (void)context;
-  single_table_ = WrappedTableName(table);
-  TrainJoin(WrapSingleTable(table), {});
+  TrainJoin(WrapSingleTable(table), context);
 }
 
 const JoinIndependenceEstimator::TableStats* JoinIndependenceEstimator::Find(
@@ -42,23 +40,24 @@ const JoinIndependenceEstimator::TableStats* JoinIndependenceEstimator::Find(
   return nullptr;
 }
 
-double JoinIndependenceEstimator::EstimateJoinSelectivity(
-    const JoinQuery& query) const {
-  ARECEL_CHECK_MSG(!stats_.empty(), "TrainJoin() must run first");
+double JoinIndependenceEstimator::EstimateSelectivity(
+    const Query& query) const {
+  ARECEL_CHECK_MSG(!stats_.empty(), "Train() must run first");
+  const std::vector<const TableStats*> tables =
+      ResolveQueryTables(query, stats_);
   if (!query.IsSatisfiable()) return 0.0;
 
-  double sel = 1.0;
-  for (const TableSlice& slice : query.tables) {
-    const TableStats* ts = Find(slice.table);
-    ARECEL_CHECK_MSG(ts != nullptr, slice.table.c_str());
+  for (const TableStats* ts : tables) {
     if (ts->rows == 0) return 0.0;
-    for (const Predicate& p : slice.predicates) {
-      ARECEL_CHECK(p.column >= 0 &&
-                   static_cast<size_t>(p.column) < ts->columns.size());
-      const ColumnStats& col = ts->columns[static_cast<size_t>(p.column)];
-      sel *= p.is_equality() ? col.EstimateEquality(p.lo)
-                             : col.EstimateRange(p.lo, p.hi);
-    }
+  }
+  double sel = 1.0;
+  for (const Predicate& p : query.predicates) {
+    const TableStats* ts = tables[static_cast<size_t>(p.table)];
+    ARECEL_CHECK(p.column >= 0 &&
+                 static_cast<size_t>(p.column) < ts->columns.size());
+    const ColumnStats& col = ts->columns[static_cast<size_t>(p.column)];
+    sel *= p.is_equality() ? col.EstimateEquality(p.lo)
+                           : col.EstimateRange(p.lo, p.hi);
   }
 
   for (const JoinEdge& e : query.joins) {
@@ -77,12 +76,6 @@ double JoinIndependenceEstimator::EstimateJoinSelectivity(
     sel /= static_cast<double>(distinct);
   }
   return std::clamp(sel, 0.0, 1.0);
-}
-
-double JoinIndependenceEstimator::EstimateSelectivity(
-    const Query& query) const {
-  ARECEL_CHECK_MSG(!single_table_.empty(), "Train() must run first");
-  return EstimateJoinSelectivity(SingleTableJoinQuery(single_table_, query));
 }
 
 size_t JoinIndependenceEstimator::SizeBytes() const {

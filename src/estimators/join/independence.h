@@ -30,9 +30,7 @@ class JoinIndependenceEstimator : public CardinalityEstimator {
   size_t SizeBytes() const override;
 
   bool SupportsJoins() const override { return true; }
-  void TrainJoin(const Schema& schema,
-                 const JoinTrainContext& context) override;
-  double EstimateJoinSelectivity(const JoinQuery& query) const override;
+  void TrainJoin(const Schema& schema, const TrainContext& context) override;
 
  private:
   struct TableStats {
@@ -44,7 +42,6 @@ class JoinIndependenceEstimator : public CardinalityEstimator {
 
   ColumnStats::Options options_;
   std::vector<TableStats> stats_;
-  std::string single_table_;  // routing name for the single-table contract.
 };
 
 std::unique_ptr<CardinalityEstimator> MakeJoinIndependenceEstimator();

@@ -10,9 +10,9 @@
 namespace arecel {
 namespace {
 
-bool SlicePredicatesHold(const std::vector<Predicate>& preds,
-                         const std::vector<std::vector<double>>& columns,
-                         size_t row) {
+bool PredicatesHold(const std::vector<Predicate>& preds,
+                    const std::vector<std::vector<double>>& columns,
+                    size_t row) {
   for (const Predicate& p : preds) {
     ARECEL_CHECK(p.column >= 0 &&
                  static_cast<size_t>(p.column) < columns.size());
@@ -27,7 +27,7 @@ JoinSamplingEstimator::JoinSamplingEstimator(size_t max_sample_rows)
     : max_sample_rows_(std::max<size_t>(1, max_sample_rows)) {}
 
 void JoinSamplingEstimator::TrainJoin(const Schema& schema,
-                                      const JoinTrainContext& context) {
+                                      const TrainContext& context) {
   center_ = StarCenterTable(schema);
   joined_.clear();
   per_table_.clear();
@@ -36,7 +36,7 @@ void JoinSamplingEstimator::TrainJoin(const Schema& schema,
 
   Rng rng(context.seed);
 
-  // Per-table uniform samples for the single-table path.
+  // Per-table uniform samples for one-table queries.
   for (const Table& table : schema.tables()) {
     TableSample ts;
     ts.name = table.name();
@@ -117,17 +117,7 @@ void JoinSamplingEstimator::TrainJoin(const Schema& schema,
 
 void JoinSamplingEstimator::Train(const Table& table,
                                   const TrainContext& context) {
-  single_table_ = WrappedTableName(table);
-  JoinTrainContext join_context;
-  join_context.seed = context.seed;
-  TrainJoin(WrapSingleTable(table), join_context);
-}
-
-const JoinSamplingEstimator::TableSample* JoinSamplingEstimator::FindSample(
-    const std::string& name) const {
-  for (const TableSample& ts : per_table_)
-    if (ts.name == name) return &ts;
-  return nullptr;
+  TrainJoin(WrapSingleTable(table), context);
 }
 
 const JoinSamplingEstimator::JoinedDimension*
@@ -137,59 +127,55 @@ JoinSamplingEstimator::FindDimension(const std::string& name) const {
   return nullptr;
 }
 
-double JoinSamplingEstimator::SingleTableSelectivity(
-    const TableSlice& slice) const {
-  const TableSample* ts = FindSample(slice.table);
-  ARECEL_CHECK_MSG(ts != nullptr, slice.table.c_str());
-  if (ts->sample_rows == 0) return 0.0;
-  size_t matches = 0;
-  for (size_t r = 0; r < ts->sample_rows; ++r) {
-    if (SlicePredicatesHold(slice.predicates, ts->columns, r)) ++matches;
-  }
-  return static_cast<double>(matches) / static_cast<double>(ts->sample_rows);
-}
-
-double JoinSamplingEstimator::EstimateJoinSelectivity(
-    const JoinQuery& query) const {
-  ARECEL_CHECK_MSG(!per_table_.empty(), "TrainJoin() must run first");
+double JoinSamplingEstimator::EstimateSelectivity(const Query& query) const {
+  ARECEL_CHECK_MSG(!per_table_.empty(), "Train() must run first");
+  const std::vector<const TableSample*> tables =
+      ResolveQueryTables(query, per_table_);
   if (!query.IsSatisfiable()) return 0.0;
-  ARECEL_CHECK_MSG(!query.tables.empty(), "join query has no tables");
 
-  if (query.tables.size() == 1) {
-    return std::clamp(SingleTableSelectivity(query.tables[0]), 0.0, 1.0);
+  if (tables.size() == 1) {
+    const TableSample& ts = *tables[0];
+    if (ts.sample_rows == 0) return 0.0;
+    size_t matches = 0;
+    for (size_t r = 0; r < ts.sample_rows; ++r) {
+      if (PredicatesHold(query.predicates, ts.columns, r)) ++matches;
+    }
+    return std::clamp(static_cast<double>(matches) /
+                          static_cast<double>(ts.sample_rows),
+                      0.0, 1.0);
   }
 
   // Multi-table: walk the correlated sample. The query must be anchored on
   // the schema's star center (every generated workload is).
-  const TableSlice* center_slice = query.FindTable(center_);
-  ARECEL_CHECK_MSG(center_slice != nullptr,
+  const int center_slot = query.TableIndex(center_);
+  ARECEL_CHECK_MSG(center_slot >= 0,
                    "join query does not include the star center");
   if (center_sample_rows_ == 0) return 0.0;
+  const std::vector<Predicate> center_predicates =
+      query.TablePredicates(center_slot);
 
   struct DimProbe {
     const JoinedDimension* dim;
-    const std::vector<Predicate>* predicates;
+    std::vector<Predicate> predicates;
   };
   std::vector<DimProbe> dims;
   double denom = 1.0;
-  for (const TableSlice& slice : query.tables) {
-    if (slice.table == center_) continue;
-    const JoinedDimension* jd = FindDimension(slice.table);
-    ARECEL_CHECK_MSG(jd != nullptr, slice.table.c_str());
+  for (size_t t = 0; t < query.tables.size(); ++t) {
+    if (static_cast<int>(t) == center_slot) continue;
+    const JoinedDimension* jd = FindDimension(query.tables[t]);
+    ARECEL_CHECK_MSG(jd != nullptr, query.tables[t].c_str());
     if (jd->table_rows == 0) return 0.0;
-    dims.push_back({jd, &slice.predicates});
+    dims.push_back({jd, query.TablePredicates(static_cast<int>(t))});
     denom *= static_cast<double>(jd->table_rows);
   }
 
   double matched = 0.0;
   for (size_t r = 0; r < center_sample_rows_; ++r) {
-    if (!SlicePredicatesHold(center_slice->predicates, center_columns_, r)) {
-      continue;
-    }
+    if (!PredicatesHold(center_predicates, center_columns_, r)) continue;
     double weight = 1.0;
     for (const DimProbe& probe : dims) {
       if (probe.dim->weight[r] == 0.0 ||
-          !SlicePredicatesHold(*probe.predicates, probe.dim->columns, r)) {
+          !PredicatesHold(probe.predicates, probe.dim->columns, r)) {
         weight = 0.0;
         break;
       }
@@ -200,11 +186,6 @@ double JoinSamplingEstimator::EstimateJoinSelectivity(
   const double fraction =
       matched / static_cast<double>(center_sample_rows_);
   return std::clamp(fraction / denom, 0.0, 1.0);
-}
-
-double JoinSamplingEstimator::EstimateSelectivity(const Query& query) const {
-  ARECEL_CHECK_MSG(!single_table_.empty(), "Train() must run first");
-  return EstimateJoinSelectivity(SingleTableJoinQuery(single_table_, query));
 }
 
 size_t JoinSamplingEstimator::SizeBytes() const {

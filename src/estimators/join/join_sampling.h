@@ -24,7 +24,7 @@ namespace arecel {
 // Dangling FKs get weight 0; duplicate build keys are folded into the
 // weight via key multiplicity (exact under PK-FK integrity, where every
 // multiplicity is 1). Per-table uniform samples additionally serve
-// single-table queries, including the plain CardinalityEstimator contract.
+// one-table queries, including those that name no tables.
 class JoinSamplingEstimator : public CardinalityEstimator {
  public:
   explicit JoinSamplingEstimator(size_t max_sample_rows = 10000);
@@ -35,9 +35,7 @@ class JoinSamplingEstimator : public CardinalityEstimator {
   size_t SizeBytes() const override;
 
   bool SupportsJoins() const override { return true; }
-  void TrainJoin(const Schema& schema,
-                 const JoinTrainContext& context) override;
-  double EstimateJoinSelectivity(const JoinQuery& query) const override;
+  void TrainJoin(const Schema& schema, const TrainContext& context) override;
 
  private:
   // Uniform per-table sample, row-major by column.
@@ -56,9 +54,7 @@ class JoinSamplingEstimator : public CardinalityEstimator {
     std::vector<double> weight;  // key multiplicity; 0 = dangling FK.
   };
 
-  const TableSample* FindSample(const std::string& name) const;
   const JoinedDimension* FindDimension(const std::string& name) const;
-  double SingleTableSelectivity(const TableSlice& slice) const;
 
   size_t max_sample_rows_;
   std::string center_;
@@ -66,7 +62,6 @@ class JoinSamplingEstimator : public CardinalityEstimator {
   std::vector<std::vector<double>> center_columns_;  // [col][sample row].
   std::vector<JoinedDimension> joined_;
   std::vector<TableSample> per_table_;
-  std::string single_table_;
 };
 
 std::unique_ptr<CardinalityEstimator> MakeJoinSamplingEstimator();

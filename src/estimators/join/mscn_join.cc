@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "estimators/join/join_support.h"
-#include "join/join_executor.h"
 #include "ml/loss.h"
 #include "ml/set_pool.h"
 #include "util/check.h"
@@ -18,19 +17,6 @@ namespace {
 // inf gradients.
 constexpr double kMaxLogDiff = 8.0;
 }  // namespace
-
-const MscnJoinEstimator::TableInfo* MscnJoinEstimator::FindInfo(
-    const std::string& name) const {
-  for (const TableInfo& info : tables_)
-    if (info.name == name) return &info;
-  return nullptr;
-}
-
-int MscnJoinEstimator::TableInfoIndex(const std::string& name) const {
-  for (size_t i = 0; i < tables_.size(); ++i)
-    if (tables_[i].name == name) return static_cast<int>(i);
-  return -1;
-}
 
 int MscnJoinEstimator::EdgeIndexOf(const JoinEdge& edge) const {
   for (size_t i = 0; i < edges_.size(); ++i) {
@@ -48,21 +34,20 @@ int MscnJoinEstimator::EdgeIndexOf(const JoinEdge& edge) const {
   return -1;
 }
 
-Matrix MscnJoinEstimator::TableFeatures(const JoinQuery& query) const {
+Matrix MscnJoinEstimator::TableFeatures(
+    const Query& query, const std::vector<const TableInfo*>& tables) const {
   // Row layout: [table one-hot | per-table sample bitmap].
   const size_t dim = tables_.size() + options_.sample_size;
-  Matrix features(query.tables.size(), dim);
-  for (size_t t = 0; t < query.tables.size(); ++t) {
-    const TableSlice& slice = query.tables[t];
-    const int idx = TableInfoIndex(slice.table);
-    ARECEL_CHECK_MSG(idx >= 0, slice.table.c_str());
-    const TableInfo& info = tables_[static_cast<size_t>(idx)];
+  Matrix features(tables.size(), dim);
+  for (size_t t = 0; t < tables.size(); ++t) {
+    const TableInfo& info = *tables[t];
     float* row = features.Row(t);
-    row[idx] = 1.0f;
+    row[&info - tables_.data()] = 1.0f;
     for (size_t r = 0; r < info.sample_rows && r < options_.sample_size;
          ++r) {
       bool match = true;
-      for (const Predicate& p : slice.predicates) {
+      for (const Predicate& p : query.predicates) {
+        if (static_cast<size_t>(p.table) != t) continue;
         const double v = info.sample[static_cast<size_t>(p.column)][r];
         if (v < p.lo || v > p.hi) {
           match = false;
@@ -75,7 +60,7 @@ Matrix MscnJoinEstimator::TableFeatures(const JoinQuery& query) const {
   return features;
 }
 
-Matrix MscnJoinEstimator::JoinFeatures(const JoinQuery& query) const {
+Matrix MscnJoinEstimator::JoinFeatures(const Query& query) const {
   const size_t dim = std::max<size_t>(1, edges_.size());
   if (query.joins.empty()) {
     // Single-table query: one zero row keeps the pooling well-defined.
@@ -90,7 +75,8 @@ Matrix MscnJoinEstimator::JoinFeatures(const JoinQuery& query) const {
   return features;
 }
 
-Matrix MscnJoinEstimator::PredicateFeatures(const JoinQuery& query) const {
+Matrix MscnJoinEstimator::PredicateFeatures(
+    const Query& query, const std::vector<const TableInfo*>& tables) const {
   // Row layout per atom:
   // [(table, column) one-hot | is_eq, is_ge, is_le | normalized literal].
   struct Atom {
@@ -98,32 +84,28 @@ Matrix MscnJoinEstimator::PredicateFeatures(const JoinQuery& query) const {
     float value;
   };
   std::vector<Atom> atoms;
-  for (const TableSlice& slice : query.tables) {
-    const TableInfo* info = FindInfo(slice.table);
-    ARECEL_CHECK_MSG(info != nullptr, slice.table.c_str());
-    for (const Predicate& p : slice.predicates) {
-      const size_t c = static_cast<size_t>(p.column);
-      ARECEL_CHECK(c < info->col_min.size());
-      const size_t slot = info->col_offset + c;
-      const double span =
-          std::max(info->col_max[c] - info->col_min[c], 1e-12);
-      auto normalize = [&](double v) {
-        return static_cast<float>(
-            std::clamp((v - info->col_min[c]) / span, 0.0, 1.0));
-      };
-      if (p.is_equality()) {
-        atoms.push_back({slot, 0, normalize(p.lo)});
-        continue;
-      }
-      // Bounds at or beyond the column's trained domain are vacuous —
-      // dropping their atoms makes a full-domain conjunct featurize
-      // identically to its absence, so the full-domain-noop invariant
-      // holds by construction (the sample bitmap is likewise unmoved).
-      if (!std::isinf(p.lo) && p.lo > info->col_min[c])
-        atoms.push_back({slot, 1, normalize(p.lo)});  // >= lo.
-      if (!std::isinf(p.hi) && p.hi < info->col_max[c])
-        atoms.push_back({slot, 2, normalize(p.hi)});  // <= hi.
+  for (const Predicate& p : query.predicates) {
+    const TableInfo* info = tables[static_cast<size_t>(p.table)];
+    const size_t c = static_cast<size_t>(p.column);
+    ARECEL_CHECK(c < info->col_min.size());
+    const size_t slot = info->col_offset + c;
+    const double span = std::max(info->col_max[c] - info->col_min[c], 1e-12);
+    auto normalize = [&](double v) {
+      return static_cast<float>(
+          std::clamp((v - info->col_min[c]) / span, 0.0, 1.0));
+    };
+    if (p.is_equality()) {
+      atoms.push_back({slot, 0, normalize(p.lo)});
+      continue;
     }
+    // Bounds at or beyond the column's trained domain are vacuous —
+    // dropping their atoms makes a full-domain conjunct featurize
+    // identically to its absence, so the full-domain-noop invariant
+    // holds by construction (the sample bitmap is likewise unmoved).
+    if (!std::isinf(p.lo) && p.lo > info->col_min[c])
+      atoms.push_back({slot, 1, normalize(p.lo)});  // >= lo.
+    if (!std::isinf(p.hi) && p.hi < info->col_max[c])
+      atoms.push_back({slot, 2, normalize(p.hi)});  // <= hi.
   }
   // No atom: a single zero row keeps the pooling well-defined.
   Matrix features(std::max<size_t>(atoms.size(), 1), total_cols_ + 4);
@@ -187,7 +169,7 @@ void MscnJoinEstimator::TrainStep(const std::vector<Matrix> (&sets)[3],
 }
 
 void MscnJoinEstimator::TrainJoin(const Schema& schema,
-                                  const JoinTrainContext& context) {
+                                  const TrainContext& context) {
   ARECEL_CHECK_MSG(context.training_workload != nullptr &&
                        context.training_workload->size() > 0,
                    "mscn-join is query-driven and needs a labelled workload");
@@ -224,7 +206,7 @@ void MscnJoinEstimator::TrainJoin(const Schema& schema,
               /*reuse_model=*/false);
 }
 
-void MscnJoinEstimator::FitWorkload(const JoinWorkload& workload, int epochs,
+void MscnJoinEstimator::FitWorkload(const Workload& workload, int epochs,
                                     uint64_t seed, bool reuse_model) {
   const size_t h = options_.hidden_units;
   const size_t table_dim = tables_.size() + options_.sample_size;
@@ -262,15 +244,14 @@ void MscnJoinEstimator::FitWorkload(const JoinWorkload& workload, int epochs,
   for (std::vector<Matrix>& module_sets : sets) module_sets.resize(n);
   std::vector<double> labels(n);
   for (size_t i = 0; i < n; ++i) {
-    const JoinQuery& q = workload.queries[i];
-    sets[0][i] = TableFeatures(q);
+    const Query& q = workload.queries[i];
+    const std::vector<const TableInfo*> tables = ResolveQueryTables(q, tables_);
+    sets[0][i] = TableFeatures(q, tables);
     sets[1][i] = JoinFeatures(q);
-    sets[2][i] = PredicateFeatures(q);
+    sets[2][i] = PredicateFeatures(q, tables);
     double denom = 1.0;
-    for (const TableSlice& slice : q.tables) {
-      const TableInfo* info = FindInfo(slice.table);
+    for (const TableInfo* info : tables)
       denom *= static_cast<double>(std::max<size_t>(1, info->rows));
-    }
     const double floor =
         std::max(0.5 / denom, any_positive ? 0.5 * min_positive : 0.0);
     labels[i] = std::log(std::max(workload.selectivities[i], floor));
@@ -299,32 +280,16 @@ void MscnJoinEstimator::FitWorkload(const JoinWorkload& workload, int epochs,
 }
 
 void MscnJoinEstimator::Train(const Table& table, const TrainContext& context) {
-  ARECEL_CHECK_MSG(context.training_workload != nullptr &&
-                       context.training_workload->size() > 0,
-                   "mscn-join is query-driven and needs a labelled workload");
-  single_table_ = WrappedTableName(table);
-  const Schema schema = WrapSingleTable(table);
-  JoinTrainContext join_context;
-  join_context.seed = context.seed;
-  join_context.size_budget_fraction = context.size_budget_fraction;
-  join_context.cancellation = context.cancellation;
-  const JoinWorkload workload =
-      WrapSingleTableWorkload(single_table_, *context.training_workload);
-  join_context.training_workload = &workload;
-  TrainJoin(schema, join_context);
-}
-
-double MscnJoinEstimator::EstimateJoinSelectivity(
-    const JoinQuery& query) const {
-  ARECEL_CHECK_MSG(out_mlp_ != nullptr, "TrainJoin() must run first");
-  const float z = Forward(TableFeatures(query), JoinFeatures(query),
-                          PredicateFeatures(query));
-  return std::clamp(std::exp(static_cast<double>(z)), 0.0, 1.0);
+  TrainJoin(WrapSingleTable(table), context);
 }
 
 double MscnJoinEstimator::EstimateSelectivity(const Query& query) const {
-  ARECEL_CHECK_MSG(!single_table_.empty(), "Train() must run first");
-  return EstimateJoinSelectivity(SingleTableJoinQuery(single_table_, query));
+  ARECEL_CHECK_MSG(out_mlp_ != nullptr, "Train() must run first");
+  const std::vector<const TableInfo*> tables =
+      ResolveQueryTables(query, tables_);
+  const float z = Forward(TableFeatures(query, tables), JoinFeatures(query),
+                          PredicateFeatures(query, tables));
+  return std::clamp(std::exp(static_cast<double>(z)), 0.0, 1.0);
 }
 
 void MscnJoinEstimator::PackForServing() {
@@ -335,7 +300,7 @@ void MscnJoinEstimator::PackForServing() {
 }
 
 void MscnJoinEstimator::SerializeWeights(ByteWriter* writer) const {
-  ARECEL_CHECK_MSG(out_mlp_ != nullptr, "TrainJoin() must run first");
+  ARECEL_CHECK_MSG(out_mlp_ != nullptr, "Train() must run first");
   for (const Mlp* mlp :
        {table_mlp_.get(), join_mlp_.get(), pred_mlp_.get(), out_mlp_.get()})
     SerializeMlp(*mlp, writer);

@@ -49,9 +49,7 @@ class MscnJoinEstimator : public CardinalityEstimator {
   void PackForServing() override;
 
   bool SupportsJoins() const override { return true; }
-  void TrainJoin(const Schema& schema,
-                 const JoinTrainContext& context) override;
-  double EstimateJoinSelectivity(const JoinQuery& query) const override;
+  void TrainJoin(const Schema& schema, const TrainContext& context) override;
 
   double final_loss() const { return final_loss_; }
 
@@ -70,13 +68,15 @@ class MscnJoinEstimator : public CardinalityEstimator {
     std::vector<std::vector<double>> sample;  // [col][sample row].
     size_t sample_rows = 0;
   };
-  const TableInfo* FindInfo(const std::string& name) const;
-  int TableInfoIndex(const std::string& name) const;
   int EdgeIndexOf(const JoinEdge& edge) const;
 
-  Matrix TableFeatures(const JoinQuery& query) const;
-  Matrix JoinFeatures(const JoinQuery& query) const;
-  Matrix PredicateFeatures(const JoinQuery& query) const;
+  // The three feature sets of `query`, whose tables resolve to `tables`
+  // (ResolveQueryTables).
+  Matrix TableFeatures(const Query& query,
+                       const std::vector<const TableInfo*>& tables) const;
+  Matrix JoinFeatures(const Query& query) const;
+  Matrix PredicateFeatures(const Query& query,
+                           const std::vector<const TableInfo*>& tables) const;
   // Inference over one query's three feature sets: the log-selectivity.
   float Forward(const Matrix& table_rows, const Matrix& join_rows,
                 const Matrix& pred_rows) const;
@@ -87,14 +87,13 @@ class MscnJoinEstimator : public CardinalityEstimator {
   void TrainStep(const std::vector<Matrix> (&sets)[3],
                  const std::vector<double>& labels, const size_t* batch,
                  size_t count, float lr, double* loss_sum);
-  void FitWorkload(const JoinWorkload& workload, int epochs, uint64_t seed,
+  void FitWorkload(const Workload& workload, int epochs, uint64_t seed,
                    bool reuse_model);
 
   Options options_;
   std::vector<TableInfo> tables_;
   std::vector<ForeignKey> edges_;
   size_t total_cols_ = 0;
-  std::string single_table_;
   std::unique_ptr<Mlp> table_mlp_, join_mlp_, pred_mlp_, out_mlp_;
   double final_loss_ = 0.0;
 };

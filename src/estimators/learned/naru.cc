@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "robustness/failure.h"
 #include "util/check.h"
@@ -44,6 +46,11 @@ void NaruEstimator::RunEpochs(const Table& table, int epochs, uint64_t seed,
 }
 
 void NaruEstimator::Train(const Table& table, const TrainContext& context) {
+  if (options_.sample_count < 1 || options_.sample_count > kMaxSampleCount)
+    throw std::invalid_argument("naru sample_count " +
+                                std::to_string(options_.sample_count) +
+                                " outside [1, " +
+                                std::to_string(kMaxSampleCount) + "]");
   binnings_ = BuildColumnBinnings(table, options_.max_vocab);
   std::vector<int> vocabs;
   vocabs.reserve(table.num_cols());
@@ -172,10 +179,20 @@ bool NaruEstimator::DeserializeModel(ByteReader* reader) {
         binning.bin_min.size() != binning.bin_max.size()) {
       return false;
     }
+    // Edges ordered as BuildColumnBinnings builds them: bin_min[i] <=
+    // bin_max[i] < bin_min[i + 1]. The comparisons fail on NaN; +-inf are
+    // valid domain values and pass.
+    const std::vector<double>& lo = binning.bin_min;
+    const std::vector<double>& hi = binning.bin_max;
+    for (size_t i = 0; i < lo.size(); ++i) {
+      if (!(lo[i] <= hi[i])) return false;
+      if (i + 1 < lo.size() && !(hi[i] < lo[i + 1])) return false;
+    }
   }
   uint32_t sample_count = 0, pin_seed = 0;
   if (!reader->U32(&sample_count) || !reader->U32(&pin_seed) ||
-      sample_count == 0 || sample_count > (1u << 20)) {
+      sample_count == 0 ||
+      sample_count > static_cast<uint32_t>(kMaxSampleCount)) {
     return false;
   }
   std::unique_ptr<AutoregressiveModel> model =

@@ -36,6 +36,11 @@ class NaruEstimator : public CardinalityEstimator {
  public:
   enum class Backbone { kResMade, kTransformer };
 
+  // Most progressive-sampling paths a model may use: Train refuses more and
+  // DeserializeModel rejects more, so every model that saves also loads
+  // and no stored byte can slow estimates past it.
+  static constexpr int kMaxSampleCount = 4096;
+
   struct Options {
     Backbone backbone = Backbone::kResMade;
     size_t hidden_units = 64;  // ResMADE hidden width.
@@ -47,7 +52,8 @@ class NaruEstimator : public CardinalityEstimator {
     size_t batch_size = 512;
     float learning_rate = 7e-4f;
     int max_vocab = 256;
-    int sample_count = 128;         // progressive-sampling paths.
+    int sample_count = 128;  // progressive-sampling paths, at most
+                             // kMaxSampleCount.
     size_t max_train_rows = 20000;  // row subsample cap per epoch.
     bool pin_sampling_seed = false;
   };

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
+
+#include "util/env.h"
 
 namespace arecel::feedback {
 
@@ -12,17 +13,10 @@ namespace {
 // distance without dividing by zero.
 constexpr double kDistanceEpsilon = 1e-6;
 
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  return (end == value) ? fallback : parsed;
-}
-
-size_t EnvSize(const char* name, size_t fallback) {
-  const double v = EnvDouble(name, static_cast<double>(fallback));
-  return v <= 0 ? fallback : static_cast<size_t>(v);
+// A positive count from the environment, else `fallback`.
+size_t PositiveEnvSize(const char* name, size_t fallback) {
+  const size_t v = EnvSize(name, fallback);
+  return v == 0 ? fallback : v;
 }
 
 }  // namespace
@@ -33,11 +27,11 @@ double SelectivityFloor(size_t rows) {
 
 FeedbackOptions FeedbackOptionsFromEnv() {
   FeedbackOptions options;
-  options.neighbors = EnvSize("ARECEL_FEEDBACK_K", options.neighbors);
-  options.max_entries_per_subspace =
-      EnvSize("ARECEL_FEEDBACK_ENTRIES", options.max_entries_per_subspace);
+  options.neighbors = PositiveEnvSize("ARECEL_FEEDBACK_K", options.neighbors);
+  options.max_entries_per_subspace = PositiveEnvSize(
+      "ARECEL_FEEDBACK_ENTRIES", options.max_entries_per_subspace);
   options.max_subspaces =
-      EnvSize("ARECEL_FEEDBACK_SUBSPACES", options.max_subspaces);
+      PositiveEnvSize("ARECEL_FEEDBACK_SUBSPACES", options.max_subspaces);
   options.decay = EnvDouble("ARECEL_FEEDBACK_DECAY", options.decay);
   options.ema_blend = EnvDouble("ARECEL_FEEDBACK_BLEND", options.ema_blend);
   options.trust_radius =

@@ -22,42 +22,40 @@ struct BuildSide {
   int table_index = -1;  // into schema.tables(), for synopsis lookup.
   int probe_column = 0;  // join column on the probe table.
   int build_column = 0;  // join column on this build table.
-  const std::vector<Predicate>* predicates = nullptr;
+  std::vector<Predicate> predicates;
 };
 
 struct StarPlan {
   const Table* probe = nullptr;
   int probe_index = -1;
-  const std::vector<Predicate>* probe_predicates = nullptr;
+  std::vector<Predicate> probe_predicates;
   std::vector<BuildSide> builds;
 };
 
-void CheckSliceColumns(const Table& table, const TableSlice& slice) {
-  for (const Predicate& p : slice.predicates) {
+StarPlan BuildStarPlan(const Schema& schema, const Query& query) {
+  ARECEL_CHECK_MSG(!query.tables.empty(), "join query has no tables");
+  ARECEL_CHECK_MSG(query.HasValidTableIndices(),
+                   "join predicate table index out of range");
+  std::unordered_set<std::string> seen;
+  for (const std::string& name : query.tables) {
+    ARECEL_CHECK_MSG(seen.insert(name).second, "table repeated in join query");
+    ARECEL_CHECK_MSG(schema.FindTable(name) != nullptr, name.c_str());
+  }
+  for (const Predicate& p : query.predicates) {
+    const Table& table =
+        schema.table(query.tables[static_cast<size_t>(p.table)]);
     ARECEL_CHECK_MSG(p.column >= 0 &&
                          static_cast<size_t>(p.column) < table.num_cols(),
                      "join predicate column out of range");
-  }
-}
-
-StarPlan BuildStarPlan(const Schema& schema, const JoinQuery& query) {
-  ARECEL_CHECK_MSG(!query.tables.empty(), "join query has no tables");
-  std::unordered_set<std::string> seen;
-  for (const TableSlice& slice : query.tables) {
-    ARECEL_CHECK_MSG(seen.insert(slice.table).second,
-                     "table repeated in join query");
-    const Table* t = schema.FindTable(slice.table);
-    ARECEL_CHECK_MSG(t != nullptr, slice.table.c_str());
-    CheckSliceColumns(*t, slice);
   }
 
   StarPlan plan;
   if (query.tables.size() == 1) {
     ARECEL_CHECK_MSG(query.joins.empty(),
                      "single-table join query must have no edges");
-    plan.probe = &schema.table(query.tables[0].table);
-    plan.probe_index = schema.TableIndex(query.tables[0].table);
-    plan.probe_predicates = &query.tables[0].predicates;
+    plan.probe = &schema.table(query.tables[0]);
+    plan.probe_index = schema.TableIndex(query.tables[0]);
+    plan.probe_predicates = query.predicates;
     return plan;
   }
 
@@ -80,11 +78,11 @@ StarPlan BuildStarPlan(const Schema& schema, const JoinQuery& query) {
     }
   }
   ARECEL_CHECK_MSG(!center.empty(), "join graph is not a star");
-  ARECEL_CHECK_MSG(query.FindTable(center) != nullptr,
-                   "star center missing from query tables");
+  const int center_slot = query.TableIndex(center);
+  ARECEL_CHECK_MSG(center_slot >= 0, "star center missing from query tables");
   plan.probe = &schema.table(center);
   plan.probe_index = schema.TableIndex(center);
-  plan.probe_predicates = &query.FindTable(center)->predicates;
+  plan.probe_predicates = query.TablePredicates(center_slot);
 
   std::unordered_set<std::string> covered;
   for (const JoinEdge& e : query.joins) {
@@ -94,13 +92,13 @@ StarPlan BuildStarPlan(const Schema& schema, const JoinQuery& query) {
     ARECEL_CHECK_MSG(other != center, "self-join edges are unsupported");
     ARECEL_CHECK_MSG(covered.insert(other).second,
                      "table joined by more than one edge");
-    const TableSlice* slice = query.FindTable(other);
-    ARECEL_CHECK_MSG(slice != nullptr, other.c_str());
+    const int slot = query.TableIndex(other);
+    ARECEL_CHECK_MSG(slot >= 0, other.c_str());
     side.table = &schema.table(other);
     side.table_index = schema.TableIndex(other);
     side.probe_column = center_left ? e.left_column : e.right_column;
     side.build_column = center_left ? e.right_column : e.left_column;
-    side.predicates = &slice->predicates;
+    side.predicates = query.TablePredicates(slot);
     ARECEL_CHECK_MSG(
         side.probe_column >= 0 && static_cast<size_t>(side.probe_column) <
                                       plan.probe->num_cols(),
@@ -109,7 +107,7 @@ StarPlan BuildStarPlan(const Schema& schema, const JoinQuery& query) {
         side.build_column >= 0 && static_cast<size_t>(side.build_column) <
                                       side.table->num_cols(),
         "join edge column out of range on build side");
-    plan.builds.push_back(side);
+    plan.builds.push_back(std::move(side));
   }
   return plan;
 }
@@ -199,7 +197,7 @@ void ForEachMatch(const Table& table, const scan::TableSynopsis& syn,
   }
 }
 
-size_t HashJoinCount(const Schema& schema, const JoinQuery& query,
+size_t HashJoinCount(const Schema& schema, const Query& query,
                      const std::vector<scan::TableSynopsis>& synopses,
                      scan::ScanStats* stats) {
   if (!query.IsSatisfiable()) return 0;
@@ -218,7 +216,7 @@ size_t HashJoinCount(const Schema& schema, const JoinQuery& query,
         side.table->column(static_cast<size_t>(side.build_column))
             .values.data();
     ForEachMatch(*side.table, synopses[static_cast<size_t>(side.table_index)],
-                 *side.predicates, stats,
+                 side.predicates, stats,
                  [&](uint32_t r) { hash.Add(keys[r]); });
     if (hash.size() == 0) return 0;  // a dimension filtered to nothing.
     hashes.push_back(std::move(hash));
@@ -235,7 +233,7 @@ size_t HashJoinCount(const Schema& schema, const JoinQuery& query,
   }
   size_t total = 0;
   ForEachMatch(*plan.probe, synopses[static_cast<size_t>(plan.probe_index)],
-               *plan.probe_predicates, stats, [&](uint32_t r) {
+               plan.probe_predicates, stats, [&](uint32_t r) {
                  size_t contribution = 1;
                  for (size_t b = 0; b < hashes.size(); ++b) {
                    contribution *= hashes[b].Lookup(probe_keys[b][r]);
@@ -248,30 +246,28 @@ size_t HashJoinCount(const Schema& schema, const JoinQuery& query,
 
 }  // namespace
 
-JoinExecutor::JoinExecutor(const Schema& schema, JoinExecOptions options)
-    : schema_(&schema), options_(options) {
-  ARECEL_CHECK(options_.block_size > 0);
+JoinExecutor::JoinExecutor(const Schema& schema,
+                           const scan::SynopsisOptions& options)
+    : schema_(&schema) {
   synopses_.reserve(schema.num_tables());
-  for (const Table& t : schema.tables()) {
-    synopses_.emplace_back(t, scan::SynopsisOptions{options_.block_size});
-  }
+  for (const Table& t : schema.tables()) synopses_.emplace_back(t, options);
 }
 
-size_t JoinExecutor::Count(const JoinQuery& query) const {
+size_t JoinExecutor::Count(const Query& query) const {
   scan::ScanStats local;
   const size_t count = HashJoinCount(*schema_, query, synopses_, &local);
   stats_.Merge(local);
   return count;
 }
 
-double JoinExecutor::Selectivity(const JoinQuery& query) const {
+double JoinExecutor::Selectivity(const Query& query) const {
   const double denom = RowsProduct(*schema_, query);
   if (!(denom > 0.0)) return 0.0;
   return static_cast<double>(Count(query)) / denom;
 }
 
 std::vector<size_t> JoinExecutor::CountBatch(
-    const std::vector<JoinQuery>& queries) const {
+    const std::vector<Query>& queries) const {
   std::vector<size_t> counts(queries.size(), 0);
   ParallelFor(0, queries.size(),
               [&](size_t i) { counts[i] = Count(queries[i]); });
@@ -279,7 +275,7 @@ std::vector<size_t> JoinExecutor::CountBatch(
 }
 
 std::vector<double> JoinExecutor::Label(
-    const std::vector<JoinQuery>& queries) const {
+    const std::vector<Query>& queries) const {
   std::vector<double> labels(queries.size(), 0.0);
   ParallelFor(0, queries.size(),
               [&](size_t i) { labels[i] = Selectivity(queries[i]); });
@@ -292,29 +288,24 @@ size_t JoinExecutor::SynopsisSizeBytes() const {
   return total;
 }
 
-double JoinExecutor::RowsProduct(const Schema& schema,
-                                 const JoinQuery& query) {
+double JoinExecutor::RowsProduct(const Schema& schema, const Query& query) {
+  ARECEL_CHECK_MSG(!query.tables.empty(), "join query has no tables");
   double product = 1.0;
-  for (const TableSlice& slice : query.tables) {
-    product *= static_cast<double>(schema.table(slice.table).num_rows());
+  for (const std::string& name : query.tables) {
+    product *= static_cast<double>(schema.table(name).num_rows());
   }
   return product;
 }
 
-size_t ExecuteJoinCount(const Schema& schema, const JoinQuery& query) {
+size_t ExecuteJoinCount(const Schema& schema, const Query& query) {
   return JoinExecutor(schema).Count(query);
 }
 
-double ExecuteJoinSelectivity(const Schema& schema, const JoinQuery& query) {
+double ExecuteJoinSelectivity(const Schema& schema, const Query& query) {
   return JoinExecutor(schema).Selectivity(query);
 }
 
-std::vector<double> LabelJoinQueries(const Schema& schema,
-                                     const std::vector<JoinQuery>& queries) {
-  return JoinExecutor(schema).Label(queries);
-}
-
-size_t ExecuteJoinCountNaive(const Schema& schema, const JoinQuery& query) {
+size_t ExecuteJoinCountNaive(const Schema& schema, const Query& query) {
   if (!query.IsSatisfiable()) return 0;
   const StarPlan plan = BuildStarPlan(schema, query);
   auto row_matches = [](const Table& table,
@@ -329,7 +320,7 @@ size_t ExecuteJoinCountNaive(const Schema& schema, const JoinQuery& query) {
   };
   size_t total = 0;
   for (size_t r = 0; r < plan.probe->num_rows(); ++r) {
-    if (!row_matches(*plan.probe, *plan.probe_predicates, r)) continue;
+    if (!row_matches(*plan.probe, plan.probe_predicates, r)) continue;
     size_t contribution = 1;
     for (const BuildSide& side : plan.builds) {
       const double probe_value =
@@ -341,7 +332,7 @@ size_t ExecuteJoinCountNaive(const Schema& schema, const JoinQuery& query) {
             side.table->column(static_cast<size_t>(side.build_column))
                 .values[s];
         if (build_value == probe_value &&
-            row_matches(*side.table, *side.predicates, s)) {
+            row_matches(*side.table, side.predicates, s)) {
           ++matches;
         }
       }

@@ -7,16 +7,16 @@
 #include "data/schema.h"
 #include "scan/block_scan.h"
 #include "scan/synopsis.h"
-#include "workload/join_query.h"
+#include "workload/query.h"
 
 namespace arecel::join {
 
 // Exact ground-truth execution of star join queries (DESIGN.md §13).
 //
-// The executor decomposes a JoinQuery into one probe table (the star's
+// The executor decomposes a join query into one probe table (the star's
 // center — the table every join edge touches) and one build side per other
 // table, then runs a textbook build-side hash join:
-//  1. each build table is scanned with its per-table predicates through the
+//  1. each build table is scanned with its predicates through the
 //     block-scan cascade (zone-map, dictionary-bitmap and mini-histogram
 //     pruning included, shared with BlockScanner via scan::ScanPlan), and
 //     the surviving rows' key values feed an open-addressing hash table of
@@ -29,29 +29,29 @@ namespace arecel::join {
 // nested-loop reference below is a true differential oracle for fan-out
 // cases too. Counts are exact integers, bit-identical to the reference by
 // construction; tests/join_executor_test.cc enforces that differentially.
-struct JoinExecOptions {
-  size_t block_size = scan::kDefaultBlockSize;
-};
-
+//
+// Queries must name their tables (a one-table query names one); each
+// predicate's `table` indexes them.
 class JoinExecutor {
  public:
   // The schema must outlive the executor (synopses point into its tables).
-  explicit JoinExecutor(const Schema& schema, JoinExecOptions options = {});
+  explicit JoinExecutor(const Schema& schema,
+                        const scan::SynopsisOptions& options = {});
 
   // Exact COUNT(*) of `query`. Aborts on malformed queries (unknown
-  // tables, non-star join graphs, out-of-range columns).
-  size_t Count(const JoinQuery& query) const;
+  // tables, non-star join graphs, out-of-range columns or table indices).
+  size_t Count(const Query& query) const;
 
   // Count / product of participating table row counts, in [0, 1]; 0 when
   // any participating table is empty.
-  double Selectivity(const JoinQuery& query) const;
+  double Selectivity(const Query& query) const;
 
   // Batch labeling, parallelized over queries (each Count is a pure read).
-  std::vector<size_t> CountBatch(const std::vector<JoinQuery>& queries) const;
-  std::vector<double> Label(const std::vector<JoinQuery>& queries) const;
+  std::vector<size_t> CountBatch(const std::vector<Query>& queries) const;
+  std::vector<double> Label(const std::vector<Query>& queries) const;
 
   // Cartesian-product denominator of `query` over `schema`.
-  static double RowsProduct(const Schema& schema, const JoinQuery& query);
+  static double RowsProduct(const Schema& schema, const Query& query);
 
   // Cumulative build/probe-side pruning counters across every Count call.
   scan::ScanStats scan_stats() const { return stats_.Snapshot(); }
@@ -61,23 +61,20 @@ class JoinExecutor {
 
  private:
   const Schema* schema_;
-  JoinExecOptions options_;
   std::vector<scan::TableSynopsis> synopses_;  // aligned with schema tables.
   mutable scan::ScanStatsCollector stats_;
 };
 
 // One-shot conveniences (no synopsis amortization across queries).
-size_t ExecuteJoinCount(const Schema& schema, const JoinQuery& query);
-double ExecuteJoinSelectivity(const Schema& schema, const JoinQuery& query);
-std::vector<double> LabelJoinQueries(const Schema& schema,
-                                     const std::vector<JoinQuery>& queries);
+size_t ExecuteJoinCount(const Schema& schema, const Query& query);
+double ExecuteJoinSelectivity(const Schema& schema, const Query& query);
 
 // Differential oracle: row-at-a-time nested loops over the same star
 // decomposition, with Predicate::Matches as the interval oracle and plain
 // double equality as the join condition. Shares no scan or hash machinery
 // with JoinExecutor — the "naive" side of the differential suite and of
 // bench_join.
-size_t ExecuteJoinCountNaive(const Schema& schema, const JoinQuery& query);
+size_t ExecuteJoinCountNaive(const Schema& schema, const Query& query);
 
 }  // namespace arecel::join
 

@@ -26,6 +26,8 @@ const char* FailureKindName(FailureKind kind) {
       return "kCellTimeout";
     case FailureKind::kCellThrew:
       return "kCellThrew";
+    case FailureKind::kInvalidQuery:
+      return "kInvalidQuery";
   }
   return "kUnknown";
 }

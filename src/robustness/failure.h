@@ -27,6 +27,9 @@ enum class FailureKind {
                        // and must be discarded, never served or retried.
   kCellTimeout,        // a generic bench cell exceeded its deadline.
   kCellThrew,          // a generic bench cell raised an exception.
+  kInvalidQuery,       // the server refused a query its model cannot
+                       // answer (a join query, or a predicate column
+                       // outside the model's table).
 };
 
 // Stable string form used in reports, bench FAILED rows, and journal

@@ -51,32 +51,6 @@ void FaultInjector::ApplyTrainFault(const FaultSpec& fault,
   }
 }
 
-bool FaultInjector::ApplyEstimateFault(double* selectivity) const {
-  const FaultSpec* fault = schedule_.Fire(FaultStage::kEstimate);
-  if (fault == nullptr) return false;
-  switch (fault->action) {
-    case FaultAction::kThrow:
-      throw std::runtime_error("injected estimate fault");
-    case FaultAction::kHang:
-      SlicedSleep(fault->hang_cap_seconds, nullptr);
-      throw std::runtime_error("injected estimate hang hit its cap");
-    case FaultAction::kDelay:
-      SlicedSleep(fault->delay_seconds, nullptr);
-      return false;  // then answer normally.
-    case FaultAction::kNan:
-      *selectivity = std::numeric_limits<double>::quiet_NaN();
-      return true;
-    case FaultAction::kInf:
-      *selectivity = std::numeric_limits<double>::infinity();
-      return true;
-    case FaultAction::kNegative:
-      *selectivity = -0.5;
-      return true;
-    default:
-      throw std::runtime_error("fault action not applicable to estimate stage");
-  }
-}
-
 void FaultInjector::Train(const Table& table, const TrainContext& context) {
   if (const FaultSpec* fault = schedule_.Fire(FaultStage::kTrain))
     ApplyTrainFault(*fault, context.cancellation);
@@ -91,22 +65,33 @@ void FaultInjector::Update(const Table& table, const UpdateContext& context) {
 }
 
 double FaultInjector::EstimateSelectivity(const Query& query) const {
-  double injected = 0.0;
-  if (ApplyEstimateFault(&injected)) return injected;
-  return base_->EstimateSelectivity(query);
+  const FaultSpec* fault = schedule_.Fire(FaultStage::kEstimate);
+  if (fault == nullptr) return base_->EstimateSelectivity(query);
+  switch (fault->action) {
+    case FaultAction::kThrow:
+      throw std::runtime_error("injected estimate fault");
+    case FaultAction::kHang:
+      SlicedSleep(fault->hang_cap_seconds, nullptr);
+      throw std::runtime_error("injected estimate hang hit its cap");
+    case FaultAction::kDelay:
+      SlicedSleep(fault->delay_seconds, nullptr);
+      return base_->EstimateSelectivity(query);  // then answer normally.
+    case FaultAction::kNan:
+      return std::numeric_limits<double>::quiet_NaN();
+    case FaultAction::kInf:
+      return std::numeric_limits<double>::infinity();
+    case FaultAction::kNegative:
+      return -0.5;
+    default:
+      throw std::runtime_error("fault action not applicable to estimate stage");
+  }
 }
 
 void FaultInjector::TrainJoin(const Schema& schema,
-                              const JoinTrainContext& context) {
+                              const TrainContext& context) {
   if (const FaultSpec* fault = schedule_.Fire(FaultStage::kTrain))
     ApplyTrainFault(*fault, context.cancellation);
   base_->TrainJoin(schema, context);
-}
-
-double FaultInjector::EstimateJoinSelectivity(const JoinQuery& query) const {
-  double injected = 0.0;
-  if (ApplyEstimateFault(&injected)) return injected;
-  return base_->EstimateJoinSelectivity(query);
 }
 
 bool FaultInjector::SerializeModel(ByteWriter* writer) const {

@@ -35,12 +35,10 @@ class FaultInjector : public CardinalityEstimator {
   bool SerializeModel(ByteWriter* writer) const override;
   bool DeserializeModel(ByteReader* reader) override;
 
-  // Join calls share the train/estimate fault stages and counters, so one
-  // plan drives bench_join's fault cells too.
+  // TrainJoin shares the train fault stage and counter, so one plan drives
+  // bench_join's fault cells too.
   bool SupportsJoins() const override { return base_->SupportsJoins(); }
-  void TrainJoin(const Schema& schema,
-                 const JoinTrainContext& context) override;
-  double EstimateJoinSelectivity(const JoinQuery& query) const override;
+  void TrainJoin(const Schema& schema, const TrainContext& context) override;
 
   int train_calls() const { return schedule_.calls(FaultStage::kTrain); }
   int estimate_calls() const {
@@ -50,13 +48,9 @@ class FaultInjector : public CardinalityEstimator {
  private:
   void ApplyTrainFault(const FaultSpec& fault,
                        const CancellationToken* cancel) const;
-  // Fires the estimate stage once: true with the injected answer in
-  // *selectivity, false (after any injected delay) to let the base answer.
-  bool ApplyEstimateFault(double* selectivity) const;
 
   std::unique_ptr<CardinalityEstimator> base_;
-  // Train, Update and TrainJoin count as train calls; both estimate entry
-  // points count as estimate calls.
+  // Train, Update and TrainJoin count as train calls.
   mutable FaultSchedule schedule_;
 };
 

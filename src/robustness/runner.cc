@@ -1,22 +1,19 @@
 #include "robustness/runner.h"
 
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 
 #include "core/registry.h"
 #include "estimators/extensions/guarded.h"
 #include "robustness/guard.h"
+#include "util/env.h"
 #include "util/timer.h"
 
 namespace arecel::robust {
 
 namespace {
-
-double EnvSeconds(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback : std::atof(v);
-}
 
 // Shared handle for a guarded stage's input: an owning copy when the stage
 // runs under a watchdog (a timed-out worker is abandoned and keeps reading
@@ -210,14 +207,15 @@ bool RunEstimateStage(std::shared_ptr<CardinalityEstimator> estimator,
 RobustOptions RobustOptionsFromEnv() {
   RobustOptions options;
   options.train_deadline_seconds =
-      EnvSeconds("ARECEL_TRAIN_DEADLINE", options.train_deadline_seconds);
-  options.estimate_deadline_seconds = EnvSeconds(
+      EnvDouble("ARECEL_TRAIN_DEADLINE", options.train_deadline_seconds);
+  options.estimate_deadline_seconds = EnvDouble(
       "ARECEL_ESTIMATE_DEADLINE", options.estimate_deadline_seconds);
   options.query_deadline_seconds =
-      EnvSeconds("ARECEL_QUERY_DEADLINE", options.query_deadline_seconds);
-  options.max_train_attempts = static_cast<int>(
-      EnvSeconds("ARECEL_TRAIN_ATTEMPTS",
-                 static_cast<double>(options.max_train_attempts)));
+      EnvDouble("ARECEL_QUERY_DEADLINE", options.query_deadline_seconds);
+  options.max_train_attempts = static_cast<int>(std::min<size_t>(
+      EnvSize("ARECEL_TRAIN_ATTEMPTS",
+              static_cast<size_t>(options.max_train_attempts)),
+      INT_MAX));
   if (const char* fallback = std::getenv("ARECEL_FALLBACK")) {
     options.fallback = fallback;
     if (options.fallback == "none") options.fallback.clear();

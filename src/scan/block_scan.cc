@@ -364,6 +364,7 @@ BlockScanner::BlockScanner(const Table& table,
 }
 
 size_t BlockScanner::Count(const Query& query) const {
+  ARECEL_CHECK_MSG(query.IsSingleTable(), "BlockScanner given a join query");
   const uint32_t rows = CheckedRowCount(*table_);
   ARECEL_CHECK_MSG(synopsis_.covered_rows() == table_->num_rows(),
                    "table changed without Refresh()");
@@ -401,6 +402,8 @@ double BlockScanner::Selectivity(const Query& query) const {
 
 std::vector<size_t> BlockScanner::CountBatch(
     const std::vector<Query>& queries) const {
+  for (const Query& query : queries)
+    ARECEL_CHECK_MSG(query.IsSingleTable(), "BlockScanner given a join query");
   std::vector<size_t> counts(queries.size(), 0);
   const uint32_t rows = CheckedRowCount(*table_);
   if (rows == 0 || queries.empty()) return counts;

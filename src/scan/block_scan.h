@@ -168,7 +168,7 @@ class ScanPlan {
 // the synopsis incrementally — Count/CountBatch abort if the table grew
 // without a Refresh (the zone maps and bitmaps would be stale). The table
 // must outlive the scanner and must not shrink or change schema between
-// Refresh() calls.
+// Refresh() calls. Queries must name no tables (Query::IsSingleTable).
 class BlockScanner {
  public:
   explicit BlockScanner(const Table& table,

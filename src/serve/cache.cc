@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/check.h"
 #include "util/hash.h"
 
 namespace arecel::serve {
@@ -33,10 +34,10 @@ void AppendBound(std::string* out, double v) {
 size_t EntryBytes(const std::string& key) { return key.size() + 96; }
 
 // Table-set identifier: table count, then each name '\x1f'-terminated (the
-// caller passes them sorted). A single-table Query uses one anonymous
+// caller passes them sorted). A single-table query keys as one anonymous
 // table, so its prefix (count 1, empty name) can never equal a join
-// query's (count >= 2, or count 1 with a non-empty name) — the fix for the
-// single-vs-join fingerprint aliasing.
+// query's (count >= 2, or count 1 with a non-empty name): the two kinds of
+// query never alias one cache entry.
 void AppendTableSetPrefix(std::string* out,
                           const std::vector<std::string>& sorted_names) {
   const uint32_t count = static_cast<uint32_t>(sorted_names.size());
@@ -64,27 +65,27 @@ void AppendPredicateBytes(std::string* out,
   }
 }
 
-}  // namespace
+// Appends CanonicalPredicateKey(query) to `key`.
+void AppendCanonicalKey(std::string* key, const Query& query) {
+  if (query.IsSingleTable()) {
+    const uint32_t one_table = 1;  // the prefix of one anonymous table.
+    AppendRaw(key, &one_table, sizeof(one_table));
+    *key += '\x1f';
+    AppendPredicateBytes(key, query.predicates);
+    return;
+  }
 
-std::string CanonicalPredicateKey(const Query& query) {
-  std::string key;
-  key.reserve(sizeof(uint32_t) + 1 +
-              query.predicates.size() * (sizeof(int32_t) + 2 * sizeof(double)));
-  AppendTableSetPrefix(&key, {std::string()});
-  AppendPredicateBytes(&key, query.predicates);
-  return key;
-}
-
-std::string CanonicalJoinKey(const JoinQuery& query) {
-  const std::vector<std::string> names = query.SortedTableNames();
-  std::string key;
-  AppendTableSetPrefix(&key, names);
+  ARECEL_CHECK_MSG(!query.tables.empty(), "join edges without tables");
+  ARECEL_CHECK_MSG(query.HasValidTableIndices(),
+                   "predicate table index out of range");
+  std::vector<std::string> names = query.tables;
+  std::sort(names.begin(), names.end());
+  AppendTableSetPrefix(key, names);
   for (const std::string& name : names) {
-    key += name;
-    key += '\x1f';
-    const TableSlice* slice = query.FindTable(name);
-    AppendPredicateBytes(&key, slice->predicates);
-    key += '\x1f';
+    *key += name;
+    *key += '\x1f';
+    AppendPredicateBytes(key, query.TablePredicates(query.TableIndex(name)));
+    *key += '\x1f';
   }
   // Edges: order each edge's endpoints, then sort the edge list, so the
   // fingerprint is insensitive to edge orientation and order.
@@ -112,13 +113,20 @@ std::string CanonicalJoinKey(const JoinQuery& query) {
     return a.second.column < b.second.column;
   });
   for (const auto& [left, right] : edges) {
-    key += left.table;
-    key += '\x1f';
-    AppendRaw(&key, &left.column, sizeof(left.column));
-    key += right.table;
-    key += '\x1f';
-    AppendRaw(&key, &right.column, sizeof(right.column));
+    *key += left.table;
+    *key += '\x1f';
+    AppendRaw(key, &left.column, sizeof(left.column));
+    *key += right.table;
+    *key += '\x1f';
+    AppendRaw(key, &right.column, sizeof(right.column));
   }
+}
+
+}  // namespace
+
+std::string CanonicalPredicateKey(const Query& query) {
+  std::string key;
+  AppendCanonicalKey(&key, query);
   return key;
 }
 
@@ -129,23 +137,17 @@ std::string DatasetKeyPrefix(const std::string& dataset) {
 std::string EstimateCacheKey(const std::string& dataset,
                              const std::string& estimator,
                              uint64_t data_version, const Query& query) {
-  std::string key = DatasetKeyPrefix(dataset);
+  std::string key;
+  // One allocation: the single-table key's size is known up front.
+  key.reserve(dataset.size() + estimator.size() + 2 + sizeof(data_version) +
+              sizeof(uint32_t) + 1 +
+              query.predicates.size() *
+                  (sizeof(int32_t) + 2 * sizeof(double)));
+  key += DatasetKeyPrefix(dataset);
   key += estimator;
   key += '\x1f';
   AppendRaw(&key, &data_version, sizeof(data_version));
-  key += CanonicalPredicateKey(query);
-  return key;
-}
-
-std::string JoinEstimateCacheKey(const std::string& dataset,
-                                 const std::string& estimator,
-                                 uint64_t data_version,
-                                 const JoinQuery& query) {
-  std::string key = DatasetKeyPrefix(dataset);
-  key += estimator;
-  key += '\x1f';
-  AppendRaw(&key, &data_version, sizeof(data_version));
-  key += CanonicalJoinKey(query);
+  AppendCanonicalKey(&key, query);
   return key;
 }
 

@@ -10,48 +10,35 @@
 #include <utility>
 #include <vector>
 
-#include "workload/join_query.h"
 #include "workload/query.h"
 
 namespace arecel::serve {
 
-// Canonical fingerprint of a query's predicate list: a table-set prefix
-// (table count + sorted table names) followed by the predicates sorted by
-// (column, lo, hi) with -0.0 normalized to +0.0, serialized as raw bytes.
-// Two queries with the same conjuncts in a different order — the common
-// case when an optimizer enumerates join orders — map to the same key, so
-// they share one cache entry. The table-set prefix makes single-table and
-// join fingerprints disjoint by construction: a single-table query (one
-// anonymous table) and a join query with byte-identical predicate lists can
-// never alias one cache entry. The canonicalization deliberately stops at
-// reorderings that cannot change an estimator's answer (every registry
-// estimator treats the predicate list as a set over columns); semantic
-// rewrites like merging duplicate columns or dropping vacuous intervals
-// are NOT applied, because an approximate model may answer the rewritten
-// query differently and the cache contract is bit-identical replay.
+// Canonical fingerprint of a query, serialized as raw bytes: a table-set
+// prefix (table count + sorted table names), then the predicates sorted by
+// (column, lo, hi) with -0.0 normalized to +0.0 — per table in sorted-name
+// order for a join query — then a join query's edges, each edge's
+// endpoints ordered and the edge list sorted. Two queries with the same
+// conjuncts, tables and edges in a different order or orientation — the
+// common case when an optimizer enumerates join orders — map to the same
+// key, so they share one cache entry. A single-table query keys as one
+// anonymous table, so the table-set prefix keeps single-table and join
+// fingerprints disjoint: a single-table query and a one-table join query
+// with byte-identical predicate lists never alias one cache entry. The
+// canonicalization deliberately stops at reorderings that cannot change an
+// estimator's answer (every registry estimator treats the predicate list
+// as a set over columns); semantic rewrites like merging duplicate columns
+// or dropping vacuous intervals are NOT applied, because an approximate
+// model may answer the rewritten query differently and the cache contract
+// is bit-identical replay.
 std::string CanonicalPredicateKey(const Query& query);
 
-// Canonical fingerprint of a join query: table-set prefix (count + sorted
-// names), then each table's predicate fingerprint in sorted-name order,
-// then the join edges with each edge's endpoints ordered and the edge list
-// sorted. Insensitive to table/predicate/edge order, never equal to any
-// CanonicalPredicateKey.
-std::string CanonicalJoinKey(const JoinQuery& query);
-
-// Full cache key: dataset, estimator, and data version prefix the predicate
+// Full cache key: dataset, estimator, and data version prefix the query
 // fingerprint, so a bumped version can never alias a stale entry and a
 // whole dataset's entries share an erasable prefix.
 std::string EstimateCacheKey(const std::string& dataset,
                              const std::string& estimator,
                              uint64_t data_version, const Query& query);
-
-// Join-query variant of EstimateCacheKey over CanonicalJoinKey. Shares the
-// dataset prefix, so InvalidatePrefix(DatasetKeyPrefix(...)) erases join
-// and single-table entries together.
-std::string JoinEstimateCacheKey(const std::string& dataset,
-                                 const std::string& estimator,
-                                 uint64_t data_version,
-                                 const JoinQuery& query);
 
 // Prefix covering every entry of (dataset) — the invalidation handle used
 // when the append-update procedure bumps the data version.

@@ -90,6 +90,7 @@ std::shared_ptr<const ServedModel> ModelManager::BuildModel(
   auto model = std::make_shared<ServedModel>();
   model->data_version = version;
   model->trained_rows = table->num_rows();
+  model->num_columns = table->num_cols();
   Timer timer;
 
   std::unique_ptr<CardinalityEstimator> instance;

@@ -62,6 +62,9 @@ struct ServedModel {
   std::shared_ptr<CardinalityEstimator> estimator;
   uint64_t data_version = 0;
   size_t trained_rows = 0;
+  // Columns of the table the model serves; appends never change it, so the
+  // server checks predicate columns against it without a lock.
+  size_t num_columns = 0;
   bool thread_safe = true;
   std::string source;  // "trained" | "loaded" | "refreshed".
   double train_seconds = 0.0;

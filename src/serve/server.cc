@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <utility>
@@ -11,6 +10,7 @@
 #include "robustness/guard.h"
 #include "store/maintenance_worker.h"
 #include "store/model_store.h"
+#include "util/env.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -22,12 +22,26 @@ namespace {
 // more than it saves.
 constexpr size_t kMinQueriesPerSlice = 8;
 
-double EnvDouble(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(value, &end);
-  return (end == value) ? fallback : parsed;
+// True when a model of a `columns`-column table can answer `query`: the
+// server answers single-table queries only, and every predicate must name
+// one of the table's columns. Otherwise false, with the reason in *reason.
+bool Answerable(const Query& query, size_t columns, std::string* reason) {
+  if (!query.IsSingleTable()) {
+    *reason = "query names tables or joins";
+    return false;
+  }
+  for (const Predicate& p : query.predicates) {
+    if (p.table != 0) {
+      *reason = "predicate names table " + std::to_string(p.table);
+      return false;
+    }
+    if (p.column < 0 || static_cast<size_t>(p.column) >= columns) {
+      *reason = "predicate column " + std::to_string(p.column) +
+                " outside a " + std::to_string(columns) + "-column table";
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -146,6 +160,13 @@ EstimateResponse EstimatorServer::EstimateWithModel(
   EstimateResponse response;
   response.data_version = model->data_version;
   ++requests_;
+
+  // Refused before the cache key is built or the estimator sees the query.
+  if (!Answerable(query, model->num_columns, &response.detail)) {
+    response.failure = FailureKind::kInvalidQuery;
+    ++estimate_errors_;
+    return response;
+  }
 
   const bool use_cache = cache_enabled_.load() && cache_.capacity_bytes() > 0;
   std::string key;

@@ -100,7 +100,7 @@ struct ServerStats {
   uint64_t requests = 0;
   uint64_t batches = 0;
   uint64_t deadline_exceeded = 0;
-  uint64_t estimate_errors = 0;    // threw or non-finite.
+  uint64_t estimate_errors = 0;    // threw, non-finite or refused.
   uint64_t model_failures = 0;     // GetModel returned no model.
   uint64_t updates = 0;
   CacheStats cache;
@@ -150,7 +150,10 @@ class EstimatorServer {
   // estimate, consulting the cache first. Cache hits return exactly the
   // selectivity the estimator produced when the entry was filled; for
   // deterministic-inference estimators that is bit-identical to what a
-  // fresh call would return.
+  // fresh call would return. A query the model cannot answer — one that
+  // names tables or joins, or has a predicate column outside the dataset's
+  // table — fails with kInvalidQuery before the cache or the estimator
+  // sees it.
   EstimateResponse Estimate(const std::string& dataset,
                             const std::string& estimator, const Query& query);
 

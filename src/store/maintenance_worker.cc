@@ -2,21 +2,20 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
+#include <climits>
 
 #include "core/model_io.h"
 #include "robustness/guard.h"
 #include "util/cancellation.h"
+#include "util/env.h"
 
 namespace arecel::store {
 
 MaintenanceOptions MaintenanceOptions::FromEnv() {
   MaintenanceOptions options;
-  const char* env = std::getenv("ARECEL_MAINT_INTERVAL_MS");
-  if (env != nullptr && env[0] != '\0') {
-    const int v = std::atoi(env);
-    if (v > 0) options.interval_ms = v;
-  }
+  const double interval = EnvDouble("ARECEL_MAINT_INTERVAL_MS", 0.0);
+  if (interval >= 1.0 && interval <= INT_MAX)
+    options.interval_ms = static_cast<int>(interval);
   return options;
 }
 

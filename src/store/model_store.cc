@@ -11,6 +11,7 @@
 #include <fstream>
 
 #include "util/crc32c.h"
+#include "util/env.h"
 
 namespace arecel::store {
 
@@ -165,13 +166,6 @@ bool ReadManifest(const std::string& entry_dir, uint64_t* generation) {
   return DecodeManifest(bytes, generation);
 }
 
-size_t EnvSize(const char* name, size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || env[0] == '\0') return fallback;
-  const long long v = std::atoll(env);
-  return v >= 1 ? static_cast<size_t>(v) : fallback;
-}
-
 }  // namespace
 
 StoreOptions StoreOptions::FromEnv() {
@@ -179,6 +173,7 @@ StoreOptions StoreOptions::FromEnv() {
   const char* dir = std::getenv("ARECEL_STORE_DIR");
   options.root_dir = dir != nullptr ? dir : "";
   options.max_generations = EnvSize("ARECEL_STORE_MAX_GENERATIONS", 4);
+  if (options.max_generations == 0) options.max_generations = 4;
   options.fault_plan = robust::FaultPlanFromEnv();
   return options;
 }

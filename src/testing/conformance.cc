@@ -5,6 +5,7 @@
 #include "core/registry.h"
 #include "data/datasets.h"
 #include "util/check.h"
+#include "workload/join_generator.h"
 
 namespace arecel {
 
@@ -121,7 +122,7 @@ ConformanceFixture BuildConformanceFixture(const ConformanceOptions& options) {
   star.fact_rows = options.star_fact_rows;
   star.dim_rows = options.star_dim_rows;
   fixture.star = GenerateStarSchema(star, options.seed + 10);
-  fixture.join_train = GenerateJoinWorkload(
+  fixture.join_train = GenerateWorkload(
       fixture.star, options.join_train_queries, options.seed + 11);
   fixture.join_probes = GenerateJoinQueries(
       fixture.star, options.join_probe_queries, options.seed + 12);

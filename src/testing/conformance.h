@@ -9,7 +9,6 @@
 #include "data/table.h"
 #include "testing/invariants.h"
 #include "workload/generator.h"
-#include "workload/join_generator.h"
 
 namespace arecel {
 
@@ -50,8 +49,8 @@ struct ConformanceFixture {
   std::vector<Query> probes;
   // Pinned star-schema fixture for the join invariants.
   Schema star;
-  JoinWorkload join_train;
-  std::vector<JoinQuery> join_probes;
+  Workload join_train;
+  std::vector<Query> join_probes;
 };
 
 ConformanceFixture BuildConformanceFixture(const ConformanceOptions& options);

@@ -230,10 +230,10 @@ namespace {
 
 std::unique_ptr<CardinalityEstimator> TrainFreshJoin(const std::string& name,
                                                      const Schema& schema,
-                                                     const JoinWorkload& train,
+                                                     const Workload& train,
                                                      uint64_t seed) {
   auto estimator = MakeEstimator(name);
-  JoinTrainContext context;
+  TrainContext context;
   context.training_workload = &train;
   context.seed = seed;
   estimator->TrainJoin(schema, context);
@@ -243,8 +243,8 @@ std::unique_ptr<CardinalityEstimator> TrainFreshJoin(const std::string& name,
 }  // namespace
 
 InvariantResult CheckJoinSelectivityBounds(
-    const std::string& name, const Schema& schema, const JoinWorkload& train,
-    const std::vector<JoinQuery>& probes, uint64_t seed) {
+    const std::string& name, const Schema& schema, const Workload& train,
+    const std::vector<Query>& probes, uint64_t seed) {
   InvariantResult result;
   result.invariant = "join-bounds";
   result.trials = probes.size();
@@ -254,10 +254,10 @@ InvariantResult CheckJoinSelectivityBounds(
     return result;
   }
   auto estimator = TrainFreshJoin(name, schema, train, seed);
-  for (const JoinQuery& query : probes) {
-    const double sel = estimator->EstimateJoinSelectivity(query);
+  for (const Query& query : probes) {
+    const double sel = estimator->EstimateSelectivity(query);
     const double denom = join::JoinExecutor::RowsProduct(schema, query);
-    const double card = estimator->EstimateJoinCardinality(schema, query);
+    const double card = estimator->EstimateCardinality(query, denom);
     if (!std::isfinite(sel) || sel < 0.0 || sel > 1.0 || card < 0.0 ||
         card > denom) {
       const double excess =
@@ -272,8 +272,8 @@ InvariantResult CheckJoinSelectivityBounds(
 
 InvariantResult CheckJoinDeterminism(const std::string& name,
                                      const Schema& schema,
-                                     const JoinWorkload& train,
-                                     const std::vector<JoinQuery>& probes,
+                                     const Workload& train,
+                                     const std::vector<Query>& probes,
                                      uint64_t seed) {
   InvariantResult result;
   result.invariant = "join-determinism";
@@ -287,9 +287,9 @@ InvariantResult CheckJoinDeterminism(const std::string& name,
   auto second = TrainFreshJoin(name, schema, train, seed);
   std::vector<double> first_estimates(probes.size());
   for (size_t i = 0; i < probes.size(); ++i)
-    first_estimates[i] = first->EstimateJoinSelectivity(probes[i]);
+    first_estimates[i] = first->EstimateSelectivity(probes[i]);
   for (size_t i = 0; i < probes.size(); ++i) {
-    const double replay = second->EstimateJoinSelectivity(probes[i]);
+    const double replay = second->EstimateSelectivity(probes[i]);
     if (replay != first_estimates[i]) {
       RecordViolation(&result, std::fabs(replay - first_estimates[i]),
                       "join probe " + std::to_string(i) + ": " +

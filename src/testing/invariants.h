@@ -9,7 +9,6 @@
 #include "data/schema.h"
 #include "data/table.h"
 #include "workload/generator.h"
-#include "workload/join_generator.h"
 
 namespace arecel {
 
@@ -89,16 +88,16 @@ InvariantResult CheckSaveLoadRoundTrip(const std::string& name,
 // in [0, product of participating table row counts].
 InvariantResult CheckJoinSelectivityBounds(const std::string& name,
                                            const Schema& schema,
-                                           const JoinWorkload& train,
-                                           const std::vector<JoinQuery>& probes,
+                                           const Workload& train,
+                                           const std::vector<Query>& probes,
                                            uint64_t seed);
 
 // Join determinism: two fresh instances trained via TrainJoin with the same
 // seed must answer an identical join probe sequence bit-identically.
 InvariantResult CheckJoinDeterminism(const std::string& name,
                                      const Schema& schema,
-                                     const JoinWorkload& train,
-                                     const std::vector<JoinQuery>& probes,
+                                     const Workload& train,
+                                     const std::vector<Query>& probes,
                                      uint64_t seed);
 
 // ---- Feedback invariants (DESIGN.md §11) ----

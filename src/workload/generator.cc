@@ -1,10 +1,9 @@
 #include "workload/generator.h"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 
 #include "util/check.h"
-#include "util/random.h"
 
 namespace arecel {
 
@@ -38,40 +37,41 @@ std::vector<Query> GenerateQueries(const Table& table, size_t count,
 
     Query query;
     query.predicates.reserve(static_cast<size_t>(d));
-    for (int c : cols) {
-      const Column& col = table.column(static_cast<size_t>(c));
-      const double center =
-          ood ? col.domain[rng.UniformInt(
-                    static_cast<uint64_t>(col.domain.size()))]
-              : col.values[tuple];
-
-      Predicate pred;
-      pred.column = c;
-      if (col.categorical) {
-        pred.lo = pred.hi = center;
-      } else {
-        const double domain_width = col.max() - col.min();
-        double width = 0.0;
-        if (domain_width > 0.0) {
-          if (rng.Bernoulli(options.uniform_width_probability)) {
-            width = rng.Uniform(0.0, domain_width);
-          } else {
-            width = rng.Exponential(options.exponential_scale / domain_width);
-          }
-        }
-        pred.lo = center - width / 2.0;
-        pred.hi = center + width / 2.0;
-        // Spilling past the domain turns the query into an open range.
-        if (pred.lo < col.min())
-          pred.lo = -std::numeric_limits<double>::infinity();
-        if (pred.hi > col.max())
-          pred.hi = std::numeric_limits<double>::infinity();
-      }
-      query.predicates.push_back(pred);
-    }
+    for (int c : cols)
+      query.predicates.push_back(
+          DrawPredicate(rng, table, c, ood, tuple, options));
     queries.push_back(std::move(query));
   }
   return queries;
+}
+
+Predicate DrawPredicate(Rng& rng, const Table& table, int column, bool ood,
+                        size_t tuple, const WorkloadOptions& options) {
+  const Column& col = table.column(static_cast<size_t>(column));
+  const double center =
+      ood ? col.domain[rng.UniformInt(static_cast<uint64_t>(col.domain.size()))]
+          : col.values[tuple];
+  Predicate pred;
+  pred.column = column;
+  if (col.categorical) {
+    pred.lo = pred.hi = center;
+    return pred;
+  }
+  const double domain_width = col.max() - col.min();
+  double width = 0.0;
+  if (domain_width > 0.0) {
+    if (rng.Bernoulli(options.uniform_width_probability)) {
+      width = rng.Uniform(0.0, domain_width);
+    } else {
+      width = rng.Exponential(options.exponential_scale / domain_width);
+    }
+  }
+  pred.lo = center - width / 2.0;
+  pred.hi = center + width / 2.0;
+  // Spilling past the domain turns the query into an open range.
+  if (pred.lo < col.min()) pred.lo = -std::numeric_limits<double>::infinity();
+  if (pred.hi > col.max()) pred.hi = std::numeric_limits<double>::infinity();
+  return pred;
 }
 
 Workload Workload::Slice(size_t begin, size_t end) const {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "data/table.h"
+#include "util/random.h"
 #include "workload/query.h"
 
 namespace arecel {
@@ -34,7 +35,16 @@ std::vector<Query> GenerateQueries(const Table& table, size_t count,
                                    uint64_t seed,
                                    const WorkloadOptions& options = {});
 
-// A labelled workload: queries plus exact selectivities over `table`.
+// One predicate on `column` of `table`: centred on row `tuple` (way ①) or,
+// when `ood`, on a value drawn from the column's domain (way ②), with the
+// width drawn per `options`. Both generators draw every predicate through
+// this one function.
+Predicate DrawPredicate(Rng& rng, const Table& table, int column, bool ood,
+                        size_t tuple, const WorkloadOptions& options);
+
+// A labelled workload: queries plus exact selectivities — over the table
+// for single-table queries, against the Cartesian product of the named
+// tables for join queries.
 struct Workload {
   std::vector<Query> queries;
   std::vector<double> selectivities;

@@ -1,7 +1,6 @@
 #include "workload/join_generator.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 
 #include "join/join_executor.h"
@@ -10,24 +9,6 @@
 
 namespace arecel {
 namespace {
-
-// The star center: the table that shares an edge with every other table.
-std::string StarCenter(const Schema& schema) {
-  const auto& fks = schema.foreign_keys();
-  ARECEL_CHECK_MSG(!fks.empty(), "join generator needs at least one FK edge");
-  for (const std::string& candidate : {fks[0].table, fks[0].ref_table}) {
-    bool on_all = true;
-    for (const ForeignKey& fk : fks) {
-      if (fk.table != candidate && fk.ref_table != candidate) {
-        on_all = false;
-        break;
-      }
-    }
-    if (on_all) return candidate;
-  }
-  ARECEL_CHECK_MSG(false, "schema join graph is not a star");
-  return {};
-}
 
 // Column indices of `table` that never appear in a join edge.
 std::vector<int> PayloadColumns(const Schema& schema, const Table& table) {
@@ -40,67 +21,38 @@ std::vector<int> PayloadColumns(const Schema& schema, const Table& table) {
   return cols;
 }
 
-// One predicate on `column` of `table`, centered the way the single-table
-// generator centers predicates (workload/generator.cc).
-Predicate DrawPredicate(Rng& rng, const Table& table, int column, bool ood,
-                        size_t tuple, const WorkloadOptions& options) {
-  const Column& col = table.column(static_cast<size_t>(column));
-  const double center =
-      ood ? col.domain[rng.UniformInt(static_cast<uint64_t>(col.domain.size()))]
-          : col.values[tuple];
-  Predicate pred;
-  pred.column = column;
-  if (col.categorical) {
-    pred.lo = pred.hi = center;
-    return pred;
-  }
-  const double domain_width = col.max() - col.min();
-  double width = 0.0;
-  if (domain_width > 0.0) {
-    if (rng.Bernoulli(options.uniform_width_probability)) {
-      width = rng.Uniform(0.0, domain_width);
-    } else {
-      width = rng.Exponential(options.exponential_scale / domain_width);
-    }
-  }
-  pred.lo = center - width / 2.0;
-  pred.hi = center + width / 2.0;
-  if (pred.lo < col.min()) pred.lo = -std::numeric_limits<double>::infinity();
-  if (pred.hi > col.max()) pred.hi = std::numeric_limits<double>::infinity();
-  return pred;
-}
-
-// Up to `max_preds` predicates over the table's payload columns, count
-// uniform in [0, min(max_preds, payload columns)].
-std::vector<Predicate> DrawSlicePredicates(Rng& rng, const Table& table,
-                                           const std::vector<int>& payload,
-                                           int max_preds,
-                                           const WorkloadOptions& options) {
-  std::vector<Predicate> preds;
-  if (payload.empty() || table.num_rows() == 0 || max_preds <= 0) return preds;
+// Appends to `query` up to `max_preds` predicates over the payload columns
+// of its table `table_index`, count uniform in
+// [0, min(max_preds, payload columns)].
+void DrawTablePredicates(Rng& rng, const Table& table, int table_index,
+                         const std::vector<int>& payload, int max_preds,
+                         const WorkloadOptions& options, Query* query) {
+  if (payload.empty() || table.num_rows() == 0 || max_preds <= 0) return;
   const int cap = std::min<int>(max_preds, static_cast<int>(payload.size()));
   const int d =
       static_cast<int>(rng.UniformInt(int64_t{0}, static_cast<int64_t>(cap)));
-  if (d == 0) return preds;
+  if (d == 0) return;
   const std::vector<int> picks =
       rng.SampleWithoutReplacement(static_cast<int>(payload.size()), d);
   const bool ood = rng.Bernoulli(options.ood_probability);
   const size_t tuple =
       ood ? 0 : rng.UniformInt(static_cast<uint64_t>(table.num_rows()));
-  preds.reserve(static_cast<size_t>(d));
   for (int pick : picks) {
-    preds.push_back(DrawPredicate(rng, table, payload[static_cast<size_t>(pick)],
-                                  ood, tuple, options));
+    Predicate pred = DrawPredicate(
+        rng, table, payload[static_cast<size_t>(pick)], ood, tuple, options);
+    pred.table = table_index;
+    query->predicates.push_back(pred);
   }
-  return preds;
 }
 
 }  // namespace
 
-std::vector<JoinQuery> GenerateJoinQueries(const Schema& schema, size_t count,
-                                           uint64_t seed,
-                                           const JoinWorkloadOptions& options) {
-  const std::string center = StarCenter(schema);
+std::vector<Query> GenerateJoinQueries(const Schema& schema, size_t count,
+                                       uint64_t seed,
+                                       const JoinGeneratorOptions& options) {
+  ARECEL_CHECK_MSG(!schema.foreign_keys().empty(),
+                   "join generator needs at least one FK edge");
+  const std::string center = StarCenterTable(schema);
   const Table& center_table = schema.table(center);
   const std::vector<int> center_payload = PayloadColumns(schema, center_table);
 
@@ -123,39 +75,38 @@ std::vector<JoinQuery> GenerateJoinQueries(const Schema& schema, size_t count,
   const int min_dims = std::clamp(options.min_dimensions, 1, max_dims);
 
   Rng rng(seed);
-  std::vector<JoinQuery> queries;
+  std::vector<Query> queries;
   queries.reserve(count);
   for (size_t q = 0; q < count; ++q) {
     const int k = static_cast<int>(rng.UniformInt(
         static_cast<int64_t>(min_dims), static_cast<int64_t>(max_dims)));
     const std::vector<int> picks = rng.SampleWithoutReplacement(num_dims, k);
 
-    JoinQuery query;
-    query.tables.push_back(
-        {center, DrawSlicePredicates(rng, center_table, center_payload,
-                                     options.max_predicates_per_table,
-                                     options.predicate_options)});
+    Query query;
+    query.tables.push_back(center);
+    DrawTablePredicates(rng, center_table, 0, center_payload,
+                        options.max_predicates_per_table,
+                        options.predicate_options, &query);
     for (int pick : picks) {
       const Dim& dim = dims[static_cast<size_t>(pick)];
-      query.tables.push_back(
-          {dim.table->name(),
-           DrawSlicePredicates(rng, *dim.table, dim.payload,
-                               options.max_predicates_per_table,
-                               options.predicate_options)});
+      query.tables.push_back(dim.table->name());
+      DrawTablePredicates(rng, *dim.table,
+                          static_cast<int>(query.tables.size()) - 1,
+                          dim.payload, options.max_predicates_per_table,
+                          options.predicate_options, &query);
       query.joins.push_back({dim.fk->table, dim.fk->column, dim.fk->ref_table,
                              dim.fk->ref_column});
     }
 
     // A pure join count carries no signal for predicate-driven estimators;
-    // force at least one predicate, preferring the center table.
-    bool any = false;
-    for (const TableSlice& slice : query.tables) any |= !slice.predicates.empty();
-    if (!any && !center_payload.empty() && center_table.num_rows() > 0) {
+    // force at least one predicate, on the center table.
+    if (query.predicates.empty() && !center_payload.empty() &&
+        center_table.num_rows() > 0) {
       const bool ood = rng.Bernoulli(options.predicate_options.ood_probability);
       const size_t tuple =
           ood ? 0
               : rng.UniformInt(static_cast<uint64_t>(center_table.num_rows()));
-      query.tables[0].predicates.push_back(
+      query.predicates.push_back(
           DrawPredicate(rng, center_table, center_payload[0], ood, tuple,
                         options.predicate_options));
     }
@@ -164,15 +115,9 @@ std::vector<JoinQuery> GenerateJoinQueries(const Schema& schema, size_t count,
   return queries;
 }
 
-double JoinWorkload::Cardinality(const Schema& schema, size_t i) const {
-  return selectivities[i] *
-         join::JoinExecutor::RowsProduct(schema, queries[i]);
-}
-
-JoinWorkload GenerateJoinWorkload(const Schema& schema, size_t count,
-                                  uint64_t seed,
-                                  const JoinWorkloadOptions& options) {
-  JoinWorkload w;
+Workload GenerateWorkload(const Schema& schema, size_t count, uint64_t seed,
+                          const JoinGeneratorOptions& options) {
+  Workload w;
   w.queries = GenerateJoinQueries(schema, count, seed, options);
   // Labeling amortizes one executor (synopses built once) across the batch
   // and parallelizes over queries.

@@ -6,7 +6,6 @@
 
 #include "data/schema.h"
 #include "workload/generator.h"
-#include "workload/join_query.h"
 
 namespace arecel {
 
@@ -18,8 +17,10 @@ namespace arecel {
 // payload columns only (join-key columns, per Schema::IsKeyColumn, never
 // get predicates — they are constrained by the join itself). Center and
 // width of each predicate follow the single-table generator's way ①/way ②
-// machinery, reusing WorkloadOptions.
-struct JoinWorkloadOptions {
+// machinery (DrawPredicate), reusing WorkloadOptions. A query lists the
+// center first, then its dimensions, and its predicates grouped by table
+// in that order.
+struct JoinGeneratorOptions {
   int min_dimensions = 1;  // joined dimensions per query (>= 1).
   int max_dimensions = 0;  // 0 = every dimension with an edge to the center.
   // Per participating table, the predicate count is uniform in
@@ -29,27 +30,16 @@ struct JoinWorkloadOptions {
   WorkloadOptions predicate_options;
 };
 
-std::vector<JoinQuery> GenerateJoinQueries(
+std::vector<Query> GenerateJoinQueries(
     const Schema& schema, size_t count, uint64_t seed,
-    const JoinWorkloadOptions& options = {});
+    const JoinGeneratorOptions& options = {});
 
-// A labelled join workload: queries plus exact Cartesian-product
-// selectivities (|result| / prod |T_i|) over `schema`.
-struct JoinWorkload {
-  std::vector<JoinQuery> queries;
-  std::vector<double> selectivities;
-
-  size_t size() const { return queries.size(); }
-
-  // Actual result cardinality of query i.
-  double Cardinality(const Schema& schema, size_t i) const;
-};
-
-// Generates and labels `count` queries in one call; labeling runs through
-// the hash-join ground-truth executor (src/join/join_executor.h).
-JoinWorkload GenerateJoinWorkload(const Schema& schema, size_t count,
-                                  uint64_t seed,
-                                  const JoinWorkloadOptions& options = {});
+// The join overload of GenerateWorkload: generates and labels `count`
+// queries in one call, with the exact Cartesian-product selectivities
+// (|result| / prod |T_i|) of the hash-join ground-truth executor
+// (src/join/join_executor.h).
+Workload GenerateWorkload(const Schema& schema, size_t count, uint64_t seed,
+                          const JoinGeneratorOptions& options = {});
 
 }  // namespace arecel
 

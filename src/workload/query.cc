@@ -4,8 +4,26 @@
 #include <sstream>
 
 #include "scan/block_scan.h"
+#include "util/check.h"
 
 namespace arecel {
+
+namespace {
+
+void AppendPredicate(std::ostringstream& out, const std::string& col,
+                     const Predicate& p) {
+  if (p.is_equality()) {
+    out << col << " = " << p.lo;
+  } else if (std::isinf(p.lo)) {
+    out << col << " <= " << p.hi;
+  } else if (std::isinf(p.hi)) {
+    out << col << " >= " << p.lo;
+  } else {
+    out << p.lo << " <= " << col << " <= " << p.hi;
+  }
+}
+
+}  // namespace
 
 bool Query::IsSatisfiable() const {
   for (const Predicate& p : predicates) {
@@ -14,27 +32,67 @@ bool Query::IsSatisfiable() const {
   return true;
 }
 
+bool Query::HasValidTableIndices() const {
+  for (const Predicate& p : predicates) {
+    if (p.table < 0 || static_cast<size_t>(p.table) >= num_tables())
+      return false;
+  }
+  return true;
+}
+
+int Query::TableIndex(const std::string& name) const {
+  for (size_t t = 0; t < tables.size(); ++t)
+    if (tables[t] == name) return static_cast<int>(t);
+  return -1;
+}
+
+std::vector<Predicate> Query::TablePredicates(int t) const {
+  std::vector<Predicate> out;
+  for (const Predicate& p : predicates)
+    if (p.table == t) out.push_back(p);
+  return out;
+}
+
 std::string Query::ToString(const Table& table) const {
   std::ostringstream out;
   out << "SELECT COUNT(*) FROM " << table.name() << " WHERE ";
   for (size_t i = 0; i < predicates.size(); ++i) {
     const Predicate& p = predicates[i];
     if (i > 0) out << " AND ";
-    const std::string& col = table.column(static_cast<size_t>(p.column)).name;
-    if (p.is_equality()) {
-      out << col << " = " << p.lo;
-    } else if (std::isinf(p.lo)) {
-      out << col << " <= " << p.hi;
-    } else if (std::isinf(p.hi)) {
-      out << col << " >= " << p.lo;
-    } else {
-      out << p.lo << " <= " << col << " <= " << p.hi;
-    }
+    AppendPredicate(out, table.column(static_cast<size_t>(p.column)).name, p);
+  }
+  return out.str();
+}
+
+std::string Query::ToString() const {
+  std::ostringstream out;
+  out << "SELECT COUNT(*) FROM ";
+  for (size_t i = 0; i < tables.size(); ++i) {
+    if (i > 0) out << ", ";
+    out << tables[i];
+  }
+  bool first = true;
+  for (const JoinEdge& e : joins) {
+    out << (first ? " WHERE " : " AND ");
+    first = false;
+    out << e.left_table << ".c" << e.left_column << " = " << e.right_table
+        << ".c" << e.right_column;
+  }
+  for (const Predicate& p : predicates) {
+    out << (first ? " WHERE " : " AND ");
+    first = false;
+    const bool named = p.table >= 0 && static_cast<size_t>(p.table) <
+                                           tables.size();
+    AppendPredicate(out,
+                    (named ? tables[static_cast<size_t>(p.table)] : "?") +
+                        ".c" + std::to_string(p.column),
+                    p);
   }
   return out.str();
 }
 
 size_t ExecuteCount(const Table& table, const Query& query) {
+  ARECEL_CHECK_MSG(query.IsSingleTable(), "ExecuteCount on a join query");
   return scan::CountMatches(table, query);
 }
 
@@ -75,6 +133,8 @@ double ExecuteSelectivity(const Table& table, const Query& query) {
 
 std::vector<double> LabelQueries(const Table& table,
                                  const std::vector<Query>& queries) {
+  for (const Query& query : queries)
+    ARECEL_CHECK_MSG(query.IsSingleTable(), "LabelQueries on a join query");
   return scan::LabelMatches(table, queries);
 }
 

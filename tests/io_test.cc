@@ -198,6 +198,11 @@ TEST(WorkloadIoTest, RoundTripPreservesOpenRanges) {
   ASSERT_TRUE(LoadWorkload(path, &loaded));
   EXPECT_TRUE(std::isinf(loaded.queries[0].predicates[0].lo));
   EXPECT_DOUBLE_EQ(loaded.queries[0].predicates[0].hi, 5.0);
+
+  // The file holds single-table queries only: a join query would lose its
+  // tables, so the save is refused.
+  original.queries[0].tables = {"t"};
+  EXPECT_FALSE(SaveWorkload(original, path));
   std::remove(path.c_str());
 }
 

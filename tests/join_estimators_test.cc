@@ -2,8 +2,8 @@
 // (DESIGN.md §13): the correlated-sampling estimator is exact when its
 // sample covers the tables, the independence baseline reproduces the
 // textbook 1/max(distinct) math on an uncorrelated star, MSCN-join learns
-// a non-constant model, and all three serve the single-table contract
-// through the wrap-as-degenerate-join bridge.
+// a non-constant model, and all three answer queries that name no tables
+// after Train(table), which wraps the table into a one-table schema.
 
 #include <algorithm>
 #include <cmath>
@@ -23,20 +23,20 @@ namespace {
 
 struct StarFixture {
   Schema schema;
-  JoinWorkload train;
-  std::vector<JoinQuery> probes;
+  Workload train;
+  std::vector<Query> probes;
 };
 
 StarFixture BuildStar(const StarSchemaOptions& options, uint64_t seed) {
   StarFixture fixture;
   fixture.schema = GenerateStarSchema(options, seed);
-  fixture.train = GenerateJoinWorkload(fixture.schema, 80, seed + 1);
+  fixture.train = GenerateWorkload(fixture.schema, 80, seed + 1);
   fixture.probes = GenerateJoinQueries(fixture.schema, 25, seed + 2);
   return fixture;
 }
 
-JoinTrainContext ContextFor(const StarFixture& fixture, uint64_t seed) {
-  JoinTrainContext context;
+TrainContext ContextFor(const StarFixture& fixture, uint64_t seed) {
+  TrainContext context;
   context.training_workload = &fixture.train;
   context.seed = seed;
   return context;
@@ -52,17 +52,16 @@ TEST(JoinEstimatorsTest, AllFamiliesProduceBoundedEstimates) {
     auto estimator = MakeEstimator(name);
     ASSERT_TRUE(estimator->SupportsJoins()) << name;
     estimator->TrainJoin(fixture.schema, ContextFor(fixture, 202));
-    for (const JoinQuery& probe : fixture.probes) {
-      const double sel = estimator->EstimateJoinSelectivity(probe);
+    for (const Query& probe : fixture.probes) {
+      const double sel = estimator->EstimateSelectivity(probe);
       EXPECT_TRUE(std::isfinite(sel)) << name;
       EXPECT_GE(sel, 0.0) << name;
       EXPECT_LE(sel, 1.0) << name;
-      const double card =
-          estimator->EstimateJoinCardinality(fixture.schema, probe);
+      const double rows =
+          join::JoinExecutor::RowsProduct(fixture.schema, probe);
+      const double card = estimator->EstimateCardinality(probe, rows);
       EXPECT_GE(card, 0.0) << name;
-      EXPECT_LE(card,
-                join::JoinExecutor::RowsProduct(fixture.schema, probe))
-          << name;
+      EXPECT_LE(card, rows) << name;
     }
   }
 }
@@ -83,8 +82,8 @@ TEST(JoinEstimatorsTest, FullSampleJoinSamplingIsExact) {
   JoinSamplingEstimator estimator(/*max_sample_rows=*/100000);
   estimator.TrainJoin(fixture.schema, ContextFor(fixture, 212));
   const join::JoinExecutor executor(fixture.schema);
-  for (const JoinQuery& probe : fixture.probes) {
-    EXPECT_NEAR(estimator.EstimateJoinSelectivity(probe),
+  for (const Query& probe : fixture.probes) {
+    EXPECT_NEAR(estimator.EstimateSelectivity(probe),
                 executor.Selectivity(probe), 1e-12)
         << probe.ToString();
   }
@@ -105,15 +104,14 @@ TEST(JoinEstimatorsTest, IndependenceBaselineIsExactWhenIndependenceHolds) {
 
   auto estimator = MakeEstimator("postgres-join");
   estimator->TrainJoin(fixture.schema, ContextFor(fixture, 222));
-  JoinQuery no_predicates;
-  no_predicates.tables.push_back({"fact", {}});
-  no_predicates.tables.push_back({"dim0", {}});
+  Query no_predicates;
+  no_predicates.tables = {"fact", "dim0"};
   no_predicates.joins.push_back(
       {fixture.schema.foreign_keys()[0].table,
        fixture.schema.foreign_keys()[0].column,
        fixture.schema.foreign_keys()[0].ref_table,
        fixture.schema.foreign_keys()[0].ref_column});
-  EXPECT_NEAR(estimator->EstimateJoinSelectivity(no_predicates), 1.0 / 50.0,
+  EXPECT_NEAR(estimator->EstimateSelectivity(no_predicates), 1.0 / 50.0,
               1e-9);
 }
 
@@ -130,16 +128,16 @@ TEST(JoinEstimatorsTest, MscnJoinLearnsANonConstantModel) {
   estimator->TrainJoin(fixture.schema, ContextFor(fixture, 232));
   std::vector<double> estimates;
   estimates.reserve(fixture.probes.size());
-  for (const JoinQuery& probe : fixture.probes)
-    estimates.push_back(estimator->EstimateJoinSelectivity(probe));
+  for (const Query& probe : fixture.probes)
+    estimates.push_back(estimator->EstimateSelectivity(probe));
   const auto [min_it, max_it] =
       std::minmax_element(estimates.begin(), estimates.end());
   EXPECT_LT(*min_it, *max_it);
 }
 
-// The single-table CardinalityEstimator contract is served through the
-// degenerate-join bridge; full-sample sampling-join must therefore hit the
-// block-scan ground truth exactly on single-table workloads too.
+// After Train(table), a query naming no tables is bound to the one wrapped
+// table; full-sample sampling-join must therefore hit the block-scan ground
+// truth exactly on single-table workloads too.
 TEST(JoinEstimatorsTest, SingleTableBridgeMatchesGroundTruth) {
   const Table table = [] {
     StarSchemaOptions options;
@@ -161,7 +159,7 @@ TEST(JoinEstimatorsTest, SingleTableBridgeMatchesGroundTruth) {
         << i;
   }
 
-  // The other two families at least stay bounded through the bridge.
+  // The other two families at least stay bounded.
   for (const std::string& name : {std::string("postgres-join"),
                                   std::string("mscn-join")}) {
     auto estimator = MakeEstimator(name);

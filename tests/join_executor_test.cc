@@ -24,7 +24,6 @@ namespace {
 using join::ExecuteJoinCount;
 using join::ExecuteJoinCountNaive;
 using join::ExecuteJoinSelectivity;
-using join::JoinExecOptions;
 using join::JoinExecutor;
 
 Table MakeTable(const std::string& name,
@@ -35,10 +34,12 @@ Table MakeTable(const std::string& name,
   return table;
 }
 
-JoinQuery StarQuery(std::vector<TableSlice> tables,
-                    std::vector<JoinEdge> joins) {
-  JoinQuery query;
+Query StarQuery(std::vector<std::string> tables,
+                std::vector<Predicate> predicates,
+                std::vector<JoinEdge> joins) {
+  Query query;
   query.tables = std::move(tables);
+  query.predicates = std::move(predicates);
   query.joins = std::move(joins);
   return query;
 }
@@ -69,14 +70,14 @@ TEST(JoinExecutorTest, KnownAnswerWithAndWithoutPredicates) {
       TinyStar({1, 1, 2, 3}, {1, 2, 3, 4}, {10, 20, 30, 40});
 
   // No predicates: every fact row finds its dimension row once.
-  JoinQuery all = StarQuery({{"fact", {}}, {"dim0", {}}}, {FactDimEdge()});
+  Query all = StarQuery({"fact", "dim0"}, {}, {FactDimEdge()});
   EXPECT_EQ(ExecuteJoinCount(schema, all), 4u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, all), 4u);
   EXPECT_DOUBLE_EQ(ExecuteJoinSelectivity(schema, all), 4.0 / (4.0 * 4.0));
 
   // attr in [10, 20] keeps dim pks {1, 2}; fact rows with fk 1, 1, 2 join.
-  JoinQuery banded = StarQuery(
-      {{"fact", {}}, {"dim0", {{1, 10.0, 20.0}}}}, {FactDimEdge()});
+  Query banded =
+      StarQuery({"fact", "dim0"}, {{1, 10.0, 20.0, 1}}, {FactDimEdge()});
   EXPECT_EQ(ExecuteJoinCount(schema, banded), 3u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, banded), 3u);
 }
@@ -84,8 +85,7 @@ TEST(JoinExecutorTest, KnownAnswerWithAndWithoutPredicates) {
 TEST(JoinExecutorTest, DuplicateBuildKeysMultiplyFanOut) {
   // dim holds key 1 twice: every fact row with fk 1 matches both copies.
   const Schema schema = TinyStar({1, 1, 1, 2}, {1, 1, 2}, {10, 20, 30});
-  const JoinQuery all =
-      StarQuery({{"fact", {}}, {"dim0", {}}}, {FactDimEdge()});
+  const Query all = StarQuery({"fact", "dim0"}, {}, {FactDimEdge()});
   EXPECT_EQ(ExecuteJoinCount(schema, all), 3u * 2u + 1u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, all), 7u);
 }
@@ -95,8 +95,7 @@ TEST(JoinExecutorTest, AllRowsMatchFanOut) {
   // duplicates of it: the count is the full Cartesian product, the worst
   // case for any accidental 0/1-multiplicity assumption.
   const Schema schema = TinyStar({5, 5, 5}, {5, 5, 5, 5}, {1, 2, 3, 4});
-  const JoinQuery all =
-      StarQuery({{"fact", {}}, {"dim0", {}}}, {FactDimEdge()});
+  const Query all = StarQuery({"fact", "dim0"}, {}, {FactDimEdge()});
   EXPECT_EQ(ExecuteJoinCount(schema, all), 12u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, all), 12u);
   EXPECT_DOUBLE_EQ(ExecuteJoinSelectivity(schema, all), 1.0);
@@ -110,8 +109,7 @@ TEST(JoinExecutorTest, EmptyDimensionYieldsZero) {
   Table empty_dim("dim0");
   empty_dim.AddColumn("pk", {}, /*categorical=*/false);
   schema.AddTable(std::move(empty_dim));
-  const JoinQuery query =
-      StarQuery({{"fact", {}}, {"dim0", {}}}, {FactDimEdge()});
+  const Query query = StarQuery({"fact", "dim0"}, {}, {FactDimEdge()});
   EXPECT_EQ(ExecuteJoinCount(schema, query), 0u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, query), 0u);
   EXPECT_DOUBLE_EQ(ExecuteJoinSelectivity(schema, query), 0.0);
@@ -121,14 +119,14 @@ TEST(JoinExecutorTest, UnsatisfiableAndBlockPruningPredicatesYieldZero) {
   const Schema schema =
       TinyStar({1, 2, 3, 4}, {1, 2, 3, 4}, {10, 20, 30, 40});
   // lo > hi: unsatisfiable by construction.
-  const JoinQuery empty_interval = StarQuery(
-      {{"fact", {{1, 5.0, 2.0}}}, {"dim0", {}}}, {FactDimEdge()});
+  const Query empty_interval =
+      StarQuery({"fact", "dim0"}, {{1, 5.0, 2.0, 0}}, {FactDimEdge()});
   EXPECT_FALSE(empty_interval.IsSatisfiable());
   EXPECT_EQ(ExecuteJoinCount(schema, empty_interval), 0u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, empty_interval), 0u);
   // Satisfiable but outside every zone-map envelope: every block prunes.
-  const JoinQuery pruned = StarQuery(
-      {{"fact", {}}, {"dim0", {{1, 100.0, 200.0}}}}, {FactDimEdge()});
+  const Query pruned =
+      StarQuery({"fact", "dim0"}, {{1, 100.0, 200.0, 1}}, {FactDimEdge()});
   EXPECT_TRUE(pruned.IsSatisfiable());
   EXPECT_EQ(ExecuteJoinCount(schema, pruned), 0u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, pruned), 0u);
@@ -138,8 +136,7 @@ TEST(JoinExecutorTest, NegativeZeroKeysJoinPositiveZero) {
   // IEEE -0.0 == +0.0: the hash path must collapse the two bit patterns the
   // way the naive oracle's operator== does.
   const Schema schema = TinyStar({-0.0, 1.0}, {0.0, 1.0}, {10, 20});
-  const JoinQuery all =
-      StarQuery({{"fact", {}}, {"dim0", {}}}, {FactDimEdge()});
+  const Query all = StarQuery({"fact", "dim0"}, {}, {FactDimEdge()});
   EXPECT_EQ(ExecuteJoinCount(schema, all), 2u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, all), 2u);
 }
@@ -147,8 +144,7 @@ TEST(JoinExecutorTest, NegativeZeroKeysJoinPositiveZero) {
 TEST(JoinExecutorTest, SingleTableQueryMatchesNaive) {
   const Schema schema =
       TinyStar({1, 2, 3, 4}, {1, 2, 3, 4}, {10, 20, 30, 40});
-  JoinQuery single;
-  single.tables.push_back({"fact", {{0, 2.0, 3.0}}});
+  const Query single = StarQuery({"fact"}, {{0, 2.0, 3.0}}, {});
   EXPECT_EQ(ExecuteJoinCount(schema, single), 2u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, single), 2u);
   EXPECT_DOUBLE_EQ(ExecuteJoinSelectivity(schema, single), 0.5);
@@ -176,21 +172,24 @@ TEST(JoinDifferentialTest, HashMatchesNaiveAcrossSchemasAndBlockSizes) {
     const Schema schema = GenerateStarSchema(options, /*seed=*/77);
     std::string detail;
     ASSERT_TRUE(schema.CheckIntegrity(&detail)) << detail;
-    const std::vector<JoinQuery> queries =
+    const std::vector<Query> queries =
         GenerateJoinQueries(schema, /*count=*/40, /*seed=*/78);
     // Block sizes 7 and 100 do not divide 500, 300, 16, or 9, so partial
     // trailing blocks and sub-block tables are both exercised.
     for (const size_t block_size : {size_t{7}, size_t{100},
                                     scan::kDefaultBlockSize}) {
-      const JoinExecutor executor(schema, JoinExecOptions{block_size});
-      for (const JoinQuery& query : queries) {
+      const JoinExecutor executor(schema, scan::SynopsisOptions{block_size});
+      for (const Query& query : queries) {
         const size_t naive = ExecuteJoinCountNaive(schema, query);
         ASSERT_EQ(executor.Count(query), naive)
             << "block_size=" << block_size << " query=" << query.ToString();
         if (naive > 0) ++nonzero;
         // The single-table path must agree with the oracle too.
-        JoinQuery center_only;
-        center_only.tables.push_back(*query.FindTable("fact"));
+        Query center_only;
+        center_only.tables = {"fact"};
+        center_only.predicates =
+            query.TablePredicates(query.TableIndex("fact"));
+        for (Predicate& p : center_only.predicates) p.table = 0;
         ASSERT_EQ(executor.Count(center_only),
                   ExecuteJoinCountNaive(schema, center_only))
             << "block_size=" << block_size;
@@ -207,7 +206,7 @@ TEST(JoinDifferentialTest, BatchLabelsMatchScalarSelectivities) {
   options.num_dimensions = 2;
   options.dim_rows = 16;
   const Schema schema = GenerateStarSchema(options, /*seed=*/5);
-  const std::vector<JoinQuery> queries =
+  const std::vector<Query> queries =
       GenerateJoinQueries(schema, /*count=*/30, /*seed=*/6);
   const JoinExecutor executor(schema);
   const std::vector<double> labels = executor.Label(queries);
@@ -253,27 +252,32 @@ TEST(StarSchemaTest, GeneratorIsDeterministicAndIntegral) {
 // ---------------------------------------------------------------------------
 // Join workload generator contract.
 
-TEST(JoinWorkloadTest, GeneratedQueriesAreWellFormedStarQueries) {
+TEST(JoinGeneratorTest, GeneratedQueriesAreWellFormedStarQueries) {
   StarSchemaOptions schema_options;
   schema_options.fact_rows = 500;
   schema_options.num_dimensions = 3;
   schema_options.dim_rows = 16;
   const Schema schema = GenerateStarSchema(schema_options, /*seed=*/21);
-  const std::vector<JoinQuery> queries =
+  const std::vector<Query> queries =
       GenerateJoinQueries(schema, /*count=*/60, /*seed=*/22);
   ASSERT_EQ(queries.size(), 60u);
-  for (const JoinQuery& query : queries) {
-    // Center present, tables distinct, star shape (n-1 edges).
-    EXPECT_NE(query.FindTable("fact"), nullptr) << query.ToString();
-    std::set<std::string> names;
-    for (const TableSlice& slice : query.tables) {
-      EXPECT_TRUE(names.insert(slice.table).second) << query.ToString();
-      // Predicates only on payload columns, never on join keys.
-      for (const Predicate& p : slice.predicates) {
-        EXPECT_FALSE(schema.IsKeyColumn(slice.table, p.column))
-            << query.ToString();
-        EXPECT_LE(p.lo, p.hi);
-      }
+  for (const Query& query : queries) {
+    // Center listed first, tables distinct, star shape (n-1 edges).
+    EXPECT_EQ(query.TableIndex("fact"), 0) << query.ToString();
+    const std::set<std::string> names(query.tables.begin(),
+                                      query.tables.end());
+    EXPECT_EQ(names.size(), query.tables.size()) << query.ToString();
+    EXPECT_TRUE(query.HasValidTableIndices()) << query.ToString();
+    int previous_table = 0;
+    for (const Predicate& p : query.predicates) {
+      // Predicates only on payload columns, never on join keys, grouped
+      // by table in table order.
+      EXPECT_FALSE(schema.IsKeyColumn(
+          query.tables[static_cast<size_t>(p.table)], p.column))
+          << query.ToString();
+      EXPECT_LE(p.lo, p.hi);
+      EXPECT_GE(p.table, previous_table) << query.ToString();
+      previous_table = p.table;
     }
     EXPECT_GE(query.num_tables(), 2u);
     EXPECT_EQ(query.joins.size(), query.num_tables() - 1);
@@ -284,36 +288,29 @@ TEST(JoinWorkloadTest, GeneratedQueriesAreWellFormedStarQueries) {
     }
     // At least one predicate somewhere (forced onto the center if the
     // draw came up empty).
-    size_t predicates = 0;
-    for (const TableSlice& slice : query.tables)
-      predicates += slice.predicates.size();
-    EXPECT_GE(predicates, 1u) << query.ToString();
+    EXPECT_GE(query.predicates.size(), 1u) << query.ToString();
   }
   // Determinism: the same seed reproduces the same workload.
-  const std::vector<JoinQuery> again =
+  const std::vector<Query> again =
       GenerateJoinQueries(schema, /*count=*/60, /*seed=*/22);
   ASSERT_EQ(again.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i)
     EXPECT_EQ(queries[i].ToString(), again[i].ToString());
 }
 
-TEST(JoinWorkloadTest, WorkloadLabelsMatchExecutor) {
+TEST(JoinGeneratorTest, WorkloadLabelsMatchExecutor) {
   StarSchemaOptions schema_options;
   schema_options.fact_rows = 400;
   schema_options.num_dimensions = 2;
   schema_options.dim_rows = 16;
   const Schema schema = GenerateStarSchema(schema_options, /*seed=*/31);
-  const JoinWorkload workload =
-      GenerateJoinWorkload(schema, /*count=*/25, /*seed=*/32);
+  const Workload workload = GenerateWorkload(schema, /*count=*/25,
+                                             /*seed=*/32);
   ASSERT_EQ(workload.size(), 25u);
   const JoinExecutor executor(schema);
   for (size_t i = 0; i < workload.size(); ++i) {
     EXPECT_EQ(workload.selectivities[i],
               executor.Selectivity(workload.queries[i]))
-        << i;
-    EXPECT_EQ(workload.Cardinality(schema, i),
-              workload.selectivities[i] *
-                  JoinExecutor::RowsProduct(schema, workload.queries[i]))
         << i;
   }
 }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "core/registry.h"
 #include "data/datasets.h"
 #include "data/io.h"
+#include "estimators/learned/naru.h"
 #include "util/archive.h"
 #include "util/random.h"
 #include "workload/generator.h"
@@ -358,6 +360,66 @@ TEST(ModelIoTest, NonFiniteMscnAndLwNnParametersAreCorrupt) {
   EXPECT_TRUE(corrupt("mscn", Patched(bytes, col_min, std::nan(""))));
   EXPECT_TRUE(corrupt("mscn", Patched(bytes, col_max, HUGE_VAL)));
   EXPECT_TRUE(corrupt("mscn", Patched(bytes, col_min, 1e300)));  // inverted.
+}
+
+// Hostile naru payloads, one field at a time. The payload starts with the
+// column count, then per column the length-prefixed bin_min and bin_max
+// doubles, then the sample count. NaN or out-of-order bin edges and a
+// sample count past NaruEstimator::kMaxSampleCount are corrupt; an
+// infinite edge in order is a legal domain value and loads.
+TEST(ModelIoTest, MutatedNaruBinEdgesAndSampleCountAreCorrupt) {
+  NaruEstimator::Options options;
+  options.epochs = 1;
+  NaruEstimator trained(options);
+  trained.Train(Shared().table, {});
+  std::string bytes;
+  ASSERT_TRUE(SerializeEstimatorBytes(trained, &bytes));
+  ByteWriter payload;
+  ASSERT_TRUE(trained.SerializeModel(&payload));
+  const size_t header = bytes.size() - payload.buffer().size();
+
+  // Offsets of column 0's edges and of the sample count.
+  ByteReader reader(payload.buffer());
+  uint64_t cols = 0;
+  ASSERT_TRUE(reader.U64(&cols));
+  std::vector<std::vector<double>> edges(2 * cols);  // min, max per column.
+  size_t sample_count = header + 8;
+  for (std::vector<double>& column_edges : edges) {
+    ASSERT_TRUE(reader.Doubles(&column_edges));
+    sample_count += 8 + 8 * column_edges.size();
+  }
+  const std::vector<double>& bin_min = edges[0];
+  const std::vector<double>& bin_max = edges[1];
+  const size_t bins = bin_min.size();
+  ASSERT_GE(bins, 2u);
+  const size_t min0 = header + 16;          // bin_min[0].
+  const size_t max0 = min0 + 8 * bins + 8;  // bin_max[0].
+
+  const auto load = [](const std::string& mutated) {
+    NaruEstimator fresh;
+    return LoadEstimatorBytes(&fresh, mutated).kind;
+  };
+  ASSERT_EQ(load(bytes), FailureKind::kNone);
+  const double nan = std::nan("");
+  for (const std::string& mutated :
+       {Patched(bytes, min0, nan), Patched(bytes, max0, nan),
+        Patched(bytes, max0 + 8 * (bins - 1), nan),
+        Patched(bytes, min0, bin_max[0] + 1.0),  // bin_min[0] > bin_max[0].
+        Patched(bytes, max0, bin_min[1]),        // bin_max[0] == bin_min[1].
+        Patched(bytes, sample_count,
+                uint32_t{NaruEstimator::kMaxSampleCount + 1}),
+        Patched(bytes, sample_count, uint32_t{1} << 20)}) {
+    EXPECT_EQ(load(mutated), FailureKind::kCorruptModel);
+  }
+  EXPECT_EQ(load(Patched(bytes, min0, -HUGE_VAL)), FailureKind::kNone);
+  EXPECT_EQ(load(Patched(bytes, sample_count,
+                         uint32_t{NaruEstimator::kMaxSampleCount})),
+            FailureKind::kNone);
+
+  // Train refuses a sample count the loader would reject.
+  options.sample_count = NaruEstimator::kMaxSampleCount + 1;
+  NaruEstimator too_many(options);
+  EXPECT_THROW(too_many.Train(Shared().table, {}), std::invalid_argument);
 }
 
 }  // namespace

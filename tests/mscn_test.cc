@@ -63,17 +63,41 @@ std::string MscnJoinBytes() {
   star.num_dimensions = 2;
   star.dim_rows = 48;
   const Schema schema = GenerateStarSchema(star, 11);
-  const JoinWorkload training = GenerateJoinWorkload(schema, 200, 12);
+  const Workload training = GenerateWorkload(schema, 200, 12);
   MscnJoinEstimator::Options options;
   options.epochs = 4;
   MscnJoinEstimator mscn(options);
-  JoinTrainContext context;
+  TrainContext context;
   context.training_workload = &training;
   context.seed = 13;
   mscn.TrainJoin(schema, context);
   ByteWriter writer;
   mscn.SerializeWeights(&writer);
   return writer.buffer();
+}
+
+// mscn-join's single-table estimates after Train(table), the path that
+// wraps the table in a one-table schema. The goldens band these answers;
+// this pins their bits.
+std::string MscnJoinSingleTableEstimateBits() {
+  DatasetSpec spec = CensusSpec();
+  spec.rows = 400;
+  const Table table = GenerateDataset(spec, 5);
+  const Workload training = GenerateWorkload(table, 300, 6);
+  MscnJoinEstimator::Options options;
+  options.epochs = 3;
+  MscnJoinEstimator mscn(options);
+  TrainContext context;
+  context.training_workload = &training;
+  context.seed = 7;
+  mscn.Train(table, context);
+  std::string bytes;
+  for (const Query& query : GenerateQueries(table, 100, 8)) {
+    const double selectivity = mscn.EstimateSelectivity(query);
+    bytes.append(reinterpret_cast<const char*>(&selectivity),
+                 sizeof(selectivity));
+  }
+  return bytes;
 }
 
 struct PinnedHashes {
@@ -107,6 +131,11 @@ TEST(MscnTrainingPinTest, MscnModelBytesMatchPerIsa) {
 TEST(MscnTrainingPinTest, MscnJoinWeightBytesMatchPerIsa) {
   ExpectPinnedPerIsa(MscnJoinBytes,
                      {8942544487409835659ull, 7916182472546018509ull});
+}
+
+TEST(MscnTrainingPinTest, MscnJoinSingleTableEstimatesMatchPerIsa) {
+  ExpectPinnedPerIsa(MscnJoinSingleTableEstimateBits,
+                     {17046392350236217529ull, 5192756481677556022ull});
 }
 
 }  // namespace

@@ -58,5 +58,36 @@ TEST(QueryTest, ToStringCloseRange) {
   EXPECT_NE(q.ToString(t).find("1 <= a <= 2"), std::string::npos);
 }
 
+// A join query tags each predicate with its table's index; a query that
+// names no tables is bound to one table, index 0.
+TEST(QueryTest, TableIndicesNameTheQueryTables) {
+  Query single;
+  single.predicates = {{0, 1, 3}, {2, 4, 4}};
+  EXPECT_TRUE(single.IsSingleTable());
+  EXPECT_EQ(single.num_tables(), 1u);
+  EXPECT_TRUE(single.HasValidTableIndices());
+  single.predicates[1].table = 1;
+  EXPECT_FALSE(single.HasValidTableIndices());
+
+  Query star;
+  star.tables = {"fact", "dim0"};
+  star.joins.push_back({"fact", 0, "dim0", 0});
+  star.predicates = {{1, 1, 3, 0}, {1, 10, 20, 1}, {2, 5, 5, 0}};
+  EXPECT_FALSE(star.IsSingleTable());
+  EXPECT_EQ(star.num_tables(), 2u);
+  EXPECT_TRUE(star.HasValidTableIndices());
+  EXPECT_EQ(star.TableIndex("dim0"), 1);
+  EXPECT_EQ(star.TableIndex("dim1"), -1);
+  const std::vector<Predicate> fact = star.TablePredicates(0);
+  ASSERT_EQ(fact.size(), 2u);
+  EXPECT_EQ(fact[0].column, 1);
+  EXPECT_EQ(fact[1].column, 2);
+  EXPECT_EQ(star.ToString(),
+            "SELECT COUNT(*) FROM fact, dim0 WHERE fact.c0 = dim0.c0 AND "
+            "1 <= fact.c1 <= 3 AND 10 <= dim0.c1 <= 20 AND fact.c2 = 5");
+  star.predicates[0].table = -1;
+  EXPECT_FALSE(star.HasValidTableIndices());
+}
+
 }  // namespace
 }  // namespace arecel

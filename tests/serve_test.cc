@@ -128,48 +128,47 @@ TEST(ServeCacheKeyTest, DuplicateColumnsAreNotMerged) {
 }
 
 // Regression for the single-vs-join fingerprint aliasing: a single-table
-// Query and a join query carrying the identical predicate list must never
+// query and a join query carrying the identical predicate list must never
 // share a cache key — the table-set prefix (count + names) keeps the two
 // keyspaces disjoint by construction.
 TEST(ServeCacheKeyTest, SingleTableAndJoinKeysNeverCollide) {
   const std::vector<Predicate> predicates = {{0, 2.0, 8.0}, {1, 3.0, 3.0}};
   const Query single = MakeQuery(predicates);
 
-  JoinQuery one_table;
-  one_table.tables.push_back({"fact", predicates});
-  EXPECT_NE(CanonicalPredicateKey(single), CanonicalJoinKey(one_table));
+  Query one_table = MakeQuery(predicates);
+  one_table.tables = {"fact"};
+  EXPECT_NE(CanonicalPredicateKey(single), CanonicalPredicateKey(one_table));
   EXPECT_NE(EstimateCacheKey("d", "e", 0, single),
-            JoinEstimateCacheKey("d", "e", 0, one_table));
+            EstimateCacheKey("d", "e", 0, one_table));
 
-  JoinQuery star;
-  star.tables.push_back({"fact", predicates});
-  star.tables.push_back({"dim0", {}});
+  Query star = one_table;
+  star.tables.push_back("dim0");
   star.joins.push_back({"fact", 0, "dim0", 0});
-  EXPECT_NE(CanonicalPredicateKey(single), CanonicalJoinKey(star));
+  EXPECT_NE(CanonicalPredicateKey(single), CanonicalPredicateKey(star));
   // And the two join shapes differ from each other: table set is part of
   // the fingerprint.
-  EXPECT_NE(CanonicalJoinKey(one_table), CanonicalJoinKey(star));
+  EXPECT_NE(CanonicalPredicateKey(one_table), CanonicalPredicateKey(star));
 }
 
 // The join fingerprint canonicalizes table order, per-table predicate
 // order, and edge orientation — the equivalence classes a planner-issued
 // repeat of the same semantic query falls into.
 TEST(ServeCacheKeyTest, JoinKeyIsCanonicalOverOrderAndOrientation) {
-  JoinQuery a;
-  a.tables.push_back({"fact", {{0, 1.0, 5.0}, {2, 3.0, 4.0}}});
-  a.tables.push_back({"dim0", {{1, 2.0, 2.0}}});
+  Query a;
+  a.tables = {"fact", "dim0"};
+  a.predicates = {{0, 1.0, 5.0, 0}, {2, 3.0, 4.0, 0}, {1, 2.0, 2.0, 1}};
   a.joins.push_back({"fact", 0, "dim0", 0});
 
-  JoinQuery b;
-  b.tables.push_back({"dim0", {{1, 2.0, 2.0}}});
-  b.tables.push_back({"fact", {{2, 3.0, 4.0}, {0, 1.0, 5.0}}});
+  Query b;
+  b.tables = {"dim0", "fact"};
+  b.predicates = {{1, 2.0, 2.0, 0}, {2, 3.0, 4.0, 1}, {0, 1.0, 5.0, 1}};
   b.joins.push_back({"dim0", 0, "fact", 0});  // reversed edge orientation.
-  EXPECT_EQ(CanonicalJoinKey(a), CanonicalJoinKey(b));
+  EXPECT_EQ(CanonicalPredicateKey(a), CanonicalPredicateKey(b));
 
   // A different edge is a different key even with identical tables.
-  JoinQuery c = a;
+  Query c = a;
   c.joins[0].right_column = 1;
-  EXPECT_NE(CanonicalJoinKey(a), CanonicalJoinKey(c));
+  EXPECT_NE(CanonicalPredicateKey(a), CanonicalPredicateKey(c));
 }
 
 // ---------------------------------------------------------------------------
@@ -397,6 +396,86 @@ TEST(ServeServerTest, BatchMatchesSingleRequests) {
     EXPECT_EQ(batched[i].selectivity, single.selectivity) << "query " << i;
   }
   EXPECT_EQ(server.Stats().batches, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Boundary: a query the serving model cannot answer is refused before the
+// cache or the estimator sees it.
+
+// Counts the queries that reach it.
+class CountingEstimator : public CardinalityEstimator {
+ public:
+  explicit CountingEstimator(std::shared_ptr<std::atomic<int>> calls)
+      : calls_(std::move(calls)) {}
+  std::string Name() const override { return "counting"; }
+  void Train(const Table&, const TrainContext&) override {}
+  double EstimateSelectivity(const Query&) const override {
+    ++*calls_;
+    return 0.25;
+  }
+  size_t SizeBytes() const override { return 8; }
+
+ private:
+  std::shared_ptr<std::atomic<int>> calls_;
+};
+
+TEST(ServeBoundaryTest, RefusesQueriesTheModelCannotAnswer) {
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  ServeOptions options;
+  options.feedback_enabled = true;
+  options.dispatch_threads = 4;  // force the fan-out path even on 1 core.
+  options.manager.factory = [calls](const std::string& name)
+      -> std::unique_ptr<CardinalityEstimator> {
+    if (name == "counting") return std::make_unique<CountingEstimator>(calls);
+    return MakeEstimator(name);
+  };
+  EstimatorServer server(options);
+  server.RegisterDataset("t", SmallTable());  // two columns.
+
+  Query named = MakeQuery({{0, 1.0, 9.0}});
+  named.tables = {"t"};
+  Query joined = MakeQuery({{0, 1.0, 9.0}});
+  joined.joins.push_back({"t", 0, "u", 0});
+  const std::vector<Query> refused = {
+      MakeQuery({{0, 1.0, 9.0}, {99, 1.0, 2.0}}),  // column past the table.
+      MakeQuery({{-1, 1.0, 2.0}}),                 // negative column.
+      MakeQuery({{0, 1.0, 9.0, 1}}),               // a second table.
+      named,
+      joined};
+  for (const Query& query : refused) {
+    const EstimateResponse response = server.Estimate("t", "counting", query);
+    EXPECT_FALSE(response.ok);
+    EXPECT_EQ(response.failure, FailureKind::kInvalidQuery);
+    EXPECT_FALSE(response.detail.empty());
+  }
+  // The sampling scan would read column 99 out of bounds.
+  EXPECT_EQ(server.Estimate("t", "sampling", refused[0]).failure,
+            FailureKind::kInvalidQuery);
+
+  // A batch interleaving the refused queries with distinct answerable ones.
+  std::vector<Query> batch;
+  for (int i = 0; i < 8; ++i) {
+    batch.insert(batch.end(), refused.begin(), refused.end());
+    batch.push_back(MakeQuery({{0, 1.0, 2.0 + i}}));
+  }
+  const std::vector<EstimateResponse> responses =
+      server.EstimateBatch("t", "counting", batch);
+  ASSERT_EQ(responses.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const bool answerable = i % (refused.size() + 1) == refused.size();
+    EXPECT_EQ(responses[i].ok, answerable) << i;
+    if (!answerable) {
+      EXPECT_EQ(responses[i].failure, FailureKind::kInvalidQuery) << i;
+    }
+  }
+
+  server.DrainFeedback();
+  const ServerStats stats = server.Stats();
+  EXPECT_EQ(calls->load(), 8);  // only the answerable queries.
+  EXPECT_EQ(stats.estimate_errors, 1 + 9 * refused.size());
+  EXPECT_EQ(stats.cache.hits + stats.cache.misses, 8u);
+  EXPECT_EQ(stats.cache.entries, 8u);
+  EXPECT_EQ(stats.feedback.worker.enqueued, 8u);
 }
 
 // Holds each truth delivery of a FeedbackSink until the test releases it,

@@ -1,5 +1,6 @@
 #include <atomic>
 #include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -9,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "util/ascii_table.h"
+#include "util/env.h"
 #include "util/latency_histogram.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -167,6 +169,43 @@ TEST(TimerTest, MeasuresElapsed) {
   EXPECT_GT(timer.ElapsedMicros(), timer.ElapsedSeconds());
   timer.Reset();
   EXPECT_LT(timer.ElapsedSeconds(), 1.0);
+}
+
+// One reader for every environment knob: unset, empty and unparsable
+// values read as the default; zero and negative values parse, and the
+// count reader sends negatives back to the default.
+TEST(EnvReaderTest, UnsetEmptyGarbageZeroAndNegative) {
+  constexpr const char* kName = "ARECEL_UTIL_TEST_KNOB";
+  const auto with = [&](const char* value) {
+    if (value == nullptr) {
+      unsetenv(kName);
+    } else {
+      setenv(kName, value, /*overwrite=*/1);
+    }
+  };
+  for (const char* value : {static_cast<const char*>(nullptr), "", "abc",
+                            "12abc", "nan", "1e999"}) {
+    with(value);
+    const std::string shown = value == nullptr ? "unset" : value;
+    EXPECT_EQ(EnvDouble(kName, 7.5), 7.5) << shown;
+    EXPECT_EQ(EnvSize(kName, 7), 7u) << shown;
+    EXPECT_EQ(EnvString(kName, "dflt"),
+              value == nullptr || *value == '\0' ? "dflt" : value)
+        << shown;
+  }
+  with("0");
+  EXPECT_EQ(EnvDouble(kName, 7.5), 0.0);
+  EXPECT_EQ(EnvSize(kName, 7), 0u);
+  with("-2.5");
+  EXPECT_EQ(EnvDouble(kName, 7.5), -2.5);
+  EXPECT_EQ(EnvSize(kName, 7), 7u);
+  with("1e3");
+  EXPECT_EQ(EnvDouble(kName, 7.5), 1000.0);
+  EXPECT_EQ(EnvSize(kName, 7), 1000u);
+  with("2.9");
+  EXPECT_EQ(EnvSize(kName, 7), 2u);
+  EXPECT_EQ(EnvString(kName, "dflt"), "2.9");
+  with(nullptr);
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ struct TrainedEstimator {
 
 std::vector<TrainedEstimator> TrainAll(const std::vector<std::string>& names,
                                        const Schema& schema,
-                                       const JoinWorkload& train,
+                                       const Workload& train,
                                        uint64_t seed) {
   std::vector<TrainedEstimator> trained;
   for (const std::string& name : names) {
@@ -75,7 +75,7 @@ std::vector<TrainedEstimator> TrainAll(const std::vector<std::string>& names,
       std::fprintf(stderr, "skipping %s: no join support\n", name.c_str());
       continue;
     }
-    JoinTrainContext context;
+    TrainContext context;
     context.training_workload = &train;
     context.seed = seed;
     estimator->TrainJoin(schema, context);
@@ -95,12 +95,12 @@ int SelfTest() {
     std::fprintf(stderr, "integrity: %s\n", detail.c_str());
     return 1;
   }
-  const JoinWorkload train = GenerateJoinWorkload(schema, 60, /*seed=*/18);
-  const std::vector<JoinQuery> probes =
+  const Workload train = GenerateWorkload(schema, 60, /*seed=*/18);
+  const std::vector<Query> probes =
       GenerateJoinQueries(schema, 12, /*seed=*/19);
 
   const join::JoinExecutor executor(schema);
-  for (const JoinQuery& query : probes) {
+  for (const Query& query : probes) {
     if (executor.Count(query) != join::ExecuteJoinCountNaive(schema, query)) {
       std::fprintf(stderr, "hash != nested-loop on %s\n",
                    query.ToString().c_str());
@@ -109,8 +109,8 @@ int SelfTest() {
   }
   for (const auto& [name, estimator] :
        TrainAll(JoinEstimatorNames(), schema, train, /*seed=*/20)) {
-    for (const JoinQuery& query : probes) {
-      const double sel = estimator->EstimateJoinSelectivity(query);
+    for (const Query& query : probes) {
+      const double sel = estimator->EstimateSelectivity(query);
       if (!std::isfinite(sel) || sel < 0.0 || sel > 1.0) {
         std::fprintf(stderr, "%s out of bounds: %g\n", name.c_str(), sel);
         return 1;
@@ -148,8 +148,8 @@ int main(int argc, char** argv) {
   const uint64_t seed = FlagValue(argc, argv, "--seed", 7);
 
   const Schema schema = GenerateStarSchema(options, seed);
-  const JoinWorkload train = GenerateJoinWorkload(schema, 400, seed + 1);
-  const std::vector<JoinQuery> queries =
+  const Workload train = GenerateWorkload(schema, 400, seed + 1);
+  const std::vector<Query> queries =
       GenerateJoinQueries(schema, num_queries, seed + 2);
   const join::JoinExecutor executor(schema);
 
@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
   std::printf("star: fact=%zu dims=%d x %zu rows (seed %llu)\n\n",
               options.fact_rows, options.num_dimensions, options.dim_rows,
               static_cast<unsigned long long>(seed));
-  for (const JoinQuery& query : queries) {
+  for (const Query& query : queries) {
     const size_t truth = executor.Count(query);
     const double rows_product =
         join::JoinExecutor::RowsProduct(schema, query);
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
                 query.ToString().c_str(), truth,
                 static_cast<double>(truth) / rows_product);
     for (const auto& [name, estimator] : trained) {
-      const double card = estimator->EstimateJoinCardinality(schema, query);
+      const double card = estimator->EstimateCardinality(query, rows_product);
       std::printf("  %-16s estimate %.1f\n", name.c_str(), card);
     }
   }
