@@ -2,10 +2,11 @@
 // (src/scan/) against the naive per-query reference executor, across a
 // rows x predicates x batch-size grid plus a batch-labeling headline at
 // paper scale (10K queries x 1M rows by default), plus an equality-heavy
-// categorical grid (low-cardinality Zipf columns) that pits the rich
-// synopsis (dictionaries + per-block bitmaps + code kernels) against the
-// min/max-only baseline. Every measured cell also checks count equality,
-// so the bench doubles as a coarse differential gate. Emits
+// categorical grid of Zipf columns: three cardinalities within the 4096-code
+// budget (bitmap pruning and code kernels) and one past it (zone maps and
+// double kernels). The shared-scan cells report per-cause pruning counters.
+// Every measured cell also checks count equality, so the bench doubles as
+// a coarse differential gate. Emits
 // machine-readable BENCH_scan.json (default at the repo root) to seed the
 // perf trajectory: later PRs compare against it to detect scan-path
 // regressions.
@@ -30,6 +31,7 @@
 
 #include "data/datasets.h"
 #include "scan/block_scan.h"
+#include "scan/synopsis.h"
 #include "util/env.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -62,6 +64,10 @@ struct Measurement {
   double naive_seconds = 0.0;
   double block_seconds = 0.0;
   bool counts_match = false;
+  // Shared-scan cells only (batch > 1): the scanner's synopsis bytes and
+  // pruning counters.
+  size_t synopsis_bytes = 0;
+  scan::ScanStats stats;
 
   double speedup() const {
     return block_seconds > 0.0 ? naive_seconds / block_seconds : 0.0;
@@ -92,6 +98,8 @@ Measurement MeasureCell(const Table& table, const std::vector<Query>& queries,
       const std::vector<size_t> counts = scanner.CountBatch(slice);
       for (size_t i = 0; i < counts.size(); ++i) block[begin + i] = counts[i];
     }
+    m.synopsis_bytes = scanner.synopsis().SizeBytes();
+    m.stats = scanner.stats();
   }
   m.block_seconds = timer.ElapsedSeconds();
   m.counts_match = block == naive;
@@ -106,19 +114,31 @@ struct GridCell {
   Measurement m;
 };
 
-// ---- categorical equality grid (rich vs min/max-only synopses) -----------
+// JSON fields of a shared-scan cell's synopsis bytes and pruning counters.
+void PrintScanStats(std::FILE* out, const Measurement& m) {
+  std::fprintf(out,
+               "\"synopsis_bytes\": %zu, \"bitmap_skips\": %" PRIu64
+               ", \"zone_skips\": %" PRIu64 ", \"full_blocks\": %" PRIu64
+               ", \"scanned_blocks\": %" PRIu64
+               ", \"dict_kernel_blocks\": %" PRIu64,
+               m.synopsis_bytes, m.stats.bitmap_skips, m.stats.zone_skips,
+               m.stats.full_blocks, m.stats.scanned_blocks,
+               m.stats.dict_kernel_blocks);
+}
 
-// Low-cardinality Zipf columns — the paper's dominant Census/DMV predicate
-// shape, where min/max envelopes prune almost nothing and pruning must come
-// from dictionary bitmaps.
+// ---- categorical equality grid -------------------------------------------
+
+// Zipf columns — the paper's dominant Census/DMV predicate shape, where
+// min/max envelopes prune almost nothing and pruning must come from
+// dictionary bitmaps.
 Table MakeCategoricalZipf(size_t rows, size_t cols, size_t cardinality,
                           uint64_t seed) {
   Rng rng(seed);
+  const ZipfSampler zipf(cardinality, 1.1);
   Table t("catzipf");
   for (size_t c = 0; c < cols; ++c) {
     std::vector<double> vals(rows);
-    for (double& v : vals)
-      v = static_cast<double>(rng.Zipf(cardinality, 1.1));
+    for (double& v : vals) v = static_cast<double>(zipf.Sample(rng));
     t.AddColumn("cat" + std::to_string(c), std::move(vals), true);
   }
   return t;
@@ -151,24 +171,19 @@ std::vector<Query> EqualityQueries(const Table& table, size_t count,
   return queries;
 }
 
+// Cardinalities of the categorical grid. The last one puts every column
+// past the code budget (checked on the generated domains), so the grid
+// also measures the zone-map-only path and the double kernels.
+constexpr size_t kPastBudgetCardinality = 16384;
+constexpr size_t kCatCardinalities[] = {16, 64, 1024, kPastBudgetCardinality};
+
 struct CatCell {
   size_t rows = 0;
   size_t cardinality = 0;
+  size_t min_domain = 0;  // smallest column domain.
+  size_t max_domain = 0;  // largest column domain.
   size_t queries = 0;
-  double naive_seconds = 0.0;
-  double zone_seconds = 0.0;  // min/max-only synopsis (the old engine).
-  double rich_seconds = 0.0;  // dictionaries + bitmaps + code kernels.
-  bool counts_match = false;
-  size_t zone_bytes = 0;
-  size_t rich_bytes = 0;
-  scan::ScanStats rich_stats;  // pruning counters of the rich arm.
-
-  double speedup_vs_zone() const {
-    return rich_seconds > 0.0 ? zone_seconds / rich_seconds : 0.0;
-  }
-  double speedup_vs_naive() const {
-    return rich_seconds > 0.0 ? naive_seconds / rich_seconds : 0.0;
-  }
+  Measurement m;
 };
 
 CatCell MeasureCatCell(size_t rows, size_t cardinality, size_t num_queries,
@@ -178,29 +193,27 @@ CatCell MeasureCatCell(size_t rows, size_t cardinality, size_t num_queries,
   cell.cardinality = cardinality;
   cell.queries = num_queries;
   const Table table = MakeCategoricalZipf(rows, /*cols=*/4, cardinality, seed);
+  cell.min_domain = table.column(0).domain_size();
+  for (const Column& column : table.columns()) {
+    cell.min_domain = std::min(cell.min_domain, column.domain_size());
+    cell.max_domain = std::max(cell.max_domain, column.domain_size());
+  }
   const std::vector<Query> queries =
       EqualityQueries(table, num_queries, seed + 1);
 
   Timer timer;
   const std::vector<size_t> naive = NaiveCounts(table, queries);
-  cell.naive_seconds = timer.ElapsedSeconds();
+  cell.m.naive_seconds = timer.ElapsedSeconds();
 
-  scan::SynopsisOptions zone_options;
-  zone_options.rich = false;
-  const scan::BlockScanner zone(table, zone_options);
-  cell.zone_bytes = zone.synopsis().SizeBytes();
+  // The synopsis build is outside the timed region: the cell measures the
+  // shared scan alone.
+  const scan::BlockScanner scanner(table);
+  cell.m.synopsis_bytes = scanner.synopsis().SizeBytes();
   timer.Reset();
-  const std::vector<size_t> zone_counts = zone.CountBatch(queries);
-  cell.zone_seconds = timer.ElapsedSeconds();
-
-  const scan::BlockScanner rich(table);
-  cell.rich_bytes = rich.synopsis().SizeBytes();
-  timer.Reset();
-  const std::vector<size_t> rich_counts = rich.CountBatch(queries);
-  cell.rich_seconds = timer.ElapsedSeconds();
-  cell.rich_stats = rich.stats();
-
-  cell.counts_match = rich_counts == naive && zone_counts == naive;
+  const std::vector<size_t> counts = scanner.CountBatch(queries);
+  cell.m.block_seconds = timer.ElapsedSeconds();
+  cell.m.stats = scanner.stats();
+  cell.m.counts_match = counts == naive;
   return cell;
 }
 
@@ -273,34 +286,42 @@ int main(int argc, char** argv) {
   std::vector<CatCell> catgrid;
   if (run_catgrid) {
     std::printf(
-        "categorical grid: equality-heavy Zipf workloads, rich synopsis "
-        "(dict+bitmap) vs min/max-only baseline\n");
-    std::printf("%8s %6s %8s %10s %10s %10s %9s %9s %11s %11s %s\n", "rows",
-                "card", "queries", "naive_s", "zonemap_s", "rich_s",
-                "vs_zone", "vs_naive", "zone_bytes", "rich_bytes", "match");
-    for (size_t cardinality : {16u, 64u, 1024u}) {
+        "categorical grid: equality-heavy Zipf workloads, naive vs engine "
+        "(code budget %zu)\n",
+        scan::kMaxDictCodes);
+    std::printf("%8s %6s %11s %8s %10s %10s %9s %11s %s\n", "rows", "card",
+                "domains", "queries", "naive_s", "block_s", "speedup",
+                "syn_bytes", "match");
+    for (size_t cardinality : kCatCardinalities) {
       const CatCell cell = MeasureCatCell(
           cat_rows, cardinality, /*num_queries=*/256,
           /*seed=*/301 + cardinality);
-      all_match = all_match && cell.counts_match;
-      std::printf("%8zu %6zu %8zu %10.4f %10.4f %10.4f %8.1fx %8.1fx %11zu "
-                  "%11zu %s\n",
-                  cell.rows, cell.cardinality, cell.queries,
-                  cell.naive_seconds, cell.zone_seconds, cell.rich_seconds,
-                  cell.speedup_vs_zone(), cell.speedup_vs_naive(),
-                  cell.zone_bytes, cell.rich_bytes,
-                  cell.counts_match ? "ok" : "MISMATCH");
+      all_match = all_match && cell.m.counts_match;
+      const std::string domains = std::to_string(cell.min_domain) + "-" +
+                                  std::to_string(cell.max_domain);
+      std::printf("%8zu %6zu %11s %8zu %10.4f %10.4f %8.1fx %11zu %s\n",
+                  cell.rows, cell.cardinality, domains.c_str(), cell.queries,
+                  cell.m.naive_seconds, cell.m.block_seconds,
+                  cell.m.speedup(), cell.m.synopsis_bytes,
+                  cell.m.counts_match ? "ok" : "MISMATCH");
+      if (cardinality == kPastBudgetCardinality &&
+          cell.min_domain <= scan::kMaxDictCodes) {
+        std::fprintf(stderr,
+                     "FAILED: cardinality %zu left a column with %zu <= %zu "
+                     "distinct values; raise ARECEL_SCAN_BENCH_CATROWS\n",
+                     cardinality, cell.min_domain, scan::kMaxDictCodes);
+        return 1;
+      }
       catgrid.push_back(cell);
     }
     scan::ScanStats total;
-    for (const CatCell& cell : catgrid) total.Add(cell.rich_stats);
-    std::printf("rich-arm pruning: classified=%" PRIu64 " zone_skips=%" PRIu64
-                " bitmap_skips=%" PRIu64 " histogram_skips=%" PRIu64
-                " full=%" PRIu64 " scanned=%" PRIu64 " dict_kernel=%" PRIu64
-                "\n\n",
+    for (const CatCell& cell : catgrid) total.Add(cell.m.stats);
+    std::printf("engine pruning: classified=%" PRIu64 " zone_skips=%" PRIu64
+                " bitmap_skips=%" PRIu64 " full=%" PRIu64 " scanned=%" PRIu64
+                " dict_kernel=%" PRIu64 "\n\n",
                 total.classified_blocks, total.zone_skips, total.bitmap_skips,
-                total.histogram_skips, total.full_blocks,
-                total.scanned_blocks, total.dict_kernel_blocks);
+                total.full_blocks, total.scanned_blocks,
+                total.dict_kernel_blocks);
   }
 
   // ---- batch-labeling headline ------------------------------------------
@@ -327,9 +348,11 @@ int main(int argc, char** argv) {
   std::fprintf(out, "  \"workers\": %d,\n", ParallelWorkerCount());
   std::fprintf(out, "  \"headline\": {\"rows\": %zu, \"queries\": %zu, "
                     "\"naive_seconds\": %.6f, \"block_seconds\": %.6f, "
-                    "\"speedup\": %.3f, \"counts_match\": %s},\n",
+                    "\"speedup\": %.3f, ",
                headline_rows, headline_queries, headline.naive_seconds,
-               headline.block_seconds, headline.speedup(),
+               headline.block_seconds, headline.speedup());
+  PrintScanStats(out, headline);
+  std::fprintf(out, ", \"counts_match\": %s},\n",
                headline.counts_match ? "true" : "false");
   std::fprintf(out, "  \"grid\": [");
   for (size_t i = 0; i < grid.size(); ++i) {
@@ -349,21 +372,16 @@ int main(int argc, char** argv) {
     const CatCell& cell = catgrid[i];
     std::fprintf(
         out,
-        "%s\n    {\"rows\": %zu, \"cardinality\": %zu, \"queries\": %zu, "
-        "\"naive_seconds\": %.6f, \"zonemap_seconds\": %.6f, "
-        "\"rich_seconds\": %.6f, \"speedup_vs_zonemap\": %.3f, "
-        "\"speedup_vs_naive\": %.3f, \"zonemap_bytes\": %zu, "
-        "\"rich_bytes\": %zu, \"bitmap_skips\": %" PRIu64
-        ", \"zone_skips\": %" PRIu64 ", \"full_blocks\": %" PRIu64
-        ", \"scanned_blocks\": %" PRIu64 ", \"dict_kernel_blocks\": %" PRIu64
-        ", \"counts_match\": %s}",
-        i == 0 ? "" : ",", cell.rows, cell.cardinality, cell.queries,
-        cell.naive_seconds, cell.zone_seconds, cell.rich_seconds,
-        cell.speedup_vs_zone(), cell.speedup_vs_naive(), cell.zone_bytes,
-        cell.rich_bytes, cell.rich_stats.bitmap_skips,
-        cell.rich_stats.zone_skips, cell.rich_stats.full_blocks,
-        cell.rich_stats.scanned_blocks, cell.rich_stats.dict_kernel_blocks,
-        cell.counts_match ? "true" : "false");
+        "%s\n    {\"rows\": %zu, \"cardinality\": %zu, "
+        "\"min_domain_size\": %zu, \"max_domain_size\": %zu, "
+        "\"queries\": %zu, \"naive_seconds\": %.6f, "
+        "\"block_seconds\": %.6f, \"speedup_vs_naive\": %.3f, ",
+        i == 0 ? "" : ",", cell.rows, cell.cardinality, cell.min_domain,
+        cell.max_domain, cell.queries, cell.m.naive_seconds,
+        cell.m.block_seconds, cell.m.speedup());
+    PrintScanStats(out, cell.m);
+    std::fprintf(out, ", \"counts_match\": %s}",
+                 cell.m.counts_match ? "true" : "false");
   }
   std::fprintf(out, "\n  ]\n}\n");
   std::fclose(out);

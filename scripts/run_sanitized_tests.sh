@@ -53,9 +53,9 @@ if [ "${ARECEL_SAN_ALL:-0}" != "1" ]; then
     # parallel-over-rows int8 dispatch (ml/kernels.cc).
     # Join: the join executor's ParallelFor batch labeling (CountBatch /
     # Label share read-only synopses across worker threads).
-    # Synopsis|Dict: the rich synopsis layer (dictionary code arrays,
-    # per-block bitmaps) read concurrently by CountBatch workers, with
-    # relaxed-atomic ScanStats merges.
+    # Synopsis|Dict: the synopsis' dictionary tier (the table's code
+    # arrays, per-block bitmaps) read concurrently by CountBatch workers,
+    # with relaxed-atomic ScanStats merges.
     filter=(-R 'Parallel|Robust|Guard|Fault|Journal|Cancel|Scan|Serve|Ml|Feedback|Store|Maint|Packed|Quant|Join|Synopsis|Dict')
   else
     filter=(-LE slow)

@@ -159,8 +159,8 @@ class KeyCountTable {
 
 // ---------------------------------------------------------------------------
 // Predicate-filtered block iteration, delegated to the block-scan engine's
-// compiled cascade (zone maps -> dictionary bitmaps / mini-histograms ->
-// selection vectors -> code or double kernels).
+// compiled cascade (zone maps and dictionary bitmaps -> selection vectors
+// -> code or double kernels).
 
 // Calls fn(row) for every row of `table` that satisfies `preds`.
 template <typename Fn>

@@ -17,9 +17,9 @@ namespace arecel::join {
 // center — the table every join edge touches) and one build side per other
 // table, then runs a textbook build-side hash join:
 //  1. each build table is scanned with its predicates through the
-//     block-scan cascade (zone-map, dictionary-bitmap and mini-histogram
-//     pruning included, shared with BlockScanner via scan::ScanPlan), and
-//     the surviving rows' key values feed an open-addressing hash table of
+//     block-scan cascade (zone-map and dictionary-bitmap pruning included,
+//     shared with BlockScanner via scan::ScanPlan), and the surviving
+//     rows' key values feed an open-addressing hash table of
 //     key -> multiplicity;
 //  2. the probe table is scanned the same way with its own predicates; each
 //     surviving row contributes the product of its key lookups across the
@@ -34,7 +34,9 @@ namespace arecel::join {
 // predicate's `table` indexes them.
 class JoinExecutor {
  public:
-  // The schema must outlive the executor (synopses point into its tables).
+  // Builds one synopsis per schema table, once. The schema must outlive the
+  // executor and its tables must not change; a new data version needs a
+  // new executor.
   explicit JoinExecutor(const Schema& schema,
                         const scan::SynopsisOptions& options = {});
 

@@ -87,7 +87,6 @@ void ScanStats::Add(const ScanStats& other) {
   classified_blocks += other.classified_blocks;
   zone_skips += other.zone_skips;
   bitmap_skips += other.bitmap_skips;
-  histogram_skips += other.histogram_skips;
   full_blocks += other.full_blocks;
   scanned_blocks += other.scanned_blocks;
   dict_kernel_blocks += other.dict_kernel_blocks;
@@ -98,8 +97,6 @@ void ScanStatsCollector::Merge(const ScanStats& delta) {
                                std::memory_order_relaxed);
   zone_skips_.fetch_add(delta.zone_skips, std::memory_order_relaxed);
   bitmap_skips_.fetch_add(delta.bitmap_skips, std::memory_order_relaxed);
-  histogram_skips_.fetch_add(delta.histogram_skips,
-                             std::memory_order_relaxed);
   full_blocks_.fetch_add(delta.full_blocks, std::memory_order_relaxed);
   scanned_blocks_.fetch_add(delta.scanned_blocks, std::memory_order_relaxed);
   dict_kernel_blocks_.fetch_add(delta.dict_kernel_blocks,
@@ -111,7 +108,6 @@ ScanStats ScanStatsCollector::Snapshot() const {
   s.classified_blocks = classified_blocks_.load(std::memory_order_relaxed);
   s.zone_skips = zone_skips_.load(std::memory_order_relaxed);
   s.bitmap_skips = bitmap_skips_.load(std::memory_order_relaxed);
-  s.histogram_skips = histogram_skips_.load(std::memory_order_relaxed);
   s.full_blocks = full_blocks_.load(std::memory_order_relaxed);
   s.scanned_blocks = scanned_blocks_.load(std::memory_order_relaxed);
   s.dict_kernel_blocks = dict_kernel_blocks_.load(std::memory_order_relaxed);
@@ -175,6 +171,13 @@ size_t CountCodes(const uint16_t* codes, uint32_t begin, uint32_t end,
 ScanPlan::ScanPlan(const Table& table, const TableSynopsis* synopsis,
                    const std::vector<Predicate>& predicates)
     : synopsis_(synopsis) {
+  // The one place every engine path lowers predicates: check the column
+  // ids before Table::column indexes with them.
+  for (const Predicate& p : predicates) {
+    ARECEL_CHECK_MSG(
+        p.column >= 0 && static_cast<size_t>(p.column) < table.num_cols(),
+        "predicate column outside the table");
+  }
   struct Lowered {
     double fraction;
     size_t index;
@@ -200,7 +203,7 @@ ScanPlan::ScanPlan(const Table& table, const TableSynopsis* synopsis,
       return;
     }
     const double fraction =
-        synopsis != nullptr && synopsis->HasDictionary(col)
+        synopsis != nullptr && WithinCodeBudget(column)
             ? synopsis->DictFraction(col, static_cast<uint32_t>(code_lo),
                                      static_cast<uint32_t>(code_hi))
             : static_cast<double>(code_hi - code_lo + 1) /
@@ -215,15 +218,13 @@ ScanPlan::ScanPlan(const Table& table, const TableSynopsis* synopsis,
   preds_.reserve(predicates.size());
   for (const Lowered& lowered : order) {
     const Predicate& p = predicates[lowered.index];
-    const size_t col = static_cast<size_t>(p.column);
-    const Column& column = table.column(col);
+    const Column& column = table.column(static_cast<size_t>(p.column));
     Pred pred;
     pred.values = column.values.data();
     pred.lo = p.lo;
     pred.hi = p.hi;
     pred.column = p.column;
-    if (synopsis != nullptr && synopsis->HasDictionary(col)) {
-      // Within the code budget the codes are u8 or u16.
+    if (WithinCodeBudget(column)) {
       if (!column.codes8.empty()) pred.codes8 = column.codes8.data();
       if (!column.codes16.empty()) pred.codes16 = column.codes16.data();
       pred.code_lo = static_cast<uint32_t>(lowered.code_lo);
@@ -242,14 +243,9 @@ BlockDecision ScanPlan::Classify(size_t block, ScanStats* stats) const {
       if (stats != nullptr) ++stats->zone_skips;
       return BlockDecision::kSkip;
     }
-    if (p.codes8 != nullptr || p.codes16 != nullptr) {
-      if (!synopsis_->BitmapCanMatch(block, col, p.code_lo, p.code_hi)) {
-        if (stats != nullptr) ++stats->bitmap_skips;
-        return BlockDecision::kSkip;
-      }
-    } else if (synopsis_->HasHistogram(col) &&
-               !synopsis_->HistogramCanMatch(block, col, p.lo, p.hi)) {
-      if (stats != nullptr) ++stats->histogram_skips;
+    if ((p.codes8 != nullptr || p.codes16 != nullptr) &&
+        !synopsis_->BitmapCanMatch(block, col, p.code_lo, p.code_hi)) {
+      if (stats != nullptr) ++stats->bitmap_skips;
       return BlockDecision::kSkip;
     }
     full = full && synopsis_->FullyMatches(block, col, p.lo, p.hi);
@@ -366,8 +362,8 @@ BlockScanner::BlockScanner(const Table& table,
 size_t BlockScanner::Count(const Query& query) const {
   ARECEL_CHECK_MSG(query.IsSingleTable(), "BlockScanner given a join query");
   const uint32_t rows = CheckedRowCount(*table_);
-  ARECEL_CHECK_MSG(synopsis_.covered_rows() == table_->num_rows(),
-                   "table changed without Refresh()");
+  ARECEL_CHECK_MSG(synopsis_.num_rows() == table_->num_rows(),
+                   "table changed after the scanner was built");
   const ScanPlan plan(*table_, &synopsis_, query.predicates);
   if (!plan.satisfiable()) return 0;
   if (plan.unconstrained()) return rows;
@@ -407,8 +403,8 @@ std::vector<size_t> BlockScanner::CountBatch(
   std::vector<size_t> counts(queries.size(), 0);
   const uint32_t rows = CheckedRowCount(*table_);
   if (rows == 0 || queries.empty()) return counts;
-  ARECEL_CHECK_MSG(synopsis_.covered_rows() == table_->num_rows(),
-                   "table changed without Refresh()");
+  ARECEL_CHECK_MSG(synopsis_.num_rows() == table_->num_rows(),
+                   "table changed after the scanner was built");
 
   std::vector<ScanPlan> plans;
   plans.reserve(queries.size());
@@ -468,13 +464,11 @@ std::vector<double> BlockScanner::Label(
   return selectivities;
 }
 
-size_t CountMatches(const Table& table, const Query& query,
-                    const BlockScanner* scanner) {
-  if (scanner != nullptr) return scanner->Count(query);
+size_t CountMatches(const Table& table, const Query& query) {
   const uint32_t rows = CheckedRowCount(table);
   // One query cannot amortize a synopsis build (that costs a full pass over
   // every column), so this path goes straight to the selection-vector
-  // cascade over fixed-size blocks.
+  // evaluation and kernels over fixed-size blocks.
   const ScanPlan plan(table, nullptr, query.predicates);
   if (!plan.satisfiable()) return 0;
   if (plan.unconstrained()) return rows;

@@ -14,22 +14,18 @@ namespace arecel::scan {
 
 // Vectorized exact-count execution engine (DESIGN.md §8).
 //
-// Four layers, cheapest first:
-//  1. zone maps (TableSynopsis): a predicate skips every block whose
-//     [min, max] envelope misses its interval, and counts wholesale every
-//     NaN-free block whose envelope it contains;
-//  2. dictionary bitmaps: the predicate maps to an inclusive range of the
-//     table's dictionary codes once per query; on a column within the
-//     synopsis' code budget a block is skipped unless its presence bitmap
-//     has a set bit in that range — equality predicates on categorical
-//     columns prune here even when every envelope overlaps. Columns past
-//     the budget get the same treatment from per-block mini-histograms
-//     (skip when every overlapping bucket is empty);
-//  3. selection vectors: surviving blocks are evaluated one *column* at a
-//     time, most-selective predicate first (ordered by synopsis-estimated
-//     selectivity), compacting a dense row-id vector instead of re-testing
-//     every predicate per row;
-//  4. branch-free kernels: data-independent interval passes over the
+// A three-layer cascade, cheapest first:
+//  1. block pruning (TableSynopsis, built once per table): a predicate
+//     skips every block whose [min, max] zone map misses its interval, and
+//     counts wholesale every NaN-free block whose envelope it contains; on
+//     a column within the code budget (WithinCodeBudget) it also skips a
+//     block unless the block's presence bitmap has a set bit in the
+//     predicate's code range — equality predicates on categorical columns
+//     prune here even when every envelope overlaps;
+//  2. selection vectors: surviving blocks are evaluated one *column* at a
+//     time, most-selective predicate first, compacting a dense row-id
+//     vector instead of re-testing every predicate per row;
+//  3. branch-free kernels: data-independent interval passes over the
 //     contiguous column block — over the table's u8/u16 code array when
 //     the column is within the code budget (a fraction of the double
 //     array's bandwidth), over the doubles otherwise.
@@ -46,7 +42,9 @@ struct ScanStats {
   uint64_t classified_blocks = 0;  // (block, query) classifications made.
   uint64_t zone_skips = 0;         // skipped by the min/max envelope.
   uint64_t bitmap_skips = 0;       // skipped by a dictionary bitmap.
-  uint64_t histogram_skips = 0;    // skipped by a mini-histogram.
+  // Always 0: the synopsis has no histogram tier. Kept because the
+  // benchmark harness (cebench/) reads it.
+  uint64_t histogram_skips = 0;
   uint64_t full_blocks = 0;        // counted wholesale, values untouched.
   uint64_t scanned_blocks = 0;     // evaluated row by row.
   uint64_t dict_kernel_blocks = 0;  // scanned blocks that ran code kernels.
@@ -66,7 +64,6 @@ class ScanStatsCollector {
   std::atomic<uint64_t> classified_blocks_{0};
   std::atomic<uint64_t> zone_skips_{0};
   std::atomic<uint64_t> bitmap_skips_{0};
-  std::atomic<uint64_t> histogram_skips_{0};
   std::atomic<uint64_t> full_blocks_{0};
   std::atomic<uint64_t> scanned_blocks_{0};
   std::atomic<uint64_t> dict_kernel_blocks_{0};
@@ -104,17 +101,18 @@ size_t CountCodes(const uint8_t* codes, uint32_t begin, uint32_t end,
 size_t CountCodes(const uint16_t* codes, uint32_t begin, uint32_t end,
                   uint32_t lo, uint32_t hi);
 
-// Zone-map / bitmap / histogram classification of one (block, query) pair.
+// Zone-map / bitmap classification of one (block, query) pair.
 enum class BlockDecision { kSkip, kEvaluate, kFullMatch };
 
-// One query's predicates compiled against one table: column pointers
-// resolved, dictionary predicates lowered to code ranges, and the whole
-// list ordered most-selective-first: exactly, from the synopsis' code-count
-// prefix, on columns within the code budget, else by the fraction of the
-// domain the interval covers. Shared by BlockScanner and the join
-// executor's probe/build cascades. `synopsis` may be null (the one-shot
-// CountMatches path): classification is then unavailable and evaluation
-// uses the double kernels only.
+// One query's predicates compiled against one table: column ids checked
+// (aborts on a column outside [0, num_cols())), column pointers resolved,
+// predicates on columns within the code budget lowered to code ranges, and
+// the whole list ordered most-selective-first: exactly, from the synopsis'
+// code-count prefix, on columns within the budget, else by the fraction of
+// the domain the interval covers. Shared by BlockScanner, the one-shot
+// CountMatches path and the join executor's probe/build cascades.
+// `synopsis` may be null (the one-shot path): the exact ordering and
+// Classify are then unavailable; evaluation still runs the code kernels.
 class ScanPlan {
  public:
   // Sentinel for evaluation without a known block (no per-block
@@ -130,7 +128,7 @@ class ScanPlan {
   // True when the predicate list is empty: every row matches.
   bool unconstrained() const { return preds_.empty(); }
 
-  // Requires a synopsis covering `block`.
+  // Requires a synopsis built over the plan's table.
   BlockDecision Classify(size_t block, ScanStats* stats) const;
 
   // Exact match count over rows [begin, end); `sel` needs end - begin
@@ -148,7 +146,7 @@ class ScanPlan {
     double lo = 0.0;
     double hi = 0.0;
     int column = 0;
-    // The table's codes, when the synopsis keeps bitmaps for the column.
+    // The table's codes, when the column is within the code budget.
     const uint8_t* codes8 = nullptr;
     const uint16_t* codes16 = nullptr;
     uint32_t code_lo = 0;
@@ -163,19 +161,15 @@ class ScanPlan {
   bool satisfiable_ = true;
 };
 
-// Scan engine bound to one table. Builds the synopsis once; queries then
-// share it. After the table grows (AppendRows), call Refresh() to extend
-// the synopsis incrementally — Count/CountBatch abort if the table grew
-// without a Refresh (the zone maps and bitmaps would be stale). The table
-// must outlive the scanner and must not shrink or change schema between
-// Refresh() calls. Queries must name no tables (Query::IsSingleTable).
+// Scan engine bound to one immutable table. Builds the synopsis once;
+// queries then share it. The table must outlive the scanner and must not
+// change: Count/CountBatch abort when its row count differs from the one
+// the scanner was built over. A new data version needs a new scanner.
+// Queries must name no tables (Query::IsSingleTable).
 class BlockScanner {
  public:
   explicit BlockScanner(const Table& table,
                         const SynopsisOptions& options = {});
-
-  // Re-syncs the synopsis after rows were appended to the table.
-  void Refresh() { synopsis_.ExtendTo(*table_); }
 
   const TableSynopsis& synopsis() const { return synopsis_; }
 
@@ -201,13 +195,11 @@ class BlockScanner {
 };
 
 // One-shot conveniences behind ExecuteCount / LabelQueries. CountMatches
-// skips the synopsis when no prebuilt scanner is passed (one query cannot
-// amortize building it) but still runs the selection-vector block
-// evaluation; callers that issue repeated single queries against the same
-// table should build one BlockScanner and pass it. LabelMatches builds a
-// scanner and shared-scans the whole batch.
-size_t CountMatches(const Table& table, const Query& query,
-                    const BlockScanner* scanner = nullptr);
+// builds no synopsis (one query cannot amortize it) but still runs the
+// selection-vector evaluation and the code kernels; callers that issue
+// repeated single queries against one table should build one BlockScanner.
+// LabelMatches builds a scanner and shared-scans the whole batch.
+size_t CountMatches(const Table& table, const Query& query);
 std::vector<double> LabelMatches(const Table& table,
                                  const std::vector<Query>& queries);
 

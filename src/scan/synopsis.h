@@ -15,89 +15,67 @@ namespace arecel::scan {
 // stays negligible even for million-row tables.
 inline constexpr size_t kDefaultBlockSize = 4096;
 
-// Code budget for presence bitmaps: a column whose domain holds at most
-// this many values gets per-block presence bitmaps over its dictionary
-// codes, and its predicates run on the table's u8/u16 codes. 4096 codes
-// keep one block's bitmap at 512 bytes and cover every categorical column
-// of the paper's Census/DMV-shaped tables.
-inline constexpr size_t kDefaultMaxDictCodes = 4096;
+// Code budget: a column whose domain holds at most this many values gets
+// per-block presence bitmaps over its dictionary codes, and its predicates
+// run on the table's u8/u16 codes. 4096 codes keep one block's bitmap at
+// 512 bytes and cover every categorical column of the paper's
+// Census/DMV-shaped tables.
+inline constexpr size_t kMaxDictCodes = 4096;
 
-// Buckets in the per-block equi-width mini-histograms kept for columns
-// past the code budget.
-inline constexpr size_t kHistogramBuckets = 16;
+// The one column rule, shared by the synopsis (which columns get bitmaps)
+// and ScanPlan (which predicates run the code kernels). Within the budget
+// the nan_code() sentinel fits 16 bits, so the codes are u8 or u16.
+inline bool WithinCodeBudget(const Column& column) {
+  return column.domain_size() <= kMaxDictCodes;
+}
 
 struct SynopsisOptions {
   size_t block_size = kDefaultBlockSize;
-  // When false, only min/max zone maps are built and predicates run on the
-  // doubles (the pre-dictionary engine). The bench's baseline arm.
-  bool rich = true;
-  size_t max_dict_codes = kDefaultMaxDictCodes;
 };
 
-// Per-column synopses over fixed-size row blocks of one table
-// (DESIGN.md §8). The dictionary itself (domain, narrow per-row codes,
-// per-code counts) belongs to the Table; the synopsis keeps only per-block
-// state and what it derives from the dictionary:
+// Per-block synopses of one immutable table, built once (DESIGN.md §8).
+// The dictionary itself (domain, narrow per-row codes, per-code counts)
+// belongs to the Table; the synopsis keeps only per-block state and what it
+// derives from the dictionary:
 //
 //  1. min/max zone maps for every column (NaN-aware: NaN values never
 //     widen an envelope, and a block containing NaN is never counted
 //     wholesale, matching Predicate::Matches which NaN never satisfies);
-//  2. for columns within the code budget (domain size <= max_dict_codes):
-//     per-block presence bitmaps over the codes, so equality predicates
-//     skip every block whose bit is clear and range predicates prune via
-//     code-range bit tests; plus prefix sums of the column's code counts,
-//     which make DictFraction exact in O(1);
-//  3. for the remaining columns: per-block equi-width mini-histograms — a
-//     predicate whose interval covers only empty buckets skips the block
-//     even when it overlaps the [min, max] envelope.
+//  2. for columns within the code budget (WithinCodeBudget): per-block
+//     presence bitmaps over the codes, so equality predicates skip every
+//     block whose bit is clear and range predicates prune via code-range
+//     bit tests; plus prefix sums of the column's code counts, which make
+//     DictFraction exact in O(1).
 //
-// After rows are appended to the table, ExtendTo() recomputes only from
-// the first block the append touched — unless the column's domain grew,
-// which moves its codes and so rebuilds its bitmaps, or pushed it past the
-// budget, which demotes it to the mini-histogram layer. Counts stay
-// bit-identical to the naive executor either way.
+// A new data version is a new Table, and gets a new synopsis.
 class TableSynopsis {
  public:
-  TableSynopsis() = default;
   explicit TableSynopsis(const Table& table,
                          const SynopsisOptions& options = {});
 
-  // Re-syncs with `table` after rows were appended: recomputes the last
-  // (possibly partial) previously-covered block and everything after it.
-  // A table that shrank or changed column count triggers a full rebuild.
-  void ExtendTo(const Table& table);
-
-  size_t block_size() const { return options_.block_size; }
+  size_t block_size() const { return block_size_; }
   size_t num_blocks() const { return num_blocks_; }
-  size_t covered_rows() const { return rows_; }
-  bool rich() const { return options_.rich; }
+  // Rows of the table the synopsis was built over.
+  size_t num_rows() const { return rows_; }
 
   // Total heap footprint of every synopsis structure (zone maps, bitmaps,
-  // count prefixes, histograms), in bytes. The codes are the table's.
+  // count prefixes), in bytes. The codes are the table's.
   size_t SizeBytes() const;
 
-  // ---- layer 1: zone maps -------------------------------------------------
-
-  double BlockMin(size_t col, size_t block) const {
-    return mins_[col][block];
-  }
-  double BlockMax(size_t col, size_t block) const {
-    return maxs_[col][block];
-  }
-  bool BlockHasNaN(size_t col, size_t block) const {
-    return has_nan_[col][block] != 0;
-  }
+  // ---- tier 1: zone maps --------------------------------------------------
 
   // Interval [lo, hi] on `col` overlaps the block's envelope: at least one
   // row of the block *may* match.
   bool CanMatch(size_t block, size_t col, double lo, double hi) const {
-    return lo <= maxs_[col][block] && hi >= mins_[col][block];
+    const ColumnSynopsis& c = columns_[col];
+    return lo <= c.maxs[block] && hi >= c.mins[block];
   }
   // Interval [lo, hi] contains the block's envelope and the block holds no
   // NaN: every row matches.
   bool FullyMatches(size_t block, size_t col, double lo, double hi) const {
-    return lo <= mins_[col][block] && maxs_[col][block] <= hi &&
-           has_nan_[col][block] == 0;
+    const ColumnSynopsis& c = columns_[col];
+    return lo <= c.mins[block] && c.maxs[block] <= hi &&
+           c.has_nan[block] == 0;
   }
 
   bool CanMatch(size_t block, const Predicate& p) const {
@@ -107,10 +85,10 @@ class TableSynopsis {
     return FullyMatches(block, static_cast<size_t>(p.column), p.lo, p.hi);
   }
 
-  // ---- layer 2: columns within the code budget ---------------------------
+  // ---- tier 2: columns within the code budget -----------------------------
 
   bool HasDictionary(size_t col) const {
-    return col < dicts_.size() && dicts_[col].active;
+    return col < columns_.size() && !columns_[col].code_prefix.empty();
   }
 
   // Any row of `block` carries a code in [lo, hi] (presence bitmap test).
@@ -120,45 +98,27 @@ class TableSynopsis {
   bool BitmapCanMatch(size_t block, size_t col, uint32_t lo,
                       uint32_t hi) const;
 
-  // Exact fraction of covered rows whose code lies in [lo, hi].
+  // Exact fraction of the table's rows whose code lies in [lo, hi].
   double DictFraction(size_t col, uint32_t lo, uint32_t hi) const;
 
-  // ---- layer 3: mini-histograms for the other columns ---------------------
-
-  bool HasHistogram(size_t col) const {
-    return col < minis_.size() && !minis_[col].empty();
-  }
-  // False when every histogram bucket overlapping [lo, hi] is empty — the
-  // block cannot contain a matching row even though its envelope overlaps.
-  bool HistogramCanMatch(size_t block, size_t col, double lo, double hi) const;
-
  private:
-  struct DictColumn {
-    bool active = false;
-    size_t domain_size = 0;        // the domain the bitmaps index.
+  struct ColumnSynopsis {
+    std::vector<double> mins;  // [block].
+    std::vector<double> maxs;
+    std::vector<uint8_t> has_nan;
+    // Within the code budget only; empty otherwise.
     size_t words_per_block = 0;
-    std::vector<uint64_t> bitmap;  // [block * words_per_block + word].
-    std::vector<uint64_t> code_prefix;  // size + 1; prefix of counts.
+    std::vector<uint64_t> bitmap;       // [block * words_per_block + word].
+    std::vector<uint64_t> code_prefix;  // domain size + 1; prefix of counts.
   };
 
-  void Build(const Table& table);
-  // Recomputes the synopses of blocks [first_block, num_blocks_).
-  void BuildBlocks(const Table& table, size_t first_block);
-  void BuildColumn(const Column& column, size_t col, size_t first_block);
-  void BuildMiniBlocks(const Column& column, size_t col, size_t first_block);
-  void BuildBitmaps(const Column& column, DictColumn& d, size_t first_block);
+  void BuildZoneMaps(const Column& column, ColumnSynopsis& c) const;
+  void BuildBitmaps(const Column& column, ColumnSynopsis& c) const;
 
-  SynopsisOptions options_;
+  size_t block_size_ = 0;
   size_t rows_ = 0;
   size_t num_blocks_ = 0;
-  std::vector<std::vector<double>> mins_;  // [col][block].
-  std::vector<std::vector<double>> maxs_;
-  std::vector<std::vector<uint8_t>> has_nan_;
-  std::vector<DictColumn> dicts_;  // [col]; inactive past the budget.
-  // [col][block * kHistogramBuckets + bucket], equi-width over the block's
-  // [min, max] envelope; NaN rows are counted nowhere. Empty for columns
-  // within the budget.
-  std::vector<std::vector<uint32_t>> minis_;
+  std::vector<ColumnSynopsis> columns_;
 };
 
 }  // namespace arecel::scan

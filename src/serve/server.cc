@@ -23,8 +23,10 @@ namespace {
 constexpr size_t kMinQueriesPerSlice = 8;
 
 // True when a model of a `columns`-column table can answer `query`: the
-// server answers single-table queries only, and every predicate must name
-// one of the table's columns. Otherwise false, with the reason in *reason.
+// server answers single-table queries only, every predicate must name one
+// of the table's columns, and no bound may be NaN (the canonical key's
+// predicate sort cannot order NaN; +/-inf are open ranges and stay legal).
+// Otherwise false, with the reason in *reason.
 bool Answerable(const Query& query, size_t columns, std::string* reason) {
   if (!query.IsSingleTable()) {
     *reason = "query names tables or joins";
@@ -38,6 +40,10 @@ bool Answerable(const Query& query, size_t columns, std::string* reason) {
     if (p.column < 0 || static_cast<size_t>(p.column) >= columns) {
       *reason = "predicate column " + std::to_string(p.column) +
                 " outside a " + std::to_string(columns) + "-column table";
+      return false;
+    }
+    if (std::isnan(p.lo) || std::isnan(p.hi)) {
+      *reason = "predicate has a NaN bound";
       return false;
     }
   }

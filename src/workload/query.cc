@@ -97,6 +97,11 @@ size_t ExecuteCount(const Table& table, const Query& query) {
 }
 
 size_t ExecuteCountNaive(const Table& table, const Query& query) {
+  for (const Predicate& p : query.predicates) {
+    ARECEL_CHECK_MSG(
+        p.column >= 0 && static_cast<size_t>(p.column) < table.num_cols(),
+        "predicate column outside the table");
+  }
   if (!query.IsSatisfiable()) return 0;
   const size_t rows = table.num_rows();
   // Column pointers are hoisted out of the row loop; Predicate::Matches is

@@ -84,7 +84,8 @@ using JoinQuery = Query;
 
 // Exact number of rows of `table` matching `query`, which must name no
 // tables. Routed through the vectorized block-scan engine
-// (src/scan/block_scan.h).
+// (src/scan/block_scan.h). Both executors abort on a predicate column
+// outside [0, table.num_cols()).
 size_t ExecuteCount(const Table& table, const Query& query);
 
 // Reference executor: row-at-a-time scan with Predicate::Matches as the

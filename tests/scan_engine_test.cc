@@ -2,8 +2,9 @@
 // (src/scan/) against the naive reference executor: every count must be
 // BIT-IDENTICAL (exact integers, not approximately equal), across seeded
 // tables and workloads, degenerate queries (no predicates, unsatisfiable
-// intervals, open ranges), appended blocks after an update step, and
-// block-boundary shapes (rows not a multiple of the block size).
+// intervals, open ranges), a fresh scanner over the table an update step
+// appended to, and block-boundary shapes (rows not a multiple of the block
+// size). Predicates on columns outside the table abort on every path.
 
 #include <cmath>
 #include <limits>
@@ -116,41 +117,48 @@ TEST(ScanEngineTest, OpenRangesWithInfiniteBounds) {
   EXPECT_EQ(ExecuteCount(table, queries[2]), 10u);
 }
 
-TEST(ScanEngineTest, AppendedRowsAfterUpdateStepViaRefresh) {
-  Table table = GenerateSynthetic2D(1100, 0.8, 0.5, 30, 21);
-  scan::BlockScanner scanner(table, {128});
+TEST(ScanEngineTest, AppendedRowsAfterUpdateStep) {
+  const Table table = GenerateSynthetic2D(1100, 0.8, 0.5, 30, 21);
   const std::vector<Query> queries = GenerateQueries(table, 80, 22);
-  const std::vector<size_t> before = scanner.CountBatch(queries);
-  for (size_t i = 0; i < queries.size(); ++i)
-    EXPECT_EQ(before[i], ExecuteCountNaive(table, queries[i]));
-
-  // §4.2-style append-20% update step, then an incremental Refresh().
+  // §4.2-style append-20% update step. The new version is a new table and
+  // gets its own scanner.
   const Table updated = AppendCorrelatedUpdate(table, 0.2, 23);
-  table = updated;
-  scanner.Refresh();
-  EXPECT_EQ(scanner.synopsis().covered_rows(), table.num_rows());
-  const std::vector<size_t> after = scanner.CountBatch(queries);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(after[i], ExecuteCountNaive(table, queries[i]))
-        << "query " << i;
-    EXPECT_EQ(scanner.Count(queries[i]), after[i]) << "query " << i;
+  ASSERT_GT(updated.num_rows(), table.num_rows());
+  ExpectDifferentialMatch(table, queries, 128);
+  ExpectDifferentialMatch(updated, queries, 128);  // 1320 % 128 != 0.
+}
+
+TEST(ScanEngineDeathTest, PredicateColumnOutsideTableAborts) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const Table table = SmallTable();  // two columns.
+  for (int column : {99, -1}) {
+    SCOPED_TRACE(testing::Message() << "column=" << column);
+    Query query;
+    query.predicates.push_back({0, 1, 9});
+    query.predicates.push_back({column, 1, 2});
+    EXPECT_DEATH(ExecuteCount(table, query),
+                 "predicate column outside the table");
+    EXPECT_DEATH(ExecuteCountNaive(table, query),
+                 "predicate column outside the table");
+    EXPECT_DEATH(scan::BlockScanner(table).Count(query),
+                 "predicate column outside the table");
+    EXPECT_DEATH(scan::BlockScanner(table).CountBatch({query}),
+                 "predicate column outside the table");
   }
 }
 
-TEST(ScanEngineTest, IncrementalSynopsisEqualsFreshBuild) {
-  Table table = GenerateSynthetic2D(1000, 0.6, 0.4, 25, 31);
-  scan::TableSynopsis incremental(table, {96});  // 1000 % 96 != 0.
-  const Table updated = AppendCorrelatedUpdate(table, 0.35, 32);
-  incremental.ExtendTo(updated);
-  const scan::TableSynopsis fresh(updated, {96});
-  ASSERT_EQ(incremental.num_blocks(), fresh.num_blocks());
-  ASSERT_EQ(incremental.covered_rows(), fresh.covered_rows());
-  for (size_t c = 0; c < updated.num_cols(); ++c) {
-    for (size_t b = 0; b < fresh.num_blocks(); ++b) {
-      EXPECT_DOUBLE_EQ(incremental.BlockMin(c, b), fresh.BlockMin(c, b));
-      EXPECT_DOUBLE_EQ(incremental.BlockMax(c, b), fresh.BlockMax(c, b));
-    }
-  }
+TEST(ScanEngineDeathTest, ScannerAbortsAfterItsTableChanged) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Table table = SmallTable();
+  const Table extra = SmallTable();
+  const scan::BlockScanner scanner(table, {4});
+  table.AppendRows(extra);
+  Query query;
+  query.predicates.push_back({0, 1, 9});
+  EXPECT_DEATH(scanner.Count(query),
+               "table changed after the scanner was built");
+  EXPECT_DEATH(scanner.CountBatch({query}),
+               "table changed after the scanner was built");
 }
 
 TEST(ScanEngineTest, ZoneMapClassification) {

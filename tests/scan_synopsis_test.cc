@@ -1,11 +1,12 @@
-// Differential tests for the rich synopsis layer (dictionaries, per-block
-// presence bitmaps, mini-histograms): every pruning decision must preserve
-// the bit-identical-counts contract against the naive reference executor,
-// including the awkward corners — NaN rows (which no predicate matches),
-// -0.0/+0.0 code collapse, block sizes that do not divide the row count,
-// appends that introduce brand-new dictionary values (with a u8 -> u16 code
-// width upgrade in the table), and appends that push a column past the
-// synopsis' code budget (demotion to the mini-histogram layer).
+// Differential tests for the synopsis' dictionary tier (per-block presence
+// bitmaps and code-count prefixes over the table's codes) and the code
+// kernels: every pruning decision must preserve the bit-identical-counts
+// contract against the naive reference executor, including the awkward
+// corners — NaN rows (which no predicate matches), -0.0/+0.0 code
+// collapse, block sizes that do not divide the row count, columns with
+// exactly kMaxDictCodes and one more distinct values, and fresh scanners
+// over tables whose appends introduced brand-new dictionary values (with a
+// u8 -> u16 code width upgrade) or pushed a column past the code budget.
 
 #include <cmath>
 #include <limits>
@@ -71,6 +72,8 @@ std::vector<Query> MixedQueries(const Table& table, size_t count,
   return queries;
 }
 
+// The scanner (single and batch) and the one-shot path agree with the
+// naive executor on every query.
 void ExpectBitIdentical(const Table& table, const std::vector<Query>& queries,
                         scan::SynopsisOptions options) {
   scan::BlockScanner scanner(table, options);
@@ -80,9 +83,7 @@ void ExpectBitIdentical(const Table& table, const std::vector<Query>& queries,
     const size_t naive = ExecuteCountNaive(table, queries[i]);
     EXPECT_EQ(scanner.Count(queries[i]), naive) << "query " << i;
     EXPECT_EQ(batch[i], naive) << "query " << i;
-    EXPECT_EQ(scan::CountMatches(table, queries[i], &scanner), naive)
-        << "query " << i;
-    EXPECT_EQ(scan::CountMatches(table, queries[i]), naive) << "query " << i;
+    EXPECT_EQ(ExecuteCount(table, queries[i]), naive) << "query " << i;
   }
 }
 
@@ -99,23 +100,6 @@ TEST(ScanSynopsisTest, CategoricalEqualityGridDifferential) {
       ExpectBitIdentical(table, queries, options);
     }
   }
-}
-
-TEST(ScanSynopsisTest, RichAndZoneOnlyAgree) {
-  const Table table = CategoricalZipfTable(2000, 2, 12, 5);
-  const std::vector<Query> queries = MixedQueries(table, 80, 6);
-  scan::SynopsisOptions rich;
-  rich.block_size = 128;
-  scan::SynopsisOptions zone_only = rich;
-  zone_only.rich = false;
-  scan::BlockScanner a(table, rich);
-  scan::BlockScanner b(table, zone_only);
-  EXPECT_TRUE(a.synopsis().rich());
-  EXPECT_FALSE(b.synopsis().rich());
-  EXPECT_FALSE(b.synopsis().HasDictionary(0));
-  const std::vector<size_t> ca = a.CountBatch(queries);
-  const std::vector<size_t> cb = b.CountBatch(queries);
-  for (size_t i = 0; i < queries.size(); ++i) EXPECT_EQ(ca[i], cb[i]);
 }
 
 TEST(ScanSynopsisTest, NaNRowsNeverMatchAnyPredicate) {
@@ -157,48 +141,73 @@ TEST(ScanSynopsisTest, NegativeZeroCollapsesWithPositiveZero) {
   }
 }
 
+TEST(ScanSynopsisTest, CodeBudgetBoundary) {
+  // Column 0 holds exactly kMaxDictCodes distinct values, column 1 one
+  // more: the first gets bitmaps and runs the code kernels, the second
+  // prunes on zone maps and runs the double kernels. Values are permuted
+  // so that every block's envelope spans most of the domain.
+  const size_t rows = 3 * scan::kMaxDictCodes;
+  std::vector<double> at_budget(rows);
+  std::vector<double> past_budget(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    at_budget[i] = 0.5 * static_cast<double>((i * 7919) % 4096);
+    past_budget[i] = 0.5 * static_cast<double>((i * 7919) % 4097);
+  }
+  Table table("budget");
+  table.AddColumn("at", std::move(at_budget), true);
+  table.AddColumn("past", std::move(past_budget), true);
+  ASSERT_EQ(table.column(0).domain_size(), scan::kMaxDictCodes);
+  ASSERT_EQ(table.column(1).domain_size(), scan::kMaxDictCodes + 1);
+  const std::vector<Query> queries = MixedQueries(table, 200, 45);
+  for (size_t block_size : {size_t{1000}, scan::kDefaultBlockSize}) {
+    SCOPED_TRACE(testing::Message() << "block_size=" << block_size);
+    const scan::TableSynopsis synopsis(table, {block_size});
+    EXPECT_TRUE(synopsis.HasDictionary(0));
+    EXPECT_FALSE(synopsis.HasDictionary(1));
+    ExpectBitIdentical(table, queries, {block_size});
+  }
+}
+
 TEST(ScanSynopsisTest, AppendIntroducingNewDictionaryValues) {
   // Base table's categorical columns draw from [0, 10); the appended rows
   // draw from [5, 15) — roughly half the appended values are brand-new
-  // dictionary entries that force a merge + code remap.
+  // dictionary entries that force a merge + code remap. A fresh scanner
+  // over the appended table counts exactly.
   Rng rng(41);
-  Table table("grow");
+  Table base("grow");
   std::vector<double> vals(900);
   for (double& v : vals) v = static_cast<double>(rng.UniformInt(uint64_t{10}));
-  table.AddColumn("c", std::move(vals), true);
-
-  scan::BlockScanner scanner(table, {64});  // 900 % 64 != 0.
-  ASSERT_TRUE(scanner.synopsis().HasDictionary(0));
-  ASSERT_EQ(table.column(0).domain_size(), 10u);
+  base.AddColumn("c", std::move(vals), true);
+  ASSERT_EQ(base.column(0).domain_size(), 10u);
 
   Table extra("grow");
   std::vector<double> more(300);
   for (double& v : more)
     v = static_cast<double>(5 + rng.UniformInt(uint64_t{10}));
   extra.AddColumn("c", std::move(more), true);
+  Table table = base;
   table.AppendRows(extra);
-  scanner.Refresh();
 
-  EXPECT_EQ(scanner.synopsis().covered_rows(), table.num_rows());
-  ASSERT_TRUE(scanner.synopsis().HasDictionary(0));
+  ASSERT_TRUE(scan::TableSynopsis(table, {64}).HasDictionary(0));
   EXPECT_EQ(table.column(0).domain_size(), 15u);
+  std::vector<Query> queries(15);
   for (int v = 0; v < 15; ++v) {
-    Query q;
-    q.predicates.push_back({0, static_cast<double>(v), static_cast<double>(v)});
-    EXPECT_EQ(scanner.Count(q), ExecuteCountNaive(table, q)) << "v=" << v;
+    const double value = static_cast<double>(v);
+    queries[static_cast<size_t>(v)].predicates.push_back({0, value, value});
   }
+  ExpectBitIdentical(base, queries, {64});   // 900 % 64 != 0.
+  ExpectBitIdentical(table, queries, {64});  // 1200 % 64 != 0.
 }
 
 TEST(ScanSynopsisTest, AppendUpgradesCodeWidthFromU8ToU16) {
   // 200 distinct values fit u8 codes; appending values up to 400 distinct
-  // crosses the 255-code boundary and must widen the code array.
+  // crosses the 255-code boundary and widens the code array. A fresh
+  // scanner over the appended table runs the u16 kernels.
   std::vector<double> vals(400);
   for (size_t i = 0; i < vals.size(); ++i)
     vals[i] = static_cast<double>(i % 200);
   Table table("widen");
   table.AddColumn("c", std::move(vals), true);
-  scan::BlockScanner scanner(table, {32});
-  ASSERT_TRUE(scanner.synopsis().HasDictionary(0));
   EXPECT_FALSE(table.column(0).codes8.empty());
   EXPECT_TRUE(table.column(0).codes16.empty());
 
@@ -208,49 +217,44 @@ TEST(ScanSynopsisTest, AppendUpgradesCodeWidthFromU8ToU16) {
   Table extra("widen");
   extra.AddColumn("c", std::move(more), true);
   table.AppendRows(extra);
-  scanner.Refresh();
 
-  ASSERT_TRUE(scanner.synopsis().HasDictionary(0));
+  ASSERT_TRUE(scan::TableSynopsis(table, {32}).HasDictionary(0));
   EXPECT_EQ(table.column(0).domain_size(), 400u);
   EXPECT_TRUE(table.column(0).codes8.empty());
   EXPECT_FALSE(table.column(0).codes16.empty());
   Rng rng(43);
-  for (int t = 0; t < 50; ++t) {
-    Query q;
+  std::vector<Query> queries(50);
+  for (Query& q : queries) {
     const double v = static_cast<double>(rng.UniformInt(uint64_t{400}));
     q.predicates.push_back({0, v, v});
-    EXPECT_EQ(scanner.Count(q), ExecuteCountNaive(table, q));
   }
+  ExpectBitIdentical(table, queries, {32});
 }
 
 TEST(ScanSynopsisTest, DictDemotionWhenAppendCrossesBudget) {
-  // A tight 16-code budget: the base column fits, the append pushes the
-  // distinct count past it, and the column must demote to the
-  // mini-histogram layer without ever miscounting.
-  std::vector<double> vals(500);
+  // The base column holds exactly kMaxDictCodes distinct values and gets
+  // bitmaps; the append adds new values past the budget, so a fresh
+  // synopsis over the appended table keeps zone maps only for it, and the
+  // scan falls back to the double kernels without ever miscounting.
+  const size_t budget = scan::kMaxDictCodes;
+  std::vector<double> vals(2 * budget);
   for (size_t i = 0; i < vals.size(); ++i)
-    vals[i] = static_cast<double>(i % 12);
-  Table table("demote");
-  table.AddColumn("c", std::move(vals), true);
-  scan::SynopsisOptions options;
-  options.block_size = 48;
-  options.max_dict_codes = 16;
-  scan::BlockScanner scanner(table, options);
-  ASSERT_TRUE(scanner.synopsis().HasDictionary(0));
+    vals[i] = static_cast<double>(i % budget);
+  Table base("demote");
+  base.AddColumn("c", std::move(vals), true);
+  ASSERT_TRUE(scan::TableSynopsis(base, {48}).HasDictionary(0));
 
   std::vector<double> more(500);
   for (size_t i = 0; i < more.size(); ++i)
-    more[i] = static_cast<double>(i % 40);
+    more[i] = static_cast<double>(budget - 20 + i % 40);
   Table extra("demote");
   extra.AddColumn("c", std::move(more), true);
+  Table table = base;
   table.AppendRows(extra);
-  scanner.Refresh();
+  ASSERT_EQ(table.column(0).domain_size(), budget + 20);
 
-  EXPECT_FALSE(scanner.synopsis().HasDictionary(0));
-  EXPECT_TRUE(scanner.synopsis().HasHistogram(0));
-  const std::vector<Query> queries = MixedQueries(table, 60, 44);
-  for (const Query& q : queries)
-    EXPECT_EQ(scanner.Count(q), ExecuteCountNaive(table, q));
+  EXPECT_FALSE(scan::TableSynopsis(table, {48}).HasDictionary(0));
+  ExpectBitIdentical(table, MixedQueries(table, 60, 44), {48});
 }
 
 TEST(ScanDictPruningTest, BitmapSkipsBlocksZoneMapsCannot) {
@@ -276,36 +280,6 @@ TEST(ScanDictPruningTest, BitmapSkipsBlocksZoneMapsCannot) {
   EXPECT_EQ(stats.scanned_blocks, 1u);
 }
 
-TEST(ScanDictPruningTest, HistogramSkipsOnNonDictionaryColumns) {
-  // max_dict_codes=4 keeps the column out of the dictionary layer; each
-  // block's values cluster at the envelope's edges, leaving the middle
-  // buckets empty, so a mid-range predicate is skipped by the histogram.
-  // A last block holds the only values inside block 0's gap, so the
-  // predicate is satisfiable and block 0 must be pruned block by block.
-  std::vector<double> vals;
-  for (size_t b = 0; b < 8; ++b) {
-    for (size_t i = 0; i < 64; ++i) {
-      const double base = static_cast<double>(b * 1000);
-      vals.push_back(i % 2 == 0 ? base + static_cast<double>(i)
-                                : base + 900.0 + static_cast<double>(i));
-    }
-  }
-  for (size_t i = 0; i < 64; ++i) vals.push_back(450.0);
-  Table table("hist");
-  table.AddColumn("c", std::move(vals), false);
-  scan::SynopsisOptions options;
-  options.block_size = 64;
-  options.max_dict_codes = 4;
-  scan::BlockScanner scanner(table, options);
-  ASSERT_FALSE(scanner.synopsis().HasDictionary(0));
-  ASSERT_TRUE(scanner.synopsis().HasHistogram(0));
-  Query q;
-  q.predicates.push_back({0, 400, 500});  // inside block 0's envelope gap.
-  EXPECT_EQ(scanner.Count(q), ExecuteCountNaive(table, q));
-  EXPECT_EQ(scanner.Count(q), 64u);
-  EXPECT_GT(scanner.stats().histogram_skips, 0u);
-}
-
 TEST(ScanDictPruningTest, EstimateFractionExactOnDictionaryColumns) {
   const Table table = CategoricalZipfTable(1500, 1, 8, 9);
   const scan::TableSynopsis synopsis(table);
@@ -326,16 +300,28 @@ TEST(ScanDictPruningTest, EstimateFractionExactOnDictionaryColumns) {
 }
 
 TEST(ScanSynopsisTest, SizeBytesObservable) {
-  const Table table = CategoricalZipfTable(4000, 2, 30, 13);
-  scan::SynopsisOptions rich;
-  scan::SynopsisOptions zone_only;
-  zone_only.rich = false;
-  scan::BlockScanner a(table, rich);
-  scan::BlockScanner b(table, zone_only);
-  EXPECT_GT(a.synopsis().SizeBytes(), 0u);
-  // Bitmaps and count prefixes cost real memory over bare zone maps —
-  // that is the point of surfacing SizeBytes.
-  EXPECT_GT(a.synopsis().SizeBytes(), b.synopsis().SizeBytes());
+  // Two categorical columns within the code budget plus one continuous
+  // column past it, against three continuous columns of the same length:
+  // zone maps cost the same on both, and the bitmaps and count prefixes of
+  // the first table's categorical columns cost real memory on top — that
+  // is the point of surfacing SizeBytes.
+  const size_t rows = 8000;
+  const Table categorical = CategoricalZipfTable(rows, 2, 30, 13);
+  ASSERT_FALSE(scan::WithinCodeBudget(categorical.column(2)));
+  Rng rng(14);
+  Table continuous("cont");
+  for (int c = 0; c < 3; ++c) {
+    std::vector<double> vals(rows);
+    for (double& v : vals) v = rng.Gaussian();
+    continuous.AddColumn("c" + std::to_string(c), std::move(vals), false);
+  }
+  const scan::TableSynopsis a(categorical, {1000});
+  const scan::TableSynopsis b(continuous, {1000});
+  EXPECT_FALSE(b.HasDictionary(0));
+  const size_t zone_map_bytes =
+      3 * b.num_blocks() * (2 * sizeof(double) + sizeof(uint8_t));
+  EXPECT_GT(b.SizeBytes(), zone_map_bytes);
+  EXPECT_GT(a.SizeBytes(), b.SizeBytes());
 }
 
 TEST(ScanSynopsisTest, ConstantBlocksCountWholesale) {

@@ -12,6 +12,7 @@
 #include <climits>
 #include <condition_variable>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -436,12 +437,16 @@ TEST(ServeBoundaryTest, RefusesQueriesTheModelCannotAnswer) {
   named.tables = {"t"};
   Query joined = MakeQuery({{0, 1.0, 9.0}});
   joined.joins.push_back({"t", 0, "u", 0});
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::vector<Query> refused = {
       MakeQuery({{0, 1.0, 9.0}, {99, 1.0, 2.0}}),  // column past the table.
       MakeQuery({{-1, 1.0, 2.0}}),                 // negative column.
       MakeQuery({{0, 1.0, 9.0, 1}}),               // a second table.
       named,
-      joined};
+      joined,
+      MakeQuery({{0, kNaN, 9.0}}),                 // NaN lower bound.
+      MakeQuery({{0, 1.0, 9.0}, {1, 1.0, kNaN}})};  // NaN upper bound.
   for (const Query& query : refused) {
     const EstimateResponse response = server.Estimate("t", "counting", query);
     EXPECT_FALSE(response.ok);
@@ -476,6 +481,11 @@ TEST(ServeBoundaryTest, RefusesQueriesTheModelCannotAnswer) {
   EXPECT_EQ(stats.cache.hits + stats.cache.misses, 8u);
   EXPECT_EQ(stats.cache.entries, 8u);
   EXPECT_EQ(stats.feedback.worker.enqueued, 8u);
+
+  // Infinite bounds are open ranges, not NaN: answered.
+  EXPECT_TRUE(
+      server.Estimate("t", "counting", MakeQuery({{0, -kInf, kInf}})).ok);
+  EXPECT_TRUE(server.Estimate("t", "counting", MakeQuery({{1, 2.0, kInf}})).ok);
 }
 
 // Holds each truth delivery of a FeedbackSink until the test releases it,

@@ -119,13 +119,11 @@ int SelfTest() {
   }
   const scan::ScanStats stats = executor.scan_stats();
   std::printf("scan: synopsis_bytes=%zu classified=%llu zone_skips=%llu "
-              "bitmap_skips=%llu histogram_skips=%llu full=%llu "
-              "scanned=%llu dict_kernel=%llu\n",
+              "bitmap_skips=%llu full=%llu scanned=%llu dict_kernel=%llu\n",
               executor.SynopsisSizeBytes(),
               static_cast<unsigned long long>(stats.classified_blocks),
               static_cast<unsigned long long>(stats.zone_skips),
               static_cast<unsigned long long>(stats.bitmap_skips),
-              static_cast<unsigned long long>(stats.histogram_skips),
               static_cast<unsigned long long>(stats.full_blocks),
               static_cast<unsigned long long>(stats.scanned_blocks),
               static_cast<unsigned long long>(stats.dict_kernel_blocks));
