@@ -4,7 +4,8 @@
 // paper scale (10K queries x 1M rows by default), plus an equality-heavy
 // categorical grid of Zipf columns: three cardinalities within the 4096-code
 // budget (bitmap pruning and code kernels) and one past it (zone maps and
-// double kernels). The shared-scan cells report per-cause pruning counters.
+// double kernels). The shared-scan cells report per-cause pruning counters
+// and how many queries the posting path answered from driving slices.
 // Every measured cell also checks count equality, so the bench doubles as
 // a coarse differential gate. Emits
 // machine-readable BENCH_scan.json (default at the repo root) to seed the
@@ -114,16 +115,20 @@ struct GridCell {
   Measurement m;
 };
 
-// JSON fields of a shared-scan cell's synopsis bytes and pruning counters.
+// JSON fields of a shared-scan cell's synopsis bytes, pruning counters and
+// posting-path counters.
 void PrintScanStats(std::FILE* out, const Measurement& m) {
   std::fprintf(out,
                "\"synopsis_bytes\": %zu, \"bitmap_skips\": %" PRIu64
                ", \"zone_skips\": %" PRIu64 ", \"full_blocks\": %" PRIu64
                ", \"scanned_blocks\": %" PRIu64
-               ", \"dict_kernel_blocks\": %" PRIu64,
+               ", \"dict_kernel_blocks\": %" PRIu64
+               ", \"posting_queries\": %" PRIu64
+               ", \"posting_rows\": %" PRIu64,
                m.synopsis_bytes, m.stats.bitmap_skips, m.stats.zone_skips,
                m.stats.full_blocks, m.stats.scanned_blocks,
-               m.stats.dict_kernel_blocks);
+               m.stats.dict_kernel_blocks, m.stats.posting_queries,
+               m.stats.posting_rows);
 }
 
 // ---- categorical equality grid -------------------------------------------
@@ -250,9 +255,9 @@ int main(int argc, char** argv) {
   // ---- rows x predicates x batch grid -----------------------------------
   std::vector<GridCell> grid;
   if (run_grid) {
-    std::printf("%8s %6s %6s %8s %12s %12s %9s %s\n", "rows", "preds",
+    std::printf("%8s %6s %6s %8s %12s %12s %9s %8s %s\n", "rows", "preds",
                 "batch", "queries", "naive_s", "block_s", "speedup",
-                "match");
+                "posting", "match");
     const size_t grid_queries = 128;
     for (size_t rows : {16384u, 131072u}) {
       const Table table = MakeCensusLike(rows, /*seed=*/101);
@@ -271,10 +276,12 @@ int main(int argc, char** argv) {
           cell.queries = grid_queries;
           cell.m = MeasureCell(table, queries, batch);
           all_match = all_match && cell.m.counts_match;
-          std::printf("%8zu %6d %6zu %8zu %12.4f %12.4f %8.1fx %s\n",
+          std::printf("%8zu %6d %6zu %8zu %12.4f %12.4f %8.1fx %8" PRIu64
+                      " %s\n",
                       cell.rows, cell.preds, cell.batch, cell.queries,
                       cell.m.naive_seconds, cell.m.block_seconds,
-                      cell.m.speedup(), cell.m.counts_match ? "ok" : "MISMATCH");
+                      cell.m.speedup(), cell.m.stats.posting_queries,
+                      cell.m.counts_match ? "ok" : "MISMATCH");
           grid.push_back(cell);
         }
       }
@@ -289,9 +296,9 @@ int main(int argc, char** argv) {
         "categorical grid: equality-heavy Zipf workloads, naive vs engine "
         "(code budget %zu)\n",
         scan::kMaxDictCodes);
-    std::printf("%8s %6s %11s %8s %10s %10s %9s %11s %s\n", "rows", "card",
-                "domains", "queries", "naive_s", "block_s", "speedup",
-                "syn_bytes", "match");
+    std::printf("%8s %6s %11s %8s %10s %10s %9s %11s %8s %s\n", "rows",
+                "card", "domains", "queries", "naive_s", "block_s", "speedup",
+                "syn_bytes", "posting", "match");
     for (size_t cardinality : kCatCardinalities) {
       const CatCell cell = MeasureCatCell(
           cat_rows, cardinality, /*num_queries=*/256,
@@ -299,10 +306,12 @@ int main(int argc, char** argv) {
       all_match = all_match && cell.m.counts_match;
       const std::string domains = std::to_string(cell.min_domain) + "-" +
                                   std::to_string(cell.max_domain);
-      std::printf("%8zu %6zu %11s %8zu %10.4f %10.4f %8.1fx %11zu %s\n",
+      std::printf("%8zu %6zu %11s %8zu %10.4f %10.4f %8.1fx %11zu %8" PRIu64
+                  " %s\n",
                   cell.rows, cell.cardinality, domains.c_str(), cell.queries,
                   cell.m.naive_seconds, cell.m.block_seconds,
                   cell.m.speedup(), cell.m.synopsis_bytes,
+                  cell.m.stats.posting_queries,
                   cell.m.counts_match ? "ok" : "MISMATCH");
       if (cardinality == kPastBudgetCardinality &&
           cell.min_domain <= scan::kMaxDictCodes) {
@@ -318,10 +327,12 @@ int main(int argc, char** argv) {
     for (const CatCell& cell : catgrid) total.Add(cell.m.stats);
     std::printf("engine pruning: classified=%" PRIu64 " zone_skips=%" PRIu64
                 " bitmap_skips=%" PRIu64 " full=%" PRIu64 " scanned=%" PRIu64
-                " dict_kernel=%" PRIu64 "\n\n",
+                " dict_kernel=%" PRIu64 " posting_queries=%" PRIu64
+                " posting_rows=%" PRIu64 "\n\n",
                 total.classified_blocks, total.zone_skips, total.bitmap_skips,
                 total.full_blocks, total.scanned_blocks,
-                total.dict_kernel_blocks);
+                total.dict_kernel_blocks, total.posting_queries,
+                total.posting_rows);
   }
 
   // ---- batch-labeling headline ------------------------------------------
@@ -336,6 +347,10 @@ int main(int argc, char** argv) {
   std::printf("naive  %.3f s\nblock  %.3f s\nspeedup %.1fx (%s)\n",
               headline.naive_seconds, headline.block_seconds,
               headline.speedup(), headline.counts_match ? "ok" : "MISMATCH");
+  std::printf("posting path: %" PRIu64 " of %zu queries, %" PRIu64
+              " slice row ids; block scan: %" PRIu64 " blocks scanned\n",
+              headline.stats.posting_queries, headline_queries,
+              headline.stats.posting_rows, headline.stats.scanned_blocks);
 
   // ---- machine-readable artifact ----------------------------------------
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -360,11 +375,16 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "%s\n    {\"rows\": %zu, \"preds\": %d, \"batch\": %zu, "
                  "\"queries\": %zu, \"naive_seconds\": %.6f, "
-                 "\"block_seconds\": %.6f, \"speedup\": %.3f, "
-                 "\"counts_match\": %s}",
+                 "\"block_seconds\": %.6f, \"speedup\": %.3f, ",
                  i == 0 ? "" : ",", cell.rows, cell.preds, cell.batch,
                  cell.queries, cell.m.naive_seconds, cell.m.block_seconds,
-                 cell.m.speedup(), cell.m.counts_match ? "true" : "false");
+                 cell.m.speedup());
+    if (cell.batch > 1) {
+      PrintScanStats(out, cell.m);
+      std::fprintf(out, ", ");
+    }
+    std::fprintf(out, "\"counts_match\": %s}",
+                 cell.m.counts_match ? "true" : "false");
   }
   std::fprintf(out, "\n  ],\n");
   std::fprintf(out, "  \"categorical_grid\": [");

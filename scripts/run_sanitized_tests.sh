@@ -42,7 +42,9 @@ if [ "${ARECEL_SAN_ALL:-0}" != "1" ]; then
     # nested and concurrent ParallelFor callers, slice exceptions), the
     # robustness machinery (guarded work on pool workers), the shared-scan
     # engine (ParallelForChunked block labeling with thread-local
-    # accumulators), the serving layer
+    # accumulators, and the posting path's parallel slice refines: pool
+    # workers share one column's sorted row ids read-only, each with its
+    # own scratch; the ScanPosting suite), the serving layer
     # (single-flight loads, sharded cache, batched dispatch, background
     # refresh), and the ML kernels (parallel-over-rows matmul dispatch,
     # concurrent inference over shared weights); sweeping sanitized NN

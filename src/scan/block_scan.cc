@@ -35,16 +35,17 @@ size_t FilterCodesImpl(const Code* codes, uint32_t begin, uint32_t end,
   return n;
 }
 
+// `dst` may alias `src`: each id is read before any write can reach it.
 template <typename Code>
 size_t RefineCodesImpl(const Code* codes, uint32_t lo, uint32_t hi,
-                       uint32_t* sel, size_t n) {
+                       const uint32_t* src, size_t n, uint32_t* dst) {
   const Code lo_c = static_cast<Code>(lo);
   const Code span = static_cast<Code>(hi - lo);
   size_t kept = 0;
   for (size_t i = 0; i < n; ++i) {
-    const Code c = codes[sel[i]];
-    sel[kept] = sel[i];
-    kept += static_cast<size_t>(static_cast<Code>(c - lo_c) <= span);
+    const uint32_t id = src[i];
+    dst[kept] = id;
+    kept += static_cast<size_t>(static_cast<Code>(codes[id] - lo_c) <= span);
   }
   return kept;
 }
@@ -81,6 +82,88 @@ size_t CountCodes2Impl(const A* a, uint32_t a_lo, uint32_t a_hi, const B* b,
   return n;
 }
 
+// Aborts on a predicate column outside [0, num_cols()); every engine path
+// runs this before Table::column indexes with the ids.
+void CheckPredicateColumns(const Table& table,
+                           const std::vector<Predicate>& predicates) {
+  for (const Predicate& p : predicates) {
+    ARECEL_CHECK_MSG(
+        p.column >= 0 && static_cast<size_t>(p.column) < table.num_cols(),
+        "predicate column outside the table");
+  }
+}
+
+// ---- posting path (BlockScanner::CountBatch) ------------------------------
+
+// The cost rule, in units of one table row of one query's block scan on
+// one thread (DESIGN.md §8 gives the measurement behind both constants).
+// Refining a driving slice costs up to kSliceCost per row id it holds (a
+// gather per id and predicate instead of a streamed compare per row), so a
+// query drives from its slice only when the slice holds at most
+// rows / kSliceCost ids. Counting-sorting a driving column costs kSortCost
+// per table row on one thread, while the block scan and the refines use
+// every worker, so the sort is charged once per worker: a column's queries
+// take the posting path only when the block work they save exceeds that,
+// and a small batch keeps the block scan.
+constexpr double kSliceCost = 4.0;
+constexpr double kSortCost = 1.3;
+
+// One predicate lowered to its column's codes.
+struct CodeRange {
+  size_t column = 0;
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+  uint64_t rows = 0;  // exact, from the code-count prefix.
+};
+
+// Lowers `predicates` to code ranges in `ranges`, ordered by exact row
+// count (stable, as ScanPlan orders them). False when the query must stay
+// on the block scan: no predicates, a column past the code budget, or an
+// interval containing no domain value.
+bool LowerToCodeRanges(const Table& table, const TableSynopsis& synopsis,
+                       const std::vector<Predicate>& predicates,
+                       std::vector<CodeRange>* ranges) {
+  ranges->clear();
+  if (predicates.empty()) return false;
+  for (const Predicate& p : predicates) {
+    const size_t col = static_cast<size_t>(p.column);
+    const Column& column = table.column(col);
+    if (!WithinCodeBudget(column) || !(p.lo <= p.hi)) return false;
+    const int32_t lo = column.LowerBoundCode(p.lo);
+    const int32_t hi = column.UpperBoundCode(p.hi);
+    if (lo > hi) return false;
+    const std::vector<uint64_t>& prefix = synopsis.CodePrefix(col);
+    ranges->push_back({col, static_cast<uint32_t>(lo),
+                       static_cast<uint32_t>(hi),
+                       prefix[static_cast<size_t>(hi) + 1] -
+                           prefix[static_cast<size_t>(lo)]});
+  }
+  std::stable_sort(ranges->begin(), ranges->end(),
+                   [](const CodeRange& a, const CodeRange& b) {
+                     return a.rows < b.rows;
+                   });
+  return true;
+}
+
+// Counting sort of one column's row ids by code into `ids` (rows entries):
+// code c's rows land at [prefix[c], prefix[c + 1]) in ascending order, and
+// the NaN rows (code domain_size(), prefix's last entry) after them all.
+template <typename Code>
+void SortRowIdsByCode(const Code* codes, uint32_t rows,
+                      const std::vector<uint64_t>& prefix, uint32_t* ids) {
+  std::vector<uint32_t> cursor(prefix.begin(), prefix.end());
+  for (uint32_t r = 0; r < rows; ++r) ids[cursor[codes[r]]++] = r;
+}
+
+size_t RefineRange(const Column& column, const CodeRange& range,
+                   const uint32_t* src, size_t n, uint32_t* dst) {
+  return column.codes8.empty()
+             ? RefineCodes(column.codes16.data(), range.lo, range.hi, src, n,
+                           dst)
+             : RefineCodes(column.codes8.data(), range.lo, range.hi, src, n,
+                           dst);
+}
+
 }  // namespace
 
 void ScanStats::Add(const ScanStats& other) {
@@ -90,6 +173,8 @@ void ScanStats::Add(const ScanStats& other) {
   full_blocks += other.full_blocks;
   scanned_blocks += other.scanned_blocks;
   dict_kernel_blocks += other.dict_kernel_blocks;
+  posting_queries += other.posting_queries;
+  posting_rows += other.posting_rows;
 }
 
 void ScanStatsCollector::Merge(const ScanStats& delta) {
@@ -101,6 +186,9 @@ void ScanStatsCollector::Merge(const ScanStats& delta) {
   scanned_blocks_.fetch_add(delta.scanned_blocks, std::memory_order_relaxed);
   dict_kernel_blocks_.fetch_add(delta.dict_kernel_blocks,
                                 std::memory_order_relaxed);
+  posting_queries_.fetch_add(delta.posting_queries,
+                             std::memory_order_relaxed);
+  posting_rows_.fetch_add(delta.posting_rows, std::memory_order_relaxed);
 }
 
 ScanStats ScanStatsCollector::Snapshot() const {
@@ -111,6 +199,8 @@ ScanStats ScanStatsCollector::Snapshot() const {
   s.full_blocks = full_blocks_.load(std::memory_order_relaxed);
   s.scanned_blocks = scanned_blocks_.load(std::memory_order_relaxed);
   s.dict_kernel_blocks = dict_kernel_blocks_.load(std::memory_order_relaxed);
+  s.posting_queries = posting_queries_.load(std::memory_order_relaxed);
+  s.posting_rows = posting_rows_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -152,12 +242,12 @@ size_t FilterCodes(const uint16_t* codes, uint32_t begin, uint32_t end,
   return FilterCodesImpl(codes, begin, end, lo, hi, sel);
 }
 size_t RefineCodes(const uint8_t* codes, uint32_t lo, uint32_t hi,
-                   uint32_t* sel, size_t n) {
-  return RefineCodesImpl(codes, lo, hi, sel, n);
+                   const uint32_t* src, size_t n, uint32_t* dst) {
+  return RefineCodesImpl(codes, lo, hi, src, n, dst);
 }
 size_t RefineCodes(const uint16_t* codes, uint32_t lo, uint32_t hi,
-                   uint32_t* sel, size_t n) {
-  return RefineCodesImpl(codes, lo, hi, sel, n);
+                   const uint32_t* src, size_t n, uint32_t* dst) {
+  return RefineCodesImpl(codes, lo, hi, src, n, dst);
 }
 size_t CountCodes(const uint8_t* codes, uint32_t begin, uint32_t end,
                   uint32_t lo, uint32_t hi) {
@@ -171,13 +261,7 @@ size_t CountCodes(const uint16_t* codes, uint32_t begin, uint32_t end,
 ScanPlan::ScanPlan(const Table& table, const TableSynopsis* synopsis,
                    const std::vector<Predicate>& predicates)
     : synopsis_(synopsis) {
-  // The one place every engine path lowers predicates: check the column
-  // ids before Table::column indexes with them.
-  for (const Predicate& p : predicates) {
-    ARECEL_CHECK_MSG(
-        p.column >= 0 && static_cast<size_t>(p.column) < table.num_cols(),
-        "predicate column outside the table");
-  }
+  CheckPredicateColumns(table, predicates);
   struct Lowered {
     double fraction;
     size_t index;
@@ -264,16 +348,19 @@ size_t ScanPlan::Evaluate(size_t block, uint32_t begin, uint32_t end,
                           uint32_t* sel, ScanStats* stats,
                           bool count_only) const {
   // Predicates that fully match this block cannot prune inside it.
-  const Pred* active[64];
+  auto is_active = [&](const Pred& p) {
+    return block == kNoBlock ||
+           !synopsis_->FullyMatches(block, static_cast<size_t>(p.column),
+                                    p.lo, p.hi);
+  };
+  const Pred* first = nullptr;
+  const Pred* second = nullptr;
   size_t actives = 0;
-  ARECEL_CHECK_MSG(preds_.size() <= 64, "too many predicates in one query");
   for (const Pred& p : preds_) {
-    if (block != kNoBlock &&
-        synopsis_->FullyMatches(block, static_cast<size_t>(p.column), p.lo,
-                                p.hi)) {
-      continue;
-    }
-    active[actives++] = &p;
+    if (!is_active(p)) continue;
+    if (actives == 0) first = &p;
+    if (actives == 1) second = &p;
+    ++actives;
   }
   if (actives == 0) {
     // Every predicate fully matched after all (unreachable from Classify,
@@ -285,26 +372,26 @@ size_t ScanPlan::Evaluate(size_t block, uint32_t begin, uint32_t end,
   }
 
   bool used_codes = false;
-  auto eval_one = [&](const Pred& p, bool first, size_t n) -> size_t {
+  auto eval_one = [&](const Pred& p, bool fill, size_t n) -> size_t {
     if (p.codes8 != nullptr) {
       used_codes = true;
-      return first ? FilterCodes(p.codes8, begin, end, p.code_lo, p.code_hi,
-                                 sel)
-                   : RefineCodes(p.codes8, p.code_lo, p.code_hi, sel, n);
+      return fill ? FilterCodes(p.codes8, begin, end, p.code_lo, p.code_hi,
+                                sel)
+                  : RefineCodes(p.codes8, p.code_lo, p.code_hi, sel, n, sel);
     }
     if (p.codes16 != nullptr) {
       used_codes = true;
-      return first ? FilterCodes(p.codes16, begin, end, p.code_lo, p.code_hi,
-                                 sel)
-                   : RefineCodes(p.codes16, p.code_lo, p.code_hi, sel, n);
+      return fill ? FilterCodes(p.codes16, begin, end, p.code_lo, p.code_hi,
+                                sel)
+                  : RefineCodes(p.codes16, p.code_lo, p.code_hi, sel, n, sel);
     }
-    return first ? FilterInterval(p.values, begin, end, p.lo, p.hi, sel)
-                 : RefineInterval(p.values, p.lo, p.hi, sel, n);
+    return fill ? FilterInterval(p.values, begin, end, p.lo, p.hi, sel)
+                : RefineInterval(p.values, p.lo, p.hi, sel, n);
   };
 
   size_t n;
   if (actives == 1 && count_only) {
-    const Pred& p = *active[0];
+    const Pred& p = *first;
     if (p.codes8 != nullptr) {
       used_codes = true;
       n = CountCodes(p.codes8, begin, end, p.code_lo, p.code_hi);
@@ -315,10 +402,10 @@ size_t ScanPlan::Evaluate(size_t block, uint32_t begin, uint32_t end,
       n = CountInterval(p.values, begin, end, p.lo, p.hi);
     }
   } else if (count_only && actives == 2 &&
-             (active[0]->codes8 != nullptr || active[0]->codes16 != nullptr) &&
-             (active[1]->codes8 != nullptr || active[1]->codes16 != nullptr)) {
-    const Pred& a = *active[0];
-    const Pred& b = *active[1];
+             (first->codes8 != nullptr || first->codes16 != nullptr) &&
+             (second->codes8 != nullptr || second->codes16 != nullptr)) {
+    const Pred& a = *first;
+    const Pred& b = *second;
     used_codes = true;
     if (a.codes8 != nullptr && b.codes8 != nullptr) {
       n = CountCodes2Impl(a.codes8, a.code_lo, a.code_hi, b.codes8, b.code_lo,
@@ -334,9 +421,10 @@ size_t ScanPlan::Evaluate(size_t block, uint32_t begin, uint32_t end,
                           b.code_lo, b.code_hi, begin, end);
     }
   } else {
-    n = eval_one(*active[0], /*first=*/true, 0);
-    for (size_t k = 1; k < actives && n > 0; ++k) {
-      n = eval_one(*active[k], /*first=*/false, n);
+    n = eval_one(*first, /*fill=*/true, 0);
+    const Pred* const last = preds_.data() + preds_.size();
+    for (const Pred* p = first + 1; p != last && n > 0; ++p) {
+      if (is_active(*p)) n = eval_one(*p, /*fill=*/false, n);
     }
   }
   if (stats != nullptr && used_codes) ++stats->dict_kernel_blocks;
@@ -405,11 +493,90 @@ std::vector<size_t> BlockScanner::CountBatch(
   if (rows == 0 || queries.empty()) return counts;
   ARECEL_CHECK_MSG(synopsis_.num_rows() == table_->num_rows(),
                    "table changed after the scanner was built");
+  for (const Query& q : queries) CheckPredicateColumns(*table_, q.predicates);
+
+  // Route every query. A one-predicate query within the budget is its
+  // slice's length; a query whose driving slice passes the cost rule joins
+  // its driving column's group, which tallies the block work it saves; the
+  // rest go to the block scan.
+  std::vector<std::vector<size_t>> groups(table_->num_cols());
+  std::vector<double> saved(table_->num_cols(), 0.0);
+  std::vector<size_t> block_queries;
+  std::vector<CodeRange> ranges;
+  ScanStats posting_stats;
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    if (!LowerToCodeRanges(*table_, synopsis_, queries[qi].predicates,
+                           &ranges)) {
+      block_queries.push_back(qi);
+      continue;
+    }
+    if (ranges.size() == 1) {
+      counts[qi] = ranges[0].rows;
+      ++posting_stats.posting_queries;
+      continue;
+    }
+    const double slice_cost = static_cast<double>(ranges[0].rows) * kSliceCost;
+    if (slice_cost > rows) {
+      block_queries.push_back(qi);
+      continue;
+    }
+    groups[ranges[0].column].push_back(qi);
+    saved[ranges[0].column] += rows - slice_cost;
+  }
+  stats_.Merge(posting_stats);
+
+  // Per driving column whose saved block work pays for its sort:
+  // counting-sort the row ids by code into one buffer reused across
+  // columns, then refine each query's slice through its other predicates,
+  // in parallel over queries. Workers read `ids` only; each lowers its
+  // queries again (to the ranges routed above) and owns its scratch for
+  // the length of its slice of queries.
+  const double sort_cost = kSortCost * rows * ParallelWorkerCount();
+  std::vector<uint32_t> ids;
+  for (size_t col = 0; col < groups.size(); ++col) {
+    const std::vector<size_t>& group = groups[col];
+    if (saved[col] <= sort_cost) {
+      block_queries.insert(block_queries.end(), group.begin(), group.end());
+      continue;
+    }
+    ids.resize(rows);
+    const Column& column = table_->column(col);
+    const std::vector<uint64_t>& prefix = synopsis_.CodePrefix(col);
+    if (column.codes8.empty()) {
+      SortRowIdsByCode(column.codes16.data(), rows, prefix, ids.data());
+    } else {
+      SortRowIdsByCode(column.codes8.data(), rows, prefix, ids.data());
+    }
+    ParallelForChunked(0, group.size(), [&](size_t begin, size_t end) {
+      std::vector<CodeRange> query_ranges;
+      std::vector<uint32_t> scratch;
+      ScanStats local;
+      for (size_t g = begin; g < end; ++g) {
+        LowerToCodeRanges(*table_, synopsis_, queries[group[g]].predicates,
+                          &query_ranges);
+        const CodeRange& driving = query_ranges[0];
+        if (scratch.size() < driving.rows) scratch.resize(driving.rows);
+        const uint32_t* src = ids.data() + prefix[driving.lo];
+        size_t n = driving.rows;
+        for (size_t k = 1; k < query_ranges.size() && n > 0; ++k) {
+          const CodeRange& range = query_ranges[k];
+          n = RefineRange(table_->column(range.column), range, src, n,
+                          scratch.data());
+          src = scratch.data();
+        }
+        counts[group[g]] = n;
+        ++local.posting_queries;
+        local.posting_rows += driving.rows;
+      }
+      stats_.Merge(local);
+    });
+  }
+  if (block_queries.empty()) return counts;
 
   std::vector<ScanPlan> plans;
-  plans.reserve(queries.size());
-  for (const Query& q : queries) {
-    plans.emplace_back(*table_, &synopsis_, q.predicates);
+  plans.reserve(block_queries.size());
+  for (size_t qi : block_queries) {
+    plans.emplace_back(*table_, &synopsis_, queries[qi].predicates);
   }
 
   // Blocks-outer, queries-inner: the table streams through cache once per
@@ -427,28 +594,29 @@ std::vector<size_t> BlockScanner::CountBatch(
       const uint32_t lo = static_cast<uint32_t>(b * block_size);
       const uint32_t hi = static_cast<uint32_t>(
           std::min<size_t>(rows, (b + 1) * block_size));
-      for (size_t qi = 0; qi < plans.size(); ++qi) {
-        const ScanPlan& plan = plans[qi];
+      for (size_t pi = 0; pi < plans.size(); ++pi) {
+        const ScanPlan& plan = plans[pi];
         if (!plan.satisfiable()) continue;
         if (plan.unconstrained()) {
-          local[qi] += hi - lo;
+          local[pi] += hi - lo;
           continue;
         }
         switch (plan.Classify(b, &local_stats)) {
           case BlockDecision::kSkip:
             break;
           case BlockDecision::kFullMatch:
-            local[qi] += hi - lo;
+            local[pi] += hi - lo;
             break;
           case BlockDecision::kEvaluate:
-            local[qi] += plan.CountBlock(b, lo, hi, sel.data(), &local_stats);
+            local[pi] += plan.CountBlock(b, lo, hi, sel.data(), &local_stats);
             break;
         }
       }
     }
     stats_.Merge(local_stats);
     const std::scoped_lock lock(merge_mutex);
-    for (size_t qi = 0; qi < local.size(); ++qi) counts[qi] += local[qi];
+    for (size_t pi = 0; pi < local.size(); ++pi)
+      counts[block_queries[pi]] += local[pi];
   });
   return counts;
 }

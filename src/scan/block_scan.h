@@ -14,7 +14,9 @@ namespace arecel::scan {
 
 // Vectorized exact-count execution engine (DESIGN.md §8).
 //
-// A three-layer cascade, cheapest first:
+// Batch labelling (CountBatch) first answers the queries it can from their
+// most selective predicate's rows alone (the posting path, below); every
+// other query runs a three-layer cascade, cheapest first:
 //  1. block pruning (TableSynopsis, built once per table): a predicate
 //     skips every block whose [min, max] zone map misses its interval, and
 //     counts wholesale every NaN-free block whose envelope it contains; on
@@ -48,6 +50,8 @@ struct ScanStats {
   uint64_t full_blocks = 0;        // counted wholesale, values untouched.
   uint64_t scanned_blocks = 0;     // evaluated row by row.
   uint64_t dict_kernel_blocks = 0;  // scanned blocks that ran code kernels.
+  uint64_t posting_queries = 0;  // answered from a driving slice.
+  uint64_t posting_rows = 0;     // row ids read from driving slices.
 
   void Add(const ScanStats& other);
 };
@@ -67,6 +71,8 @@ class ScanStatsCollector {
   std::atomic<uint64_t> full_blocks_{0};
   std::atomic<uint64_t> scanned_blocks_{0};
   std::atomic<uint64_t> dict_kernel_blocks_{0};
+  std::atomic<uint64_t> posting_queries_{0};
+  std::atomic<uint64_t> posting_rows_{0};
 };
 
 // Branch-free interval kernels over contiguous column data. Exposed for the
@@ -88,14 +94,16 @@ size_t CountInterval(const double* values, uint32_t begin, uint32_t end,
 // row against an inclusive [lo, hi] code range, at 1/8 (u8) or 1/4 (u16) of
 // the double array's memory traffic. The NaN sentinel code sits above every
 // valid range, so NaN rows never match — same semantics as the double path.
+// RefineCodes reads n row ids from `src` and writes the kept ones, in order,
+// to `dst`, which may be `src` itself (in-place compaction).
 size_t FilterCodes(const uint8_t* codes, uint32_t begin, uint32_t end,
                    uint32_t lo, uint32_t hi, uint32_t* sel);
 size_t FilterCodes(const uint16_t* codes, uint32_t begin, uint32_t end,
                    uint32_t lo, uint32_t hi, uint32_t* sel);
 size_t RefineCodes(const uint8_t* codes, uint32_t lo, uint32_t hi,
-                   uint32_t* sel, size_t n);
+                   const uint32_t* src, size_t n, uint32_t* dst);
 size_t RefineCodes(const uint16_t* codes, uint32_t lo, uint32_t hi,
-                   uint32_t* sel, size_t n);
+                   const uint32_t* src, size_t n, uint32_t* dst);
 size_t CountCodes(const uint8_t* codes, uint32_t begin, uint32_t end,
                   uint32_t lo, uint32_t hi);
 size_t CountCodes(const uint16_t* codes, uint32_t begin, uint32_t end,
@@ -180,11 +188,19 @@ class BlockScanner {
   size_t Count(const Query& query) const;
   double Selectivity(const Query& query) const;
 
-  // Shared-scan batch labeling: streams each block once through every
-  // query (loop order blocks-outer, queries-inner), parallelized over
-  // block ranges. Per-query counts are integer sums over disjoint blocks,
-  // so the result is independent of thread partitioning and bit-identical
-  // to labeling each query alone.
+  // Batch labeling, in two paths; every count is exact, so the result is
+  // bit-identical to labeling each query alone.
+  //  - Posting path: a query whose predicates all lie on columns within
+  //    the code budget is answered from the row ids of its most selective
+  //    predicate's code range when that predicate passes the cost rule
+  //    (block_scan.cc). Per driving column, the row ids are counting-sorted
+  //    by code once per call, so a code range is one contiguous slice; the
+  //    column's queries then refine their slices through their other
+  //    predicates, in parallel over queries. A one-predicate query is its
+  //    slice's length. Nothing stays resident after the call.
+  //  - Shared block scan for the rest: streams each block once through
+  //    every remaining query (blocks-outer, queries-inner), parallelized
+  //    over block ranges.
   std::vector<size_t> CountBatch(const std::vector<Query>& queries) const;
   std::vector<double> Label(const std::vector<Query>& queries) const;
 

@@ -101,6 +101,14 @@ class TableSynopsis {
   // Exact fraction of the table's rows whose code lies in [lo, hi].
   double DictFraction(size_t col, uint32_t lo, uint32_t hi) const;
 
+  // Prefix sums of the column's code counts (domain size + 1 entries):
+  // entry c is the number of rows with a code below c, which is where
+  // code c's rows start when the row ids are ordered by code. Empty on a
+  // column past the code budget.
+  const std::vector<uint64_t>& CodePrefix(size_t col) const {
+    return columns_[col].code_prefix;
+  }
+
  private:
   struct ColumnSynopsis {
     std::vector<double> mins;  // [block].

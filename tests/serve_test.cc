@@ -488,6 +488,38 @@ TEST(ServeBoundaryTest, RefusesQueriesTheModelCannotAnswer) {
   EXPECT_TRUE(server.Estimate("t", "counting", MakeQuery({{1, 2.0, kInf}})).ok);
 }
 
+TEST(ServeBoundaryTest, ServesQueriesPastSixtyFourPredicatesWithFeedback) {
+  // The truth worker counts every answered query on its scanner; a query
+  // with more than 64 predicates must be counted there, not abort it.
+  auto calls = std::make_shared<std::atomic<int>>(0);
+  ServeOptions options;
+  options.feedback_enabled = true;
+  options.manager.factory = [calls](const std::string& name)
+      -> std::unique_ptr<CardinalityEstimator> {
+    if (name == "counting") return std::make_unique<CountingEstimator>(calls);
+    return MakeEstimator(name);
+  };
+  EstimatorServer server(options);
+  DatasetSpec spec = CensusSpec();
+  spec.rows = 2000;
+  const Table census = GenerateDataset(spec, 7);
+  server.RegisterDataset("census", census);
+  for (size_t preds : {65, 130}) {
+    // Half-domain bounds on columns i % 13.
+    std::vector<Predicate> predicates;
+    for (size_t i = 0; i < preds; ++i) {
+      const size_t col = i % census.num_cols();
+      const std::vector<double>& domain = census.column(col).domain;
+      predicates.push_back(
+          {static_cast<int>(col), domain.front(), domain[domain.size() / 2]});
+    }
+    EXPECT_TRUE(server.Estimate("census", "counting", MakeQuery(predicates)).ok)
+        << preds;
+  }
+  server.DrainFeedback();
+  EXPECT_EQ(server.Stats().feedback.worker.completed, 2u);
+}
+
 // Holds each truth delivery of a FeedbackSink until the test releases it,
 // so a test can look at the server between two deliveries of the single
 // truth-worker thread.
