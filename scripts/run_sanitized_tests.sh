@@ -58,7 +58,11 @@ if [ "${ARECEL_SAN_ALL:-0}" != "1" ]; then
     # Synopsis|Dict: the synopsis' dictionary tier (the table's code
     # arrays, per-block bitmaps) read concurrently by CountBatch workers,
     # with relaxed-atomic ScanStats merges.
-    filter=(-R 'Parallel|Robust|Guard|Fault|Journal|Cancel|Scan|Serve|Ml|Feedback|Store|Maint|Packed|Quant|Join|Synopsis|Dict')
+    # TableVersion: table versions sharing value segments, built while
+    # other threads scan and sample their base. Serve also covers
+    # ServeUpdateTest.ConcurrentUpdatesExtendEachOther (concurrent
+    # ModelManager::ApplyUpdate calls on one dataset).
+    filter=(-R 'Parallel|Robust|Guard|Fault|Journal|Cancel|Scan|Serve|Ml|Feedback|Store|Maint|Packed|Quant|Join|Synopsis|Dict|TableVersion')
   else
     filter=(-LE slow)
   fi

@@ -154,9 +154,7 @@ Table AppendCorrelatedUpdate(const Table& base, double fraction,
   Rng rng(seed);
   const std::vector<int> ranks = rng.SampleWithoutReplacement(
       static_cast<int>(base.num_rows()), static_cast<int>(append_rows));
-  Table updated = base;
-  updated.AppendSortedRows(ranks);
-  return updated;
+  return base.WithSortedRows(ranks);
 }
 
 }  // namespace arecel

@@ -51,9 +51,10 @@ Table GenerateSynthetic2D(size_t rows, double skew, double correlation,
 
 // The paper's §5.1 dynamic-environment update: samples `fraction` * rows
 // tuples from the sorted-columns copy of `base` (maximal pairwise Spearman
-// correlation; Table::AppendSortedRows) and returns `base` with those
-// tuples appended. The appended part deliberately has different
-// correlation characteristics from the original so a stale model degrades.
+// correlation; Table::WithSortedRows) and returns `base` with those
+// tuples appended, as a version that shares `base`'s value segments. The
+// appended part deliberately has different correlation characteristics
+// from the original so a stale model degrades.
 Table AppendCorrelatedUpdate(const Table& base, double fraction,
                              uint64_t seed);
 

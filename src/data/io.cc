@@ -46,7 +46,10 @@ void WriteTable(const Table& table, ByteWriter* writer) {
   for (const Column& col : table.columns()) {
     writer->Str(col.name);
     writer->U32(col.categorical ? 1 : 0);
-    writer->Doubles(col.values);
+    writer->U64(col.values.size());
+    for (const std::span<const double> run : col.values.spans()) {
+      writer->F64s(run);
+    }
   }
 }
 

@@ -111,7 +111,10 @@ bool Schema::CheckIntegrity(std::string* detail) const {
       return fail("referenced column " + fk.ref_table + "." + key.name +
                   " is not unique");
     }
-    std::unordered_set<double> keys(key.values.begin(), key.values.end());
+    std::unordered_set<double> keys;
+    for (const std::span<const double> run : key.values.spans()) {
+      keys.insert(run.begin(), run.end());
+    }
     const Column& ref = from.column(static_cast<size_t>(fk.column));
     for (size_t r = 0; r < ref.values.size(); ++r) {
       if (keys.count(ref.values[r]) == 0) {

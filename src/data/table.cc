@@ -33,6 +33,18 @@ void WithCodes(Column& col, size_t domain_size, Fn&& fn) {
 template <typename Vector>
 using CodeOf = typename std::decay_t<Vector>::value_type;
 
+// col's code vector of element type Code.
+template <typename Code>
+const std::vector<Code>& CodesOfWidth(const Column& col) {
+  if constexpr (std::is_same_v<Code, uint8_t>) {
+    return col.codes8;
+  } else if constexpr (std::is_same_v<Code, uint16_t>) {
+    return col.codes16;
+  } else {
+    return col.codes32;
+  }
+}
+
 // Open-addressing map from a value's canonical bits to a dense id in
 // first-seen order. Empty slots hold kNoId, so the all-zero key (+0.0)
 // needs no special casing.
@@ -76,11 +88,10 @@ class ValueIds {
   size_t size_ = 0;
 };
 
-// Builds col's dictionary from its values: one hash probe per row finds the
+// Builds col's dictionary from `values`: one hash probe per row finds the
 // distinct values, only those are sorted, and a per-id rank turns each
 // row's id into its code.
-void BuildDictionary(Column& col) {
-  const std::vector<double>& values = col.values;
+void BuildDictionary(Column& col, const std::vector<double>& values) {
   ValueIds ids;
   std::vector<double> distinct;  // indexed by id.
   std::vector<uint32_t> row_ids(values.size());
@@ -121,9 +132,9 @@ void BuildDictionary(Column& col) {
   });
 }
 
-// Appends src's rows to dst and merges src's domain into dst's. Both
-// domains are sorted, so one merge walk yields the grown domain and where
-// each old and each incoming code lands in it.
+// Appends src's rows to dst, as one new value segment, and merges src's
+// domain into dst's. Both domains are sorted, so one merge walk yields the
+// grown domain and where each old and each incoming code lands in it.
 void AppendColumn(Column& dst, const Column& src) {
   const size_t old_rows = dst.values.size();
   const size_t rows = old_rows + src.values.size();
@@ -179,11 +190,42 @@ void AppendColumn(Column& dst, const Column& src) {
   });
   dst.domain = std::move(merged);
   dst.counts = std::move(counts);
-  dst.values.reserve(rows);
-  dst.values.insert(dst.values.end(), src.values.begin(), src.values.end());
+  std::vector<double> appended(src.values.size());
+  for (size_t r = 0; r < appended.size(); ++r) appended[r] = src.values[r];
+  dst.values.Append(std::move(appended));
 }
 
 }  // namespace
+
+ColumnValues::SegmentRef ColumnValues::SegmentAt(size_t row) const {
+  const size_t i = static_cast<size_t>(
+      std::upper_bound(ends_.begin(), ends_.end(), row) - ends_.begin());
+  ARECEL_CHECK(i < spans_.size());
+  return {spans_[i], ends_[i] - spans_[i].size()};
+}
+
+double ColumnValues::PastFirstSegment(size_t row) const {
+  const SegmentRef segment = SegmentAt(row);
+  return segment.values[row - segment.first_row];
+}
+
+void ColumnValues::Append(std::vector<double> values) {
+  if (values.empty()) return;  // no empty segments.
+  auto segment = std::make_shared<const std::vector<double>>(std::move(values));
+  spans_.emplace_back(*segment);
+  size_ += segment->size();
+  ends_.push_back(size_);
+  segments_.push_back(std::move(segment));
+  first_ = spans_.front();
+}
+
+bool operator==(const ColumnValues& a, const ColumnValues& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t r = 0; r < a.size(); ++r) {
+    if (!(a[r] == b[r])) return false;
+  }
+  return true;
+}
 
 int32_t Column::LowerBoundCode(double v) const {
   const auto it = std::lower_bound(domain.begin(), domain.end(), v);
@@ -206,8 +248,8 @@ void Table::AddColumn(std::string col_name, std::vector<double> values,
   Column col;
   col.name = std::move(col_name);
   col.categorical = categorical;
-  col.values = std::move(values);
-  BuildDictionary(col);
+  BuildDictionary(col, values);
+  col.values = ColumnValues(std::move(values));
   columns_.push_back(std::move(col));
 }
 
@@ -219,48 +261,60 @@ void Table::AppendRows(const Table& other) {
   num_rows_ += other.num_rows_;
 }
 
-void Table::AppendSortedRows(const std::vector<int>& ranks) {
-  for (Column& col : columns_) {
+Table Table::WithSortedRows(const std::vector<int>& ranks) const {
+  Table out(name_);
+  out.num_rows_ = num_rows_ + ranks.size();
+  out.columns_.reserve(columns_.size());
+  for (const Column& base : columns_) {
     // Rank k of the sorted column holds code c for ends[c - 1] <= k <
     // ends[c]; ranks from ends.back() on hold its NaN rows.
-    std::vector<uint64_t> ends(col.counts.size());
+    std::vector<uint64_t> ends(base.counts.size());
     uint64_t end = 0;
     for (size_t c = 0; c < ends.size(); ++c) {
-      end += col.counts[c];
+      end += base.counts[c];
       ends[c] = end;
     }
-    const size_t rows = col.values.size() + ranks.size();
-    col.values.reserve(rows);
+    Column col;
+    col.name = base.name;
+    col.categorical = base.categorical;
+    col.values = base.values;
+    col.domain = base.domain;
+    col.counts = base.counts;
+    std::vector<double> appended(ranks.size());
     WithCodes(col, col.domain.size(), [&](auto& codes) {
-      codes.reserve(rows);
-      for (const int rank : ranks) {
+      using Code = CodeOf<decltype(codes)>;
+      const std::vector<Code>& base_codes = CodesOfWidth<Code>(base);
+      codes.reserve(out.num_rows_);
+      codes.assign(base_codes.begin(), base_codes.end());
+      for (size_t i = 0; i < ranks.size(); ++i) {
+        const int rank = ranks[i];
         ARECEL_CHECK(rank >= 0 && static_cast<size_t>(rank) < num_rows_);
         const uint32_t code = static_cast<uint32_t>(
             std::upper_bound(ends.begin(), ends.end(),
                              static_cast<uint64_t>(rank)) -
             ends.begin());
-        codes.push_back(static_cast<CodeOf<decltype(codes)>>(code));
+        codes.push_back(static_cast<Code>(code));
         if (code == col.nan_code()) {
-          col.values.push_back(std::numeric_limits<double>::quiet_NaN());
+          appended[i] = std::numeric_limits<double>::quiet_NaN();
         } else {
-          col.values.push_back(col.domain[code]);
+          appended[i] = col.domain[code];
           ++col.counts[code];
         }
       }
     });
+    col.values.Append(std::move(appended));
+    out.columns_.push_back(std::move(col));
   }
-  num_rows_ += ranks.size();
+  return out;
 }
 
 Table Table::Head(size_t count) const {
   ARECEL_CHECK(count <= num_rows_);
   Table out(name_);
   for (const Column& col : columns_) {
-    out.AddColumn(col.name,
-                  std::vector<double>(col.values.begin(),
-                                      col.values.begin() +
-                                          static_cast<long>(count)),
-                  col.categorical);
+    std::vector<double> vals(count);
+    for (size_t r = 0; r < count; ++r) vals[r] = col.values[r];
+    out.AddColumn(col.name, std::move(vals), col.categorical);
   }
   return out;
 }

@@ -1,11 +1,73 @@
 #ifndef ARECEL_DATA_TABLE_H_
 #define ARECEL_DATA_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 namespace arecel {
+
+// A column's values as immutable, reference-counted segments in row order.
+// Table versions that hold the same rows share them: AddColumn makes one
+// segment, and an append adds one holding only the appended rows' values,
+// so a version stores only what it appends. Reads go by row (operator[]:
+// one compare and one load while the row lies in the first segment, which
+// is every row of a table that was never appended to) or by contiguous
+// span (spans(), SegmentAt). Copies share every segment.
+class ColumnValues {
+ public:
+  using Segment = std::shared_ptr<const std::vector<double>>;
+
+  // The segment holding a row: its values, and the row its first value
+  // belongs to.
+  struct SegmentRef {
+    std::span<const double> values;
+    size_t first_row = 0;
+    size_t end_row() const { return first_row + values.size(); }
+  };
+
+  ColumnValues() = default;
+  explicit ColumnValues(std::vector<double> values) {
+    Append(std::move(values));
+  }
+
+  size_t size() const { return size_; }
+
+  double operator[](size_t row) const {
+    return row < first_.size() ? first_[row] : PastFirstSegment(row);
+  }
+
+  // The segment holding `row` (< size()); row's value is
+  // values[row - first_row].
+  SegmentRef SegmentAt(size_t row) const;
+
+  // Every segment's values, in row order.
+  const std::vector<std::span<const double>>& spans() const {
+    return spans_;
+  }
+  // The segments themselves: which storage this column shares.
+  const std::vector<Segment>& segments() const { return segments_; }
+
+  // Adds one segment holding `values` after the last row; the earlier
+  // segments, and every version that shares them, stay as they are.
+  void Append(std::vector<double> values);
+
+  // Equal sizes and values equal row for row under double ==, as
+  // std::vector's == compares; segment boundaries do not matter.
+  friend bool operator==(const ColumnValues& a, const ColumnValues& b);
+
+ private:
+  double PastFirstSegment(size_t row) const;
+
+  std::vector<Segment> segments_;
+  std::vector<std::span<const double>> spans_;  // segments_' values.
+  std::vector<size_t> ends_;                    // row past each segment.
+  std::span<const double> first_;               // spans_[0], or empty.
+  size_t size_ = 0;
+};
 
 // One attribute of a relation, stored column-major, with its dictionary.
 //
@@ -19,11 +81,13 @@ namespace arecel {
 // discrete estimators (Naru, DQM, Bayes) and the §5.1 update read these.
 //
 // A Table builds the dictionary in AddColumn and keeps it current on every
-// append, so a column reached through a Table is always consistent.
+// append, so a column reached through a Table is always consistent. The
+// values are shared with other versions of the table; the dictionary is
+// each version's own, with contiguous codes.
 struct Column {
   std::string name;
   bool categorical = false;
-  std::vector<double> values;     // length = table rows.
+  ColumnValues values;            // length = table rows.
   std::vector<double> domain;     // sorted distinct non-NaN values.
   std::vector<uint32_t> counts;   // rows per code; NaN rows count nowhere.
   std::vector<uint8_t> codes8;    // per-row codes while domain.size() < 2^8,
@@ -54,6 +118,7 @@ class Table {
   explicit Table(std::string name) : name_(std::move(name)) {}
 
   const std::string& name() const { return name_; }
+  void set_name(std::string name) { name_ = std::move(name); }
   size_t num_rows() const { return num_rows_; }
   size_t num_cols() const { return columns_.size(); }
 
@@ -66,18 +131,22 @@ class Table {
   void AddColumn(std::string col_name, std::vector<double> values,
                  bool categorical);
 
-  // Appends the rows of `other` (same schema order). Values new to a
-  // column grow its domain: the stored codes are remapped, and widened when
-  // the grown domain no longer fits their width.
+  // Appends the rows of `other` (same schema order) as one new value
+  // segment per column; segments this table shares with other versions
+  // are untouched. Values new to a column grow its domain: the codes are
+  // remapped, and widened when the grown domain no longer fits their width.
   void AppendRows(const Table& other);
 
-  // Appends, for each of `ranks`, the row at that rank of this table's
-  // sorted-columns copy: every column sorted ascending independently, NaN
-  // last — the paper's §5.1 construction that maximizes Spearman
-  // correlation between every pair of columns. The copy is never built;
-  // each rank is looked up in the column's code counts, so appended values
-  // are domain values and the domain does not change.
-  void AppendSortedRows(const std::vector<int>& ranks);
+  // Returns the next version of this table: its rows, then, for each of
+  // `ranks`, the row at that rank of its sorted-columns copy: every column
+  // sorted ascending independently, NaN last — the paper's §5.1
+  // construction that maximizes Spearman correlation between every pair of
+  // columns. The copy is never built; each rank is looked up in the
+  // column's code counts, so appended values are domain values and the
+  // domain does not change. The version shares this table's value
+  // segments and adds one per column holding only the appended values;
+  // its codes and counts are its own, allocated once at their final size.
+  Table WithSortedRows(const std::vector<int>& ranks) const;
 
   // Returns a new table containing rows [0, count) of this table.
   Table Head(size_t count) const;

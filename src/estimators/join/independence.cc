@@ -22,7 +22,7 @@ void JoinIndependenceEstimator::TrainJoin(const Schema& schema,
     ts.rows = table.num_rows();
     ts.columns.resize(table.num_cols());
     for (size_t c = 0; c < table.num_cols(); ++c) {
-      ts.columns[c].Build(table.column(c).values, options_);
+      ts.columns[c].BuildFromRuns(table.column(c).values.spans(), options_);
     }
     stats_.push_back(std::move(ts));
   }

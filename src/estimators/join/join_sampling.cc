@@ -49,7 +49,7 @@ void JoinSamplingEstimator::TrainJoin(const Schema& schema,
           static_cast<int>(table.num_rows()),
           static_cast<int>(ts.sample_rows));
       for (size_t c = 0; c < table.num_cols(); ++c) {
-        const std::vector<double>& values = table.column(c).values;
+        const ColumnValues& values = table.column(c).values;
         for (size_t i = 0; i < rows.size(); ++i) {
           ts.columns[c][i] = values[static_cast<size_t>(rows[i])];
         }
@@ -70,7 +70,7 @@ void JoinSamplingEstimator::TrainJoin(const Schema& schema,
   center_columns_.assign(center.num_cols(),
                          std::vector<double>(center_sample_rows_));
   for (size_t c = 0; c < center.num_cols(); ++c) {
-    const std::vector<double>& values = center.column(c).values;
+    const ColumnValues& values = center.column(c).values;
     for (size_t i = 0; i < picks.size(); ++i) {
       center_columns_[c][i] = values[static_cast<size_t>(picks[i])];
     }
@@ -86,8 +86,7 @@ void JoinSamplingEstimator::TrainJoin(const Schema& schema,
 
     // Key -> (representative row, multiplicity).
     std::unordered_map<double, std::pair<size_t, double>> index;
-    const std::vector<double>& keys =
-        dim.column(static_cast<size_t>(dim_col)).values;
+    const ColumnValues& keys = dim.column(static_cast<size_t>(dim_col)).values;
     index.reserve(keys.size());
     for (size_t r = 0; r < keys.size(); ++r) {
       auto [it, inserted] = index.try_emplace(keys[r], r, 1.0);

@@ -8,10 +8,8 @@ Schema WrapSingleTable(const Table& table) {
     schema.AddTable(table);
     return schema;
   }
-  Table named("t");
-  for (const Column& col : table.columns()) {
-    named.AddColumn(col.name, col.values, col.categorical);
-  }
+  Table named = table;
+  named.set_name("t");
   schema.AddTable(std::move(named));
   return schema;
 }

@@ -197,7 +197,9 @@ void MscnJoinEstimator::TrainJoin(const Schema& schema,
     info.sample.assign(table.num_cols(),
                        std::vector<double>(info.sample_rows));
     for (size_t c = 0; c < sample.num_cols(); ++c) {
-      info.sample[c] = sample.column(c).values;
+      for (size_t r = 0; r < info.sample_rows; ++r) {
+        info.sample[c][r] = sample.column(c).values[r];
+      }
     }
     total_cols_ += table.num_cols();
     tables_.push_back(std::move(info));

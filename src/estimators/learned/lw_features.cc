@@ -20,7 +20,7 @@ void LwFeaturizer::Build(const Table& table, bool include_ce_features) {
   options.num_buckets = 100;
   options.num_mcvs = 100;
   for (size_t c = 0; c < table.num_cols(); ++c) {
-    stats_[c].Build(table.column(c).values, options);
+    stats_[c].BuildFromRuns(table.column(c).values.spans(), options);
     col_min_[c] = table.column(c).min();
     col_max_[c] = table.column(c).max();
   }

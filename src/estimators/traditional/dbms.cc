@@ -9,7 +9,7 @@ void PerColumnStatsEstimator::Train(const Table& table,
                                     const TrainContext& /*context*/) {
   stats_.assign(table.num_cols(), ColumnStats());
   for (size_t c = 0; c < table.num_cols(); ++c) {
-    stats_[c].Build(table.column(c).values, options_);
+    stats_[c].BuildFromRuns(table.column(c).values.spans(), options_);
   }
 }
 

@@ -120,8 +120,12 @@ void KdeFbEstimator::Train(const Table& table, const TrainContext& context) {
   const double exponent =
       -1.0 / (static_cast<double>(num_cols_) + 4.0);
   const double factor = std::pow(static_cast<double>(rows), exponent);
+  std::vector<double> sample_column(rows);
   for (size_t d = 0; d < num_cols_; ++d) {
-    const double sigma = StdDev(sample_.column(d).values);
+    for (size_t s = 0; s < rows; ++s) {
+      sample_column[s] = sample_.column(d).values[s];
+    }
+    const double sigma = StdDev(sample_column);
     bandwidths_[d] = std::max(sigma * factor, 1e-3);
   }
 

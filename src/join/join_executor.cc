@@ -212,9 +212,8 @@ size_t HashJoinCount(const Schema& schema, const Query& query,
   hashes.reserve(plan.builds.size());
   for (const BuildSide& side : plan.builds) {
     KeyCountTable hash(side.table->num_rows());
-    const double* keys =
-        side.table->column(static_cast<size_t>(side.build_column))
-            .values.data();
+    const ColumnValues& keys =
+        side.table->column(static_cast<size_t>(side.build_column)).values;
     ForEachMatch(*side.table, synopses[static_cast<size_t>(side.table_index)],
                  side.predicates, stats,
                  [&](uint32_t r) { hash.Add(keys[r]); });
@@ -224,19 +223,18 @@ size_t HashJoinCount(const Schema& schema, const Query& query,
 
   // Probe: each surviving row contributes the product of its key
   // multiplicities across the build tables.
-  std::vector<const double*> probe_keys;
+  std::vector<const ColumnValues*> probe_keys;
   probe_keys.reserve(plan.builds.size());
   for (const BuildSide& side : plan.builds) {
     probe_keys.push_back(
-        plan.probe->column(static_cast<size_t>(side.probe_column))
-            .values.data());
+        &plan.probe->column(static_cast<size_t>(side.probe_column)).values);
   }
   size_t total = 0;
   ForEachMatch(*plan.probe, synopses[static_cast<size_t>(plan.probe_index)],
                plan.probe_predicates, stats, [&](uint32_t r) {
                  size_t contribution = 1;
                  for (size_t b = 0; b < hashes.size(); ++b) {
-                   contribution *= hashes[b].Lookup(probe_keys[b][r]);
+                   contribution *= hashes[b].Lookup((*probe_keys[b])[r]);
                    if (contribution == 0) return;
                  }
                  total += contribution;

@@ -63,19 +63,28 @@ bool EquiDepthHistogram::Deserialize(ByteReader* reader) {
 
 void ColumnStats::Build(const std::vector<double>& values,
                         const Options& options) {
+  const std::span<const double> run(values);
+  BuildFromRuns({&run, 1}, options);
+}
+
+void ColumnStats::BuildFromRuns(std::span<const std::span<const double>> runs,
+                                const Options& options) {
   mcv_values_.clear();
   mcv_freqs_.clear();
   mcv_total_freq_ = 0.0;
-  row_count_ = values.size();
-  if (values.empty()) {
+  row_count_ = 0;
+  for (const std::span<const double> run : runs) row_count_ += run.size();
+  if (row_count_ == 0) {
     distinct_count_ = 0;
     histogram_mass_ = 0.0;
     return;
   }
 
   std::unordered_map<double, size_t> counts;
-  counts.reserve(values.size() / 4);
-  for (double v : values) ++counts[v];
+  counts.reserve(row_count_ / 4);
+  for (const std::span<const double> run : runs) {
+    for (double v : run) ++counts[v];
+  }
   distinct_count_ = counts.size();
 
   // Pick the top-k most common values (Postgres keeps those whose frequency
@@ -98,10 +107,12 @@ void ColumnStats::Build(const std::vector<double>& values,
 
   // Histogram over the rows not covered by the MCV list.
   std::vector<double> rest;
-  rest.reserve(values.size());
-  for (double v : values) {
-    if (!std::binary_search(mcv_values_.begin(), mcv_values_.end(), v))
-      rest.push_back(v);
+  rest.reserve(row_count_);
+  for (const std::span<const double> run : runs) {
+    for (double v : run) {
+      if (!std::binary_search(mcv_values_.begin(), mcv_values_.end(), v))
+        rest.push_back(v);
+    }
   }
   histogram_mass_ = static_cast<double>(rest.size()) /
                     static_cast<double>(row_count_);

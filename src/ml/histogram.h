@@ -2,6 +2,7 @@
 #define ARECEL_ML_HISTOGRAM_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/archive.h"
@@ -48,6 +49,10 @@ class ColumnStats {
   };
 
   void Build(const std::vector<double>& values, const Options& options);
+  // Builds over a column held as contiguous runs of values, read in order
+  // (a table column's ColumnValues::spans()); Build is the one-run case.
+  void BuildFromRuns(std::span<const std::span<const double>> runs,
+                     const Options& options);
 
   // Selectivity of lo <= col <= hi (inclusive, +/-inf allowed).
   double EstimateRange(double lo, double hi) const;

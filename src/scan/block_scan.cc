@@ -204,32 +204,36 @@ ScanStats ScanStatsCollector::Snapshot() const {
   return s;
 }
 
-size_t FilterInterval(const double* values, uint32_t begin, uint32_t end,
-                      double lo, double hi, uint32_t* sel) {
+size_t FilterInterval(const double* values, uint32_t first, uint32_t begin,
+                      uint32_t end, double lo, double hi, uint32_t* sel) {
+  const double* v = values + (begin - first);
+  const uint32_t count = end - begin;
   size_t n = 0;
-  for (uint32_t r = begin; r < end; ++r) {
-    sel[n] = r;
-    n += static_cast<size_t>((values[r] >= lo) & (values[r] <= hi));
+  for (uint32_t i = 0; i < count; ++i) {
+    sel[n] = begin + i;
+    n += static_cast<size_t>((v[i] >= lo) & (v[i] <= hi));
   }
   return n;
 }
 
-size_t RefineInterval(const double* values, double lo, double hi,
-                      uint32_t* sel, size_t n) {
+size_t RefineInterval(const double* values, uint32_t first, double lo,
+                      double hi, uint32_t* sel, size_t n) {
   size_t kept = 0;
   for (size_t i = 0; i < n; ++i) {
-    const double v = values[sel[i]];
+    const double v = values[sel[i] - first];
     sel[kept] = sel[i];
     kept += static_cast<size_t>((v >= lo) & (v <= hi));
   }
   return kept;
 }
 
-size_t CountInterval(const double* values, uint32_t begin, uint32_t end,
-                     double lo, double hi) {
+size_t CountInterval(const double* values, uint32_t first, uint32_t begin,
+                     uint32_t end, double lo, double hi) {
+  const double* v = values + (begin - first);
+  const uint32_t count = end - begin;
   size_t n = 0;
-  for (uint32_t r = begin; r < end; ++r)
-    n += static_cast<size_t>((values[r] >= lo) & (values[r] <= hi));
+  for (uint32_t i = 0; i < count; ++i)
+    n += static_cast<size_t>((v[i] >= lo) & (v[i] <= hi));
   return n;
 }
 
@@ -304,7 +308,7 @@ ScanPlan::ScanPlan(const Table& table, const TableSynopsis* synopsis,
     const Predicate& p = predicates[lowered.index];
     const Column& column = table.column(static_cast<size_t>(p.column));
     Pred pred;
-    pred.values = column.values.data();
+    pred.values = &column.values;
     pred.lo = p.lo;
     pred.hi = p.hi;
     pred.column = p.column;
@@ -327,7 +331,7 @@ BlockDecision ScanPlan::Classify(size_t block, ScanStats* stats) const {
       if (stats != nullptr) ++stats->zone_skips;
       return BlockDecision::kSkip;
     }
-    if ((p.codes8 != nullptr || p.codes16 != nullptr) &&
+    if (p.on_codes() &&
         !synopsis_->BitmapCanMatch(block, col, p.code_lo, p.code_hi)) {
       if (stats != nullptr) ++stats->bitmap_skips;
       return BlockDecision::kSkip;
@@ -347,6 +351,19 @@ BlockDecision ScanPlan::Classify(size_t block, ScanStats* stats) const {
 size_t ScanPlan::Evaluate(size_t block, uint32_t begin, uint32_t end,
                           uint32_t* sel, ScanStats* stats,
                           bool count_only) const {
+  // A predicate on values reads one value segment per pass, so rows that
+  // straddle a segment boundary of its column are evaluated one run at a
+  // time, each run's ids landing after the previous run's in `sel`. Codes
+  // are contiguous and need no split.
+  for (const Pred& p : preds_) {
+    if (p.on_codes()) continue;
+    const size_t boundary = p.values->SegmentAt(begin).end_row();
+    if (boundary < end) {
+      const uint32_t mid = static_cast<uint32_t>(boundary);
+      const size_t n = Evaluate(block, begin, mid, sel, stats, count_only);
+      return n + Evaluate(block, mid, end, sel + n, stats, count_only);
+    }
+  }
   // Predicates that fully match this block cannot prune inside it.
   auto is_active = [&](const Pred& p) {
     return block == kNoBlock ||
@@ -385,8 +402,12 @@ size_t ScanPlan::Evaluate(size_t block, uint32_t begin, uint32_t end,
                                 sel)
                   : RefineCodes(p.codes16, p.code_lo, p.code_hi, sel, n, sel);
     }
-    return fill ? FilterInterval(p.values, begin, end, p.lo, p.hi, sel)
-                : RefineInterval(p.values, p.lo, p.hi, sel, n);
+    const ColumnValues::SegmentRef segment = p.values->SegmentAt(begin);
+    const uint32_t first_row = static_cast<uint32_t>(segment.first_row);
+    return fill ? FilterInterval(segment.values.data(), first_row, begin, end,
+                                 p.lo, p.hi, sel)
+                : RefineInterval(segment.values.data(), first_row, p.lo, p.hi,
+                                 sel, n);
   };
 
   size_t n;
@@ -399,11 +420,13 @@ size_t ScanPlan::Evaluate(size_t block, uint32_t begin, uint32_t end,
       used_codes = true;
       n = CountCodes(p.codes16, begin, end, p.code_lo, p.code_hi);
     } else {
-      n = CountInterval(p.values, begin, end, p.lo, p.hi);
+      const ColumnValues::SegmentRef segment = p.values->SegmentAt(begin);
+      n = CountInterval(segment.values.data(),
+                        static_cast<uint32_t>(segment.first_row), begin, end,
+                        p.lo, p.hi);
     }
-  } else if (count_only && actives == 2 &&
-             (first->codes8 != nullptr || first->codes16 != nullptr) &&
-             (second->codes8 != nullptr || second->codes16 != nullptr)) {
+  } else if (count_only && actives == 2 && first->on_codes() &&
+             second->on_codes()) {
     const Pred& a = *first;
     const Pred& b = *second;
     used_codes = true;

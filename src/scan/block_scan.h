@@ -30,7 +30,8 @@ namespace arecel::scan {
 //  3. branch-free kernels: data-independent interval passes over the
 //     contiguous column block — over the table's u8/u16 code array when
 //     the column is within the code budget (a fraction of the double
-//     array's bandwidth), over the doubles otherwise.
+//     array's bandwidth), over the doubles otherwise, one value segment
+//     at a time where a block straddles a segment boundary.
 //
 // All counts are exact integers: results are bit-identical to the naive
 // reference executor (ExecuteCountNaive) by construction, which
@@ -49,7 +50,9 @@ struct ScanStats {
   uint64_t histogram_skips = 0;
   uint64_t full_blocks = 0;        // counted wholesale, values untouched.
   uint64_t scanned_blocks = 0;     // evaluated row by row.
-  uint64_t dict_kernel_blocks = 0;  // scanned blocks that ran code kernels.
+  // Scanned blocks that ran code kernels; a block that straddles a value
+  // segment boundary counts once per run (ScanPlan).
+  uint64_t dict_kernel_blocks = 0;
   uint64_t posting_queries = 0;  // answered from a driving slice.
   uint64_t posting_rows = 0;     // row ids read from driving slices.
 
@@ -75,20 +78,22 @@ class ScanStatsCollector {
   std::atomic<uint64_t> posting_rows_{0};
 };
 
-// Branch-free interval kernels over contiguous column data. Exposed for the
-// micro-benchmark and tests; `sel` must have room for (end - begin) ids.
+// Branch-free interval kernels over one contiguous run of a column's values
+// (a value segment; ColumnValues::SegmentAt): values[r - first] is row r's
+// value, so every row a call reads must lie in the run. Exposed for tests;
+// `sel` must have room for (end - begin) ids.
 //
-// Writes the row ids in [begin, end) with lo <= values[r] <= hi into `sel`;
+// Writes the row ids in [begin, end) with lo <= value <= hi into `sel`;
 // returns how many matched.
-size_t FilterInterval(const double* values, uint32_t begin, uint32_t end,
-                      double lo, double hi, uint32_t* sel);
+size_t FilterInterval(const double* values, uint32_t first, uint32_t begin,
+                      uint32_t end, double lo, double hi, uint32_t* sel);
 // Compacts `sel` (n row ids) in place, keeping ids whose value lies in
 // [lo, hi]; returns the surviving count.
-size_t RefineInterval(const double* values, double lo, double hi,
-                      uint32_t* sel, size_t n);
+size_t RefineInterval(const double* values, uint32_t first, double lo,
+                      double hi, uint32_t* sel, size_t n);
 // Count-only variant for single-predicate scans (no ids materialized).
-size_t CountInterval(const double* values, uint32_t begin, uint32_t end,
-                     double lo, double hi);
+size_t CountInterval(const double* values, uint32_t first, uint32_t begin,
+                     uint32_t end, double lo, double hi);
 
 // Code-space variants over dictionary code arrays: one unsigned compare per
 // row against an inclusive [lo, hi] code range, at 1/8 (u8) or 1/4 (u16) of
@@ -150,7 +155,7 @@ class ScanPlan {
 
  private:
   struct Pred {
-    const double* values = nullptr;
+    const ColumnValues* values = nullptr;
     double lo = 0.0;
     double hi = 0.0;
     int column = 0;
@@ -159,6 +164,8 @@ class ScanPlan {
     const uint16_t* codes16 = nullptr;
     uint32_t code_lo = 0;
     uint32_t code_hi = 0;
+
+    bool on_codes() const { return codes8 != nullptr || codes16 != nullptr; }
   };
 
   size_t Evaluate(size_t block, uint32_t begin, uint32_t end, uint32_t* sel,

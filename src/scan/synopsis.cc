@@ -48,7 +48,6 @@ TableSynopsis::TableSynopsis(const Table& table,
 
 void TableSynopsis::BuildZoneMaps(const Column& column,
                                   ColumnSynopsis& c) const {
-  const double* values = column.values.data();
   c.mins.resize(num_blocks_);
   c.maxs.resize(num_blocks_);
   c.has_nan.resize(num_blocks_);
@@ -57,18 +56,26 @@ void TableSynopsis::BuildZoneMaps(const Column& column,
     const size_t hi = std::min(rows_, lo + block_size_);
     // NaN never matches a predicate, so it must not widen the envelope;
     // an all-NaN block gets the empty envelope [+inf, -inf], which no
-    // interval overlaps. Any NaN also vetoes wholesale counting.
+    // interval overlaps. Any NaN also vetoes wholesale counting. A block
+    // that straddles a value-segment boundary is read one segment at a
+    // time.
     double block_min = kInf;
     double block_max = -kInf;
     bool block_nan = false;
-    for (size_t r = lo; r < hi; ++r) {
-      const double v = values[r];
-      if (std::isnan(v)) {
-        block_nan = true;
-        continue;
+    for (size_t r = lo; r < hi;) {
+      const ColumnValues::SegmentRef segment = column.values.SegmentAt(r);
+      const size_t stop = std::min(hi, segment.end_row());
+      const double* values = segment.values.data() + (r - segment.first_row);
+      for (size_t i = 0; i < stop - r; ++i) {
+        const double v = values[i];
+        if (std::isnan(v)) {
+          block_nan = true;
+          continue;
+        }
+        block_min = std::min(block_min, v);
+        block_max = std::max(block_max, v);
       }
-      block_min = std::min(block_min, v);
-      block_max = std::max(block_max, v);
+      r = stop;
     }
     c.mins[b] = block_min;
     c.maxs[b] = block_max;

@@ -1,6 +1,7 @@
 #include "serve/cache.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "util/check.h"
@@ -48,14 +49,28 @@ void AppendTableSetPrefix(std::string* out,
   }
 }
 
+// A strict weak order on bounds, NaN included: numbers by value (-0.0 ties
+// +0.0, and both key alike), then every NaN, ordered by its bits (which
+// AppendBound writes as they are). Without NaN it is operator<, so keys of
+// NaN-free queries keep their bytes.
+bool BoundLess(double a, double b) {
+  const bool a_nan = std::isnan(a);
+  const bool b_nan = std::isnan(b);
+  if (a_nan || b_nan) {
+    return a_nan && b_nan ? CanonicalBits(a) < CanonicalBits(b) : b_nan;
+  }
+  return a < b;
+}
+
 void AppendPredicateBytes(std::string* out,
                           const std::vector<Predicate>& predicates) {
   std::vector<Predicate> sorted = predicates;
   std::sort(sorted.begin(), sorted.end(),
             [](const Predicate& a, const Predicate& b) {
               if (a.column != b.column) return a.column < b.column;
-              if (a.lo != b.lo) return a.lo < b.lo;
-              return a.hi < b.hi;
+              if (BoundLess(a.lo, b.lo)) return true;
+              if (BoundLess(b.lo, a.lo)) return false;
+              return BoundLess(a.hi, b.hi);
             });
   for (const Predicate& p : sorted) {
     const int32_t column = p.column;

@@ -38,8 +38,23 @@ std::string ModelManager::ModelKey(const std::string& dataset,
 
 void ModelManager::RegisterDataset(const std::string& name, Table table) {
   auto shared = std::make_shared<const Table>(std::move(table));
+  std::mutex* update_mutex = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(data_mutex_);
+    auto [it, inserted] = datasets_.try_emplace(name);
+    if (inserted) {
+      it->second.table = std::move(shared);
+      return;
+    }
+    update_mutex = &it->second.update_mutex;
+  }
+  // A replacement waits out an update in flight, which would otherwise
+  // install its version of the old table over this one.
+  std::lock_guard<std::mutex> update_lock(*update_mutex);
   std::lock_guard<std::mutex> lock(data_mutex_);
-  datasets_[name] = DatasetState{std::move(shared), 0};
+  DatasetState& state = datasets_[name];
+  state.table = std::move(shared);
+  state.version = 0;
 }
 
 bool ModelManager::HasDataset(const std::string& name) const {
@@ -305,13 +320,23 @@ std::shared_ptr<const ServedModel> ModelManager::GetModel(
 
 uint64_t ModelManager::ApplyUpdate(const std::string& dataset, double fraction,
                                    uint64_t seed) {
-  // Build the appended table outside the lock (it scans the whole table),
-  // then install it atomically.
+  // Build the appended version outside data_mutex_ (it reads the whole
+  // table's codes), then install it atomically. The update mutex spans
+  // both, so no other update can install between this snapshot and this
+  // install.
+  std::mutex* update_mutex = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(data_mutex_);
+    auto it = datasets_.find(dataset);
+    if (it == datasets_.end()) return 0;
+    update_mutex = &it->second.update_mutex;
+  }
+  std::lock_guard<std::mutex> update_lock(*update_mutex);
   std::shared_ptr<const Table> base;
   uint64_t version = 0;
   if (!Snapshot(dataset, &base, &version, nullptr)) return 0;
-  Table updated = AppendCorrelatedUpdate(*base, fraction, seed);
-  auto shared = std::make_shared<const Table>(std::move(updated));
+  auto shared = std::make_shared<const Table>(
+      AppendCorrelatedUpdate(*base, fraction, seed));
 
   std::lock_guard<std::mutex> lock(data_mutex_);
   DatasetState& state = datasets_[dataset];

@@ -114,7 +114,9 @@ struct LoadedModelInfo {
 //  * ApplyUpdate installs a new table snapshot under a fresh data version;
 //    existing models keep serving (stale-while-revalidate) until
 //    RefreshModelsAsync's background retrain swaps them, one atomically
-//    published ServedModel at a time.
+//    published ServedModel at a time. Updates of one dataset are
+//    serialized from snapshot to install, so version k + 1 always extends
+//    version k: concurrent Update calls never drop each other's rows.
 //  * Published ServedModels are immutable, so readers never need a lock to
 //    use one (beyond the inference mutex for stochastic estimators).
 class ModelManager {
@@ -190,6 +192,10 @@ class ModelManager {
   struct DatasetState {
     std::shared_ptr<const Table> table;
     uint64_t version = 0;
+    // Held by ApplyUpdate and RegisterDataset from reading the snapshot to
+    // installing its successor; taken before data_mutex_. The map never
+    // erases an entry, so the mutex outlives every caller.
+    std::mutex update_mutex;
   };
 
   struct ModelEntry {

@@ -28,6 +28,10 @@ void ByteWriter::Floats(const std::vector<float>& v) {
 
 void ByteWriter::Doubles(const std::vector<double>& v) {
   U64(v.size());
+  F64s(v);
+}
+
+void ByteWriter::F64s(std::span<const double> v) {
   Raw(v.data(), v.size() * sizeof(double));
 }
 

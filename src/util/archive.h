@@ -2,6 +2,7 @@
 #define ARECEL_UTIL_ARCHIVE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -30,6 +31,9 @@ class ByteWriter {
   void Floats(const std::vector<float>& v);
   void Doubles(const std::vector<double>& v);
   void Ints(const std::vector<int>& v);
+  // `v`'s values with no length prefix: Doubles(v) is U64(v.size()) then
+  // F64s(v), so one length can prefix several runs of values.
+  void F64s(std::span<const double> v);
 
   // The serialized bytes. Empty for a counting writer regardless of what
   // was written.

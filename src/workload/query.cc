@@ -104,23 +104,22 @@ size_t ExecuteCountNaive(const Table& table, const Query& query) {
   }
   if (!query.IsSatisfiable()) return 0;
   const size_t rows = table.num_rows();
-  // Column pointers are hoisted out of the row loop; Predicate::Matches is
-  // the interval oracle, so this path and the vectorized one share one
-  // definition of the semantics.
+  // Columns are resolved outside the row loop, which reads each value by
+  // row; Predicate::Matches is the interval oracle, so this path and the
+  // vectorized one share one definition of the semantics.
   struct Bound {
-    const double* values;
+    const ColumnValues* values;
     const Predicate* pred;
   };
   std::vector<Bound> bounds;
   bounds.reserve(query.predicates.size());
   for (const Predicate& p : query.predicates)
-    bounds.push_back(
-        {table.column(static_cast<size_t>(p.column)).values.data(), &p});
+    bounds.push_back({&table.column(static_cast<size_t>(p.column)).values, &p});
   size_t count = 0;
   for (size_t r = 0; r < rows; ++r) {
     bool match = true;
     for (const Bound& b : bounds) {
-      if (!b.pred->Matches(b.values[r])) {
+      if (!b.pred->Matches((*b.values)[r])) {
         match = false;
         break;
       }

@@ -10,6 +10,13 @@
 namespace arecel {
 namespace {
 
+// A column's values as one vector, for the stats helpers.
+std::vector<double> Values(const Column& col) {
+  std::vector<double> out(col.values.size());
+  for (size_t r = 0; r < out.size(); ++r) out[r] = col.values[r];
+  return out;
+}
+
 TEST(DatasetSpecTest, ShapesMatchPaper) {
   const DatasetSpec census = CensusSpec();
   EXPECT_EQ(census.num_cols, 13);
@@ -59,7 +66,7 @@ TEST(GenerateDatasetTest, CorrelatedColumnsHaveRankCorrelation) {
   // Columns 0 and 1 both copy the latent with prob 0.95/0.9; column
   // direction alternates, so the dependence is strongly *negative*.
   const double rho =
-      SpearmanCorrelation(t.column(0).values, t.column(1).values);
+      SpearmanCorrelation(Values(t.column(0)), Values(t.column(1)));
   EXPECT_GT(std::fabs(rho), 0.5);
 }
 
@@ -71,7 +78,7 @@ TEST(GenerateDatasetTest, SkewedColumnsAreSkewed) {
   // share of the rows.
   const Column& col = t.column(9);
   std::map<double, int> counts;
-  for (double v : col.values) ++counts[v];
+  for (double v : Values(col)) ++counts[v];
   int max_count = 0;
   for (const auto& [v, c] : counts) max_count = std::max(max_count, c);
   EXPECT_GT(max_count, static_cast<int>(t.num_rows() / 10));
@@ -94,15 +101,15 @@ TEST(Synthetic2DTest, FullCorrelationIsFunctionalDependency) {
 TEST(Synthetic2DTest, ZeroCorrelationIsIndependent) {
   const Table t = GenerateSynthetic2D(20000, 0.0, 0.0, 50, 3);
   const double rho =
-      PearsonCorrelation(t.column(0).values, t.column(1).values);
+      PearsonCorrelation(Values(t.column(0)), Values(t.column(1)));
   EXPECT_LT(std::fabs(rho), 0.05);
 }
 
 TEST(Synthetic2DTest, SkewControlsConcentration) {
   const Table uniform = GenerateSynthetic2D(20000, 0.0, 0.0, 100, 4);
   const Table skewed = GenerateSynthetic2D(20000, 2.0, 0.0, 100, 4);
-  EXPECT_GT(Mean(uniform.column(0).values), 40.0);
-  EXPECT_LT(Mean(skewed.column(0).values), 15.0);
+  EXPECT_GT(Mean(Values(uniform.column(0))), 40.0);
+  EXPECT_LT(Mean(Values(skewed.column(0))), 15.0);
 }
 
 TEST(AppendCorrelatedUpdateTest, AddsRequestedFraction) {
@@ -124,14 +131,12 @@ TEST(AppendCorrelatedUpdateTest, AppendedRowsShiftCorrelation) {
   const Table updated = AppendCorrelatedUpdate(base, 0.5, 8);
   // The appended block alone has much higher pairwise rank correlation
   // between two weakly correlated columns than the base data.
-  std::vector<double> appended_a(
-      updated.column(1).values.begin() + 10000,
-      updated.column(1).values.end());
-  std::vector<double> appended_b(
-      updated.column(7).values.begin() + 10000,
-      updated.column(7).values.end());
+  const std::vector<double> a = Values(updated.column(1));
+  const std::vector<double> b = Values(updated.column(7));
+  const std::vector<double> appended_a(a.begin() + 10000, a.end());
+  const std::vector<double> appended_b(b.begin() + 10000, b.end());
   const double base_rho =
-      SpearmanCorrelation(base.column(1).values, base.column(7).values);
+      SpearmanCorrelation(Values(base.column(1)), Values(base.column(7)));
   const double appended_rho = SpearmanCorrelation(appended_a, appended_b);
   EXPECT_GT(std::fabs(appended_rho), std::fabs(base_rho) + 0.2);
 }

@@ -180,10 +180,10 @@ TEST(ScanEngineTest, KernelsAgreeWithMatches) {
   const Predicate p{0, 1.0, 3.0};
   std::vector<uint32_t> sel(values.size());
   const size_t filtered = scan::FilterInterval(
-      values.data(), 0, static_cast<uint32_t>(values.size()), p.lo, p.hi,
+      values.data(), 0, 0, static_cast<uint32_t>(values.size()), p.lo, p.hi,
       sel.data());
   const size_t counted = scan::CountInterval(
-      values.data(), 0, static_cast<uint32_t>(values.size()), p.lo, p.hi);
+      values.data(), 0, 0, static_cast<uint32_t>(values.size()), p.lo, p.hi);
   size_t expected = 0;
   for (double v : values) expected += p.Matches(v) ? 1 : 0;
   EXPECT_EQ(filtered, expected);
@@ -193,7 +193,7 @@ TEST(ScanEngineTest, KernelsAgreeWithMatches) {
   // Refine against a second "column" (reuse values shifted): keeps exactly
   // the ids whose value also lies in the refined interval.
   const size_t refined =
-      scan::RefineInterval(values.data(), 2.0, 3.0, sel.data(), filtered);
+      scan::RefineInterval(values.data(), 0, 2.0, 3.0, sel.data(), filtered);
   for (size_t i = 0; i < refined; ++i) {
     EXPECT_GE(values[sel[i]], 2.0);
     EXPECT_LE(values[sel[i]], 3.0);

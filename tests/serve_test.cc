@@ -7,14 +7,18 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <condition_variable>
 #include <filesystem>
+#include <latch>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -101,6 +105,27 @@ TEST(ServeCacheKeyTest, NegativeZeroBoundsCollapse) {
   const Query a = MakeQuery({{1, -0.0, 2.0}});
   const Query b = MakeQuery({{1, 0.0, 2.0}});
   EXPECT_EQ(CanonicalPredicateKey(a), CanonicalPredicateKey(b));
+}
+
+// NaN bounds reach CanonicalPredicateKey from callers other than the
+// server, which refuses them. The key must still not depend on predicate
+// order: NaN sorts after every number, NaNs by their bits.
+TEST(ServeCacheKeyTest, NaNBoundsKeyAlikeInEveryOrder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double other_nan = std::nan("7");
+  std::vector<Predicate> predicates;
+  const double bounds[] = {nan, 1.0, -0.0, other_nan, 0.0, -inf, -nan, 3.5};
+  for (int i = 0; i < 20; ++i) {
+    predicates.push_back({i % 3, bounds[i % 8], bounds[(i * 5 + 3) % 8]});
+  }
+  const std::string key = CanonicalPredicateKey(MakeQuery(predicates));
+  std::mt19937_64 rng(17);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::shuffle(predicates.begin(), predicates.end(), rng);
+    ASSERT_EQ(CanonicalPredicateKey(MakeQuery(predicates)), key)
+        << "permutation " << trial;
+  }
 }
 
 TEST(ServeCacheKeyTest, DifferentBoundsColumnsVersionsDiffer) {
@@ -652,6 +677,44 @@ TEST(ServeUpdateTest, StaleModelServesWhileRefreshRuns) {
   const EstimateResponse fresh = server.Estimate("t", "stub", query);
   ASSERT_TRUE(fresh.ok);
   EXPECT_EQ(fresh.data_version, 1u);
+}
+
+// Concurrent updates of one dataset must each extend the version before
+// them: an update that appended to a stale snapshot would drop the rows of
+// the update that installed in between while still bumping the version.
+TEST(ServeUpdateTest, ConcurrentUpdatesExtendEachOther) {
+  constexpr int kThreads = 4;
+  constexpr int kUpdatesPerThread = 3;
+  constexpr double kFraction = 0.2;
+  ModelManager manager;
+  // Large enough that one append takes long enough for the threads' calls
+  // to overlap.
+  const Table base = GenerateSynthetic2D(/*rows=*/200000, /*skew=*/1.0,
+                                         /*correlation=*/0.6,
+                                         /*domain_size=*/40, /*seed=*/5);
+  size_t expected_rows = base.num_rows();
+  for (int i = 0; i < kThreads * kUpdatesPerThread; ++i) {
+    expected_rows += static_cast<size_t>(
+        static_cast<double>(expected_rows) * kFraction);
+  }
+  manager.RegisterDataset("t", base);
+
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&manager, &start, t] {
+      start.arrive_and_wait();
+      for (int i = 0; i < kUpdatesPerThread; ++i) {
+        manager.ApplyUpdate("t", kFraction,
+                            /*seed=*/static_cast<uint64_t>(10 * t + i));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_EQ(manager.DataVersion("t"),
+            static_cast<uint64_t>(kThreads * kUpdatesPerThread));
+  EXPECT_EQ(manager.TableSnapshot("t")->num_rows(), expected_rows);
 }
 
 // ---------------------------------------------------------------------------

@@ -56,7 +56,10 @@ RefColumn RefEncode(const std::vector<double>& values) {
 
 Values ValuesOf(const Table& table) {
   Values out;
-  for (const Column& col : table.columns()) out.push_back(col.values);
+  for (const Column& col : table.columns()) {
+    std::vector<double>& values = out.emplace_back(col.values.size());
+    for (size_t r = 0; r < values.size(); ++r) values[r] = col.values[r];
+  }
   return out;
 }
 

@@ -8,6 +8,12 @@
 namespace arecel {
 namespace {
 
+std::vector<double> Values(const Column& col) {
+  std::vector<double> out(col.values.size());
+  for (size_t r = 0; r < out.size(); ++r) out[r] = col.values[r];
+  return out;
+}
+
 Table MakeSmallTable() {
   Table t("t");
   t.AddColumn("a", {3, 1, 2, 3, 1}, false);
@@ -62,7 +68,7 @@ TEST(TableTest, SampleRowsWithoutReplacement) {
   const Table s = t.SampleRows(5, 1);
   EXPECT_EQ(s.num_rows(), 5u);
   // All original values present exactly once (full sample).
-  std::vector<double> vals = s.column(0).values;
+  std::vector<double> vals = Values(s.column(0));
   std::sort(vals.begin(), vals.end());
   EXPECT_EQ(vals, (std::vector<double>{1, 1, 2, 3, 3}));
 }
@@ -77,13 +83,12 @@ TEST(TableTest, AppendRowsKeepsDictionaryCurrent) {
 }
 
 TEST(TableTest, AppendSortedRowsReadsRanksOffCodeCounts) {
-  Table t = MakeSmallTable();
   // Column a sorted is {1, 1, 2, 3, 3}; column b sorted is {0, 0, 0, 1, 1}.
-  t.AppendSortedRows({4, 0, 2});
+  const Table t = MakeSmallTable().WithSortedRows({4, 0, 2});
   EXPECT_EQ(t.num_rows(), 8u);
-  EXPECT_EQ(t.column(0).values,
+  EXPECT_EQ(Values(t.column(0)),
             (std::vector<double>{3, 1, 2, 3, 1, 3, 1, 2}));
-  EXPECT_EQ(t.column(1).values,
+  EXPECT_EQ(Values(t.column(1)),
             (std::vector<double>{0, 1, 0, 1, 0, 1, 0, 0}));
   EXPECT_EQ(t.column(0).counts, (std::vector<uint32_t>{3, 2, 3}));
   EXPECT_EQ(t.column(0).code(5), 2u);
@@ -101,7 +106,7 @@ TEST(TableTest, NaNRowsCarryTheSentinelCode) {
   EXPECT_EQ(a.code(2), 0u);
   EXPECT_EQ(a.counts, (std::vector<uint32_t>{1, 1}));
   // NaN sorts last in the sorted-columns copy.
-  t.AppendSortedRows({3, 0});
+  t = t.WithSortedRows({3, 0});
   EXPECT_TRUE(std::isnan(t.column(0).values[4]));
   EXPECT_EQ(t.column(0).code(4), t.column(0).nan_code());
   EXPECT_EQ(t.column(0).values[5], 0.0);
