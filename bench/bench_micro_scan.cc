@@ -3,9 +3,9 @@
 // rows x predicates x batch-size grid plus a batch-labeling headline at
 // paper scale (10K queries x 1M rows by default), plus an equality-heavy
 // categorical grid of Zipf columns: three cardinalities within the 4096-code
-// budget (bitmap pruning and code kernels) and one past it (zone maps and
-// double kernels). The shared-scan cells report per-cause pruning counters
-// and how many queries the posting path answered from driving slices.
+// budget (posting path and code kernels) and one past it (double kernels).
+// The shared-scan cells report the block scan's kernel counters and how many
+// queries the posting path answered.
 // Every measured cell also checks count equality, so the bench doubles as
 // a coarse differential gate. Emits
 // machine-readable BENCH_scan.json (default at the repo root) to seed the
@@ -32,7 +32,6 @@
 
 #include "data/datasets.h"
 #include "scan/block_scan.h"
-#include "scan/synopsis.h"
 #include "util/env.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -65,11 +64,7 @@ struct Measurement {
   double naive_seconds = 0.0;
   double block_seconds = 0.0;
   bool counts_match = false;
-  // Shared-scan cells only (batch > 1): the scanner's synopsis bytes, its
-  // build time (outside block_seconds) and pruning counters.
-  size_t synopsis_bytes = 0;
-  double synopsis_seconds = 0.0;
-  scan::ScanStats stats;
+  scan::ScanStats stats;  // shared-scan cells only (batch > 1).
 
   double speedup() const {
     return block_seconds > 0.0 ? naive_seconds / block_seconds : 0.0;
@@ -93,11 +88,7 @@ Measurement MeasureCell(const Table& table, const std::vector<Query>& queries,
       block[i] = ExecuteCount(table, queries[i]);
     m.block_seconds = timer.ElapsedSeconds();
   } else {
-    // The synopsis build is outside the timed region, as in the
-    // categorical grid: the cell measures the shared scan alone.
-    timer.Reset();
     const scan::BlockScanner scanner(table);
-    m.synopsis_seconds = timer.ElapsedSeconds();
     timer.Reset();
     for (size_t begin = 0; begin < queries.size(); begin += batch) {
       const size_t end = std::min(queries.size(), begin + batch);
@@ -107,7 +98,6 @@ Measurement MeasureCell(const Table& table, const std::vector<Query>& queries,
       for (size_t i = 0; i < counts.size(); ++i) block[begin + i] = counts[i];
     }
     m.block_seconds = timer.ElapsedSeconds();
-    m.synopsis_bytes = scanner.synopsis().SizeBytes();
     m.stats = scanner.stats();
   }
   m.counts_match = block == naive;
@@ -122,29 +112,20 @@ struct GridCell {
   Measurement m;
 };
 
-// JSON fields of a shared-scan cell's synopsis bytes and build time,
-// pruning counters and posting-path counters.
+// JSON fields of a shared-scan cell's kernel and posting-path counters.
 void PrintScanStats(std::FILE* out, const Measurement& m) {
   std::fprintf(out,
-               "\"synopsis_bytes\": %zu, \"synopsis_seconds\": %.6f, "
-               "\"bitmap_skips\": %" PRIu64
-               ", \"zone_skips\": %" PRIu64 ", \"full_blocks\": %" PRIu64
-               ", \"scanned_blocks\": %" PRIu64
+               "\"scanned_blocks\": %" PRIu64
                ", \"dict_kernel_blocks\": %" PRIu64
                ", \"posting_queries\": %" PRIu64
                ", \"posting_rows\": %" PRIu64,
-               m.synopsis_bytes, m.synopsis_seconds, m.stats.bitmap_skips,
-               m.stats.zone_skips,
-               m.stats.full_blocks, m.stats.scanned_blocks,
-               m.stats.dict_kernel_blocks, m.stats.posting_queries,
-               m.stats.posting_rows);
+               m.stats.scanned_blocks, m.stats.dict_kernel_blocks,
+               m.stats.posting_queries, m.stats.posting_rows);
 }
 
 // ---- categorical equality grid -------------------------------------------
 
-// Zipf columns — the paper's dominant Census/DMV predicate shape, where
-// min/max envelopes prune almost nothing and pruning must come from
-// dictionary bitmaps.
+// Zipf columns — the paper's dominant Census/DMV predicate shape.
 Table MakeCategoricalZipf(size_t rows, size_t cols, size_t cardinality,
                           uint64_t seed) {
   Rng rng(seed);
@@ -159,8 +140,7 @@ Table MakeCategoricalZipf(size_t rows, size_t cols, size_t cardinality,
 }
 
 // Equality-heavy workload: mostly point predicates on uniformly drawn
-// domain values (rare values dominate, which is exactly where bitmap
-// pruning pays), with a few narrow ranges mixed in.
+// domain values (rare values dominate), with a few narrow ranges mixed in.
 std::vector<Query> EqualityQueries(const Table& table, size_t count,
                                    uint64_t seed) {
   Rng rng(seed);
@@ -187,7 +167,7 @@ std::vector<Query> EqualityQueries(const Table& table, size_t count,
 
 // Cardinalities of the categorical grid. The last one puts every column
 // past the code budget (checked on the generated domains), so the grid
-// also measures the zone-map-only path and the double kernels.
+// also measures the double kernels.
 constexpr size_t kPastBudgetCardinality = 16384;
 constexpr size_t kCatCardinalities[] = {16, 64, 1024, kPastBudgetCardinality};
 
@@ -219,12 +199,7 @@ CatCell MeasureCatCell(size_t rows, size_t cardinality, size_t num_queries,
   const std::vector<size_t> naive = NaiveCounts(table, queries);
   cell.m.naive_seconds = timer.ElapsedSeconds();
 
-  // The synopsis build is outside the timed region: the cell measures the
-  // shared scan alone.
-  timer.Reset();
   const scan::BlockScanner scanner(table);
-  cell.m.synopsis_seconds = timer.ElapsedSeconds();
-  cell.m.synopsis_bytes = scanner.synopsis().SizeBytes();
   timer.Reset();
   const std::vector<size_t> counts = scanner.CountBatch(queries);
   cell.m.block_seconds = timer.ElapsedSeconds();
@@ -307,9 +282,9 @@ int main(int argc, char** argv) {
         "categorical grid: equality-heavy Zipf workloads, naive vs engine "
         "(code budget %zu)\n",
         scan::kMaxDictCodes);
-    std::printf("%8s %6s %11s %8s %10s %10s %9s %11s %8s %s\n", "rows",
-                "card", "domains", "queries", "naive_s", "block_s", "speedup",
-                "syn_bytes", "posting", "match");
+    std::printf("%8s %6s %11s %8s %10s %10s %9s %8s %s\n", "rows", "card",
+                "domains", "queries", "naive_s", "block_s", "speedup",
+                "posting", "match");
     for (size_t cardinality : kCatCardinalities) {
       const CatCell cell = MeasureCatCell(
           cat_rows, cardinality, /*num_queries=*/256,
@@ -317,12 +292,11 @@ int main(int argc, char** argv) {
       all_match = all_match && cell.m.counts_match;
       const std::string domains = std::to_string(cell.min_domain) + "-" +
                                   std::to_string(cell.max_domain);
-      std::printf("%8zu %6zu %11s %8zu %10.4f %10.4f %8.1fx %11zu %8" PRIu64
+      std::printf("%8zu %6zu %11s %8zu %10.4f %10.4f %8.1fx %8" PRIu64
                   " %s\n",
                   cell.rows, cell.cardinality, domains.c_str(), cell.queries,
                   cell.m.naive_seconds, cell.m.block_seconds,
-                  cell.m.speedup(), cell.m.synopsis_bytes,
-                  cell.m.stats.posting_queries,
+                  cell.m.speedup(), cell.m.stats.posting_queries,
                   cell.m.counts_match ? "ok" : "MISMATCH");
       if (cardinality == kPastBudgetCardinality &&
           cell.min_domain <= scan::kMaxDictCodes) {
@@ -336,14 +310,10 @@ int main(int argc, char** argv) {
     }
     scan::ScanStats total;
     for (const CatCell& cell : catgrid) total.Add(cell.m.stats);
-    std::printf("engine pruning: classified=%" PRIu64 " zone_skips=%" PRIu64
-                " bitmap_skips=%" PRIu64 " full=%" PRIu64 " scanned=%" PRIu64
-                " dict_kernel=%" PRIu64 " posting_queries=%" PRIu64
-                " posting_rows=%" PRIu64 "\n\n",
-                total.classified_blocks, total.zone_skips, total.bitmap_skips,
-                total.full_blocks, total.scanned_blocks,
-                total.dict_kernel_blocks, total.posting_queries,
-                total.posting_rows);
+    std::printf("engine counters: scanned=%" PRIu64 " dict_kernel=%" PRIu64
+                " posting_queries=%" PRIu64 " posting_rows=%" PRIu64 "\n\n",
+                total.scanned_blocks, total.dict_kernel_blocks,
+                total.posting_queries, total.posting_rows);
   }
 
   // ---- batch-labeling headline ------------------------------------------

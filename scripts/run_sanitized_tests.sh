@@ -54,15 +54,17 @@ if [ "${ARECEL_SAN_ALL:-0}" != "1" ]; then
     # serving path's thread_local activation scratch and
     # parallel-over-rows int8 dispatch (ml/kernels.cc).
     # Join: the join executor's ParallelFor batch labeling (CountBatch /
-    # Label share read-only synopses across worker threads).
-    # Synopsis|Dict: the synopsis' dictionary tier (the table's code
-    # arrays, per-block bitmaps) read concurrently by CountBatch workers,
-    # with relaxed-atomic ScanStats merges.
+    # Label share each table's read-only code-count prefixes across
+    # worker threads).
+    # Scan also selects the code-path suites (ScanSynopsisTest,
+    # ScanCodesTest): the table's code arrays and code-count prefixes read
+    # concurrently by CountBatch workers, with relaxed-atomic ScanStats
+    # merges. Dict: TableTest's dictionary-append case.
     # TableVersion: table versions sharing value segments, built while
     # other threads scan and sample their base. Serve also covers
     # ServeUpdateTest.ConcurrentUpdatesExtendEachOther (concurrent
     # ModelManager::ApplyUpdate calls on one dataset).
-    filter=(-R 'Parallel|Robust|Guard|Fault|Journal|Cancel|Scan|Serve|Ml|Feedback|Store|Maint|Packed|Quant|Join|Synopsis|Dict|TableVersion')
+    filter=(-R 'Parallel|Robust|Guard|Fault|Journal|Cancel|Scan|Serve|Ml|Feedback|Store|Maint|Packed|Quant|Join|Dict|TableVersion')
   else
     filter=(-LE slow)
   fi

@@ -15,8 +15,9 @@ class BlockScanner;
 // Uniform-random-sample estimator (§4.1): keeps a 1.5%-of-data sample
 // (matching the learned models' size budget) and answers a query with the
 // fraction of sample rows that satisfy it. The sample scan runs on the
-// vectorized block-scan engine: a scanner (zone maps + selection vectors)
-// is built once per (re)trained sample and reused by every estimate.
+// vectorized block-scan engine: a scanner (code-count prefixes + selection
+// vectors) is built once per (re)trained sample and reused by every
+// estimate.
 class SamplingEstimator : public CardinalityEstimator {
  public:
   // `max_sample_rows` caps the sample like the paper's 150K cap for KDE.

@@ -59,9 +59,9 @@ TruthWorkerStats TruthWorker::Stats() const {
 void TruthWorker::Loop() {
   // Consecutive jobs usually label queries against the same table snapshot
   // (a version bump swaps in a new shared_ptr), so the worker keeps one
-  // scanner alive per snapshot and amortizes the synopsis build across the
-  // whole run of jobs instead of paying a one-shot scan per job. Holding
-  // `cached_snapshot` keeps the table the scanner points into alive.
+  // scanner alive per snapshot and builds the snapshot's code-count
+  // prefixes once for the whole run of jobs. Holding `cached_snapshot`
+  // keeps the table the scanner points into alive.
   std::shared_ptr<const Table> cached_snapshot;
   std::unique_ptr<scan::BlockScanner> scanner;
   for (;;) {

@@ -19,7 +19,7 @@ namespace {
 
 struct BuildSide {
   const Table* table = nullptr;
-  int table_index = -1;  // into schema.tables(), for synopsis lookup.
+  int table_index = -1;  // into schema.tables(), for prefix lookup.
   int probe_column = 0;  // join column on the probe table.
   int build_column = 0;  // join column on this build table.
   std::vector<Predicate> predicates;
@@ -159,47 +159,35 @@ class KeyCountTable {
 
 // ---------------------------------------------------------------------------
 // Predicate-filtered block iteration, delegated to the block-scan engine's
-// compiled cascade (zone maps and dictionary bitmaps -> selection vectors
-// -> code or double kernels).
+// compiled plan (selection vectors -> code or double kernels).
 
 // Calls fn(row) for every row of `table` that satisfies `preds`.
 template <typename Fn>
-void ForEachMatch(const Table& table, const scan::TableSynopsis& syn,
-                  const std::vector<Predicate>& preds, scan::ScanStats* stats,
-                  Fn&& fn) {
+void ForEachMatch(const Table& table, const scan::CodePrefixes& prefixes,
+                  size_t block_size, const std::vector<Predicate>& preds,
+                  scan::ScanStats* stats, Fn&& fn) {
   const size_t rows = table.num_rows();
   if (rows == 0) return;
   ARECEL_CHECK(rows <= std::numeric_limits<uint32_t>::max());
-  const scan::ScanPlan plan(table, &syn, preds);
+  const scan::ScanPlan plan(table, prefixes, preds);
   if (!plan.satisfiable()) return;
   if (plan.unconstrained()) {
     for (uint32_t r = 0; r < rows; ++r) fn(r);
     return;
   }
-  const size_t block_size = syn.block_size();
   std::vector<uint32_t> sel(block_size);
-  for (size_t block = 0; block < syn.num_blocks(); ++block) {
-    const uint32_t begin = static_cast<uint32_t>(block * block_size);
-    const uint32_t end = static_cast<uint32_t>(
-        std::min(rows, (block + 1) * block_size));
-    switch (plan.Classify(block, stats)) {
-      case scan::BlockDecision::kSkip:
-        break;
-      case scan::BlockDecision::kFullMatch:
-        for (uint32_t r = begin; r < end; ++r) fn(r);
-        break;
-      case scan::BlockDecision::kEvaluate: {
-        const size_t n = plan.FilterBlock(block, begin, end, sel.data(), stats);
-        for (size_t i = 0; i < n; ++i) fn(sel[i]);
-        break;
-      }
-    }
+  for (size_t begin = 0; begin < rows; begin += block_size) {
+    const size_t end = std::min(rows, begin + block_size);
+    const size_t n =
+        plan.FilterBlock(static_cast<uint32_t>(begin),
+                         static_cast<uint32_t>(end), sel.data(), stats);
+    for (size_t i = 0; i < n; ++i) fn(sel[i]);
   }
 }
 
 size_t HashJoinCount(const Schema& schema, const Query& query,
-                     const std::vector<scan::TableSynopsis>& synopses,
-                     scan::ScanStats* stats) {
+                     const std::vector<scan::CodePrefixes>& prefixes,
+                     size_t block_size, scan::ScanStats* stats) {
   if (!query.IsSatisfiable()) return 0;
   const StarPlan plan = BuildStarPlan(schema, query);
   if (plan.probe->num_rows() == 0) return 0;
@@ -214,14 +202,14 @@ size_t HashJoinCount(const Schema& schema, const Query& query,
     KeyCountTable hash(side.table->num_rows());
     const ColumnValues& keys =
         side.table->column(static_cast<size_t>(side.build_column)).values;
-    ForEachMatch(*side.table, synopses[static_cast<size_t>(side.table_index)],
-                 side.predicates, stats,
+    ForEachMatch(*side.table, prefixes[static_cast<size_t>(side.table_index)],
+                 block_size, side.predicates, stats,
                  [&](uint32_t r) { hash.Add(keys[r]); });
     if (hash.size() == 0) return 0;  // a dimension filtered to nothing.
     hashes.push_back(std::move(hash));
   }
 
-  // Probe: each surviving row contributes the product of its key
+  // Probe: each matching row contributes the product of its key
   // multiplicities across the build tables.
   std::vector<const ColumnValues*> probe_keys;
   probe_keys.reserve(plan.builds.size());
@@ -230,8 +218,8 @@ size_t HashJoinCount(const Schema& schema, const Query& query,
         &plan.probe->column(static_cast<size_t>(side.probe_column)).values);
   }
   size_t total = 0;
-  ForEachMatch(*plan.probe, synopses[static_cast<size_t>(plan.probe_index)],
-               plan.probe_predicates, stats, [&](uint32_t r) {
+  ForEachMatch(*plan.probe, prefixes[static_cast<size_t>(plan.probe_index)],
+               block_size, plan.probe_predicates, stats, [&](uint32_t r) {
                  size_t contribution = 1;
                  for (size_t b = 0; b < hashes.size(); ++b) {
                    contribution *= hashes[b].Lookup((*probe_keys[b])[r]);
@@ -244,16 +232,18 @@ size_t HashJoinCount(const Schema& schema, const Query& query,
 
 }  // namespace
 
-JoinExecutor::JoinExecutor(const Schema& schema,
-                           const scan::SynopsisOptions& options)
-    : schema_(&schema) {
-  synopses_.reserve(schema.num_tables());
-  for (const Table& t : schema.tables()) synopses_.emplace_back(t, options);
+JoinExecutor::JoinExecutor(const Schema& schema, size_t block_size)
+    : schema_(&schema), block_size_(block_size) {
+  ARECEL_CHECK_MSG(block_size_ > 0, "block size must be positive");
+  prefixes_.reserve(schema.num_tables());
+  for (const Table& t : schema.tables())
+    prefixes_.push_back(scan::BuildCodePrefixes(t));
 }
 
 size_t JoinExecutor::Count(const Query& query) const {
   scan::ScanStats local;
-  const size_t count = HashJoinCount(*schema_, query, synopses_, &local);
+  const size_t count =
+      HashJoinCount(*schema_, query, prefixes_, block_size_, &local);
   stats_.Merge(local);
   return count;
 }
@@ -280,12 +270,6 @@ std::vector<double> JoinExecutor::Label(
   return labels;
 }
 
-size_t JoinExecutor::SynopsisSizeBytes() const {
-  size_t total = 0;
-  for (const scan::TableSynopsis& syn : synopses_) total += syn.SizeBytes();
-  return total;
-}
-
 double JoinExecutor::RowsProduct(const Schema& schema, const Query& query) {
   ARECEL_CHECK_MSG(!query.tables.empty(), "join query has no tables");
   double product = 1.0;
@@ -293,14 +277,6 @@ double JoinExecutor::RowsProduct(const Schema& schema, const Query& query) {
     product *= static_cast<double>(schema.table(name).num_rows());
   }
   return product;
-}
-
-size_t ExecuteJoinCount(const Schema& schema, const Query& query) {
-  return JoinExecutor(schema).Count(query);
-}
-
-double ExecuteJoinSelectivity(const Schema& schema, const Query& query) {
-  return JoinExecutor(schema).Selectivity(query);
 }
 
 size_t ExecuteJoinCountNaive(const Schema& schema, const Query& query) {

@@ -6,7 +6,6 @@
 
 #include "data/schema.h"
 #include "scan/block_scan.h"
-#include "scan/synopsis.h"
 #include "workload/query.h"
 
 namespace arecel::join {
@@ -17,12 +16,11 @@ namespace arecel::join {
 // center — the table every join edge touches) and one build side per other
 // table, then runs a textbook build-side hash join:
 //  1. each build table is scanned with its predicates through the
-//     block-scan cascade (zone-map and dictionary-bitmap pruning included,
-//     shared with BlockScanner via scan::ScanPlan), and the surviving
-//     rows' key values feed an open-addressing hash table of
-//     key -> multiplicity;
+//     block scan's selection vectors and kernels (shared with
+//     BlockScanner via scan::ScanPlan), and the matching rows' key values
+//     feed an open-addressing hash table of key -> multiplicity;
 //  2. the probe table is scanned the same way with its own predicates; each
-//     surviving row contributes the product of its key lookups across the
+//     matching row contributes the product of its key lookups across the
 //     build tables.
 // With PK–FK integrity every multiplicity is 0 or 1, but the executor is
 // deliberately general (duplicate build keys multiply), so the
@@ -34,11 +32,12 @@ namespace arecel::join {
 // predicate's `table` indexes them.
 class JoinExecutor {
  public:
-  // Builds one synopsis per schema table, once. The schema must outlive the
-  // executor and its tables must not change; a new data version needs a
-  // new executor.
+  // Builds each schema table's code-count prefixes, once. The schema must
+  // outlive the executor and its tables must not change; a new data
+  // version needs a new executor. `block_size` is the selection-vector
+  // length of the per-table scans.
   explicit JoinExecutor(const Schema& schema,
-                        const scan::SynopsisOptions& options = {});
+                        size_t block_size = scan::kDefaultBlockSize);
 
   // Exact COUNT(*) of `query`. Aborts on malformed queries (unknown
   // tables, non-star join graphs, out-of-range columns or table indices).
@@ -55,21 +54,15 @@ class JoinExecutor {
   // Cartesian-product denominator of `query` over `schema`.
   static double RowsProduct(const Schema& schema, const Query& query);
 
-  // Cumulative build/probe-side pruning counters across every Count call.
+  // Cumulative build/probe-side kernel counters across every Count call.
   scan::ScanStats scan_stats() const { return stats_.Snapshot(); }
-
-  // Total heap footprint of all per-table synopses, in bytes.
-  size_t SynopsisSizeBytes() const;
 
  private:
   const Schema* schema_;
-  std::vector<scan::TableSynopsis> synopses_;  // aligned with schema tables.
+  size_t block_size_;
+  std::vector<scan::CodePrefixes> prefixes_;  // aligned with schema tables.
   mutable scan::ScanStatsCollector stats_;
 };
-
-// One-shot conveniences (no synopsis amortization across queries).
-size_t ExecuteJoinCount(const Schema& schema, const Query& query);
-double ExecuteJoinSelectivity(const Schema& schema, const Query& query);
 
 // Differential oracle: row-at-a-time nested loops over the same star
 // decomposition, with Predicate::Matches as the interval oracle and plain

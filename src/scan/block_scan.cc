@@ -120,7 +120,7 @@ struct CodeRange {
 // count (stable, as ScanPlan orders them). False when the query must stay
 // on the block scan: no predicates, a column past the code budget, or an
 // interval containing no domain value.
-bool LowerToCodeRanges(const Table& table, const TableSynopsis& synopsis,
+bool LowerToCodeRanges(const Table& table, const CodePrefixes& prefixes,
                        const std::vector<Predicate>& predicates,
                        std::vector<CodeRange>* ranges) {
   ranges->clear();
@@ -132,7 +132,7 @@ bool LowerToCodeRanges(const Table& table, const TableSynopsis& synopsis,
     const int32_t lo = column.LowerBoundCode(p.lo);
     const int32_t hi = column.UpperBoundCode(p.hi);
     if (lo > hi) return false;
-    const std::vector<uint64_t>& prefix = synopsis.CodePrefix(col);
+    const std::vector<uint64_t>& prefix = prefixes[col];
     ranges->push_back({col, static_cast<uint32_t>(lo),
                        static_cast<uint32_t>(hi),
                        prefix[static_cast<size_t>(hi) + 1] -
@@ -166,11 +166,20 @@ size_t RefineRange(const Column& column, const CodeRange& range,
 
 }  // namespace
 
+CodePrefixes BuildCodePrefixes(const Table& table) {
+  CodePrefixes prefixes(table.num_cols());
+  for (size_t c = 0; c < table.num_cols(); ++c) {
+    const Column& column = table.column(c);
+    if (!WithinCodeBudget(column)) continue;
+    std::vector<uint64_t>& prefix = prefixes[c];
+    prefix.assign(column.domain_size() + 1, 0);
+    for (size_t i = 0; i < column.domain_size(); ++i)
+      prefix[i + 1] = prefix[i] + column.counts[i];
+  }
+  return prefixes;
+}
+
 void ScanStats::Add(const ScanStats& other) {
-  classified_blocks += other.classified_blocks;
-  zone_skips += other.zone_skips;
-  bitmap_skips += other.bitmap_skips;
-  full_blocks += other.full_blocks;
   scanned_blocks += other.scanned_blocks;
   dict_kernel_blocks += other.dict_kernel_blocks;
   posting_queries += other.posting_queries;
@@ -178,11 +187,6 @@ void ScanStats::Add(const ScanStats& other) {
 }
 
 void ScanStatsCollector::Merge(const ScanStats& delta) {
-  classified_blocks_.fetch_add(delta.classified_blocks,
-                               std::memory_order_relaxed);
-  zone_skips_.fetch_add(delta.zone_skips, std::memory_order_relaxed);
-  bitmap_skips_.fetch_add(delta.bitmap_skips, std::memory_order_relaxed);
-  full_blocks_.fetch_add(delta.full_blocks, std::memory_order_relaxed);
   scanned_blocks_.fetch_add(delta.scanned_blocks, std::memory_order_relaxed);
   dict_kernel_blocks_.fetch_add(delta.dict_kernel_blocks,
                                 std::memory_order_relaxed);
@@ -193,10 +197,6 @@ void ScanStatsCollector::Merge(const ScanStats& delta) {
 
 ScanStats ScanStatsCollector::Snapshot() const {
   ScanStats s;
-  s.classified_blocks = classified_blocks_.load(std::memory_order_relaxed);
-  s.zone_skips = zone_skips_.load(std::memory_order_relaxed);
-  s.bitmap_skips = bitmap_skips_.load(std::memory_order_relaxed);
-  s.full_blocks = full_blocks_.load(std::memory_order_relaxed);
   s.scanned_blocks = scanned_blocks_.load(std::memory_order_relaxed);
   s.dict_kernel_blocks = dict_kernel_blocks_.load(std::memory_order_relaxed);
   s.posting_queries = posting_queries_.load(std::memory_order_relaxed);
@@ -262,9 +262,8 @@ size_t CountCodes(const uint16_t* codes, uint32_t begin, uint32_t end,
   return CountCodesImpl(codes, begin, end, lo, hi);
 }
 
-ScanPlan::ScanPlan(const Table& table, const TableSynopsis* synopsis,
-                   const std::vector<Predicate>& predicates)
-    : synopsis_(synopsis) {
+ScanPlan::ScanPlan(const Table& table, const CodePrefixes& prefixes,
+                   const std::vector<Predicate>& predicates) {
   CheckPredicateColumns(table, predicates);
   struct Lowered {
     double fraction;
@@ -290,10 +289,12 @@ ScanPlan::ScanPlan(const Table& table, const TableSynopsis* synopsis,
       satisfiable_ = false;
       return;
     }
+    const std::vector<uint64_t>& prefix = prefixes[col];
     const double fraction =
-        synopsis != nullptr && WithinCodeBudget(column)
-            ? synopsis->DictFraction(col, static_cast<uint32_t>(code_lo),
-                                     static_cast<uint32_t>(code_hi))
+        WithinCodeBudget(column)
+            ? static_cast<double>(prefix[static_cast<size_t>(code_hi) + 1] -
+                                  prefix[static_cast<size_t>(code_lo)]) /
+                  static_cast<double>(table.num_rows())
             : static_cast<double>(code_hi - code_lo + 1) /
                   static_cast<double>(column.domain_size());
     order.push_back({fraction, i, code_lo, code_hi});
@@ -311,7 +312,6 @@ ScanPlan::ScanPlan(const Table& table, const TableSynopsis* synopsis,
     pred.values = &column.values;
     pred.lo = p.lo;
     pred.hi = p.hi;
-    pred.column = p.column;
     if (WithinCodeBudget(column)) {
       if (!column.codes8.empty()) pred.codes8 = column.codes8.data();
       if (!column.codes16.empty()) pred.codes16 = column.codes16.data();
@@ -322,35 +322,8 @@ ScanPlan::ScanPlan(const Table& table, const TableSynopsis* synopsis,
   }
 }
 
-BlockDecision ScanPlan::Classify(size_t block, ScanStats* stats) const {
-  if (stats != nullptr) ++stats->classified_blocks;
-  bool full = true;
-  for (const Pred& p : preds_) {
-    const size_t col = static_cast<size_t>(p.column);
-    if (!synopsis_->CanMatch(block, col, p.lo, p.hi)) {
-      if (stats != nullptr) ++stats->zone_skips;
-      return BlockDecision::kSkip;
-    }
-    if (p.on_codes() &&
-        !synopsis_->BitmapCanMatch(block, col, p.code_lo, p.code_hi)) {
-      if (stats != nullptr) ++stats->bitmap_skips;
-      return BlockDecision::kSkip;
-    }
-    full = full && synopsis_->FullyMatches(block, col, p.lo, p.hi);
-  }
-  if (stats != nullptr) {
-    if (full) {
-      ++stats->full_blocks;
-    } else {
-      ++stats->scanned_blocks;
-    }
-  }
-  return full ? BlockDecision::kFullMatch : BlockDecision::kEvaluate;
-}
-
-size_t ScanPlan::Evaluate(size_t block, uint32_t begin, uint32_t end,
-                          uint32_t* sel, ScanStats* stats,
-                          bool count_only) const {
+size_t ScanPlan::Evaluate(uint32_t begin, uint32_t end, uint32_t* sel,
+                          ScanStats* stats, bool count_only) const {
   // A predicate on values reads one value segment per pass, so rows that
   // straddle a segment boundary of its column are evaluated one run at a
   // time, each run's ids landing after the previous run's in `sel`. Codes
@@ -360,32 +333,9 @@ size_t ScanPlan::Evaluate(size_t block, uint32_t begin, uint32_t end,
     const size_t boundary = p.values->SegmentAt(begin).end_row();
     if (boundary < end) {
       const uint32_t mid = static_cast<uint32_t>(boundary);
-      const size_t n = Evaluate(block, begin, mid, sel, stats, count_only);
-      return n + Evaluate(block, mid, end, sel + n, stats, count_only);
+      const size_t n = Evaluate(begin, mid, sel, stats, count_only);
+      return n + Evaluate(mid, end, sel + n, stats, count_only);
     }
-  }
-  // Predicates that fully match this block cannot prune inside it.
-  auto is_active = [&](const Pred& p) {
-    return block == kNoBlock ||
-           !synopsis_->FullyMatches(block, static_cast<size_t>(p.column),
-                                    p.lo, p.hi);
-  };
-  const Pred* first = nullptr;
-  const Pred* second = nullptr;
-  size_t actives = 0;
-  for (const Pred& p : preds_) {
-    if (!is_active(p)) continue;
-    if (actives == 0) first = &p;
-    if (actives == 1) second = &p;
-    ++actives;
-  }
-  if (actives == 0) {
-    // Every predicate fully matched after all (unreachable from Classify,
-    // which would have said kFullMatch; kept for safety).
-    if (!count_only) {
-      for (uint32_t r = begin; r < end; ++r) sel[r - begin] = r;
-    }
-    return end - begin;
   }
 
   bool used_codes = false;
@@ -411,8 +361,8 @@ size_t ScanPlan::Evaluate(size_t block, uint32_t begin, uint32_t end,
   };
 
   size_t n;
-  if (actives == 1 && count_only) {
-    const Pred& p = *first;
+  if (count_only && preds_.size() == 1) {
+    const Pred& p = preds_[0];
     if (p.codes8 != nullptr) {
       used_codes = true;
       n = CountCodes(p.codes8, begin, end, p.code_lo, p.code_hi);
@@ -425,10 +375,10 @@ size_t ScanPlan::Evaluate(size_t block, uint32_t begin, uint32_t end,
                         static_cast<uint32_t>(segment.first_row), begin, end,
                         p.lo, p.hi);
     }
-  } else if (count_only && actives == 2 && first->on_codes() &&
-             second->on_codes()) {
-    const Pred& a = *first;
-    const Pred& b = *second;
+  } else if (count_only && preds_.size() == 2 && preds_[0].on_codes() &&
+             preds_[1].on_codes()) {
+    const Pred& a = preds_[0];
+    const Pred& b = preds_[1];
     used_codes = true;
     if (a.codes8 != nullptr && b.codes8 != nullptr) {
       n = CountCodes2Impl(a.codes8, a.code_lo, a.code_hi, b.codes8, b.code_lo,
@@ -444,58 +394,57 @@ size_t ScanPlan::Evaluate(size_t block, uint32_t begin, uint32_t end,
                           b.code_lo, b.code_hi, begin, end);
     }
   } else {
-    n = eval_one(*first, /*fill=*/true, 0);
-    const Pred* const last = preds_.data() + preds_.size();
-    for (const Pred* p = first + 1; p != last && n > 0; ++p) {
-      if (is_active(*p)) n = eval_one(*p, /*fill=*/false, n);
-    }
+    n = eval_one(preds_[0], /*fill=*/true, 0);
+    for (size_t k = 1; k < preds_.size() && n > 0; ++k)
+      n = eval_one(preds_[k], /*fill=*/false, n);
   }
   if (stats != nullptr && used_codes) ++stats->dict_kernel_blocks;
   return n;
 }
 
-size_t ScanPlan::CountBlock(size_t block, uint32_t begin, uint32_t end,
-                            uint32_t* sel, ScanStats* stats) const {
-  return Evaluate(block, begin, end, sel, stats, /*count_only=*/true);
+size_t ScanPlan::CountBlock(uint32_t begin, uint32_t end, uint32_t* sel,
+                            ScanStats* stats) const {
+  if (stats != nullptr) ++stats->scanned_blocks;
+  return Evaluate(begin, end, sel, stats, /*count_only=*/true);
 }
 
-size_t ScanPlan::FilterBlock(size_t block, uint32_t begin, uint32_t end,
-                             uint32_t* sel, ScanStats* stats) const {
-  return Evaluate(block, begin, end, sel, stats, /*count_only=*/false);
+size_t ScanPlan::FilterBlock(uint32_t begin, uint32_t end, uint32_t* sel,
+                             ScanStats* stats) const {
+  if (stats != nullptr) ++stats->scanned_blocks;
+  return Evaluate(begin, end, sel, stats, /*count_only=*/false);
 }
 
-BlockScanner::BlockScanner(const Table& table,
-                           const SynopsisOptions& options)
-    : table_(&table), synopsis_(table, options) {
-  CheckedRowCount(table);
+BlockScanner::BlockScanner(const Table& table, size_t block_size)
+    : table_(&table),
+      rows_(CheckedRowCount(table)),
+      block_size_(block_size),
+      prefixes_(BuildCodePrefixes(table)) {
+  ARECEL_CHECK_MSG(block_size_ > 0, "block size must be positive");
 }
 
 size_t BlockScanner::Count(const Query& query) const {
   ARECEL_CHECK_MSG(query.IsSingleTable(), "BlockScanner given a join query");
-  const uint32_t rows = CheckedRowCount(*table_);
-  ARECEL_CHECK_MSG(synopsis_.num_rows() == table_->num_rows(),
+  ARECEL_CHECK_MSG(table_->num_rows() == rows_,
                    "table changed after the scanner was built");
-  const ScanPlan plan(*table_, &synopsis_, query.predicates);
+  CheckPredicateColumns(*table_, query.predicates);
+  std::vector<CodeRange> ranges;
+  if (query.predicates.size() == 1 &&
+      LowerToCodeRanges(*table_, prefixes_, query.predicates, &ranges)) {
+    ScanStats posting;
+    posting.posting_queries = 1;
+    stats_.Merge(posting);
+    return ranges[0].rows;
+  }
+  const ScanPlan plan(*table_, prefixes_, query.predicates);
   if (!plan.satisfiable()) return 0;
-  if (plan.unconstrained()) return rows;
-  const size_t block_size = synopsis_.block_size();
-  std::vector<uint32_t> sel(block_size);
+  if (plan.unconstrained()) return rows_;
+  std::vector<uint32_t> sel(block_size_);
   ScanStats local;
   size_t total = 0;
-  for (size_t b = 0; b < synopsis_.num_blocks(); ++b) {
-    const uint32_t lo = static_cast<uint32_t>(b * block_size);
-    const uint32_t hi = static_cast<uint32_t>(
-        std::min<size_t>(rows, (b + 1) * block_size));
-    switch (plan.Classify(b, &local)) {
-      case BlockDecision::kSkip:
-        break;
-      case BlockDecision::kFullMatch:
-        total += hi - lo;
-        break;
-      case BlockDecision::kEvaluate:
-        total += plan.CountBlock(b, lo, hi, sel.data(), &local);
-        break;
-    }
+  for (size_t lo = 0; lo < rows_; lo += block_size_) {
+    const size_t hi = std::min<size_t>(rows_, lo + block_size_);
+    total += plan.CountBlock(static_cast<uint32_t>(lo),
+                             static_cast<uint32_t>(hi), sel.data(), &local);
   }
   stats_.Merge(local);
   return total;
@@ -512,14 +461,14 @@ std::vector<size_t> BlockScanner::CountBatch(
   for (const Query& query : queries)
     ARECEL_CHECK_MSG(query.IsSingleTable(), "BlockScanner given a join query");
   std::vector<size_t> counts(queries.size(), 0);
-  const uint32_t rows = CheckedRowCount(*table_);
-  if (rows == 0 || queries.empty()) return counts;
-  ARECEL_CHECK_MSG(synopsis_.num_rows() == table_->num_rows(),
+  ARECEL_CHECK_MSG(table_->num_rows() == rows_,
                    "table changed after the scanner was built");
+  const uint32_t rows = rows_;
+  if (rows == 0 || queries.empty()) return counts;
   for (const Query& q : queries) CheckPredicateColumns(*table_, q.predicates);
 
   // Route every query. A one-predicate query within the budget is its
-  // slice's length; a query whose driving slice passes the cost rule joins
+  // prefix count; a query whose driving slice passes the cost rule joins
   // its driving column's group, which tallies the block work it saves; the
   // rest go to the block scan.
   std::vector<std::vector<size_t>> groups(table_->num_cols());
@@ -528,7 +477,7 @@ std::vector<size_t> BlockScanner::CountBatch(
   std::vector<CodeRange> ranges;
   ScanStats posting_stats;
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    if (!LowerToCodeRanges(*table_, synopsis_, queries[qi].predicates,
+    if (!LowerToCodeRanges(*table_, prefixes_, queries[qi].predicates,
                            &ranges)) {
       block_queries.push_back(qi);
       continue;
@@ -564,7 +513,7 @@ std::vector<size_t> BlockScanner::CountBatch(
     }
     ids.resize(rows);
     const Column& column = table_->column(col);
-    const std::vector<uint64_t>& prefix = synopsis_.CodePrefix(col);
+    const std::vector<uint64_t>& prefix = prefixes_[col];
     if (column.codes8.empty()) {
       SortRowIdsByCode(column.codes16.data(), rows, prefix, ids.data());
     } else {
@@ -575,7 +524,7 @@ std::vector<size_t> BlockScanner::CountBatch(
       std::vector<uint32_t> scratch;
       ScanStats local;
       for (size_t g = begin; g < end; ++g) {
-        LowerToCodeRanges(*table_, synopsis_, queries[group[g]].predicates,
+        LowerToCodeRanges(*table_, prefixes_, queries[group[g]].predicates,
                           &query_ranges);
         const CodeRange& driving = query_ranges[0];
         if (scratch.size() < driving.rows) scratch.resize(driving.rows);
@@ -599,24 +548,24 @@ std::vector<size_t> BlockScanner::CountBatch(
   std::vector<ScanPlan> plans;
   plans.reserve(block_queries.size());
   for (size_t qi : block_queries) {
-    plans.emplace_back(*table_, &synopsis_, queries[qi].predicates);
+    plans.emplace_back(*table_, prefixes_, queries[qi].predicates);
   }
 
   // Blocks-outer, queries-inner: the table streams through cache once per
   // chunk instead of once per query. Each worker accumulates into private
   // counters and merges once; integer sums over disjoint block ranges make
   // the merged result independent of the partitioning.
-  const size_t block_size = synopsis_.block_size();
+  const size_t num_blocks = (rows + block_size_ - 1) / block_size_;
   std::mutex merge_mutex;
-  ParallelForChunked(0, synopsis_.num_blocks(), [&](size_t chunk_begin,
-                                                    size_t chunk_end) {
+  ParallelForChunked(0, num_blocks, [&](size_t chunk_begin,
+                                        size_t chunk_end) {
     std::vector<size_t> local(plans.size(), 0);
-    std::vector<uint32_t> sel(block_size);
+    std::vector<uint32_t> sel(block_size_);
     ScanStats local_stats;
     for (size_t b = chunk_begin; b < chunk_end; ++b) {
-      const uint32_t lo = static_cast<uint32_t>(b * block_size);
+      const uint32_t lo = static_cast<uint32_t>(b * block_size_);
       const uint32_t hi = static_cast<uint32_t>(
-          std::min<size_t>(rows, (b + 1) * block_size));
+          std::min<size_t>(rows, (b + 1) * block_size_));
       for (size_t pi = 0; pi < plans.size(); ++pi) {
         const ScanPlan& plan = plans[pi];
         if (!plan.satisfiable()) continue;
@@ -624,16 +573,7 @@ std::vector<size_t> BlockScanner::CountBatch(
           local[pi] += hi - lo;
           continue;
         }
-        switch (plan.Classify(b, &local_stats)) {
-          case BlockDecision::kSkip:
-            break;
-          case BlockDecision::kFullMatch:
-            local[pi] += hi - lo;
-            break;
-          case BlockDecision::kEvaluate:
-            local[pi] += plan.CountBlock(b, lo, hi, sel.data(), &local_stats);
-            break;
-        }
+        local[pi] += plan.CountBlock(lo, hi, sel.data(), &local_stats);
       }
     }
     stats_.Merge(local_stats);
@@ -653,32 +593,6 @@ std::vector<double> BlockScanner::Label(
   for (size_t i = 0; i < counts.size(); ++i)
     selectivities[i] = static_cast<double>(counts[i]) / rows;
   return selectivities;
-}
-
-size_t CountMatches(const Table& table, const Query& query) {
-  const uint32_t rows = CheckedRowCount(table);
-  // One query cannot amortize a synopsis build (that costs a full pass over
-  // every column), so this path goes straight to the selection-vector
-  // evaluation and kernels over fixed-size blocks.
-  const ScanPlan plan(table, nullptr, query.predicates);
-  if (!plan.satisfiable()) return 0;
-  if (plan.unconstrained()) return rows;
-  constexpr uint32_t kBlock = static_cast<uint32_t>(kDefaultBlockSize);
-  std::vector<uint32_t> sel(kBlock);
-  size_t total = 0;
-  for (uint32_t lo = 0; lo < rows; lo += kBlock) {
-    total += plan.CountBlock(ScanPlan::kNoBlock, lo,
-                             std::min(rows, lo + kBlock), sel.data(),
-                             nullptr);
-  }
-  return total;
-}
-
-std::vector<double> LabelMatches(const Table& table,
-                                 const std::vector<Query>& queries) {
-  if (table.num_rows() == 0)
-    return std::vector<double>(queries.size(), 0.0);
-  return BlockScanner(table).Label(queries);
 }
 
 }  // namespace arecel::scan

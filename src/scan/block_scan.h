@@ -7,26 +7,21 @@
 #include <vector>
 
 #include "data/table.h"
-#include "scan/synopsis.h"
 #include "workload/query.h"
 
 namespace arecel::scan {
 
-// Vectorized exact-count execution engine (DESIGN.md §8).
-//
-// Batch labelling (CountBatch) first answers the queries it can from their
-// most selective predicate's rows alone (the posting path, below); every
-// other query runs a three-layer cascade, cheapest first:
-//  1. block pruning (TableSynopsis, built once per table): a predicate
-//     skips every block whose [min, max] zone map misses its interval, and
-//     counts wholesale every NaN-free block whose envelope it contains; on
-//     a column within the code budget (WithinCodeBudget) it also skips a
-//     block unless the block's presence bitmap has a set bit in the
-//     predicate's code range — equality predicates on categorical columns
-//     prune here even when every envelope overlaps;
-//  2. selection vectors: surviving blocks are evaluated one *column* at a
-//     time, most-selective predicate first, compacting a dense row-id
-//     vector instead of re-testing every predicate per row;
+// Vectorized exact-count execution engine (DESIGN.md §8). Every count runs
+// one path, cheapest first:
+//  1. the posting path: a one-predicate query on a column within the code
+//     budget (WithinCodeBudget) is answered from the column's code-count
+//     prefix alone, in Count and CountBatch alike; CountBatch also answers
+//     a selective multi-predicate query from its most selective
+//     predicate's row ids (below);
+//  2. selection vectors: every other query is evaluated one block of rows
+//     and one *column* at a time, most-selective predicate first,
+//     compacting a dense row-id vector instead of re-testing every
+//     predicate per row;
 //  3. branch-free kernels: data-independent interval passes over the
 //     contiguous column block — over the table's u8/u16 code array when
 //     the column is within the code budget (a fraction of the double
@@ -35,26 +30,55 @@ namespace arecel::scan {
 //
 // All counts are exact integers: results are bit-identical to the naive
 // reference executor (ExecuteCountNaive) by construction, which
-// tests/scan_engine_test.cc and tests/scan_synopsis_test.cc enforce
+// tests/scan_engine_test.cc and tests/scan_codes_test.cc enforce
 // differentially. Interval semantics are Predicate::Matches (inclusive
 // bounds, NaN never matches, -0.0 == +0.0).
 
-// Pruning / kernel counters, accumulated per scan. Plain integers: workers
-// keep a local copy and merge once into a ScanStatsCollector.
+// Rows per block: the length of a selection vector and the unit of work of
+// the shared block scan. 4096 doubles = 32 KB per column block, so one
+// block of one column fits comfortably in L1.
+inline constexpr size_t kDefaultBlockSize = 4096;
+
+// Code budget: a column whose domain holds at most this many values runs
+// its predicates on the table's codes and answers from its code-count
+// prefix. Within the budget the nan_code() sentinel fits 16 bits, so the
+// codes are u8 or u16; 4096 codes cover every categorical column of the
+// paper's Census/DMV-shaped tables.
+inline constexpr size_t kMaxDictCodes = 4096;
+static_assert(kMaxDictCodes < 65535);
+
+// The one column rule, shared by ScanPlan (which predicates run the code
+// kernels) and the posting path (which predicates it can count).
+inline bool WithinCodeBudget(const Column& column) {
+  return column.domain_size() <= kMaxDictCodes;
+}
+
+// Per column of one table, the running sum of the column's code counts
+// (domain size + 1 entries): entry c is the number of rows with a code
+// below c, which is where code c's rows start when the row ids are ordered
+// by code, and a code range [lo, hi] holds exactly
+// prefix[hi + 1] - prefix[lo] rows. Empty on a column past the code
+// budget. Built in O(domain) from the Table's own counts.
+using CodePrefixes = std::vector<std::vector<uint64_t>>;
+CodePrefixes BuildCodePrefixes(const Table& table);
+
+// Kernel and posting counters, accumulated per scan. Plain integers:
+// workers keep a local copy and merge once into a ScanStatsCollector.
 struct ScanStats {
-  uint64_t classified_blocks = 0;  // (block, query) classifications made.
-  uint64_t zone_skips = 0;         // skipped by the min/max envelope.
-  uint64_t bitmap_skips = 0;       // skipped by a dictionary bitmap.
-  // Always 0: the synopsis has no histogram tier. Kept because the
-  // benchmark harness (cebench/) reads it.
+  // Always 0: the engine prunes no blocks. Kept because the benchmark
+  // harness (cebench/) reads them.
+  uint64_t classified_blocks = 0;
+  uint64_t zone_skips = 0;
+  uint64_t bitmap_skips = 0;
   uint64_t histogram_skips = 0;
-  uint64_t full_blocks = 0;        // counted wholesale, values untouched.
-  uint64_t scanned_blocks = 0;     // evaluated row by row.
+  uint64_t full_blocks = 0;
+  uint64_t scanned_blocks = 0;  // (block, query) pairs evaluated row by row.
   // Scanned blocks that ran code kernels; a block that straddles a value
   // segment boundary counts once per run (ScanPlan).
   uint64_t dict_kernel_blocks = 0;
-  uint64_t posting_queries = 0;  // answered from a driving slice.
-  uint64_t posting_rows = 0;     // row ids read from driving slices.
+  // Queries answered from a code-count prefix or a driving slice.
+  uint64_t posting_queries = 0;
+  uint64_t posting_rows = 0;  // row ids read from driving slices.
 
   void Add(const ScanStats& other);
 };
@@ -68,10 +92,6 @@ class ScanStatsCollector {
   ScanStats Snapshot() const;
 
  private:
-  std::atomic<uint64_t> classified_blocks_{0};
-  std::atomic<uint64_t> zone_skips_{0};
-  std::atomic<uint64_t> bitmap_skips_{0};
-  std::atomic<uint64_t> full_blocks_{0};
   std::atomic<uint64_t> scanned_blocks_{0};
   std::atomic<uint64_t> dict_kernel_blocks_{0};
   std::atomic<uint64_t> posting_queries_{0};
@@ -114,25 +134,17 @@ size_t CountCodes(const uint8_t* codes, uint32_t begin, uint32_t end,
 size_t CountCodes(const uint16_t* codes, uint32_t begin, uint32_t end,
                   uint32_t lo, uint32_t hi);
 
-// Zone-map / bitmap classification of one (block, query) pair.
-enum class BlockDecision { kSkip, kEvaluate, kFullMatch };
-
 // One query's predicates compiled against one table: column ids checked
 // (aborts on a column outside [0, num_cols())), column pointers resolved,
 // predicates on columns within the code budget lowered to code ranges, and
-// the whole list ordered most-selective-first: exactly, from the synopsis'
-// code-count prefix, on columns within the budget, else by the fraction of
-// the domain the interval covers. Shared by BlockScanner, the one-shot
-// CountMatches path and the join executor's probe/build cascades.
-// `synopsis` may be null (the one-shot path): the exact ordering and
-// Classify are then unavailable; evaluation still runs the code kernels.
+// the whole list ordered most-selective-first: exactly, from the table's
+// code-count prefixes, on columns within the budget, else by the fraction
+// of the domain the interval covers. Shared by BlockScanner and the join
+// executor's probe/build scans.
 class ScanPlan {
  public:
-  // Sentinel for evaluation without a known block (no per-block
-  // full-match elision).
-  static constexpr size_t kNoBlock = static_cast<size_t>(-1);
-
-  ScanPlan(const Table& table, const TableSynopsis* synopsis,
+  // `prefixes` are the table's (BuildCodePrefixes).
+  ScanPlan(const Table& table, const CodePrefixes& prefixes,
            const std::vector<Predicate>& predicates);
 
   // False when no row anywhere can match (an inverted interval, or an
@@ -141,24 +153,19 @@ class ScanPlan {
   // True when the predicate list is empty: every row matches.
   bool unconstrained() const { return preds_.empty(); }
 
-  // Requires a synopsis built over the plan's table.
-  BlockDecision Classify(size_t block, ScanStats* stats) const;
-
-  // Exact match count over rows [begin, end); `sel` needs end - begin
-  // slots of scratch. When `block` is known, predicates that fully match
-  // the block's envelope are skipped.
-  size_t CountBlock(size_t block, uint32_t begin, uint32_t end,
-                    uint32_t* sel, ScanStats* stats) const;
+  // Exact match count over rows [begin, end) of a satisfiable, constrained
+  // plan; `sel` needs end - begin slots of scratch.
+  size_t CountBlock(uint32_t begin, uint32_t end, uint32_t* sel,
+                    ScanStats* stats) const;
   // As CountBlock, but leaves the matching row ids in `sel`.
-  size_t FilterBlock(size_t block, uint32_t begin, uint32_t end,
-                     uint32_t* sel, ScanStats* stats) const;
+  size_t FilterBlock(uint32_t begin, uint32_t end, uint32_t* sel,
+                     ScanStats* stats) const;
 
  private:
   struct Pred {
     const ColumnValues* values = nullptr;
     double lo = 0.0;
     double hi = 0.0;
-    int column = 0;
     // The table's codes, when the column is within the code budget.
     const uint8_t* codes8 = nullptr;
     const uint16_t* codes16 = nullptr;
@@ -168,30 +175,32 @@ class ScanPlan {
     bool on_codes() const { return codes8 != nullptr || codes16 != nullptr; }
   };
 
-  size_t Evaluate(size_t block, uint32_t begin, uint32_t end, uint32_t* sel,
+  size_t Evaluate(uint32_t begin, uint32_t end, uint32_t* sel,
                   ScanStats* stats, bool count_only) const;
 
   std::vector<Pred> preds_;  // most selective first.
-  const TableSynopsis* synopsis_ = nullptr;
   bool satisfiable_ = true;
 };
 
-// Scan engine bound to one immutable table. Builds the synopsis once;
-// queries then share it. The table must outlive the scanner and must not
-// change: Count/CountBatch abort when its row count differs from the one
-// the scanner was built over. A new data version needs a new scanner.
+// Scan engine bound to one immutable table. Construction costs O(domain):
+// it builds the table's code-count prefixes, which every query then shares.
+// The table must outlive the scanner and must not change: Count/CountBatch
+// abort when its row count differs from the one the scanner was built
+// over. A new data version needs a new scanner. `block_size` is the
+// selection-vector length and the shared scan's unit of work; the
+// differential suites shrink it to put block edges at odd offsets.
 // Queries must name no tables (Query::IsSingleTable).
 class BlockScanner {
  public:
   explicit BlockScanner(const Table& table,
-                        const SynopsisOptions& options = {});
+                        size_t block_size = kDefaultBlockSize);
 
-  const TableSynopsis& synopsis() const { return synopsis_; }
-
-  // Cumulative pruning counters across every Count/CountBatch/Label call.
+  // Cumulative kernel and posting counters across every Count/CountBatch/
+  // Label call.
   ScanStats stats() const { return stats_.Snapshot(); }
 
-  // Exact match count / selectivity of one query.
+  // Exact match count / selectivity of one query. A one-predicate query on
+  // a column within the code budget is its code range's prefix count.
   size_t Count(const Query& query) const;
   double Selectivity(const Query& query) const;
 
@@ -204,7 +213,7 @@ class BlockScanner {
   //    by code once per call, so a code range is one contiguous slice; the
   //    column's queries then refine their slices through their other
   //    predicates, in parallel over queries. A one-predicate query is its
-  //    slice's length. Nothing stays resident after the call.
+  //    prefix count. Nothing stays resident after the call.
   //  - Shared block scan for the rest: streams each block once through
   //    every remaining query (blocks-outer, queries-inner), parallelized
   //    over block ranges.
@@ -213,18 +222,11 @@ class BlockScanner {
 
  private:
   const Table* table_;
-  TableSynopsis synopsis_;
+  uint32_t rows_;  // the table's row count at construction.
+  size_t block_size_;
+  CodePrefixes prefixes_;
   mutable ScanStatsCollector stats_;
 };
-
-// One-shot conveniences behind ExecuteCount / LabelQueries. CountMatches
-// builds no synopsis (one query cannot amortize it) but still runs the
-// selection-vector evaluation and the code kernels; callers that issue
-// repeated single queries against one table should build one BlockScanner.
-// LabelMatches builds a scanner and shared-scans the whole batch.
-size_t CountMatches(const Table& table, const Query& query);
-std::vector<double> LabelMatches(const Table& table,
-                                 const std::vector<Query>& queries);
 
 }  // namespace arecel::scan
 

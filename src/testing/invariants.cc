@@ -397,7 +397,7 @@ InvariantResult CheckFeedbackMonotonicity(const std::string& name,
   ARECEL_CHECK(sink != nullptr);
   const size_t rows = table.num_rows();
   Rng rng(seed);
-  // One scanner amortizes the synopsis build across every trial's truth scan.
+  // One scanner builds the code-count prefixes once for every trial's truth.
   const scan::BlockScanner truth_scanner(table);
   for (size_t t = 0; t < trials; ++t) {
     const int col = cols[rng.UniformInt(static_cast<uint64_t>(cols.size()))];

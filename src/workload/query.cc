@@ -93,7 +93,7 @@ std::string Query::ToString() const {
 
 size_t ExecuteCount(const Table& table, const Query& query) {
   ARECEL_CHECK_MSG(query.IsSingleTable(), "ExecuteCount on a join query");
-  return scan::CountMatches(table, query);
+  return scan::BlockScanner(table).Count(query);
 }
 
 size_t ExecuteCountNaive(const Table& table, const Query& query) {
@@ -139,7 +139,7 @@ std::vector<double> LabelQueries(const Table& table,
                                  const std::vector<Query>& queries) {
   for (const Query& query : queries)
     ARECEL_CHECK_MSG(query.IsSingleTable(), "LabelQueries on a join query");
-  return scan::LabelMatches(table, queries);
+  return scan::BlockScanner(table).Label(queries);
 }
 
 }  // namespace arecel

@@ -97,10 +97,10 @@ size_t ExecuteCountNaive(const Table& table, const Query& query);
 // Exact selectivity = ExecuteCount / rows.
 double ExecuteSelectivity(const Table& table, const Query& query);
 
-// Labels the whole batch with one shared scan of the table (each block is
-// streamed once through every query, parallelized over blocks). Returns
-// selectivities in [0, 1], bit-identical to per-query execution. Every
-// query must name no tables.
+// Labels the whole batch through one BlockScanner::CountBatch (the posting
+// path, then one shared scan of the table for the rest, parallelized over
+// blocks). Returns selectivities in [0, 1], bit-identical to per-query
+// execution. Every query must name no tables.
 std::vector<double> LabelQueries(const Table& table,
                                  const std::vector<Query>& queries);
 

@@ -1,9 +1,9 @@
 // The join ground-truth gate (DESIGN.md §13): the hash-join executor must
 // be bit-identical to the row-at-a-time nested-loop oracle — the two share
 // only the star decomposition, so any disagreement localizes a bug in the
-// zone-map cascade, the selection vectors, or the key hash. The suite
-// drives both through handmade adversarial fixtures (empty dimensions,
-// duplicate-key fan-out, block-pruning predicates, -0.0 keys) and a
+// scan plan, the selection vectors, or the key hash. The suite drives both
+// through handmade adversarial fixtures (empty dimensions, duplicate-key
+// fan-out, predicates outside every key's values, -0.0 keys) and a
 // randomized differential sweep over generated star schemas at
 // non-dividing block sizes.
 
@@ -21,9 +21,7 @@
 namespace arecel {
 namespace {
 
-using join::ExecuteJoinCount;
 using join::ExecuteJoinCountNaive;
-using join::ExecuteJoinSelectivity;
 using join::JoinExecutor;
 
 Table MakeTable(const std::string& name,
@@ -71,14 +69,14 @@ TEST(JoinExecutorTest, KnownAnswerWithAndWithoutPredicates) {
 
   // No predicates: every fact row finds its dimension row once.
   Query all = StarQuery({"fact", "dim0"}, {}, {FactDimEdge()});
-  EXPECT_EQ(ExecuteJoinCount(schema, all), 4u);
+  EXPECT_EQ(JoinExecutor(schema).Count(all), 4u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, all), 4u);
-  EXPECT_DOUBLE_EQ(ExecuteJoinSelectivity(schema, all), 4.0 / (4.0 * 4.0));
+  EXPECT_DOUBLE_EQ(JoinExecutor(schema).Selectivity(all), 4.0 / (4.0 * 4.0));
 
   // attr in [10, 20] keeps dim pks {1, 2}; fact rows with fk 1, 1, 2 join.
   Query banded =
       StarQuery({"fact", "dim0"}, {{1, 10.0, 20.0, 1}}, {FactDimEdge()});
-  EXPECT_EQ(ExecuteJoinCount(schema, banded), 3u);
+  EXPECT_EQ(JoinExecutor(schema).Count(banded), 3u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, banded), 3u);
 }
 
@@ -86,7 +84,7 @@ TEST(JoinExecutorTest, DuplicateBuildKeysMultiplyFanOut) {
   // dim holds key 1 twice: every fact row with fk 1 matches both copies.
   const Schema schema = TinyStar({1, 1, 1, 2}, {1, 1, 2}, {10, 20, 30});
   const Query all = StarQuery({"fact", "dim0"}, {}, {FactDimEdge()});
-  EXPECT_EQ(ExecuteJoinCount(schema, all), 3u * 2u + 1u);
+  EXPECT_EQ(JoinExecutor(schema).Count(all), 3u * 2u + 1u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, all), 7u);
 }
 
@@ -96,9 +94,9 @@ TEST(JoinExecutorTest, AllRowsMatchFanOut) {
   // case for any accidental 0/1-multiplicity assumption.
   const Schema schema = TinyStar({5, 5, 5}, {5, 5, 5, 5}, {1, 2, 3, 4});
   const Query all = StarQuery({"fact", "dim0"}, {}, {FactDimEdge()});
-  EXPECT_EQ(ExecuteJoinCount(schema, all), 12u);
+  EXPECT_EQ(JoinExecutor(schema).Count(all), 12u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, all), 12u);
-  EXPECT_DOUBLE_EQ(ExecuteJoinSelectivity(schema, all), 1.0);
+  EXPECT_DOUBLE_EQ(JoinExecutor(schema).Selectivity(all), 1.0);
 }
 
 TEST(JoinExecutorTest, EmptyDimensionYieldsZero) {
@@ -110,9 +108,9 @@ TEST(JoinExecutorTest, EmptyDimensionYieldsZero) {
   empty_dim.AddColumn("pk", {}, /*categorical=*/false);
   schema.AddTable(std::move(empty_dim));
   const Query query = StarQuery({"fact", "dim0"}, {}, {FactDimEdge()});
-  EXPECT_EQ(ExecuteJoinCount(schema, query), 0u);
+  EXPECT_EQ(JoinExecutor(schema).Count(query), 0u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, query), 0u);
-  EXPECT_DOUBLE_EQ(ExecuteJoinSelectivity(schema, query), 0.0);
+  EXPECT_DOUBLE_EQ(JoinExecutor(schema).Selectivity(query), 0.0);
 }
 
 TEST(JoinExecutorTest, UnsatisfiableAndBlockPruningPredicatesYieldZero) {
@@ -122,14 +120,14 @@ TEST(JoinExecutorTest, UnsatisfiableAndBlockPruningPredicatesYieldZero) {
   const Query empty_interval =
       StarQuery({"fact", "dim0"}, {{1, 5.0, 2.0, 0}}, {FactDimEdge()});
   EXPECT_FALSE(empty_interval.IsSatisfiable());
-  EXPECT_EQ(ExecuteJoinCount(schema, empty_interval), 0u);
+  EXPECT_EQ(JoinExecutor(schema).Count(empty_interval), 0u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, empty_interval), 0u);
-  // Satisfiable but outside every zone-map envelope: every block prunes.
-  const Query pruned =
+  // Satisfiable, but no value of the column lies in the interval.
+  const Query outside_domain =
       StarQuery({"fact", "dim0"}, {{1, 100.0, 200.0, 1}}, {FactDimEdge()});
-  EXPECT_TRUE(pruned.IsSatisfiable());
-  EXPECT_EQ(ExecuteJoinCount(schema, pruned), 0u);
-  EXPECT_EQ(ExecuteJoinCountNaive(schema, pruned), 0u);
+  EXPECT_TRUE(outside_domain.IsSatisfiable());
+  EXPECT_EQ(JoinExecutor(schema).Count(outside_domain), 0u);
+  EXPECT_EQ(ExecuteJoinCountNaive(schema, outside_domain), 0u);
 }
 
 TEST(JoinExecutorTest, NegativeZeroKeysJoinPositiveZero) {
@@ -137,7 +135,7 @@ TEST(JoinExecutorTest, NegativeZeroKeysJoinPositiveZero) {
   // way the naive oracle's operator== does.
   const Schema schema = TinyStar({-0.0, 1.0}, {0.0, 1.0}, {10, 20});
   const Query all = StarQuery({"fact", "dim0"}, {}, {FactDimEdge()});
-  EXPECT_EQ(ExecuteJoinCount(schema, all), 2u);
+  EXPECT_EQ(JoinExecutor(schema).Count(all), 2u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, all), 2u);
 }
 
@@ -145,9 +143,9 @@ TEST(JoinExecutorTest, SingleTableQueryMatchesNaive) {
   const Schema schema =
       TinyStar({1, 2, 3, 4}, {1, 2, 3, 4}, {10, 20, 30, 40});
   const Query single = StarQuery({"fact"}, {{0, 2.0, 3.0}}, {});
-  EXPECT_EQ(ExecuteJoinCount(schema, single), 2u);
+  EXPECT_EQ(JoinExecutor(schema).Count(single), 2u);
   EXPECT_EQ(ExecuteJoinCountNaive(schema, single), 2u);
-  EXPECT_DOUBLE_EQ(ExecuteJoinSelectivity(schema, single), 0.5);
+  EXPECT_DOUBLE_EQ(JoinExecutor(schema).Selectivity(single), 0.5);
 }
 
 // ---------------------------------------------------------------------------
@@ -178,7 +176,7 @@ TEST(JoinDifferentialTest, HashMatchesNaiveAcrossSchemasAndBlockSizes) {
     // trailing blocks and sub-block tables are both exercised.
     for (const size_t block_size : {size_t{7}, size_t{100},
                                     scan::kDefaultBlockSize}) {
-      const JoinExecutor executor(schema, scan::SynopsisOptions{block_size});
+      const JoinExecutor executor(schema, block_size);
       for (const Query& query : queries) {
         const size_t naive = ExecuteJoinCountNaive(schema, query);
         ASSERT_EQ(executor.Count(query), naive)

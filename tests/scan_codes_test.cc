@@ -1,12 +1,13 @@
-// Differential tests for the synopsis' dictionary tier (per-block presence
-// bitmaps and code-count prefixes over the table's codes) and the code
-// kernels: every pruning decision must preserve the bit-identical-counts
-// contract against the naive reference executor, including the awkward
-// corners — NaN rows (which no predicate matches), -0.0/+0.0 code
-// collapse, block sizes that do not divide the row count, columns with
-// exactly kMaxDictCodes and one more distinct values, and fresh scanners
-// over tables whose appends introduced brand-new dictionary values (with a
-// u8 -> u16 code width upgrade) or pushed a column past the code budget.
+// Differential tests for the engine's code paths over the table's codes:
+// one-predicate counts read from the code-count prefix, and the code
+// kernels. Every count must be bit-identical to the naive reference
+// executor, including the awkward corners — NaN rows (which no predicate
+// matches), -0.0/+0.0 code collapse, block sizes that do not divide the row
+// count, columns with exactly kMaxDictCodes and one more distinct values,
+// and fresh scanners over tables whose appends introduced brand-new
+// dictionary values (with a u8 -> u16 code width upgrade) or pushed a
+// column past the code budget. The differential cases keep their
+// ScanSynopsisTest suite name so their test ids stay stable.
 
 #include <cmath>
 #include <limits>
@@ -17,7 +18,6 @@
 #include "data/datasets.h"
 #include "data/table.h"
 #include "scan/block_scan.h"
-#include "scan/synopsis.h"
 #include "util/random.h"
 #include "workload/generator.h"
 #include "workload/query.h"
@@ -72,11 +72,11 @@ std::vector<Query> MixedQueries(const Table& table, size_t count,
   return queries;
 }
 
-// The scanner (single and batch) and the one-shot path agree with the
-// naive executor on every query.
+// The scanner (single and batch) and ExecuteCount agree with the naive
+// executor on every query.
 void ExpectBitIdentical(const Table& table, const std::vector<Query>& queries,
-                        scan::SynopsisOptions options) {
-  scan::BlockScanner scanner(table, options);
+                        size_t block_size) {
+  const scan::BlockScanner scanner(table, block_size);
   const std::vector<size_t> batch = scanner.CountBatch(queries);
   ASSERT_EQ(batch.size(), queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -95,16 +95,13 @@ TEST(ScanSynopsisTest, CategoricalEqualityGridDifferential) {
     for (size_t block_size : {7u, 97u, 8192u}) {
       SCOPED_TRACE(testing::Message()
                    << "seed=" << seed << " block_size=" << block_size);
-      scan::SynopsisOptions options;
-      options.block_size = block_size;
-      ExpectBitIdentical(table, queries, options);
+      ExpectBitIdentical(table, queries, block_size);
     }
   }
 }
 
 TEST(ScanSynopsisTest, NaNRowsNeverMatchAnyPredicate) {
-  // NaN placed first in a block so a naive envelope build would poison the
-  // min/max; also a fully-NaN block region at the tail.
+  // NaN placed first in a block, and a fully-NaN block region at the tail.
   Table table("nan_tbl");
   table.AddColumn("a", {kNaN, 1, 2, kNaN, 3, 4, 5, 6, kNaN, kNaN}, false);
   table.AddColumn("b", {5, 5, kNaN, 1, 1, 2, 2, 9, 9, 9}, true);
@@ -118,18 +115,16 @@ TEST(ScanSynopsisTest, NaNRowsNeverMatchAnyPredicate) {
   EXPECT_EQ(ExecuteCountNaive(table, queries[0]), 6u);
   for (size_t block_size : {3u, 4u, 16u}) {
     SCOPED_TRACE(testing::Message() << "block_size=" << block_size);
-    scan::SynopsisOptions options;
-    options.block_size = block_size;
-    ExpectBitIdentical(table, queries, options);
+    ExpectBitIdentical(table, queries, block_size);
   }
 }
 
 TEST(ScanSynopsisTest, NegativeZeroCollapsesWithPositiveZero) {
   Table table("zeros");
   table.AddColumn("a", {-0.0, 0.0, -0.0, 1.0, -1.0, 0.0}, false);
-  scan::BlockScanner scanner(table, {2});
+  const scan::BlockScanner scanner(table, 2);
   // -0.0 == +0.0, so the dictionary holds one zero entry.
-  ASSERT_TRUE(scanner.synopsis().HasDictionary(0));
+  ASSERT_TRUE(scan::WithinCodeBudget(table.column(0)));
   EXPECT_EQ(table.column(0).domain_size(), 3u);
   std::vector<Query> queries(3);
   queries[0].predicates.push_back({0, 0.0, 0.0});
@@ -143,9 +138,9 @@ TEST(ScanSynopsisTest, NegativeZeroCollapsesWithPositiveZero) {
 
 TEST(ScanSynopsisTest, CodeBudgetBoundary) {
   // Column 0 holds exactly kMaxDictCodes distinct values, column 1 one
-  // more: the first gets bitmaps and runs the code kernels, the second
-  // prunes on zone maps and runs the double kernels. Values are permuted
-  // so that every block's envelope spans most of the domain.
+  // more: the first runs the code kernels and the posting path, the second
+  // the double kernels. Values are permuted so that every block sees most
+  // of the domain.
   const size_t rows = 3 * scan::kMaxDictCodes;
   std::vector<double> at_budget(rows);
   std::vector<double> past_budget(rows);
@@ -158,13 +153,12 @@ TEST(ScanSynopsisTest, CodeBudgetBoundary) {
   table.AddColumn("past", std::move(past_budget), true);
   ASSERT_EQ(table.column(0).domain_size(), scan::kMaxDictCodes);
   ASSERT_EQ(table.column(1).domain_size(), scan::kMaxDictCodes + 1);
+  EXPECT_TRUE(scan::WithinCodeBudget(table.column(0)));
+  EXPECT_FALSE(scan::WithinCodeBudget(table.column(1)));
   const std::vector<Query> queries = MixedQueries(table, 200, 45);
   for (size_t block_size : {size_t{1000}, scan::kDefaultBlockSize}) {
     SCOPED_TRACE(testing::Message() << "block_size=" << block_size);
-    const scan::TableSynopsis synopsis(table, {block_size});
-    EXPECT_TRUE(synopsis.HasDictionary(0));
-    EXPECT_FALSE(synopsis.HasDictionary(1));
-    ExpectBitIdentical(table, queries, {block_size});
+    ExpectBitIdentical(table, queries, block_size);
   }
 }
 
@@ -188,15 +182,15 @@ TEST(ScanSynopsisTest, AppendIntroducingNewDictionaryValues) {
   Table table = base;
   table.AppendRows(extra);
 
-  ASSERT_TRUE(scan::TableSynopsis(table, {64}).HasDictionary(0));
+  ASSERT_TRUE(scan::WithinCodeBudget(table.column(0)));
   EXPECT_EQ(table.column(0).domain_size(), 15u);
   std::vector<Query> queries(15);
   for (int v = 0; v < 15; ++v) {
     const double value = static_cast<double>(v);
     queries[static_cast<size_t>(v)].predicates.push_back({0, value, value});
   }
-  ExpectBitIdentical(base, queries, {64});   // 900 % 64 != 0.
-  ExpectBitIdentical(table, queries, {64});  // 1200 % 64 != 0.
+  ExpectBitIdentical(base, queries, 64);   // 900 % 64 != 0.
+  ExpectBitIdentical(table, queries, 64);  // 1200 % 64 != 0.
 }
 
 TEST(ScanSynopsisTest, AppendUpgradesCodeWidthFromU8ToU16) {
@@ -218,7 +212,7 @@ TEST(ScanSynopsisTest, AppendUpgradesCodeWidthFromU8ToU16) {
   extra.AddColumn("c", std::move(more), true);
   table.AppendRows(extra);
 
-  ASSERT_TRUE(scan::TableSynopsis(table, {32}).HasDictionary(0));
+  ASSERT_TRUE(scan::WithinCodeBudget(table.column(0)));
   EXPECT_EQ(table.column(0).domain_size(), 400u);
   EXPECT_TRUE(table.column(0).codes8.empty());
   EXPECT_FALSE(table.column(0).codes16.empty());
@@ -228,21 +222,21 @@ TEST(ScanSynopsisTest, AppendUpgradesCodeWidthFromU8ToU16) {
     const double v = static_cast<double>(rng.UniformInt(uint64_t{400}));
     q.predicates.push_back({0, v, v});
   }
-  ExpectBitIdentical(table, queries, {32});
+  ExpectBitIdentical(table, queries, 32);
 }
 
 TEST(ScanSynopsisTest, DictDemotionWhenAppendCrossesBudget) {
-  // The base column holds exactly kMaxDictCodes distinct values and gets
-  // bitmaps; the append adds new values past the budget, so a fresh
-  // synopsis over the appended table keeps zone maps only for it, and the
-  // scan falls back to the double kernels without ever miscounting.
+  // The base column holds exactly kMaxDictCodes distinct values and runs on
+  // its codes; the append adds new values past the budget, so a fresh
+  // scanner over the appended table falls back to the double kernels
+  // without ever miscounting.
   const size_t budget = scan::kMaxDictCodes;
   std::vector<double> vals(2 * budget);
   for (size_t i = 0; i < vals.size(); ++i)
     vals[i] = static_cast<double>(i % budget);
   Table base("demote");
   base.AddColumn("c", std::move(vals), true);
-  ASSERT_TRUE(scan::TableSynopsis(base, {48}).HasDictionary(0));
+  ASSERT_TRUE(scan::WithinCodeBudget(base.column(0)));
 
   std::vector<double> more(500);
   for (size_t i = 0; i < more.size(); ++i)
@@ -253,90 +247,68 @@ TEST(ScanSynopsisTest, DictDemotionWhenAppendCrossesBudget) {
   table.AppendRows(extra);
   ASSERT_EQ(table.column(0).domain_size(), budget + 20);
 
-  EXPECT_FALSE(scan::TableSynopsis(table, {48}).HasDictionary(0));
-  ExpectBitIdentical(table, MixedQueries(table, 60, 44), {48});
+  EXPECT_FALSE(scan::WithinCodeBudget(table.column(0)));
+  ExpectBitIdentical(table, MixedQueries(table, 60, 44), 48);
 }
 
-TEST(ScanDictPruningTest, BitmapSkipsBlocksZoneMapsCannot) {
-  // Every block contains both 0 and 99, so the [min, max] envelope of every
-  // block covers any equality predicate — zone maps prune nothing. The value
-  // 50 exists only in the final block; only presence bitmaps can skip the
-  // rest.
-  std::vector<double> vals;
-  for (size_t b = 0; b < 16; ++b) {
-    for (size_t i = 0; i < 32; ++i)
-      vals.push_back(i % 2 == 0 ? 0.0 : 99.0);
+TEST(ScanCodesTest, OnePredicateCountsComeFromTheCodePrefix) {
+  // Column 0 holds 200 values (u8 codes), column 1 1000 halves (u16 codes);
+  // both carry NaN rows. A lone predicate on either is answered from the
+  // column's code-count prefix: exact, and no block is scanned.
+  const size_t rows = 3 * 4096 + 77;
+  std::vector<double> narrow(rows);
+  std::vector<double> wide(rows);
+  for (size_t i = 0; i < rows; ++i) {
+    narrow[i] = i % 11 == 0 ? kNaN : static_cast<double>((i * 7919) % 200);
+    wide[i] =
+        i % 17 == 0 ? kNaN : 0.5 * static_cast<double>((i * 104729) % 1000);
   }
-  vals[vals.size() - 1] = 50.0;
-  Table table("bitmap");
-  table.AddColumn("c", std::move(vals), true);
-  scan::BlockScanner scanner(table, {32});
-  Query q;
-  q.predicates.push_back({0, 50, 50});
-  EXPECT_EQ(scanner.Count(q), 1u);
+  Table table("prefix");
+  table.AddColumn("narrow", std::move(narrow), true);
+  table.AddColumn("wide", std::move(wide), true);
+  ASSERT_EQ(table.column(0).domain_size(), 200u);
+  ASSERT_FALSE(table.column(0).codes8.empty());
+  ASSERT_EQ(table.column(1).domain_size(), 1000u);
+  ASSERT_FALSE(table.column(1).codes16.empty());
+
+  const scan::BlockScanner scanner(table, 1000);
+  const double num_rows = static_cast<double>(rows);
+  uint64_t answered = 0;
+  for (int col : {0, 1}) {
+    SCOPED_TRACE(testing::Message() << "column=" << col);
+    const std::vector<double>& domain =
+        table.column(static_cast<size_t>(col)).domain;
+    // Every code's equality: the count, and the selectivity as an exact
+    // fraction of the rows.
+    for (double v : domain) {
+      Query q;
+      q.predicates.push_back({col, v, v});
+      const size_t naive = ExecuteCountNaive(table, q);
+      EXPECT_EQ(scanner.Count(q), naive) << "value " << v;
+      EXPECT_DOUBLE_EQ(scanner.Selectivity(q),
+                       static_cast<double>(naive) / num_rows);
+      answered += 2;
+    }
+    const double mid = domain[domain.size() / 2];
+    std::vector<Query> ranges(5);
+    ranges[0].predicates.push_back({col, -kInf, kInf});  // non-NaN rows.
+    ranges[1].predicates.push_back({col, -kInf, mid});
+    ranges[2].predicates.push_back({col, mid, kInf});
+    ranges[3].predicates.push_back(
+        {col, domain[1], domain[domain.size() - 2]});
+    ranges[4].predicates.push_back({col, 0.1, 0.2});  // empty code range.
+    EXPECT_LT(ExecuteCountNaive(table, ranges[0]), rows);
+    EXPECT_EQ(ExecuteCountNaive(table, ranges[4]), 0u);
+    for (const Query& q : ranges) {
+      const size_t naive = ExecuteCountNaive(table, q);
+      EXPECT_EQ(scanner.Count(q), naive) << q.ToString();
+      EXPECT_EQ(ExecuteCount(table, q), naive) << q.ToString();
+    }
+    answered += 4;  // the empty range is unsatisfiable, not a prefix count.
+  }
   const scan::ScanStats stats = scanner.stats();
-  EXPECT_EQ(stats.zone_skips, 0u);
-  EXPECT_EQ(stats.bitmap_skips, 15u);
-  EXPECT_EQ(stats.scanned_blocks, 1u);
-}
-
-TEST(ScanDictPruningTest, EstimateFractionExactOnDictionaryColumns) {
-  const Table table = CategoricalZipfTable(1500, 1, 8, 9);
-  const scan::TableSynopsis synopsis(table);
-  ASSERT_TRUE(synopsis.HasDictionary(0));
-  const Column& column = table.column(0);
-  for (uint32_t code = 0; code < column.domain_size(); ++code) {
-    const double v = column.domain[code];
-    Query q;
-    q.predicates.push_back({0, v, v});
-    const double exact =
-        static_cast<double>(ExecuteCountNaive(table, q)) /
-        static_cast<double>(table.num_rows());
-    EXPECT_DOUBLE_EQ(synopsis.DictFraction(0, code, code), exact);
-  }
-  EXPECT_DOUBLE_EQ(
-      synopsis.DictFraction(0, 0, static_cast<uint32_t>(column.domain_size() - 1)),
-      1.0);
-}
-
-TEST(ScanSynopsisTest, SizeBytesObservable) {
-  // Two categorical columns within the code budget plus one continuous
-  // column past it, against three continuous columns of the same length:
-  // zone maps cost the same on both, and the bitmaps and count prefixes of
-  // the first table's categorical columns cost real memory on top — that
-  // is the point of surfacing SizeBytes.
-  const size_t rows = 8000;
-  const Table categorical = CategoricalZipfTable(rows, 2, 30, 13);
-  ASSERT_FALSE(scan::WithinCodeBudget(categorical.column(2)));
-  Rng rng(14);
-  Table continuous("cont");
-  for (int c = 0; c < 3; ++c) {
-    std::vector<double> vals(rows);
-    for (double& v : vals) v = rng.Gaussian();
-    continuous.AddColumn("c" + std::to_string(c), std::move(vals), false);
-  }
-  const scan::TableSynopsis a(categorical, {1000});
-  const scan::TableSynopsis b(continuous, {1000});
-  EXPECT_FALSE(b.HasDictionary(0));
-  const size_t zone_map_bytes =
-      3 * b.num_blocks() * (2 * sizeof(double) + sizeof(uint8_t));
-  EXPECT_GT(b.SizeBytes(), zone_map_bytes);
-  EXPECT_GT(a.SizeBytes(), b.SizeBytes());
-}
-
-TEST(ScanSynopsisTest, ConstantBlocksCountWholesale) {
-  // A constant column: every block fully matches the equality predicate and
-  // must be counted without touching values.
-  std::vector<double> vals(256, 7.0);
-  Table table("const");
-  table.AddColumn("c", std::move(vals), true);
-  scan::BlockScanner scanner(table, {32});
-  Query q;
-  q.predicates.push_back({0, 7, 7});
-  EXPECT_EQ(scanner.Count(q), 256u);
-  const scan::ScanStats stats = scanner.stats();
-  EXPECT_EQ(stats.full_blocks, 8u);
   EXPECT_EQ(stats.scanned_blocks, 0u);
+  EXPECT_EQ(stats.posting_queries, answered);
 }
 
 }  // namespace

@@ -14,7 +14,6 @@
 
 #include "data/datasets.h"
 #include "scan/block_scan.h"
-#include "scan/synopsis.h"
 #include "util/random.h"
 #include "workload/generator.h"
 #include "workload/query.h"
@@ -31,8 +30,9 @@ Table SmallTable() {
   return t;
 }
 
-// Asserts every executor agrees with the naive reference on `queries`,
-// exercising single-query, batch, and one-shot paths under `block_size`.
+// Asserts every executor agrees with the naive reference on `queries`:
+// a scanner with `block_size` rows per block (single and batch),
+// ExecuteCount and LabelQueries.
 void ExpectDifferentialMatch(const Table& table,
                              const std::vector<Query>& queries,
                              size_t block_size) {
@@ -159,20 +159,6 @@ TEST(ScanEngineDeathTest, ScannerAbortsAfterItsTableChanged) {
                "table changed after the scanner was built");
   EXPECT_DEATH(scanner.CountBatch({query}),
                "table changed after the scanner was built");
-}
-
-TEST(ScanEngineTest, ZoneMapClassification) {
-  Table table("zones");
-  table.AddColumn("a", {1, 2, 3, 10, 11, 12}, false);
-  const scan::TableSynopsis synopsis(table, {3});  // blocks {1..3}, {10..12}.
-  ASSERT_EQ(synopsis.num_blocks(), 2u);
-  const Predicate narrow{0, 4, 9};   // gap between the blocks.
-  const Predicate left{0, 0, 5};     // contains block 0's envelope.
-  EXPECT_FALSE(synopsis.CanMatch(0, narrow));
-  EXPECT_FALSE(synopsis.CanMatch(1, narrow));
-  EXPECT_TRUE(synopsis.CanMatch(0, left));
-  EXPECT_TRUE(synopsis.FullyMatches(0, left));
-  EXPECT_FALSE(synopsis.CanMatch(1, left));
 }
 
 TEST(ScanEngineTest, KernelsAgreeWithMatches) {

@@ -118,15 +118,10 @@ int SelfTest() {
     }
   }
   const scan::ScanStats stats = executor.scan_stats();
-  std::printf("scan: synopsis_bytes=%zu classified=%llu zone_skips=%llu "
-              "bitmap_skips=%llu full=%llu scanned=%llu dict_kernel=%llu\n",
-              executor.SynopsisSizeBytes(),
-              static_cast<unsigned long long>(stats.classified_blocks),
-              static_cast<unsigned long long>(stats.zone_skips),
-              static_cast<unsigned long long>(stats.bitmap_skips),
-              static_cast<unsigned long long>(stats.full_blocks),
+  std::printf("scan: scanned=%llu dict_kernel=%llu posting=%llu\n",
               static_cast<unsigned long long>(stats.scanned_blocks),
-              static_cast<unsigned long long>(stats.dict_kernel_blocks));
+              static_cast<unsigned long long>(stats.dict_kernel_blocks),
+              static_cast<unsigned long long>(stats.posting_queries));
   std::printf("selftest ok\n");
   return 0;
 }
