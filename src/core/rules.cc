@@ -9,9 +9,6 @@
 
 namespace arecel {
 
-namespace {
-
-// Columns with enough distinct values to shrink/split a range meaningfully.
 std::vector<int> RangeableColumns(const Table& table) {
   std::vector<int> cols;
   for (size_t c = 0; c < table.num_cols(); ++c) {
@@ -21,8 +18,6 @@ std::vector<int> RangeableColumns(const Table& table) {
   return cols;
 }
 
-// A random close-range query on `col` spanning a decent chunk of values,
-// plus up to one extra random predicate for context.
 Query RandomRangeQuery(const Table& table, int col, Rng& rng) {
   const Column& column = table.column(static_cast<size_t>(col));
   const size_t domain = column.domain.size();
@@ -34,8 +29,6 @@ Query RandomRangeQuery(const Table& table, int col, Rng& rng) {
       {col, column.domain[a], column.domain[std::min(b, domain - 1)]});
   return query;
 }
-
-}  // namespace
 
 std::vector<RuleResult> CheckLogicalRules(
     const CardinalityEstimator& estimator, const Table& table,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/estimator.h"
+#include "util/random.h"
 
 namespace arecel {
 
@@ -41,6 +42,15 @@ struct RuleResult {
 std::vector<RuleResult> CheckLogicalRules(
     const CardinalityEstimator& estimator, const Table& table,
     const RuleCheckOptions& options = {});
+
+// Range probes, shared with the conformance invariants (src/testing/).
+// Columns with enough distinct values to shrink/split a range
+// meaningfully: non-categorical with at least 8 domain values.
+std::vector<int> RangeableColumns(const Table& table);
+
+// A random closed-range query on one of those columns, spanning at least
+// five domain values. Draws two values from `rng`.
+Query RandomRangeQuery(const Table& table, int col, Rng& rng);
 
 }  // namespace arecel
 

@@ -27,21 +27,8 @@ FeedbackKnnEstimator::FeedbackKnnEstimator(feedback::FeedbackOptions options)
 void FeedbackKnnEstimator::Train(const Table& table,
                                  const TrainContext& context) {
   model_.Clear();
-  model_.BindSchema(table);
-  rows_ = table.num_rows();
   version_ = 0;
-  priors_.clear();
-  priors_.reserve(table.num_cols());
-  for (size_t c = 0; c < table.num_cols(); ++c) {
-    const Column& column = table.column(c);
-    ColumnPrior prior;
-    if (!column.domain.empty()) {
-      prior.lo = column.min();
-      prior.hi = column.max();
-      prior.domain_size = column.domain_size();
-    }
-    priors_.push_back(prior);
-  }
+  BindTable(table);
   if (context.training_workload != nullptr)
     SeedFromWorkload(*context.training_workload);
 }
@@ -53,6 +40,12 @@ void FeedbackKnnEstimator::Update(const Table& table,
   // domains) and re-seed from the refreshed workload.
   ++version_;
   model_.InvalidateOlderThan(version_);
+  BindTable(table);
+  if (context.update_workload != nullptr)
+    SeedFromWorkload(*context.update_workload);
+}
+
+void FeedbackKnnEstimator::BindTable(const Table& table) {
   model_.BindSchema(table);
   rows_ = table.num_rows();
   priors_.clear();
@@ -67,8 +60,6 @@ void FeedbackKnnEstimator::Update(const Table& table,
     }
     priors_.push_back(prior);
   }
-  if (context.update_workload != nullptr)
-    SeedFromWorkload(*context.update_workload);
 }
 
 void FeedbackKnnEstimator::SeedFromWorkload(const Workload& workload) {

@@ -55,6 +55,9 @@ class FeedbackKnnEstimator : public CardinalityEstimator,
   };
 
   double FallbackSelectivity(const Query& query) const;
+  // Binds the store's schema, the row count and the column priors to
+  // `table`.
+  void BindTable(const Table& table);
   void SeedFromWorkload(const Workload& workload);
 
   feedback::OnlineSubspaceModel model_;

@@ -3,7 +3,7 @@
 #include <memory>
 #include <utility>
 
-#include "scan/block_scan.h"
+#include "workload/query.h"
 
 namespace arecel::feedback {
 
@@ -57,13 +57,6 @@ TruthWorkerStats TruthWorker::Stats() const {
 }
 
 void TruthWorker::Loop() {
-  // Consecutive jobs usually label queries against the same table snapshot
-  // (a version bump swaps in a new shared_ptr), so the worker keeps one
-  // scanner alive per snapshot and builds the snapshot's code-count
-  // prefixes once for the whole run of jobs. Holding `cached_snapshot`
-  // keeps the table the scanner points into alive.
-  std::shared_ptr<const Table> cached_snapshot;
-  std::unique_ptr<scan::BlockScanner> scanner;
   for (;;) {
     TruthJob job;
     {
@@ -74,14 +67,10 @@ void TruthWorker::Loop() {
       queue_.pop_front();
       in_flight_ = true;
     }
-    double truth = 0.0;
-    if (job.snapshot != nullptr) {
-      if (job.snapshot != cached_snapshot) {
-        cached_snapshot = job.snapshot;
-        scanner = std::make_unique<scan::BlockScanner>(*cached_snapshot);
-      }
-      truth = scanner->Selectivity(job.query);
-    }
+    // A fresh scanner per job: building one costs O(domain).
+    const double truth = job.snapshot == nullptr
+                             ? 0.0
+                             : ExecuteSelectivity(*job.snapshot, job.query);
     if (callback_) callback_(job, truth);
     {
       std::lock_guard<std::mutex> lock(mutex_);

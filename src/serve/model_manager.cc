@@ -36,25 +36,12 @@ std::string ModelManager::ModelKey(const std::string& dataset,
   return dataset + '\x1f' + estimator;
 }
 
-void ModelManager::RegisterDataset(const std::string& name, Table table) {
+bool ModelManager::RegisterDataset(const std::string& name, Table table) {
   auto shared = std::make_shared<const Table>(std::move(table));
-  std::mutex* update_mutex = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(data_mutex_);
-    auto [it, inserted] = datasets_.try_emplace(name);
-    if (inserted) {
-      it->second.table = std::move(shared);
-      return;
-    }
-    update_mutex = &it->second.update_mutex;
-  }
-  // A replacement waits out an update in flight, which would otherwise
-  // install its version of the old table over this one.
-  std::lock_guard<std::mutex> update_lock(*update_mutex);
   std::lock_guard<std::mutex> lock(data_mutex_);
-  DatasetState& state = datasets_[name];
-  state.table = std::move(shared);
-  state.version = 0;
+  auto [it, inserted] = datasets_.try_emplace(name);
+  if (inserted) it->second.table = std::move(shared);
+  return inserted;
 }
 
 bool ModelManager::HasDataset(const std::string& name) const {
@@ -212,41 +199,64 @@ std::shared_ptr<const ServedModel> ModelManager::BuildModel(
   return model;
 }
 
+std::shared_ptr<const ServedModel> ModelManager::Publish(
+    const std::string& dataset, const std::string& estimator,
+    bool is_refresh, const CancellationToken* cancel, std::string* error) {
+  std::shared_ptr<const Table> table;
+  uint64_t version = 0;
+  std::shared_ptr<const ServedModel> model;
+  if (Snapshot(dataset, &table, &version, error)) {
+    model = BuildModel(dataset, estimator, table, version, is_refresh, error,
+                       cancel);
+  }
+
+  const std::string key = ModelKey(dataset, estimator);
+  std::lock_guard<std::mutex> lock(models_mutex_);
+  // Only this call erases a building entry (Evict skips them).
+  auto it = models_.find(key);
+  ModelEntry& entry = it->second;
+  entry.building = false;
+  if (model != nullptr) {
+    entry.model = model;
+    // An update that landed during the build found the entry building and
+    // started no refresh; catch up on its version now.
+    if (entry.Behind(DataVersion(dataset)))
+      StartRefresh(dataset, estimator, &entry);
+  } else if (entry.model == nullptr) {
+    models_.erase(it);  // forget a failed cold load; the next request retries.
+  }
+  if (is_refresh) --active_refreshes_;
+  models_cv_.notify_all();
+  return model;
+}
+
+void ModelManager::StartRefresh(const std::string& dataset,
+                                const std::string& estimator,
+                                ModelEntry* entry) {
+  entry->building = true;
+  ++active_refreshes_;
+  StartOnWorker([this, dataset, estimator] {
+    Publish(dataset, estimator, /*is_refresh=*/true, nullptr, nullptr);
+  });
+}
+
 bool ModelManager::RefreshModelNow(const std::string& dataset,
                                    const std::string& estimator,
                                    const CancellationToken* cancel,
                                    std::string* error) {
-  std::shared_ptr<const Table> table;
-  uint64_t version = 0;
-  if (!Snapshot(dataset, &table, &version, error)) return false;
-
-  const std::string key = ModelKey(dataset, estimator);
+  const uint64_t version = DataVersion(dataset);
   {
     std::lock_guard<std::mutex> lock(models_mutex_);
-    auto it = models_.find(key);
-    if (it == models_.end() || !it->second.ready || it->second.refreshing ||
-        it->second.model->data_version >= version) {
+    auto it = models_.find(ModelKey(dataset, estimator));
+    if (it == models_.end() || !it->second.Behind(version)) {
       if (error != nullptr) *error = "nothing to refresh";
       return false;
     }
-    it->second.refreshing = true;
+    it->second.building = true;
     ++active_refreshes_;
   }
-
-  std::shared_ptr<const ServedModel> fresh = BuildModel(
-      dataset, estimator, table, version, /*is_refresh=*/true, error, cancel);
-  const bool ok = fresh != nullptr;
-  {
-    std::lock_guard<std::mutex> lock(models_mutex_);
-    auto it = models_.find(key);
-    if (it != models_.end()) {
-      it->second.refreshing = false;
-      if (ok) it->second.model = std::move(fresh);
-    }
-    --active_refreshes_;
-    refresh_cv_.notify_all();
-  }
-  return ok;
+  return Publish(dataset, estimator, /*is_refresh=*/true, cancel, error) !=
+         nullptr;
 }
 
 std::vector<PendingSave> ModelManager::TakePendingSaves() {
@@ -260,15 +270,9 @@ std::vector<LoadedModelInfo> ModelManager::LoadedModels() const {
   std::lock_guard<std::mutex> lock(models_mutex_);
   std::vector<LoadedModelInfo> infos;
   for (const auto& [key, entry] : models_) {
-    if (!entry.ready) continue;
+    if (entry.model == nullptr) continue;
     const size_t sep = key.find('\x1f');
-    LoadedModelInfo info;
-    info.dataset = key.substr(0, sep);
-    info.estimator = key.substr(sep + 1);
-    info.data_version = entry.model->data_version;
-    info.refreshing = entry.refreshing;
-    info.model = entry.model;
-    infos.push_back(std::move(info));
+    infos.push_back({key.substr(0, sep), key.substr(sep + 1), entry.model});
   }
   return infos;
 }
@@ -280,12 +284,12 @@ std::shared_ptr<const ServedModel> ModelManager::GetModel(
   {
     std::unique_lock<std::mutex> lock(models_mutex_);
     for (;;) {
-      auto it = models_.find(key);
-      if (it == models_.end()) {
-        models_[key] = ModelEntry{};  // claim the single-flight slot.
+      auto [it, cold] = models_.try_emplace(key);
+      if (it->second.model != nullptr) return it->second.model;
+      if (cold) {
+        it->second.building = true;  // claim the single-flight slot.
         break;
       }
-      if (it->second.ready) return it->second.model;
       {
         std::lock_guard<std::mutex> counters_lock(counters_mutex_);
         ++counters_.single_flight_waits;
@@ -293,29 +297,8 @@ std::shared_ptr<const ServedModel> ModelManager::GetModel(
       models_cv_.wait(lock);
     }
   }
-
   // This thread owns the load; everyone else is parked on models_cv_.
-  std::shared_ptr<const Table> table;
-  uint64_t version = 0;
-  std::shared_ptr<const ServedModel> model;
-  std::string build_error;
-  if (Snapshot(dataset, &table, &version, &build_error)) {
-    model = BuildModel(dataset, estimator, table, version,
-                       /*is_refresh=*/false, &build_error);
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(models_mutex_);
-    if (model != nullptr) {
-      models_[key].ready = true;
-      models_[key].model = model;
-    } else {
-      models_.erase(key);  // forget the failure so the next request retries.
-    }
-  }
-  models_cv_.notify_all();
-  if (model == nullptr && error != nullptr) *error = build_error;
-  return model;
+  return Publish(dataset, estimator, /*is_refresh=*/false, nullptr, error);
 }
 
 uint64_t ModelManager::ApplyUpdate(const std::string& dataset, double fraction,
@@ -345,43 +328,22 @@ uint64_t ModelManager::ApplyUpdate(const std::string& dataset, double fraction,
 }
 
 size_t ModelManager::RefreshModelsAsync(const std::string& dataset) {
-  std::shared_ptr<const Table> table;
-  uint64_t version = 0;
-  if (!Snapshot(dataset, &table, &version, nullptr)) return 0;
-
+  const uint64_t version = DataVersion(dataset);
   const std::string prefix = dataset + '\x1f';
   size_t started = 0;
   std::lock_guard<std::mutex> lock(models_mutex_);
   for (auto& [key, entry] : models_) {
     if (key.compare(0, prefix.size(), prefix) != 0) continue;
-    if (!entry.ready || entry.refreshing) continue;
-    if (entry.model->data_version >= version) continue;
-    entry.refreshing = true;
-    ++active_refreshes_;
+    if (!entry.Behind(version)) continue;
+    StartRefresh(dataset, key.substr(prefix.size()), &entry);
     ++started;
-    const std::string estimator = key.substr(prefix.size());
-    StartOnWorker([this, dataset, estimator, key, table, version] {
-      std::string error;
-      std::shared_ptr<const ServedModel> fresh = BuildModel(
-          dataset, estimator, table, version, /*is_refresh=*/true, &error);
-      std::lock_guard<std::mutex> swap_lock(models_mutex_);
-      auto it = models_.find(key);
-      if (it != models_.end()) {
-        it->second.refreshing = false;
-        // On failure the stale model keeps serving (already counted as a
-        // refresh_failure by BuildModel).
-        if (fresh != nullptr) it->second.model = std::move(fresh);
-      }
-      --active_refreshes_;
-      refresh_cv_.notify_all();
-    });
   }
   return started;
 }
 
 void ModelManager::WaitForRefreshes() {
   std::unique_lock<std::mutex> lock(models_mutex_);
-  refresh_cv_.wait(lock, [this] { return active_refreshes_ == 0; });
+  models_cv_.wait(lock, [this] { return active_refreshes_ == 0; });
 }
 
 void ModelManager::Evict(const std::string& dataset,
@@ -389,10 +351,9 @@ void ModelManager::Evict(const std::string& dataset,
   const std::string key = ModelKey(dataset, estimator);
   std::lock_guard<std::mutex> lock(models_mutex_);
   auto it = models_.find(key);
-  // Entries mid-load or mid-refresh are owned by their worker; evicting
+  // Entries mid-load or mid-refresh are owned by their build; evicting
   // them would strand the single-flight waiters.
-  if (it == models_.end() || !it->second.ready || it->second.refreshing)
-    return;
+  if (it == models_.end() || it->second.building) return;
   models_.erase(it);
   std::lock_guard<std::mutex> counters_lock(counters_mutex_);
   ++counters_.evictions;

@@ -94,13 +94,11 @@ struct PendingSave {
   std::shared_ptr<const ServedModel> model;
 };
 
-// Loaded-model inventory row, for the maintenance worker's staleness scan
+// Loaded-model inventory row, for the maintenance worker's refresh pass
 // and the server's latency report.
 struct LoadedModelInfo {
   std::string dataset;
   std::string estimator;
-  uint64_t data_version = 0;
-  bool refreshing = false;
   std::shared_ptr<const ServedModel> model;
 };
 
@@ -108,15 +106,25 @@ struct LoadedModelInfo {
 // layer, keyed by (dataset, estimator name).
 //
 // Concurrency contract:
+//  * One routine publishes every model: it snapshots (table, version),
+//    builds outside any lock, installs the result into the registry entry
+//    and wakes waiters. GetModel's cold load, RefreshModelsAsync and
+//    RefreshModelNow all run it, and each entry has at most one build in
+//    flight.
 //  * GetModel is single-flight: N concurrent requests for the same cold
 //    model run exactly one train (or persisted load); the rest block and
-//    share the result.
+//    share the result. A hit is one lock and one lookup, and returns the
+//    current model even while its refresh is in flight.
 //  * ApplyUpdate installs a new table snapshot under a fresh data version;
-//    existing models keep serving (stale-while-revalidate) until
-//    RefreshModelsAsync's background retrain swaps them, one atomically
-//    published ServedModel at a time. Updates of one dataset are
-//    serialized from snapshot to install, so version k + 1 always extends
-//    version k: concurrent Update calls never drop each other's rows.
+//    existing models keep serving (stale-while-revalidate) until a refresh
+//    swaps them, one atomically published ServedModel at a time. Updates
+//    of one dataset are serialized from snapshot to install, so version
+//    k + 1 always extends version k: concurrent Update calls never drop
+//    each other's rows.
+//  * A model installed behind its dataset's version (an update landed
+//    while it was built) starts one background refresh of its entry, so
+//    every loaded model converges to its data; WaitForRefreshes waits for
+//    that refresh too. A failed build starts none.
 //  * Published ServedModels are immutable, so readers never need a lock to
 //    use one (beyond the inference mutex for stochastic estimators).
 class ModelManager {
@@ -127,8 +135,9 @@ class ModelManager {
   ModelManager(const ModelManager&) = delete;
   ModelManager& operator=(const ModelManager&) = delete;
 
-  // Installs (or replaces) a dataset snapshot at data version 0.
-  void RegisterDataset(const std::string& name, Table table);
+  // Installs a dataset snapshot at data version 0. A name registers once:
+  // when it exists the call returns false and changes nothing.
+  bool RegisterDataset(const std::string& name, Table table);
 
   bool HasDataset(const std::string& name) const;
   std::vector<std::string> DatasetNames() const;
@@ -145,27 +154,27 @@ class ModelManager {
   // The paper's append-update procedure (§5.1 sorted-copy append):
   // appends `fraction` * rows correlated tuples, installs the new snapshot,
   // and returns the bumped data version. Serving continues from the old
-  // models until RefreshModelsAsync completes.
+  // models until their refreshes land.
   uint64_t ApplyUpdate(const std::string& dataset, double fraction,
                        uint64_t seed);
 
   // Kicks one background full retrain per loaded model of `dataset` that
-  // is older than the current data version, each on a pool worker that
-  // starts it at once (StartOnWorker). Returns how many were started. A
-  // failed retrain keeps the stale model serving and counts a
-  // refresh_failure.
+  // is behind the current data version and has no build in flight, each
+  // on a pool worker that starts it at once (StartOnWorker). Returns how
+  // many were started. A failed retrain keeps the stale model serving and
+  // counts a refresh_failure.
   size_t RefreshModelsAsync(const std::string& dataset);
 
-  // Blocks until no background refresh is in flight.
+  // Blocks until no background refresh is in flight, catch-up refreshes
+  // of models that landed behind their data included.
   void WaitForRefreshes();
 
-  // Synchronous single-model refresh for the maintenance worker: retrains
-  // (dataset, estimator) at the current data version on the calling thread
-  // and atomically swaps it in. Returns false — without touching the
-  // serving entry — when the model is not loaded, already refreshing,
-  // already fresh, or the retrain failed (stale model keeps serving).
-  // `cancel` is threaded into TrainContext so a watchdog (RunGuarded) can
-  // cut a hung retrain loose cooperatively.
+  // Synchronous single-model refresh: retrains (dataset, estimator) at the
+  // current data version on the calling thread and atomically swaps it
+  // in. Returns false — without touching the serving entry — when the
+  // model is not loaded, has a build in flight, is already fresh, or the
+  // retrain failed (stale model keeps serving). `cancel` is threaded into
+  // TrainContext.
   bool RefreshModelNow(const std::string& dataset,
                        const std::string& estimator,
                        const CancellationToken* cancel = nullptr,
@@ -177,7 +186,7 @@ class ModelManager {
   // persistence.
   std::vector<PendingSave> TakePendingSaves();
 
-  // Snapshot of the ready serving entries, for the worker's staleness scan.
+  // Snapshot of the entries that serve a model.
   std::vector<LoadedModelInfo> LoadedModels() const;
 
   // Drops a model entry (e.g. after a per-request deadline abandoned a
@@ -192,16 +201,23 @@ class ModelManager {
   struct DatasetState {
     std::shared_ptr<const Table> table;
     uint64_t version = 0;
-    // Held by ApplyUpdate and RegisterDataset from reading the snapshot to
-    // installing its successor; taken before data_mutex_. The map never
-    // erases an entry, so the mutex outlives every caller.
+    // Held by ApplyUpdate from reading the snapshot to installing its
+    // successor; taken before data_mutex_. The map never erases an entry,
+    // so the mutex outlives every caller.
     std::mutex update_mutex;
   };
 
   struct ModelEntry {
-    bool ready = false;       // false while the single-flight load runs.
-    bool refreshing = false;  // a background retrain is in flight.
+    // The entry's one build in flight: its cold load (model still null)
+    // or a refresh (the current model keeps serving).
+    bool building = false;
     std::shared_ptr<const ServedModel> model;
+
+    // The one staleness test: serves a model older than `version`, with
+    // no build in flight.
+    bool Behind(uint64_t version) const {
+      return !building && model != nullptr && model->data_version < version;
+    }
   };
 
   static std::string ModelKey(const std::string& dataset,
@@ -211,6 +227,22 @@ class ModelManager {
   bool Snapshot(const std::string& dataset,
                 std::shared_ptr<const Table>* table, uint64_t* version,
                 std::string* error) const;
+
+  // The one publish path, for an entry the caller marked `building` (and,
+  // for a refresh, counted in active_refreshes_). Snapshots the dataset,
+  // builds through BuildModel outside any lock, then under models_mutex_
+  // installs a built model, clears the flag and wakes waiters; a failed
+  // cold load erases the entry so the next request retries. A model
+  // installed behind its data starts one background refresh of the entry.
+  // Returns the built model, or nullptr with *error filled.
+  std::shared_ptr<const ServedModel> Publish(
+      const std::string& dataset, const std::string& estimator,
+      bool is_refresh, const CancellationToken* cancel, std::string* error);
+
+  // Marks `entry` building and runs Publish for it on a pool worker.
+  // Caller holds models_mutex_.
+  void StartRefresh(const std::string& dataset, const std::string& estimator,
+                    ModelEntry* entry);
 
   // Trains (or loads) one model outside any lock. Returns nullptr and
   // fills *error on failure.
@@ -225,14 +257,15 @@ class ModelManager {
   mutable std::mutex data_mutex_;
   std::map<std::string, DatasetState> datasets_;
 
+  // Taken before data_mutex_ when both are held: Publish reads the data
+  // version under it, so an update whose refresh it skipped is seen.
   mutable std::mutex models_mutex_;
-  std::condition_variable models_cv_;
   std::map<std::string, ModelEntry> models_;
 
-  // Notified under models_mutex_, so a waiter that sees no refresh left
-  // (the destructor among them) cannot return while a refresh still
-  // touches this object.
-  std::condition_variable refresh_cv_;
+  // Notified under models_mutex_ at every publish, so a waiter that sees
+  // no refresh left (the destructor among them) cannot return while a
+  // refresh still touches this object.
+  std::condition_variable models_cv_;
   int active_refreshes_ = 0;  // guarded by models_mutex_.
 
   mutable std::mutex counters_mutex_;

@@ -58,7 +58,8 @@ ServeOptions ServeOptionsFromEnv() {
   options.cache_bytes =
       cache_mb <= 0 ? 0 : static_cast<size_t>(cache_mb * (1 << 20));
   options.cache_enabled = options.cache_bytes > 0;
-  options.robust = robust::RobustOptionsFromEnv();
+  options.robust.query_deadline_seconds = EnvDouble(
+      "ARECEL_QUERY_DEADLINE", options.robust.query_deadline_seconds);
   options.feedback_enabled = EnvDouble("ARECEL_FEEDBACK", 0.0) > 0;
   const double queue = EnvDouble("ARECEL_FEEDBACK_QUEUE", 1024.0);
   options.feedback_queue = queue <= 0 ? 1 : static_cast<size_t>(queue);
@@ -97,8 +98,8 @@ EstimatorServer::~EstimatorServer() {
   if (maintenance_ != nullptr) maintenance_->Stop();
 }
 
-void EstimatorServer::RegisterDataset(const std::string& name, Table table) {
-  manager_.RegisterDataset(name, std::move(table));
+bool EstimatorServer::RegisterDataset(const std::string& name, Table table) {
+  return manager_.RegisterDataset(name, std::move(table));
 }
 
 bool EstimatorServer::RunInference(

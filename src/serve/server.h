@@ -28,16 +28,19 @@ namespace arecel::serve {
 //                          (default off: serving behavior is bit-identical
 //                          to the pre-feedback server unless opted in)
 //   ARECEL_FEEDBACK_QUEUE  truth-worker queue capacity (default 1024)
+//   ARECEL_QUERY_DEADLINE  per-request deadline in seconds (default 0:
+//                          no watchdog), read into
+//                          robust.query_deadline_seconds
 //   ARECEL_STORE_DIR       enables the crash-safe versioned model store
 //                          (src/store/, DESIGN.md §12): cold loads become
 //                          warm starts through checksum-verified recovery,
-//                          and an embedded MaintenanceWorker owns staleness
-//                          refresh + write-back off the serving threads
-//                          (ARECEL_STORE_MAX_GENERATIONS,
+//                          and an embedded MaintenanceWorker owns write-back
+//                          and retries failed refreshes off the serving
+//                          threads (ARECEL_STORE_MAX_GENERATIONS,
 //                          ARECEL_MAINT_INTERVAL_MS)
-// plus the ARECEL_FEEDBACK_* store knobs FeedbackOptionsFromEnv reads and
-// the robustness knobs RobustOptionsFromEnv already reads —
-// ARECEL_QUERY_DEADLINE arms the per-request watchdog.
+// plus the ARECEL_FEEDBACK_* store knobs FeedbackOptionsFromEnv reads. The
+// bench harness's other robustness knobs (ARECEL_FALLBACK, ...) are not
+// read here.
 struct ServeOptions {
   size_t cache_bytes = 64ull << 20;
   size_t cache_shards = 16;
@@ -46,10 +49,10 @@ struct ServeOptions {
   // (util/thread_pool.h); <= 0: ParallelWorkerCount().
   int dispatch_threads = 0;
 
-  // Per-request deadline reuses RobustOptions.query_deadline_seconds; <= 0
-  // runs inference inline with no hand-off to a pool worker. The failure
-  // taxonomy is shared with the bench harness (kEstimateTimeout /
-  // kEstimateThrew / ...).
+  // Per-request deadline reuses RobustOptions.query_deadline_seconds, the
+  // only field the server reads; <= 0 runs inference inline with no
+  // hand-off to a pool worker. The failure taxonomy is shared with the
+  // bench harness (kEstimateTimeout / kEstimateThrew / ...).
   robust::RobustOptions robust;
 
   // The paper's §5.1 dynamic-update append fraction (20%).
@@ -133,18 +136,20 @@ struct ServerStats {
 //
 // Staleness: Update() appends 20% correlated rows (the paper's §5.1
 // procedure), bumps the dataset's data version, drops the dataset's cache
-// entries, and kicks background retrains. Until a retrain lands, requests
-// are served by the stale model — the §6.4 "estimator lags behind data"
-// regime — and cache keys carry the stale version so a refreshed model can
-// never serve a stale cached estimate.
+// entries, and kicks background retrains; a model that lands behind its
+// data is refreshed again. Until a retrain lands, requests are served by
+// the stale model — the §6.4 "estimator lags behind data" regime — and
+// cache keys carry the stale version so a refreshed model can never serve
+// a stale cached estimate.
 class EstimatorServer {
  public:
   explicit EstimatorServer(ServeOptions options);
   EstimatorServer() : EstimatorServer(ServeOptionsFromEnv()) {}
   ~EstimatorServer();  // stops the maintenance worker before the manager.
 
-  // Registers a dataset snapshot at data version 0.
-  void RegisterDataset(const std::string& name, Table table);
+  // Registers a dataset snapshot at data version 0; false, changing
+  // nothing, when the name is already registered.
+  bool RegisterDataset(const std::string& name, Table table);
 
   // Trains (or loads) the model if cold — single-flight — then serves the
   // estimate, consulting the cache first. Cache hits return exactly the

@@ -5,8 +5,6 @@
 #include <climits>
 
 #include "core/model_io.h"
-#include "robustness/guard.h"
-#include "util/cancellation.h"
 #include "util/env.h"
 
 namespace arecel::store {
@@ -140,41 +138,8 @@ size_t MaintenanceWorker::DrainSaves() {
 
 size_t MaintenanceWorker::RefreshStale() {
   size_t refreshed = 0;
-  for (const serve::LoadedModelInfo& info : manager_->LoadedModels()) {
-    if (info.refreshing) continue;
-    if (info.data_version >= manager_->DataVersion(info.dataset)) continue;
-
-    bool ok = false;
-    if (options_.refresh_deadline_seconds > 0.0) {
-      // Guarded: a hung retrain is cancelled cooperatively and, failing
-      // that, abandoned with its captured shared_ptrs keeping the manager
-      // and store alive until it unwinds (guard.h contract).
-      auto cancel = std::make_shared<CancellationToken>();
-      auto manager = manager_;
-      auto result_ok = std::make_shared<bool>(false);
-      const std::string dataset = info.dataset;
-      const std::string estimator = info.estimator;
-      robust::GuardKinds kinds;
-      const robust::GuardResult guard = robust::RunGuarded(
-          [manager, cancel, result_ok, dataset, estimator] {
-            *result_ok =
-                manager->RefreshModelNow(dataset, estimator, cancel.get());
-          },
-          options_.refresh_deadline_seconds, kinds, cancel.get(),
-          /*keep_alive=*/store_);
-      ok = guard.ok() && *result_ok;
-    } else {
-      ok = manager_->RefreshModelNow(info.dataset, info.estimator);
-    }
-
-    std::lock_guard<std::mutex> lock(stats_mutex_);
-    if (ok) {
-      ++stats_.refreshes;
-      ++refreshed;
-    } else {
-      ++stats_.refresh_failures;
-    }
-  }
+  for (const serve::LoadedModelInfo& info : manager_->LoadedModels())
+    if (manager_->RefreshModelNow(info.dataset, info.estimator)) ++refreshed;
   return refreshed;
 }
 

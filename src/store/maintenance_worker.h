@@ -19,15 +19,11 @@ namespace arecel::store {
 //    trained model (under its inference mutex when inference mutates
 //    state, e.g. naru's sampling counter) and commits it to the store with
 //    bounded retries under exponential backoff + jitter;
-//  * staleness refresh — scans the loaded models, and for each one older
-//    than its dataset's current data version runs a synchronous retrain
-//    (ModelManager::RefreshModelNow) inside the robustness watchdog
-//    (RunGuarded + CancellationToken), so a hung retrain costs one
-//    abandoned pool worker, not this worker.
-//
-// Closures handed to RunGuarded share ownership of the manager and store
-// (shared_ptr captures + keep_alive), satisfying the guard's leak-on-hang
-// contract: an abandoned retrain keeps its state alive until it returns.
+//  * refresh retry — calls ModelManager::RefreshModelNow for every loaded
+//    model, which retrains on this thread the ones behind their data with
+//    no build in flight: a refresh that failed (or was never started)
+//    gets another try each pass. Refreshes are counted in the manager's
+//    ManagerCounters.
 
 struct MaintenanceOptions {
   // Pause between background passes. ARECEL_MAINT_INTERVAL_MS.
@@ -42,11 +38,6 @@ struct MaintenanceOptions {
   int backoff_base_ms = 10;
   int backoff_max_ms = 1000;
 
-  // Watchdog deadline per refresh; <= 0 runs unguarded (inline, no
-  // hand-off to a pool worker) which is what unit tests use for
-  // determinism.
-  double refresh_deadline_seconds = 0.0;
-
   uint64_t jitter_seed = 0x5eed;
 
   // Reads ARECEL_MAINT_INTERVAL_MS.
@@ -58,8 +49,6 @@ struct WorkerStats {
   uint64_t saves_committed = 0;
   uint64_t save_retries = 0;    // failed Put attempts that were retried.
   uint64_t save_failures = 0;   // models dropped after the attempt budget.
-  uint64_t refreshes = 0;       // stale models successfully retrained.
-  uint64_t refresh_failures = 0;
 };
 
 class MaintenanceWorker {
@@ -80,7 +69,7 @@ class MaintenanceWorker {
   // tick. Safe to call twice; the destructor calls it.
   void Stop();
 
-  // Runs one full maintenance pass (write-back + staleness refresh) on the
+  // Runs one full maintenance pass (refresh retry + write-back) on the
   // calling thread and returns the number of actions taken. Tests drive
   // this directly for determinism; the background loop calls it too, so
   // both paths are the same code.

@@ -7,6 +7,7 @@
 
 #include "core/model_io.h"
 #include "core/registry.h"
+#include "core/rules.h"
 #include "data/datasets.h"
 #include "join/join_executor.h"
 #include "scan/block_scan.h"
@@ -23,28 +24,6 @@ void RecordViolation(InvariantResult* result, double excess,
   ++result->violations;
   if (excess > result->worst) result->worst = excess;
   if (result->detail.empty()) result->detail = detail;
-}
-
-// Columns whose domain is wide enough to carve a strict sub-range from.
-std::vector<int> RangeableColumns(const Table& table) {
-  std::vector<int> cols;
-  for (size_t c = 0; c < table.num_cols(); ++c) {
-    if (!table.column(c).categorical && table.column(c).domain.size() >= 8)
-      cols.push_back(static_cast<int>(c));
-  }
-  return cols;
-}
-
-Query RandomRangeQuery(const Table& table, int col, Rng& rng) {
-  const Column& column = table.column(static_cast<size_t>(col));
-  const size_t domain = column.domain.size();
-  const size_t a = rng.UniformInt(static_cast<uint64_t>(domain - 4));
-  const size_t b =
-      a + 4 + rng.UniformInt(static_cast<uint64_t>(domain - a - 4));
-  Query query;
-  query.predicates.push_back(
-      {col, column.domain[a], column.domain[std::min(b, domain - 1)]});
-  return query;
 }
 
 std::unique_ptr<CardinalityEstimator> TrainFresh(const std::string& name,

@@ -13,7 +13,9 @@
 #include <climits>
 #include <cmath>
 #include <condition_variable>
+#include <cstdlib>
 #include <filesystem>
+#include <future>
 #include <latch>
 #include <limits>
 #include <memory>
@@ -279,6 +281,27 @@ TEST(ServeSingleFlightTest, FailedLoadIsForgottenAndRetried) {
 // ---------------------------------------------------------------------------
 // Deadline -> failure taxonomy.
 
+// The server reads ARECEL_QUERY_DEADLINE alone of the bench harness's
+// robustness knobs: a fallback name the harness would refuse at startup
+// cannot end a server process.
+TEST(ServeDeadlineTest, EnvironmentArmsTheDeadlineAndIgnoresTheFallback) {
+  ::setenv("ARECEL_FALLBACK", "postgrse", 1);
+  ::setenv("ARECEL_QUERY_DEADLINE", "0.05", 1);
+  ServeOptions options = ServeOptionsFromEnv();
+  ::unsetenv("ARECEL_FALLBACK");
+  ::unsetenv("ARECEL_QUERY_DEADLINE");
+  EXPECT_EQ(options.robust.query_deadline_seconds, 0.05);
+
+  options.manager.factory =
+      StubFactory(/*train_ms=*/0, /*estimate_ms=*/300);
+  EstimatorServer server(options);
+  server.RegisterDataset("t", SmallTable());
+  EXPECT_EQ(server.Estimate("t", "stub", MakeQuery({{0, 1.0, 5.0}})).failure,
+            FailureKind::kEstimateTimeout);
+  // Let the abandoned worker drain before the server is torn down.
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+}
+
 TEST(ServeDeadlineTest, TimeoutMapsToEstimateTimeout) {
   ServeOptions options;
   options.robust.query_deadline_seconds = 0.05;
@@ -402,6 +425,35 @@ TEST(ServeServerTest, RepeatAndPermutedQueriesHitTheCache) {
   // Bit-identical replay, not merely approximately equal.
   EXPECT_EQ(hit.selectivity, miss.selectivity);
   EXPECT_EQ(server.Stats().cache.hits, 1u);
+}
+
+// A name registers once: registering it again changes neither the table
+// nor what is served, so versions only move forward and a cached answer
+// always belongs to the table it was computed on.
+TEST(ServeServerTest, ADatasetNameRegistersOnce) {
+  ServeOptions options;
+  EstimatorServer server(options);
+  const Table first = SmallTable();
+  ASSERT_TRUE(server.RegisterDataset("t", first));
+
+  const Query query = MakeQuery({{0, 2.0, 9.0}, {1, 1.0, 4.0}});
+  const EstimateResponse before = server.Estimate("t", "sampling", query);
+  ASSERT_TRUE(before.ok);
+
+  EXPECT_FALSE(server.RegisterDataset(
+      "t", GenerateSynthetic2D(/*rows=*/5000, /*skew=*/1.0,
+                               /*correlation=*/0.6, /*domain_size=*/40,
+                               /*seed=*/6)));
+  EXPECT_EQ(server.manager().TableSnapshot("t")->num_rows(),
+            first.num_rows());
+  const EstimateResponse after = server.Estimate("t", "sampling", query);
+  ASSERT_TRUE(after.ok);
+  EXPECT_EQ(after.selectivity, before.selectivity);
+  EXPECT_EQ(after.cardinality, before.cardinality);
+  // A model first loaded after the second call trains on the first table.
+  const auto postgres = server.manager().GetModel("t", "postgres");
+  ASSERT_NE(postgres, nullptr);
+  EXPECT_EQ(postgres->trained_rows, first.num_rows());
 }
 
 TEST(ServeServerTest, BatchMatchesSingleRequests) {
@@ -545,10 +597,11 @@ TEST(ServeBoundaryTest, ServesQueriesPastSixtyFourPredicatesWithFeedback) {
   EXPECT_EQ(server.Stats().feedback.worker.completed, 2u);
 }
 
-// Holds each truth delivery of a FeedbackSink until the test releases it,
-// so a test can look at the server between two deliveries of the single
-// truth-worker thread.
-class TruthGate {
+// Holds each Enter() until the test releases it — Release(n) lets the
+// first n entries through — so a test can look at the server between two
+// gated steps: truth deliveries of the single truth-worker thread, or
+// model trains.
+class Gate {
  public:
   void Enter() {
     std::unique_lock<std::mutex> lock(mu_);
@@ -576,7 +629,7 @@ class TruthGate {
 
 class GatedSink : public CardinalityEstimator, public FeedbackSink {
  public:
-  explicit GatedSink(std::shared_ptr<TruthGate> gate)
+  explicit GatedSink(std::shared_ptr<Gate> gate)
       : gate_(std::move(gate)) {}
   std::string Name() const override { return "gated-sink"; }
   void Train(const Table&, const TrainContext&) override {}
@@ -585,23 +638,26 @@ class GatedSink : public CardinalityEstimator, public FeedbackSink {
   void ObserveTruth(const Query&, double) override { gate_->Enter(); }
 
  private:
-  std::shared_ptr<TruthGate> gate_;
+  std::shared_ptr<Gate> gate_;
+};
+
+// Releases every gated step when destroyed. Declared after the server, so
+// it runs first: whatever an assertion skipped, no thread the server joins
+// is left parked in Enter().
+struct ReleaseAll {
+  std::shared_ptr<Gate> gate;
+  ~ReleaseAll() { gate->Release(INT_MAX); }
 };
 
 TEST(ServeServerTest, SinkTruthErasesOnlyItsOwnCacheEntry) {
-  auto gate = std::make_shared<TruthGate>();
+  auto gate = std::make_shared<Gate>();
   ServeOptions options;
   options.feedback_enabled = true;
   options.manager.factory = [gate](const std::string&) {
     return std::make_unique<GatedSink>(gate);
   };
   EstimatorServer server(options);
-  // Declared after the server, so it is destroyed first: whatever an
-  // assertion skipped, the truth worker is never left parked in Enter().
-  struct ReleaseAll {
-    std::shared_ptr<TruthGate> gate;
-    ~ReleaseAll() { gate->Release(INT_MAX); }
-  } release_all{gate};
+  ReleaseAll release_all{gate};
   server.RegisterDataset("t", SmallTable());
 
   // key({A}) is a byte prefix of key({A, B}): B's column sorts after A's.
@@ -677,6 +733,86 @@ TEST(ServeUpdateTest, StaleModelServesWhileRefreshRuns) {
   const EstimateResponse fresh = server.Estimate("t", "stub", query);
   ASSERT_TRUE(fresh.ok);
   EXPECT_EQ(fresh.data_version, 1u);
+}
+
+// A stub whose every Train passes through `gate`.
+class GatedTrainStub : public StubEstimator {
+ public:
+  explicit GatedTrainStub(std::shared_ptr<Gate> gate)
+      : StubEstimator(0, 0, true), gate_(std::move(gate)) {}
+  void Train(const Table&, const TrainContext&) override { gate_->Enter(); }
+
+ private:
+  std::shared_ptr<Gate> gate_;
+};
+
+ServeEstimatorFactory GatedTrainFactory(std::shared_ptr<Gate> gate) {
+  return [gate](const std::string&) {
+    return std::make_unique<GatedTrainStub>(gate);
+  };
+}
+
+// The second of two back-to-back updates lands while the first one's
+// refresh trains, so it finds the entry building and starts nothing; the
+// refresh lands behind its data and must be refreshed again.
+TEST(ServeUpdateTest, BackToBackUpdatesEndServedAtTheLastVersion) {
+  auto gate = std::make_shared<Gate>();
+  ServeOptions options;
+  options.manager.factory = GatedTrainFactory(gate);
+  EstimatorServer server(options);
+  ReleaseAll release_all{gate};
+  server.RegisterDataset("t", SmallTable());
+
+  const Query query = MakeQuery({{0, 1.0, 5.0}});
+  gate->Release(1);  // the cold train.
+  ASSERT_TRUE(server.Estimate("t", "stub", query).ok);
+  ASSERT_EQ(server.Update("t", /*seed=*/97), 1u);
+  ASSERT_TRUE(gate->WaitEntered(2));  // version 1's refresh is training.
+  ASSERT_EQ(server.Update("t", /*seed=*/98), 2u);
+  gate->Release(INT_MAX);
+  server.WaitForRefreshes();
+
+  const EstimateResponse response = server.Estimate("t", "stub", query);
+  ASSERT_TRUE(response.ok);
+  EXPECT_EQ(response.data_version, 2u);
+  EXPECT_EQ(server.manager().GetModel("t", "stub")->trained_rows,
+            server.manager().TableSnapshot("t")->num_rows());
+  EXPECT_EQ(server.Stats().manager.refreshes, 2u);
+}
+
+// An update that lands during the cold train finds no model to refresh.
+// The cold caller gets its version-0 model at once, and the model, landed
+// behind its data, is refreshed in the background.
+TEST(ServeUpdateTest, UpdateDuringColdTrainIsRefreshedAfterIt) {
+  auto gate = std::make_shared<Gate>();
+  ServeOptions options;
+  options.manager.factory = GatedTrainFactory(gate);
+  EstimatorServer server(options);
+  std::future<EstimateResponse> cold;
+  ReleaseAll release_all{gate};  // runs before `cold` joins its thread.
+  server.RegisterDataset("t", SmallTable());
+
+  const Query query = MakeQuery({{0, 1.0, 5.0}});
+  cold = std::async(std::launch::async, [&server, query] {
+    return server.Estimate("t", "stub", query);
+  });
+  ASSERT_TRUE(gate->WaitEntered(1));  // the cold train.
+  ASSERT_EQ(server.Update("t"), 1u);
+  gate->Release(1);
+  // The refresh that follows trains through the gate and stays parked, so
+  // the cold call must return without it.
+  ASSERT_EQ(cold.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  const EstimateResponse first = cold.get();
+  ASSERT_TRUE(first.ok);
+  EXPECT_EQ(first.data_version, 0u);
+
+  gate->Release(INT_MAX);
+  server.WaitForRefreshes();
+  const EstimateResponse caught_up = server.Estimate("t", "stub", query);
+  ASSERT_TRUE(caught_up.ok);
+  EXPECT_EQ(caught_up.data_version, 1u);
+  EXPECT_EQ(server.Stats().manager.refreshes, 1u);
 }
 
 // Concurrent updates of one dataset must each extend the version before
