@@ -4,7 +4,9 @@
 // numerical baseline). Three layers of measurement:
 //
 //   1. a matmul grid (MatMul / MatMulBT / MatMulAT over mixed shapes,
-//      including tile-unaligned ones) with per-cell divergence checks;
+//      including tile-unaligned ones) with per-cell divergence checks, and
+//      fused-op cells: DenseBackward with ReLU at MSCN's and ResMADE's
+//      training shapes, and Adam over MSCN's three MLPs;
 //   2. end-to-end sections at the granularity the estimators actually pay:
 //      a ResMADE training run, a Naru progressive-sampling estimate batch,
 //      and LW-NN and MSCN training runs, each timed under both backends;
@@ -18,7 +20,8 @@
 // re-run this bench and compare against the committed baseline.
 //
 // Environment knobs (all optional):
-//   ARECEL_ML_BENCH_MICRO        0 skips the matmul grid      (default 1)
+//   ARECEL_ML_BENCH_MICRO        0 skips the matmul, fused-op
+//                                and quant grids              (default 1)
 //   ARECEL_ML_BENCH_OTHER        0 skips gbdt/kmeans/rdc      (default 1)
 //   ARECEL_ML_BENCH_STEPS        ResMADE train steps          (default 30)
 //   ARECEL_ML_BENCH_BATCH        ResMADE batch size           (default 512)
@@ -55,6 +58,7 @@
 #include "ml/kmeans.h"
 #include "ml/made.h"
 #include "ml/matrix.h"
+#include "ml/nn.h"
 #include "ml/packed.h"
 #include "ml/rdc.h"
 #include "util/env.h"
@@ -230,6 +234,139 @@ struct Section {
   }
   bool within_tolerance() const { return divergence <= tolerance; }
 };
+
+// ---- fused-op cells -------------------------------------------------------
+
+// DenseBackward with ReLU at one training shape, timed under both backends.
+// The pre-activations take random signs, so the mask passes about half the
+// gradient in no pattern a branch predictor could learn, as in training; a
+// constant all-positive input would let a scalar branch inside the fused
+// pass go unseen. `with_input_grad` adds the dX product, which a network's
+// first layer skips. Divergence is the largest difference among the
+// weight, bias and input gradients of one call from zeroed accumulators.
+Section BenchDenseBackwardRelu(const char* name, size_t m, size_t k, size_t n,
+                               bool with_input_grad) {
+  Section section;
+  section.name = name;
+  section.detail = std::to_string(m) + "x" + std::to_string(k) + "->" +
+                   std::to_string(n) +
+                   (with_input_grad ? " relu with dX" : " relu no dX");
+  Rng rng(77);
+  Matrix input(m, k), weights(k, n), preact(m, n), output_grad(m, n);
+  FillRandom(&input, rng);
+  FillRandom(&weights, rng);
+  FillRandom(&preact, rng);
+  FillRandom(&output_grad, rng);
+  struct Grads {
+    Matrix weight, input, dz;
+    std::vector<float> bias;
+  };
+  const auto fresh = [&] {
+    Grads g;
+    g.weight = Matrix(k, n, 0.0f);
+    g.bias.assign(n, 0.0f);
+    return g;
+  };
+  const auto run = [&](Grads* g) {
+    DenseBackward(input, preact, /*relu=*/true, output_grad, weights,
+                  &g->weight, g->bias.data(),
+                  with_input_grad ? &g->input : nullptr, &g->dz);
+  };
+  Grads ref = fresh(), fast = fresh();
+  for (const MlKernelBackend backend :
+       {MlKernelBackend::kReference, MlKernelBackend::kFast}) {
+    ScopedMlKernelBackend scoped(backend);
+    const bool is_ref = backend == MlKernelBackend::kReference;
+    run(is_ref ? &ref : &fast);
+    Grads scratch = fresh();
+    (is_ref ? section.reference_seconds : section.fast_seconds) =
+        TimePerCall([&] { run(&scratch); });
+  }
+  double divergence = MaxAbsDiff(ref.weight, fast.weight);
+  if (with_input_grad)
+    divergence =
+        std::max<double>(divergence, MaxAbsDiff(ref.input, fast.input));
+  for (size_t j = 0; j < n; ++j)
+    divergence =
+        std::max<double>(divergence, std::abs(ref.bias[j] - fast.bias[j]));
+  section.divergence = divergence;
+  section.tolerance = kMicroTolerance;
+  return section;
+}
+
+// Adam over MSCN's three MLPs (predicates 17-48-48 over a 496-atom batch,
+// sample bitmap 256-48-48 and output 96-48-1 over 64 queries) for the 960
+// steps of one cold train (2000 queries, batch 64, 30 epochs), timing only
+// the AdamStep calls. A third of the bitmap columns go quiet after the
+// first epoch's 32 steps, as sample rows that the batches stop selecting
+// do: their weights' gradients turn zero and their first moments decay by
+// 0.9 a step into the subnormal range within the run, where every vector
+// instruction with a subnormal lane takes a microcode assist.
+// Adam's code is the same under both backends, so the reference column
+// runs the AdamStep calls on the portable tier, the loop every tier must
+// reproduce, and the fast column on the active tier. Forward and backward
+// run on the active tier both times, so both runs must end with identical
+// parameters (tolerance 0).
+Section BenchAdamStepMscn() {
+  constexpr size_t kSteps = 960;
+  Section section;
+  section.name = "adam_step_mscn";
+  section.detail = "mlps=17-48-48,256-48-48,96-48-1 steps=" +
+                   std::to_string(kSteps);
+  Rng rng(79);
+  Matrix pred_in(496, 17), out_in(64, 96);
+  Matrix pred_grad(496, 48), sample_grad(64, 48), out_grad(64, 1);
+  for (Matrix* m : {&pred_in, &out_in, &pred_grad, &sample_grad, &out_grad})
+    FillRandom(m, rng);
+  Matrix first_epoch_bitmap(64, 256), bitmap(64, 256);
+  for (size_t r = 0; r < bitmap.rows(); ++r) {
+    for (size_t c = 0; c < bitmap.cols(); ++c) {
+      const float bit = rng.Bernoulli(0.5) ? 1.0f : 0.0f;
+      first_epoch_bitmap.At(r, c) = bit;
+      bitmap.At(r, c) = c < 171 ? bit : 0.0f;
+    }
+  }
+  const auto train = [&](const char* adam_isa, std::vector<float>* params) {
+    Rng init(3);
+    Mlp pred({17, 48, 48}, init), sample({256, 48, 48}, init),
+        out({96, 48, 1}, init);
+    Matrix activations;
+    double seconds = 0.0;
+    for (size_t step = 0; step < kSteps; ++step) {
+      pred.ForwardTrain(pred_in, &activations);
+      pred.Backward(pred_grad);
+      sample.ForwardTrain(step < 32 ? first_epoch_bitmap : bitmap,
+                          &activations);
+      sample.Backward(sample_grad);
+      out.ForwardTrain(out_in, &activations);
+      out.Backward(out_grad);
+      ScopedMlKernelIsa isa(adam_isa);
+      Timer timer;
+      pred.AdamStep(1e-3f);
+      sample.AdamStep(1e-3f);
+      out.AdamStep(1e-3f);
+      seconds += timer.ElapsedSeconds();
+    }
+    for (const Mlp* mlp : {&pred, &sample, &out}) {
+      for (const DenseLayer& layer : mlp->layers()) {
+        const Matrix& w = layer.weights();
+        params->insert(params->end(), w.data(), w.data() + w.size());
+        params->insert(params->end(), layer.bias().begin(),
+                       layer.bias().end());
+      }
+    }
+    return seconds / static_cast<double>(kSteps);
+  };
+  std::vector<float> portable_params, active_params;
+  section.reference_seconds = train("portable", &portable_params);
+  section.fast_seconds = train(MlKernelSimdName(), &active_params);
+  for (size_t i = 0; i < portable_params.size(); ++i)
+    section.divergence =
+        std::max<double>(section.divergence,
+                         std::abs(portable_params[i] - active_params[i]));
+  section.tolerance = 0.0;
+  return section;
+}
 
 // A ResMADE training run at paper scale (hidden 64, two residual blocks,
 // four 256-vocab columns) — the inner loop of Naru training (Figure 4's
@@ -588,6 +725,25 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
+  // ---- fused-op cells ----------------------------------------------------
+  std::vector<Section> fused;
+  if (run_micro) {
+    std::printf("%-16s %12s %12s %9s %10s %8s %-4s\n", "fused op", "ref_s",
+                "fast_s", "speedup", "div", "tol", "ok");
+    // MSCN's predicate input layer (about 7.75 atoms per query, batch 64)
+    // and a ResMADE hidden block at bench_micro_ml's training batch.
+    fused.push_back(BenchDenseBackwardRelu("dense_bwd_mscn_pred", 496, 17, 48,
+                                           /*with_input_grad=*/false));
+    fused.push_back(BenchDenseBackwardRelu("dense_bwd_resmade", 512, 64, 64,
+                                           /*with_input_grad=*/true));
+    fused.push_back(BenchAdamStepMscn());
+    for (const Section& s : fused) {
+      PrintSection(s);
+      all_within = all_within && s.within_tolerance();
+    }
+    std::printf("\n");
+  }
+
   // ---- end-to-end sections ------------------------------------------------
   std::printf("%-16s %12s %12s %9s %10s %8s %-4s\n", "section", "ref_s",
               "fast_s", "speedup", "div", "tol", "ok");
@@ -723,6 +879,12 @@ int main(int argc, char** argv) {
                  "\"gflops_fast\": %.2f, \"divergence\": %.3e}",
                  i == 0 ? "" : ",", c.op, c.m, c.k, c.n, c.reference_seconds,
                  c.fast_seconds, c.speedup(), c.gflops_fast(), c.divergence);
+  }
+  std::fprintf(out, "\n  ],\n");
+  std::fprintf(out, "  \"fused_ops\": [");
+  for (size_t i = 0; i < fused.size(); ++i) {
+    std::fprintf(out, "%s\n    ", i == 0 ? "" : ",");
+    print_section(fused[i]);
   }
   std::fprintf(out, "\n  ],\n");
   std::fprintf(out, "  \"quant_grid\": [");

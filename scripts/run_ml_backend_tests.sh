@@ -17,6 +17,11 @@
 # per-process and therefore cannot be swept from inside a test binary.
 # The two runs must agree bit for bit (ml/kernels_avx512.cc).
 #
+# Last, the MSCN training pins run once more in a Release tree
+# (<build dir>-release, configured on first use): Release (-O3) is what the
+# repository benchmark builds, and it must train the same bits as the
+# default RelWithDebInfo build (tests/CMakeLists.txt).
+#
 # Extra args are forwarded to ctest, e.g.:
 #   scripts/run_ml_backend_tests.sh --verbose
 #   ARECEL_BUILD_DIR=build-native scripts/run_ml_backend_tests.sh
@@ -40,4 +45,14 @@ if grep -q avx512_vnni /proc/cpuinfo 2>/dev/null; then
   ARECEL_ML_KERNEL=quant ARECEL_ML_VNNI=0 ctest --test-dir "$build_dir" \
     --output-on-failure -R "$suites" "$@"
 fi
-echo "ML suites pass under all kernel backends."
+release_dir="${build_dir}-release"
+echo "== Release tree $release_dir: MSCN training pins =="
+if [ ! -d "$release_dir" ]; then
+  cmake -S . -B "$release_dir" -DCMAKE_BUILD_TYPE=Release \
+    -DARECEL_BUILD_BENCHMARKS=OFF -DARECEL_BUILD_EXAMPLES=OFF \
+    -DARECEL_BUILD_TOOLS=OFF
+fi
+cmake --build "$release_dir" -j "${ARECEL_BUILD_JOBS:-$(nproc)}" \
+  --target mscn_test
+ctest --test-dir "$release_dir" --output-on-failure -R MscnTrainingPin "$@"
+echo "ML suites pass under all kernel backends, and the MSCN pins in Release."

@@ -92,16 +92,19 @@ Table GenerateDataset(const DatasetSpec& spec, uint64_t seed) {
     // (a random code permutation would make the joint unlearnable noise).
     ZipfSampler zipf(static_cast<uint64_t>(d), spec.skews[j]);
     const bool reversed = (j % 2) == 1;
+    // Each code's value, computed once per code instead of once per row.
+    std::vector<double> value_of(static_cast<size_t>(d));
+    for (int code = 0; code < d; ++code)
+      value_of[static_cast<size_t>(code)] =
+          categorical ? static_cast<double>(code) : NumericAnchor(code);
 
     std::vector<double> values(spec.rows);
     for (size_t r = 0; r < spec.rows; ++r) {
       const double u =
           rng.Bernoulli(spec.correlations[j]) ? latent[r] : rng.Uniform();
       const uint64_t rank = zipf.InvertCdf(u);
-      const int code = reversed ? d - 1 - static_cast<int>(rank)
-                                : static_cast<int>(rank);
-      values[r] = categorical ? static_cast<double>(code)
-                              : NumericAnchor(code);
+      values[r] = value_of[reversed ? static_cast<uint64_t>(d) - 1 - rank
+                                    : rank];
     }
     const std::string prefix = categorical ? "cat_" : "num_";
     table.AddColumn(prefix + std::to_string(j), std::move(values),

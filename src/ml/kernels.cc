@@ -1,6 +1,7 @@
 #include "ml/kernels.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -256,6 +257,18 @@ void AccumOuterPortable(const float* a, size_t lda, const float* b,
   }
 }
 
+void AdamUpdatePortable(float* param, const float* grad, float* m, float* v,
+                        size_t n, float lr, float c1, float c2) {
+  for (size_t i = 0; i < n; ++i) {
+    const float g = grad[i];
+    m[i] = Rounded(kAdamBeta1 * m[i]) + Rounded((1.0f - kAdamBeta1) * g);
+    v[i] = Rounded(kAdamBeta2 * v[i]) + Rounded((1.0f - kAdamBeta2) * g * g);
+    const float m_hat = m[i] / c1;
+    const float v_hat = v[i] / c2;
+    param[i] -= lr * m_hat / (std::sqrt(v_hat) + kAdamEps);
+  }
+}
+
 void QuantDenseRowsPortable(const uint8_t* aq, size_t lda_q,
                             const float* a_scales, const int32_t* a_zps,
                             const int8_t* bq, size_t k_pad, size_t n_pad,
@@ -305,6 +318,7 @@ constexpr KernelOps kPortableOps = {
     // Defined in ml/packed.cc, whose compile flags let the range reduction
     // auto-vectorize at the baseline ISA.
     QuantizeRowsPortable,
+    AdamUpdatePortable,
     "portable",
 };
 
@@ -492,7 +506,7 @@ void DenseForward(const Matrix& input, const Matrix& weights,
         for (size_t j = 0; j < n; ++j) row[j] += bias[j];
       }
     }
-    if (relu) ReluInPlace(out);
+    if (relu) Relu(*out, out);
     return;
   }
   const mlk::KernelOps& ops = mlk::ActiveKernelOps();
@@ -622,7 +636,11 @@ void DenseBackward(const Matrix& input, const Matrix& preact, bool relu,
       const float* p = preact.Row(r);
       float* d = dz_scratch->Row(r);
       for (size_t j = 0; j < n; ++j) {
-        const float v = p[j] > 0.0f ? g[j] : 0.0f;
+        // g[j] loads whether or not the mask passes: loaded on one side of
+        // the select only, it kept the loop a branch, which mispredicts on
+        // half of all random-sign pre-activations and does not vectorize.
+        const float gj = g[j];
+        const float v = p[j] > 0.0f ? gj : 0.0f;
         d[j] = v;
         bias_grad[j] += v;
       }
@@ -646,10 +664,20 @@ void AddInPlace(Matrix* acc, const Matrix& x) {
   for (size_t i = 0; i < size; ++i) a[i] += b[i];
 }
 
-void ReluInPlace(Matrix* m) {
-  float* data = m->data();
-  const size_t size = m->size();
-  for (size_t i = 0; i < size; ++i) data[i] = data[i] < 0.0f ? 0.0f : data[i];
+void Relu(const Matrix& x, Matrix* out) {
+  out->Resize(x.rows(), x.cols());
+  const float* in = x.data();
+  float* data = out->data();
+  const size_t size = x.size();
+  for (size_t i = 0; i < size; ++i) data[i] = in[i] < 0.0f ? 0.0f : in[i];
+}
+
+void AdamUpdate(float* param, const float* grad, float* m, float* v, size_t n,
+                float learning_rate, int step) {
+  const float c1 = 1.0f - std::pow(mlk::kAdamBeta1, static_cast<float>(step));
+  const float c2 = 1.0f - std::pow(mlk::kAdamBeta2, static_cast<float>(step));
+  mlk::ActiveKernelOps().adam_update(param, grad, m, v, n, learning_rate, c1,
+                                     c2);
 }
 
 }  // namespace arecel

@@ -138,7 +138,8 @@ void DenseForwardSlice(const Matrix& input, const Matrix& weights,
 // W.cols()), and writes dL/d(input) to `input_grad` when non-null.
 // `preact` is the cached pre-activation (ignored unless `relu`).
 // `dz_scratch` avoids a per-call allocation for the masked gradient; it is
-// only touched when `relu` is set.
+// only touched when `relu` is set. `input_grad` must not alias
+// `output_grad`.
 void DenseBackward(const Matrix& input, const Matrix& preact, bool relu,
                    const Matrix& output_grad, const Matrix& weights,
                    Matrix* weight_grad, float* bias_grad, Matrix* input_grad,
@@ -149,7 +150,15 @@ void MatMulATAccumulate(const Matrix& a, const Matrix& b, Matrix* out);
 
 // Elementwise helpers shared by both backends (bit-exact either way).
 void AddInPlace(Matrix* acc, const Matrix& x);   // acc += x.
-void ReluInPlace(Matrix* m);                     // m = max(m, 0).
+void Relu(const Matrix& x, Matrix* out);         // out = max(x, 0); may alias.
+
+// One Adam step over n parameters and their accumulated gradient: updates
+// param and the moments m, v in place. `step` counts the updates of this
+// parameter set from 1 (it sets the bias corrections). Runs the active
+// tier's adam_update, which gives the same bits on every tier
+// (ml/kernels_simd.h).
+void AdamUpdate(float* param, const float* grad, float* m, float* v, size_t n,
+                float learning_rate, int step);
 
 }  // namespace arecel
 

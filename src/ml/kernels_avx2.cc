@@ -12,14 +12,17 @@
 //    accumulator vectors). Each loaded strip of b feeds four output rows,
 //    cutting b traffic 4x versus the scalar i-k-j loop; accumulators live
 //    in registers for the whole k loop, so out is written exactly once.
-//  * dot_rows processes four b rows per a-row pass with independent
-//    accumulators, then reduces them with a hadd tree.
+//  * dot_rows processes two a rows against four b rows per pass (eight
+//    independent accumulators, each b strip loaded once for both rows),
+//    then reduces each row's four with a hadd tree.
 //  * accum_outer uses the same 4x16 register tile over the accumulation
 //    target: the tile is loaded once, takes one FMA per shared row in k
 //    order, and is stored once.
 // Tails (columns % 8, rows % 4) fall back to narrower vectors and then
-// scalars; every path is branch-free over values (no zero-skip — that
-// branch is the reference backend's documented pessimization).
+// scalars that use std::fma, so they round the same at every optimization
+// level (-O3 would otherwise vectorize some as plain multiplies and adds);
+// every path is branch-free over values (no zero-skip — that branch is the
+// reference backend's documented pessimization).
 
 #include "ml/kernels_simd.h"
 
@@ -134,7 +137,7 @@ inline void DenseTailScalar(const float* a, size_t lda, const float* b,
     for (size_t jj = j; jj < n; ++jj) {
       float acc = bias != nullptr ? bias[jj] : 0.0f;
       for (size_t kk = 0; kk < k; ++kk)
-        acc += a[(i + r) * lda + kk] * b[kk * ldb + jj];
+        acc = std::fma(a[(i + r) * lda + kk], b[kk * ldb + jj], acc);
       if (relu && acc < 0.0f) acc = 0.0f;
       out[(i + r) * ldo + jj] = acc;
     }
@@ -164,60 +167,95 @@ void DenseRowsAvx2(const float* a, size_t lda, const float* b, size_t ldb,
   }
 }
 
+// Finishes four dots of one a row against b rows b0..b3: reduces their
+// 8-wide accumulators with the hadd tree, adds the k % 8 tail from `kk` one
+// fma per element, and stores the four sums at out.
+inline void StoreDots4(__m256 acc0, __m256 acc1, __m256 acc2, __m256 acc3,
+                       const float* a_row, const float* b0, const float* b1,
+                       const float* b2, const float* b3, size_t kk, size_t k,
+                       float* out) {
+  const __m256 h01 = _mm256_hadd_ps(acc0, acc1);
+  const __m256 h23 = _mm256_hadd_ps(acc2, acc3);
+  const __m256 h = _mm256_hadd_ps(h01, h23);
+  const __m128 sums = _mm_add_ps(_mm256_castps256_ps128(h),
+                                 _mm256_extractf128_ps(h, 1));
+  alignas(16) float dots[4];
+  _mm_store_ps(dots, sums);
+  for (; kk < k; ++kk) {
+    const float av = a_row[kk];
+    dots[0] = std::fma(av, b0[kk], dots[0]);
+    dots[1] = std::fma(av, b1[kk], dots[1]);
+    dots[2] = std::fma(av, b2[kk], dots[2]);
+    dots[3] = std::fma(av, b3[kk], dots[3]);
+  }
+  std::memcpy(out, dots, sizeof(dots));
+}
+
+// One dot's 8-wide accumulator reduced, plus its k % 8 tail from `kk`.
+inline float FinishDot(__m256 acc, const float* a_row, const float* b_row,
+                       size_t kk, size_t k) {
+  float sum = HSum(acc);
+  for (; kk < k; ++kk) sum = std::fma(a_row[kk], b_row[kk], sum);
+  return sum;
+}
+
+// Rows a0 and a1 of a against b rows j..j+3: eight FMA chains, each b load
+// shared by both rows.
+inline void DotTile2x4(const float* a0, const float* a1, const float* b,
+                       size_t ldb, float* o0, float* o1, size_t j, size_t k) {
+  const float* b0 = b + j * ldb;
+  const float* b1 = b0 + ldb;
+  const float* b2 = b1 + ldb;
+  const float* b3 = b2 + ldb;
+  __m256 acc00 = _mm256_setzero_ps(), acc01 = _mm256_setzero_ps();
+  __m256 acc02 = _mm256_setzero_ps(), acc03 = _mm256_setzero_ps();
+  __m256 acc10 = _mm256_setzero_ps(), acc11 = _mm256_setzero_ps();
+  __m256 acc12 = _mm256_setzero_ps(), acc13 = _mm256_setzero_ps();
+  size_t kk = 0;
+  for (; kk + 8 <= k; kk += 8) {
+    const __m256 v0 = _mm256_loadu_ps(b0 + kk);
+    const __m256 v1 = _mm256_loadu_ps(b1 + kk);
+    const __m256 v2 = _mm256_loadu_ps(b2 + kk);
+    const __m256 v3 = _mm256_loadu_ps(b3 + kk);
+    const __m256 x0 = _mm256_loadu_ps(a0 + kk);
+    acc00 = _mm256_fmadd_ps(x0, v0, acc00);
+    acc01 = _mm256_fmadd_ps(x0, v1, acc01);
+    acc02 = _mm256_fmadd_ps(x0, v2, acc02);
+    acc03 = _mm256_fmadd_ps(x0, v3, acc03);
+    const __m256 x1 = _mm256_loadu_ps(a1 + kk);
+    acc10 = _mm256_fmadd_ps(x1, v0, acc10);
+    acc11 = _mm256_fmadd_ps(x1, v1, acc11);
+    acc12 = _mm256_fmadd_ps(x1, v2, acc12);
+    acc13 = _mm256_fmadd_ps(x1, v3, acc13);
+  }
+  StoreDots4(acc00, acc01, acc02, acc03, a0, b0, b1, b2, b3, kk, k, o0 + j);
+  StoreDots4(acc10, acc11, acc12, acc13, a1, b0, b1, b2, b3, kk, k, o1 + j);
+}
+
+// Two a rows per pass over b: B traffic is half a one-row pass's, and
+// every output keeps that pass's arithmetic. An odd last row runs as a pair
+// with itself, which costs one row's work and writes the same bits twice.
 void DotRowsAvx2(const float* a, size_t lda, const float* b, size_t ldb,
                  float* out, size_t ldo, size_t i_lo, size_t i_hi, size_t k,
                  size_t n) {
-  for (size_t i = i_lo; i < i_hi; ++i) {
-    const float* a_row = a + i * lda;
-    float* out_row = out + i * ldo;
+  for (size_t i = i_lo; i < i_hi; i += 2) {
+    const float* a0 = a + i * lda;
+    const float* a1 = i + 1 < i_hi ? a0 + lda : a0;
+    float* o0 = out + i * ldo;
+    float* o1 = i + 1 < i_hi ? o0 + ldo : o0;
     size_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = b + j * ldb;
-      const float* b1 = b0 + ldb;
-      const float* b2 = b1 + ldb;
-      const float* b3 = b2 + ldb;
-      __m256 acc0 = _mm256_setzero_ps();
-      __m256 acc1 = _mm256_setzero_ps();
-      __m256 acc2 = _mm256_setzero_ps();
-      __m256 acc3 = _mm256_setzero_ps();
-      size_t kk = 0;
-      for (; kk + 8 <= k; kk += 8) {
-        const __m256 av = _mm256_loadu_ps(a_row + kk);
-        acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0 + kk), acc0);
-        acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1 + kk), acc1);
-        acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2 + kk), acc2);
-        acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3 + kk), acc3);
-      }
-      // hadd tree: four 8-wide accumulators -> one 4-float vector of sums.
-      const __m256 h01 = _mm256_hadd_ps(acc0, acc1);
-      const __m256 h23 = _mm256_hadd_ps(acc2, acc3);
-      const __m256 h = _mm256_hadd_ps(h01, h23);
-      __m128 sums = _mm_add_ps(_mm256_castps256_ps128(h),
-                               _mm256_extractf128_ps(h, 1));
-      alignas(16) float tail[4];
-      _mm_store_ps(tail, sums);
-      for (; kk < k; ++kk) {
-        const float av = a_row[kk];
-        tail[0] += av * b0[kk];
-        tail[1] += av * b1[kk];
-        tail[2] += av * b2[kk];
-        tail[3] += av * b3[kk];
-      }
-      out_row[j] = tail[0];
-      out_row[j + 1] = tail[1];
-      out_row[j + 2] = tail[2];
-      out_row[j + 3] = tail[3];
-    }
+    for (; j + 4 <= n; j += 4) DotTile2x4(a0, a1, b, ldb, o0, o1, j, k);
     for (; j < n; ++j) {
       const float* b_row = b + j * ldb;
-      __m256 acc = _mm256_setzero_ps();
+      __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
       size_t kk = 0;
-      for (; kk + 8 <= k; kk += 8)
-        acc = _mm256_fmadd_ps(_mm256_loadu_ps(a_row + kk),
-                              _mm256_loadu_ps(b_row + kk), acc);
-      float sum = HSum(acc);
-      for (; kk < k; ++kk) sum += a_row[kk] * b_row[kk];
-      out_row[j] = sum;
+      for (; kk + 8 <= k; kk += 8) {
+        const __m256 bv = _mm256_loadu_ps(b_row + kk);
+        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(a0 + kk), bv, acc0);
+        acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(a1 + kk), bv, acc1);
+      }
+      o0[j] = FinishDot(acc0, a0, b_row, kk, k);
+      o1[j] = FinishDot(acc1, a1, b_row, kk, k);
     }
   }
 }
@@ -542,12 +580,52 @@ void QuantizeRowsAvx2(const float* a, size_t lda, size_t k, uint8_t* aq,
   }
 }
 
+// Adam's update 8 lanes at a time, in the portable loop's per-lane
+// sequence of separately rounded operations (kernels_simd.h): a register
+// barrier after each multiply that feeds an add keeps GCC from contracting
+// the pair into an FMA, and vector sqrt and division round as their scalar
+// forms do. The n % 8 tail runs the portable loop itself.
+void AdamUpdateAvx2(float* param, const float* grad, float* m, float* v,
+                    size_t n, float lr, float c1, float c2) {
+  const __m256 beta1 = _mm256_set1_ps(kAdamBeta1);
+  const __m256 beta2 = _mm256_set1_ps(kAdamBeta2);
+  const __m256 one_minus_beta1 = _mm256_set1_ps(1.0f - kAdamBeta1);
+  const __m256 one_minus_beta2 = _mm256_set1_ps(1.0f - kAdamBeta2);
+  const __m256 eps = _mm256_set1_ps(kAdamEps);
+  const __m256 lr_v = _mm256_set1_ps(lr);
+  const __m256 c1_v = _mm256_set1_ps(c1);
+  const __m256 c2_v = _mm256_set1_ps(c2);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 g = _mm256_loadu_ps(grad + i);
+    __m256 m_decay = _mm256_mul_ps(beta1, _mm256_loadu_ps(m + i));
+    __m256 m_step = _mm256_mul_ps(one_minus_beta1, g);
+    __m256 v_decay = _mm256_mul_ps(beta2, _mm256_loadu_ps(v + i));
+    __m256 v_step = _mm256_mul_ps(_mm256_mul_ps(one_minus_beta2, g), g);
+    asm("" : "+x"(m_decay), "+x"(m_step), "+x"(v_decay), "+x"(v_step));
+    const __m256 m_new = _mm256_add_ps(m_decay, m_step);
+    const __m256 v_new = _mm256_add_ps(v_decay, v_step);
+    const __m256 m_hat = _mm256_div_ps(m_new, c1_v);
+    const __m256 v_hat = _mm256_div_ps(v_new, c2_v);
+    const __m256 update =
+        _mm256_div_ps(_mm256_mul_ps(lr_v, m_hat),
+                      _mm256_add_ps(_mm256_sqrt_ps(v_hat), eps));
+    _mm256_storeu_ps(m + i, m_new);
+    _mm256_storeu_ps(v + i, v_new);
+    _mm256_storeu_ps(param + i,
+                     _mm256_sub_ps(_mm256_loadu_ps(param + i), update));
+  }
+  PortableKernelOps().adam_update(param + i, grad + i, m + i, v + i, n - i,
+                                  lr, c1, c2);
+}
+
 constexpr KernelOps kAvx2Ops = {
     DenseRowsAvx2,
     DotRowsAvx2,
     AccumOuterAvx2,
     QuantDenseRowsAvx2,
     QuantizeRowsAvx2,
+    AdamUpdateAvx2,
     "avx2-fma",
 };
 

@@ -8,19 +8,19 @@
 // backend's numerics (goldens and the serve-path "bit-identical to direct
 // inference" guarantees are frozen against it). The kernels here achieve
 // that two ways:
-//  * dense_rows keeps one FMA chain per output column in k order —
-//    lane-independent arithmetic, so widening the vectors from
-//    8 to 16 lanes only regroups lanes. The sub-16-column remainder of
-//    dense_rows is delegated to the AVX2 table (same machine code, same
-//    result) rather than reimplemented.
-//  * dot_rows and accum_outer forward to the AVX2 table outright: dot_rows
-//    reduces across lanes (hadd tree), where a 512-bit rewrite would change
-//    summation order; accum_outer only serves training, which this tier
-//    does not accelerate.
+//  * dense_rows and accum_outer keep one FMA chain per output element in
+//    k order — lane-independent arithmetic, so widening the vectors from
+//    8 to 16 lanes only regroups lanes. Their sub-16-column remainders are
+//    delegated to the AVX2 table (same machine code, same result) rather
+//    than reimplemented.
+//  * dot_rows forwards to the AVX2 table outright: it reduces across lanes
+//    (hadd tree), where a 512-bit rewrite would change summation order.
 // quant_dense_rows accumulates in exact int32 and performs QuantEpilogue's
 // float sequence lane-wise, so it is bit-identical across tiers by
 // construction; it is the kernel this TU exists for (one 64-byte packed
-// group = one zmm, shared across a 4-row register block).
+// group = one zmm, shared across a 4-row register block). adam_update is
+// elementwise and keeps the portable loop's rounding per lane, so 16 lanes
+// change nothing but the number of subnormal assists per parameter.
 
 #include "ml/kernels_simd.h"
 
@@ -113,10 +113,84 @@ void DotRowsAvx512(const float* a, size_t lda, const float* b, size_t ldb,
   TailOps().dot_rows(a, lda, b, ldb, out, ldo, i_lo, i_hi, k, n);
 }
 
+// accum_outer register tile: R rows of out x T 16-column vectors at
+// (i, j), held in zmm registers across the whole k range. Each element
+// takes one FMA per shared row in k order, the AVX2 tier's chain, so the
+// tiers agree bit for bit. The unroll pragmas keep the tile in registers
+// at -O2 as well, where GCC would otherwise leave the arrays on the stack.
+template <size_t R, size_t T>
+inline void AccumTileZmm(const float* a, size_t lda, const float* b,
+                         size_t ldb, float* out, size_t ldo, size_t i,
+                         size_t j, size_t k_lo, size_t k_hi) {
+  __m512 acc[R][T];
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r)
+#pragma GCC unroll 3
+    for (size_t t = 0; t < T; ++t)
+      acc[r][t] = _mm512_loadu_ps(out + (i + r) * ldo + j + 16 * t);
+  for (size_t kk = k_lo; kk < k_hi; ++kk) {
+    const float* a_row = a + kk * lda + i;
+    __m512 bv[T];
+#pragma GCC unroll 3
+    for (size_t t = 0; t < T; ++t)
+      bv[t] = _mm512_loadu_ps(b + kk * ldb + j + 16 * t);
+#pragma GCC unroll 4
+    for (size_t r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(a_row[r]);
+#pragma GCC unroll 3
+      for (size_t t = 0; t < T; ++t)
+        acc[r][t] = _mm512_fmadd_ps(av, bv[t], acc[r][t]);
+    }
+  }
+#pragma GCC unroll 4
+  for (size_t r = 0; r < R; ++r)
+#pragma GCC unroll 3
+    for (size_t t = 0; t < T; ++t)
+      _mm512_storeu_ps(out + (i + r) * ldo + j + 16 * t, acc[r][t]);
+}
+
+// R rows of out over columns [0, n16), 48 at a time (MSCN's hidden width
+// in one tile), then 32 or 16.
+template <size_t R>
+inline void AccumRowsAvx512(const float* a, size_t lda, const float* b,
+                            size_t ldb, float* out, size_t ldo, size_t i,
+                            size_t k_lo, size_t k_hi, size_t n16) {
+  size_t j = 0;
+  for (; j + 48 <= n16; j += 48)
+    AccumTileZmm<R, 3>(a, lda, b, ldb, out, ldo, i, j, k_lo, k_hi);
+  if (j + 32 <= n16) {
+    AccumTileZmm<R, 2>(a, lda, b, ldb, out, ldo, i, j, k_lo, k_hi);
+  } else if (j < n16) {
+    AccumTileZmm<R, 1>(a, lda, b, ldb, out, ldo, i, j, k_lo, k_hi);
+  }
+}
+
 void AccumOuterAvx512(const float* a, size_t lda, const float* b, size_t ldb,
                       float* out, size_t ldo, size_t k_lo, size_t k_hi,
                       size_t m, size_t n) {
-  TailOps().accum_outer(a, lda, b, ldb, out, ldo, k_lo, k_hi, m, n);
+  const size_t n16 = n / 16 * 16;
+  size_t i = 0;
+  for (; i + 4 <= m; i += 4)
+    AccumRowsAvx512<4>(a, lda, b, ldb, out, ldo, i, k_lo, k_hi, n16);
+  switch (m - i) {
+    case 3:
+      AccumRowsAvx512<3>(a, lda, b, ldb, out, ldo, i, k_lo, k_hi, n16);
+      break;
+    case 2:
+      AccumRowsAvx512<2>(a, lda, b, ldb, out, ldo, i, k_lo, k_hi, n16);
+      break;
+    case 1:
+      AccumRowsAvx512<1>(a, lda, b, ldb, out, ldo, i, k_lo, k_hi, n16);
+      break;
+    default:
+      break;
+  }
+  if (n16 < n) {
+    // The <16-column remainder runs the AVX2 kernel over the column slice
+    // [n16, n), as dense_rows does.
+    TailOps().accum_outer(a, lda, b + n16, ldb, out + n16, ldo, k_lo, k_hi,
+                          m, n - n16);
+  }
 }
 
 // Dequant + store epilogue shared by the maddubs and VNNI accumulation
@@ -417,12 +491,49 @@ void QuantizeRowsAvx512(const float* a, size_t lda, size_t k, uint8_t* aq,
   }
 }
 
+// Adam's update 16 lanes at a time: the AVX2 tier's sequence on zmm
+// registers, with the same barriers against FMA contraction. The n % 16
+// tail goes to the AVX2 table.
+void AdamUpdateAvx512(float* param, const float* grad, float* m, float* v,
+                      size_t n, float lr, float c1, float c2) {
+  const __m512 beta1 = _mm512_set1_ps(kAdamBeta1);
+  const __m512 beta2 = _mm512_set1_ps(kAdamBeta2);
+  const __m512 one_minus_beta1 = _mm512_set1_ps(1.0f - kAdamBeta1);
+  const __m512 one_minus_beta2 = _mm512_set1_ps(1.0f - kAdamBeta2);
+  const __m512 eps = _mm512_set1_ps(kAdamEps);
+  const __m512 lr_v = _mm512_set1_ps(lr);
+  const __m512 c1_v = _mm512_set1_ps(c1);
+  const __m512 c2_v = _mm512_set1_ps(c2);
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512 g = _mm512_loadu_ps(grad + i);
+    __m512 m_decay = _mm512_mul_ps(beta1, _mm512_loadu_ps(m + i));
+    __m512 m_step = _mm512_mul_ps(one_minus_beta1, g);
+    __m512 v_decay = _mm512_mul_ps(beta2, _mm512_loadu_ps(v + i));
+    __m512 v_step = _mm512_mul_ps(_mm512_mul_ps(one_minus_beta2, g), g);
+    asm("" : "+v"(m_decay), "+v"(m_step), "+v"(v_decay), "+v"(v_step));
+    const __m512 m_new = _mm512_add_ps(m_decay, m_step);
+    const __m512 v_new = _mm512_add_ps(v_decay, v_step);
+    const __m512 m_hat = _mm512_div_ps(m_new, c1_v);
+    const __m512 v_hat = _mm512_div_ps(v_new, c2_v);
+    const __m512 update =
+        _mm512_div_ps(_mm512_mul_ps(lr_v, m_hat),
+                      _mm512_add_ps(_mm512_sqrt_ps(v_hat), eps));
+    _mm512_storeu_ps(m + i, m_new);
+    _mm512_storeu_ps(v + i, v_new);
+    _mm512_storeu_ps(param + i,
+                     _mm512_sub_ps(_mm512_loadu_ps(param + i), update));
+  }
+  TailOps().adam_update(param + i, grad + i, m + i, v + i, n - i, lr, c1, c2);
+}
+
 constexpr KernelOps kAvx512Ops = {
     DenseRowsAvx512,
     DotRowsAvx512,
     AccumOuterAvx512,
     QuantDenseRowsAvx512,
     QuantizeRowsAvx512,
+    AdamUpdateAvx512,
     "avx512",
 };
 

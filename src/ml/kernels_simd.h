@@ -24,12 +24,15 @@ namespace mlk {
 // Numeric contract across tiers: dense_rows and accum_outer keep one FMA
 // chain per output element in k order — lane-independent arithmetic, so
 // the AVX2 and AVX-512 tiers produce bit-identical results (vector width
-// only changes how lanes are grouped).
+// only changes how lanes are grouped). Their scalar tails use std::fma, so
+// the optimization level cannot change how a tail rounds either.
 // dot_rows reduces across lanes (hadd tree), so the AVX-512 tier reuses
 // the AVX2 algorithm verbatim to keep the fast backend's numerics stable
 // under dispatch. quant_dense_rows accumulates in exact int32, and every
 // tier's dequantization epilogue performs QuantEpilogue's float sequence
-// (scalar or lane-wise), so it is bit-identical across all tiers.
+// (scalar or lane-wise), so it is bit-identical across all tiers. So is
+// adam_update: each tier performs the portable loop's separately rounded
+// operations per lane.
 struct KernelOps {
   // out[i][j] = act(sum_k a[i][k] * b[k][j] + bias[j]) for i in
   // [i_lo, i_hi), j in [0, n). `bias` may be null (treated as zero);
@@ -40,7 +43,10 @@ struct KernelOps {
                      size_t i_lo, size_t i_hi, size_t k, size_t n);
 
   // out[i][j] = dot(a row i, b row j) over k — i.e. out = a * b^T for row
-  // ranges of a. Used by MatMulBT (dX = dz * W^T in dense backward).
+  // ranges of a. Used by MatMulBT (dX = dz * W^T in dense backward). The
+  // SIMD tiers run two rows of a per pass over b; each output keeps the
+  // arithmetic of a one-row pass, so results do not depend on how rows
+  // pair up (odd counts and split row ranges included).
   void (*dot_rows)(const float* a, size_t lda, const float* b, size_t ldb,
                    float* out, size_t ldo, size_t i_lo, size_t i_hi,
                    size_t k, size_t n);
@@ -88,39 +94,64 @@ struct KernelOps {
                         size_t lda_q, float* a_scales, int32_t* a_zps,
                         size_t i_lo, size_t i_hi);
 
+  // Adam's update of n parameters from their gradient, in place on param
+  // and the moments m, v (betas and eps below; c1, c2 are the step's bias
+  // corrections):
+  //   m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;
+  //   param -= lr (m / c1) / (sqrt(v / c2) + eps).
+  // Every multiply, add, division and sqrt rounds on its own — the SIMD
+  // tiers place a register barrier between each multiply and the add that
+  // consumes it, since GCC would contract the pair into an FMA — so all
+  // tiers agree bit for bit. The moments reach the subnormal range during
+  // training, and each vector instruction with a subnormal lane takes a
+  // microcode assist, so wider tiers pay fewer assists where subnormal
+  // moments sit side by side.
+  void (*adam_update)(float* param, const float* grad, float* m, float* v,
+                      size_t n, float lr, float c1, float c2);
+
   // Human-readable ISA tag ("avx512", "avx2-fma", "portable").
   const char* name;
 };
+
+// Returns x with its rounding made observable, so the compiler cannot
+// contract the multiply that produced x into an FMA with the add that
+// consumes it. Splitting mul and add into two statements (or two
+// intrinsics) does NOT by itself stop GCC's default -ffp-contract=fast from
+// fusing them — it contracts across statements and across _mm*_mul/add
+// intrinsics alike — in any TU whose ISA has an FMA: the AVX2/AVX-512
+// kernel TUs, and the whole build under ARECEL_NATIVE / ARECEL_AVX512. A
+// fused result would differ in the last bit from the portable tier's and
+// break the cross-tier bit-identity contract. Compiled out at the baseline
+// ISA, where no FMA instruction exists and loops using it auto-vectorize
+// freely. The SIMD TUs place the same barrier on whole vectors.
+inline float Rounded(float x) {
+#if defined(__FMA__) || defined(__AVX512F__)
+  asm("" : "+x"(x));
+#endif
+  return x;
+}
 
 // Dequantization epilogue shared by every quant_dense_rows tier: the int32
 // accumulator is exact, so the float sequence here — one multiply by the
 // pre-multiplied scale, then one separate add of bias — fully determines
 // the output. The SIMD tiers vectorize this exact sequence lane-wise
 // (cvtepi32, mul, add; never a fused multiply-add), which keeps quantized
-// outputs bit-identical across portable / AVX2 / AVX-512. Note that
-// splitting mul and add into two statements (or two intrinsics) does NOT
-// by itself stop GCC's default -ffp-contract=fast from fusing them — it
-// contracts across statements and across _mm*_mul/add intrinsics alike —
-// so the implementations place an explicit register barrier between the
-// two operations (see below and the SIMD TUs).
+// outputs bit-identical across portable / AVX2 / AVX-512; the AVX2/AVX-512
+// edge-tile paths inline this function under their FMA ISAs, hence
+// Rounded().
 inline float QuantEpilogue(int32_t acc, int32_t zp, int32_t col_sum,
                            float a_scale, float w_scale, float bias,
                            bool relu) {
-  float dq = static_cast<float>(acc - zp * col_sum) * (a_scale * w_scale);
-#if defined(__FMA__) || defined(__AVX512F__)
-  // GCC's default -ffp-contract=fast fuses `dq + bias` into an FMA in any
-  // TU whose ISA has one — the AVX2/AVX-512 kernel TUs' edge-tile paths
-  // inline this function under -mfma/-mavx512f — which would change the
-  // last-bit rounding versus the portable tier and break the cross-tier
-  // bit-identity contract. Forcing dq through a register makes the
-  // multiply's rounding observable, so contraction across it is illegal.
-  // Compiled out at the baseline ISA, where no FMA instruction exists and
-  // the plain expression can auto-vectorize freely.
-  asm("" : "+x"(dq));
-#endif
+  const float dq = Rounded(static_cast<float>(acc - zp * col_sum) *
+                           (a_scale * w_scale));
   const float v = dq + bias;
   return (relu && v < 0.0f) ? 0.0f : v;
 }
+
+// Adam's hyperparameters, shared by every adam_update tier.
+constexpr float kAdamBeta1 = 0.9f;
+constexpr float kAdamBeta2 = 0.999f;
+constexpr float kAdamEps = 1e-8f;
 
 // The baseline-ISA quantize_rows implementation. Lives in ml/packed.cc,
 // which is compiled with fp-min/max reassociation enabled so the range

@@ -8,12 +8,6 @@
 
 namespace arecel {
 
-namespace {
-constexpr float kAdamBeta1 = 0.9f;
-constexpr float kAdamBeta2 = 0.999f;
-constexpr float kAdamEps = 1e-8f;
-}  // namespace
-
 DenseLayer::DenseLayer(size_t in_features, size_t out_features,
                        Activation activation, Rng& rng)
     : activation_(activation),
@@ -67,11 +61,19 @@ void DenseLayer::PackForInference() { packed_.Build(weights_); }
 void DenseLayer::ClearPacked() { packed_.Clear(); }
 
 void DenseLayer::ForwardTrain(const Matrix& input, Matrix* output) {
+  // The input is copied because a caller may change it before Backward
+  // (ResMADE's residual blocks add into theirs). Reading the copy also
+  // lets `output` alias `input`.
   cached_input_ = input;
-  DenseForward(input, weights_, bias_.data(), /*relu=*/false,
+  if (activation_ != Activation::kRelu) {
+    // Backward reads the pre-activation only under ReLU.
+    DenseForward(cached_input_, weights_, bias_.data(), /*relu=*/false,
+                 output);
+    return;
+  }
+  DenseForward(cached_input_, weights_, bias_.data(), /*relu=*/false,
                &cached_preact_);
-  *output = cached_preact_;
-  if (activation_ == Activation::kRelu) ReluInPlace(output);
+  Relu(cached_preact_, output);
 }
 
 void DenseLayer::Backward(const Matrix& output_grad, Matrix* input_grad) {
@@ -91,23 +93,10 @@ void DenseLayer::AdamStep(float learning_rate) {
     for (size_t i = 0; i < weight_grad_.size(); ++i)
       weight_grad_.data()[i] *= mask_.data()[i];
   }
-  const float bias_correct1 =
-      1.0f - std::pow(kAdamBeta1, static_cast<float>(adam_step_));
-  const float bias_correct2 =
-      1.0f - std::pow(kAdamBeta2, static_cast<float>(adam_step_));
-  auto update = [&](float* param, float* grad, float* m, float* v, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      m[i] = kAdamBeta1 * m[i] + (1.0f - kAdamBeta1) * grad[i];
-      v[i] = kAdamBeta2 * v[i] + (1.0f - kAdamBeta2) * grad[i] * grad[i];
-      const float m_hat = m[i] / bias_correct1;
-      const float v_hat = v[i] / bias_correct2;
-      param[i] -= learning_rate * m_hat / (std::sqrt(v_hat) + kAdamEps);
-    }
-  };
-  update(weights_.data(), weight_grad_.data(), m_w_.data(), v_w_.data(),
-         weights_.size());
-  update(bias_.data(), bias_grad_.data(), m_b_.data(), v_b_.data(),
-         bias_.size());
+  AdamUpdate(weights_.data(), weight_grad_.data(), m_w_.data(), v_w_.data(),
+             weights_.size(), learning_rate, adam_step_);
+  AdamUpdate(bias_.data(), bias_grad_.data(), m_b_.data(), v_b_.data(),
+             bias_.size(), learning_rate, adam_step_);
   if (has_mask_) {
     for (size_t i = 0; i < weights_.size(); ++i)
       weights_.data()[i] *= mask_.data()[i];
@@ -127,7 +116,7 @@ Mlp::Mlp(const std::vector<size_t>& layer_sizes, Rng& rng) {
     layers_.emplace_back(layer_sizes[i], layer_sizes[i + 1],
                          last ? Activation::kNone : Activation::kRelu, rng);
   }
-  buffers_.resize(layers_.size());
+  buffers_.resize(layers_.size() - 1);
 }
 
 void Mlp::Forward(const Matrix& input, Matrix* output) const {
@@ -146,20 +135,21 @@ void Mlp::Forward(const Matrix& input, Matrix* output) const {
 
 void Mlp::ForwardTrain(const Matrix& input, Matrix* output) {
   const Matrix* cur = &input;
-  for (size_t i = 0; i < layers_.size(); ++i) {
+  for (size_t i = 0; i + 1 < layers_.size(); ++i) {
     layers_[i].ForwardTrain(*cur, &buffers_[i]);
     cur = &buffers_[i];
   }
-  *output = *cur;
+  layers_.back().ForwardTrain(*cur, output);
 }
 
 void Mlp::Backward(const Matrix& output_grad, Matrix* input_grad) {
-  Matrix grad = output_grad;
-  Matrix prev_grad;
+  // Layer i writes its input gradient into grad_buffers_[i % 2], which
+  // layer i - 1 reads while writing the other one.
+  const Matrix* grad = &output_grad;
   for (size_t i = layers_.size(); i-- > 0;) {
-    Matrix* dst = i == 0 ? input_grad : &prev_grad;
-    layers_[i].Backward(grad, dst);
-    if (i != 0) grad = prev_grad;
+    Matrix* dst = i == 0 ? input_grad : &grad_buffers_[i % 2];
+    layers_[i].Backward(*grad, dst);
+    grad = dst;
   }
 }
 

@@ -125,7 +125,8 @@ class Mlp {
 
   // Backprop from dL/d(output). When `input_grad` is non-null it receives
   // dL/d(input) — needed when this MLP is an inner module of a larger
-  // network (e.g. MSCN's predicate/sample sub-networks).
+  // network (e.g. MSCN's predicate/sample sub-networks). It must not alias
+  // `output_grad`.
   void Backward(const Matrix& output_grad, Matrix* input_grad = nullptr);
 
   void AdamStep(float learning_rate);
@@ -137,9 +138,12 @@ class Mlp {
 
  private:
   std::vector<DenseLayer> layers_;
-  // Per-layer activation buffers for ForwardTrain only; Forward uses local
-  // scratch so concurrent inference over a shared trained model is safe.
+  // Hidden-layer activation buffers for ForwardTrain only (the last layer
+  // writes the caller's output); Forward uses local scratch so concurrent
+  // inference over a shared trained model is safe.
   std::vector<Matrix> buffers_;
+  // Backward's two alternating gradient buffers.
+  Matrix grad_buffers_[2];
 };
 
 // Softmax over the columns of each row segment [begin, end). In-place.

@@ -9,12 +9,6 @@
 
 namespace arecel {
 
-namespace {
-constexpr float kAdamBeta1 = 0.9f;
-constexpr float kAdamBeta2 = 0.999f;
-constexpr float kAdamEps = 1e-8f;
-}  // namespace
-
 void AutoregressiveTransformer::Param::Init(size_t rows, size_t cols,
                                             Rng& rng) {
   value.Resize(rows, cols);
@@ -31,15 +25,8 @@ void AutoregressiveTransformer::Param::Init(size_t rows, size_t cols,
 
 void AutoregressiveTransformer::Param::AdamStep(float learning_rate,
                                                 int step) {
-  const float c1 = 1.0f - std::pow(kAdamBeta1, static_cast<float>(step));
-  const float c2 = 1.0f - std::pow(kAdamBeta2, static_cast<float>(step));
-  for (size_t i = 0; i < value.size(); ++i) {
-    const float g = grad.data()[i];
-    m.data()[i] = kAdamBeta1 * m.data()[i] + (1.0f - kAdamBeta1) * g;
-    v.data()[i] = kAdamBeta2 * v.data()[i] + (1.0f - kAdamBeta2) * g * g;
-    value.data()[i] -= learning_rate * (m.data()[i] / c1) /
-                       (std::sqrt(v.data()[i] / c2) + kAdamEps);
-  }
+  AdamUpdate(value.data(), grad.data(), m.data(), v.data(), value.size(),
+             learning_rate, step);
   grad.Fill(0.0f);
 }
 
@@ -198,7 +185,7 @@ void AutoregressiveTransformer::ForwardBlocks(
     if (cache != nullptr) {
       cache->after_attention = after_attention;
       cache->ffn_pre = pre;
-      ReluInPlace(&pre);
+      Relu(pre, &pre);
     }
     Matrix ffn_out;
     MatMul(pre, block.w2.value, &ffn_out);
@@ -286,8 +273,8 @@ float AutoregressiveTransformer::TrainStep(const std::vector<int32_t>& codes,
     BlockCache& cache = caches[l];
 
     // --- FFN backward: out = after + relu(pre)*W2 + b2. ---
-    Matrix relu = cache.ffn_pre;
-    ReluInPlace(&relu);
+    Matrix relu;
+    Relu(cache.ffn_pre, &relu);
     std::vector<float> db2;
     ColumnSums(dh, &db2);
     for (size_t i = 0; i < db2.size(); ++i)

@@ -94,14 +94,22 @@ std::shared_ptr<const ServedModel> ModelManager::BuildModel(
   model->trained_rows = table->num_rows();
   model->num_columns = table->num_cols();
   Timer timer;
+  // Counts a build that ends without a model, whichever step threw.
+  const auto fail = [&](const char* what, const std::exception& e) {
+    if (error != nullptr) *error = std::string(what) + e.what();
+    std::lock_guard<std::mutex> lock(counters_mutex_);
+    if (is_refresh)
+      ++counters_.refresh_failures;
+    else
+      ++counters_.train_failures;
+    return nullptr;
+  };
 
   std::unique_ptr<CardinalityEstimator> instance;
   try {
     instance = options_.factory(estimator);
   } catch (const std::exception& e) {
-    if (error != nullptr)
-      *error = std::string("estimator construction failed: ") + e.what();
-    return nullptr;
+    return fail("estimator construction failed: ", e);
   }
 
   // Version-0 cold path: prefer a persisted model over training. The
@@ -126,9 +134,7 @@ std::shared_ptr<const ServedModel> ModelManager::BuildModel(
       try {
         instance = options_.factory(estimator);
       } catch (const std::exception& e) {
-        if (error != nullptr)
-          *error = std::string("estimator construction failed: ") + e.what();
-        return nullptr;
+        return fail("estimator construction failed: ", e);
       }
     }
   }
@@ -151,14 +157,7 @@ std::shared_ptr<const ServedModel> ModelManager::BuildModel(
       }
       instance->Train(*table, context);
     } catch (const std::exception& e) {
-      if (error != nullptr)
-        *error = std::string("train failed: ") + e.what();
-      std::lock_guard<std::mutex> lock(counters_mutex_);
-      if (is_refresh)
-        ++counters_.refresh_failures;
-      else
-        ++counters_.train_failures;
-      return nullptr;
+      return fail("train failed: ", e);
     }
     model->estimator = std::move(instance);
     model->source = is_refresh ? "refreshed" : "trained";

@@ -76,8 +76,10 @@ struct ManagerCounters {
   uint64_t cold_trains = 0;
   uint64_t persisted_loads = 0;
   uint64_t refreshes = 0;            // background retrains completed.
-  uint64_t refresh_failures = 0;     // background retrains that threw.
+  // Refreshes whose estimator construction or training threw.
+  uint64_t refresh_failures = 0;
   uint64_t single_flight_waits = 0;  // requests that waited on a cold load.
+  // Cold loads whose estimator construction or training threw.
   uint64_t train_failures = 0;
   uint64_t evictions = 0;
   uint64_t corrupt_loads = 0;    // store payloads rejected as corrupt.

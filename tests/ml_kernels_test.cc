@@ -13,6 +13,9 @@
 #include "ml/kernels.h"
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -281,7 +284,7 @@ TEST(MlKernelsTest, ElementwiseHelpers) {
   Matrix clamped = m;
   for (size_t i = 0; i < clamped.size(); ++i)
     clamped.data()[i] = std::max(0.0f, clamped.data()[i]);
-  ReluInPlace(&m);
+  Relu(m, &m);
   ExpectNear(clamped, m, 0.0f);
 }
 
@@ -321,8 +324,9 @@ TEST(MlKernelsTest, DenseLayerTrainRoundTripMatchesReference) {
 // a rounded multiply then a rounded add at the portable baseline
 // (contracted there too when the whole build targets an FMA ISA). That is
 // what keeps batched training bit-identical to accumulating one row per
-// call. The shapes cover m % 4, n % 16 and n % 8 tails, k in {0, 1} and a
-// range that starts past row 0.
+// call. The shapes cover m % 4, n % 16 and n % 8 tails, the AVX-512
+// tier's 48-, 32- and 16-column tiles, k in {0, 1} and a range that starts
+// past row 0.
 TEST(MlKernelsTest, TiledAccumOuterEqualsMultiplyAddChainInKOrder) {
   struct AccumShape {
     size_t k_lo, k_hi, m, n;
@@ -330,7 +334,8 @@ TEST(MlKernelsTest, TiledAccumOuterEqualsMultiplyAddChainInKOrder) {
   const AccumShape shapes[] = {
       {0, 0, 5, 17},  {0, 1, 4, 16},  {0, 1, 7, 33},  {0, 2, 3, 9},
       {0, 5, 13, 48}, {0, 64, 6, 25}, {0, 3, 1, 1},   {0, 7, 8, 8},
-      {0, 17, 9, 24}, {2, 9, 11, 40}, {0, 40, 2, 7},  {0, 33, 4, 31}};
+      {0, 17, 9, 24}, {2, 9, 11, 40}, {0, 40, 2, 7},  {0, 33, 4, 31},
+      {0, 5, 6, 97},  {1, 9, 5, 80},  {0, 64, 17, 48}};
   for (const char* isa : AvailableMlKernelIsas()) {
     ScopedMlKernelIsa scoped(isa);
     ASSERT_TRUE(scoped.ok());
@@ -361,6 +366,166 @@ TEST(MlKernelsTest, TiledAccumOuterEqualsMultiplyAddChainInKOrder) {
                                       << s.k_hi << ") m=" << s.m
                                       << " n=" << s.n);
       ExpectNear(expected, out, 0.0f);
+    }
+  }
+}
+
+uint32_t Bits(float f) {
+  uint32_t u;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+void ExpectSameBits(const float* expected, const float* actual, size_t n) {
+  for (size_t i = 0; i < n; ++i)
+    ASSERT_EQ(Bits(expected[i]), Bits(actual[i]))
+        << "index " << i << ": " << expected[i] << " vs " << actual[i];
+}
+
+// The fast backward's ReLU-mask/bias-sum pass, spelled out: dz keeps the
+// gradient where the pre-activation is > 0 (NaN and both zeros mask it),
+// and each bias sum adds its column in row order. The fused pass must match
+// bit for bit, NaN payloads and infinities that pass the mask included. One
+// exception: when a sum adds a NaN to a NaN, IEEE 754 lets either payload
+// survive and x86 keeps the first operand's, an order the compiler may
+// commute, so a NaN sum only has to be a NaN.
+TEST(MlKernelsTest, FusedBackwardMaskAndBiasSumsEqualScalarLoop) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {nan, -nan, 0.0f, -0.0f, inf, -inf};
+  ScopedMlKernelBackend scoped(MlKernelBackend::kFast);
+  Rng rng(41);
+  // With special gradients most of the 496-row sums are NaN, so the grid
+  // also runs with specials in the pre-activations only.
+  for (const bool special_grads : {false, true}) {
+    for (const size_t rows : {size_t{1}, size_t{496}}) {
+      for (const size_t n : {1, 7, 17, 48, 65}) {
+        const size_t k = 5;
+        const Matrix input = RandomMatrix(rows, k, rng);
+        const Matrix weights = RandomMatrix(k, n, rng);
+        Matrix preact = RandomMatrix(rows, n, rng);
+        Matrix grad = RandomMatrix(rows, n, rng);
+        // Specials land on and off the SIMD lane grid.
+        for (size_t i = 0; i < preact.size(); i += 3)
+          preact.data()[i] = specials[(i / 3) % 6];
+        for (size_t i = 1; special_grads && i < grad.size(); i += 4)
+          grad.data()[i] = specials[(i / 4) % 6];
+        std::vector<float> bias_grad(n);
+        for (float& b : bias_grad) b = static_cast<float>(rng.Uniform(-1, 1));
+        std::vector<float> expected_bias = bias_grad;
+        Matrix expected_dz(rows, n);
+        for (size_t r = 0; r < rows; ++r) {
+          for (size_t j = 0; j < n; ++j) {
+            const float v = preact.At(r, j) > 0.0f ? grad.At(r, j) : 0.0f;
+            expected_dz.At(r, j) = v;
+            expected_bias[j] += v;
+          }
+        }
+        Matrix weight_grad(k, n, 0.0f), dz;
+        DenseBackward(input, preact, /*relu=*/true, grad, weights,
+                      &weight_grad, bias_grad.data(), /*input_grad=*/nullptr,
+                      &dz);
+        SCOPED_TRACE(testing::Message() << "rows=" << rows << " n=" << n
+                                        << " special_grads=" << special_grads);
+        ASSERT_EQ(dz.rows(), rows);
+        ASSERT_EQ(dz.cols(), n);
+        ExpectSameBits(expected_dz.data(), dz.data(), dz.size());
+        for (size_t j = 0; j < n; ++j) {
+          if (std::isnan(expected_bias[j])) {
+            EXPECT_TRUE(std::isnan(bias_grad[j])) << "bias sum " << j;
+          } else {
+            EXPECT_EQ(Bits(expected_bias[j]), Bits(bias_grad[j]))
+                << "bias sum " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+// dot_rows runs two rows of a per pass on the SIMD tiers. Each output must
+// keep the bits of a one-row pass, whatever the row count's parity, the
+// split of the row range or k's remainder modulo the 8-lane width.
+TEST(MlKernelsTest, DotRowsPairingEqualsOneRowPerCall) {
+  const size_t row_counts[] = {1, 2, 3, 5, 7, 33};
+  const size_t ks[] = {1, 5, 8, 9, 17, 48, 63};
+  const size_t ns[] = {1, 3, 4, 7, 17, 48};
+  for (const char* isa : AvailableMlKernelIsas()) {
+    ScopedMlKernelIsa scoped(isa);
+    ASSERT_TRUE(scoped.ok());
+    const mlk::KernelOps& ops = mlk::ActiveKernelOps();
+    Rng rng(43);
+    for (const size_t m : row_counts) {
+      for (const size_t k : ks) {
+        for (const size_t n : ns) {
+          const Matrix a = RandomMatrix(m, k, rng);
+          const Matrix b = RandomMatrix(n, k, rng);
+          Matrix whole(m, n), one_row(m, n), split(m, n);
+          ops.dot_rows(a.data(), k, b.data(), k, whole.data(), n, 0, m, k, n);
+          for (size_t i = 0; i < m; ++i)
+            ops.dot_rows(a.data(), k, b.data(), k, one_row.data(), n, i,
+                         i + 1, k, n);
+          // An odd first range shifts which rows pair up in the second.
+          const size_t mid = m / 2 | 1;
+          const size_t cut = mid < m ? mid : m;
+          ops.dot_rows(a.data(), k, b.data(), k, split.data(), n, 0, cut, k,
+                       n);
+          ops.dot_rows(a.data(), k, b.data(), k, split.data(), n, cut, m, k,
+                       n);
+          SCOPED_TRACE(testing::Message() << isa << " m=" << m << " k=" << k
+                                          << " n=" << n);
+          ExpectSameBits(one_row.data(), whole.data(), whole.size());
+          ExpectSameBits(one_row.data(), split.data(), split.size());
+        }
+      }
+    }
+  }
+}
+
+// adam_update must give the portable loop's bits on every tier, across the
+// vector tails and with subnormal moments, zero and tiny gradients among
+// the inputs (the regime where the moments decay during training).
+TEST(MlKernelsTest, AdamUpdateEqualsPortableLoopOnEveryTier) {
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  for (const size_t n : {1, 7, 8, 15, 16, 17, 40, 1001}) {
+    Rng rng(47);
+    std::vector<float> param(n), grad(n), m(n), v(n);
+    for (size_t i = 0; i < n; ++i) {
+      param[i] = static_cast<float>(rng.Uniform(-1, 1));
+      switch (i % 5) {
+        case 0:  // subnormal moments, a gradient that keeps them there.
+          m[i] = denorm * static_cast<float>(1 + i % 97);
+          v[i] = denorm * static_cast<float>(3 + i % 89);
+          grad[i] = 0.0f;
+          break;
+        case 1:
+          m[i] = -denorm * static_cast<float>(1 + i % 53);
+          v[i] = 1e-39f;
+          grad[i] = 1e-30f;
+          break;
+        default:
+          m[i] = static_cast<float>(rng.Uniform(-1e-3, 1e-3));
+          v[i] = static_cast<float>(rng.Uniform(0, 1e-6));
+          grad[i] = static_cast<float>(rng.Uniform(-1, 1));
+          break;
+      }
+    }
+    const float lr = 1e-3f, c1 = 0.271f, c2 = 0.00995f;
+    std::vector<float> want_param = param, want_m = m, want_v = v;
+    mlk::PortableKernelOps().adam_update(want_param.data(), grad.data(),
+                                         want_m.data(), want_v.data(), n, lr,
+                                         c1, c2);
+    for (const char* isa : AvailableMlKernelIsas()) {
+      ScopedMlKernelIsa scoped(isa);
+      ASSERT_TRUE(scoped.ok());
+      std::vector<float> got_param = param, got_m = m, got_v = v;
+      mlk::ActiveKernelOps().adam_update(got_param.data(), grad.data(),
+                                         got_m.data(), got_v.data(), n, lr,
+                                         c1, c2);
+      SCOPED_TRACE(testing::Message() << isa << " n=" << n);
+      ExpectSameBits(want_param.data(), got_param.data(), n);
+      ExpectSameBits(want_m.data(), got_m.data(), n);
+      ExpectSameBits(want_v.data(), got_v.data(), n);
     }
   }
 }

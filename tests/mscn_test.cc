@@ -7,10 +7,11 @@
 // change to the training math.
 //
 // The reference backend sums dW per call into a temporary and so depends
-// on how rows are grouped into calls; it is skipped. AVX2 and AVX-512 share
-// every training kernel and hash alike; the portable tier has no FMA and
-// hashes differently. The hashes belong to the default build flags; other
-// builds skip them (tests/CMakeLists.txt says why).
+// on how rows are grouped into calls; it is skipped. AVX2 and AVX-512 do the
+// same arithmetic per element and hash alike; the portable tier has no FMA and
+// hashes differently. The hashes belong to the RelWithDebInfo and Release
+// builds at the baseline ISA, which train the same bits; other builds skip
+// them (tests/CMakeLists.txt says why).
 
 #include <cstdint>
 #include <map>
@@ -107,8 +108,8 @@ struct PinnedHashes {
 
 void ExpectPinnedPerIsa(std::string (*train)(), const PinnedHashes& pinned) {
 #ifndef ARECEL_MSCN_PINNED_BUILD
-  GTEST_SKIP() << "hashes hold for the default RelWithDebInfo build only "
-                  "(tests/CMakeLists.txt)";
+  GTEST_SKIP() << "hashes hold for the RelWithDebInfo and Release builds "
+                  "only (tests/CMakeLists.txt)";
 #endif
   if (ActiveMlKernelBackend() == MlKernelBackend::kReference)
     GTEST_SKIP() << "reference backend sums dW per call";

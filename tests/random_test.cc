@@ -150,6 +150,39 @@ TEST(ZipfSamplerTest, InvertCdfMonotone) {
   }
 }
 
+// InvertCdf returns the first rank whose cumulative weight reaches u (the
+// last rank when none before it does), at and beside every CDF entry.
+TEST(ZipfSamplerTest, InvertCdfIsTheFirstRankReachingU) {
+  Rng rng(17);
+  for (const uint64_t n : {1, 2, 3, 5, 8, 92, 2000}) {
+    for (const double s : {0.3, 1.5}) {
+      // The sampler's CDF, built the same way.
+      std::vector<double> cdf(n);
+      double acc = 0.0;
+      for (uint64_t k = 0; k < n; ++k) {
+        acc += std::pow(static_cast<double>(k + 1), -s);
+        cdf[k] = acc;
+      }
+      for (double& c : cdf) c /= acc;
+      cdf[n - 1] = 1.0;
+      std::vector<double> us = {0.0, 1.0, 1.5};
+      for (const double c : cdf) {
+        us.push_back(c);
+        us.push_back(std::nextafter(c, 0.0));
+        us.push_back(std::nextafter(c, 2.0));
+      }
+      for (int i = 0; i < 1000; ++i) us.push_back(rng.Uniform());
+      const ZipfSampler zipf(n, s);
+      for (const double u : us) {
+        uint64_t expected = 0;
+        while (expected + 1 < n && cdf[expected] < u) ++expected;
+        ASSERT_EQ(zipf.InvertCdf(u), expected) << "n=" << n << " s=" << s
+                                               << " u=" << u;
+      }
+    }
+  }
+}
+
 TEST(RngTest, ShufflePermutation) {
   Rng rng(15);
   std::vector<int> v{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};

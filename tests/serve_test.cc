@@ -275,7 +275,35 @@ TEST(ServeSingleFlightTest, FailedLoadIsForgottenAndRetried) {
   std::string error;
   EXPECT_EQ(manager.GetModel("t", "stub", &error), nullptr);
   EXPECT_NE(error.find("flaky construction"), std::string::npos);
+  EXPECT_EQ(manager.counters().train_failures, 1u);
   EXPECT_NE(manager.GetModel("t", "stub"), nullptr);  // retried, not stuck.
+  EXPECT_EQ(manager.counters().cold_trains, 1u);
+}
+
+// A refresh whose estimator cannot even be constructed lands nowhere; it
+// must still show as a refresh failure, and the stale model keeps serving.
+TEST(ServeSingleFlightTest, FailedRefreshConstructionIsCounted) {
+  ModelManagerOptions options;
+  int calls = 0;
+  options.factory = [&calls](const std::string&)
+      -> std::unique_ptr<CardinalityEstimator> {
+    if (++calls == 2) throw std::runtime_error("no estimator today");
+    return std::make_unique<StubEstimator>(0, 0, true);
+  };
+  ModelManager manager(options);
+  manager.RegisterDataset("t", SmallTable());
+  const auto stale = manager.GetModel("t", "stub");
+  ASSERT_NE(stale, nullptr);
+  ASSERT_EQ(manager.ApplyUpdate("t", /*fraction=*/0.1, /*seed=*/3), 1u);
+
+  std::string error;
+  EXPECT_FALSE(manager.RefreshModelNow("t", "stub", nullptr, &error));
+  EXPECT_NE(error.find("no estimator today"), std::string::npos);
+  const ManagerCounters counters = manager.counters();
+  EXPECT_EQ(counters.refresh_failures, 1u);
+  EXPECT_EQ(counters.refreshes, 0u);
+  EXPECT_EQ(counters.train_failures, 0u);
+  EXPECT_EQ(manager.GetModel("t", "stub"), stale);
 }
 
 // ---------------------------------------------------------------------------
