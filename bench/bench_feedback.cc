@@ -11,24 +11,10 @@
 // fault-injection plan like every other driver. Emits machine-readable
 // BENCH_feedback.json (default at the repo root).
 //
-// Environment knobs (all optional):
-//   ARECEL_FEEDBACK_BENCH_ROWS     table rows              (default 40000)
-//   ARECEL_FEEDBACK_BENCH_QUERIES  replayed requests       (default 1000)
-//   ARECEL_FEEDBACK_BENCH_POOL    distinct queries in the Zipf-repeating
-//                                 request pool             (default 256)
-//   ARECEL_FEEDBACK_BENCH_EST     comma-separated base estimators
-//                                 (default postgres,sampling,feedback-knn)
-//   ARECEL_FEEDBACK_BENCH_DRAIN   drain the truth worker every N queries
-//                                 (default 25)
-//   ARECEL_FEEDBACK_BENCH_OUT     output JSON path
-//                                 (default <repo>/BENCH_feedback.json)
-//   ARECEL_FEEDBACK_*             loop knobs (src/feedback/online_model.h)
-//
-//   --smoke                       tiny configuration for the CTest smoke run
+// Usage: bench_feedback [--smoke] [--out <path>] (bench_report.h); --smoke
+// is a tiny configuration for the CTest smoke run.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -37,10 +23,10 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_report.h"
 #include "core/evaluator.h"
 #include "data/datasets.h"
 #include "serve/server.h"
-#include "util/env.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "workload/generator.h"
@@ -48,19 +34,6 @@
 namespace {
 
 using namespace arecel;
-
-std::vector<std::string> SplitCommas(const std::string& text) {
-  std::vector<std::string> parts;
-  size_t at = 0;
-  while (at <= text.size()) {
-    const size_t comma = text.find(',', at);
-    const size_t end = comma == std::string::npos ? text.size() : comma;
-    if (end > at) parts.push_back(text.substr(at, end - at));
-    if (comma == std::string::npos) break;
-    at = comma + 1;
-  }
-  return parts;
-}
 
 // Shared cell inputs (SweepContext capture contract: the guarded body owns
 // shared ownership, so an abandoned worker never dangles into main).
@@ -98,25 +71,16 @@ double MedianSlice(const std::vector<double>& values, size_t begin,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv, "feedback");
+  const bool smoke = args.smoke;
 
-  const size_t rows =
-      EnvSize("ARECEL_FEEDBACK_BENCH_ROWS", smoke ? 3000 : 40000);
-  const size_t num_queries =
-      EnvSize("ARECEL_FEEDBACK_BENCH_QUERIES", smoke ? 150 : 1000);
-  const size_t pool_size =
-      EnvSize("ARECEL_FEEDBACK_BENCH_POOL", smoke ? 48 : 256);
-  const size_t drain_every =
-      EnvSize("ARECEL_FEEDBACK_BENCH_DRAIN", smoke ? 10 : 25);
-  const std::vector<std::string> estimators = SplitCommas(EnvString(
-      "ARECEL_FEEDBACK_BENCH_EST",
-      smoke ? "postgres,feedback-knn" : "postgres,sampling,feedback-knn"));
-  std::string out_path = ARECEL_REPO_ROOT "/BENCH_feedback.json";
-  if (smoke) out_path = "BENCH_feedback_smoke.json";
-  if (const char* env_out = std::getenv("ARECEL_FEEDBACK_BENCH_OUT"))
-    out_path = env_out;
+  const size_t rows = smoke ? 3000 : 40000;
+  const size_t num_queries = smoke ? 150 : 1000;
+  const size_t pool_size = smoke ? 48 : 256;
+  const size_t drain_every = smoke ? 10 : 25;
+  const std::vector<std::string> estimators =
+      smoke ? std::vector<std::string>{"postgres", "feedback-knn"}
+            : std::vector<std::string>{"postgres", "sampling", "feedback-knn"};
 
   bench::PrintHeader("bench_feedback: online feedback-loop replay",
                      "prequential q-error before/after the truth loop");
@@ -147,7 +111,7 @@ int main(int argc, char** argv) {
   inputs->server = &server;
   inputs->dataset = "synth-corr";
   inputs->rows = rows;
-  inputs->drain_every = drain_every == 0 ? 1 : drain_every;
+  inputs->drain_every = drain_every;
   {
     const auto table = server.manager().TableSnapshot("synth-corr");
     inputs->pool = GenerateWorkload(*table, pool_size, /*seed=*/23);
@@ -276,45 +240,30 @@ int main(int argc, char** argv) {
                 best->improvement);
 
   // ---- machine-readable artifact ----------------------------------------
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  const auto stats = server.Stats();
-  std::fprintf(out, "{\n  \"bench\": \"bench_feedback\",\n");
-  std::fprintf(out, "  \"rows\": %zu,\n  \"requests\": %zu,\n", rows,
-               num_queries);
-  std::fprintf(out, "  \"pool\": %zu,\n  \"drain_every\": %zu,\n", pool_size,
-               inputs->drain_every);
-  std::fprintf(out, "  \"cells\": [");
+  const feedback::FeedbackHubStats loop = server.Stats().feedback;
+  std::vector<bench::JsonRow> cells(results.size());
   for (size_t i = 0; i < results.size(); ++i) {
     const CellResult& r = results[i];
-    std::fprintf(out,
-                 "%s\n    {\"estimator\": \"%s\", \"base_p50\": %.6f, "
-                 "\"fb_p50\": %.6f, \"fb_first_p50\": %.6f, "
-                 "\"fb_last_p50\": %.6f, \"improvement\": %.4f, "
-                 "\"truths\": %.0f, \"corrections\": %.0f, \"ok\": %s}",
-                 i == 0 ? "" : ",", r.estimator.c_str(), r.base_p50, r.fb_p50,
-                 r.fb_first_p50, r.fb_last_p50, r.improvement, r.truths,
-                 r.corrections, r.ok ? "true" : "false");
+    cells[i].Add("estimator", r.estimator).Add("base_p50", r.base_p50);
+    cells[i].Add("fb_p50", r.fb_p50).Add("fb_first_p50", r.fb_first_p50);
+    cells[i].Add("fb_last_p50", r.fb_last_p50);
+    cells[i].Add("improvement", r.improvement).Add("truths", r.truths);
+    cells[i].Add("corrections", r.corrections).Add("ok", r.ok);
   }
-  std::fprintf(out, "\n  ],\n");
-  std::fprintf(out,
-               "  \"loop\": {\"enqueued\": %llu, \"completed\": %llu, "
-               "\"dropped\": %llu, \"cache_hit_jobs\": %llu, "
-               "\"corrections_applied\": %llu, "
-               "\"corrections_passthrough\": %llu, \"subspaces\": %zu, "
-               "\"entries\": %zu}\n}\n",
-               (unsigned long long)stats.feedback.worker.enqueued,
-               (unsigned long long)stats.feedback.worker.completed,
-               (unsigned long long)stats.feedback.worker.dropped,
-               (unsigned long long)stats.feedback.cache_hit_jobs,
-               (unsigned long long)stats.feedback.corrections_applied,
-               (unsigned long long)stats.feedback.corrections_passthrough,
-               stats.feedback.models.subspaces, stats.feedback.models.entries);
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
+  bench::JsonRow loop_row;
+  loop_row.Add("enqueued", loop.worker.enqueued);
+  loop_row.Add("completed", loop.worker.completed);
+  loop_row.Add("dropped", loop.worker.dropped);
+  loop_row.Add("cache_hit_jobs", loop.cache_hit_jobs);
+  loop_row.Add("corrections_applied", loop.corrections_applied);
+  loop_row.Add("corrections_passthrough", loop.corrections_passthrough);
+  loop_row.Add("subspaces", loop.models.subspaces);
+  loop_row.Add("entries", loop.models.entries);
+  bench::BenchReport report("bench_feedback");
+  report.Add("rows", rows).Add("requests", num_queries);
+  report.Add("pool", pool_size).Add("drain_every", drain_every);
+  report.Add("cells", cells).Add("loop", loop_row);
+  if (!report.WriteTo(args.out)) return 1;
 
   return sweep.Finish();
 }

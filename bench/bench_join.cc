@@ -12,23 +12,10 @@
 // plan), so a killed run resumes at the first missing cell. Emits
 // machine-readable BENCH_join.json (default at the repo root).
 //
-// Environment knobs (all optional):
-//   ARECEL_JOIN_BENCH_FACT_ROWS  fact table rows            (default 30000)
-//   ARECEL_JOIN_BENCH_DIMS      dimension tables            (default 3)
-//   ARECEL_JOIN_BENCH_DIM_ROWS  rows per dimension          (default 128)
-//   ARECEL_JOIN_BENCH_TRAIN     training join queries       (default 1200)
-//   ARECEL_JOIN_BENCH_QUERIES   test join queries           (default 400)
-//   ARECEL_JOIN_BENCH_EST       comma-separated estimators
-//                               (default postgres-join,sampling-join,
-//                                mscn-join)
-//   ARECEL_JOIN_BENCH_OUT       output JSON path
-//                               (default <repo>/BENCH_join.json)
-//
-//   --smoke                     tiny configuration for the CTest smoke run
+// Usage: bench_join [--smoke] [--out <path>] (bench_report.h); --smoke is a
+// tiny configuration for the CTest smoke run.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -36,11 +23,10 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "bench_report.h"
 #include "core/evaluator.h"
-#include "core/registry.h"
 #include "data/schema.h"
 #include "join/join_executor.h"
-#include "util/env.h"
 #include "util/stats.h"
 #include "util/timer.h"
 #include "workload/join_generator.h"
@@ -48,19 +34,6 @@
 namespace {
 
 using namespace arecel;
-
-std::vector<std::string> SplitCommas(const std::string& text) {
-  std::vector<std::string> parts;
-  size_t at = 0;
-  while (at <= text.size()) {
-    const size_t comma = text.find(',', at);
-    const size_t end = comma == std::string::npos ? text.size() : comma;
-    if (end > at) parts.push_back(text.substr(at, end - at));
-    if (comma == std::string::npos) break;
-    at = comma + 1;
-  }
-  return parts;
-}
 
 // Shared cell inputs (SweepContext capture contract: guarded bodies own
 // shared ownership, so an abandoned worker never dangles into main).
@@ -87,26 +60,16 @@ struct CellResult {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv, "join");
+  const bool smoke = args.smoke;
 
-  const size_t fact_rows =
-      EnvSize("ARECEL_JOIN_BENCH_FACT_ROWS", smoke ? 2000 : 30000);
-  const size_t dims = EnvSize("ARECEL_JOIN_BENCH_DIMS", smoke ? 2 : 3);
-  const size_t dim_rows =
-      EnvSize("ARECEL_JOIN_BENCH_DIM_ROWS", smoke ? 32 : 128);
-  const size_t train_queries =
-      EnvSize("ARECEL_JOIN_BENCH_TRAIN", smoke ? 120 : 1200);
-  const size_t test_queries =
-      EnvSize("ARECEL_JOIN_BENCH_QUERIES", smoke ? 40 : 400);
-  const std::vector<std::string> estimators = SplitCommas(
-      EnvString("ARECEL_JOIN_BENCH_EST",
-                "postgres-join,sampling-join,mscn-join"));
-  std::string out_path = ARECEL_REPO_ROOT "/BENCH_join.json";
-  if (smoke) out_path = "BENCH_join_smoke.json";
-  if (const char* env_out = std::getenv("ARECEL_JOIN_BENCH_OUT"))
-    out_path = env_out;
+  const size_t fact_rows = smoke ? 2000 : 30000;
+  const size_t dims = smoke ? 2 : 3;
+  const size_t dim_rows = smoke ? 32 : 128;
+  const size_t train_queries = smoke ? 120 : 1200;
+  const size_t test_queries = smoke ? 40 : 400;
+  const std::vector<std::string> estimators = {"postgres-join",
+                                               "sampling-join", "mscn-join"};
 
   bench::PrintHeader("bench_join: multi-table join estimator accuracy",
                      "static star-join accuracy, Cartesian-product q-error");
@@ -249,33 +212,23 @@ int main(int argc, char** argv) {
                 mscn->p50 <= independence->p50 ? "better" : "WORSE");
 
   // ---- machine-readable artifact ----------------------------------------
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"bench_join\",\n");
-  std::fprintf(out,
-               "  \"star\": {\"fact_rows\": %zu, \"dims\": %zu, "
-               "\"dim_rows\": %zu, \"fk_skew\": %.2f, \"correlation\": "
-               "%.2f},\n",
-               fact_rows, dims, dim_rows, star.fk_skew, star.correlation);
-  std::fprintf(out, "  \"train_queries\": %zu,\n  \"test_queries\": %zu,\n",
-               train_queries, test_queries);
-  std::fprintf(out, "  \"cells\": [");
+  bench::JsonRow star_row;
+  star_row.Add("fact_rows", fact_rows).Add("dims", dims);
+  star_row.Add("dim_rows", dim_rows).Add("fk_skew", star.fk_skew);
+  star_row.Add("correlation", star.correlation);
+  std::vector<bench::JsonRow> cells(results.size());
   for (size_t i = 0; i < results.size(); ++i) {
     const CellResult& r = results[i];
-    std::fprintf(out,
-                 "%s\n    {\"estimator\": \"%s\", \"p50\": %.6f, "
-                 "\"p95\": %.6f, \"worst\": %.6f, \"train_seconds\": %.4f, "
-                 "\"inference_ms\": %.6f, \"size_mb\": %.4f, \"ok\": %s}",
-                 i == 0 ? "" : ",", r.estimator.c_str(), r.p50, r.p95,
-                 r.worst, r.train_seconds, r.inference_ms, r.size_mb,
-                 r.ok ? "true" : "false");
+    cells[i].Add("estimator", r.estimator).Add("p50", r.p50);
+    cells[i].Add("p95", r.p95).Add("worst", r.worst);
+    cells[i].Add("train_seconds", r.train_seconds);
+    cells[i].Add("inference_ms", r.inference_ms).Add("size_mb", r.size_mb);
+    cells[i].Add("ok", r.ok);
   }
-  std::fprintf(out, "\n  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
+  bench::BenchReport report("bench_join");
+  report.Add("star", star_row).Add("train_queries", train_queries);
+  report.Add("test_queries", test_queries).Add("cells", cells);
+  if (!report.WriteTo(args.out)) return 1;
 
   return sweep.Finish();
 }

@@ -19,21 +19,9 @@
 // at the repo root) to seed the perf trajectory: later PRs touching ml/
 // re-run this bench and compare against the committed baseline.
 //
-// Environment knobs (all optional):
-//   ARECEL_ML_BENCH_MICRO        0 skips the matmul, fused-op
-//                                and quant grids              (default 1)
-//   ARECEL_ML_BENCH_OTHER        0 skips gbdt/kmeans/rdc      (default 1)
-//   ARECEL_ML_BENCH_STEPS        ResMADE train steps          (default 30)
-//   ARECEL_ML_BENCH_BATCH        ResMADE batch size           (default 512)
-//   ARECEL_ML_BENCH_ROWS         table rows: naru/lw-nn/mscn  (default 20000)
-//   ARECEL_ML_BENCH_QUERIES      naru estimate batch          (default 64)
-//   ARECEL_ML_BENCH_NARU_EPOCHS  naru training epochs         (default 4)
-//   ARECEL_ML_BENCH_LWNN_EPOCHS  lw-nn and mscn train epochs  (default 10)
-//   ARECEL_ML_BENCH_OUT          output path (default <repo>/BENCH_ml.json)
-//
-// Flags: --out <path> (or --out=<path>) overrides the output path and wins
-// over ARECEL_ML_BENCH_OUT; the bench_ml_smoke CTest target uses it so a
-// smoke run can never clobber the checked-in baseline.
+// Usage: bench_micro_ml [--smoke] [--out <path>] (bench_report.h). The
+// smoke configuration skips layers 1 and 3 and runs the end-to-end sections
+// on tiny sizes, where speedups are informational but the gates still hold.
 //
 // The quant tier (ARECEL_ML_KERNEL=quant, ml/packed.h) is measured in two
 // extra layers: a fast-vs-quant dense-forward grid, and a quantized Naru
@@ -45,10 +33,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "data/datasets.h"
 #include "estimators/learned/lw_nn.h"
 #include "estimators/learned/mscn.h"
@@ -61,7 +49,6 @@
 #include "ml/nn.h"
 #include "ml/packed.h"
 #include "ml/rdc.h"
-#include "util/env.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -628,6 +615,21 @@ Section BenchMscnTrain(const Table& table, const Workload& workload,
   return section;
 }
 
+bench::JsonRow SectionRow(const Section& s) {
+  bench::JsonRow row;
+  row.Add("name", s.name).Add("reference_seconds", s.reference_seconds);
+  row.Add("fast_seconds", s.fast_seconds).Add("speedup", s.speedup());
+  row.Add("divergence", s.divergence).Add("tolerance", s.tolerance);
+  row.Add("within_tolerance", s.within_tolerance()).Add("detail", s.detail);
+  return row;
+}
+
+std::vector<bench::JsonRow> SectionRows(const std::vector<Section>& sections) {
+  std::vector<bench::JsonRow> rows;
+  for (const Section& s : sections) rows.push_back(SectionRow(s));
+  return rows;
+}
+
 void PrintSection(const Section& s) {
   std::printf("%-16s %12.4f %12.4f %8.2fx %10.2e %8.0e %-4s %s\n",
               s.name.c_str(), s.reference_seconds, s.fast_seconds,
@@ -643,30 +645,14 @@ struct OtherTiming {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool run_micro = EnvSize("ARECEL_ML_BENCH_MICRO", 1) != 0;
-  const bool run_other = EnvSize("ARECEL_ML_BENCH_OTHER", 1) != 0;
-  const size_t steps = EnvSize("ARECEL_ML_BENCH_STEPS", 30);
-  const size_t batch = EnvSize("ARECEL_ML_BENCH_BATCH", 512);
-  const size_t rows = EnvSize("ARECEL_ML_BENCH_ROWS", 20000);
-  const size_t queries = EnvSize("ARECEL_ML_BENCH_QUERIES", 64);
-  const int naru_epochs =
-      static_cast<int>(EnvSize("ARECEL_ML_BENCH_NARU_EPOCHS", 4));
-  const int lwnn_epochs =
-      static_cast<int>(EnvSize("ARECEL_ML_BENCH_LWNN_EPOCHS", 10));
-  std::string out_path = ARECEL_REPO_ROOT "/BENCH_ml.json";
-  if (const char* env_out = std::getenv("ARECEL_ML_BENCH_OUT"))
-    out_path = env_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      std::fprintf(stderr, "usage: bench_micro_ml [--out <path>]\n");
-      return 2;
-    }
-  }
+  const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv, "ml");
+  const bool smoke = args.smoke;
+  const size_t steps = smoke ? 2 : 30;        // ResMADE train steps.
+  const size_t batch = smoke ? 64 : 512;      // ResMADE batch size.
+  const size_t rows = smoke ? 3000 : 20000;   // naru, lw-nn and mscn table.
+  const size_t queries = smoke ? 4 : 64;      // naru estimate batch.
+  const int naru_epochs = smoke ? 1 : 4;
+  const int lwnn_epochs = smoke ? 2 : 10;     // lw-nn and mscn.
 
   const std::string cpu_flags = MlCpuFeatureFlags();
   std::printf("== bench_micro_ml: fast vs. reference ML kernels ==\n");
@@ -679,7 +665,7 @@ int main(int argc, char** argv) {
 
   // ---- matmul grid --------------------------------------------------------
   std::vector<MicroCell> grid;
-  if (run_micro) {
+  if (!smoke) {
     std::printf("%-8s %5s %5s %5s %12s %12s %9s %10s %9s\n", "op", "m", "k",
                 "n", "ref_s", "fast_s", "speedup", "div", "gflops");
     const size_t shapes[][3] = {
@@ -704,7 +690,7 @@ int main(int argc, char** argv) {
 
   // ---- quant dense-forward grid ------------------------------------------
   std::vector<QuantCell> quant_grid;
-  if (run_micro) {
+  if (!smoke) {
     std::printf("%-12s %5s %5s %5s %10s %10s %8s %10s\n", "quant", "m", "k",
                 "n", "fast_s", "quant_s", "qspeed", "quant_err");
     const size_t shapes[][3] = {
@@ -727,7 +713,7 @@ int main(int argc, char** argv) {
 
   // ---- fused-op cells ----------------------------------------------------
   std::vector<Section> fused;
-  if (run_micro) {
+  if (!smoke) {
     std::printf("%-16s %12s %12s %9s %10s %8s %-4s\n", "fused op", "ref_s",
                 "fast_s", "speedup", "div", "tol", "ok");
     // MSCN's predicate input layer (about 7.75 atoms per query, batch 64)
@@ -781,7 +767,7 @@ int main(int argc, char** argv) {
 
   // ---- non-matrix substrate (single backend, continuity timings) ----------
   std::vector<OtherTiming> other;
-  if (run_other) {
+  if (!smoke) {
     {
       Rng rng(3);
       const size_t n = 2000;
@@ -826,85 +812,46 @@ int main(int argc, char** argv) {
   }
 
   // ---- machine-readable artifact ------------------------------------------
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"bench_micro_ml\",\n");
-  std::fprintf(out, "  \"backend\": \"%s\",\n",
-               MlKernelBackendName(ActiveMlKernelBackend()));
-  std::fprintf(out, "  \"simd\": \"%s\",\n", MlKernelSimdName());
-  std::fprintf(out, "  \"cpu\": \"%s\",\n", cpu_flags.c_str());
-  std::fprintf(out, "  \"workers\": %d,\n", ParallelWorkerCount());
-  auto print_section = [&](const Section& s) {
-    std::fprintf(out,
-                 "{\"name\": \"%s\", \"reference_seconds\": %.6f, "
-                 "\"fast_seconds\": %.6f, \"speedup\": %.3f, "
-                 "\"divergence\": %.3e, \"tolerance\": %.1e, "
-                 "\"within_tolerance\": %s, \"detail\": \"%s\"}",
-                 s.name.c_str(), s.reference_seconds, s.fast_seconds,
-                 s.speedup(), s.divergence, s.tolerance,
-                 s.within_tolerance() ? "true" : "false", s.detail.c_str());
-  };
-  std::fprintf(out, "  \"headline\": {\n    \"resmade_train\": ");
-  print_section(sections[0]);
-  std::fprintf(out, ",\n    \"naru_inference\": ");
-  print_section(sections[1]);
-  std::fprintf(out,
-               ",\n    \"naru_inference_quant\": {\"fast_seconds\": %.6f, "
-               "\"quant_seconds\": %.6f, \"quant_speedup\": %.3f, "
-               "\"qerr_median\": %.4f, "
-               "\"qerr_p99\": %.4f, \"qerr_median_budget\": %.2f, "
-               "\"qerr_p99_budget\": %.2f, \"ok\": %s}",
-               naru_quant.fast_seconds, naru_quant.quant_seconds,
-               naru_quant.quant_speedup(), naru_quant.qerr_median,
-               naru_quant.qerr_p99,
-               naru_quant.qerr_median_budget, naru_quant.qerr_p99_budget,
-               naru_quant.ok() ? "true" : "false");
-  std::fprintf(out, "\n  },\n");
-  std::fprintf(out, "  \"sections\": [");
-  for (size_t i = 0; i < sections.size(); ++i) {
-    std::fprintf(out, "%s\n    ", i == 0 ? "" : ",");
-    print_section(sections[i]);
-  }
-  std::fprintf(out, "\n  ],\n");
-  std::fprintf(out, "  \"matmul_grid\": [");
+  bench::JsonRow quant_row;
+  quant_row.Add("fast_seconds", naru_quant.fast_seconds);
+  quant_row.Add("quant_seconds", naru_quant.quant_seconds);
+  quant_row.Add("quant_speedup", naru_quant.quant_speedup());
+  quant_row.Add("qerr_median", naru_quant.qerr_median);
+  quant_row.Add("qerr_p99", naru_quant.qerr_p99);
+  quant_row.Add("qerr_median_budget", naru_quant.qerr_median_budget);
+  quant_row.Add("qerr_p99_budget", naru_quant.qerr_p99_budget);
+  quant_row.Add("ok", naru_quant.ok());
+  std::vector<bench::JsonRow> grid_rows(grid.size());
   for (size_t i = 0; i < grid.size(); ++i) {
     const MicroCell& c = grid[i];
-    std::fprintf(out,
-                 "%s\n    {\"op\": \"%s\", \"m\": %zu, \"k\": %zu, "
-                 "\"n\": %zu, \"reference_seconds\": %.6f, "
-                 "\"fast_seconds\": %.6f, \"speedup\": %.3f, "
-                 "\"gflops_fast\": %.2f, \"divergence\": %.3e}",
-                 i == 0 ? "" : ",", c.op, c.m, c.k, c.n, c.reference_seconds,
-                 c.fast_seconds, c.speedup(), c.gflops_fast(), c.divergence);
+    grid_rows[i].Add("op", c.op).Add("m", c.m).Add("k", c.k).Add("n", c.n);
+    grid_rows[i].Add("reference_seconds", c.reference_seconds);
+    grid_rows[i].Add("fast_seconds", c.fast_seconds);
+    grid_rows[i].Add("speedup", c.speedup());
+    grid_rows[i].Add("gflops_fast", c.gflops_fast());
+    grid_rows[i].Add("divergence", c.divergence);
   }
-  std::fprintf(out, "\n  ],\n");
-  std::fprintf(out, "  \"fused_ops\": [");
-  for (size_t i = 0; i < fused.size(); ++i) {
-    std::fprintf(out, "%s\n    ", i == 0 ? "" : ",");
-    print_section(fused[i]);
-  }
-  std::fprintf(out, "\n  ],\n");
-  std::fprintf(out, "  \"quant_grid\": [");
+  std::vector<bench::JsonRow> quant_rows(quant_grid.size());
   for (size_t i = 0; i < quant_grid.size(); ++i) {
     const QuantCell& c = quant_grid[i];
-    std::fprintf(out,
-                 "%s\n    {\"m\": %zu, \"k\": %zu, \"n\": %zu, "
-                 "\"fast_seconds\": %.6f, \"quant_seconds\": %.6f, "
-                 "\"quant_speedup\": %.3f, \"quant_max_abs\": %.3e}",
-                 i == 0 ? "" : ",", c.m, c.k, c.n, c.fast_seconds,
-                 c.quant_seconds, c.quant_speedup(), c.quant_max_abs);
+    quant_rows[i].Add("m", c.m).Add("k", c.k).Add("n", c.n);
+    quant_rows[i].Add("fast_seconds", c.fast_seconds);
+    quant_rows[i].Add("quant_seconds", c.quant_seconds);
+    quant_rows[i].Add("quant_speedup", c.quant_speedup());
+    quant_rows[i].Add("quant_max_abs", c.quant_max_abs);
   }
-  std::fprintf(out, "\n  ],\n");
-  std::fprintf(out, "  \"other\": [");
+  std::vector<bench::JsonRow> other_rows(other.size());
   for (size_t i = 0; i < other.size(); ++i)
-    std::fprintf(out, "%s\n    {\"name\": \"%s\", \"seconds\": %.6f}",
-                 i == 0 ? "" : ",", other[i].name, other[i].seconds);
-  std::fprintf(out, "\n  ]\n}\n");
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
+    other_rows[i].Add("name", other[i].name).Add("seconds", other[i].seconds);
+  bench::BenchReport report("bench_micro_ml");
+  report.BeginObject("headline");
+  report.Add("resmade_train", SectionRow(sections[0]));
+  report.Add("naru_inference", SectionRow(sections[1]));
+  report.Add("naru_inference_quant", quant_row).EndObject();
+  report.Add("sections", SectionRows(sections)).Add("matmul_grid", grid_rows);
+  report.Add("fused_ops", SectionRows(fused)).Add("quant_grid", quant_rows);
+  report.Add("other", other_rows);
+  if (!report.WriteTo(args.out)) return 1;
 
   if (!all_within) {
     std::fprintf(stderr,

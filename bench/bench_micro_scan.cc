@@ -12,27 +12,18 @@
 // perf trajectory: later PRs compare against it to detect scan-path
 // regressions.
 //
-// Usage: bench_micro_scan [--out <path>]
-//
-// Environment knobs (all optional):
-//   ARECEL_SCAN_BENCH_ROWS     headline table rows        (default 1000000)
-//   ARECEL_SCAN_BENCH_QUERIES  headline batch size        (default 10000)
-//   ARECEL_SCAN_BENCH_GRID     0 skips the range grid     (default 1)
-//   ARECEL_SCAN_BENCH_CATGRID  0 skips the categorical grid (default 1)
-//   ARECEL_SCAN_BENCH_CATROWS  categorical grid rows      (default 262144)
-//   ARECEL_SCAN_BENCH_OUT      output JSON path (default <repo>/BENCH_scan.json;
-//                              the --out flag wins over the env var)
+// Usage: bench_micro_scan [--smoke] [--out <path>] (bench_report.h). The
+// smoke configuration skips the range grid and shrinks the headline and the
+// categorical grid.
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "data/datasets.h"
 #include "scan/block_scan.h"
-#include "util/env.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -112,15 +103,19 @@ struct GridCell {
   Measurement m;
 };
 
-// JSON fields of a shared-scan cell's kernel and posting-path counters.
-void PrintScanStats(std::FILE* out, const Measurement& m) {
-  std::fprintf(out,
-               "\"scanned_blocks\": %" PRIu64
-               ", \"dict_kernel_blocks\": %" PRIu64
-               ", \"posting_queries\": %" PRIu64
-               ", \"posting_rows\": %" PRIu64,
-               m.stats.scanned_blocks, m.stats.dict_kernel_blocks,
-               m.stats.posting_queries, m.stats.posting_rows);
+// Adds a cell's timings, a shared-scan cell's kernel and posting-path
+// counters, and the count check to `row`.
+void AddMeasurement(const Measurement& m, bool shared_scan,
+                    const char* speedup_key, bench::JsonRow* row) {
+  row->Add("naive_seconds", m.naive_seconds);
+  row->Add("block_seconds", m.block_seconds).Add(speedup_key, m.speedup());
+  if (shared_scan) {
+    row->Add("scanned_blocks", m.stats.scanned_blocks);
+    row->Add("dict_kernel_blocks", m.stats.dict_kernel_blocks);
+    row->Add("posting_queries", m.stats.posting_queries);
+    row->Add("posting_rows", m.stats.posting_rows);
+  }
+  row->Add("counts_match", m.counts_match);
 }
 
 // ---- categorical equality grid -------------------------------------------
@@ -192,45 +187,20 @@ CatCell MeasureCatCell(size_t rows, size_t cardinality, size_t num_queries,
     cell.min_domain = std::min(cell.min_domain, column.domain_size());
     cell.max_domain = std::max(cell.max_domain, column.domain_size());
   }
-  const std::vector<Query> queries =
-      EqualityQueries(table, num_queries, seed + 1);
-
-  Timer timer;
-  const std::vector<size_t> naive = NaiveCounts(table, queries);
-  cell.m.naive_seconds = timer.ElapsedSeconds();
-
-  const scan::BlockScanner scanner(table);
-  timer.Reset();
-  const std::vector<size_t> counts = scanner.CountBatch(queries);
-  cell.m.block_seconds = timer.ElapsedSeconds();
-  cell.m.stats = scanner.stats();
-  cell.m.counts_match = counts == naive;
+  cell.m = MeasureCell(table, EqualityQueries(table, num_queries, seed + 1),
+                       num_queries);
   return cell;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const size_t headline_rows = EnvSize("ARECEL_SCAN_BENCH_ROWS", 1000000);
-  const size_t headline_queries =
-      EnvSize("ARECEL_SCAN_BENCH_QUERIES", 10000);
-  const bool run_grid = EnvSize("ARECEL_SCAN_BENCH_GRID", 1) != 0;
-  const bool run_catgrid = EnvSize("ARECEL_SCAN_BENCH_CATGRID", 1) != 0;
-  const size_t cat_rows = EnvSize("ARECEL_SCAN_BENCH_CATROWS", 262144);
-  std::string out_path = ARECEL_REPO_ROOT "/BENCH_scan.json";
-  if (const char* env_out = std::getenv("ARECEL_SCAN_BENCH_OUT"))
-    out_path = env_out;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg.rfind("--out=", 0) == 0) {
-      out_path = arg.substr(6);
-    } else {
-      std::fprintf(stderr, "usage: bench_micro_scan [--out <path>]\n");
-      return 2;
-    }
-  }
+  const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv, "scan");
+  const size_t headline_rows = args.smoke ? 20000 : 1000000;
+  const size_t headline_queries = args.smoke ? 200 : 10000;
+  // 65536 rows still leave every column of the past-budget cell past the
+  // code budget, which the categorical grid checks.
+  const size_t cat_rows = args.smoke ? 65536 : 262144;
 
   std::printf("== bench_micro_scan: naive vs. vectorized block scan ==\n");
   std::printf("workers=%d block_size=%zu\n\n", ParallelWorkerCount(),
@@ -240,7 +210,7 @@ int main(int argc, char** argv) {
 
   // ---- rows x predicates x batch grid -----------------------------------
   std::vector<GridCell> grid;
-  if (run_grid) {
+  if (!args.smoke) {
     std::printf("%8s %6s %6s %8s %12s %12s %9s %8s %s\n", "rows", "preds",
                 "batch", "queries", "naive_s", "block_s", "speedup",
                 "posting", "match");
@@ -277,7 +247,7 @@ int main(int argc, char** argv) {
 
   // ---- categorical equality grid ----------------------------------------
   std::vector<CatCell> catgrid;
-  if (run_catgrid) {
+  {
     std::printf(
         "categorical grid: equality-heavy Zipf workloads, naive vs engine "
         "(code budget %zu)\n",
@@ -302,7 +272,7 @@ int main(int argc, char** argv) {
           cell.min_domain <= scan::kMaxDictCodes) {
         std::fprintf(stderr,
                      "FAILED: cardinality %zu left a column with %zu <= %zu "
-                     "distinct values; raise ARECEL_SCAN_BENCH_CATROWS\n",
+                     "distinct values; raise the grid's row count\n",
                      cardinality, cell.min_domain, scan::kMaxDictCodes);
         return 1;
       }
@@ -334,59 +304,33 @@ int main(int argc, char** argv) {
               headline.stats.posting_rows, headline.stats.scanned_blocks);
 
   // ---- machine-readable artifact ----------------------------------------
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"bench\": \"bench_micro_scan\",\n");
-  std::fprintf(out, "  \"block_size\": %zu,\n", scan::kDefaultBlockSize);
-  std::fprintf(out, "  \"workers\": %d,\n", ParallelWorkerCount());
-  std::fprintf(out, "  \"headline\": {\"rows\": %zu, \"queries\": %zu, "
-                    "\"naive_seconds\": %.6f, \"block_seconds\": %.6f, "
-                    "\"speedup\": %.3f, ",
-               headline_rows, headline_queries, headline.naive_seconds,
-               headline.block_seconds, headline.speedup());
-  PrintScanStats(out, headline);
-  std::fprintf(out, ", \"counts_match\": %s},\n",
-               headline.counts_match ? "true" : "false");
-  std::fprintf(out, "  \"grid\": [");
+  bench::JsonRow headline_row;
+  headline_row.Add("rows", headline_rows).Add("queries", headline_queries);
+  AddMeasurement(headline, /*shared_scan=*/true, "speedup", &headline_row);
+  std::vector<bench::JsonRow> grid_rows(grid.size());
   for (size_t i = 0; i < grid.size(); ++i) {
     const GridCell& cell = grid[i];
-    std::fprintf(out,
-                 "%s\n    {\"rows\": %zu, \"preds\": %d, \"batch\": %zu, "
-                 "\"queries\": %zu, \"naive_seconds\": %.6f, "
-                 "\"block_seconds\": %.6f, \"speedup\": %.3f, ",
-                 i == 0 ? "" : ",", cell.rows, cell.preds, cell.batch,
-                 cell.queries, cell.m.naive_seconds, cell.m.block_seconds,
-                 cell.m.speedup());
-    if (cell.batch > 1) {
-      PrintScanStats(out, cell.m);
-      std::fprintf(out, ", ");
-    }
-    std::fprintf(out, "\"counts_match\": %s}",
-                 cell.m.counts_match ? "true" : "false");
+    grid_rows[i].Add("rows", cell.rows).Add("preds", cell.preds);
+    grid_rows[i].Add("batch", cell.batch).Add("queries", cell.queries);
+    AddMeasurement(cell.m, cell.batch > 1, "speedup", &grid_rows[i]);
   }
-  std::fprintf(out, "\n  ],\n");
-  std::fprintf(out, "  \"categorical_grid\": [");
+  std::vector<bench::JsonRow> catgrid_rows(catgrid.size());
   for (size_t i = 0; i < catgrid.size(); ++i) {
     const CatCell& cell = catgrid[i];
-    std::fprintf(
-        out,
-        "%s\n    {\"rows\": %zu, \"cardinality\": %zu, "
-        "\"min_domain_size\": %zu, \"max_domain_size\": %zu, "
-        "\"queries\": %zu, \"naive_seconds\": %.6f, "
-        "\"block_seconds\": %.6f, \"speedup_vs_naive\": %.3f, ",
-        i == 0 ? "" : ",", cell.rows, cell.cardinality, cell.min_domain,
-        cell.max_domain, cell.queries, cell.m.naive_seconds,
-        cell.m.block_seconds, cell.m.speedup());
-    PrintScanStats(out, cell.m);
-    std::fprintf(out, ", \"counts_match\": %s}",
-                 cell.m.counts_match ? "true" : "false");
+    catgrid_rows[i].Add("rows", cell.rows);
+    catgrid_rows[i].Add("cardinality", cell.cardinality);
+    catgrid_rows[i].Add("min_domain_size", cell.min_domain);
+    catgrid_rows[i].Add("max_domain_size", cell.max_domain);
+    catgrid_rows[i].Add("queries", cell.queries);
+    AddMeasurement(cell.m, /*shared_scan=*/true, "speedup_vs_naive",
+                   &catgrid_rows[i]);
   }
-  std::fprintf(out, "\n  ]\n}\n");
-  std::fclose(out);
-  std::printf("\nwrote %s\n", out_path.c_str());
+  bench::BenchReport report("bench_micro_scan");
+  report.Add("block_size", scan::kDefaultBlockSize);
+  report.Add("headline", headline_row).Add("grid", grid_rows);
+  report.Add("categorical_grid", catgrid_rows);
+  std::printf("\n");
+  if (!report.WriteTo(args.out)) return 1;
 
   if (!all_match) {
     std::fprintf(stderr,

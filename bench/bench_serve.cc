@@ -9,24 +9,13 @@
 // resumes at the first missing cell. Emits machine-readable
 // BENCH_serve.json (default at the repo root).
 //
-// Environment knobs (all optional):
-//   ARECEL_SERVE_BENCH_ROWS      table rows             (default 200000)
-//   ARECEL_SERVE_BENCH_QUERIES   requests per cell      (default 10000)
-//   ARECEL_SERVE_BENCH_POOL     distinct queries       (default 512)
-//   ARECEL_SERVE_BENCH_EST      estimator registry name (default sampling)
-//   ARECEL_SERVE_BENCH_OUT      output JSON path
-//                               (default <repo>/BENCH_serve.json)
-//   ARECEL_SERVE_CACHE_MB / ARECEL_QUERY_DEADLINE
-//                               serving-layer knobs (src/serve/server.h);
-//                               batches fan out over the shared worker
-//                               pool, one slice per core
-//
-//   --smoke                     tiny configuration for the CTest smoke run
+// Usage: bench_serve [--smoke] [--out <path>] (bench_report.h); --smoke is
+// a tiny configuration for the CTest smoke run. The serving-layer knobs
+// ARECEL_SERVE_CACHE_MB and ARECEL_QUERY_DEADLINE (src/serve/server.h)
+// apply; batches fan out over the shared worker pool, one slice per core.
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <thread>
@@ -35,9 +24,9 @@
 #include <mutex>
 
 #include "bench_common.h"
+#include "bench_report.h"
 #include "data/datasets.h"
 #include "serve/server.h"
-#include "util/env.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
@@ -151,26 +140,17 @@ double RunClosedLoop(const std::shared_ptr<LoadInputs>& in, int clients,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  for (int i = 1; i < argc; ++i)
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv, "serve");
+  const bool smoke = args.smoke;
 
-  // Default rows are chosen so the sampling estimator's per-query sample
+  // Full-run rows are chosen so the sampling estimator's per-query sample
   // scan has realistic serving cost (the paper's tables are millions of
   // rows); a tiny table makes every estimator so cheap that fixed
   // per-request overhead, not inference, decides QPS.
-  const size_t rows =
-      EnvSize("ARECEL_SERVE_BENCH_ROWS", smoke ? 4000 : 200000);
-  const size_t num_requests =
-      EnvSize("ARECEL_SERVE_BENCH_QUERIES", smoke ? 800 : 10000);
-  const size_t pool_size =
-      EnvSize("ARECEL_SERVE_BENCH_POOL", smoke ? 64 : 512);
-  const std::string estimator =
-      EnvString("ARECEL_SERVE_BENCH_EST", "sampling");
-  std::string out_path = ARECEL_REPO_ROOT "/BENCH_serve.json";
-  if (smoke) out_path = "BENCH_serve_smoke.json";
-  if (const char* env_out = std::getenv("ARECEL_SERVE_BENCH_OUT"))
-    out_path = env_out;
+  const size_t rows = smoke ? 4000 : 200000;
+  const size_t num_requests = smoke ? 800 : 10000;
+  const size_t pool_size = smoke ? 64 : 512;
+  const std::string estimator = "sampling";
 
   bench::PrintHeader("bench_serve: serving-layer closed-loop load",
                      "serving-layer QPS; correctness vs direct inference");
@@ -312,48 +292,31 @@ int main(int argc, char** argv) {
               all_identical ? "bit-identical" : "DIVERGED");
 
   // ---- machine-readable artifact ----------------------------------------
-  std::FILE* out = std::fopen(out_path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
   const auto stats = server.Stats();
-  std::fprintf(out, "{\n  \"bench\": \"bench_serve\",\n");
-  std::fprintf(out, "  \"rows\": %zu,\n  \"requests\": %zu,\n", rows,
-               num_requests);
-  std::fprintf(out, "  \"pool\": %zu,\n  \"estimator\": \"%s\",\n",
-               pool_size, estimator.c_str());
-  std::fprintf(out, "  \"dispatch_threads\": %d,\n",
-               server.options().dispatch_threads);
-  std::fprintf(out, "  \"speedup_cache_batch_vs_baseline\": %.3f,\n",
-               speedup);
-  std::fprintf(out, "  \"all_identical\": %s,\n",
-               all_identical ? "true" : "false");
-  std::fprintf(out, "  \"cells\": [");
+  bench::BenchReport report("bench_serve");
+  report.Add("rows", rows).Add("requests", num_requests);
+  report.Add("pool", pool_size).Add("estimator", estimator);
+  report.Add("dispatch_threads", server.options().dispatch_threads);
+  report.Add("speedup_cache_batch_vs_baseline", speedup);
+  report.Add("all_identical", all_identical);
+  std::vector<bench::JsonRow> cell_rows(results.size());
   for (size_t i = 0; i < results.size(); ++i) {
-    const CellResult& result = results[i];
-    std::fprintf(out,
-                 "%s\n    {\"clients\": %d, \"batch\": %zu, \"cache\": %s, "
-                 "\"seconds\": %.6f, \"qps\": %.1f, \"p99_ms\": %.5f, "
-                 "\"hit_rate\": %.4f, \"identical\": %s, \"ok\": %s}",
-                 i == 0 ? "" : ",", result.config.clients,
-                 result.config.batch, result.config.cache ? "true" : "false",
-                 result.seconds, result.qps, result.p99_ms, result.hit_rate,
-                 result.identical ? "true" : "false",
-                 result.ok ? "true" : "false");
+    const CellResult& r = results[i];
+    bench::JsonRow& row = cell_rows[i];
+    row.Add("clients", r.config.clients).Add("batch", r.config.batch);
+    row.Add("cache", r.config.cache).Add("seconds", r.seconds);
+    row.Add("qps", r.qps).Add("p99_ms", r.p99_ms);
+    row.Add("hit_rate", r.hit_rate).Add("identical", r.identical);
+    row.Add("ok", r.ok);
   }
-  std::fprintf(out, "\n  ],\n");
-  std::fprintf(out,
-               "  \"server\": {\"requests\": %llu, \"cache_hits\": %llu, "
-               "\"cache_misses\": %llu, \"cold_trains\": %llu, "
-               "\"deadline_exceeded\": %llu}\n}\n",
-               (unsigned long long)stats.requests,
-               (unsigned long long)stats.cache.hits,
-               (unsigned long long)stats.cache.misses,
-               (unsigned long long)stats.manager.cold_trains,
-               (unsigned long long)stats.deadline_exceeded);
-  std::fclose(out);
-  std::printf("wrote %s\n", out_path.c_str());
+  bench::JsonRow server_row;
+  server_row.Add("requests", stats.requests);
+  server_row.Add("cache_hits", stats.cache.hits);
+  server_row.Add("cache_misses", stats.cache.misses);
+  server_row.Add("cold_trains", stats.manager.cold_trains);
+  server_row.Add("deadline_exceeded", stats.deadline_exceeded);
+  report.Add("cells", cell_rows).Add("server", server_row);
+  if (!report.WriteTo(args.out)) return 1;
 
   if (!all_identical) {
     std::fprintf(stderr,

@@ -27,7 +27,7 @@ class FeedbackKnnEstimator : public CardinalityEstimator,
                              public FeedbackSink {
  public:
   explicit FeedbackKnnEstimator(
-      feedback::FeedbackOptions options = feedback::FeedbackOptionsFromEnv());
+      feedback::FeedbackOptions options = {});
 
   std::string Name() const override { return "feedback-knn"; }
   bool IsQueryDriven() const override { return true; }
@@ -77,7 +77,7 @@ class FeedbackCorrectedEstimator : public CardinalityEstimator,
  public:
   explicit FeedbackCorrectedEstimator(
       std::unique_ptr<CardinalityEstimator> base,
-      feedback::FeedbackOptions options = feedback::FeedbackOptionsFromEnv());
+      feedback::FeedbackOptions options = {});
 
   // The registry name, regardless of the wrapped base: the registry
   // contract (and model-file kind check) is Name() == MakeEstimator key.

@@ -18,11 +18,10 @@ FeedbackHub::FeedbackHub(FeedbackOptions options, size_t queue_capacity)
 
 FeedbackHub::~FeedbackHub() { worker_->Stop(); }
 
-OnlineSubspaceModel* FeedbackHub::ModelFor(const std::string& dataset,
-                                           const std::string& estimator,
-                                           bool create) const {
+OnlineSubspaceModel* FeedbackHub::ModelForLocked(const std::string& dataset,
+                                                 const std::string& estimator,
+                                                 bool create) const {
   const std::string key = dataset + kKeySeparator + estimator;
-  std::lock_guard<std::mutex> lock(mutex_);
   auto it = models_.find(key);
   if (it != models_.end()) return it->second.get();
   if (!create) return nullptr;
@@ -34,7 +33,11 @@ OnlineSubspaceModel* FeedbackHub::ModelFor(const std::string& dataset,
 double FeedbackHub::Correct(const std::string& dataset,
                             const std::string& estimator, const Query& query,
                             double base_selectivity, size_t rows) const {
-  OnlineSubspaceModel* model = ModelFor(dataset, estimator, /*create=*/false);
+  OnlineSubspaceModel* model = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    model = ModelForLocked(dataset, estimator, /*create=*/false);
+  }
   double residual = 0.0;
   if (model == nullptr || !model->Predict(query, &residual)) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -63,34 +66,37 @@ void FeedbackHub::LearnTruth(const TruthJob& job, double truth) {
     job.deliver(job, truth);
     return;
   }
-  OnlineSubspaceModel* model =
-      ModelFor(job.dataset, job.estimator, /*create=*/true);
-  if (!model->bound()) {
-    if (job.snapshot == nullptr) return;
-    model->BindSchema(*job.snapshot);
-  }
   const size_t rows = job.snapshot != nullptr ? job.snapshot->num_rows() : 0;
   const double floor = SelectivityFloor(rows);
   const double residual = std::log(std::max(truth, floor) /
                                    std::max(job.base_selectivity, floor));
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto invalidated = invalidated_to_.find(job.dataset);
+  if (invalidated != invalidated_to_.end() &&
+      job.version < invalidated->second) {
+    ++stale_truths_;
+    return;
+  }
+  OnlineSubspaceModel* model =
+      ModelForLocked(job.dataset, job.estimator, /*create=*/true);
+  if (!model->bound()) {
+    if (job.snapshot == nullptr) return;
+    model->BindSchema(*job.snapshot);
+  }
   model->Observe(job.query, residual, job.version);
 }
 
 size_t FeedbackHub::InvalidateDataset(const std::string& dataset,
                                       uint64_t min_version) {
   const std::string prefix = dataset + kKeySeparator;
-  std::vector<OnlineSubspaceModel*> targets;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = models_.lower_bound(prefix);
-         it != models_.end() && it->first.compare(0, prefix.size(), prefix) ==
-                                    0;
-         ++it)
-      targets.push_back(it->second.get());
-  }
+  std::lock_guard<std::mutex> lock(mutex_);
+  uint64_t& floor = invalidated_to_[dataset];
+  floor = std::max(floor, min_version);
   size_t dropped = 0;
-  for (OnlineSubspaceModel* model : targets)
-    dropped += model->InvalidateOlderThan(min_version);
+  for (auto it = models_.lower_bound(prefix);
+       it != models_.end() && it->first.compare(0, prefix.size(), prefix) == 0;
+       ++it)
+    dropped += it->second->InvalidateOlderThan(min_version);
   return dropped;
 }
 
@@ -105,6 +111,7 @@ FeedbackHubStats FeedbackHub::Stats() const {
     stats.corrections_applied = corrections_applied_;
     stats.corrections_passthrough = corrections_passthrough_;
     stats.cache_hit_jobs = cache_hit_jobs_;
+    stats.stale_truths = stale_truths_;
     for (const auto& [key, model] : models_) models.push_back(model.get());
   }
   for (const OnlineSubspaceModel* model : models) {

@@ -17,6 +17,7 @@ struct FeedbackHubStats {
   uint64_t corrections_applied = 0; // Correct() calls that moved an estimate.
   uint64_t corrections_passthrough = 0;  // no learned subspace; base kept.
   uint64_t cache_hit_jobs = 0;      // truth jobs born from cache hits.
+  uint64_t stale_truths = 0;        // dropped: served below the floor.
 };
 
 // The serving-side feedback loop: one residual OnlineSubspaceModel per
@@ -29,11 +30,13 @@ struct FeedbackHubStats {
 //
 // Version discipline: truth jobs carry the data version their estimate was
 // served under; InvalidateDataset(dataset, new_version) — called from the
-// §5.1 append-update path — drops every entry learned under older versions,
+// §5.1 append-update path — drops every entry learned under older versions
+// and raises the dataset's invalidation floor, below which LearnTruth drops
+// the truths a stale model's answers keep sending until its refresh lands,
 // so stale truths never correct fresh models.
 class FeedbackHub {
  public:
-  explicit FeedbackHub(FeedbackOptions options = FeedbackOptionsFromEnv(),
+  explicit FeedbackHub(FeedbackOptions options = {},
                        size_t queue_capacity = 1024);
   ~FeedbackHub();
 
@@ -54,11 +57,13 @@ class FeedbackHub {
 
   // Folds one labeled truth into the residual model — the worker callback,
   // also callable directly for deterministic tests. Jobs with a `deliver`
-  // override are handed off instead (see TruthJob).
+  // override are handed off instead (see TruthJob); other jobs served below
+  // their dataset's invalidation floor are dropped and counted.
   void LearnTruth(const TruthJob& job, double truth);
 
   // Drops feedback learned under data versions older than `min_version`
-  // for every estimator serving `dataset`. Returns entries dropped.
+  // for every estimator serving `dataset`, and raises the dataset's
+  // invalidation floor to `min_version`. Returns entries dropped.
   size_t InvalidateDataset(const std::string& dataset, uint64_t min_version);
 
   // Blocks until all queued truth jobs have been learned.
@@ -69,19 +74,23 @@ class FeedbackHub {
   const FeedbackOptions& options() const { return options_; }
 
  private:
-  OnlineSubspaceModel* ModelFor(const std::string& dataset,
-                                const std::string& estimator,
-                                bool create) const;
+  OnlineSubspaceModel* ModelForLocked(const std::string& dataset,
+                                      const std::string& estimator,
+                                      bool create) const;
 
   FeedbackOptions options_;
 
+  // Also held across LearnTruth's floor check and learn, and across
+  // InvalidateDataset's floor raise and sweep, so no truth lands between.
   mutable std::mutex mutex_;
   // Key: dataset + '\x1f' + estimator. Ordered so InvalidateDataset can walk
   // the dataset's contiguous key range.
   mutable std::map<std::string, std::unique_ptr<OnlineSubspaceModel>> models_;
+  std::map<std::string, uint64_t> invalidated_to_;  // dataset -> floor.
   mutable uint64_t corrections_applied_ = 0;
   mutable uint64_t corrections_passthrough_ = 0;
   uint64_t cache_hit_jobs_ = 0;
+  uint64_t stale_truths_ = 0;
 
   std::unique_ptr<TruthWorker> worker_;  // last member: stops before maps die.
 };

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/env.h"
-
 namespace arecel::feedback {
 
 namespace {
@@ -13,33 +11,10 @@ namespace {
 // distance without dividing by zero.
 constexpr double kDistanceEpsilon = 1e-6;
 
-// A positive count from the environment, else `fallback`.
-size_t PositiveEnvSize(const char* name, size_t fallback) {
-  const size_t v = EnvSize(name, fallback);
-  return v == 0 ? fallback : v;
-}
-
 }  // namespace
 
 double SelectivityFloor(size_t rows) {
   return rows == 0 ? 1e-6 : 0.5 / static_cast<double>(rows);
-}
-
-FeedbackOptions FeedbackOptionsFromEnv() {
-  FeedbackOptions options;
-  options.neighbors = PositiveEnvSize("ARECEL_FEEDBACK_K", options.neighbors);
-  options.max_entries_per_subspace = PositiveEnvSize(
-      "ARECEL_FEEDBACK_ENTRIES", options.max_entries_per_subspace);
-  options.max_subspaces =
-      PositiveEnvSize("ARECEL_FEEDBACK_SUBSPACES", options.max_subspaces);
-  options.decay = EnvDouble("ARECEL_FEEDBACK_DECAY", options.decay);
-  options.ema_blend = EnvDouble("ARECEL_FEEDBACK_BLEND", options.ema_blend);
-  options.trust_radius =
-      EnvDouble("ARECEL_FEEDBACK_RADIUS", options.trust_radius);
-  options.decay = std::clamp(options.decay, 0.0, 1.0);
-  options.ema_blend = std::clamp(options.ema_blend, 0.0, 1.0);
-  if (options.trust_radius <= 0) options.trust_radius = 0.3;
-  return options;
 }
 
 OnlineSubspaceModel::OnlineSubspaceModel(FeedbackOptions options)

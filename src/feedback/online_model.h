@@ -78,15 +78,6 @@ struct FeedbackOptions {
   double trust_radius = 0.3;
 };
 
-// Knobs from the environment:
-//   ARECEL_FEEDBACK_K          neighbors
-//   ARECEL_FEEDBACK_ENTRIES    max_entries_per_subspace
-//   ARECEL_FEEDBACK_SUBSPACES  max_subspaces
-//   ARECEL_FEEDBACK_DECAY      decay
-//   ARECEL_FEEDBACK_BLEND      ema_blend
-//   ARECEL_FEEDBACK_RADIUS     trust_radius
-FeedbackOptions FeedbackOptionsFromEnv();
-
 // Per-column normalization metadata captured from a table snapshot (schema
 // is append-stable, so one bind per dataset version suffices).
 struct ColumnSpan {

@@ -264,12 +264,15 @@ void DotRowsAvx2(const float* a, size_t lda, const float* b, size_t ldb,
 // The block stays in 2R accumulators for the whole k range, so out is read
 // and written once per tile instead of once per shared row. Each element
 // still takes one FMA per kk in k order, the same chain as accumulating
-// one shared row per call (kernels_simd.h).
+// one shared row per call (kernels_simd.h). The unroll pragmas keep the
+// tile in registers at -O2 as well, where GCC would otherwise leave the
+// arrays on the stack.
 template <size_t R>
 inline void AccumTileRx16(const float* a, size_t lda, const float* b,
                           size_t ldb, float* out, size_t ldo, size_t i,
                           size_t j, size_t k_lo, size_t k_hi) {
   __m256 acc0[R], acc1[R];
+#pragma GCC unroll 4
   for (size_t r = 0; r < R; ++r) {
     acc0[r] = _mm256_loadu_ps(out + (i + r) * ldo + j);
     acc1[r] = _mm256_loadu_ps(out + (i + r) * ldo + j + 8);
@@ -278,12 +281,14 @@ inline void AccumTileRx16(const float* a, size_t lda, const float* b,
     const float* a_row = a + kk * lda + i;
     const __m256 b0 = _mm256_loadu_ps(b + kk * ldb + j);
     const __m256 b1 = _mm256_loadu_ps(b + kk * ldb + j + 8);
+#pragma GCC unroll 4
     for (size_t r = 0; r < R; ++r) {
       const __m256 av = _mm256_set1_ps(a_row[r]);
       acc0[r] = _mm256_fmadd_ps(av, b0, acc0[r]);
       acc1[r] = _mm256_fmadd_ps(av, b1, acc1[r]);
     }
   }
+#pragma GCC unroll 4
   for (size_t r = 0; r < R; ++r) {
     _mm256_storeu_ps(out + (i + r) * ldo + j, acc0[r]);
     _mm256_storeu_ps(out + (i + r) * ldo + j + 8, acc1[r]);
@@ -296,14 +301,17 @@ inline void AccumTileRx8(const float* a, size_t lda, const float* b,
                          size_t ldb, float* out, size_t ldo, size_t i,
                          size_t j, size_t k_lo, size_t k_hi) {
   __m256 acc[R];
+#pragma GCC unroll 4
   for (size_t r = 0; r < R; ++r)
     acc[r] = _mm256_loadu_ps(out + (i + r) * ldo + j);
   for (size_t kk = k_lo; kk < k_hi; ++kk) {
     const float* a_row = a + kk * lda + i;
     const __m256 bv = _mm256_loadu_ps(b + kk * ldb + j);
+#pragma GCC unroll 4
     for (size_t r = 0; r < R; ++r)
       acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(a_row[r]), bv, acc[r]);
   }
+#pragma GCC unroll 4
   for (size_t r = 0; r < R; ++r)
     _mm256_storeu_ps(out + (i + r) * ldo + j, acc[r]);
 }

@@ -47,26 +47,31 @@ inline const KernelOps& TailOps() {
   return avx2 != nullptr ? *avx2 : PortableKernelOps();
 }
 
-// R output rows x 16 cols at (i, j): one zmm FMA chain per row.
+// R output rows x 16 cols at (i, j): one zmm FMA chain per row. The
+// unroll pragmas keep the tile in registers at -O2 (see AccumTileZmm).
 template <size_t R>
 inline void DenseTileZmm(const float* a, size_t lda, const float* b,
                          size_t ldb, __m512 biasv, bool relu, float* out,
                          size_t ldo, size_t i, size_t j, size_t k) {
   __m512 acc[R];
   const float* a_rows[R];
+#pragma GCC unroll 4
   for (size_t r = 0; r < R; ++r) {
     acc[r] = biasv;
     a_rows[r] = a + (i + r) * lda;
   }
   for (size_t kk = 0; kk < k; ++kk) {
     const __m512 bv = _mm512_loadu_ps(b + kk * ldb + j);
+#pragma GCC unroll 4
     for (size_t r = 0; r < R; ++r)
       acc[r] = _mm512_fmadd_ps(_mm512_set1_ps(a_rows[r][kk]), bv, acc[r]);
   }
   if (relu) {
     const __m512 zero = _mm512_setzero_ps();
+#pragma GCC unroll 4
     for (size_t r = 0; r < R; ++r) acc[r] = _mm512_max_ps(acc[r], zero);
   }
+#pragma GCC unroll 4
   for (size_t r = 0; r < R; ++r)
     _mm512_storeu_ps(out + (i + r) * ldo + j, acc[r]);
 }

@@ -63,7 +63,6 @@ ServeOptions ServeOptionsFromEnv() {
   options.feedback_enabled = EnvDouble("ARECEL_FEEDBACK", 0.0) > 0;
   const double queue = EnvDouble("ARECEL_FEEDBACK_QUEUE", 1024.0);
   options.feedback_queue = queue <= 0 ? 1 : static_cast<size_t>(queue);
-  options.feedback = feedback::FeedbackOptionsFromEnv();
   store::StoreOptions store_options = store::StoreOptions::FromEnv();
   if (!store_options.root_dir.empty())
     options.manager.store =

@@ -38,7 +38,7 @@ namespace arecel::serve {
 //                          and retries failed refreshes off the serving
 //                          threads (ARECEL_STORE_MAX_GENERATIONS,
 //                          ARECEL_MAINT_INTERVAL_MS)
-// plus the ARECEL_FEEDBACK_* store knobs FeedbackOptionsFromEnv reads. The
+// The feedback store's shape (feedback::FeedbackOptions) has no knob. The
 // bench harness's other robustness knobs (ARECEL_FALLBACK, ...) are not
 // read here.
 struct ServeOptions {

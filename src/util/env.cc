@@ -20,9 +20,4 @@ size_t EnvSize(const char* name, size_t fallback) {
   return static_cast<size_t>(value);
 }
 
-std::string EnvString(const char* name, const std::string& fallback) {
-  const char* value = std::getenv(name);
-  return value == nullptr || *value == '\0' ? fallback : std::string(value);
-}
-
 }  // namespace arecel

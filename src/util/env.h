@@ -2,7 +2,6 @@
 #define ARECEL_UTIL_ENV_H_
 
 #include <cstddef>
-#include <string>
 
 namespace arecel {
 
@@ -15,8 +14,6 @@ double EnvDouble(const char* name, double fallback);
 // EnvDouble truncated to a count; a negative value, or one past 2^63,
 // returns `fallback`. Zero is returned as zero.
 size_t EnvSize(const char* name, size_t fallback);
-
-std::string EnvString(const char* name, const std::string& fallback);
 
 }  // namespace arecel
 

@@ -371,6 +371,33 @@ TEST(FeedbackHubTest, InvalidateDatasetDropsOldVersions) {
   EXPECT_EQ(hub.InvalidateDataset("unrelated", 1), 0u);
 }
 
+// A stale model keeps serving until its refresh lands, and the truths of
+// its answers carry the old version: learned after the invalidation, they
+// must not correct the refreshed model's answers.
+TEST(FeedbackHubTest, TruthsServedBelowTheInvalidationFloorAreDropped) {
+  FeedbackHub hub;
+  const auto table = std::make_shared<const Table>(SmallTable());
+  const Query q = MakeQuery({{0, 1.0, 20.0}});
+  hub.InvalidateDataset("d", /*min_version=*/1);
+
+  TruthJob job;
+  job.dataset = "d";
+  job.estimator = "stub";
+  job.query = q;
+  job.base_selectivity = 0.01;
+  job.snapshot = table;
+  job.version = 0;
+  hub.LearnTruth(job, 0.1);
+  EXPECT_EQ(hub.Correct("d", "stub", q, 0.01, table->num_rows()), 0.01);
+  EXPECT_EQ(hub.Stats().stale_truths, 1u);
+
+  // A truth served at the new version still learns.
+  job.version = 1;
+  hub.LearnTruth(job, 0.1);
+  EXPECT_NE(hub.Correct("d", "stub", q, 0.01, table->num_rows()), 0.01);
+  EXPECT_EQ(hub.Stats().stale_truths, 1u);
+}
+
 TEST(FeedbackHubTest, CacheHitJobsAreCounted) {
   FeedbackHub hub;
   const auto table = std::make_shared<const Table>(SmallTable());
