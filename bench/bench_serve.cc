@@ -12,7 +12,8 @@
 // Usage: bench_serve [--smoke] [--out <path>] (bench_report.h); --smoke is
 // a tiny configuration for the CTest smoke run. The serving-layer knobs
 // ARECEL_SERVE_CACHE_MB and ARECEL_QUERY_DEADLINE (src/serve/server.h)
-// apply; batches fan out over the shared worker pool, one slice per core.
+// apply. A batch answers its cache hits on the calling thread and fans
+// only its misses out over the shared worker pool, one slice per core.
 
 #include <atomic>
 #include <cstdio>

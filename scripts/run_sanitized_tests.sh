@@ -63,7 +63,9 @@ if [ "${ARECEL_SAN_ALL:-0}" != "1" ]; then
     # TableVersion: table versions sharing value segments, built while
     # other threads scan and sample their base. Serve also covers
     # ServeUpdateTest.ConcurrentUpdatesExtendEachOther (concurrent
-    # ModelManager::ApplyUpdate calls on one dataset).
+    # ModelManager::ApplyUpdate calls on one dataset) and
+    # ServeCacheConcurrencyTest (cache lookups under a shared lock racing
+    # inserts, erasures and prefix invalidations).
     filter=(-R 'Parallel|Robust|Guard|Fault|Journal|Cancel|Scan|Serve|Ml|Feedback|Store|Maint|Packed|Quant|Join|Dict|TableVersion')
   else
     filter=(-LE slow)

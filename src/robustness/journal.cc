@@ -88,6 +88,9 @@ double JournalRecord::Metric(const std::string& name, double fallback) const {
   return fallback;
 }
 
+// FNV-1a, not util/hash.h's HashBytes: the fingerprint is persisted in
+// journals and must keep its value across builds and machines, which
+// HashBytes (native word order, free to change) does not promise.
 std::string FingerprintConfig(const std::vector<std::string>& parts) {
   uint64_t hash = 1469598103934665603ull;  // FNV-1a 64-bit offset basis.
   for (const std::string& part : parts) {

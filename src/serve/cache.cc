@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <mutex>
+#include <span>
+#include <utility>
 
 #include "util/check.h"
 #include "util/hash.h"
@@ -11,48 +14,42 @@ namespace arecel::serve {
 
 namespace {
 
-// FNV-1a, the same fingerprint family the sweep journal uses.
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t hash = 1469598103934665603ull;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 1099511628211ull;
+constexpr size_t kPredicateBytes = sizeof(int32_t) + 2 * sizeof(double);
+
+// Writes key bytes to `out`, or, with a null `out`, only counts them, so
+// one walk of a query sizes its key and a second fills the buffer.
+class KeyWriter {
+ public:
+  explicit KeyWriter(char* out) : out_(out) {}
+
+  bool counting() const { return out_ == nullptr; }
+  size_t size() const { return size_; }
+
+  void Raw(const void* data, size_t bytes) {
+    if (out_ != nullptr) std::memcpy(out_ + size_, data, bytes);
+    size_ += bytes;
   }
-  return hash;
-}
-
-void AppendRaw(std::string* out, const void* data, size_t bytes) {
-  out->append(static_cast<const char*>(data), bytes);
-}
-
-void AppendBound(std::string* out, double v) {
-  const uint64_t bits = CanonicalBits(v);  // -0.0 and +0.0 key alike.
-  AppendRaw(out, &bits, sizeof(bits));
-}
-
-// Approximate resident cost of one entry: key bytes plus list/map node
-// overhead. Exactness does not matter — the knob is "roughly N MB".
-size_t EntryBytes(const std::string& key) { return key.size() + 96; }
-
-// Table-set identifier: table count, then each name '\x1f'-terminated (the
-// caller passes them sorted). A single-table query keys as one anonymous
-// table, so its prefix (count 1, empty name) can never equal a join
-// query's (count >= 2, or count 1 with a non-empty name): the two kinds of
-// query never alias one cache entry.
-void AppendTableSetPrefix(std::string* out,
-                          const std::vector<std::string>& sorted_names) {
-  const uint32_t count = static_cast<uint32_t>(sorted_names.size());
-  AppendRaw(out, &count, sizeof(count));
-  for (const std::string& name : sorted_names) {
-    *out += name;
-    *out += '\x1f';
+  void Skip(size_t bytes) { size_ += bytes; }
+  // `name`, then the '\x1f' that ends it.
+  void Name(std::string_view name) {
+    Raw(name.data(), name.size());
+    Raw("\x1f", 1);
   }
-}
+
+ private:
+  char* out_;
+  size_t size_ = 0;
+};
+
+// Approximate resident cost of one entry: key bytes plus the entry, its
+// ring slot and its index node. Exactness does not matter — the knob is
+// "roughly N MB".
+size_t EntryBytes(size_t key_size) { return key_size + 96; }
 
 // A strict weak order on bounds, NaN included: numbers by value (-0.0 ties
 // +0.0, and both key alike), then every NaN, ordered by its bits (which
-// AppendBound writes as they are). Without NaN it is operator<, so keys of
-// NaN-free queries keep their bytes.
+// WritePredicate writes as they are). Without NaN it is operator<, so
+// keys of NaN-free queries keep their bytes.
 bool BoundLess(double a, double b) {
   const bool a_nan = std::isnan(a);
   const bool b_nan = std::isnan(b);
@@ -62,9 +59,25 @@ bool BoundLess(double a, double b) {
   return a < b;
 }
 
-void AppendPredicateBytes(std::string* out,
-                          const std::vector<Predicate>& predicates) {
-  std::vector<Predicate> sorted = predicates;
+void WritePredicate(KeyWriter* w, const Predicate& p) {
+  char bytes[kPredicateBytes];
+  const int32_t column = p.column;
+  const uint64_t lo_bits = CanonicalBits(p.lo);  // -0.0 keys as +0.0.
+  const uint64_t hi_bits = CanonicalBits(p.hi);
+  std::memcpy(bytes, &column, sizeof(column));
+  std::memcpy(bytes + sizeof(column), &lo_bits, sizeof(lo_bits));
+  std::memcpy(bytes + sizeof(column) + sizeof(lo_bits), &hi_bits,
+              sizeof(hi_bits));
+  w->Raw(bytes, sizeof(bytes));
+}
+
+// The predicates sorted by (column, lo, hi), each as column, lo, hi.
+void WritePredicates(KeyWriter* w, std::span<const Predicate> predicates) {
+  if (w->counting()) {
+    w->Skip(predicates.size() * kPredicateBytes);
+    return;
+  }
+  std::vector<Predicate> sorted(predicates.begin(), predicates.end());
   std::sort(sorted.begin(), sorted.end(),
             [](const Predicate& a, const Predicate& b) {
               if (a.column != b.column) return a.column < b.column;
@@ -72,98 +85,111 @@ void AppendPredicateBytes(std::string* out,
               if (BoundLess(b.lo, a.lo)) return false;
               return BoundLess(a.hi, b.hi);
             });
-  for (const Predicate& p : sorted) {
-    const int32_t column = p.column;
-    AppendRaw(out, &column, sizeof(column));
-    AppendBound(out, p.lo);
-    AppendBound(out, p.hi);
-  }
+  for (const Predicate& p : sorted) WritePredicate(w, p);
 }
 
-// Appends CanonicalPredicateKey(query) to `key`.
-void AppendCanonicalKey(std::string* key, const Query& query) {
+// The bytes of CanonicalPredicateKey(query). A single-table query keys as
+// one anonymous table: its table-set prefix (count 1, empty name) can
+// never equal a join query's (count >= 2, or count 1 with a non-empty
+// name), so the two kinds of query never alias one cache entry.
+void WriteCanonicalKey(KeyWriter* w, const Query& query) {
   if (query.IsSingleTable()) {
-    const uint32_t one_table = 1;  // the prefix of one anonymous table.
-    AppendRaw(key, &one_table, sizeof(one_table));
-    *key += '\x1f';
-    AppendPredicateBytes(key, query.predicates);
+    const uint32_t one_table = 1;
+    w->Raw(&one_table, sizeof(one_table));
+    w->Name("");
+    WritePredicates(w, query.predicates);
     return;
   }
 
   ARECEL_CHECK_MSG(!query.tables.empty(), "join edges without tables");
   ARECEL_CHECK_MSG(query.HasValidTableIndices(),
                    "predicate table index out of range");
+  // Table set: count, then the sorted names.
   std::vector<std::string> names = query.tables;
   std::sort(names.begin(), names.end());
-  AppendTableSetPrefix(key, names);
+  const uint32_t count = static_cast<uint32_t>(names.size());
+  w->Raw(&count, sizeof(count));
+  for (const std::string& name : names) w->Name(name);
   for (const std::string& name : names) {
-    *key += name;
-    *key += '\x1f';
-    AppendPredicateBytes(key, query.TablePredicates(query.TableIndex(name)));
-    *key += '\x1f';
+    w->Name(name);
+    WritePredicates(w, query.TablePredicates(query.TableIndex(name)));
+    w->Raw("\x1f", 1);
   }
   // Edges: order each edge's endpoints, then sort the edge list, so the
   // fingerprint is insensitive to edge orientation and order.
   struct Endpoint {
-    std::string table;
+    std::string_view table;
     int32_t column;
+    auto operator<=>(const Endpoint&) const = default;
   };
   std::vector<std::pair<Endpoint, Endpoint>> edges;
   edges.reserve(query.joins.size());
   for (const JoinEdge& e : query.joins) {
     Endpoint left{e.left_table, e.left_column};
     Endpoint right{e.right_table, e.right_column};
-    const bool ordered = left.table < right.table ||
-                         (left.table == right.table &&
-                          left.column <= right.column);
-    if (!ordered) std::swap(left, right);
-    edges.emplace_back(std::move(left), std::move(right));
+    if (right < left) std::swap(left, right);
+    edges.emplace_back(left, right);
   }
-  std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
-    if (a.first.table != b.first.table) return a.first.table < b.first.table;
-    if (a.first.column != b.first.column)
-      return a.first.column < b.first.column;
-    if (a.second.table != b.second.table)
-      return a.second.table < b.second.table;
-    return a.second.column < b.second.column;
-  });
+  std::sort(edges.begin(), edges.end());
   for (const auto& [left, right] : edges) {
-    *key += left.table;
-    *key += '\x1f';
-    AppendRaw(key, &left.column, sizeof(left.column));
-    *key += right.table;
-    *key += '\x1f';
-    AppendRaw(key, &right.column, sizeof(right.column));
+    w->Name(left.table);
+    w->Raw(&left.column, sizeof(left.column));
+    w->Name(right.table);
+    w->Raw(&right.column, sizeof(right.column));
   }
+}
+
+void WriteEstimateCacheKey(KeyWriter* w, std::string_view dataset,
+                           std::string_view estimator, uint64_t data_version,
+                           const Query& query) {
+  w->Name(dataset);  // DatasetKeyPrefix(dataset).
+  w->Name(estimator);
+  w->Raw(&data_version, sizeof(data_version));
+  WriteCanonicalKey(w, query);
+}
+
+// The bytes `write` writes, sized by a counting pass, as one string.
+template <typename Write>
+std::string KeyString(Write&& write) {
+  KeyWriter counter(nullptr);
+  write(&counter);
+  std::string key(counter.size(), '\0');
+  KeyWriter writer(key.data());
+  write(&writer);
+  return key;
 }
 
 }  // namespace
 
 std::string CanonicalPredicateKey(const Query& query) {
-  std::string key;
-  AppendCanonicalKey(&key, query);
-  return key;
+  return KeyString([&](KeyWriter* w) { WriteCanonicalKey(w, query); });
 }
 
 std::string DatasetKeyPrefix(const std::string& dataset) {
   return dataset + '\x1f';
 }
 
-std::string EstimateCacheKey(const std::string& dataset,
-                             const std::string& estimator,
+std::string EstimateCacheKey(std::string_view dataset,
+                             std::string_view estimator,
                              uint64_t data_version, const Query& query) {
-  std::string key;
-  // One allocation: the single-table key's size is known up front.
-  key.reserve(dataset.size() + estimator.size() + 2 + sizeof(data_version) +
-              sizeof(uint32_t) + 1 +
-              query.predicates.size() *
-                  (sizeof(int32_t) + 2 * sizeof(double)));
-  key += DatasetKeyPrefix(dataset);
-  key += estimator;
-  key += '\x1f';
-  AppendRaw(&key, &data_version, sizeof(data_version));
-  AppendCanonicalKey(&key, query);
-  return key;
+  return KeyString([&](KeyWriter* w) {
+    WriteEstimateCacheKey(w, dataset, estimator, data_version, query);
+  });
+}
+
+void CacheKeyBuffer::Build(std::string_view dataset,
+                           std::string_view estimator, uint64_t data_version,
+                           const Query& query) {
+  KeyWriter counter(nullptr);
+  WriteEstimateCacheKey(&counter, dataset, estimator, data_version, query);
+  size_ = counter.size();
+  char* out = inline_;
+  if (size_ > kInlineBytes) {
+    spill_.resize(size_);  // keeps its capacity across builds.
+    out = spill_.data();
+  }
+  KeyWriter writer(out);
+  WriteEstimateCacheKey(&writer, dataset, estimator, data_version, query);
 }
 
 EstimateCache::EstimateCache(size_t capacity_bytes, size_t num_shards)
@@ -175,73 +201,110 @@ EstimateCache::EstimateCache(size_t capacity_bytes, size_t num_shards)
     shards_.push_back(std::make_unique<Shard>());
 }
 
-EstimateCache::Shard& EstimateCache::ShardFor(const std::string& key) {
-  return *shards_[Fnv1a(key) % shards_.size()];
+EstimateCache::Shard& EstimateCache::ShardFor(uint64_t hash) {
+  // The high half: each shard's index buckets by the whole hash.
+  return *shards_[(hash >> 32) % shards_.size()];
 }
 
-bool EstimateCache::Lookup(const std::string& key, double* selectivity) {
+bool EstimateCache::Lookup(std::string_view key, double* selectivity) {
   if (capacity_bytes_ == 0) return false;
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.index.find(key);
+  const uint64_t hash = HashBytes(key.data(), key.size());
+  Shard& shard = ShardFor(hash);
+  std::shared_lock lock(shard.mutex);
+  const auto it = shard.index.find(IndexKey{key, hash});
   if (it == shard.index.end()) {
-    ++shard.misses;
+    shard.misses.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  ++shard.hits;
-  *selectivity = it->second->second;
+  Entry& entry = *it->second;
+  // Stored only when clear, so a hot entry's line stays shared.
+  if (!entry.referenced.load(std::memory_order_relaxed))
+    entry.referenced.store(true, std::memory_order_relaxed);
+  shard.hits.fetch_add(1, std::memory_order_relaxed);
+  *selectivity = entry.selectivity;
   return true;
 }
 
-void EstimateCache::Insert(const std::string& key, double selectivity) {
+void EstimateCache::Insert(std::string_view key, double selectivity) {
   if (capacity_bytes_ == 0) return;
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    it->second->second = selectivity;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  const uint64_t hash = HashBytes(key.data(), key.size());
+  Shard& shard = ShardFor(hash);
+  std::lock_guard lock(shard.mutex);
+  if (const auto it = shard.index.find(IndexKey{key, hash});
+      it != shard.index.end()) {
+    it->second->selectivity = selectivity;
+    it->second->referenced.store(true, std::memory_order_relaxed);
     return;
   }
-  shard.lru.emplace_front(key, selectivity);
-  shard.index[key] = shard.lru.begin();
-  shard.bytes += EntryBytes(key);
-  while (shard.bytes > shard_capacity_bytes_ && shard.lru.size() > 1) {
-    const auto& victim = shard.lru.back();
-    shard.bytes -= EntryBytes(victim.first);
-    shard.index.erase(victim.first);
-    shard.lru.pop_back();
-    ++shard.evictions;
+  // The new entry is not in the ring yet, so the hand cannot pick it.
+  shard.bytes += EntryBytes(key.size());
+  while (shard.bytes > shard_capacity_bytes_ && !shard.index.empty())
+    EvictOne(&shard);
+  size_t slot = shard.ring.size();
+  if (shard.holes.empty()) {
+    shard.ring.emplace_back();
+  } else {
+    // When this Insert evicted, the slot its last eviction freed, just
+    // behind the hand; otherwise the latest hole left, which may lie
+    // anywhere in the ring, the hand's own slot included.
+    slot = shard.holes.back();
+    shard.holes.pop_back();
+  }
+  auto entry = std::make_unique<Entry>(std::string(key), hash, selectivity,
+                                       slot);
+  shard.index.emplace(IndexKey{entry->key, hash}, entry.get());
+  shard.ring[slot] = std::move(entry);
+}
+
+void EstimateCache::EvictOne(Shard* shard) {
+  for (;; ++shard->hand) {
+    if (shard->hand >= shard->ring.size()) shard->hand = 0;
+    Entry* entry = shard->ring[shard->hand].get();
+    if (entry == nullptr) continue;
+    if (entry->referenced.load(std::memory_order_relaxed)) {
+      entry->referenced.store(false, std::memory_order_relaxed);
+      continue;
+    }
+    ++shard->hand;
+    Remove(shard, entry);
+    ++shard->evictions;
+    return;
   }
 }
 
-void EstimateCache::Erase(const std::string& key) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.index.find(key);
+void EstimateCache::Remove(Shard* shard, Entry* entry) {
+  shard->bytes -= EntryBytes(entry->key.size());
+  shard->index.erase(IndexKey{entry->key, entry->hash});
+  shard->holes.push_back(entry->slot);
+  shard->ring[entry->slot].reset();
+}
+
+void EstimateCache::Erase(std::string_view key) {
+  const uint64_t hash = HashBytes(key.data(), key.size());
+  Shard& shard = ShardFor(hash);
+  std::lock_guard lock(shard.mutex);
+  const auto it = shard.index.find(IndexKey{key, hash});
   if (it == shard.index.end()) return;
-  shard.bytes -= EntryBytes(key);
-  shard.lru.erase(it->second);
-  shard.index.erase(it);
+  Remove(&shard, it->second);
   ++shard.invalidations;
 }
 
-size_t EstimateCache::InvalidatePrefix(const std::string& prefix) {
+size_t EstimateCache::InvalidatePrefix(std::string_view prefix) {
   size_t erased = 0;
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->first.compare(0, prefix.size(), prefix) == 0) {
-        shard.bytes -= EntryBytes(it->first);
-        shard.index.erase(it->first);
-        it = shard.lru.erase(it);
-        ++shard.invalidations;
-        ++erased;
-      } else {
-        ++it;
-      }
+    std::lock_guard lock(shard.mutex);
+    for (const std::unique_ptr<Entry>& slot : shard.ring) {
+      if (slot == nullptr || !slot->key.starts_with(prefix)) continue;
+      Remove(&shard, slot.get());
+      ++shard.invalidations;
+      ++erased;
+    }
+    // An emptied ring starts over, so it holds no run of holes.
+    if (shard.index.empty()) {
+      shard.ring.clear();
+      shard.holes.clear();
+      shard.hand = 0;
     }
   }
   return erased;
@@ -250,9 +313,11 @@ size_t EstimateCache::InvalidatePrefix(const std::string& prefix) {
 void EstimateCache::Clear() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.lru.clear();
+    std::lock_guard lock(shard.mutex);
     shard.index.clear();
+    shard.ring.clear();
+    shard.holes.clear();
+    shard.hand = 0;
     shard.bytes = 0;
   }
 }
@@ -261,12 +326,12 @@ CacheStats EstimateCache::Stats() const {
   CacheStats stats;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    stats.hits += shard.hits;
-    stats.misses += shard.misses;
+    std::shared_lock lock(shard.mutex);
+    stats.hits += shard.hits.load(std::memory_order_relaxed);
+    stats.misses += shard.misses.load(std::memory_order_relaxed);
     stats.evictions += shard.evictions;
     stats.invalidations += shard.invalidations;
-    stats.entries += shard.lru.size();
+    stats.entries += shard.index.size();
     stats.bytes += shard.bytes;
   }
   return stats;

@@ -1,13 +1,13 @@
 #ifndef ARECEL_SERVE_CACHE_H_
 #define ARECEL_SERVE_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "workload/query.h"
@@ -36,13 +36,34 @@ std::string CanonicalPredicateKey(const Query& query);
 // Full cache key: dataset, estimator, and data version prefix the query
 // fingerprint, so a bumped version can never alias a stale entry and a
 // whole dataset's entries share an erasable prefix.
-std::string EstimateCacheKey(const std::string& dataset,
-                             const std::string& estimator,
+std::string EstimateCacheKey(std::string_view dataset,
+                             std::string_view estimator,
                              uint64_t data_version, const Query& query);
 
 // Prefix covering every entry of (dataset) — the invalidation handle used
 // when the append-update procedure bumps the data version.
 std::string DatasetKeyPrefix(const std::string& dataset);
+
+// EstimateCacheKey's bytes, built into a buffer the caller owns. A key of
+// up to kInlineBytes (a single-table query of a dozen predicates) stays
+// inside the object; a longer key spills to one heap block, which later
+// builds reuse. Sorting the predicates takes one scratch allocation.
+class CacheKeyBuffer {
+ public:
+  static constexpr size_t kInlineBytes = 320;
+
+  void Build(std::string_view dataset, std::string_view estimator,
+             uint64_t data_version, const Query& query);
+
+  std::string_view view() const {
+    return {size_ <= kInlineBytes ? inline_ : spill_.data(), size_};
+  }
+
+ private:
+  char inline_[kInlineBytes];
+  std::string spill_;
+  size_t size_ = 0;
+};
 
 struct CacheStats {
   uint64_t hits = 0;
@@ -59,28 +80,41 @@ struct CacheStats {
   }
 };
 
-// Sharded LRU cache of selectivity estimates. Shard selection hashes the
-// key, each shard holds an independent mutex + LRU list, so concurrent
-// serving threads rarely contend on the same lock. Capacity is in
-// approximate bytes (key size + fixed per-entry overhead), split evenly
-// across shards; eviction is strict per-shard LRU.
+// Sharded CLOCK cache of selectivity estimates. One hash of the key
+// (util/hash.h HashBytes) picks the shard and probes its index. A Lookup
+// holds its shard's reader-writer lock shared, and a hit writes nothing
+// but that lock's reader count and the hit counter beside it (plus, once
+// per sweep of the hand, the entry's `referenced` flag), so concurrent
+// hits on one shard do not serialize. Insert, Erase, InvalidatePrefix and
+// Clear hold the lock exclusively. Capacity is in approximate bytes (key
+// size + fixed per-entry overhead), split evenly across shards; when an
+// Insert overflows its shard, the shard's CLOCK hand evicts: it walks the
+// shard's entries in a ring, gives an entry that was hit since the hand's
+// last pass a second chance (clearing its flag), and evicts the first one
+// that was not. A new entry joins the ring after its Insert's evictions,
+// so it never evicts itself. When that Insert evicted, the new entry takes
+// the slot just freed, behind the hand, and gets a full sweep before the
+// hand comes back to it. Otherwise it fills the latest hole left in the
+// ring (by Erase, InvalidatePrefix or an Insert that evicted twice),
+// wherever that lies (at the hand, it is the next candidate), or a new
+// slot at the ring's end.
 class EstimateCache {
  public:
   // `capacity_bytes` = 0 disables caching (Lookup always misses, Insert is
   // a no-op). `num_shards` is rounded up to at least 1.
   explicit EstimateCache(size_t capacity_bytes, size_t num_shards = 16);
 
-  bool Lookup(const std::string& key, double* selectivity);
-  void Insert(const std::string& key, double selectivity);
+  bool Lookup(std::string_view key, double* selectivity);
+  void Insert(std::string_view key, double selectivity);
 
   // Erases the entry for exactly `key`, if cached, locking only its shard
   // (counted as an invalidation).
-  void Erase(const std::string& key);
+  void Erase(std::string_view key);
 
   // Erases every entry whose key starts with `prefix` (counted as
   // invalidations, not evictions). Walks every shard. Returns the number
   // erased.
-  size_t InvalidatePrefix(const std::string& prefix);
+  size_t InvalidatePrefix(std::string_view prefix);
 
   void Clear();
 
@@ -90,21 +124,48 @@ class EstimateCache {
   size_t num_shards() const { return shards_.size(); }
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    // Front = most recently used.
-    std::list<std::pair<std::string, double>> lru;
-    std::unordered_map<std::string,
-                       std::list<std::pair<std::string, double>>::iterator>
-        index;
-    size_t bytes = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t invalidations = 0;
+  struct Entry {
+    std::string key;
+    uint64_t hash;
+    double selectivity;
+    size_t slot;  // in the shard's ring.
+    // Set by a hit when clear; cleared by the hand's pass.
+    std::atomic<bool> referenced{false};
+  };
+  // An entry's key bytes (a view into the entry, which stores them once)
+  // and their hash, so a probe hashes its key once.
+  struct IndexKey {
+    std::string_view bytes;
+    uint64_t hash;
+    bool operator==(const IndexKey& other) const {
+      return hash == other.hash && bytes == other.bytes;
+    }
+  };
+  struct IndexHash {
+    size_t operator()(const IndexKey& key) const noexcept { return key.hash; }
   };
 
-  Shard& ShardFor(const std::string& key);
+  struct alignas(64) Shard {
+    mutable std::shared_mutex mutex;
+    // Beside the lock's reader count (glibc's x86-64 lock is 56 bytes, so
+    // both share one line): a hit dirties no other line.
+    std::atomic<uint64_t> hits{0};
+    alignas(64) std::atomic<uint64_t> misses{0};
+    // Written under the exclusive lock.
+    uint64_t evictions = 0;
+    uint64_t invalidations = 0;
+    size_t bytes = 0;
+    alignas(64) std::unordered_map<IndexKey, Entry*, IndexHash> index;
+    // The CLOCK ring: every entry has a slot; evictions and erasures leave
+    // null holes, which later inserts fill, most recent first.
+    std::vector<std::unique_ptr<Entry>> ring;
+    std::vector<size_t> holes;
+    size_t hand = 0;
+  };
+
+  Shard& ShardFor(uint64_t hash);
+  static void EvictOne(Shard* shard);
+  static void Remove(Shard* shard, Entry* entry);
 
   size_t capacity_bytes_;
   size_t shard_capacity_bytes_;

@@ -159,92 +159,120 @@ bool EstimatorServer::RunInference(
   return false;
 }
 
-EstimateResponse EstimatorServer::EstimateWithModel(
+EstimatorServer::Stage EstimatorServer::AnswerOnCaller(
     const std::string& dataset, const std::string& estimator,
-    const std::shared_ptr<const ServedModel>& model, const Query& query) {
+    const std::shared_ptr<const ServedModel>& model, const Query& query,
+    CacheKeyBuffer* key, const MissedKeys* missed,
+    EstimateResponse* response) {
   Timer timer;
-  EstimateResponse response;
-  response.data_version = model->data_version;
-  ++requests_;
+  response->data_version = model->data_version;
 
   // Refused before the cache key is built or the estimator sees the query.
-  if (!Answerable(query, model->num_columns, &response.detail)) {
-    response.failure = FailureKind::kInvalidQuery;
+  if (!Answerable(query, model->num_columns, &response->detail)) {
+    response->failure = FailureKind::kInvalidQuery;
     ++estimate_errors_;
-    return response;
+    return Stage::kRefused;
   }
 
-  const bool use_cache = cache_enabled_.load() && cache_.capacity_bytes() > 0;
-  std::string key;
-  if (use_cache) {
-    key = EstimateCacheKey(dataset, estimator, model->data_version, query);
-    double cached = 0.0;
-    if (cache_.Lookup(key, &cached)) {
-      response.ok = true;
-      response.cache_hit = true;
-      // The cache stores the *base* estimate; corrections apply after
-      // lookup so the hit path and the miss path learn and serve the same
-      // way. A cache hit is still real traffic — it enqueues a truth job
-      // (the latent gap this layer used to have: hits bypassed learning).
-      response.selectivity = cached;
-      if (feedback_ != nullptr) {
-        EnqueueFeedback(dataset, estimator, model, query, cached,
-                        /*from_cache_hit=*/true);
-        response.selectivity = feedback_->Correct(
-            dataset, estimator, query, cached, model->trained_rows);
-      }
-      response.cardinality =
-          response.selectivity * static_cast<double>(model->trained_rows);
-      response.latency_ms = timer.ElapsedMillis();
-      model->latency.Record(response.latency_ms);
-      return response;
+  Stage stage = Stage::kNeedsInference;
+  if (key != nullptr) {
+    key->Build(dataset, estimator, model->data_version, query);
+    if (missed != nullptr && !missed->empty() &&
+        missed->contains(key->view())) {
+      stage = Stage::kHeldBack;
+    } else if (AnswerFromCache(dataset, estimator, model, query, key->view(),
+                               response)) {
+      stage = Stage::kAnswered;
     }
   }
+  response->latency_ms = timer.ElapsedMillis();
+  return stage;
+}
 
+bool EstimatorServer::AnswerFromCache(
+    const std::string& dataset, const std::string& estimator,
+    const std::shared_ptr<const ServedModel>& model, const Query& query,
+    std::string_view key, EstimateResponse* response) {
+  double cached = 0.0;
+  if (!cache_.Lookup(key, &cached)) return false;
+  response->ok = true;
+  response->cache_hit = true;
+  // The cache stores the *base* estimate; corrections apply after lookup
+  // so the hit path and the miss path learn and serve the same way. A
+  // cache hit is still real traffic — it enqueues a truth job (the latent
+  // gap this layer used to have: hits bypassed learning).
+  response->selectivity = cached;
+  if (feedback_ != nullptr) {
+    EnqueueFeedback(dataset, estimator, model, query, key, cached,
+                    /*from_cache_hit=*/true);
+    response->selectivity = feedback_->Correct(dataset, estimator, query,
+                                               cached, model->trained_rows);
+  }
+  response->cardinality =
+      response->selectivity * static_cast<double>(model->trained_rows);
+  return true;
+}
+
+void EstimatorServer::AnswerByInference(
+    const std::string& dataset, const std::string& estimator,
+    const std::shared_ptr<const ServedModel>& model, const Query& query,
+    std::string_view key, EstimateResponse* response) {
+  Timer timer;
   double selectivity = 0.0;
   if (RunInference(dataset, estimator, model, query, &selectivity,
-                   &response)) {
+                   response)) {
     if (!std::isfinite(selectivity) || selectivity < 0.0) {
-      response.failure = FailureKind::kNonFiniteEstimate;
-      response.detail = "selectivity " + std::to_string(selectivity);
+      response->failure = FailureKind::kNonFiniteEstimate;
+      response->detail = "selectivity " + std::to_string(selectivity);
       ++estimate_errors_;
     } else {
       // Clamp like EstimateCardinality does; the cached value is the
       // clamped one, so a hit replays exactly what was served.
       selectivity = std::min(selectivity, 1.0);
-      response.ok = true;
-      response.selectivity = selectivity;
-      if (use_cache) cache_.Insert(key, selectivity);
+      response->ok = true;
+      response->selectivity = selectivity;
+      if (!key.empty()) cache_.Insert(key, selectivity);
       if (feedback_ != nullptr) {
-        EnqueueFeedback(dataset, estimator, model, query, selectivity,
+        EnqueueFeedback(dataset, estimator, model, query, key, selectivity,
                         /*from_cache_hit=*/false);
-        response.selectivity = feedback_->Correct(
+        response->selectivity = feedback_->Correct(
             dataset, estimator, query, selectivity, model->trained_rows);
       }
-      response.cardinality =
-          response.selectivity * static_cast<double>(model->trained_rows);
+      response->cardinality =
+          response->selectivity * static_cast<double>(model->trained_rows);
     }
   }
-  response.latency_ms = timer.ElapsedMillis();
-  model->latency.Record(response.latency_ms);
-  return response;
+  response->latency_ms += timer.ElapsedMillis();
+}
+
+bool EstimatorServer::CacheOn() const {
+  return cache_enabled_.load() && cache_.capacity_bytes() > 0;
 }
 
 EstimateResponse EstimatorServer::Estimate(const std::string& dataset,
                                            const std::string& estimator,
                                            const Query& query) {
+  ++requests_;
+  EstimateResponse response;
   std::string error;
   std::shared_ptr<const ServedModel> model =
       manager_.GetModel(dataset, estimator, &error);
   if (model == nullptr) {
-    ++requests_;
     ++model_failures_;
-    EstimateResponse response;
     response.failure = FailureKind::kTrainThrew;
     response.detail = error;
     return response;
   }
-  return EstimateWithModel(dataset, estimator, model, query);
+  const bool use_cache = CacheOn();
+  CacheKeyBuffer key;
+  const Stage stage =
+      AnswerOnCaller(dataset, estimator, model, query,
+                     use_cache ? &key : nullptr, nullptr, &response);
+  if (stage == Stage::kNeedsInference)
+    AnswerByInference(dataset, estimator, model, query, key.view(),
+                      &response);
+  if (stage != Stage::kRefused) model->latency.Record(response.latency_ms);
+  return response;
 }
 
 std::vector<EstimateResponse> EstimatorServer::EstimateBatch(
@@ -253,12 +281,12 @@ std::vector<EstimateResponse> EstimatorServer::EstimateBatch(
   ++batches_;
   std::vector<EstimateResponse> responses(queries.size());
   if (queries.empty()) return responses;
+  requests_ += queries.size();
 
   std::string error;
   std::shared_ptr<const ServedModel> model =
       manager_.GetModel(dataset, estimator, &error);
   if (model == nullptr) {
-    requests_ += queries.size();
     model_failures_ += queries.size();
     for (EstimateResponse& response : responses) {
       response.failure = FailureKind::kTrainThrew;
@@ -267,23 +295,76 @@ std::vector<EstimateResponse> EstimatorServer::EstimateBatch(
     return responses;
   }
 
-  // Serialized-inference models gain nothing from fan-out: every request
-  // would queue on the inference mutex. Small batches likewise run inline.
-  const size_t slices = std::min<size_t>(
-      static_cast<size_t>(options_.dispatch_threads),
-      queries.size() / kMinQueriesPerSlice);
-  if (!model->thread_safe || slices <= 1) {
-    for (size_t i = 0; i < queries.size(); ++i)
-      responses[i] = EstimateWithModel(dataset, estimator, model, queries[i]);
-    return responses;
+  // The caller's stage answers refusals and hits on this thread; only the
+  // misses go on to inference, each with the key it was looked up under.
+  // A later copy of a missed key waits for the misses, then is answered
+  // from the cache, so it replays the first copy's answer as a batch
+  // served in order would. The answers' latencies reach the model's shared
+  // histogram once.
+  const bool use_cache = CacheOn();
+  CacheKeyBuffer key;
+  MissedKeys missed;
+  struct Pending {
+    size_t query;
+    std::string_view key;  // into `missed`; empty when the cache is off.
+  };
+  std::vector<Pending> misses;
+  std::vector<Pending> repeats;
+  LatencyHistogram::Accumulator latencies;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    switch (AnswerOnCaller(dataset, estimator, model, queries[i],
+                           use_cache ? &key : nullptr, &missed,
+                           &responses[i])) {
+      case Stage::kRefused:
+        break;
+      case Stage::kAnswered:
+        latencies.Record(responses[i].latency_ms);
+        break;
+      case Stage::kHeldBack:
+        repeats.push_back({i, *missed.find(key.view())});
+        break;
+      case Stage::kNeedsInference: {
+        std::string_view miss_key;
+        if (use_cache) miss_key = *missed.emplace(key.view()).first;
+        misses.push_back({i, miss_key});
+        break;
+      }
+    }
   }
-
-  const size_t slice = (queries.size() + slices - 1) / slices;
-  ParallelFor(0, slices, [&](size_t s) {
-    const size_t end = std::min(queries.size(), (s + 1) * slice);
-    for (size_t i = s * slice; i < end; ++i)
-      responses[i] = EstimateWithModel(dataset, estimator, model, queries[i]);
-  });
+  const auto infer = [&](const Pending& miss) {
+    AnswerByInference(dataset, estimator, model, queries[miss.query],
+                      miss.key, &responses[miss.query]);
+  };
+  // Serialized-inference models gain nothing from fan-out: every request
+  // would queue on the inference mutex. A few misses likewise run inline.
+  const size_t slices =
+      std::min<size_t>(static_cast<size_t>(options_.dispatch_threads),
+                       misses.size() / kMinQueriesPerSlice);
+  if (!model->thread_safe || slices <= 1) {
+    for (const Pending& miss : misses) infer(miss);
+  } else {
+    const size_t slice = (misses.size() + slices - 1) / slices;
+    ParallelFor(0, slices, [&](size_t s) {
+      const size_t end = std::min(misses.size(), (s + 1) * slice);
+      for (size_t m = s * slice; m < end; ++m) infer(misses[m]);
+    });
+  }
+  for (const Pending& miss : misses)
+    latencies.Record(responses[miss.query].latency_ms);
+  // In batch order, so a copy whose first copy's answer is not cached
+  // (its inference failed, or the entry is already gone) is inferred once
+  // and answers the copies after it.
+  for (const Pending& repeat : repeats) {
+    EstimateResponse& response = responses[repeat.query];
+    Timer timer;
+    const bool hit = AnswerFromCache(dataset, estimator, model,
+                                     queries[repeat.query], repeat.key,
+                                     &response);
+    response.latency_ms += timer.ElapsedMillis();
+    if (!hit) infer(repeat);
+    latencies.Record(response.latency_ms);
+  }
+  model->latency.Add(latencies);
   return responses;
 }
 
@@ -296,8 +377,8 @@ uint64_t EstimatorServer::Update(const std::string& dataset, uint64_t seed) {
   // model can observe a cache still holding pre-update keys. (Stale-model
   // requests racing this call may re-insert entries under the OLD version
   // prefix; those keys are unreachable once their model refreshes and age
-  // out via LRU — they can never serve a wrong answer because the version
-  // is part of the key.)
+  // out through CLOCK eviction — they can never serve a wrong answer
+  // because the version is part of the key.)
   cache_.InvalidatePrefix(DatasetKeyPrefix(dataset));
   // Residuals learned over the pre-update data are stale the same way the
   // cache entries were: drop everything tagged with an older version.
@@ -312,7 +393,8 @@ uint64_t EstimatorServer::Update(const std::string& dataset, uint64_t seed) {
 void EstimatorServer::EnqueueFeedback(
     const std::string& dataset, const std::string& estimator,
     const std::shared_ptr<const ServedModel>& model, const Query& query,
-    double base_selectivity, bool from_cache_hit) {
+    std::string_view cache_key, double base_selectivity,
+    bool from_cache_hit) {
   feedback::TruthJob job;
   job.dataset = dataset;
   job.estimator = estimator;
@@ -331,12 +413,14 @@ void EstimatorServer::EnqueueFeedback(
     // don't need this: their cached base stays valid and Correct() applies
     // the fresh residual after lookup.) Safe to touch cache_ from the
     // worker thread: the hub joins its worker before cache_ is destroyed.
-    std::string cache_key;
-    if (cache_.capacity_bytes() > 0)
-      cache_key =
-          EstimateCacheKey(dataset, estimator, model->data_version, query);
+    // A call served with the cache turned off built no key, but the cache
+    // may still hold an entry from before it was turned off.
+    std::string key(cache_key);
+    if (key.empty() && cache_.capacity_bytes() > 0)
+      key = EstimateCacheKey(dataset, estimator, model->data_version, query);
     job.deliver = [this, model, needs_lock,
-                   cache_key](const feedback::TruthJob& done, double truth) {
+                   key = std::move(key)](const feedback::TruthJob& done,
+                                         double truth) {
       auto* sink = dynamic_cast<FeedbackSink*>(model->estimator.get());
       if (sink == nullptr) return;
       if (needs_lock) {
@@ -345,7 +429,7 @@ void EstimatorServer::EnqueueFeedback(
       } else {
         sink->ObserveTruth(done.query, truth);
       }
-      if (!cache_key.empty()) cache_.Erase(cache_key);
+      if (!key.empty()) cache_.Erase(key);
     };
   }
   feedback_->EnqueueTruth(std::move(job));

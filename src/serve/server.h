@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "feedback/hub.h"
@@ -13,6 +15,7 @@
 #include "serve/cache.h"
 #include "serve/model_manager.h"
 #include "store/model_store.h"
+#include "util/hash.h"
 #include "workload/query.h"
 
 namespace arecel::store {
@@ -124,15 +127,17 @@ struct ServerStats {
 
 // In-process cardinality-estimation server: the long-lived path the bench
 // binaries never had. Wraps a ModelManager (train-once / load / refresh)
-// and an EstimateCache (sharded LRU over canonical predicate fingerprints)
-// behind single and batched Estimate calls.
+// and an EstimateCache (sharded CLOCK over canonical predicate
+// fingerprints) behind single and batched Estimate calls. Both run one
+// estimate in two stages: a cheap one on the calling thread (refusal, key,
+// lookup, a hit's answer) and inference for what it left open.
 //
-// Threading: every public method is safe to call concurrently. Batches fan
-// out in up to dispatch_threads slices on the shared worker pool when the
-// serving model's inference is a pure read
+// Threading: every public method is safe to call concurrently. A batch's
+// misses fan out in up to dispatch_threads slices on the shared worker
+// pool when the serving model's inference is a pure read
 // (CardinalityEstimator::ThreadSafeEstimates); stochastic-inference models
-// are dispatched sequentially under the model's inference mutex, so their
-// per-instance counters never race.
+// run their misses sequentially under the model's inference mutex, so
+// their per-instance counters never race.
 //
 // Staleness: Update() appends 20% correlated rows (the paper's §5.1
 // procedure), bumps the dataset's data version, drops the dataset's cache
@@ -162,9 +167,15 @@ class EstimatorServer {
   EstimateResponse Estimate(const std::string& dataset,
                             const std::string& estimator, const Query& query);
 
-  // Batched dispatch: resolves the model once, then fans the queries out
-  // over the worker pool, the calling thread included. Responses are
-  // positionally aligned with `queries`.
+  // Batched dispatch: resolves the model once, answers refusals and cache
+  // hits on the calling thread, then fans only the misses, with the keys
+  // already built, out over the worker pool, the calling thread included.
+  // A later copy of a query that missed earlier in the batch is not looked
+  // up with the misses: once they are inferred, it is answered from the
+  // cache like a hit, as a batch served in order would answer it. The
+  // batch adds its request count and its answers' latencies to the shared
+  // counters once per call. Responses are positionally aligned with
+  // `queries`.
   std::vector<EstimateResponse> EstimateBatch(
       const std::string& dataset, const std::string& estimator,
       const std::vector<Query>& queries);
@@ -199,10 +210,48 @@ class EstimatorServer {
   store::MaintenanceWorker* maintenance() { return maintenance_.get(); }
 
  private:
-  // Core of Estimate/EstimateBatch once the model is resolved.
-  EstimateResponse EstimateWithModel(
-      const std::string& dataset, const std::string& estimator,
-      const std::shared_ptr<const ServedModel>& model, const Query& query);
+  // Where the caller's stage of an estimate left its query.
+  enum class Stage { kRefused, kAnswered, kHeldBack, kNeedsInference };
+
+  // The keys that missed so far in one batch; the set owns their bytes.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const noexcept {
+      return HashBytes(key.data(), key.size());
+    }
+  };
+  using MissedKeys = std::unordered_set<std::string, KeyHash, std::equal_to<>>;
+
+  // The cheap stage of an estimate, run on the calling thread: refuses a
+  // query the model cannot answer and, when `key` is non-null (the cache
+  // is on for this call), builds the query's key into it. A key in
+  // `missed` (null for a single call) is held back without a lookup;
+  // any other is looked up, and a hit answered.
+  Stage AnswerOnCaller(const std::string& dataset,
+                       const std::string& estimator,
+                       const std::shared_ptr<const ServedModel>& model,
+                       const Query& query, CacheKeyBuffer* key,
+                       const MissedKeys* missed, EstimateResponse* response);
+
+  // Looks `key` up and, on a hit, answers from the cached base estimate,
+  // feedback job and correction included. False on a miss.
+  bool AnswerFromCache(const std::string& dataset,
+                       const std::string& estimator,
+                       const std::shared_ptr<const ServedModel>& model,
+                       const Query& query, std::string_view key,
+                       EstimateResponse* response);
+
+  // The inference stage: answers a query the caller's stage left open by
+  // running the model, and caches the answer under `key` (the key that
+  // stage looked up; empty when the cache is off). Adds its time to
+  // response->latency_ms.
+  void AnswerByInference(const std::string& dataset,
+                         const std::string& estimator,
+                         const std::shared_ptr<const ServedModel>& model,
+                         const Query& query, std::string_view key,
+                         EstimateResponse* response);
+
+  bool CacheOn() const;
 
   // Runs one inference under the per-request deadline (or inline when
   // disabled), filling failure/detail on timeout/throw.
@@ -211,13 +260,15 @@ class EstimatorServer {
                     const Query& query, double* selectivity,
                     EstimateResponse* response);
 
-  // Queues the served query for asynchronous exact labeling (no-op when the
-  // loop is disabled). `base_selectivity` is the pre-correction estimate.
+  // Queues the served query for asynchronous exact labeling (call only
+  // when the loop is enabled). `cache_key` is the key the query was looked
+  // up under (empty when the cache was off); `base_selectivity` is the
+  // pre-correction estimate.
   void EnqueueFeedback(const std::string& dataset,
                        const std::string& estimator,
                        const std::shared_ptr<const ServedModel>& model,
-                       const Query& query, double base_selectivity,
-                       bool from_cache_hit);
+                       const Query& query, std::string_view cache_key,
+                       double base_selectivity, bool from_cache_hit);
 
   ServeOptions options_;
   ModelManager manager_;

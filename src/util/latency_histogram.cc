@@ -22,14 +22,26 @@ uint64_t LatencyHistogram::BucketMaxNs(size_t bucket) {
   return (((uint64_t{1} << kSubBits) + sub + 1) << shift) - 1;
 }
 
-void LatencyHistogram::Record(double ms) {
+size_t LatencyHistogram::BucketOfMs(double ms) {
   constexpr uint64_t kLast = (uint64_t{1} << kMaxBits) - 1;
   const double ns = ms * 1e6;
   const uint64_t value = !(ns > 0.0) ? 0
                          : ns >= static_cast<double>(kLast)
                              ? kLast
                              : static_cast<uint64_t>(ns);
-  buckets_[BucketOf(value)].fetch_add(1, std::memory_order_relaxed);
+  return BucketOf(value);
+}
+
+void LatencyHistogram::Record(double ms) {
+  buckets_[BucketOfMs(ms)].fetch_add(1, std::memory_order_relaxed);
+}
+
+void LatencyHistogram::Add(const Accumulator& accumulator) {
+  for (size_t b = 0; b < kBuckets; ++b) {
+    if (accumulator.buckets_[b] != 0)
+      buckets_[b].fetch_add(accumulator.buckets_[b],
+                            std::memory_order_relaxed);
+  }
 }
 
 uint64_t LatencyHistogram::count() const {

@@ -17,8 +17,28 @@ namespace arecel {
 // bucket). A quantile is reported as the largest value its bucket holds,
 // so it is at most 1/8 (12.5%) above the recorded value it stands for.
 class LatencyHistogram {
+ private:
+  static constexpr int kSubBits = 3;  // 2^3 buckets per power of two.
+  static constexpr int kMaxBits = 40;
+  static constexpr uint64_t kExactBelow = uint64_t{2} << kSubBits;
+  static constexpr size_t kBuckets =
+      static_cast<size_t>((kMaxBits - kSubBits + 1) << kSubBits);
+
  public:
+  // The same buckets as plain counters, for one thread: a batch records its
+  // answers here and adds them to the shared histogram with one Add, so it
+  // writes the shared buckets once per call instead of once per answer.
+  class Accumulator {
+   public:
+    void Record(double ms) { ++buckets_[BucketOfMs(ms)]; }
+
+   private:
+    friend class LatencyHistogram;
+    std::array<uint64_t, kBuckets> buckets_{};
+  };
+
   void Record(double ms);
+  void Add(const Accumulator& accumulator);
 
   uint64_t count() const;
 
@@ -27,12 +47,7 @@ class LatencyHistogram {
   double PercentileMs(double p) const;
 
  private:
-  static constexpr int kSubBits = 3;  // 2^3 buckets per power of two.
-  static constexpr int kMaxBits = 40;
-  static constexpr uint64_t kExactBelow = uint64_t{2} << kSubBits;
-  static constexpr size_t kBuckets =
-      static_cast<size_t>((kMaxBits - kSubBits + 1) << kSubBits);
-
+  static size_t BucketOfMs(double ms);
   static size_t BucketOf(uint64_t ns);
   static uint64_t BucketMaxNs(size_t bucket);
 

@@ -519,10 +519,43 @@ TEST(FeedbackServeTest, CacheHitStillEnqueuesTruthJob) {
   ASSERT_TRUE(hit.cache_hit);
   server.DrainFeedback();
 
-  const serve::ServerStats stats = server.Stats();
+  serve::ServerStats stats = server.Stats();
   EXPECT_EQ(stats.feedback.cache_hit_jobs, 1u);
   EXPECT_EQ(stats.feedback.worker.enqueued, 2u);
   EXPECT_EQ(stats.feedback.worker.completed, 2u);
+
+  // A batch answers its hits on the calling thread; each answer still
+  // enqueues one truth job and passes through Correct().
+  std::vector<Query> distinct;
+  for (int i = 0; i < 4; ++i) {
+    distinct.push_back(MakeQuery({{0, 1.0, 5.0 + i}}));
+    ASSERT_FALSE(server.Estimate("t", "postgres", distinct.back()).cache_hit);
+  }
+  std::vector<Query> batch;
+  for (int i = 0; i < 24; ++i) batch.push_back(distinct[i % 4]);
+  const std::vector<serve::EstimateResponse> responses =
+      server.EstimateBatch("t", "postgres", batch);
+  for (const serve::EstimateResponse& response : responses) {
+    ASSERT_TRUE(response.ok);
+    EXPECT_TRUE(response.cache_hit);
+  }
+  // Later copies of a query that missed in the same batch are answered
+  // from the entry its inference filled: hits, each with its own job.
+  const Query fresh = MakeQuery({{0, 2.0, 3.0}});
+  const std::vector<serve::EstimateResponse> copies =
+      server.EstimateBatch("t", "postgres", {fresh, fresh, fresh});
+  EXPECT_FALSE(copies[0].cache_hit);
+  EXPECT_TRUE(copies[1].cache_hit);
+  EXPECT_TRUE(copies[2].cache_hit);
+  server.DrainFeedback();
+  stats = server.Stats();
+  const uint64_t answers = 2 + distinct.size() + batch.size() + 3;
+  EXPECT_EQ(stats.feedback.worker.enqueued, answers);
+  EXPECT_EQ(stats.feedback.worker.completed, answers);
+  EXPECT_EQ(stats.feedback.cache_hit_jobs, 1 + batch.size() + 2);
+  EXPECT_EQ(stats.feedback.corrections_applied +
+                stats.feedback.corrections_passthrough,
+            answers);
 }
 
 TEST(FeedbackServeTest, SinkTruthInvalidatesCachedEstimate) {

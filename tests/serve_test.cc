@@ -1,7 +1,8 @@
-// Serving-layer contract tests (src/serve/): cache canonicalization,
-// single-flight cold loads, LRU eviction order, the per-request deadline's
-// failure taxonomy, post-update invalidation + stale-while-revalidate
-// refresh equivalence, and a concurrent smoke designed for the TSan preset
+// Serving-layer contract tests (src/serve/): cache canonicalization and
+// key bytes, single-flight cold loads, CLOCK eviction order, exact batch
+// accounting, the per-request deadline's failure taxonomy, post-update
+// invalidation + stale-while-revalidate refresh equivalence, and
+// concurrent cache and server smokes designed for the TSan preset
 // (scripts/run_sanitized_tests.sh matches these suites by the "Serve" in
 // their names).
 
@@ -14,12 +15,14 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <latch>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <random>
 #include <string>
 #include <thread>
@@ -199,6 +202,127 @@ TEST(ServeCacheKeyTest, JoinKeyIsCanonicalOverOrderAndOrientation) {
   EXPECT_NE(CanonicalPredicateKey(a), CanonicalPredicateKey(c));
 }
 
+// The exact bytes of one two-predicate key (little-endian words): dataset
+// and estimator each ended by '\x1f', the 8-byte data version, the one
+// anonymous table's prefix (count 1, empty name), then the predicates
+// sorted by column as (int32 column, lo bits, hi bits), -0.0 keyed as 0.0.
+TEST(ServeCacheKeyTest, TwoPredicateKeyHasPinnedBytes) {
+  const Query query = MakeQuery({{1, 2.0, 8.0}, {0, -0.0, 3.5}});
+  const std::string expected(
+      "d\x1f"
+      "e\x1f"
+      "\x07\x00\x00\x00\x00\x00\x00\x00"  // version 7
+      "\x01\x00\x00\x00\x1f"  // one table
+      "\x00\x00\x00\x00"  // column 0
+      "\x00\x00\x00\x00\x00\x00\x00\x00"  // lo 0.0
+      "\x00\x00\x00\x00\x00\x00\x0c\x40"  // hi 3.5
+      "\x01\x00\x00\x00"  // column 1
+      "\x00\x00\x00\x00\x00\x00\x00\x40"  // lo 2.0
+      "\x00\x00\x00\x00\x00\x00\x20\x40",  // hi 8.0
+      2 + 2 + 8 + 5 + 2 * 20);
+  EXPECT_EQ(EstimateCacheKey("d", "e", 7, query), expected);
+  CacheKeyBuffer buffer;
+  buffer.Build("d", "e", 7, query);
+  EXPECT_EQ(buffer.view(), expected);
+}
+
+// A single-table key as the format defines it, built the slow way: copy
+// the predicates, sort them by (column, lo, hi) with every NaN after every
+// number and NaNs by their bits, append each field.
+std::string ReferenceSingleTableKey(const std::string& dataset,
+                                    const std::string& estimator,
+                                    uint64_t version, const Query& query) {
+  const auto bits = [](double v) {
+    if (v == 0.0) v = 0.0;
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  const auto less = [&](double a, double b) {
+    if (std::isnan(a) || std::isnan(b))
+      return std::isnan(a) && std::isnan(b) ? bits(a) < bits(b)
+                                            : std::isnan(b);
+    return a < b;
+  };
+  std::vector<Predicate> sorted = query.predicates;
+  std::sort(sorted.begin(), sorted.end(),
+            [&](const Predicate& a, const Predicate& b) {
+              if (a.column != b.column) return a.column < b.column;
+              if (less(a.lo, b.lo)) return true;
+              if (less(b.lo, a.lo)) return false;
+              return less(a.hi, b.hi);
+            });
+  std::string key = dataset + '\x1f' + estimator + '\x1f';
+  const auto append = [&key](const auto& value) {
+    key.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append(version);
+  append(uint32_t{1});
+  key += '\x1f';
+  for (const Predicate& p : sorted) {
+    append(static_cast<int32_t>(p.column));
+    append(bits(p.lo));
+    append(bits(p.hi));
+  }
+  return key;
+}
+
+// The buffer a server builds on its stack holds EstimateCacheKey's bytes
+// for every query shape: NaN and signed-zero bounds, repeated columns,
+// more than 32 predicates, keys longer than the inline bytes, join
+// queries, and one buffer reused across all of them.
+// Single-table keys also match the slow reference above.
+TEST(ServeCacheKeyTest, BufferBuilderMatchesEstimateCacheKey) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double specials[] = {-0.0, 0.0, std::nan(""), std::nan("7"),
+                             -inf, inf, 1.5, -2.25};
+  std::mt19937_64 rng(23);
+  const auto bound = [&] {
+    return rng() % 3 == 0 ? specials[rng() % 8]
+                          : static_cast<double>(rng() % 2001) / 8 - 125;
+  };
+  const std::string names[] = {"fact", "dim0", "dim1", "dim2"};
+  CacheKeyBuffer buffer;
+  size_t longest = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    Query query;
+    const bool join = trial % 3 == 0;
+    if (join) {
+      const size_t tables = 1 + rng() % 4;
+      query.tables.assign(names, names + tables);
+      std::shuffle(query.tables.begin(), query.tables.end(), rng);
+      for (size_t t = 1; t < tables; ++t)
+        query.joins.push_back({query.tables[rng() % t],
+                               static_cast<int>(rng() % 3), query.tables[t],
+                               static_cast<int>(rng() % 3)});
+    }
+    // Odd trials draw distinct columns, the rest may repeat them.
+    std::vector<int> columns(70);
+    std::iota(columns.begin(), columns.end(), 0);
+    std::shuffle(columns.begin(), columns.end(), rng);
+    const size_t predicates = trial % 5 == 0 ? 33 + rng() % 30 : rng() % 12;
+    for (size_t i = 0; i < predicates; ++i) {
+      const int column =
+          trial % 2 == 1 ? columns[i] : static_cast<int>(rng() % 13);
+      Predicate p{column, bound(), bound()};
+      if (join) p.table = static_cast<int>(rng() % query.tables.size());
+      query.predicates.push_back(p);
+    }
+    const uint64_t version = rng() % 5;
+    const std::string expected =
+        EstimateCacheKey("census", "mscn", version, query);
+    if (!join) {
+      ASSERT_EQ(expected,
+                ReferenceSingleTableKey("census", "mscn", version, query))
+          << "trial " << trial;
+    }
+    buffer.Build("census", "mscn", version, query);
+    ASSERT_EQ(buffer.view(), expected) << "trial " << trial;
+    longest = std::max(longest, expected.size());
+  }
+  EXPECT_GT(longest, CacheKeyBuffer::kInlineBytes);
+}
+
 // ---------------------------------------------------------------------------
 // LRU eviction.
 
@@ -231,6 +355,133 @@ TEST(ServeCacheLruTest, ZeroCapacityDisablesCaching) {
   double got = 0.0;
   EXPECT_FALSE(cache.Lookup("A", &got));
   EXPECT_EQ(cache.Stats().entries, 0u);
+}
+
+// CLOCK second chance. One shard; each 1-char key costs 97 approximate
+// bytes, so a 3 * 97-byte cache holds three entries and the fourth insert
+// makes the hand evict.
+
+TEST(ServeCacheClockTest, AnEntryThatWasHitSurvivesOneSweep) {
+  EstimateCache cache(/*capacity_bytes=*/3 * 97, /*num_shards=*/1);
+  cache.Insert("A", 0.1);
+  cache.Insert("B", 0.2);
+  cache.Insert("C", 0.3);
+  double got = 0.0;
+  ASSERT_TRUE(cache.Lookup("A", &got));
+
+  // The hand meets A first: A was hit, so the hand clears its flag and
+  // evicts B instead. (Looking up a missing key sets no flag.)
+  cache.Insert("D", 0.4);
+  EXPECT_FALSE(cache.Lookup("B", &got));
+  cache.Insert("E", 0.5);
+  EXPECT_FALSE(cache.Lookup("C", &got));
+  // A was not hit since the hand passed it: its second chance is spent.
+  cache.Insert("F", 0.6);
+  EXPECT_FALSE(cache.Lookup("A", &got));
+  for (const char* key : {"D", "E", "F"}) EXPECT_TRUE(cache.Lookup(key, &got));
+  EXPECT_EQ(cache.Stats().evictions, 3u);
+}
+
+TEST(ServeCacheClockTest, AnUnreferencedEntryIsEvictedFirst) {
+  EstimateCache cache(/*capacity_bytes=*/3 * 97, /*num_shards=*/1);
+  cache.Insert("A", 0.1);
+  cache.Insert("B", 0.2);
+  cache.Insert("C", 0.3);
+  double got = 0.0;
+  ASSERT_TRUE(cache.Lookup("A", &got));
+  ASSERT_TRUE(cache.Lookup("B", &got));
+  // C, the newest, is the one entry nobody hit.
+  cache.Insert("D", 0.4);
+  EXPECT_FALSE(cache.Lookup("C", &got));
+  EXPECT_TRUE(cache.Lookup("A", &got));
+  EXPECT_TRUE(cache.Lookup("B", &got));
+  EXPECT_TRUE(cache.Lookup("D", &got));
+  EXPECT_EQ(cache.Stats().evictions, 1u);
+}
+
+TEST(ServeCacheClockTest, ANewEntryNeverEvictsItself) {
+  // An entry larger than its shard's capacity evicts everything else but
+  // stays; the next insert evicts it in turn.
+  EstimateCache cache(/*capacity_bytes=*/2 * 97, /*num_shards=*/1);
+  cache.Insert("A", 0.1);
+  cache.Insert("B", 0.2);
+  const std::string big(300, 'x');
+  cache.Insert(big, 0.9);
+  double got = 0.0;
+  ASSERT_TRUE(cache.Lookup(big, &got));
+  EXPECT_DOUBLE_EQ(got, 0.9);
+  EXPECT_FALSE(cache.Lookup("A", &got));
+  EXPECT_FALSE(cache.Lookup("B", &got));
+  CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, big.size() + 96);
+
+  // Overflowing with each insert, a new entry still stays: every insert
+  // evicts its predecessor, never itself.
+  for (const char* key : {"C", "D", "E"}) {
+    cache.Insert(std::string(250, key[0]), 0.5);
+    ASSERT_TRUE(cache.Lookup(std::string(250, key[0]), &got)) << key;
+  }
+  stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.evictions, 5u);
+}
+
+TEST(ServeCacheClockTest, BytesAndEntriesStayExactAfterEraseInvalidateClear) {
+  EstimateCache cache(/*capacity_bytes=*/1 << 20, /*num_shards=*/4);
+  // Keys of datasets "a" (even i) and "b" (odd i), of varied lengths.
+  const auto key_of = [](int i) {
+    return DatasetKeyPrefix(i % 2 == 0 ? "a" : "b") +
+           std::string(1 + i % 7, 'k') + std::to_string(i);
+  };
+  size_t bytes = 0;
+  size_t a_bytes = 0;
+  for (int i = 0; i < 40; ++i) {
+    cache.Insert(key_of(i), 0.01 * i);
+    bytes += key_of(i).size() + 96;
+    if (i % 2 == 0) a_bytes += key_of(i).size() + 96;
+  }
+  cache.Insert(key_of(8), 0.5);  // an overwrite adds nothing.
+  CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 40u);
+  EXPECT_EQ(stats.bytes, bytes);
+
+  cache.Erase(key_of(7));
+  cache.Erase("never inserted");
+  bytes -= key_of(7).size() + 96;
+  stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 39u);
+  EXPECT_EQ(stats.bytes, bytes);
+  EXPECT_EQ(stats.invalidations, 1u);
+
+  // Dataset "a" goes; "b" stays, exactly.
+  EXPECT_EQ(cache.InvalidatePrefix(DatasetKeyPrefix("a")), 20u);
+  stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 19u);
+  EXPECT_EQ(stats.bytes, bytes - a_bytes);
+  EXPECT_EQ(stats.invalidations, 21u);
+  double got = 0.0;
+  EXPECT_FALSE(cache.Lookup(key_of(0), &got));
+  EXPECT_TRUE(cache.Lookup(key_of(1), &got));
+  EXPECT_DOUBLE_EQ(got, 0.01);
+
+  // Erased slots are reused, and the totals stay exact through a refill.
+  cache.Insert(key_of(0), 0.25);
+  stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 20u);
+  EXPECT_EQ(stats.bytes, bytes - a_bytes + key_of(0).size() + 96);
+
+  cache.Clear();
+  stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_FALSE(cache.Lookup(key_of(1), &got));
+  cache.Insert(key_of(1), 0.75);
+  EXPECT_TRUE(cache.Lookup(key_of(1), &got));
+  EXPECT_DOUBLE_EQ(got, 0.75);
+  stats = cache.Stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, key_of(1).size() + 96);
 }
 
 // ---------------------------------------------------------------------------
@@ -625,6 +876,119 @@ TEST(ServeBoundaryTest, ServesQueriesPastSixtyFourPredicatesWithFeedback) {
   EXPECT_EQ(server.Stats().feedback.worker.completed, 2u);
 }
 
+// ---------------------------------------------------------------------------
+// Batch accounting: a batch answers refusals and hits on the caller and
+// sends only its misses to inference, yet serves and counts every query as
+// single calls would.
+
+// Answers a selectivity that depends on every bound, so a response in the
+// wrong position or from the wrong query shows. Serialized, it also
+// depends on how many estimates it made before, as a sampling estimator's
+// answer depends on its generator's state, so an estimate made that a
+// batch served in order would not have made shows too.
+class BoundsStub : public CardinalityEstimator {
+ public:
+  explicit BoundsStub(bool thread_safe) : thread_safe_(thread_safe) {}
+  std::string Name() const override { return "bounds"; }
+  void Train(const Table&, const TrainContext&) override {}
+  double EstimateSelectivity(const Query& query) const override {
+    double sum = thread_safe_ ? 0.0 : 0.001 * static_cast<double>(calls_++);
+    for (const Predicate& p : query.predicates)
+      sum += p.column + 0.37 * p.lo + 0.011 * p.hi;
+    return std::fmod(std::fabs(sum), 1.0);
+  }
+  size_t SizeBytes() const override { return 8; }
+  bool ThreadSafeEstimates() const override { return thread_safe_; }
+
+ private:
+  bool thread_safe_;
+  mutable uint64_t calls_ = 0;  // only when serialized.
+};
+
+uint64_t ModelRequests(const ServerStats& stats) {
+  return stats.latencies.empty() ? 0 : stats.latencies[0].requests;
+}
+
+TEST(ServeBatchTest, MixedBatchIsServedAndCountedLikeSingleCalls) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  // 24 queries cached before the batch, 24 that are not, 3 more copies of
+  // two uncached ones (one in permuted predicate order), 8 refused.
+  std::vector<Query> cached, uncached;
+  for (int i = 0; i < 48; ++i)
+    (i < 24 ? cached : uncached)
+        .push_back(MakeQuery({{0, 1.0 + i, 6.0 + i}, {1, 0.5 * i, 30.0}}));
+  Query joined = MakeQuery({{0, 1.0, 9.0}});
+  joined.joins.push_back({"t", 0, "u", 0});
+  const std::vector<Query> refused = {
+      MakeQuery({{99, 1.0, 2.0}}),       MakeQuery({{-1, 1.0, 2.0}}),
+      MakeQuery({{0, kNaN, 2.0}}),       MakeQuery({{1, 1.0, kNaN}}),
+      MakeQuery({{0, 1.0, 9.0, 1}}),     joined,
+      MakeQuery({{0, 1.0, 2.0}, {7, 1.0, 2.0}}),
+      MakeQuery({{1, 3.0, 4.0}, {0, kNaN, kNaN}})};
+  Query permuted = uncached[7];
+  std::swap(permuted.predicates[0], permuted.predicates[1]);
+  const std::vector<Query> copies = {uncached[3], uncached[3], permuted};
+  std::vector<Query> batch = cached;
+  batch.insert(batch.end(), uncached.begin(), uncached.end());
+  batch.insert(batch.end(), copies.begin(), copies.end());
+  batch.insert(batch.end(), refused.begin(), refused.end());
+  std::shuffle(batch.begin(), batch.end(), std::mt19937_64(41));
+
+  for (const bool cache_on : {true, false}) {
+    for (const bool thread_safe : {true, false}) {
+      SCOPED_TRACE(std::string(cache_on ? "cache on" : "cache off") +
+                   (thread_safe ? ", thread-safe" : ", serialized"));
+      ServeOptions options;
+      options.cache_enabled = cache_on;
+      options.dispatch_threads = 4;  // fan the misses out even on 1 core.
+      options.manager.factory = [thread_safe](const std::string&) {
+        return std::make_unique<BoundsStub>(thread_safe);
+      };
+      // `batched` serves the batch; `single` serves the same queries one
+      // call at a time after the same warm-up.
+      EstimatorServer batched(options);
+      EstimatorServer single(options);
+      for (EstimatorServer* server : {&batched, &single}) {
+        server->RegisterDataset("t", SmallTable());
+        for (const Query& query : cached)
+          ASSERT_TRUE(server->Estimate("t", "bounds", query).ok);
+      }
+
+      const ServerStats before = batched.Stats();
+      const std::vector<EstimateResponse> responses =
+          batched.EstimateBatch("t", "bounds", batch);
+      const ServerStats after = batched.Stats();
+
+      ASSERT_EQ(responses.size(), batch.size());
+      for (size_t i = 0; i < batch.size(); ++i) {
+        const EstimateResponse expected =
+            single.Estimate("t", "bounds", batch[i]);
+        EXPECT_EQ(responses[i].ok, expected.ok) << i;
+        EXPECT_EQ(responses[i].failure, expected.failure) << i;
+        EXPECT_EQ(responses[i].detail, expected.detail) << i;
+        EXPECT_EQ(responses[i].selectivity, expected.selectivity) << i;
+        EXPECT_EQ(responses[i].cardinality, expected.cardinality) << i;
+        EXPECT_EQ(responses[i].cache_hit, expected.cache_hit) << i;
+        EXPECT_EQ(responses[i].data_version, expected.data_version) << i;
+      }
+
+      // A copy is a hit on the entry its first copy's inference filled.
+      const size_t answered = cached.size() + uncached.size() + copies.size();
+      EXPECT_EQ(after.requests - before.requests, batch.size());
+      EXPECT_EQ(after.batches - before.batches, 1u);
+      EXPECT_EQ(after.estimate_errors - before.estimate_errors,
+                refused.size());
+      EXPECT_EQ(after.cache.hits - before.cache.hits,
+                cache_on ? cached.size() + copies.size() : 0u);
+      EXPECT_EQ(after.cache.misses - before.cache.misses,
+                cache_on ? uncached.size() : 0u);
+      EXPECT_EQ(after.cache.entries,
+                cache_on ? cached.size() + uncached.size() : 0u);
+      EXPECT_EQ(ModelRequests(after) - ModelRequests(before), answered);
+    }
+  }
+}
+
 // Holds each Enter() until the test releases it — Release(n) lets the
 // first n entries through — so a test can look at the server between two
 // gated steps: truth deliveries of the single truth-worker thread, or
@@ -932,6 +1296,70 @@ TEST(ServeConcurrencyTest, ConcurrentEstimateBatchAndUpdateSmoke) {
   EXPECT_EQ(stats.estimate_errors, 0u);
   EXPECT_EQ(stats.updates, 2u);
   EXPECT_EQ(stats.manager.refresh_failures, 0u);
+}
+
+// Four threads Lookup while one Inserts, Erases and drops whole datasets
+// by prefix. Every key's value is derived from the key, so a lookup that
+// returned another entry's value, or a torn one, fails; the counters must
+// account for every lookup exactly.
+TEST(ServeCacheConcurrencyTest, LookupsRaceInsertEraseAndInvalidate) {
+  constexpr int kDatasets = 3;
+  constexpr int kKeys = 64;
+  // About 100 of the 192 keys fit, so inserts also evict.
+  EstimateCache cache(/*capacity_bytes=*/100 * 112, /*num_shards=*/4);
+  const auto key_of = [](int dataset, int i) {
+    return DatasetKeyPrefix("d" + std::to_string(dataset)) + "query-" +
+           std::to_string(i);
+  };
+  const auto value_of = [](int dataset, int i) {
+    return (dataset * kKeys + i) / 1000.0;
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> wrong{0};
+  std::atomic<uint64_t> lookups{0}, hits{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 4; ++r) {
+    readers.emplace_back([&, r] {
+      std::mt19937_64 rng(static_cast<uint64_t>(r) + 1);
+      uint64_t mine = 0, my_hits = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const int dataset = static_cast<int>(rng() % kDatasets);
+        const int i = static_cast<int>(rng() % kKeys);
+        double got = -1.0;
+        ++mine;
+        if (cache.Lookup(key_of(dataset, i), &got)) {
+          ++my_hits;
+          if (got != value_of(dataset, i)) ++wrong;
+        }
+      }
+      lookups += mine;
+      hits += my_hits;
+    });
+  }
+  std::mt19937_64 rng(99);
+  for (int round = 0; round < 60; ++round) {
+    const int dataset = round % kDatasets;
+    for (int i = 0; i < kKeys; ++i)
+      cache.Insert(key_of(dataset, i), value_of(dataset, i));
+    for (int k = 0; k < 8; ++k) {
+      const int i = static_cast<int>(rng() % kKeys);
+      cache.Erase(key_of(static_cast<int>(rng() % kDatasets), i));
+    }
+    if (round % 5 == 4)
+      cache.InvalidatePrefix(
+          DatasetKeyPrefix("d" + std::to_string(rng() % kDatasets)));
+  }
+  stop.store(true);
+  for (std::thread& reader : readers) reader.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  const CacheStats stats = cache.Stats();
+  EXPECT_EQ(stats.hits, hits.load());
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_GT(stats.invalidations, 0u);
+  EXPECT_LE(stats.bytes, cache.capacity_bytes());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -11,6 +13,7 @@
 
 #include "util/ascii_table.h"
 #include "util/env.h"
+#include "util/hash.h"
 #include "util/latency_histogram.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -159,6 +162,50 @@ TEST(LatencyHistogramTest, PercentilesAtBucketResolution) {
   small.Record(std::nan(""));
   EXPECT_EQ(small.count(), 3u);
   EXPECT_EQ(small.PercentileMs(50), 0.0);
+}
+
+TEST(LatencyHistogramTest, AccumulatorAddsWhatRecordWould) {
+  LatencyHistogram recorded;
+  LatencyHistogram added;
+  LatencyHistogram::Accumulator accumulator;
+  for (int i = 0; i < 500; ++i) {
+    const double ms = 1e-5 * (i % 37) + 0.002 * (i % 5);
+    recorded.Record(ms);
+    accumulator.Record(ms);
+  }
+  added.Add(accumulator);
+  added.Add(LatencyHistogram::Accumulator{});  // adds nothing.
+  EXPECT_EQ(added.count(), 500u);
+  for (double p : {0.0, 10.0, 50.0, 90.0, 99.0, 100.0})
+    EXPECT_EQ(added.PercentileMs(p), recorded.PercentileMs(p)) << p;
+}
+
+// Every length from 0 to 24 bytes covers zero to three whole words and
+// every tail length; the hash must see each length and each byte.
+TEST(HashBytesTest, EveryTailLengthAndEveryByteMoveTheHash) {
+  unsigned char bytes[32];
+  for (size_t i = 0; i < sizeof(bytes); ++i)
+    bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+  std::set<uint64_t> by_length;
+  for (size_t n = 0; n <= 24; ++n) {
+    const uint64_t hash = HashBytes(bytes, n);
+    EXPECT_TRUE(by_length.insert(hash).second) << "length " << n;
+    // The same bytes at an unaligned address hash alike.
+    unsigned char shifted[33];
+    std::memcpy(shifted + 1, bytes, n);
+    EXPECT_EQ(HashBytes(shifted + 1, n), hash) << n;
+    for (size_t at = 0; at < n; ++at) {
+      for (unsigned char flip : {0x01, 0x80}) {
+        bytes[at] ^= flip;
+        EXPECT_NE(HashBytes(bytes, n), hash) << n << " " << at;
+        bytes[at] ^= flip;
+      }
+    }
+  }
+  // A trailing zero byte is not the end of the input.
+  const unsigned char zeros[9] = {};
+  EXPECT_NE(HashBytes(zeros, 8), HashBytes(zeros, 9));
+  EXPECT_NE(HashBytes(zeros, 0), HashBytes(zeros, 1));
 }
 
 TEST(TimerTest, MeasuresElapsed) {
