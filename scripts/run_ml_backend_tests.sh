@@ -24,7 +24,7 @@
 #
 # Extra args are forwarded to ctest, e.g.:
 #   scripts/run_ml_backend_tests.sh --verbose
-#   ARECEL_BUILD_DIR=build-native scripts/run_ml_backend_tests.sh
+#   ARECEL_BUILD_DIR=build-asan scripts/run_ml_backend_tests.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

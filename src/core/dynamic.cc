@@ -81,21 +81,4 @@ double DynamicP99(const DynamicProfile& profile, double interval_seconds) {
   return Percentile(mixed, 99);
 }
 
-DynamicResult SimulateDynamicEnvironment(CardinalityEstimator& estimator,
-                                         const Table& updated_table,
-                                         size_t old_row_count,
-                                         const Workload& test,
-                                         const DynamicOptions& options) {
-  const DynamicProfile profile = ProfileDynamicUpdate(
-      estimator, updated_table, old_row_count, test, options);
-  DynamicResult result;
-  result.estimator = profile.estimator;
-  result.update_seconds = profile.update_seconds;
-  result.finished_in_time = FinishedInTime(profile, options.interval_seconds);
-  result.stale_p99 = Percentile(profile.stale_errors, 99);
-  result.updated_p99 = Percentile(profile.updated_errors, 99);
-  result.dynamic_p99 = DynamicP99(profile, options.interval_seconds);
-  return result;
-}
-
 }  // namespace arecel

@@ -20,8 +20,7 @@ namespace arecel {
 // methods"); the simulated-GPU device divides the model-update portion by
 // the per-method speedup factor.
 struct DynamicOptions {
-  double interval_seconds = 60.0;  // T.
-  int update_epochs = 0;           // 0 = the estimator's own default.
+  int update_epochs = 0;  // 0 = the estimator's own default.
   Device device = Device::kCpu;
   // Query-driven refresh: how many queries to relabel and against how large
   // a uniform sample of the updated table (paper: 8K-16K queries, 5%).
@@ -29,24 +28,6 @@ struct DynamicOptions {
   double label_sample_fraction = 0.05;
   uint64_t seed = 7;
 };
-
-struct DynamicResult {
-  std::string estimator;
-  double update_seconds = 0.0;  // total t_u after device scaling.
-  bool finished_in_time = false;
-  double stale_p99 = 0.0;    // whole workload on the stale model.
-  double updated_p99 = 0.0;  // whole workload on the updated model.
-  double dynamic_p99 = 0.0;  // the paper's reported mixture metric.
-};
-
-// `estimator` must already be trained on the old table (the first
-// `old_row_count` rows of `updated_table`). `test` is labelled against
-// `updated_table`. The estimator is updated in place.
-DynamicResult SimulateDynamicEnvironment(CardinalityEstimator& estimator,
-                                         const Table& updated_table,
-                                         size_t old_row_count,
-                                         const Workload& test,
-                                         const DynamicOptions& options);
 
 // One-update profile that lets callers evaluate many interval lengths T
 // without retraining: the stale/updated per-query error vectors plus the
@@ -59,6 +40,9 @@ struct DynamicProfile {
   std::vector<double> updated_errors;
 };
 
+// `estimator` must already be trained on the old table (the first
+// `old_row_count` rows of `updated_table`). `test` is labelled against
+// `updated_table`. The estimator is updated in place.
 DynamicProfile ProfileDynamicUpdate(CardinalityEstimator& estimator,
                                     const Table& updated_table,
                                     size_t old_row_count,

@@ -103,8 +103,8 @@ class CardinalityEstimator {
   virtual void PackForServing() {}
 
   // Optional model persistence (core/model_io.h): estimators that support
-  // it can be trained once and served from a saved model file by another
-  // process. Defaults report "unsupported".
+  // it can be trained once and served from the model store (src/store/) by
+  // another process. Defaults report "unsupported".
   virtual bool SerializeModel(ByteWriter* writer) const {
     (void)writer;
     return false;

@@ -1,6 +1,6 @@
 #include "core/model_io.h"
 
-#include <fstream>
+#include <string>
 
 namespace arecel {
 
@@ -29,17 +29,6 @@ bool SerializeEstimatorBytes(const CardinalityEstimator& estimator,
   file.Str(payload.buffer());
   *bytes = file.buffer();
   return true;
-}
-
-bool SaveEstimator(const CardinalityEstimator& estimator,
-                   const std::string& path) {
-  std::string bytes;
-  if (!SerializeEstimatorBytes(estimator, &bytes)) return false;
-
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.good()) return false;
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return out.good();
 }
 
 ModelLoadResult LoadEstimatorBytes(CardinalityEstimator* estimator,
@@ -86,24 +75,6 @@ ModelLoadResult LoadEstimatorBytes(CardinalityEstimator* estimator,
     return result;
   }
   return result;
-}
-
-ModelLoadResult LoadEstimatorDetailed(CardinalityEstimator* estimator,
-                                      const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    ModelLoadResult result;
-    result.kind = FailureKind::kPersistenceFailure;
-    result.detail = "cannot open \"" + path + "\"";
-    return result;
-  }
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  return LoadEstimatorBytes(estimator, contents);
-}
-
-bool LoadEstimator(CardinalityEstimator* estimator, const std::string& path) {
-  return LoadEstimatorDetailed(estimator, path).ok();
 }
 
 }  // namespace arecel

@@ -8,10 +8,14 @@
 
 namespace arecel {
 
-// Model persistence: save a trained estimator's fitted state to a file and
-// load it back into a freshly constructed estimator of the same kind —
-// train once, serve from the model file elsewhere (the deployment path the
+// Model persistence: serialize a trained estimator's fitted state to bytes
+// and load them back into a freshly constructed estimator of the same kind
+// — train once, serve the stored model elsewhere (the deployment path the
 // paper's cost analysis presumes for the "production-plausible" methods).
+// These bytes are the model store's payload (src/store/), the one place a
+// model is written to or read from disk: ModelManager loads a stored
+// generation through LoadEstimatorBytes, and the MaintenanceWorker commits
+// SerializeEstimatorBytes' output.
 //
 // Supported estimators implement SerializeModel/DeserializeModel:
 // postgres / mysql / dbms-a (per-column statistics), sampling (the
@@ -20,32 +24,27 @@ namespace arecel {
 // weights), mscn (column ranges + materialized sample + the three module
 // MLPs), naru (column binnings + the autoregressive backbone, both ResMADE
 // and Transformer), feedback-knn / feedback-corrected (the online feedback
-// store, plus the wrapped base model for the latter). SaveEstimator returns
-// false for estimators without support.
-
-bool SaveEstimator(const CardinalityEstimator& estimator,
-                   const std::string& path);
+// store, plus the wrapped base model for the latter).
 
 // True when `estimator` implements model persistence (probes SerializeModel
-// with a counting writer — state is walked but nothing is buffered and no
-// file is written, so the check is cheap enough for per-request use in the
-// serving layer). Call on a trained instance. The conformance suite uses
-// this to decide whether the round-trip invariant applies or is reported as
-// skipped.
+// with a counting writer — state is walked but nothing is buffered, so the
+// check is cheap enough for per-request use in the serving layer). Call on
+// a trained instance. The conformance suite uses this to decide whether the
+// round-trip invariant applies or is reported as skipped.
 bool SupportsPersistence(const CardinalityEstimator& estimator);
 
-// `estimator` must be a default-constructed instance of the same kind
-// (same Name()) that was saved; returns false on mismatch or corruption.
-bool LoadEstimator(CardinalityEstimator* estimator, const std::string& path);
-
-// ---- Typed byte-level interface (the model store's payload format) ----
+// Serializes `estimator` into its framed form (magic + version + name +
+// payload). Returns false, leaving `bytes` untouched, when the estimator
+// does not support persistence.
+bool SerializeEstimatorBytes(const CardinalityEstimator& estimator,
+                             std::string* bytes);
 
 // Outcome of a typed load. kCorruptModel means the bytes failed validation
 // — truncated stream, bad magic, impossible topology — and the estimator
 // instance may hold PARTIALLY deserialized state: callers must discard the
 // instance (build a fresh one) rather than serve or retrain it.
-// kPersistenceFailure covers non-corruption refusals (missing file,
-// estimator-kind mismatch, no persistence support).
+// kPersistenceFailure covers non-corruption refusals (estimator-kind
+// mismatch).
 struct ModelLoadResult {
   FailureKind kind = FailureKind::kNone;
   std::string detail;
@@ -53,21 +52,10 @@ struct ModelLoadResult {
   bool ok() const { return kind == FailureKind::kNone; }
 };
 
-// Serializes `estimator` into the framed in-memory form SaveEstimator
-// writes to disk (magic + version + name + payload). Returns false when the
-// estimator does not support persistence.
-bool SerializeEstimatorBytes(const CardinalityEstimator& estimator,
-                             std::string* bytes);
-
-// Typed counterpart of LoadEstimator over in-memory bytes; the model store
-// (src/store/) loads recovered generations through this.
+// Loads SerializeEstimatorBytes' output into `estimator`, which must be a
+// default-constructed instance of the same kind (same Name()).
 ModelLoadResult LoadEstimatorBytes(CardinalityEstimator* estimator,
                                    const std::string& bytes);
-
-// Typed load from a file: kPersistenceFailure when the file is unreadable,
-// otherwise LoadEstimatorBytes on its contents.
-ModelLoadResult LoadEstimatorDetailed(CardinalityEstimator* estimator,
-                                      const std::string& path);
 
 }  // namespace arecel
 

@@ -16,11 +16,11 @@ namespace {
 
 constexpr uint32_t kNoId = std::numeric_limits<uint32_t>::max();
 
-// Calls fn with the code vector that a column of `domain_size` distinct
-// values stores its codes in: the narrowest that holds the NaN sentinel
-// `domain_size`.
+// Calls fn with the code vector col stores its codes in: the narrowest
+// that holds its domain's NaN sentinel, col.nan_code().
 template <typename Fn>
-void WithCodes(Column& col, size_t domain_size, Fn&& fn) {
+void WithCodes(Column& col, Fn&& fn) {
+  const size_t domain_size = col.domain.size();
   if (domain_size < (size_t{1} << 8)) {
     fn(col.codes8);
   } else if (domain_size < (size_t{1} << 16)) {
@@ -121,7 +121,7 @@ void BuildDictionary(Column& col, const std::vector<double>& values) {
 
   const uint32_t nan_code = col.nan_code();
   col.counts.assign(col.domain.size(), 0);
-  WithCodes(col, col.domain.size(), [&](auto& codes) {
+  WithCodes(col, [&](auto& codes) {
     codes.resize(values.size());
     for (size_t r = 0; r < values.size(); ++r) {
       const uint32_t code =
@@ -130,69 +130,6 @@ void BuildDictionary(Column& col, const std::vector<double>& values) {
       if (code != nan_code) ++col.counts[code];
     }
   });
-}
-
-// Appends src's rows to dst, as one new value segment, and merges src's
-// domain into dst's. Both domains are sorted, so one merge walk yields the
-// grown domain and where each old and each incoming code lands in it.
-void AppendColumn(Column& dst, const Column& src) {
-  const size_t old_rows = dst.values.size();
-  const size_t rows = old_rows + src.values.size();
-  const size_t old_size = dst.domain.size();
-  const size_t src_size = src.domain.size();
-  std::vector<double> merged;
-  merged.reserve(old_size + src_size);
-  std::vector<uint32_t> old_to_new(old_size + 1);
-  std::vector<uint32_t> src_to_new(src_size + 1);
-  for (size_t i = 0, j = 0; i < old_size || j < src_size;) {
-    const uint32_t code = static_cast<uint32_t>(merged.size());
-    if (j == src_size || (i < old_size && dst.domain[i] < src.domain[j])) {
-      old_to_new[i] = code;
-      merged.push_back(dst.domain[i++]);
-    } else {
-      if (i < old_size && !(src.domain[j] < dst.domain[i])) {
-        old_to_new[i++] = code;  // a value both domains hold.
-      }
-      src_to_new[j] = code;
-      merged.push_back(src.domain[j++]);
-    }
-  }
-  // The NaN sentinel moves to the merged size.
-  old_to_new[old_size] = src_to_new[src_size] =
-      static_cast<uint32_t>(merged.size());
-
-  std::vector<uint32_t> counts(merged.size(), 0);
-  for (size_t i = 0; i < old_size; ++i) counts[old_to_new[i]] += dst.counts[i];
-  for (size_t j = 0; j < src_size; ++j) counts[src_to_new[j]] += src.counts[j];
-
-  // When the domain grew, every old code shifts by the number of new values
-  // sorted below it: remap the stored codes, into the next wider vector when
-  // the grown domain no longer fits their width. Then encode the incoming
-  // rows through src's own codes.
-  const bool grew = merged.size() != old_size;
-  WithCodes(dst, old_size, [&](auto& from) {
-    WithCodes(dst, merged.size(), [&](auto& to) {
-      using Code = CodeOf<decltype(to)>;
-      to.reserve(rows);
-      to.resize(rows);
-      if (grew) {
-        for (size_t r = 0; r < old_rows; ++r) {
-          to[r] = static_cast<Code>(old_to_new[from[r]]);
-        }
-      }
-      for (size_t r = old_rows; r < rows; ++r) {
-        to[r] = static_cast<Code>(src_to_new[src.code(r - old_rows)]);
-      }
-      if (static_cast<const void*>(&from) != static_cast<const void*>(&to)) {
-        std::decay_t<decltype(from)>().swap(from);
-      }
-    });
-  });
-  dst.domain = std::move(merged);
-  dst.counts = std::move(counts);
-  std::vector<double> appended(src.values.size());
-  for (size_t r = 0; r < appended.size(); ++r) appended[r] = src.values[r];
-  dst.values.Append(std::move(appended));
 }
 
 }  // namespace
@@ -253,14 +190,6 @@ void Table::AddColumn(std::string col_name, std::vector<double> values,
   columns_.push_back(std::move(col));
 }
 
-void Table::AppendRows(const Table& other) {
-  ARECEL_CHECK(other.num_cols() == num_cols() && &other != this);
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    AppendColumn(columns_[c], other.columns_[c]);
-  }
-  num_rows_ += other.num_rows_;
-}
-
 Table Table::WithSortedRows(const std::vector<int>& ranks) const {
   Table out(name_);
   out.num_rows_ = num_rows_ + ranks.size();
@@ -281,7 +210,7 @@ Table Table::WithSortedRows(const std::vector<int>& ranks) const {
     col.domain = base.domain;
     col.counts = base.counts;
     std::vector<double> appended(ranks.size());
-    WithCodes(col, col.domain.size(), [&](auto& codes) {
+    WithCodes(col, [&](auto& codes) {
       using Code = CodeOf<decltype(codes)>;
       const std::vector<Code>& base_codes = CodesOfWidth<Code>(base);
       codes.reserve(out.num_rows_);

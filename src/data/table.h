@@ -12,11 +12,11 @@ namespace arecel {
 
 // A column's values as immutable, reference-counted segments in row order.
 // Table versions that hold the same rows share them: AddColumn makes one
-// segment, and an append adds one holding only the appended rows' values,
-// so a version stores only what it appends. Reads go by row (operator[]:
-// one compare and one load while the row lies in the first segment, which
-// is every row of a table that was never appended to) or by contiguous
-// span (spans(), SegmentAt). Copies share every segment.
+// segment, and Table::WithSortedRows adds one holding only the appended
+// rows' values, so a version stores only what it appends. Reads go by row
+// (operator[]: one compare and one load while the row lies in the first
+// segment, which is every row of a table built by AddColumn) or by
+// contiguous span (spans(), SegmentAt). Copies share every segment.
 class ColumnValues {
  public:
   using Segment = std::shared_ptr<const std::vector<double>>;
@@ -80,10 +80,12 @@ class ColumnValues {
 // codes32 is filled; code(r) reads whichever it is. The scan engine, the
 // discrete estimators (Naru, DQM, Bayes) and the §5.1 update read these.
 //
-// A Table builds the dictionary in AddColumn and keeps it current on every
-// append, so a column reached through a Table is always consistent. The
-// values are shared with other versions of the table; the dictionary is
-// each version's own, with contiguous codes.
+// A Table builds the dictionary in AddColumn, and a built table's rows,
+// domain, counts and code width never change. A table gains rows only as
+// a new version from Table::WithSortedRows, whose appended values are
+// domain values, so a version keeps its base's domain and code width. The
+// values are shared with other versions of the table; the codes and counts
+// are each version's own.
 struct Column {
   std::string name;
   bool categorical = false;
@@ -130,12 +132,6 @@ class Table {
   // non-NaN value.
   void AddColumn(std::string col_name, std::vector<double> values,
                  bool categorical);
-
-  // Appends the rows of `other` (same schema order) as one new value
-  // segment per column; segments this table shares with other versions
-  // are untouched. Values new to a column grow its domain: the codes are
-  // remapped, and widened when the grown domain no longer fits their width.
-  void AppendRows(const Table& other);
 
   // Returns the next version of this table: its rows, then, for each of
   // `ranks`, the row at that rank of its sorted-columns copy: every column

@@ -119,9 +119,9 @@ struct KernelOps {
 // intrinsics) does NOT by itself stop GCC's default -ffp-contract=fast from
 // fusing them — it contracts across statements and across _mm*_mul/add
 // intrinsics alike — in any TU whose ISA has an FMA: the AVX2/AVX-512
-// kernel TUs, and the whole build under ARECEL_NATIVE / ARECEL_AVX512. A
-// fused result would differ in the last bit from the portable tier's and
-// break the cross-tier bit-identity contract. Compiled out at the baseline
+// kernel TUs, or every TU when CMAKE_CXX_FLAGS raise the ISA. A fused
+// result would differ in the last bit from the portable tier's and break
+// the cross-tier bit-identity contract. Compiled out at the baseline
 // ISA, where no FMA instruction exists and loops using it auto-vectorize
 // freely. The SIMD TUs place the same barrier on whole vectors.
 inline float Rounded(float x) {

@@ -79,7 +79,7 @@ EstimatorServer::EstimatorServer(ServeOptions options)
     options_.dispatch_threads = ParallelWorkerCount();
   if (options_.feedback_enabled)
     feedback_ = std::make_unique<feedback::FeedbackHub>(
-        options_.feedback, options_.feedback_queue);
+        feedback::FeedbackOptions{}, options_.feedback_queue);
   if (options_.manager.store != nullptr) {
     // Non-owning alias: manager_ is a value member and maintenance_ is
     // declared after it, so the worker is always stopped and destroyed
@@ -370,7 +370,7 @@ std::vector<EstimateResponse> EstimatorServer::EstimateBatch(
 
 uint64_t EstimatorServer::Update(const std::string& dataset, uint64_t seed) {
   const uint64_t version =
-      manager_.ApplyUpdate(dataset, options_.update_fraction, seed);
+      manager_.ApplyUpdate(dataset, kUpdateFraction, seed);
   if (version == 0) return 0;
   ++updates_;
   // Order matters: invalidate before kicking refreshes so no refreshed

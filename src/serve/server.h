@@ -41,9 +41,9 @@ namespace arecel::serve {
 //                          and retries failed refreshes off the serving
 //                          threads (ARECEL_STORE_MAX_GENERATIONS,
 //                          ARECEL_MAINT_INTERVAL_MS)
-// The feedback store's shape (feedback::FeedbackOptions) has no knob. The
-// bench harness's other robustness knobs (ARECEL_FALLBACK, ...) are not
-// read here.
+// The feedback store's shape has no knob: the hub is built with
+// feedback::FeedbackOptions{}. The bench harness's other robustness knobs
+// (ARECEL_FALLBACK, ...) are not read here.
 struct ServeOptions {
   size_t cache_bytes = 64ull << 20;
   size_t cache_shards = 16;
@@ -58,9 +58,6 @@ struct ServeOptions {
   // bench harness (kEstimateTimeout / kEstimateThrew / ...).
   robust::RobustOptions robust;
 
-  // The paper's §5.1 dynamic-update append fraction (20%).
-  double update_fraction = 0.2;
-
   // Online query-feedback loop (src/feedback/, DESIGN.md §11). Off by
   // default; when enabled every served estimate is asynchronously labeled
   // with its exact selectivity and the truth feeds either the estimator
@@ -68,12 +65,15 @@ struct ServeOptions {
   // correction applied to future answers.
   bool feedback_enabled = false;
   size_t feedback_queue = 1024;
-  feedback::FeedbackOptions feedback;
 
   ModelManagerOptions manager;
 };
 
 ServeOptions ServeOptionsFromEnv();
+
+// The share of rows EstimatorServer::Update appends: the paper's §5.1
+// dynamic-update fraction (20%).
+inline constexpr double kUpdateFraction = 0.2;
 
 // One served estimate. `cardinality` is selectivity x the rows the serving
 // model was trained on — under stale-while-revalidate that is the stale

@@ -179,7 +179,7 @@ ConformanceReport RunConformance(const std::string& estimator_name,
                                             options.seed));
   report.results.push_back(CheckSaveLoadRoundTrip(
       estimator_name, fixture.table, fixture.train, fixture.probes,
-      options.seed, options.temp_dir));
+      options.seed));
   // Feedback invariants: skipped (= passed) for estimators that are not
   // FeedbackSinks, so the sweep stays total over the registry.
   report.results.push_back(CheckFeedbackMonotonicity(

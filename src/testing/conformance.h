@@ -32,7 +32,6 @@ struct ConformanceOptions {
   size_t train_queries = 400;
   size_t probe_queries = 80;
   size_t metamorphic_trials = 40;
-  std::string temp_dir = "/tmp";
   // Star fixture for the join invariants (kept small: the fixture is built
   // once but the join-capable estimators train on it per invariant).
   size_t star_fact_rows = 2000;

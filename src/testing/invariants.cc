@@ -284,8 +284,7 @@ InvariantResult CheckSaveLoadRoundTrip(const std::string& name,
                                        const Table& table,
                                        const Workload& train,
                                        const std::vector<Query>& probes,
-                                       uint64_t seed,
-                                       const std::string& temp_dir) {
+                                       uint64_t seed) {
   InvariantResult result;
   result.invariant = "save-load-round-trip";
   result.trials = probes.size();
@@ -296,18 +295,19 @@ InvariantResult CheckSaveLoadRoundTrip(const std::string& name,
     return result;
   }
 
-  const std::string path = temp_dir + "/conformance_" + name + ".bin";
-  if (!SaveEstimator(*trained, path)) {
-    RecordViolation(&result, 1.0, "SaveEstimator failed for " + name);
+  std::string bytes;
+  if (!SerializeEstimatorBytes(*trained, &bytes)) {
+    RecordViolation(&result, 1.0, "SerializeEstimatorBytes failed for " + name);
     return result;
   }
   auto loaded = MakeEstimator(name);
-  if (!LoadEstimator(loaded.get(), path)) {
-    RecordViolation(&result, 1.0, "LoadEstimator failed for " + name);
-    std::remove(path.c_str());
+  const ModelLoadResult load = LoadEstimatorBytes(loaded.get(), bytes);
+  if (!load.ok()) {
+    RecordViolation(&result, 1.0,
+                    "LoadEstimatorBytes failed for " + name + ": " +
+                        load.detail);
     return result;
   }
-  std::remove(path.c_str());
 
   std::vector<double> trained_estimates(probes.size());
   for (size_t i = 0; i < probes.size(); ++i)

@@ -66,15 +66,15 @@ InvariantResult CheckDeterminism(const std::string& name, const Table& table,
                                  const std::vector<Query>& probes,
                                  uint64_t seed);
 
-// SaveEstimator -> LoadEstimator into a fresh instance preserves the probe
-// estimates bit-for-bit. Skipped (passed) for estimators without
-// persistence support.
+// SerializeEstimatorBytes -> LoadEstimatorBytes into a fresh instance (the
+// model store's codec, which ModelManager and the MaintenanceWorker run)
+// preserves the probe estimates bit-for-bit. Skipped (passed) for
+// estimators without persistence support.
 InvariantResult CheckSaveLoadRoundTrip(const std::string& name,
                                        const Table& table,
                                        const Workload& train,
                                        const std::vector<Query>& probes,
-                                       uint64_t seed,
-                                       const std::string& temp_dir);
+                                       uint64_t seed);
 
 // ---- Join invariants (DESIGN.md §13) ----
 //

@@ -9,9 +9,10 @@
 namespace arecel {
 
 // Minimal binary archive over an in-memory buffer: the substrate for model
-// persistence (core/model_io.h). Writers append little-endian fixed-width
-// scalars and length-prefixed containers; readers validate bounds and
-// report failure instead of aborting, so corrupt files degrade gracefully.
+// persistence (core/model_io.h), whose bytes the model store (src/store/)
+// writes and reads back. Writers append little-endian fixed-width scalars
+// and length-prefixed containers; readers validate bounds and report
+// failure instead of aborting, so corrupt bytes degrade gracefully.
 
 class ByteWriter {
  public:
@@ -70,9 +71,9 @@ class ByteReader {
   // (or a length prefix claimed more elements than the bytes left can
   // hold), every later read also fails and failed() stays true. Model
   // deserializers bail on the first false return, but the flag lets
-  // LoadEstimator distinguish a
-  // *truncated/corrupt* stream (typed as FailureKind::kCorruptModel) from
-  // a well-formed stream a deserializer rejected on semantic grounds.
+  // LoadEstimatorBytes distinguish a *truncated/corrupt* stream (typed as
+  // FailureKind::kCorruptModel) from a well-formed stream a deserializer
+  // rejected on semantic grounds.
   bool failed() const { return failed_; }
   // Byte offset of the first failed read (buffer size bounds it); only
   // meaningful when failed().

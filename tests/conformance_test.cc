@@ -19,7 +19,6 @@ class ConformanceTest : public ::testing::TestWithParam<std::string> {
  protected:
   static void SetUpTestSuite() {
     options_ = new ConformanceOptions();
-    options_->temp_dir = ::testing::TempDir();
     fixture_ = new ConformanceFixture(BuildConformanceFixture(*options_));
   }
   static void TearDownTestSuite() {
@@ -77,7 +76,6 @@ TEST(ConformanceCapabilityTest, ThreadSafeEstimatesMatchesDocumentedSet) {
 TEST(ConformanceCapabilityTest, FeedbackInvariantsApplyToSinksOnly) {
   const std::set<std::string> sinks = {"feedback-knn", "feedback-corrected"};
   ConformanceOptions options;
-  options.temp_dir = ::testing::TempDir();
   const ConformanceFixture fixture = BuildConformanceFixture(options);
   for (const std::string& name : {std::string("feedback-knn"),
                                   std::string("feedback-corrected"),
@@ -106,7 +104,6 @@ TEST(ConformanceCapabilityTest, JoinInvariantsApplyToJoinCapableOnly) {
         << name << " join capability changed";
   }
   ConformanceOptions options;
-  options.temp_dir = ::testing::TempDir();
   const ConformanceFixture fixture = BuildConformanceFixture(options);
   for (const std::string& name : {std::string("postgres-join"),
                                   std::string("sampling-join"),

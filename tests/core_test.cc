@@ -197,20 +197,6 @@ TEST(DynamicTest, ProfileAndMixture) {
   EXPECT_FALSE(FinishedInTime(profile, profile.update_seconds * 0.5));
 }
 
-TEST(DynamicTest, SimulateWrapperConsistent) {
-  const Table base = GenerateSynthetic2D(10000, 0.5, 0.8, 50, 7);
-  const Table updated = AppendCorrelatedUpdate(base, 0.2, 8);
-  const Workload test = GenerateWorkload(updated, 100, 9);
-  auto estimator = MakePostgresEstimator();
-  estimator->Train(base, {});
-  DynamicOptions options;
-  options.interval_seconds = 1e9;
-  const DynamicResult result = SimulateDynamicEnvironment(
-      *estimator, updated, base.num_rows(), test, options);
-  EXPECT_TRUE(result.finished_in_time);
-  EXPECT_NEAR(result.dynamic_p99, result.updated_p99, 1e-9);
-}
-
 TEST(DynamicTest, StaleModelWorseThanUpdated) {
   // After the correlation-shifting append, refreshed statistics must beat
   // stale ones on the updated workload.

@@ -242,17 +242,17 @@ TEST(DeepDbTest, InsertUpdateShiftsEstimates) {
   q.predicates.push_back({0, 0, 10});
   const double before = deepdb.EstimateSelectivity(q);
 
-  // Append rows that all fall in [0, 10] on column 0.
-  Table updated = base.Head(base.num_rows());
-  Table extra("extra");
-  std::vector<double> a(5000), b(5000);
-  for (size_t i = 0; i < 5000; ++i) {
-    a[i] = static_cast<double>(i % 11);
-    b[i] = static_cast<double>(i % 50);
+  // The base rows followed by rows that all fall in [0, 10] on column 0.
+  Table updated(base.name());
+  for (size_t c = 0; c < base.num_cols(); ++c) {
+    const Column& column = base.column(c);
+    std::vector<double> values(base.num_rows());
+    for (size_t r = 0; r < values.size(); ++r) values[r] = column.values[r];
+    for (size_t i = 0; i < 5000; ++i) {
+      values.push_back(static_cast<double>(c == 0 ? i % 11 : i % 50));
+    }
+    updated.AddColumn(column.name, std::move(values), column.categorical);
   }
-  extra.AddColumn("col0", std::move(a), false);
-  extra.AddColumn("col1", std::move(b), false);
-  updated.AppendRows(extra);
 
   UpdateContext ctx;
   ctx.old_row_count = base.num_rows();

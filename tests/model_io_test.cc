@@ -1,9 +1,7 @@
 #include "core/model_io.h"
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -20,10 +18,6 @@
 
 namespace arecel {
 namespace {
-
-std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
-}
 
 struct SharedData {
   Table table = GenerateSynthetic2D(10000, 0.7, 0.8, 80, 9);
@@ -94,10 +88,10 @@ TEST(ByteArchiveTest, TruncatedReadFails) {
   EXPECT_TRUE(dr.failed());
 }
 
-// Save -> load into a fresh instance -> identical estimates. Swept over
-// every name the registry can construct: estimators with persistence
-// support must round-trip bit-for-bit; the rest must refuse to save (and
-// write no file) rather than produce a broken model.
+// Serialize -> load into a fresh instance -> identical estimates. Swept
+// over every name the registry can construct: estimators with persistence
+// support must round-trip bit-for-bit; the rest must refuse to serialize
+// (and produce no bytes) rather than produce a broken model.
 class ModelRoundTripTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ModelRoundTripTest, EstimatesSurviveRoundTripOrSaveRefuses) {
@@ -107,17 +101,16 @@ TEST_P(ModelRoundTripTest, EstimatesSurviveRoundTripOrSaveRefuses) {
   context.training_workload = &Shared().train;
   trained->Train(Shared().table, context);
 
-  const std::string path = TempPath("model_" + name + ".bin");
+  std::string bytes;
   if (!SupportsPersistence(*trained)) {
-    EXPECT_FALSE(SaveEstimator(*trained, path));
-    std::ifstream leftover(path);
-    EXPECT_FALSE(leftover.good()) << "refused save still wrote " << path;
+    EXPECT_FALSE(SerializeEstimatorBytes(*trained, &bytes));
+    EXPECT_TRUE(bytes.empty()) << "refused serialization still wrote bytes";
     return;
   }
-  ASSERT_TRUE(SaveEstimator(*trained, path));
+  ASSERT_TRUE(SerializeEstimatorBytes(*trained, &bytes));
 
   auto loaded = MakeEstimator(name);
-  ASSERT_TRUE(LoadEstimator(loaded.get(), path));
+  ASSERT_TRUE(LoadEstimatorBytes(loaded.get(), bytes).ok());
 
   // Sequence-aligned comparison: stochastic-inference estimators seed from
   // a per-instance counter, so collect each instance's estimates in the
@@ -129,7 +122,6 @@ TEST_P(ModelRoundTripTest, EstimatesSurviveRoundTripOrSaveRefuses) {
     EXPECT_DOUBLE_EQ(loaded->EstimateSelectivity(Shared().probes.queries[i]),
                      expected[i]);
   }
-  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, ModelRoundTripTest,
@@ -168,7 +160,8 @@ TEST(ModelIoTest, UnsupportedEstimatorReturnsFalse) {
   context.training_workload = &Shared().train;
   quicksel->Train(Shared().table, context);
   EXPECT_FALSE(SupportsPersistence(*quicksel));
-  EXPECT_FALSE(SaveEstimator(*quicksel, TempPath("quicksel.bin")));
+  std::string bytes;
+  EXPECT_FALSE(SerializeEstimatorBytes(*quicksel, &bytes));
 }
 
 // Feeding a truncated or garbage byte stream to every persistable
@@ -209,21 +202,16 @@ TEST(ModelIoTest, TruncatedBytesTypedAsCorruptForEveryPersistable) {
 TEST(ModelIoTest, KindMismatchRejected) {
   auto postgres = MakeEstimator("postgres");
   postgres->Train(Shared().table, {});
-  const std::string path = TempPath("kind_mismatch.bin");
-  ASSERT_TRUE(SaveEstimator(*postgres, path));
+  std::string bytes;
+  ASSERT_TRUE(SerializeEstimatorBytes(*postgres, &bytes));
   auto mysql = MakeEstimator("mysql");
-  EXPECT_FALSE(LoadEstimator(mysql.get(), path));
-  std::remove(path.c_str());
+  EXPECT_FALSE(LoadEstimatorBytes(mysql.get(), bytes).ok());
 }
 
 TEST(ModelIoTest, CorruptFileRejected) {
-  const std::string path = TempPath("corrupt_model.bin");
-  FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("definitely not a model", f);
-  std::fclose(f);
   auto postgres = MakeEstimator("postgres");
-  EXPECT_FALSE(LoadEstimator(postgres.get(), path));
-  std::remove(path.c_str());
+  EXPECT_FALSE(LoadEstimatorBytes(postgres.get(), "definitely not a model")
+                   .ok());
 }
 
 // Hostile bytes: each case flips one bit of, overwrites, or sets to 0xff

@@ -4,10 +4,10 @@
 // executor, including the awkward corners — NaN rows (which no predicate
 // matches), -0.0/+0.0 code collapse, block sizes that do not divide the row
 // count, columns with exactly kMaxDictCodes and one more distinct values,
-// and fresh scanners over tables whose appends introduced brand-new
-// dictionary values (with a u8 -> u16 code width upgrade) or pushed a
-// column past the code budget. The differential cases keep their
-// ScanSynopsisTest suite name so their test ids stay stable.
+// and scanners over a column whose rows continue with brand-new dictionary
+// values (with a u8 -> u16 code width upgrade) or past the code budget.
+// The differential cases keep their ScanSynopsisTest suite name so their
+// test ids stay stable.
 
 #include <cmath>
 #include <limits>
@@ -45,6 +45,13 @@ Table CategoricalZipfTable(size_t rows, size_t cats, size_t cardinality,
   for (double& v : cont) v = rng.Gaussian() * 100.0;
   t.AddColumn("cont", std::move(cont), false);
   return t;
+}
+
+// `base` followed by `appended`: the rows of a column that grew by them.
+std::vector<double> Concat(std::vector<double> base,
+                           const std::vector<double>& appended) {
+  base.insert(base.end(), appended.begin(), appended.end());
+  return base;
 }
 
 // Mixed equality + range queries over every column.
@@ -163,24 +170,22 @@ TEST(ScanSynopsisTest, CodeBudgetBoundary) {
 }
 
 TEST(ScanSynopsisTest, AppendIntroducingNewDictionaryValues) {
-  // Base table's categorical columns draw from [0, 10); the appended rows
-  // draw from [5, 15) — roughly half the appended values are brand-new
-  // dictionary entries that force a merge + code remap. A fresh scanner
-  // over the appended table counts exactly.
+  // Base table's categorical columns draw from [0, 10); the rows after
+  // them draw from [5, 15) — roughly half of those values are new to the
+  // base's dictionary, so the grown column's codes differ from the base's.
+  // A scanner over the grown column counts exactly.
   Rng rng(41);
-  Table base("grow");
   std::vector<double> vals(900);
   for (double& v : vals) v = static_cast<double>(rng.UniformInt(uint64_t{10}));
-  base.AddColumn("c", std::move(vals), true);
+  Table base("grow");
+  base.AddColumn("c", vals, true);
   ASSERT_EQ(base.column(0).domain_size(), 10u);
 
-  Table extra("grow");
   std::vector<double> more(300);
   for (double& v : more)
     v = static_cast<double>(5 + rng.UniformInt(uint64_t{10}));
-  extra.AddColumn("c", std::move(more), true);
-  Table table = base;
-  table.AppendRows(extra);
+  Table table("grow");
+  table.AddColumn("c", Concat(std::move(vals), more), true);
 
   ASSERT_TRUE(scan::WithinCodeBudget(table.column(0)));
   EXPECT_EQ(table.column(0).domain_size(), 15u);
@@ -194,23 +199,22 @@ TEST(ScanSynopsisTest, AppendIntroducingNewDictionaryValues) {
 }
 
 TEST(ScanSynopsisTest, AppendUpgradesCodeWidthFromU8ToU16) {
-  // 200 distinct values fit u8 codes; appending values up to 400 distinct
-  // crosses the 255-code boundary and widens the code array. A fresh
-  // scanner over the appended table runs the u16 kernels.
+  // 200 distinct values fit u8 codes; the same rows followed by values up
+  // to 400 distinct cross the 255-code boundary and take u16 codes. A
+  // scanner over the wider column runs the u16 kernels.
   std::vector<double> vals(400);
   for (size_t i = 0; i < vals.size(); ++i)
     vals[i] = static_cast<double>(i % 200);
-  Table table("widen");
-  table.AddColumn("c", std::move(vals), true);
-  EXPECT_FALSE(table.column(0).codes8.empty());
-  EXPECT_TRUE(table.column(0).codes16.empty());
+  Table base("widen");
+  base.AddColumn("c", vals, true);
+  EXPECT_FALSE(base.column(0).codes8.empty());
+  EXPECT_TRUE(base.column(0).codes16.empty());
 
   std::vector<double> more(400);
   for (size_t i = 0; i < more.size(); ++i)
     more[i] = static_cast<double>(i % 400);
-  Table extra("widen");
-  extra.AddColumn("c", std::move(more), true);
-  table.AppendRows(extra);
+  Table table("widen");
+  table.AddColumn("c", Concat(std::move(vals), more), true);
 
   ASSERT_TRUE(scan::WithinCodeBudget(table.column(0)));
   EXPECT_EQ(table.column(0).domain_size(), 400u);
@@ -227,24 +231,22 @@ TEST(ScanSynopsisTest, AppendUpgradesCodeWidthFromU8ToU16) {
 
 TEST(ScanSynopsisTest, DictDemotionWhenAppendCrossesBudget) {
   // The base column holds exactly kMaxDictCodes distinct values and runs on
-  // its codes; the append adds new values past the budget, so a fresh
-  // scanner over the appended table falls back to the double kernels
-  // without ever miscounting.
+  // its codes; the same rows followed by new values pass the budget, so a
+  // scanner over the grown column falls back to the double kernels without
+  // ever miscounting.
   const size_t budget = scan::kMaxDictCodes;
   std::vector<double> vals(2 * budget);
   for (size_t i = 0; i < vals.size(); ++i)
     vals[i] = static_cast<double>(i % budget);
   Table base("demote");
-  base.AddColumn("c", std::move(vals), true);
+  base.AddColumn("c", vals, true);
   ASSERT_TRUE(scan::WithinCodeBudget(base.column(0)));
 
   std::vector<double> more(500);
   for (size_t i = 0; i < more.size(); ++i)
     more[i] = static_cast<double>(budget - 20 + i % 40);
-  Table extra("demote");
-  extra.AddColumn("c", std::move(more), true);
-  Table table = base;
-  table.AppendRows(extra);
+  Table table("demote");
+  table.AddColumn("c", Concat(std::move(vals), more), true);
   ASSERT_EQ(table.column(0).domain_size(), budget + 20);
 
   EXPECT_FALSE(scan::WithinCodeBudget(table.column(0)));

@@ -150,9 +150,8 @@ TEST(ScanEngineDeathTest, PredicateColumnOutsideTableAborts) {
 TEST(ScanEngineDeathTest, ScannerAbortsAfterItsTableChanged) {
   testing::FLAGS_gtest_death_test_style = "threadsafe";
   Table table = SmallTable();
-  const Table extra = SmallTable();
   const scan::BlockScanner scanner(table, {4});
-  table.AppendRows(extra);
+  table = table.WithSortedRows({0, 1});
   Query query;
   query.predicates.push_back({0, 1, 9});
   EXPECT_DEATH(scanner.Count(query),

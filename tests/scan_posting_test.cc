@@ -6,8 +6,9 @@
 // u8 and u16 codes (domains 255, 256 and 4096), NaN rows, -0.0/+0.0 and
 // +-inf bounds, empty code ranges, inverted intervals and empty predicate
 // lists, duplicate-column predicates, a column past the budget, both sides
-// of the cost rule, a batch mixing the paths, a fresh scanner over an
-// appended table whose codes widened, and queries past 64 predicates.
+// of the cost rule, a batch mixing the paths, a column whose rows continue
+// with new values past u8 codes and its §5.1 version, and queries past 64
+// predicates.
 //
 // Routing is forced through the batch: a lone multi-predicate query never
 // saves enough block work to pay for a column sort, so it takes the block
@@ -314,21 +315,23 @@ TEST(ScanPostingTest, MixedBatchPreservesResultOrder) {
 }
 
 TEST(ScanPostingTest, FreshScannerAfterAppendsWidenCodes) {
-  // Column c holds 200 values (u8 codes); the appended rows bring 150 new
-  // ones, widening the codes to u16, and a §5.1 update then appends 20%.
+  // Column c holds 200 values (u8 codes); the widened table's rows continue
+  // with 150 new ones, so its codes are u16, and a §5.1 update then
+  // appends 20%.
   const size_t rows = 6000;
+  std::vector<double> c = PermutedDomain(rows, 200);
+  std::vector<double> d = PermutedDomain(rows, 30);
   Table base("widen");
-  base.AddColumn("c", PermutedDomain(rows, 200), true);
-  base.AddColumn("d", PermutedDomain(rows, 30), true);
+  base.AddColumn("c", c, true);
+  base.AddColumn("d", d, true);
   ASSERT_FALSE(base.column(0).codes8.empty());
-  Table extra("widen");
-  std::vector<double> more(1500);
-  for (size_t i = 0; i < more.size(); ++i)
-    more[i] = static_cast<double>(100 + (i * 13) % 250);
-  extra.AddColumn("c", std::move(more), true);
-  extra.AddColumn("d", PermutedDomain(1500, 30), true);
-  Table widened = base;
-  widened.AppendRows(extra);
+  for (size_t i = 0; i < 1500; ++i)
+    c.push_back(static_cast<double>(100 + (i * 13) % 250));
+  const std::vector<double> more_d = PermutedDomain(1500, 30);
+  d.insert(d.end(), more_d.begin(), more_d.end());
+  Table widened("widen");
+  widened.AddColumn("c", std::move(c), true);
+  widened.AddColumn("d", std::move(d), true);
   ASSERT_EQ(widened.column(0).domain_size(), 350u);
   ASSERT_FALSE(widened.column(0).codes16.empty());
   const Table updated = AppendCorrelatedUpdate(widened, 0.2, 77);

@@ -1093,8 +1093,8 @@ TEST(ServeUpdateTest, UpdateInvalidatesAndRefreshMatchesManualRetrain) {
   // The refreshed model must match a manual retrain at the same version
   // exactly: same updated table (§5.1 append, same fraction and seed) and
   // the same per-version training seed.
-  Table manual = AppendCorrelatedUpdate(SmallTable(/*seed=*/5),
-                                        options.update_fraction, 97);
+  Table manual =
+      AppendCorrelatedUpdate(SmallTable(/*seed=*/5), kUpdateFraction, 97);
   auto fresh = MakeEstimator("sampling");
   TrainContext context;
   context.seed = TrainSeedForVersion(options.manager.train_seed, version);

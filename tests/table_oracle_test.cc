@@ -175,12 +175,13 @@ Table OneColumn(const std::string& name, std::vector<double> values) {
   return table;
 }
 
-void AppendAndCheck(std::vector<double> base, std::vector<double> extra) {
-  Table table = OneColumn("grow", base);
-  ExpectMatchesReference(table, {base});
-  table.AppendRows(OneColumn("grow", extra));
+// Checks a column of `base` and a column of `base` followed by `extra`:
+// a built table never grows, so a grown domain is a new AddColumn.
+void CheckBaseAndConcatenation(std::vector<double> base,
+                               const std::vector<double>& extra) {
+  ExpectMatchesReference(OneColumn("grow", base), {base});
   base.insert(base.end(), extra.begin(), extra.end());
-  ExpectMatchesReference(table, {base});
+  ExpectMatchesReference(OneColumn("grow", base), {base});
 }
 
 std::vector<double> Range(size_t begin, size_t end, size_t repeat) {
@@ -196,25 +197,25 @@ TEST(TableOracleTest, AppendsAddValuesAndWidenCodes) {
   // New values interleave with old ones, so every old code moves.
   std::vector<double> evens, odds;
   for (int v = 0; v < 40; ++v) (v % 2 == 0 ? evens : odds).push_back(v);
-  AppendAndCheck(evens, odds);
+  CheckBaseAndConcatenation(evens, odds);
   // No new value: the dictionary stays, the codes only grow.
-  AppendAndCheck(Range(0, 50, 3), Range(10, 20, 2));
+  CheckBaseAndConcatenation(Range(0, 50, 3), Range(10, 20, 2));
   // 200 -> 400 distinct: u8 -> u16.
-  AppendAndCheck(Range(0, 200, 2), Range(100, 400, 1));
+  CheckBaseAndConcatenation(Range(0, 200, 2), Range(100, 400, 1));
   // 60000 -> 70000 distinct: u16 -> u32.
-  AppendAndCheck(Range(0, 60000, 1), Range(55000, 70000, 1));
+  CheckBaseAndConcatenation(Range(0, 60000, 1), Range(55000, 70000, 1));
   // Exactly 255 distinct values fit u8 with the NaN sentinel, 256 do not;
   // likewise 65535 and 65536 for u16.
-  AppendAndCheck(Range(0, 255, 1), Range(255, 256, 1));
-  AppendAndCheck(Range(0, 65535, 1), Range(65535, 65536, 1));
+  CheckBaseAndConcatenation(Range(0, 255, 1), Range(255, 256, 1));
+  CheckBaseAndConcatenation(Range(0, 65535, 1), Range(65535, 65536, 1));
 }
 
 TEST(TableOracleTest, NaNRowsAndNegativeZero) {
   const std::vector<double> base = {kNaN, -0.0, 3.0, 0.0, kNaN, -2.5, -0.0};
   const std::vector<double> extra = {kNaN, 7.0, -0.0, -2.5, 0.0};
-  AppendAndCheck(base, extra);
-  AppendAndCheck({-0.0, -0.0}, {1.0, kNaN});
-  AppendAndCheck({4.0}, {kNaN, 5.0, kNaN});
+  CheckBaseAndConcatenation(base, extra);
+  CheckBaseAndConcatenation({-0.0, -0.0}, {1.0, kNaN});
+  CheckBaseAndConcatenation({4.0}, {kNaN, 5.0, kNaN});
 }
 
 }  // namespace

@@ -73,15 +73,6 @@ TEST(TableTest, SampleRowsWithoutReplacement) {
   EXPECT_EQ(vals, (std::vector<double>{1, 1, 2, 3, 3}));
 }
 
-TEST(TableTest, AppendRowsKeepsDictionaryCurrent) {
-  Table t = MakeSmallTable();
-  const Table other = MakeSmallTable();
-  t.AppendRows(other);
-  EXPECT_EQ(t.num_rows(), 10u);
-  EXPECT_EQ(t.column(0).codes8.size(), 10u);
-  EXPECT_EQ(t.column(0).counts, (std::vector<uint32_t>{4, 2, 4}));
-}
-
 TEST(TableTest, AppendSortedRowsReadsRanksOffCodeCounts) {
   // Column a sorted is {1, 1, 2, 3, 3}; column b sorted is {0, 0, 0, 1, 1}.
   const Table t = MakeSmallTable().WithSortedRows({4, 0, 2});
