@@ -30,7 +30,7 @@ cd "$(dirname "$0")/.."
 
 build_dir="${ARECEL_BUILD_DIR:-build}"
 if [ ! -d "$build_dir" ]; then
-  cmake --preset release
+  cmake -S . -B "$build_dir" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 fi
 cmake --build "$build_dir" -j "${ARECEL_BUILD_JOBS:-$(nproc)}"
 

@@ -14,7 +14,7 @@ namespace arecel {
 // paper's cost analysis presumes for the "production-plausible" methods).
 // These bytes are the model store's payload (src/store/), the one place a
 // model is written to or read from disk: ModelManager loads a stored
-// generation through LoadEstimatorBytes, and the MaintenanceWorker commits
+// generation through LoadEstimatorBytes and commits
 // SerializeEstimatorBytes' output.
 //
 // Supported estimators implement SerializeModel/DeserializeModel:

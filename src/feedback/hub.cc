@@ -9,11 +9,9 @@ namespace {
 constexpr char kKeySeparator = '\x1f';
 }  // namespace
 
-FeedbackHub::FeedbackHub(FeedbackOptions options, size_t queue_capacity)
-    : options_(options) {
+FeedbackHub::FeedbackHub(FeedbackOptions options) : options_(options) {
   worker_ = std::make_unique<TruthWorker>(
-      [this](const TruthJob& job, double truth) { LearnTruth(job, truth); },
-      queue_capacity);
+      [this](const TruthJob& job, double truth) { LearnTruth(job, truth); });
 }
 
 FeedbackHub::~FeedbackHub() { worker_->Stop(); }

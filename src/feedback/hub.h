@@ -36,8 +36,7 @@ struct FeedbackHubStats {
 // so stale truths never correct fresh models.
 class FeedbackHub {
  public:
-  explicit FeedbackHub(FeedbackOptions options = {},
-                       size_t queue_capacity = 1024);
+  explicit FeedbackHub(FeedbackOptions options = {});
   ~FeedbackHub();
 
   FeedbackHub(const FeedbackHub&) = delete;

@@ -1,16 +1,14 @@
 #ifndef ARECEL_FEEDBACK_TRUTH_WORKER_H_
 #define ARECEL_FEEDBACK_TRUTH_WORKER_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "data/table.h"
+#include "util/thread_pool.h"
 #include "workload/query.h"
 
 namespace arecel::feedback {
@@ -44,19 +42,21 @@ struct TruthWorkerStats {
   uint64_t pending = 0;  // queued but not yet executed.
 };
 
-// Asynchronous ground-truth labeler: a single background thread pops jobs,
-// computes the exact selectivity via the block-scan engine
-// (ExecuteSelectivity, PR 3), and hands (job, truth) to the callback — which
-// is where the hub folds the observation into its online models. Single
-// threaded by design: truth scans are cheap but not free, and feedback is a
-// best-effort side channel that must never contend with serving dispatch.
-// The queue is bounded; when full, new jobs are dropped and counted.
+// Asynchronous ground-truth labeler: jobs run one at a time on the shared
+// worker pool (a SerialQueue, util/thread_pool.h), each computing the exact
+// selectivity via the block-scan engine (ExecuteSelectivity) and
+// handing (job, truth) to the callback — which is where the hub folds the
+// observation into its online models. One at a time by design: truth scans
+// are cheap but not free, and feedback is a best-effort side channel that
+// must hold at most one pool worker, never contending with serving
+// dispatch. The queue is bounded; when full, new jobs are dropped and
+// counted.
 class TruthWorker {
  public:
   using Callback = std::function<void(const TruthJob&, double truth)>;
 
   explicit TruthWorker(Callback callback, size_t queue_capacity = 1024);
-  ~TruthWorker();
+  ~TruthWorker();  // Stop().
 
   TruthWorker(const TruthWorker&) = delete;
   TruthWorker& operator=(const TruthWorker&) = delete;
@@ -69,26 +69,25 @@ class TruthWorker {
   // loop deterministic: enqueue, Drain(), assert.
   void Drain();
 
-  // Stops the thread after the current job; further Enqueues are dropped.
+  // Waits for the job being labelled; queued jobs and further Enqueues are
+  // dropped.
   void Stop();
 
   TruthWorkerStats Stats() const;
 
  private:
-  void Loop();
+  void Label(const TruthJob& job);
 
   Callback callback_;
   const size_t queue_capacity_;
 
   mutable std::mutex mutex_;
-  std::condition_variable work_cv_;   // signals the worker.
-  std::condition_variable idle_cv_;   // signals Drain waiters.
-  std::deque<TruthJob> queue_;
+  size_t queued_ = 0;  // enqueued, not yet started.
   bool in_flight_ = false;
   bool stopping_ = false;
   TruthWorkerStats stats_;
 
-  std::thread thread_;
+  SerialQueue jobs_;  // last member: drained before the state its jobs use.
 };
 
 }  // namespace arecel::feedback

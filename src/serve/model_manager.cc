@@ -1,6 +1,9 @@
 #include "serve/model_manager.h"
 
+#include <algorithm>
+#include <chrono>
 #include <exception>
+#include <thread>
 #include <utility>
 
 #include "core/model_io.h"
@@ -12,6 +15,17 @@
 #include "workload/generator.h"
 
 namespace arecel::serve {
+
+namespace {
+
+// Write-back retry policy: up to kSaveAttempts Puts per model, sleeping
+// min(kSaveBackoffCapMs, kSaveBackoffMs << retry) before each retry. No
+// jitter: saves already run one at a time.
+constexpr int kSaveAttempts = 3;
+constexpr int kSaveBackoffMs = 10;
+constexpr int kSaveBackoffCapMs = 1000;
+
+}  // namespace
 
 uint64_t TrainSeedForVersion(uint64_t base_seed, uint64_t data_version) {
   // Same spirit as the robust runner's retry_seed_stride: a distinct,
@@ -90,6 +104,7 @@ std::shared_ptr<const ServedModel> ModelManager::BuildModel(
     bool is_refresh, std::string* error, const CancellationToken* cancel) {
   const uint64_t seed = TrainSeedForVersion(options_.train_seed, version);
   auto model = std::make_shared<ServedModel>();
+  model->table = table;
   model->data_version = version;
   model->trained_rows = table->num_rows();
   model->num_columns = table->num_cols();
@@ -182,20 +197,52 @@ std::shared_ptr<const ServedModel> ModelManager::BuildModel(
   model->thread_safe = model->estimator->ThreadSafeEstimates();
   model->train_seconds = timer.ElapsedSeconds();
 
-  // Write-back stays off the serving thread: queue the trained model; the
-  // MaintenanceWorker serializes and commits it with bounded retries.
-  // Refreshes enqueue too, so the store tracks the newest trained state
-  // across data versions.
+  // Refreshes are written back too, so the store tracks the newest trained
+  // state across data versions.
   if (!loaded && options_.store != nullptr &&
       SupportsPersistence(*model->estimator)) {
     {
-      std::lock_guard<std::mutex> lock(saves_mutex_);
-      pending_saves_.push_back(PendingSave{dataset, estimator, model});
+      std::lock_guard<std::mutex> lock(counters_mutex_);
+      ++counters_.saves_enqueued;
     }
-    std::lock_guard<std::mutex> lock(counters_mutex_);
-    ++counters_.saves_enqueued;
+    saves_.Post([this, dataset, estimator, model] {
+      Save(dataset, estimator, *model);
+    });
   }
   return model;
+}
+
+void ModelManager::Save(const std::string& dataset,
+                        const std::string& estimator,
+                        const ServedModel& model) {
+  std::string bytes;
+  bool serialized = false;
+  {
+    // Stochastic estimators mutate state during estimates (e.g. naru's
+    // sampling counter); hold the same mutex the serving path holds so
+    // serialization sees a quiescent model.
+    std::unique_lock<std::mutex> infer_lock;
+    if (!model.thread_safe)
+      infer_lock = std::unique_lock<std::mutex>(model.inference_mutex);
+    serialized = SerializeEstimatorBytes(*model.estimator, &bytes);
+  }
+  bool committed = false;
+  uint64_t retries = 0;
+  for (int attempt = 0; serialized && attempt < kSaveAttempts; ++attempt) {
+    if (attempt > 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          std::min(kSaveBackoffCapMs, kSaveBackoffMs << (attempt - 1))));
+      ++retries;
+    }
+    committed = options_.store->Put(dataset, estimator, bytes);
+    if (committed) break;
+  }
+  std::lock_guard<std::mutex> lock(counters_mutex_);
+  counters_.save_retries += retries;
+  if (committed)
+    ++counters_.saves_committed;
+  else
+    ++counters_.save_failures;
 }
 
 std::shared_ptr<const ServedModel> ModelManager::Publish(
@@ -256,13 +303,6 @@ bool ModelManager::RefreshModelNow(const std::string& dataset,
   }
   return Publish(dataset, estimator, /*is_refresh=*/true, cancel, error) !=
          nullptr;
-}
-
-std::vector<PendingSave> ModelManager::TakePendingSaves() {
-  std::lock_guard<std::mutex> lock(saves_mutex_);
-  std::vector<PendingSave> taken;
-  taken.swap(pending_saves_);
-  return taken;
 }
 
 std::vector<LoadedModelInfo> ModelManager::LoadedModels() const {
@@ -341,8 +381,11 @@ size_t ModelManager::RefreshModelsAsync(const std::string& dataset) {
 }
 
 void ModelManager::WaitForRefreshes() {
-  std::unique_lock<std::mutex> lock(models_mutex_);
-  models_cv_.wait(lock, [this] { return active_refreshes_ == 0; });
+  {
+    std::unique_lock<std::mutex> lock(models_mutex_);
+    models_cv_.wait(lock, [this] { return active_refreshes_ == 0; });
+  }
+  saves_.Drain();
 }
 
 void ModelManager::Evict(const std::string& dataset,

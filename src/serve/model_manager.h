@@ -14,6 +14,7 @@
 #include "core/estimator.h"
 #include "data/table.h"
 #include "util/latency_histogram.h"
+#include "util/thread_pool.h"
 
 namespace arecel::store {
 class ModelStore;
@@ -29,8 +30,8 @@ struct ModelManagerOptions {
   // persistence). Cold loads read the last committed generation through
   // the store's checksum-verified recovery path (restart = warm start), and
   // trained models that support persistence (cheap counting probe,
-  // core/model_io.h) are queued for the MaintenanceWorker to save, never
-  // written on the serving thread. A payload the store serves but the
+  // core/model_io.h) are written back on a pool worker, never on the
+  // thread that built them. A payload the store serves but the
   // deserializer rejects as corrupt poisons only that instance: the manager
   // discards it, counts a corrupt_load, and cold-trains.
   std::shared_ptr<arecel::store::ModelStore> store;
@@ -60,6 +61,9 @@ uint64_t TrainSeedForVersion(uint64_t base_seed, uint64_t data_version);
 // served from it, which the server records without a lock.
 struct ServedModel {
   std::shared_ptr<CardinalityEstimator> estimator;
+  // The table version the model was built from: what its answers are
+  // answers about, so feedback truths are labelled against it.
+  std::shared_ptr<const Table> table;
   uint64_t data_version = 0;
   size_t trained_rows = 0;
   // Columns of the table the model serves; appends never change it, so the
@@ -83,21 +87,14 @@ struct ManagerCounters {
   uint64_t train_failures = 0;
   uint64_t evictions = 0;
   uint64_t corrupt_loads = 0;    // store payloads rejected as corrupt.
-  uint64_t saves_enqueued = 0;   // save-backs queued for the worker.
+  uint64_t saves_enqueued = 0;   // trained models posted for write-back.
+  uint64_t saves_committed = 0;  // write-backs the store committed.
+  uint64_t save_retries = 0;     // failed Put attempts that were retried.
+  uint64_t save_failures = 0;    // write-backs dropped after the budget.
   uint64_t packed_models = 0;    // models packed for serving (PackForServing).
 };
 
-// A trained model awaiting write-back to the store. The worker serializes
-// it (under the inference mutex when the estimator's inference mutates
-// state) and commits it as a new generation.
-struct PendingSave {
-  std::string dataset;
-  std::string estimator;
-  std::shared_ptr<const ServedModel> model;
-};
-
-// Loaded-model inventory row, for the maintenance worker's refresh pass
-// and the server's latency report.
+// Loaded-model inventory row, for the server's latency report.
 struct LoadedModelInfo {
   std::string dataset;
   std::string estimator;
@@ -126,13 +123,19 @@ struct LoadedModelInfo {
 //  * A model installed behind its dataset's version (an update landed
 //    while it was built) starts one background refresh of its entry, so
 //    every loaded model converges to its data; WaitForRefreshes waits for
-//    that refresh too. A failed build starts none.
+//    that refresh too. A failed build starts none, and nothing retries it
+//    on a timer: the next Update's RefreshModelsAsync or an explicit
+//    RefreshModelNow does.
+//  * With a store, each trained model that supports persistence is posted
+//    to one SerialQueue as it is built, so write-backs commit one at a
+//    time in publish order (a key has one build at a time), off every
+//    caller's thread. WaitForRefreshes and the destructor wait for them.
 //  * Published ServedModels are immutable, so readers never need a lock to
 //    use one (beyond the inference mutex for stochastic estimators).
 class ModelManager {
  public:
   explicit ModelManager(ModelManagerOptions options = {});
-  ~ModelManager();  // waits for in-flight background refreshes.
+  ~ModelManager();  // WaitForRefreshes().
 
   ModelManager(const ModelManager&) = delete;
   ModelManager& operator=(const ModelManager&) = delete;
@@ -168,7 +171,8 @@ class ModelManager {
   size_t RefreshModelsAsync(const std::string& dataset);
 
   // Blocks until no background refresh is in flight, catch-up refreshes
-  // of models that landed behind their data included.
+  // of models that landed behind their data included, then until every
+  // write-back posted so far has committed or failed.
   void WaitForRefreshes();
 
   // Synchronous single-model refresh: retrains (dataset, estimator) at the
@@ -181,12 +185,6 @@ class ModelManager {
                        const std::string& estimator,
                        const CancellationToken* cancel = nullptr,
                        std::string* error = nullptr);
-
-  // Drains the save-back queue (trained models waiting for the maintenance
-  // worker to persist them). Models enqueue after successful cold trains
-  // and refreshes when a store is configured and the estimator supports
-  // persistence.
-  std::vector<PendingSave> TakePendingSaves();
 
   // Snapshot of the entries that serve a model.
   std::vector<LoadedModelInfo> LoadedModels() const;
@@ -246,13 +244,19 @@ class ModelManager {
   void StartRefresh(const std::string& dataset, const std::string& estimator,
                     ModelEntry* entry);
 
-  // Trains (or loads) one model outside any lock. Returns nullptr and
-  // fills *error on failure.
+  // Trains (or loads) one model outside any lock and posts a trained one
+  // for write-back. Returns nullptr and fills *error on failure.
   std::shared_ptr<const ServedModel> BuildModel(
       const std::string& dataset, const std::string& estimator,
       const std::shared_ptr<const Table>& table, uint64_t version,
       bool is_refresh, std::string* error,
       const CancellationToken* cancel = nullptr);
+
+  // Commits `model` to the store as the key's next generation: serialized
+  // under its inference mutex, then up to kSaveAttempts Puts with
+  // exponential backoff. Runs on saves_.
+  void Save(const std::string& dataset, const std::string& estimator,
+            const ServedModel& model);
 
   ModelManagerOptions options_;
 
@@ -273,8 +277,8 @@ class ModelManager {
   mutable std::mutex counters_mutex_;
   ManagerCounters counters_;
 
-  mutable std::mutex saves_mutex_;
-  std::vector<PendingSave> pending_saves_;
+  // Last member: drained before the state its write-backs use.
+  SerialQueue saves_;
 };
 
 }  // namespace arecel::serve

@@ -8,7 +8,6 @@
 
 #include "ml/kernels.h"
 #include "robustness/guard.h"
-#include "store/maintenance_worker.h"
 #include "store/model_store.h"
 #include "util/env.h"
 #include "util/thread_pool.h"
@@ -61,8 +60,6 @@ ServeOptions ServeOptionsFromEnv() {
   options.robust.query_deadline_seconds = EnvDouble(
       "ARECEL_QUERY_DEADLINE", options.robust.query_deadline_seconds);
   options.feedback_enabled = EnvDouble("ARECEL_FEEDBACK", 0.0) > 0;
-  const double queue = EnvDouble("ARECEL_FEEDBACK_QUEUE", 1024.0);
-  options.feedback_queue = queue <= 0 ? 1 : static_cast<size_t>(queue);
   store::StoreOptions store_options = store::StoreOptions::FromEnv();
   if (!store_options.root_dir.empty())
     options.manager.store =
@@ -78,23 +75,7 @@ EstimatorServer::EstimatorServer(ServeOptions options)
   if (options_.dispatch_threads <= 0)
     options_.dispatch_threads = ParallelWorkerCount();
   if (options_.feedback_enabled)
-    feedback_ = std::make_unique<feedback::FeedbackHub>(
-        feedback::FeedbackOptions{}, options_.feedback_queue);
-  if (options_.manager.store != nullptr) {
-    // Non-owning alias: manager_ is a value member and maintenance_ is
-    // declared after it, so the worker is always stopped and destroyed
-    // before the manager it points at.
-    std::shared_ptr<ModelManager> manager_alias(&manager_,
-                                                [](ModelManager*) {});
-    maintenance_ = std::make_unique<store::MaintenanceWorker>(
-        std::move(manager_alias), options_.manager.store,
-        store::MaintenanceOptions::FromEnv());
-    maintenance_->Start();
-  }
-}
-
-EstimatorServer::~EstimatorServer() {
-  if (maintenance_ != nullptr) maintenance_->Stop();
+    feedback_ = std::make_unique<feedback::FeedbackHub>();
 }
 
 bool EstimatorServer::RegisterDataset(const std::string& name, Table table) {
@@ -400,7 +381,7 @@ void EstimatorServer::EnqueueFeedback(
   job.estimator = estimator;
   job.query = query;
   job.base_selectivity = base_selectivity;
-  job.snapshot = manager_.TableSnapshot(dataset);
+  job.snapshot = model->table;
   job.version = model->data_version;
   job.from_cache_hit = from_cache_hit;
   // Self-adapting estimators take the truth directly; everything else
@@ -412,7 +393,7 @@ void EstimatorServer::EnqueueFeedback(
     // drop it and let the next repeat re-infer. (Hub-corrected estimators
     // don't need this: their cached base stays valid and Correct() applies
     // the fresh residual after lookup.) Safe to touch cache_ from the
-    // worker thread: the hub joins its worker before cache_ is destroyed.
+    // truth worker: the hub stops it before cache_ is destroyed.
     // A call served with the cache turned off built no key, but the cache
     // may still hold an entry from before it was turned off.
     std::string key(cache_key);

@@ -18,10 +18,6 @@
 #include "util/hash.h"
 #include "workload/query.h"
 
-namespace arecel::store {
-class MaintenanceWorker;
-}  // namespace arecel::store
-
 namespace arecel::serve {
 
 // Serving-layer configuration. Environment knobs (ServeOptionsFromEnv):
@@ -30,17 +26,14 @@ namespace arecel::serve {
 //   ARECEL_FEEDBACK        non-zero enables the online query-feedback loop
 //                          (default off: serving behavior is bit-identical
 //                          to the pre-feedback server unless opted in)
-//   ARECEL_FEEDBACK_QUEUE  truth-worker queue capacity (default 1024)
 //   ARECEL_QUERY_DEADLINE  per-request deadline in seconds (default 0:
 //                          no watchdog), read into
 //                          robust.query_deadline_seconds
 //   ARECEL_STORE_DIR       enables the crash-safe versioned model store
 //                          (src/store/, DESIGN.md §12): cold loads become
 //                          warm starts through checksum-verified recovery,
-//                          and an embedded MaintenanceWorker owns write-back
-//                          and retries failed refreshes off the serving
-//                          threads (ARECEL_STORE_MAX_GENERATIONS,
-//                          ARECEL_MAINT_INTERVAL_MS)
+//                          and the manager writes each trained model back
+//                          on a pool worker (ARECEL_STORE_MAX_GENERATIONS)
 // The feedback store's shape has no knob: the hub is built with
 // feedback::FeedbackOptions{}. The bench harness's other robustness knobs
 // (ARECEL_FALLBACK, ...) are not read here.
@@ -64,7 +57,6 @@ struct ServeOptions {
   // itself (FeedbackSink models) or a per-(dataset, estimator) residual
   // correction applied to future answers.
   bool feedback_enabled = false;
-  size_t feedback_queue = 1024;
 
   ModelManagerOptions manager;
 };
@@ -150,7 +142,6 @@ class EstimatorServer {
  public:
   explicit EstimatorServer(ServeOptions options);
   EstimatorServer() : EstimatorServer(ServeOptionsFromEnv()) {}
-  ~EstimatorServer();  // stops the maintenance worker before the manager.
 
   // Registers a dataset snapshot at data version 0; false, changing
   // nothing, when the name is already registered.
@@ -184,7 +175,8 @@ class EstimatorServer {
   // new data version (0 if the dataset is unknown).
   uint64_t Update(const std::string& dataset, uint64_t seed = 97);
 
-  // Blocks until every background model refresh has landed.
+  // Blocks until every background model refresh has landed and every
+  // write-back to the store posted so far has finished.
   void WaitForRefreshes() { manager_.WaitForRefreshes(); }
 
   // Runtime cache toggle (the bench sweeps cache on/off on one server).
@@ -204,10 +196,6 @@ class EstimatorServer {
 
   ModelManager& manager() { return manager_; }
   const ServeOptions& options() const { return options_; }
-
-  // The embedded maintenance worker; null unless a model store is
-  // configured. Tests call TickNow() through this for determinism.
-  store::MaintenanceWorker* maintenance() { return maintenance_.get(); }
 
  private:
   // Where the caller's stage of an estimate left its query.
@@ -274,10 +262,9 @@ class EstimatorServer {
   ModelManager manager_;
   EstimateCache cache_;
   std::atomic<bool> cache_enabled_;
+  // Declared after cache_: destroyed first, so no truth delivery touches
+  // a destroyed cache.
   std::unique_ptr<feedback::FeedbackHub> feedback_;
-  // Declared after manager_: destroyed (and Stop()ped) first, so the
-  // worker's non-owning manager alias never dangles.
-  std::unique_ptr<store::MaintenanceWorker> maintenance_;
 
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> batches_{0};

@@ -46,7 +46,7 @@ namespace arecel::store {
 // passed the CRC on this read, not on some earlier one.
 //
 // All methods are thread-safe (one store-wide mutex; operations are rare
-// and coarse: cold loads, maintenance write-backs, fsck).
+// and coarse: cold loads, write-backs, fsck).
 
 struct StoreOptions {
   // Store root ("" disables the store; callers skip construction).

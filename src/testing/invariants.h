@@ -67,7 +67,7 @@ InvariantResult CheckDeterminism(const std::string& name, const Table& table,
                                  uint64_t seed);
 
 // SerializeEstimatorBytes -> LoadEstimatorBytes into a fresh instance (the
-// model store's codec, which ModelManager and the MaintenanceWorker run)
+// model store's codec, which ModelManager runs both ways)
 // preserves the probe estimates bit-for-bit. Skipped (passed) for
 // estimators without persistence support.
 InvariantResult CheckSaveLoadRoundTrip(const std::string& name,

@@ -175,4 +175,34 @@ void StartOnWorker(std::function<void()> task) {
   Pool().Start(std::move(task));
 }
 
+void SerialQueue::Post(std::function<void()> task) {
+  std::unique_lock<std::mutex> lock(mu_);
+  tasks_.push_back(std::move(task));
+  if (running_) return;
+  running_ = true;
+  lock.unlock();
+  StartOnWorker([this] { RunAll(); });
+}
+
+void SerialQueue::RunAll() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!tasks_.empty()) {
+    std::function<void()> task = std::move(tasks_.front());
+    tasks_.pop_front();
+    lock.unlock();
+    task();
+    task = nullptr;  // release captured state outside the lock.
+    lock.lock();
+  }
+  running_ = false;
+  // Under mu_, so a Drain that sees the queue idle cannot return, and its
+  // caller destroy the queue, while this task still touches it.
+  idle_cv_.notify_all();
+}
+
+void SerialQueue::Drain() {
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] { return !running_; });
+}
+
 }  // namespace arecel

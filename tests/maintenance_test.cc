@@ -1,7 +1,8 @@
-// Maintenance-worker tests (src/store/maintenance_worker.h): store-backed
-// write-back with bounded retry/backoff, warm restarts through the store,
-// corrupt-payload poisoning, staleness refresh, and a concurrent serving
-// smoke for the TSan preset (matched by the "Maint" in these suite names).
+// Store write-back tests (serve/model_manager.h with a ModelStore): each
+// trained model committed from the shared worker pool under a fixed retry
+// budget, warm restarts through the store, corrupt-payload poisoning,
+// refreshes persisted, and a concurrent serving smoke for the TSan preset
+// (matched by the "Store" and "Maint" in these suite names).
 
 #include <unistd.h>
 
@@ -16,7 +17,6 @@
 
 #include "data/datasets.h"
 #include "serve/model_manager.h"
-#include "store/maintenance_worker.h"
 #include "store/model_store.h"
 
 namespace arecel::store {
@@ -44,39 +44,28 @@ std::shared_ptr<ModelStore> MakeStore(const std::string& dir,
   return std::make_shared<ModelStore>(std::move(options));
 }
 
-std::shared_ptr<serve::ModelManager> MakeManager(
+std::unique_ptr<serve::ModelManager> MakeManager(
     std::shared_ptr<ModelStore> store) {
   serve::ModelManagerOptions options;
   options.store = std::move(store);
   options.train_query_count = 100;
-  auto manager = std::make_shared<serve::ModelManager>(std::move(options));
+  auto manager = std::make_unique<serve::ModelManager>(std::move(options));
   manager->RegisterDataset("synth", SmallTable());
   return manager;
 }
 
-MaintenanceOptions FastWorkerOptions() {
-  MaintenanceOptions options;
-  options.interval_ms = 5;
-  options.backoff_base_ms = 1;
-  options.backoff_max_ms = 4;
-  return options;
-}
-
-TEST(MaintenanceWorkerTest, WriteBackThenWarmRestart) {
+TEST(StoreWriteBackTest, WriteBackThenWarmRestart) {
   const std::string dir = UniqueDir("writeback");
   auto store = MakeStore(dir);
   auto manager = MakeManager(store);
 
-  // Cold train enqueues a save; nothing reaches the store until the worker
-  // runs — serving threads never pay for persistence.
+  // The cold train posts its save, which commits on a pool worker with no
+  // tick to wait for.
   ASSERT_NE(manager->GetModel("synth", "postgres"), nullptr);
   EXPECT_EQ(manager->counters().cold_trains, 1u);
   EXPECT_EQ(manager->counters().saves_enqueued, 1u);
-  EXPECT_EQ(store->stats().puts, 0u);
-
-  MaintenanceWorker worker(manager, store, FastWorkerOptions());
-  EXPECT_GE(worker.TickNow(), 1u);
-  EXPECT_EQ(worker.stats().saves_committed, 1u);
+  manager->WaitForRefreshes();
+  EXPECT_EQ(manager->counters().saves_committed, 1u);
   EXPECT_EQ(store->stats().commits, 1u);
 
   // A new process over the same store warm-starts: loaded, not trained.
@@ -88,44 +77,37 @@ TEST(MaintenanceWorkerTest, WriteBackThenWarmRestart) {
   EXPECT_EQ(restarted->counters().cold_trains, 0u);
 }
 
-TEST(MaintenanceWorkerTest, WriteBackRetriesWithBackoff) {
+TEST(StoreWriteBackTest, WriteBackRetriesWithBackoff) {
   const std::string dir = UniqueDir("retry");
   // First two write ops fail like ENOSPC; the third Put attempt lands.
   auto store = MakeStore(dir, "store-enospc:times=2");
   auto manager = MakeManager(store);
   ASSERT_NE(manager->GetModel("synth", "postgres"), nullptr);
+  manager->WaitForRefreshes();
 
-  MaintenanceOptions options = FastWorkerOptions();
-  options.save_max_attempts = 3;
-  MaintenanceWorker worker(manager, store, options);
-  EXPECT_GE(worker.TickNow(), 1u);
-
-  const WorkerStats stats = worker.stats();
-  EXPECT_EQ(stats.saves_committed, 1u);
-  EXPECT_EQ(stats.save_retries, 2u);
-  EXPECT_EQ(stats.save_failures, 0u);
+  const serve::ManagerCounters counters = manager->counters();
+  EXPECT_EQ(counters.saves_committed, 1u);
+  EXPECT_EQ(counters.save_retries, 2u);
+  EXPECT_EQ(counters.save_failures, 0u);
   EXPECT_EQ(store->stats().commit_failures, 2u);
   EXPECT_EQ(store->stats().commits, 1u);
 }
 
-TEST(MaintenanceWorkerTest, WriteBackGivesUpAfterAttemptBudget) {
+TEST(StoreWriteBackTest, WriteBackGivesUpAfterAttemptBudget) {
   const std::string dir = UniqueDir("giveup");
   auto store = MakeStore(dir, "store-enospc:times=-1");  // never recovers.
   auto manager = MakeManager(store);
   ASSERT_NE(manager->GetModel("synth", "postgres"), nullptr);
+  manager->WaitForRefreshes();
 
-  MaintenanceOptions options = FastWorkerOptions();
-  options.save_max_attempts = 2;
-  MaintenanceWorker worker(manager, store, options);
-  worker.TickNow();
-
-  const WorkerStats stats = worker.stats();
-  EXPECT_EQ(stats.saves_committed, 0u);
-  EXPECT_EQ(stats.save_failures, 1u);
-  EXPECT_EQ(stats.save_retries, 1u);
+  // Three attempts, so two retries, then the model is dropped.
+  const serve::ManagerCounters counters = manager->counters();
+  EXPECT_EQ(counters.saves_committed, 0u);
+  EXPECT_EQ(counters.save_failures, 1u);
+  EXPECT_EQ(counters.save_retries, 2u);
 }
 
-TEST(MaintenanceWorkerTest, CorruptStorePayloadPoisonsOnlyThatLoad) {
+TEST(StoreWriteBackTest, CorruptStorePayloadPoisonsOnlyThatLoad) {
   const std::string dir = UniqueDir("poison");
   auto store = MakeStore(dir);
   // A committed generation whose frame is valid (CRC passes) but whose
@@ -142,19 +124,18 @@ TEST(MaintenanceWorkerTest, CorruptStorePayloadPoisonsOnlyThatLoad) {
   EXPECT_EQ(manager->counters().persisted_loads, 0u);
 }
 
-TEST(MaintenanceWorkerTest, RefreshesStaleModelsAndPersistsThem) {
+TEST(StoreWriteBackTest, RefreshesStaleModelsAndPersistsThem) {
   const std::string dir = UniqueDir("refresh");
   auto store = MakeStore(dir);
   auto manager = MakeManager(store);
   ASSERT_NE(manager->GetModel("synth", "postgres"), nullptr);
-
-  MaintenanceWorker worker(manager, store, FastWorkerOptions());
-  worker.TickNow();  // persist generation 1.
+  manager->WaitForRefreshes();  // persist generation 1.
   ASSERT_EQ(store->stats().commits, 1u);
 
   const uint64_t version = manager->ApplyUpdate("synth", 0.2, /*seed=*/11);
   ASSERT_GE(version, 1u);
-  worker.TickNow();  // refresh the stale model, then persist generation 2.
+  ASSERT_EQ(manager->RefreshModelsAsync("synth"), 1u);
+  manager->WaitForRefreshes();  // the refresh lands, then generation 2.
 
   EXPECT_EQ(manager->counters().refreshes, 1u);
   auto model = manager->GetModel("synth", "postgres");
@@ -168,15 +149,13 @@ TEST(MaintenanceWorkerTest, RefreshesStaleModelsAndPersistsThem) {
   EXPECT_EQ(generation, 2u);
 }
 
-// Concurrency smoke for the TSan preset: a running background worker, two
-// serving threads estimating, and a data update racing a write-back.
+// Concurrency smoke for the TSan preset: two serving threads estimating
+// while a data update's refresh and the write-backs of both the cold train
+// and the refresh run on pool workers.
 TEST(MaintServeSmokeTest, ConcurrentServeUpdateAndMaintenance) {
   const std::string dir = UniqueDir("smoke");
   auto store = MakeStore(dir);
   auto manager = MakeManager(store);
-
-  MaintenanceWorker worker(manager, store, FastWorkerOptions());
-  worker.Start();
 
   std::atomic<bool> done{false};
   std::vector<std::thread> threads;
@@ -196,15 +175,17 @@ TEST(MaintServeSmokeTest, ConcurrentServeUpdateAndMaintenance) {
     });
   }
   manager->ApplyUpdate("synth", 0.1, /*seed=*/17);
+  manager->RefreshModelsAsync("synth");
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   done = true;
   for (std::thread& t : threads) t.join();
-  worker.Stop();
   manager->WaitForRefreshes();
 
-  // The worker ran: the cold train reached the store.
-  EXPECT_GE(worker.stats().ticks, 1u);
-  EXPECT_GE(store->stats().commits, 1u);
+  // Every posted write-back reached the store, and it verifies clean.
+  const serve::ManagerCounters counters = manager->counters();
+  EXPECT_GE(counters.saves_enqueued, 1u);
+  EXPECT_EQ(counters.saves_committed, counters.saves_enqueued);
+  EXPECT_EQ(store->stats().commits, counters.saves_committed);
   EXPECT_EQ(store->VerifyAll(), 0u);
 }
 

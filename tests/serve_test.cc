@@ -24,19 +24,21 @@
 #include <mutex>
 #include <numeric>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 
+#include "core/model_io.h"
 #include "core/registry.h"
 #include "data/datasets.h"
 #include "serve/cache.h"
 #include "serve/model_manager.h"
 #include "serve/server.h"
-#include "store/maintenance_worker.h"
 #include "store/model_store.h"
+#include "util/archive.h"
 #include "workload/generator.h"
 
 namespace arecel::serve {
@@ -991,8 +993,8 @@ TEST(ServeBatchTest, MixedBatchIsServedAndCountedLikeSingleCalls) {
 
 // Holds each Enter() until the test releases it — Release(n) lets the
 // first n entries through — so a test can look at the server between two
-// gated steps: truth deliveries of the single truth-worker thread, or
-// model trains.
+// gated steps: truth deliveries, which the truth worker runs one at a
+// time, model trains, or write-backs.
 class Gate {
  public:
   void Enter() {
@@ -1066,6 +1068,62 @@ TEST(ServeServerTest, SinkTruthErasesOnlyItsOwnCacheEntry) {
   EXPECT_EQ(server.Stats().cache.invalidations, 1u);
   gate->Release(INT_MAX);
   server.DrainFeedback();
+}
+
+// A sink that records the truths it observes; every Train passes through
+// `gate`.
+class RecordingSink : public CardinalityEstimator, public FeedbackSink {
+ public:
+  RecordingSink(std::shared_ptr<Gate> gate,
+                std::shared_ptr<std::vector<double>> truths)
+      : gate_(std::move(gate)), truths_(std::move(truths)) {}
+  std::string Name() const override { return "recording-sink"; }
+  void Train(const Table&, const TrainContext&) override { gate_->Enter(); }
+  double EstimateSelectivity(const Query&) const override { return 0.25; }
+  size_t SizeBytes() const override { return 8; }
+  void ObserveTruth(const Query&, double truth) override {
+    truths_->push_back(truth);
+  }
+
+ private:
+  std::shared_ptr<Gate> gate_;
+  std::shared_ptr<std::vector<double>> truths_;
+};
+
+// Between an update and its refresh, a stale sink is fed truths over the
+// version it serves, not over the newest table.
+TEST(ServeUpdateTest, StaleSinkTruthsAreLabelledOnTheServedVersion) {
+  auto gate = std::make_shared<Gate>();
+  auto truths = std::make_shared<std::vector<double>>();
+  ServeOptions options;
+  options.feedback_enabled = true;
+  options.manager.factory = [gate, truths](const std::string&) {
+    return std::make_unique<RecordingSink>(gate, truths);
+  };
+  EstimatorServer server(options);
+  ReleaseAll release_all{gate};
+  server.RegisterDataset("t", SmallTable());
+
+  const Query query = MakeQuery({{0, 1.0, 5.0}});
+  gate->Release(1);  // the cold train.
+  ASSERT_NE(server.manager().GetModel("t", "recording-sink"), nullptr);
+  const std::shared_ptr<const Table> version0 =
+      server.manager().TableSnapshot("t");
+  ASSERT_EQ(server.Update("t", /*seed=*/97), 1u);
+  ASSERT_TRUE(gate->WaitEntered(2));  // version 1's refresh is held.
+  const double truth0 = ExecuteSelectivity(*version0, query);
+  ASSERT_NE(truth0,
+            ExecuteSelectivity(*server.manager().TableSnapshot("t"), query));
+
+  const EstimateResponse stale =
+      server.Estimate("t", "recording-sink", query);
+  ASSERT_TRUE(stale.ok);
+  ASSERT_EQ(stale.data_version, 0u);
+  server.DrainFeedback();
+  ASSERT_EQ(truths->size(), 1u);
+  EXPECT_EQ(truths->front(), truth0);
+  gate->Release(INT_MAX);
+  server.WaitForRefreshes();
 }
 
 TEST(ServeUpdateTest, UpdateInvalidatesAndRefreshMatchesManualRetrain) {
@@ -1363,9 +1421,9 @@ TEST(ServeCacheConcurrencyTest, LookupsRaceInsertEraseAndInvalidate) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end store wiring: a server constructed with a model store gets an
-// embedded maintenance worker, write-back lands in the store, and a second
-// server over the same directory warm-starts from disk instead of training.
+// End-to-end store wiring: a server constructed with a model store writes
+// each trained model back on a pool worker, and a second server over the
+// same directory warm-starts from disk instead of training.
 
 TEST(ServeStoreWiringTest, WarmRestartThroughConfiguredStore) {
   const std::string dir = ::testing::TempDir() + "arecel_serve_store_" +
@@ -1380,12 +1438,11 @@ TEST(ServeStoreWiringTest, WarmRestartThroughConfiguredStore) {
     options.manager.store =
         std::make_shared<store::ModelStore>(store_options);
     EstimatorServer server(options);
-    ASSERT_NE(server.maintenance(), nullptr);
     server.RegisterDataset("t", SmallTable());
 
     const EstimateResponse response = server.Estimate("t", "postgres", query);
     ASSERT_TRUE(response.ok);
-    server.maintenance()->TickNow();  // drain the cold train's save-back.
+    server.WaitForRefreshes();  // the cold train's write-back.
 
     const ServerStats stats = server.Stats();
     ASSERT_TRUE(stats.store_enabled);
@@ -1409,6 +1466,145 @@ TEST(ServeStoreWiringTest, WarmRestartThroughConfiguredStore) {
     EXPECT_GE(stats.manager.persisted_loads, 1u);
     EXPECT_GE(stats.store.hits, 1u);
   }
+  std::filesystem::remove_all(dir);
+}
+
+// An empty directory for a store, unique to this process and `tag`.
+std::string FreshStoreDir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "arecel_serve_store_" +
+                          tag + "_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+ServeOptions WithStore(const std::string& dir) {
+  ServeOptions options;
+  store::StoreOptions store_options;
+  store_options.root_dir = dir;
+  options.manager.store = std::make_shared<store::ModelStore>(store_options);
+  return options;
+}
+
+// A persistable stub whose write-back serialization (not the counting
+// probe) passes through `gate`.
+class GatedSaveStub : public StubEstimator {
+ public:
+  explicit GatedSaveStub(std::shared_ptr<Gate> gate)
+      : StubEstimator(0, 0, true), gate_(std::move(gate)) {}
+  bool SerializeModel(ByteWriter* writer) const override {
+    if (!writer->counting_only()) gate_->Enter();
+    writer->U32(1);
+    return true;
+  }
+
+ private:
+  std::shared_ptr<Gate> gate_;
+};
+
+TEST(ServeStoreWiringTest, ColdLoadReturnsWhileItsSaveIsHeld) {
+  const std::string dir = FreshStoreDir("held");
+  auto gate = std::make_shared<Gate>();
+  ModelManagerOptions options = WithStore(dir).manager;
+  options.factory = [gate](const std::string&) {
+    return std::make_unique<GatedSaveStub>(gate);
+  };
+  ModelManager manager(options);
+  ReleaseAll release_all{gate};
+  manager.RegisterDataset("t", SmallTable());
+
+  ASSERT_NE(manager.GetModel("t", "stub"), nullptr);
+  ASSERT_TRUE(gate->WaitEntered(1));  // the write-back is serializing.
+  EXPECT_EQ(manager.counters().saves_enqueued, 1u);
+  EXPECT_EQ(manager.counters().saves_committed, 0u);
+  EXPECT_EQ(options.store->stats().puts, 0u);
+  gate->Release(1);
+  manager.WaitForRefreshes();
+  EXPECT_EQ(manager.counters().saves_committed, 1u);
+  EXPECT_EQ(options.store->stats().commits, 1u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServeStoreWiringTest, NewestGenerationHoldsTheLastPublishedModel) {
+  const std::string dir = FreshStoreDir("newest");
+  const ServeOptions options = WithStore(dir);
+  EstimatorServer server(options);
+  server.RegisterDataset("t", SmallTable());
+
+  ASSERT_TRUE(server.Estimate("t", "postgres", MakeQuery({{0, 2.0, 9.0}})).ok);
+  ASSERT_EQ(server.Update("t", /*seed=*/97), 1u);
+  ASSERT_EQ(server.Update("t", /*seed=*/98), 2u);
+  server.WaitForRefreshes();
+
+  const auto model = server.manager().GetModel("t", "postgres");
+  ASSERT_NE(model, nullptr);
+  ASSERT_EQ(model->data_version, 2u);
+  std::string published;
+  ASSERT_TRUE(SerializeEstimatorBytes(*model->estimator, &published));
+  std::string payload;
+  uint64_t generation = 0;
+  ASSERT_TRUE(options.manager.store->Get("t", "postgres", &payload,
+                                         &generation));
+  // One generation per published model: the cold train and each refresh.
+  EXPECT_EQ(generation, 1 + server.Stats().manager.refreshes);
+  EXPECT_EQ(payload, published);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServeStoreWiringTest, ServerDestroyedAfterAColdTrainLeavesItsModel) {
+  const std::string dir = FreshStoreDir("exit");
+  {
+    EstimatorServer server(WithStore(dir));
+    server.RegisterDataset("t", SmallTable());
+    ASSERT_TRUE(
+        server.Estimate("t", "postgres", MakeQuery({{0, 2.0, 9.0}})).ok);
+  }  // destroyed with no wait: the manager finishes the write-back.
+  EstimatorServer server(WithStore(dir));
+  server.RegisterDataset("t", SmallTable());
+  const auto model = server.manager().GetModel("t", "postgres");
+  ASSERT_NE(model, nullptr);
+  EXPECT_EQ(model->source, "loaded");
+  std::filesystem::remove_all(dir);
+}
+
+// A stub whose second Train, counted over every instance, throws.
+class SecondTrainThrowsStub : public StubEstimator {
+ public:
+  explicit SecondTrainThrowsStub(std::shared_ptr<std::atomic<int>> trains)
+      : StubEstimator(0, 0, true), trains_(std::move(trains)) {}
+  void Train(const Table&, const TrainContext&) override {
+    if (++*trains_ == 2) throw std::runtime_error("transient train failure");
+  }
+
+ private:
+  std::shared_ptr<std::atomic<int>> trains_;
+};
+
+// Nothing retries a failed refresh on a timer: the stale model serves
+// until the next update starts a refresh of every entry behind its data.
+TEST(ServeStoreWiringTest, FailedRefreshIsRetriedByTheNextUpdate) {
+  const std::string dir = FreshStoreDir("retry");
+  auto trains = std::make_shared<std::atomic<int>>(0);
+  ServeOptions options = WithStore(dir);
+  options.manager.factory = [trains](const std::string&) {
+    return std::make_unique<SecondTrainThrowsStub>(trains);
+  };
+  EstimatorServer server(options);
+  server.RegisterDataset("t", SmallTable());
+  const Query query = MakeQuery({{0, 1.0, 5.0}});
+  ASSERT_TRUE(server.Estimate("t", "stub", query).ok);
+
+  ASSERT_EQ(server.Update("t", /*seed=*/97), 1u);
+  server.WaitForRefreshes();
+  EXPECT_EQ(server.Stats().manager.refresh_failures, 1u);
+  EXPECT_EQ(server.Stats().manager.refreshes, 0u);
+  EXPECT_EQ(server.Estimate("t", "stub", query).data_version, 0u);
+
+  ASSERT_EQ(server.Update("t", /*seed=*/98), 2u);
+  server.WaitForRefreshes();
+  const EstimateResponse response = server.Estimate("t", "stub", query);
+  ASSERT_TRUE(response.ok);
+  EXPECT_EQ(response.data_version, 2u);
+  EXPECT_EQ(server.Stats().manager.refreshes, 1u);
   std::filesystem::remove_all(dir);
 }
 

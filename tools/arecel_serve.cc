@@ -128,7 +128,9 @@ void PrintStats(const arecel::serve::ServerStats& stats) {
   if (stats.store_enabled)
     std::printf("store:   puts=%llu commits=%llu commit_failures=%llu "
                 "hits=%llu misses=%llu recoveries=%llu quarantined=%llu "
-                "torn=%llu checksum=%llu corrupt_loads=%llu\n",
+                "torn=%llu checksum=%llu corrupt_loads=%llu "
+                "saves_committed=%llu save_retries=%llu "
+                "save_failures=%llu\n",
                 (unsigned long long)stats.store.puts,
                 (unsigned long long)stats.store.commits,
                 (unsigned long long)stats.store.commit_failures,
@@ -138,7 +140,10 @@ void PrintStats(const arecel::serve::ServerStats& stats) {
                 (unsigned long long)stats.store.quarantined_generations,
                 (unsigned long long)stats.store.torn_writes_detected,
                 (unsigned long long)stats.store.checksum_failures,
-                (unsigned long long)stats.manager.corrupt_loads);
+                (unsigned long long)stats.manager.corrupt_loads,
+                (unsigned long long)stats.manager.saves_committed,
+                (unsigned long long)stats.manager.save_retries,
+                (unsigned long long)stats.manager.save_failures);
   for (const auto& lat : stats.latencies)
     std::printf("latency: %-24s n=%llu p50=%.3fms p90=%.3fms p99=%.3fms "
                 "max=%.3fms\n",
