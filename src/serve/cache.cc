@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <mutex>
+#include <new>
 #include <span>
 #include <utility>
 
@@ -22,14 +23,18 @@ class KeyWriter {
  public:
   explicit KeyWriter(char* out) : out_(out) {}
 
-  bool counting() const { return out_ == nullptr; }
   size_t size() const { return size_; }
 
-  void Raw(const void* data, size_t bytes) {
-    if (out_ != nullptr) std::memcpy(out_ + size_, data, bytes);
+  // Where the next `bytes` bytes of the key go, for the caller to fill;
+  // null while counting.
+  char* Reserve(size_t bytes) {
+    char* at = out_ == nullptr ? nullptr : out_ + size_;
     size_ += bytes;
+    return at;
   }
-  void Skip(size_t bytes) { size_ += bytes; }
+  void Raw(const void* data, size_t bytes) {
+    if (char* at = Reserve(bytes)) std::memcpy(at, data, bytes);
+  }
   // `name`, then the '\x1f' that ends it.
   void Name(std::string_view name) {
     Raw(name.data(), name.size());
@@ -41,9 +46,9 @@ class KeyWriter {
   size_t size_ = 0;
 };
 
-// Approximate resident cost of one entry: key bytes plus the entry, its
-// ring slot and its index node. Exactness does not matter — the knob is
-// "roughly N MB".
+// Approximate resident cost of one entry: key bytes plus the entry's
+// header, its ring slot and its index slots. Exactness does not matter —
+// the knob is "roughly N MB".
 size_t EntryBytes(size_t key_size) { return key_size + 96; }
 
 // A strict weak order on bounds, NaN included: numbers by value (-0.0 ties
@@ -59,33 +64,59 @@ bool BoundLess(double a, double b) {
   return a < b;
 }
 
-void WritePredicate(KeyWriter* w, const Predicate& p) {
-  char bytes[kPredicateBytes];
+// The order predicates key in: by (column, lo, hi).
+bool PredicateLess(const Predicate& a, const Predicate& b) {
+  if (a.column != b.column) return a.column < b.column;
+  if (BoundLess(a.lo, b.lo)) return true;
+  if (BoundLess(b.lo, a.lo)) return false;
+  return BoundLess(a.hi, b.hi);
+}
+
+// `p` as column, lo, hi, at `out`.
+void WritePredicate(char* out, const Predicate& p) {
   const int32_t column = p.column;
   const uint64_t lo_bits = CanonicalBits(p.lo);  // -0.0 keys as +0.0.
   const uint64_t hi_bits = CanonicalBits(p.hi);
-  std::memcpy(bytes, &column, sizeof(column));
-  std::memcpy(bytes + sizeof(column), &lo_bits, sizeof(lo_bits));
-  std::memcpy(bytes + sizeof(column) + sizeof(lo_bits), &hi_bits,
+  std::memcpy(out, &column, sizeof(column));
+  std::memcpy(out + sizeof(column), &lo_bits, sizeof(lo_bits));
+  std::memcpy(out + sizeof(column) + sizeof(lo_bits), &hi_bits,
               sizeof(hi_bits));
-  w->Raw(bytes, sizeof(bytes));
 }
 
-// The predicates sorted by (column, lo, hi), each as column, lo, hi.
+// Most predicates WritePredicates places by rank.
+constexpr size_t kRankedPredicates = 32;
+
+// The predicates in PredicateLess order, each as column, lo, hi. Up to
+// kRankedPredicates predicates over distinct columns are not sorted: each
+// one's slot is the number of smaller columns, counted with no branch on
+// the data (a query's predicates come in any order, so a sort's compares
+// mispredict). A repeated column gives two predicates one rank, so such a
+// query, like a longer one, sorts a heap copy instead.
 void WritePredicates(KeyWriter* w, std::span<const Predicate> predicates) {
-  if (w->counting()) {
-    w->Skip(predicates.size() * kPredicateBytes);
-    return;
+  const size_t n = predicates.size();
+  char* out = w->Reserve(n * kPredicateBytes);
+  if (out == nullptr) return;  // counting.
+  if (n <= kRankedPredicates) {
+    int32_t columns[kRankedPredicates];
+    for (size_t i = 0; i < n; ++i) columns[i] = predicates[i].column;
+    uint32_t ranks[kRankedPredicates];
+    uint64_t ranks_taken = 0;
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t rank = 0;
+      for (size_t j = 0; j < n; ++j) rank += columns[j] < columns[i];
+      ranks[i] = rank;
+      ranks_taken |= uint64_t{1} << rank;
+    }
+    if (ranks_taken == (uint64_t{1} << n) - 1) {  // n distinct ranks.
+      for (size_t i = 0; i < n; ++i)
+        WritePredicate(out + ranks[i] * kPredicateBytes, predicates[i]);
+      return;
+    }
   }
   std::vector<Predicate> sorted(predicates.begin(), predicates.end());
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Predicate& a, const Predicate& b) {
-              if (a.column != b.column) return a.column < b.column;
-              if (BoundLess(a.lo, b.lo)) return true;
-              if (BoundLess(b.lo, a.lo)) return false;
-              return BoundLess(a.hi, b.hi);
-            });
-  for (const Predicate& p : sorted) WritePredicate(w, p);
+  std::sort(sorted.begin(), sorted.end(), PredicateLess);
+  for (size_t i = 0; i < n; ++i)
+    WritePredicate(out + i * kPredicateBytes, sorted[i]);
 }
 
 // The bytes of CanonicalPredicateKey(query). A single-table query keys as
@@ -192,18 +223,57 @@ void CacheKeyBuffer::Build(std::string_view dataset,
   WriteEstimateCacheKey(&writer, dataset, estimator, data_version, query);
 }
 
+// Slots a shard's index starts with.
+constexpr size_t kMinIndexSlots = 16;
+
 EstimateCache::EstimateCache(size_t capacity_bytes, size_t num_shards)
     : capacity_bytes_(capacity_bytes) {
   num_shards = std::max<size_t>(1, num_shards);
   shard_capacity_bytes_ = capacity_bytes / num_shards;
   shards_.reserve(num_shards);
-  for (size_t i = 0; i < num_shards; ++i)
+  for (size_t i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->index.resize(kMinIndexSlots);
+  }
+}
+
+void EstimateCache::FreeEntry::operator()(Entry* entry) const {
+  entry->~Entry();
+  ::operator delete(entry);
 }
 
 EstimateCache::Shard& EstimateCache::ShardFor(uint64_t hash) {
-  // The high half: each shard's index buckets by the whole hash.
+  // The high half: each shard's index probes from the low bits.
   return *shards_[(hash >> 32) % shards_.size()];
+}
+
+EstimateCache::Entry* EstimateCache::Find(const Shard& shard,
+                                          std::string_view key,
+                                          uint64_t hash) {
+  const size_t mask = shard.index.size() - 1;
+  for (size_t i = hash & mask;; i = (i + 1) & mask) {
+    const IndexSlot& slot = shard.index[i];
+    if (slot.entry == nullptr) return nullptr;
+    if (slot.hash == hash && slot.entry->key() == key) return slot.entry;
+  }
+}
+
+void EstimateCache::IndexInsert(Shard* shard, Entry* entry) {
+  // Puts `slot` in the first empty slot of its probe run.
+  const auto place = [](std::vector<IndexSlot>* index, IndexSlot slot) {
+    const size_t mask = index->size() - 1;
+    size_t i = slot.hash & mask;
+    while ((*index)[i].entry != nullptr) i = (i + 1) & mask;
+    (*index)[i] = slot;
+  };
+  if (2 * (shard->entries + 1) > shard->index.size()) {
+    std::vector<IndexSlot> grown(2 * shard->index.size());
+    for (const IndexSlot& slot : shard->index)
+      if (slot.entry != nullptr) place(&grown, slot);
+    shard->index.swap(grown);
+  }
+  place(&shard->index, IndexSlot{entry->hash, entry});
+  ++shard->entries;
 }
 
 bool EstimateCache::Lookup(std::string_view key, double* selectivity) {
@@ -211,17 +281,16 @@ bool EstimateCache::Lookup(std::string_view key, double* selectivity) {
   const uint64_t hash = HashBytes(key.data(), key.size());
   Shard& shard = ShardFor(hash);
   std::shared_lock lock(shard.mutex);
-  const auto it = shard.index.find(IndexKey{key, hash});
-  if (it == shard.index.end()) {
+  Entry* entry = Find(shard, key, hash);
+  if (entry == nullptr) {
     shard.misses.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  Entry& entry = *it->second;
   // Stored only when clear, so a hot entry's line stays shared.
-  if (!entry.referenced.load(std::memory_order_relaxed))
-    entry.referenced.store(true, std::memory_order_relaxed);
+  if (!entry->referenced.load(std::memory_order_relaxed))
+    entry->referenced.store(true, std::memory_order_relaxed);
   shard.hits.fetch_add(1, std::memory_order_relaxed);
-  *selectivity = entry.selectivity;
+  *selectivity = entry->selectivity;
   return true;
 }
 
@@ -230,15 +299,14 @@ void EstimateCache::Insert(std::string_view key, double selectivity) {
   const uint64_t hash = HashBytes(key.data(), key.size());
   Shard& shard = ShardFor(hash);
   std::lock_guard lock(shard.mutex);
-  if (const auto it = shard.index.find(IndexKey{key, hash});
-      it != shard.index.end()) {
-    it->second->selectivity = selectivity;
-    it->second->referenced.store(true, std::memory_order_relaxed);
+  if (Entry* entry = Find(shard, key, hash); entry != nullptr) {
+    entry->selectivity = selectivity;
+    entry->referenced.store(true, std::memory_order_relaxed);
     return;
   }
   // The new entry is not in the ring yet, so the hand cannot pick it.
   shard.bytes += EntryBytes(key.size());
-  while (shard.bytes > shard_capacity_bytes_ && !shard.index.empty())
+  while (shard.bytes > shard_capacity_bytes_ && shard.entries > 0)
     EvictOne(&shard);
   size_t slot = shard.ring.size();
   if (shard.holes.empty()) {
@@ -250,9 +318,12 @@ void EstimateCache::Insert(std::string_view key, double selectivity) {
     slot = shard.holes.back();
     shard.holes.pop_back();
   }
-  auto entry = std::make_unique<Entry>(std::string(key), hash, selectivity,
-                                       slot);
-  shard.index.emplace(IndexKey{entry->key, hash}, entry.get());
+  // One allocation: the header, then the key's bytes (Entry::key()).
+  void* memory = ::operator new(sizeof(Entry) + key.size());
+  std::memcpy(static_cast<char*>(memory) + sizeof(Entry), key.data(),
+              key.size());
+  EntryPtr entry(new (memory) Entry{hash, selectivity, slot, key.size()});
+  IndexInsert(&shard, entry.get());
   shard.ring[slot] = std::move(entry);
 }
 
@@ -273,8 +344,24 @@ void EstimateCache::EvictOne(Shard* shard) {
 }
 
 void EstimateCache::Remove(Shard* shard, Entry* entry) {
-  shard->bytes -= EntryBytes(entry->key.size());
-  shard->index.erase(IndexKey{entry->key, entry->hash});
+  std::vector<IndexSlot>& index = shard->index;
+  const size_t mask = index.size() - 1;
+  size_t hole = entry->hash & mask;
+  while (index[hole].entry != entry) hole = (hole + 1) & mask;
+  // Backward shift: a later slot of the run moves into the hole when the
+  // hole lies on its probe path (from its home slot up to it), so every
+  // key stays reachable with no tombstones.
+  for (size_t i = (hole + 1) & mask; index[i].entry != nullptr;
+       i = (i + 1) & mask) {
+    const size_t home = index[i].hash & mask;
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      index[hole] = index[i];
+      hole = i;
+    }
+  }
+  index[hole] = IndexSlot{};
+  --shard->entries;
+  shard->bytes -= EntryBytes(entry->key_size);
   shard->holes.push_back(entry->slot);
   shard->ring[entry->slot].reset();
 }
@@ -283,9 +370,9 @@ void EstimateCache::Erase(std::string_view key) {
   const uint64_t hash = HashBytes(key.data(), key.size());
   Shard& shard = ShardFor(hash);
   std::lock_guard lock(shard.mutex);
-  const auto it = shard.index.find(IndexKey{key, hash});
-  if (it == shard.index.end()) return;
-  Remove(&shard, it->second);
+  Entry* entry = Find(shard, key, hash);
+  if (entry == nullptr) return;
+  Remove(&shard, entry);
   ++shard.invalidations;
 }
 
@@ -294,14 +381,14 @@ size_t EstimateCache::InvalidatePrefix(std::string_view prefix) {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard lock(shard.mutex);
-    for (const std::unique_ptr<Entry>& slot : shard.ring) {
-      if (slot == nullptr || !slot->key.starts_with(prefix)) continue;
+    for (const EntryPtr& slot : shard.ring) {
+      if (slot == nullptr || !slot->key().starts_with(prefix)) continue;
       Remove(&shard, slot.get());
       ++shard.invalidations;
       ++erased;
     }
     // An emptied ring starts over, so it holds no run of holes.
-    if (shard.index.empty()) {
+    if (shard.entries == 0) {
       shard.ring.clear();
       shard.holes.clear();
       shard.hand = 0;
@@ -314,7 +401,8 @@ void EstimateCache::Clear() {
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard lock(shard.mutex);
-    shard.index.clear();
+    std::fill(shard.index.begin(), shard.index.end(), IndexSlot{});
+    shard.entries = 0;
     shard.ring.clear();
     shard.holes.clear();
     shard.hand = 0;
@@ -331,7 +419,7 @@ CacheStats EstimateCache::Stats() const {
     stats.misses += shard.misses.load(std::memory_order_relaxed);
     stats.evictions += shard.evictions;
     stats.invalidations += shard.invalidations;
-    stats.entries += shard.index.size();
+    stats.entries += shard.entries;
     stats.bytes += shard.bytes;
   }
   return stats;

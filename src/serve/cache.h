@@ -7,7 +7,6 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "workload/query.h"
@@ -47,7 +46,8 @@ std::string DatasetKeyPrefix(const std::string& dataset);
 // EstimateCacheKey's bytes, built into a buffer the caller owns. A key of
 // up to kInlineBytes (a single-table query of a dozen predicates) stays
 // inside the object; a longer key spills to one heap block, which later
-// builds reuse. Sorting the predicates takes one scratch allocation.
+// builds reuse. Ordering the predicates allocates only for a query that
+// repeats a column or has more than 32 predicates.
 class CacheKeyBuffer {
  public:
   static constexpr size_t kInlineBytes = 320;
@@ -81,11 +81,13 @@ struct CacheStats {
 };
 
 // Sharded CLOCK cache of selectivity estimates. One hash of the key
-// (util/hash.h HashBytes) picks the shard and probes its index. A Lookup
-// holds its shard's reader-writer lock shared, and a hit writes nothing
-// but that lock's reader count and the hit counter beside it (plus, once
-// per sweep of the hand, the entry's `referenced` flag), so concurrent
-// hits on one shard do not serialize. Insert, Erase, InvalidatePrefix and
+// (util/hash.h HashBytes) picks the shard and probes its index, a flat
+// array of (hash, entry) slots; each entry is one allocation holding its
+// key, so a hit reads one slot and one entry. A Lookup holds its shard's
+// reader-writer lock shared, and a hit writes nothing but that lock's
+// reader count and the hit counter beside it (plus, once per sweep of the
+// hand, the entry's `referenced` flag), so concurrent hits on one shard
+// do not serialize. Insert, Erase, InvalidatePrefix and
 // Clear hold the lock exclusively. Capacity is in approximate bytes (key
 // size + fixed per-entry overhead), split evenly across shards; when an
 // Insert overflows its shard, the shard's CLOCK hand evicts: it walks the
@@ -124,25 +126,27 @@ class EstimateCache {
   size_t num_shards() const { return shards_.size(); }
 
  private:
+  // One allocation: this header, then the key's bytes.
   struct Entry {
-    std::string key;
     uint64_t hash;
     double selectivity;
     size_t slot;  // in the shard's ring.
+    size_t key_size;
     // Set by a hit when clear; cleared by the hand's pass.
     std::atomic<bool> referenced{false};
-  };
-  // An entry's key bytes (a view into the entry, which stores them once)
-  // and their hash, so a probe hashes its key once.
-  struct IndexKey {
-    std::string_view bytes;
-    uint64_t hash;
-    bool operator==(const IndexKey& other) const {
-      return hash == other.hash && bytes == other.bytes;
+
+    std::string_view key() const {
+      return {reinterpret_cast<const char*>(this + 1), key_size};
     }
   };
-  struct IndexHash {
-    size_t operator()(const IndexKey& key) const noexcept { return key.hash; }
+  struct FreeEntry {
+    void operator()(Entry* entry) const;
+  };
+  using EntryPtr = std::unique_ptr<Entry, FreeEntry>;
+  // A slot of a shard's index; a null entry marks it empty.
+  struct IndexSlot {
+    uint64_t hash = 0;
+    Entry* entry = nullptr;
   };
 
   struct alignas(64) Shard {
@@ -155,15 +159,21 @@ class EstimateCache {
     uint64_t evictions = 0;
     uint64_t invalidations = 0;
     size_t bytes = 0;
-    alignas(64) std::unordered_map<IndexKey, Entry*, IndexHash> index;
+    size_t entries = 0;
+    // Open addressing: a key probes linearly from its hash's low bits. The
+    // size is a power of two, and at most half the slots are full.
+    alignas(64) std::vector<IndexSlot> index;
     // The CLOCK ring: every entry has a slot; evictions and erasures leave
     // null holes, which later inserts fill, most recent first.
-    std::vector<std::unique_ptr<Entry>> ring;
+    std::vector<EntryPtr> ring;
     std::vector<size_t> holes;
     size_t hand = 0;
   };
 
   Shard& ShardFor(uint64_t hash);
+  static Entry* Find(const Shard& shard, std::string_view key,
+                     uint64_t hash);
+  static void IndexInsert(Shard* shard, Entry* entry);
   static void EvictOne(Shard* shard);
   static void Remove(Shard* shard, Entry* entry);
 

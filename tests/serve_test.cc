@@ -20,10 +20,12 @@
 #include <future>
 #include <latch>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <numeric>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -323,6 +325,184 @@ TEST(ServeCacheKeyTest, BufferBuilderMatchesEstimateCacheKey) {
     longest = std::max(longest, expected.size());
   }
   EXPECT_GT(longest, CacheKeyBuffer::kInlineBytes);
+}
+
+// Predicates over distinct columns are placed by rank, up to 32 of them;
+// more, or a repeated column, fall back to a sort. Both sides of each
+// boundary key as the comparator orders them: 0, 1, 2, 31, 32, 33 and 64
+// predicates, in ascending, descending and shuffled order, over columns
+// that include negatives, INT_MIN and INT_MAX; then the same sizes (from
+// 2 up) with one column repeated, its two predicates' bounds drawn from
+// +/-0.0, NaNs and a number.
+TEST(ServeCacheKeyTest, RankPlacementMatchesTheComparator) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double repeated_bounds[] = {-0.0, 0.0, nan, std::nan("7"), 2.5};
+  std::mt19937_64 rng(29);
+  // INT_MIN, INT_MAX, then negatives and non-negatives in turn.
+  std::vector<int> distinct = {INT_MIN, INT_MAX};
+  for (int i = 0; distinct.size() < 64; ++i)
+    distinct.push_back(i % 2 == 0 ? -1 - i / 2 : i / 2);
+  CacheKeyBuffer buffer;
+  const auto expect_keys_agree = [&](const Query& query,
+                                     const std::string& label) {
+    const std::string expected = EstimateCacheKey("census", "mscn", 3, query);
+    ASSERT_EQ(expected, ReferenceSingleTableKey("census", "mscn", 3, query))
+        << label;
+    buffer.Build("census", "mscn", 3, query);
+    ASSERT_EQ(buffer.view(), expected) << label;
+  };
+  for (const size_t n : {0, 1, 2, 31, 32, 33, 64}) {
+    std::vector<int> columns(distinct.begin(), distinct.begin() + n);
+    std::sort(columns.begin(), columns.end());
+    for (const char* order : {"ascending", "descending", "shuffled"}) {
+      std::vector<int> ordered = columns;
+      if (order[0] == 'd') std::reverse(ordered.begin(), ordered.end());
+      if (order[0] == 's') std::shuffle(ordered.begin(), ordered.end(), rng);
+      Query query;
+      for (const int column : ordered)
+        query.predicates.push_back({column, static_cast<double>(rng() % 50),
+                                    static_cast<double>(50 + rng() % 50)});
+      const std::string label = std::to_string(n) + " " + order;
+      ASSERT_NO_FATAL_FAILURE(expect_keys_agree(query, label));
+      if (n < 2) continue;
+      // One column twice: the first predicate's column on another one.
+      const size_t copy = 1 + rng() % (n - 1);
+      query.predicates[copy].column = query.predicates[0].column;
+      for (const double lo0 : repeated_bounds) {
+        for (const double lo1 : repeated_bounds) {
+          query.predicates[0].lo = lo0;
+          query.predicates[copy].lo = lo1;
+          query.predicates[0].hi = repeated_bounds[rng() % 5];
+          query.predicates[copy].hi = repeated_bounds[rng() % 5];
+          ASSERT_NO_FATAL_FAILURE(
+              expect_keys_agree(query, label + " repeated"));
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The shard index under long runs of operations.
+
+// One shard under 20 000 seeded operations, checked against a std::map:
+// inserts of new keys, overwrites, lookups, erasures of present and of
+// missing keys, invalidations of three dataset prefixes, and clears, on
+// keys of 1-400 bytes. Every 100 operations each key ever inserted is
+// looked up. With room for every key, each must hit or miss as the map
+// says; when the capacity makes CLOCK evict, a hit must still return the
+// map's latest value, and a key the map dropped must miss. The shard's
+// entries and bytes must be the sums over the keys that hit. The other
+// cache tests hold about ten entries per shard, so they never reach long
+// probe runs, wrap-around at the index's end or backward shifts. The check
+// runs every 100 operations, not every 1000: when evicting, an entry that
+// a faulty erasure cuts off from its probe run shows only in the totals,
+// and only until the hand evicts it.
+TEST(ServeCacheIndexTest, RandomOperationsMatchAReferenceMap) {
+  const std::string prefixes[] = {DatasetKeyPrefix("census"),
+                                  DatasetKeyPrefix("dmv"),
+                                  DatasetKeyPrefix("forest")};
+  std::mt19937_64 rng(91);
+  // Keys of 8 bytes or more start with a dataset prefix.
+  std::vector<std::string> universe;
+  std::set<std::string> drawn;
+  while (universe.size() < 4000) {
+    const size_t size = 1 + rng() % 400;
+    std::string key = size < 8 ? "" : prefixes[rng() % 3];
+    while (key.size() < size) key += static_cast<char>(rng());
+    if (drawn.insert(key).second) universe.push_back(key);
+  }
+
+  for (const bool evicts : {false, true}) {
+    SCOPED_TRACE(evicts ? "evicting" : "room for every key");
+    // About 130 entries of the mean key when evicting.
+    EstimateCache cache(evicts ? 40000 : size_t{1} << 30, /*num_shards=*/1);
+    std::map<std::string, double> reference;
+    std::set<std::string> inserted;
+    // A key the map holds (`held`) or does not; null if none turned up.
+    const auto pick = [&](bool held) -> const std::string* {
+      for (int tries = 0; tries < 100; ++tries) {
+        const std::string& key = universe[rng() % universe.size()];
+        if (reference.contains(key) == held) return &key;
+      }
+      return nullptr;
+    };
+    const auto expect_lookup = [&](const std::string& key, bool* hit) {
+      double got = 0.0;
+      *hit = cache.Lookup(key, &got);
+      const auto it = reference.find(key);
+      if (*hit) {
+        ASSERT_NE(it, reference.end()) << "a dropped key hit";
+        ASSERT_EQ(got, it->second);
+      } else if (!evicts) {
+        ASSERT_EQ(it, reference.end()) << "a cached key missed";
+      }
+    };
+    for (int op = 1; op <= 20000; ++op) {
+      const double value = op;  // every write is a new value.
+      // Per 10 000: 3500 inserts of new keys, 1000 overwrites, 3000
+      // lookups, 1000 erasures, 1490 erasures of missing keys, 8 prefix
+      // invalidations and 2 clears.
+      const uint64_t dice = rng() % 10000;
+      if (dice < 3500) {
+        if (const std::string* key = pick(false)) {
+          cache.Insert(*key, value);
+          reference[*key] = value;
+          inserted.insert(*key);
+        }
+      } else if (dice < 4500) {
+        if (const std::string* key = pick(true)) {
+          cache.Insert(*key, value);
+          reference[*key] = value;
+        }
+      } else if (dice < 7500) {
+        bool hit = false;
+        ASSERT_NO_FATAL_FAILURE(
+            expect_lookup(universe[rng() % universe.size()], &hit))
+            << "op " << op;
+      } else if (dice < 8500) {
+        if (const std::string* key = pick(true)) {
+          cache.Erase(*key);
+          reference.erase(*key);
+        }
+      } else if (dice < 9990) {
+        if (const std::string* key = pick(false)) cache.Erase(*key);
+      } else if (dice < 9998) {
+        const std::string& prefix = prefixes[rng() % 3];
+        const size_t dropped = std::erase_if(reference, [&](const auto& kv) {
+          return kv.first.starts_with(prefix);
+        });
+        const size_t erased = cache.InvalidatePrefix(prefix);
+        if (evicts) {
+          EXPECT_LE(erased, dropped) << "op " << op;
+        } else {
+          EXPECT_EQ(erased, dropped) << "op " << op;
+        }
+      } else {
+        cache.Clear();
+        reference.clear();
+      }
+      if (op % 100 != 0) continue;
+      size_t entries = 0;
+      size_t bytes = 0;
+      for (const std::string& key : inserted) {
+        bool hit = false;
+        ASSERT_NO_FATAL_FAILURE(expect_lookup(key, &hit)) << "op " << op;
+        if (!hit) continue;
+        ++entries;
+        bytes += key.size() + 96;
+      }
+      const CacheStats stats = cache.Stats();
+      ASSERT_EQ(stats.entries, entries) << "op " << op;
+      ASSERT_EQ(stats.bytes, bytes) << "op " << op;
+    }
+    const CacheStats stats = cache.Stats();
+    if (evicts) {
+      EXPECT_GT(stats.evictions, 1000u);
+    } else {
+      EXPECT_EQ(stats.evictions, 0u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
